@@ -265,4 +265,7 @@ def named_schedule(kind: str, **params) -> Schedule:
         raise ConfigurationError(
             f"unknown schedule kind {kind!r}; choose from {sorted(_BUILDERS)}"
         ) from None
-    return builder(**params)
+    try:
+        return builder(**params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad parameters for a {kind!r} schedule: {exc}") from None

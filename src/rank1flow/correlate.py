@@ -17,6 +17,14 @@ of the two step functions as the base case.  The only error is the mass
 of copy-boundary crossings at stages above N; per stage it is at most
 ||f||_inf ||g||_inf |t| w_n, and the widths sum geometrically, so the
 total is bounded by 2 ||f||_inf ||g||_inf |t| w_N.
+
+:class:`Correlator` runs the recursion for exact times on the integer
+lattice of :mod:`rank1flow.schedule`: -t is put on a lattice whose scale
+D is a multiple of the denominators of t and of stages k..N, and from
+there on shifts, memo keys, the |tau| < h_n tests and the overlap deltas
+are ints (x = A/D) or int pairs (x = (A + B*sqrt 2)/D).  A shift becomes
+a scalar again only as the argument of the base case.  Float times and
+float-mode schedules take the same recursion on scalar coordinates.
 """
 
 from __future__ import annotations
@@ -25,11 +33,12 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import Sequence
+from math import lcm
+from typing import NamedTuple, Sequence
 
 from .errors import RangeError, ResourceError
-from .scalars import Scalar
-from .schedule import Schedule, overlap_pairs
+from .scalars import Scalar, Sqrt2
+from .schedule import Lattice, Schedule, scalar_denominator, within
 from .stepfun import StepFunction, cross_correlation, product_integral
 
 DEFAULT_GUARD = 10**6
@@ -65,7 +74,14 @@ def pick_stage(schedule: Schedule, k: int, t_abs: Scalar, max_stage: int = 64) -
 
 class Correlator:
     """Koopman correlations of one (f, g) pair under one schedule, with a
-    shift memo shared across query times."""
+    shift memo shared across query times.
+
+    Exact shifts are memoized on one lattice whose scale only grows: a
+    time that needs a finer scale rescales the keys already stored.  Float
+    shifts have a memo of their own, keyed as before the lattice existed
+    (quantized on float-mode schedules), since a float and a lattice int
+    may compare equal while meaning different shifts.
+    """
 
     def __init__(self, schedule: Schedule, f: StepFunction, g: StepFunction, guard: int = DEFAULT_GUARD):
         if f.stage != g.stage:
@@ -75,48 +91,72 @@ class Correlator:
         self.g = g
         self.k = f.stage
         self.guard = guard
-        self._memo: dict = {}
+        self._scale = 1
+        self._memo: dict = {}  # (n, lattice coordinate on self._scale) -> B_n
+        self._scalar_memo: dict = {}  # (n, float key) -> B_n
 
-    # -- keys (float mode quantizes shifts before lookup) ----------------
+    def _query(self, tau, n: int):
+        """The per-query context of :meth:`_B` and tau in its coordinates."""
+        sched = self.schedule
+        stages = [sched.stage(m) for m in range(self.k, n + 1)]
+        if sched.mode == "float" or isinstance(tau, float):
+            quanta = None
+            if sched.mode == "float":
+                quanta = {st.n: 1e-12 * max(1.0, float(st.h)) for st in stages}
+            return _Query(None, {st.n: st.h for st in stages}, quanta, self._scalar_memo), tau
+        scale = lcm(self._scale, scalar_denominator(tau), *(st.denominator for st in stages))
+        if scale != self._scale:
+            self._rescale(scale)
+        lattice = Lattice(scale, sched.mode == "sqrt2" or isinstance(tau, Sqrt2))
+        heights = {st.n: lattice.encode(st.h) for st in stages}
+        return _Query(lattice, heights, None, self._memo), lattice.encode(tau)
 
-    def _key(self, n: int, tau):
-        if self.schedule.mode == "float":
-            quantum = 1e-12 * max(1.0, float(self.schedule.height(n)))
-            return n, round(float(tau) / quantum)
-        return n, tau
+    def _rescale(self, scale: int):
+        m = scale // self._scale
+        entries = list(self._memo.items())
+        self._memo.clear()
+        for (n, x), v in entries:
+            self._memo[n, x * m if type(x) is int else (x[0] * m, x[1] * m)] = v
+        self._scale = scale
 
-    def _B(self, n: int, tau):
-        if not abs(tau) < self.schedule.height(n):
+    def _B(self, n: int, tau, q: "_Query"):
+        if not within(tau, q.heights[n]):
             return 0j
-        if n == self.k:
-            key = self._key(n, tau)
-            v = self._memo.get(key)
-            if v is None:
-                v = cross_correlation(self.f, self.g, tau)
-                self._remember(key, v)
-            return v
-        key = self._key(n, tau)
-        v = self._memo.get(key)
+        key = (n, tau) if q.quanta is None else (n, round(float(tau) / q.quanta[n]))
+        v = q.memo.get(key)
         if v is None:
-            v = 0j
-            for delta, mult in self.schedule.overlaps(n - 1, tau, guard=self.guard):
-                v += mult * self._B(n - 1, delta)
-            self._remember(key, v)
+            if n == self.k:
+                v = cross_correlation(self.f, self.g, tau if q.lattice is None else q.lattice.decode(tau))
+            else:
+                v = 0j
+                for delta, mult in self.schedule.overlaps(n - 1, tau, guard=self.guard, lattice=q.lattice):
+                    v += mult * self._B(n - 1, delta, q)
+            self._remember(q.memo, key, v)
         return v
 
-    def _remember(self, key, v):
-        if len(self._memo) >= self.guard:
+    def _remember(self, memo: dict, key, v):
+        if len(self._memo) + len(self._scalar_memo) >= self.guard:
             raise ResourceError(
                 f"memo blowup near stage {key[0]}: more than {self.guard} distinct shifts"
             )
-        self._memo[key] = v
+        memo[key] = v
 
     def at(self, t: Scalar, stage: int | None = None) -> CorrelationResult:
         n = pick_stage(self.schedule, self.k, abs(t)) if stage is None else stage
+        if n < self.k:
+            raise RangeError(f"stage {n} is below the functions' stage {self.k}")
         w_n = self.schedule.width(n)
-        value = complex(self._B(n, -t)) * float(w_n)
+        q, tau = self._query(-t, n)
+        value = complex(self._B(n, tau, q)) * float(w_n)
         bound = 2.0 * self.f.sup_norm * self.g.sup_norm * float(abs(t)) * float(w_n)
         return CorrelationResult(value=value, error_bound=bound, stage_used=n)
+
+
+class _Query(NamedTuple):
+    lattice: Lattice | None  # None: scalar coordinates
+    heights: dict  # n -> h_n in the query's coordinates
+    quanta: dict | None  # n -> float key quantum (float-mode schedules only)
+    memo: dict
 
 
 def correlate(

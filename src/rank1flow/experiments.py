@@ -51,13 +51,56 @@ KINDS = (
 # spec plumbing
 # ---------------------------------------------------------------------------
 
+_REQUIRED = object()
+
+
+def _parse(value, what: str, parse):
+    """parse(value); a value it rejects is a ConfigurationError naming *what*."""
+    try:
+        return parse(value)
+    except (TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
+        raise ConfigurationError(f"{what} = {value!r}: {exc}") from None
+
+
+def _field(spec: dict, key: str, parse, default=_REQUIRED):
+    """spec[key] (or *default*) read through *parse*; a missing required
+    entry or a malformed value is a ConfigurationError."""
+    if key in spec:
+        return _parse(spec[key], f"spec entry {key!r}", parse)
+    if default is _REQUIRED:
+        raise ConfigurationError(f"spec needs a {key!r} entry")
+    return parse(default)
+
+
+def _scalar(value):
+    return scalar_from_string(str(value))
+
+
+def _list_of(parse):
+    def parse_list(value):
+        if not isinstance(value, list):
+            raise TypeError("expected a list")
+        return [parse(v) for v in value]
+
+    return parse_list
+
+
+def _optional_float(value):
+    return None if value is None else float(value)
+
+
+def _dict(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError("expected an object")
+    return value
+
 
 def resolve_schedule(spec: dict) -> Schedule:
     doc = spec.get("schedule")
     if doc is None:
         raise ConfigurationError("experiment spec needs a 'schedule' entry")
     if isinstance(doc, dict) and "kind" in doc and "stages" not in doc and "named" not in doc:
-        sched = named_schedule(doc["kind"], **doc.get("params", {}))
+        sched = named_schedule(doc["kind"], **_field(doc, "params", _dict, {}))
     else:
         sched = load_schedule(doc)
     if spec.get("symmetrize"):
@@ -68,28 +111,31 @@ def resolve_schedule(spec: dict) -> Schedule:
 def resolve_times(schedule: Schedule, doc) -> list:
     """Literal time list, stage-height multiples, or recorded class times."""
     if isinstance(doc, list):
-        return [scalar_from_string(str(t)) for t in doc]
+        return [_parse(t, "time", _scalar) for t in doc]
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"times = {doc!r}: expected a list of times or a time-spec object")
     kind = doc.get("kind")
     if kind == "heights":
-        d = scalar_from_string(str(doc.get("d", "1")))
-        return [d * schedule.height(n) for n in doc["stages"]]
+        d = _field(doc, "d", _scalar, "1")
+        return [d * schedule.height(n) for n in _field(doc, "stages", _list_of(int))]
     if kind == "m_class":
-        build_to = int(doc["build_to"])
+        build_to = _field(doc, "build_to", int)
+        label = _field(doc, "label", str)
         schedule.stage(build_to)
-        recorded = schedule.meta.get("m_times", {}).get(doc["label"])
+        recorded = schedule.meta.get("m_times", {}).get(label)
         if not recorded:
-            raise ConfigurationError(f"no recorded times for class {doc['label']!r}")
+            raise ConfigurationError(f"no recorded times for class {label!r}")
         return [rec["t"] for rec in recorded if rec["stage"] <= build_to]
     raise ConfigurationError(f"unknown time spec kind {kind!r}")
 
 
 def test_family(schedule: Schedule, params: dict, pair: bool = True) -> list:
     """Seeded family of stage-measurable test functions."""
-    stage = int(params.get("stage", 1))
-    levels = int(params.get("levels", 4))
-    seed = int(params.get("seed", 0))
-    size = int(params.get("family_size", 3))
-    mean_zero = bool(params.get("mean_zero", False))
+    stage = _field(params, "stage", int, 1)
+    levels = _field(params, "levels", int, 4)
+    seed = _field(params, "seed", int, 0)
+    size = _field(params, "family_size", int, 3)
+    mean_zero = _field(params, "mean_zero", bool, False)
     rng = random.Random(seed)
     h = schedule.height(stage)
     fam = []
@@ -118,7 +164,7 @@ def _cres(r) -> dict:
 
 def run_stage_audit(spec: dict):
     schedule = resolve_schedule(spec)
-    depth = int(spec.get("depth", 8))
+    depth = _field(spec, "depth", int, 8)
     items = []
     ok_all = True
     for n in range(1, depth + 1):
@@ -151,9 +197,9 @@ def run_stage_audit(spec: dict):
             }
         )
     report = {"items": items}
-    horizon = spec.get("finiteness_horizon")
+    horizon = _field(spec, "finiteness_horizon", int, 0)
     if horizon:
-        verdict = finiteness_test(schedule, int(horizon))
+        verdict = finiteness_test(schedule, horizon)
         report["finiteness"] = {
             "status": verdict.status,
             "partial_sum": scalar_to_string(verdict.partial_sum),
@@ -167,7 +213,7 @@ def run_correlate(spec: dict):
     schedule = resolve_schedule(spec)
     (f, g) = test_family(schedule, spec, pair=True)[0]
     times = resolve_times(schedule, spec.get("times", ["0"]))
-    against_oracle = bool(spec.get("oracle", False))
+    against_oracle = _field(spec, "oracle", bool, False)
     corr = Correlator(schedule, f, g)
     items = []
     ok_all = True
@@ -193,18 +239,18 @@ def _target_from_spec(doc: dict) -> WeakLimitTarget:
         return complex(float(v), 0.0)
 
     return WeakLimitTarget(
-        alpha=cplx(doc.get("alpha", 0)),
-        beta=cplx(doc.get("beta", 0)),
-        s=scalar_from_string(str(doc.get("s", "0"))),
+        alpha=_field(doc, "alpha", cplx, 0),
+        beta=_field(doc, "beta", cplx, 0),
+        s=_field(doc, "s", _scalar, "0"),
     )
 
 
 def run_weak_limit(spec: dict):
     schedule = resolve_schedule(spec)
     times = resolve_times(schedule, spec.get("times", ["0"]))
-    target = _target_from_spec(spec.get("target", {"alpha": 1}))
+    target = _target_from_spec(_field(spec, "target", _dict, {"alpha": 1}))
     family = test_family(schedule, spec)
-    threshold = float(spec.get("threshold", 0.05))
+    threshold = _field(spec, "threshold", float, 0.05)
     probe = weak_limit_probe(schedule, times, target, family, threshold=threshold)
     items = [
         {"j": j, "t": scalar_to_string(t), "residual": r, "bound": b}
@@ -227,10 +273,10 @@ def asym_stage_indices(schedule: Schedule, count: int) -> list:
 
 
 def forward_level_sets(schedule: Schedule, spec: dict) -> list:
-    stage = int(spec.get("set_stage", 2))
-    levels = int(spec.get("set_levels", 4))
-    seed = int(spec.get("seed", 0))
-    count = int(spec.get("forward_sets", 5))
+    stage = _field(spec, "set_stage", int, 2)
+    levels = _field(spec, "set_levels", int, 4)
+    seed = _field(spec, "seed", int, 0)
+    count = _field(spec, "forward_sets", int, 5)
     rng = random.Random(seed)
     h = schedule.height(stage)
     return [random_level_set(stage, h, levels, rng) for _ in range(count)]
@@ -241,10 +287,10 @@ def backward_candidates(schedule: Schedule, spec: dict) -> list:
 
     The spacer displacements that survive the stacking are small integers,
     so combs whose period avoids them are natural witnesses."""
-    stage = int(spec.get("set_stage", 2))
+    stage = _field(spec, "set_stage", int, 2)
     h = schedule.height(stage)
     out = []
-    for period in range(2, int(spec.get("backward_period_max", 4)) + 1):
+    for period in range(2, _field(spec, "backward_period_max", int, 4) + 1):
         for phase in range(period):
             bps = [0 * h]
             vals = []
@@ -279,10 +325,10 @@ def triple_ratio(schedule: Schedule, a: StepFunction, n, sign: int):
 
 def run_triple_asymmetry(spec: dict):
     schedule = resolve_schedule(spec)
-    idx = asym_stage_indices(schedule, int(spec.get("stage_count", 3)))
+    idx = asym_stage_indices(schedule, _field(spec, "stage_count", int, 3))
     n_times = [schedule.height(l) + 1 for l in idx]
-    thr_fwd = float(spec.get("forward_threshold", 0.19))
-    thr_bwd = float(spec.get("backward_threshold", 0.1))
+    thr_fwd = _field(spec, "forward_threshold", float, 0.19)
+    thr_bwd = _field(spec, "backward_threshold", float, 0.1)
     forward_items = []
     worst_forward = None
     for s_idx, a in enumerate(forward_level_sets(schedule, spec)):
@@ -318,16 +364,16 @@ def run_triple_asymmetry(spec: dict):
 
 def run_fock_claims(spec: dict):
     schedule = resolve_schedule(spec)
-    label = spec["class_label"]
+    label = _field(spec, "class_label", str)
     times = resolve_times(schedule, {"kind": "m_class", "label": label, "build_to": spec.get("build_to", 12)})
-    shifts = [scalar_from_string(str(s)) for s in spec["shifts"]]
-    mults = tuple(int(m) for m in spec.get("multiplicities", [1] * len(shifts)))
-    l0 = int(spec.get("l0", 1))
+    shifts = _field(spec, "shifts", _list_of(_scalar))
+    mults = tuple(_field(spec, "multiplicities", _list_of(int), [1] * len(shifts)))
+    l0 = _field(spec, "l0", int, 1)
     fam = test_family(schedule, spec, pair=False)
     vectors = tuple(fam[i % len(fam)] for i in range(len(shifts)))
     comp = FockComponent(tuple(shifts), mults, vectors)
-    two_r = 2 * len(shifts) if not spec.get("pairs") else 2 * int(spec["pairs"])
-    threshold = float(spec.get("threshold", 0.1))
+    two_r = 2 * (_field(spec, "pairs", int, 0) or len(shifts))
+    threshold = _field(spec, "threshold", float, 0.1)
     items = []
     for t in times:
         factors = []
@@ -353,15 +399,14 @@ def run_fock_claims(spec: dict):
     final = items[-1]
     max_res = max(fc["residual"] for fc in final["factors"])
     report = {"items": items, "final_max_factor_residual": max_res, "threshold": threshold}
-    off = spec.get("off_scale")
     passed = max_res < threshold
-    if off is not None:
-        b = scalar_from_string(str(off))
+    if spec.get("off_scale") is not None:
+        b = _field(spec, "off_scale", _scalar)
         f0 = comp.vectors[0]
         norm = inner_product(schedule, f0, f0).real
         probes = [abs(correlate(schedule, f0, f0, b * t).value) / norm for t in times]
         report["off_scale"] = {"b": scalar_to_string(b), "values": probes}
-        passed = passed and probes[-1] < float(spec.get("off_scale_threshold", 0.05))
+        passed = passed and probes[-1] < _field(spec, "off_scale_threshold", float, 0.05)
     plot = []
     for j, it in enumerate(items):
         for fc in it["factors"]:
@@ -370,35 +415,47 @@ def run_fock_claims(spec: dict):
 
 
 def _curve_for_spec(schedule, spec):
-    dt = float(spec.get("dt", 0.05))
-    t_max = float(spec.get("t_max", 8.0))
     analytic = spec.get("analytic")
+    t_max = _field(spec, "t_max", float, 8.0)
     if analytic:
         import math
 
+        kind = _parse(analytic, "analytic", _dict).get("kind")
+        dt = _field(spec, "dt", float, 0.05)
         n = int(round(t_max / dt))
         ts = [i * dt for i in range(-n, n + 1)]
-        if analytic["kind"] == "gaussian":
+        if kind == "gaussian":
             vals = [math.exp(-math.pi * t * t) for t in ts]
-        elif analytic["kind"] == "cosine":
-            freqs = analytic.get("freqs", [1.0])
+        elif kind == "cosine":
+            freqs = _field(analytic, "freqs", _list_of(float), [1.0])
             vals = [sum(math.cos(2 * math.pi * l0 * t) for l0 in freqs) for t in ts]
         else:
-            raise ConfigurationError(f"unknown analytic curve {analytic['kind']!r}")
+            raise ConfigurationError(f"unknown analytic curve {kind!r}")
         return curve_from_samples(dt, vals)
+    if schedule is None:
+        raise ConfigurationError("spec needs a 'schedule' or an 'analytic' curve")
+    # the sample times i * dt stay exact, so a rational schedule keeps its
+    # lattice kernel; a JSON number keeps its decimal text through repr
+    dt = _field(spec, "dt", lambda v: Fraction(str(v)), "0.05")
+    if dt <= 0:
+        raise ConfigurationError(f"spec entry 'dt' must be positive, got {dt}")
     f = test_family(schedule, spec, pair=False)[0]
     return autocorr_curve(schedule, f, dt, t_max)
+
+
+def _estimate_for_spec(curve, spec):
+    return bochner_density(
+        curve,
+        lam_max=_field(spec, "lam", float, 4.0),
+        grid_size=_field(spec, "grid_size", int, 801),
+        taper_width=_field(spec, "taper_width", _optional_float, None),
+    )
 
 
 def run_spectrum(spec: dict):
     schedule = resolve_schedule(spec) if spec.get("schedule") else None
     curve = _curve_for_spec(schedule, spec)
-    est = bochner_density(
-        curve,
-        lam_max=float(spec.get("lam", 4.0)),
-        grid_size=int(spec.get("grid_size", 801)),
-        taper_width=spec.get("taper_width"),
-    )
+    est = _estimate_for_spec(curve, spec)
     c0 = curve.values[len(curve.values) // 2].real
     report = {
         "c0": c0,
@@ -414,14 +471,9 @@ def run_spectrum(spec: dict):
 def run_disjointness(spec: dict):
     schedule = resolve_schedule(spec) if spec.get("schedule") else None
     curve = _curve_for_spec(schedule, spec)
-    est = bochner_density(
-        curve,
-        lam_max=float(spec.get("lam", 4.0)),
-        grid_size=int(spec.get("grid_size", 801)),
-        taper_width=spec.get("taper_width"),
-    )
-    factors = [float(x) for x in spec.get("dilations", [2.0])]
-    threshold = float(spec.get("threshold", 0.5))
+    est = _estimate_for_spec(curve, spec)
+    factors = _field(spec, "dilations", _list_of(float), [2.0])
+    threshold = _field(spec, "threshold", float, 0.5)
     self_aff = affinity(est, est)
     items = [{"t": t, "affinity": affinity(est, dilate(est, t))} for t in factors]
     passed = self_aff == 1.0 and all(it["affinity"] < threshold for it in items)
@@ -433,10 +485,10 @@ def run_disjointness(spec: dict):
 def reflection_cases(schedule: Schedule, spec: dict):
     """Random (f, g, t) with t on the scale of the small spacers, where
     the truncation bounds are tight and any reflection defect shows."""
-    stage = int(spec.get("stage", 1))
-    levels = int(spec.get("levels", 4))
-    seed = int(spec.get("seed", 0))
-    cases = int(spec.get("cases", 50))
+    stage = _field(spec, "stage", int, 1)
+    levels = _field(spec, "levels", int, 4)
+    seed = _field(spec, "seed", int, 0)
+    cases = _field(spec, "cases", int, 50)
     rng = random.Random(seed)
     h = schedule.height(stage)
     out = []
@@ -457,10 +509,10 @@ def run_reflection_check(spec: dict):
     within summed bounds; a genuinely asymmetric schedule has no global
     reflection and must break the identity at some case."""
     schedule = resolve_schedule(spec)
-    depth = int(spec.get("reflect_depth", 2))
+    depth = _field(spec, "reflect_depth", int, 2)
     items = []
     violations = 0
-    eval_depth = int(spec.get("eval_depth", 3))
+    eval_depth = _field(spec, "eval_depth", int, 3)
     for i, (f, g, t) in enumerate(reflection_cases(schedule, spec)):
         deep = g.stage + depth
         rf = lift(schedule, reflect(f), deep)
@@ -503,6 +555,8 @@ def run_experiment(kind: str, spec: dict) -> dict:
     """Full report for one experiment; deterministic for a fixed spec."""
     if kind not in _RUNNERS:
         raise ConfigurationError(f"unknown experiment kind {kind!r}")
+    if not isinstance(spec, dict):
+        raise ConfigurationError("an experiment spec must be a JSON object")
     body, passed, (header, rows) = _RUNNERS[kind](spec)
     return {
         "version": REPORT_VERSION,

@@ -195,6 +195,35 @@ SQRT2 = Sqrt2(0, 1)
 
 Scalar = Union[int, Fraction, Sqrt2, float]
 
+SQRT2_FLOAT = 1.4142135623730951
+# float(a) + float(b) * SQRT2_FLOAT is within 2**-53 * (2 |a| + 6 |b|) of
+# a + b*sqrt(2); the filter's threshold (|a| + 2 |b|) * 2**-50 is over
+# twice that.
+_FILTER_ULPS = 2.0**-50
+_FLOAT_BITS = 1000  # integers this wide convert to float without overflow
+
+
+def sqrt2_sign(a: int, b: int) -> int:
+    """Sign of a + b*sqrt(2) for integers a, b; agrees with :meth:`Sqrt2.sign`.
+
+    Operands of one sign decide at once.  Mixed signs go through a float
+    filter (Shewchuk's adaptive-predicate idea): the float value decides
+    when it clears its rounding-error bound, otherwise, or when an operand
+    is beyond float range, the exact comparison of a^2 with 2 b^2 does.
+    """
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0 or (a > 0) == (b > 0):
+        return 1 if b > 0 else -1
+    if a.bit_length() < _FLOAT_BITS and b.bit_length() < _FLOAT_BITS:
+        fa = float(a)
+        fb = float(b)
+        v = fa + fb * SQRT2_FLOAT
+        if abs(v) > (abs(fa) + 2.0 * abs(fb)) * _FILTER_ULPS:
+            return 1 if v > 0 else -1
+    d = a * a - 2 * b * b  # never 0: sqrt(2) is irrational and b != 0
+    return (1 if d > 0 else -1) if a > 0 else (1 if d < 0 else -1)
+
 
 def floor_scalar(x: Scalar) -> int:
     if isinstance(x, Sqrt2):

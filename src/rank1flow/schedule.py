@@ -11,22 +11,38 @@ tower at offset
     o_{j+1} = o_j + h_n + s_n(j),
 
 and h_{n+1} = o_{r_n} + h_n + s_n(r_n).
+
+Exact geometry is compared and enumerated on an integer lattice: a
+:class:`Lattice` of scale D stores x as the integer x*D (rational data)
+or, over Q(sqrt 2), as the integer pair (a, b) with x = (a + b*sqrt 2)/D.
+:meth:`TowerStage.on_lattice` gives a stage's height and offsets in those
+coordinates, and :func:`overlap_pairs` sweeps them with plain integer
+arithmetic; the order of a pair is decided by :func:`sqrt2_sign`.  Scalars
+come back only at the boundary, via :meth:`Lattice.decode`.
 """
 
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left, bisect_right
 from collections import Counter
-from math import lcm
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from functools import cached_property, cmp_to_key
+from math import lcm
+from typing import Callable, NamedTuple, Optional
+
+import numpy as np
 
 from .errors import ConfigurationError, ResourceError
-from .scalars import Scalar, coerce, scalar_to_string
+from .scalars import SQRT2_FLOAT, Scalar, Sqrt2, coerce, scalar_to_string, sqrt2_sign
 
 DEFAULT_DIGIT_BUDGET = 200_000  # bits allowed in a height numerator
+# Int offsets of stages with at least _NUMPY_MIN_R copies are swept in
+# NumPy: below that the Python loop beats NumPy's per-call overhead.
+# Lattice values below _INT64_SAFE = 2**61 keep every sum of three inside
+# int64; larger ones stay on the Python-int sweep.
+_NUMPY_MIN_R = 64
+_INT64_SAFE = 2**61
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +185,63 @@ class Symmetrized(SpacerMap):
 
 
 # ---------------------------------------------------------------------------
+# the integer lattice
+# ---------------------------------------------------------------------------
+
+
+def scalar_denominator(x: Scalar) -> int:
+    """Smallest D > 0 with x*D in Z (rational x) or Z[sqrt 2] (x in Q(sqrt 2))."""
+    if isinstance(x, Sqrt2):
+        return lcm(x.a.denominator, x.b.denominator)
+    return x.denominator  # int or Fraction
+
+
+class Lattice(NamedTuple):
+    """Coordinates on (1/scale) Z, or on (1/scale) Z[sqrt 2] as int pairs.
+
+    An exact scalar x whose :func:`scalar_denominator` divides ``scale`` is
+    stored as the int x*scale, or, when ``sqrt2`` is set, as the pair
+    (a, b) with x = (a + b*sqrt 2)/scale.  Ints and tuples of ints hash and
+    compare in C, so memo and cache keys on the lattice stay cheap.
+    """
+
+    scale: int
+    sqrt2: bool
+
+    def encode(self, x: Scalar):
+        if self.sqrt2:
+            if isinstance(x, Sqrt2):
+                return (self._int(x.a), self._int(x.b))
+            return (self._int(x), 0)
+        return self._int(x)
+
+    def _int(self, x) -> int:
+        return x.numerator * (self.scale // x.denominator)
+
+    def decode(self, v) -> Scalar:
+        if self.sqrt2:
+            return Sqrt2(Fraction(v[0], self.scale), Fraction(v[1], self.scale))
+        return Fraction(v, self.scale)
+
+
+class LatticeStage(NamedTuple):
+    """Height and offsets of stage n in the coordinates of one lattice."""
+
+    n: int
+    r: int
+    h: object  # int or (a, b)
+    offsets: list
+    array: Optional[np.ndarray] = None  # the int offsets as int64, where the NumPy sweep applies
+
+
+def within(x, h) -> bool:
+    """|x| < h, for x and h both scalars or both lattice coordinates."""
+    if type(h) is tuple:
+        return sqrt2_sign(h[0] - x[0], h[1] - x[1]) > 0 and sqrt2_sign(h[0] + x[0], h[1] + x[1]) > 0
+    return abs(x) < h
+
+
+# ---------------------------------------------------------------------------
 # schedules and stages
 # ---------------------------------------------------------------------------
 
@@ -185,6 +258,7 @@ class TowerStage:
     spacers: list  # s_n(1) .. s_n(r_n)
     bottom: Scalar  # bottom spacer (0 unless symmetrized)
     offsets: list = field(default_factory=list)  # o_{n,1} .. o_{n,r_n}
+    _views: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def tower_measure(self):
@@ -209,18 +283,25 @@ class TowerStage:
         """o_{n,j}, 1-based."""
         return self.offsets[j - 1]
 
-    def _ints(self):
-        """Offsets and height on a common integer scale (rational data
-        only): (den, offset numerators, height numerator), cached."""
-        cached = getattr(self, "_int_cache", None)
-        if cached is None:
-            den = self.h.denominator if isinstance(self.h, Fraction) else 1
-            for o in self.offsets:
-                if isinstance(o, Fraction):
-                    den = lcm(den, o.denominator)
-            cached = (den, [int(o * den) for o in self.offsets], int(self.h * den))
-            object.__setattr__(self, "_int_cache", cached)
-        return cached
+    @cached_property
+    def denominator(self) -> int:
+        """Smallest lattice scale holding h and every offset (exact data only)."""
+        return lcm(scalar_denominator(self.h), *(scalar_denominator(o) for o in self.offsets))
+
+    def on_lattice(self, lattice: Lattice) -> LatticeStage:
+        """This stage in the coordinates of *lattice*, whose scale must be a
+        multiple of :attr:`denominator`; cached per lattice."""
+        view = self._views.get(lattice)
+        if view is None:
+            encode = lattice.encode
+            h = encode(self.h)
+            offsets = [encode(o) for o in self.offsets]
+            array = None
+            if not lattice.sqrt2 and self.r >= _NUMPY_MIN_R and offsets[-1] + h < _INT64_SAFE:
+                array = np.array(offsets, dtype=np.int64)
+            view = LatticeStage(self.n, self.r, h, offsets, array)
+            self._views[lattice] = view
+        return view
 
 
 class Schedule:
@@ -272,11 +353,14 @@ class Schedule:
             w = prev.w_next
             mu = prev.measure + prev.spacer_mass_added
         self._check_budget(h)
-        r, smap = self._params(m, h, w)
-        if r <= 1:
-            raise ConfigurationError(f"r_{m} = {r}; cut numbers must exceed 1")
-        spacers = [coerce(v, self.mode) for v in smap.values(r)]
-        bottom = coerce(smap.bottom_spacer, self.mode)
+        try:
+            r, smap = self._params(m, h, w)
+            if r <= 1:
+                raise ConfigurationError(f"r_{m} = {r}; cut numbers must exceed 1")
+            spacers = [coerce(v, self.mode) for v in smap.values(r)]
+            bottom = coerce(smap.bottom_spacer, self.mode)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"bad parameters for stage {m}: {exc}") from None
         for v in spacers:
             if v < 0:
                 raise ConfigurationError(f"negative spacer at stage {m}")
@@ -300,14 +384,18 @@ class Schedule:
 
     # -- convenience -----------------------------------------------------
 
-    def overlaps(self, n: int, shift: Scalar, guard: int = 10**6) -> list:
-        """Cached :func:`overlap_pairs` for stage n; the overlap structure
+    def overlaps(self, n: int, shift, guard: int = 10**6, lattice: Optional[Lattice] = None) -> list:
+        """Cached :func:`overlap_pairs` for stage n; with a *lattice*, the
+        shift and the deltas are its coordinates.  The overlap structure
         depends on the geometry only, so all correlators on this schedule
         share it."""
-        key = (n, shift)
+        key = (n, lattice, shift)
         cached = self._overlap_cache.get(key)
         if cached is None:
-            cached = overlap_pairs(self.stage(n), shift, guard=guard)
+            stage = self.stage(n)
+            if lattice is not None:
+                stage = stage.on_lattice(lattice)
+            cached = overlap_pairs(stage, shift, guard=guard)
             if len(self._overlap_cache) < guard:
                 self._overlap_cache[key] = cached
         return cached
@@ -356,29 +444,40 @@ def finiteness_test(schedule: Schedule, horizon: int, budget: Scalar = 1) -> Fin
     return FinitenessVerdict(status=status, partial_sum=total, partial_sums=sums, horizon=horizon)
 
 
-def overlap_pairs(stage: TowerStage, shift: Scalar, guard: int = 10**6) -> list:
+def overlap_pairs(stage, shift, guard: int = 10**6) -> list:
     """All distinct values delta = shift + o_{j'} - o_j with |delta| < h_n,
-    each with the number of (j, j') pairs realizing it.
+    each with the number of (j, j') pairs realizing it, in increasing order
+    of delta.
+
+    *stage* is a :class:`TowerStage` with a scalar shift, or a
+    :class:`LatticeStage` with the shift in the same lattice coordinates;
+    the deltas come back in the coordinates that went in.  An exact scalar
+    query runs on the smallest lattice holding the stage and the shift.
 
     Offsets are strictly increasing, so the j' admissible for a given j
     form a contiguous window, and both window ends move monotonically
     with j (a single two-pointer sweep, no per-j bisection).
     """
+    if isinstance(stage, LatticeStage) or isinstance(shift, float) or isinstance(stage.h, float):
+        return _sweep(stage, shift, guard)
+    lattice = Lattice(
+        lcm(stage.denominator, scalar_denominator(shift)),
+        isinstance(shift, Sqrt2) or isinstance(stage.h, Sqrt2),
+    )
+    pairs = _sweep(stage.on_lattice(lattice), lattice.encode(shift), guard)
+    return [(lattice.decode(delta), mult) for delta, mult in pairs]
+
+
+def _sweep(stage, shift, guard: int) -> list:
+    """The two-pointer sweep on lattice ints, on a float shift over scalar
+    offsets, or (delegated) on lattice pairs."""
     h = stage.h
+    if type(h) is tuple:
+        return _sweep_sqrt2(stage, shift, guard)
+    if getattr(stage, "array", None) is not None and -_INT64_SAFE < shift < _INT64_SAFE:
+        return _sweep_numpy(stage, shift, guard)
     offs = stage.offsets
     r = stage.r
-    rational = isinstance(shift, (int, Fraction)) and isinstance(h, (int, Fraction))
-    den = 1
-    if rational:
-        sden, offs_den = (
-            shift.denominator if isinstance(shift, Fraction) else 1,
-            stage._ints(),
-        )
-        den = lcm(offs_den[0], sden)
-        m = den // offs_den[0]
-        offs = offs_den[1] if m == 1 else [o * m for o in offs_den[1]]
-        h = offs_den[2] * m
-        shift = int(shift * den)
     counts: Counter = Counter()
     a = b = 0
     for j in range(r):
@@ -396,9 +495,64 @@ def overlap_pairs(stage: TowerStage, shift: Scalar, guard: int = 10**6) -> list:
             counts[base + offs[jp]] += 1
         if len(counts) > guard:
             raise ResourceError(f"overlap blowup at stage {stage.n}: more than {guard} deltas")
-    if rational:
-        return sorted((Fraction(delta, den), mult) for delta, mult in counts.items())
     return sorted(counts.items())
+
+
+def _sweep_numpy(stage: LatticeStage, shift: int, guard: int) -> list:
+    """:func:`_sweep` on int64 offsets: the same windows found by
+    ``searchsorted``, the same sorted (delta, multiplicity) list."""
+    offs = stage.array
+    lo = offs - (shift + stage.h)
+    hi = offs - (shift - stage.h)
+    a = np.searchsorted(offs, lo, side="right")  # first j' with offs[j'] > lo
+    b = np.searchsorted(offs, hi, side="left")  # first j' with offs[j'] >= hi
+    width = np.maximum(b - a, 0)
+    total = int(width.sum())
+    if total == 0:
+        return []
+    j = np.repeat(np.arange(stage.r), width)
+    # j' runs from a_j upward inside each window
+    jp = np.arange(total) + np.repeat(a - (np.cumsum(width) - width), width)
+    deltas, mult = np.unique(offs[jp] - offs[j] + shift, return_counts=True)
+    if len(deltas) > guard:
+        raise ResourceError(f"overlap blowup at stage {stage.n}: more than {guard} deltas")
+    return list(zip(deltas.tolist(), mult.tolist()))
+
+
+def _sweep_sqrt2(stage: LatticeStage, shift: tuple, guard: int) -> list:
+    """:func:`_sweep` on (a, b) pairs, ordered through :func:`sqrt2_sign`."""
+    ha, hb = stage.h
+    sa, sb = shift
+    offs = stage.offsets
+    r = stage.r
+    counts: Counter = Counter()
+    a = b = 0
+    for j in range(r):
+        oa, ob = offs[j]
+        lo_a, lo_b = oa - sa - ha, ob - sb - hb
+        hi_a, hi_b = oa - sa + ha, ob - sb + hb
+        while a < r and sqrt2_sign(offs[a][0] - lo_a, offs[a][1] - lo_b) <= 0:
+            a += 1
+        if b < a:
+            b = a
+        while b < r and sqrt2_sign(offs[b][0] - hi_a, offs[b][1] - hi_b) < 0:
+            b += 1
+        base_a, base_b = sa - oa, sb - ob
+        for jp in range(a, b):
+            pa, pb = offs[jp]
+            counts[(base_a + pa, base_b + pb)] += 1
+        if len(counts) > guard:
+            raise ResourceError(f"overlap blowup at stage {stage.n}: more than {guard} deltas")
+    items = list(counts.items())
+    # sort by the float value, then certify each neighbouring pair exactly;
+    # the exact comparison sort runs only when that fails
+    try:
+        items.sort(key=lambda kv: kv[0][0] + kv[0][1] * SQRT2_FLOAT)
+    except OverflowError:
+        pass
+    if any(sqrt2_sign(y[0] - x[0], y[1] - x[1]) <= 0 for (x, _), (y, _) in zip(items, items[1:])):
+        items.sort(key=cmp_to_key(lambda p, q: sqrt2_sign(p[0][0] - q[0][0], p[0][1] - q[0][1])))
+    return items
 
 
 def symmetrize(schedule: Schedule) -> Schedule:

@@ -1,7 +1,8 @@
 """JSON wire formats.
 
 Schedules:  {"mode", "h1", "w1", "stages": [{"r", "spacer": {...}}, ...]}
-            or {"mode", "h1", "w1", "named": {"kind", "params"}}.
+            or {"named": {"kind", "params"}}, where a builder's params carry
+            any h1, w1 or mode.
 Exact scalars travel as strings "p/q" and "p/q+p'/q'*sqrt2".
 A "stages" document repeats its last entry for all deeper stages.
 """
@@ -48,13 +49,17 @@ def spacer_map_from_json(doc: dict):
 
 
 def schedule_from_json(doc: dict) -> Schedule:
+    if "named" in doc:
+        extra = sorted(k for k in ("h1", "w1", "mode") if k in doc)
+        if extra:
+            raise ConfigurationError(
+                f"a 'named' schedule document cannot carry {extra}; pass them in named.params"
+            )
+        named = doc["named"]
+        return named_schedule(named["kind"], **named.get("params", {}))
     mode = doc.get("mode", "rational")
     h1 = scalar_from_string(doc.get("h1", "1"))
     w1 = scalar_from_string(doc.get("w1", "1"))
-    if "named" in doc:
-        named = doc["named"]
-        sched = named_schedule(named["kind"], **named.get("params", {}))
-        return sched
     stages = doc.get("stages")
     if not stages:
         raise ConfigurationError("schedule document needs either 'named' or non-empty 'stages'")
@@ -67,18 +72,21 @@ def schedule_from_json(doc: dict) -> Schedule:
 
 
 def schedule_to_json(schedule: Schedule, depth: int | None = None) -> dict:
-    doc = {
-        "mode": schedule.mode,
-        "h1": scalar_to_string(schedule.h1),
-        "w1": scalar_to_string(schedule.w1),
-    }
+    """A named document when the builder's meta reproduces the schedule,
+    else the first *depth* (default 8) stages spelled out."""
     kind = schedule.meta.get("kind")
     if "symmetrized_from" in schedule.meta:
         kind = None
     if depth is None and kind not in (None, "json"):
         params = {k: v for k, v in schedule.meta.items() if k not in ("kind", "classes", "class_stages", "m_times")}
-        doc["named"] = {"kind": kind, "params": params}
-        return doc
+        rebuilt = named_schedule(kind, **params)
+        if (rebuilt.mode, rebuilt.h1, rebuilt.w1) == (schedule.mode, schedule.h1, schedule.w1):
+            return {"named": {"kind": kind, "params": params}}
+    doc = {
+        "mode": schedule.mode,
+        "h1": scalar_to_string(schedule.h1),
+        "w1": scalar_to_string(schedule.w1),
+    }
     depth = depth or 8
     stages = []
     for n in range(1, depth + 1):

@@ -9,6 +9,7 @@ companion base-consistent split d = 3/4 converges as predicted.  See the
 test body for the measured numbers.
 """
 
+import hashlib
 import json
 import random
 import subprocess
@@ -17,6 +18,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 
 from rank1flow import (
     SQRT2,
@@ -33,6 +35,7 @@ from rank1flow import (
     thm44_schedule,
     weak_limit_probe,
 )
+from rank1flow.cli import main
 from rank1flow.experiments import run_experiment
 
 
@@ -367,6 +370,46 @@ CLI_SPECS = {
 }
 
 
+# SHA-256 of report.json and plot.csv per CLI_SPECS kind, recorded before the
+# integer-lattice kernel (Python 3.11.7, NumPy 2.4.6, x86-64): the kernel and
+# every later change must keep these bytes unless a change of values is
+# intended and recorded in CHANGES.md.
+CLI_SPEC_SHA256 = {
+    "stage-audit": (
+        "ae3410d53d4913f62e5f2353a30db184dffa356c0811348e0f6ed398e3568484",
+        "85da338cb8833bf2692a84efcdec1a7ba08d5ebd61cf45095c240b597771313d",
+    ),
+    "correlate": (
+        "87fc4550c4abfd45f212dd141e265a9f00136415af3110152c4e3347364fb1c9",
+        "546665480481e16f04c873787b2496974cd53202cb8353cf31d5bfe1381cfbe3",
+    ),
+    "weak-limit": (
+        "8cda3f60dc6d70189773ec08bd39227daecbeb91bbf24d1fa15a1cd346890b36",
+        "3715fb792380e2678087ed06b6cc8b17fb2dd4070662cfca4e6cdd94b02aaa35",
+    ),
+    "triple-asymmetry": (
+        "e5e09e3349ee369bcd33e3095e3eb960dbc5842fb2eb27e14860e85db71d4466",
+        "4615bd28ac18ca8449e2524078a592015ea868e41c8da40fed3f58b9dc35972f",
+    ),
+    "fock-claims": (
+        "fb1288fdb6253fdb7b35cbe4f9eb9809479c6c8715248b217c2048d8a7666cda",
+        "30411c2c687f037d8c177aedb50a3ca7414c10081f1d0443f843fdb50dc65e6c",
+    ),
+    "spectrum": (
+        "e73e3dc1e7588d2f3ad67cc411e1e38850a41e61a61f1a03e3759182f21c5d1d",
+        "812a4322b547059fed055ff1442dcad26cad31d1098f4cb8c58c6889e4c84b03",
+    ),
+    "disjointness": (
+        "31f11e7a31899198d68f1872bccf83ec5fc4455b2a10b27e6a160f1b754d9f0b",
+        "8e43fe973fc7a09e261238af50544caffb10516cf9685b8d978653ce91ab455a",
+    ),
+    "reflection-check": (
+        "cf95fd508fe48bf2310d26b13f109854a1600f8aa6db3c45dab25f6d0c5b3294",
+        "86330638f6fd26696c20efe1953796812a9acab9fb12d0f43aefbfbf934bcf84",
+    ),
+}
+
+
 def test_criterion_9_cli_determinism(tmp_path):
     started = time.monotonic()
     mismatches = []
@@ -395,3 +438,20 @@ def test_criterion_9_cli_determinism(tmp_path):
         f"all {len(CLI_SPECS)} experiment kinds byte-identical across reruns in {elapsed:.1f}s"
         + (f"; mismatches: {mismatches}" if mismatches else ""),
     )
+
+
+def test_cli_specs_output_bytes_are_pinned(tmp_path):
+    """Criterion 9 compares two runs of one commit; this pins the bytes
+    across commits."""
+    runner = CliRunner()
+    drift = []
+    for kind, spec in CLI_SPECS.items():
+        spec_path = tmp_path / f"{kind}.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / kind
+        result = runner.invoke(main, [kind, "--spec", str(spec_path), "--out", str(out)])
+        assert result.exit_code in (0, 1), f"{kind} errored: {result.output}"
+        digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("report.json", "plot.csv"))
+        if digests != CLI_SPEC_SHA256[kind]:
+            drift.append(kind)
+    assert not drift, f"report.json/plot.csv bytes changed for {drift}"

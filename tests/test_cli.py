@@ -115,3 +115,18 @@ def test_plot_csv_has_header_comment(tmp_path, audit_spec):
     invoke(["stage-audit", "--spec", audit_spec, "--out", str(out)])
     first = (out / "plot.csv").read_text().splitlines()[0]
     assert first.startswith("# experiment: stage-audit")
+
+
+@pytest.mark.parametrize(
+    "kind, spec",
+    [
+        ("correlate", {"schedule": {"kind": "flat", "params": {"r": 2}}, "times": ["abc"]}),
+        ("fock-claims", {"schedule": {"kind": "thm44", "params": {}}, "shifts": ["2"]}),
+        ("stage-audit", {"schedule": {"kind": "flat", "params": {"r": "x"}}}),
+    ],
+    ids=["unparsable-time", "fock-claims-without-class-label", "non-numeric-param"],
+)
+def test_malformed_spec_fields_exit_two(tmp_path, kind, spec):
+    result = invoke([kind, "--spec", write_spec(tmp_path, "bad.json", spec), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert "error:" in result.output

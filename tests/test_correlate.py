@@ -71,10 +71,19 @@ def test_stage_stability(flat3, small_staircase, small_asym):
 def test_correlator_memo_is_shared_across_times(flat2):
     f, g = pair(flat2, 1)
     corr = Correlator(flat2, f, g)
-    corr.at(Fraction(1, 2))
+    half = corr.at(Fraction(1, 2))
     first = len(corr._memo)
+    assert first > 0
     corr.at(Fraction(1, 2))
     assert len(corr._memo) == first  # warm queries add nothing
+    # a time with a new denominator rescales the stored shifts onto a finer
+    # lattice; the entries of 1/2 stay in the same memo and still hit
+    third = corr.at(Fraction(1, 3))
+    second = len(corr._memo)
+    assert second > first
+    assert corr.at(Fraction(1, 2)).value == half.value
+    assert len(corr._memo) == second
+    assert third.value == Correlator(flat2, f, g).at(Fraction(1, 3)).value
 
 
 def test_oracle_agreement_spot_checks(flat2, flat3, small_staircase, small_asym, sym_flat3):

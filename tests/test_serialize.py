@@ -81,3 +81,17 @@ def test_unknown_spacer_variant_rejected():
     doc = {"stages": [{"r": 2, "spacer": {"variant": "mystery"}}]}
     with pytest.raises(ConfigurationError):
         schedule_from_json(doc)
+
+
+@pytest.mark.parametrize("field", ["h1", "w1", "mode"])
+def test_named_document_rejects_top_level_geometry(field):
+    doc = {"named": {"kind": "flat", "params": {"r": 3}}, field: "5" if field != "mode" else "float"}
+    with pytest.raises(ConfigurationError):
+        schedule_from_json(doc)
+
+
+def test_named_form_only_when_the_builder_reproduces_the_schedule():
+    sched = staircase34_schedule(staircase_stages=(2, 3), base=4, r_cap=16, h1=5)
+    doc = schedule_to_json(sched)
+    assert "named" not in doc
+    assert same_geometry(sched, schedule_from_json(doc))

@@ -6,6 +6,7 @@ import pytest
 from rank1flow import (
     affinity,
     aggregate,
+    asym49_schedule,
     autocorr_curve,
     bochner_density,
     curve_from_samples,
@@ -14,6 +15,7 @@ from rank1flow import (
     indicator,
 )
 from rank1flow.errors import ConfigurationError, DegenerateInputError
+from rank1flow.experiments import _curve_for_spec, test_family as spec_family
 
 
 def gaussian_curve(dt=0.05, t_max=20.0):
@@ -132,3 +134,19 @@ def test_autocorr_curve_from_engine():
     assert curve.values[mid] == pytest.approx(1.0)  # <f, f> = mu of the base
     assert len(curve.values) == 9
     assert np.all(curve.bounds >= 0.0)
+
+
+def test_spec_dt_is_exact_and_matches_the_float_curve():
+    """A spec's dt 0.05 (JSON number or string) samples at the exact times
+    i/20; the values agree with the float-dt sweep within 1e-12."""
+    sched = asym49_schedule()
+    spec = {"schedule": {"kind": "asym49", "params": {}}, "dt": 0.05, "t_max": 4, "seed": 3}
+    exact = _curve_for_spec(sched, spec)
+    as_text = _curve_for_spec(sched, {**spec, "dt": "0.05"})
+    f = spec_family(sched, spec, pair=False)[0]
+    floats = autocorr_curve(sched, f, 0.05, 4)
+    assert np.array_equal(exact.values, as_text.values)
+    assert exact.dt == floats.dt == 0.05
+    assert len(exact.values) == len(floats.values) == 161
+    assert np.max(np.abs(exact.values - floats.values)) <= 1e-12
+    assert np.max(np.abs(exact.times - floats.times)) <= 1e-12
