@@ -20,11 +20,13 @@ keeps the limits observable as convergence trends.
 
 from __future__ import annotations
 
+import inspect
 from fractions import Fraction
 from math import factorial, isqrt
+from numbers import Real
 
 from .errors import ConfigurationError
-from .scalars import Sqrt2, ceil_scalar
+from .scalars import Sqrt2, ceil_scalar, coerce, scalar_to_string
 from .schedule import (
     Constant,
     ExplicitList,
@@ -37,6 +39,13 @@ from .schedule import (
 DEFAULT_R_CAP = 4096
 
 
+def _geometry(h1, w1, mode, /, **more) -> dict:
+    """Meta entries for a builder's base data (as wire strings in *mode*)
+    and *more*, so that :func:`named_schedule` rebuilds the schedule from
+    its meta."""
+    return {"h1": scalar_to_string(coerce(h1, mode)), "w1": scalar_to_string(coerce(w1, mode)), **more}
+
+
 def flat_schedule(r: int = 2, h1=1, w1=1, mode="rational") -> Schedule:
     if r <= 1:
         raise ConfigurationError("flat schedule needs r > 1")
@@ -44,7 +53,8 @@ def flat_schedule(r: int = 2, h1=1, w1=1, mode="rational") -> Schedule:
     def params(n, h, w):
         return r, Constant(0)
 
-    return Schedule(params, h1=h1, w1=w1, mode=mode, name=f"flat(r={r})", meta={"kind": "flat", "r": r})
+    meta = {"kind": "flat", "r": r, **_geometry(h1, w1, mode, mode=mode)}
+    return Schedule(params, h1=h1, w1=w1, mode=mode, name=f"flat(r={r})", meta=meta)
 
 
 def staircase34_schedule(
@@ -88,6 +98,7 @@ def staircase34_schedule(
             "base": base,
             "r_cap": r_cap,
             "staircase_stages": sorted(stairs),
+            **_geometry(h1, w1, mode, mode=mode),
         },
     )
 
@@ -121,7 +132,13 @@ def asym49_schedule(
         w1=w1,
         mode=mode,
         name="asym49",
-        meta={"kind": "asym49", "period": period, "r_cap": r_cap},
+        meta={
+            "kind": "asym49",
+            "period": period,
+            "n_periods_growing_base": n_periods_growing_base,
+            "r_cap": r_cap,
+            **_geometry(h1, w1, mode, mode=mode),
+        },
     )
 
 
@@ -202,6 +219,8 @@ def thm44_schedule(
         "r_cap": r_cap,
         "growth": growth,
         "t_base": t_base,
+        "m_first": m_first,
+        **_geometry(h1, w1, "sqrt2"),
         "classes": [class_label(c) for c in classes],
         "class_stages": {class_label(c): [] for c in classes},
         "m_times": {},
@@ -259,13 +278,33 @@ _BUILDERS = {
 
 
 def named_schedule(kind: str, **params) -> Schedule:
-    try:
-        builder = _BUILDERS[kind]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown schedule kind {kind!r}; choose from {sorted(_BUILDERS)}"
-        ) from None
+    builder = _BUILDERS.get(kind) if isinstance(kind, str) else None
+    if builder is None:
+        raise ConfigurationError(f"unknown schedule kind {kind!r}; choose from {sorted(_BUILDERS)}")
+    _check_types(kind, builder, params)
     try:
         return builder(**params)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad parameters for a {kind!r} schedule: {exc}") from None
+
+
+def _check_types(kind: str, builder, params: dict):
+    """Builders read most parameters only when a stage gets built, so their
+    types are checked here, against the builder's defaults: a sequence
+    default takes a list of numbers, any other default a value of its own
+    type.  h1 and w1, and names the builder does not take, are rejected
+    by the builder itself."""
+    signature = inspect.signature(builder).parameters
+    for name, value in params.items():
+        if name not in signature or name in ("h1", "w1"):
+            continue
+        default = signature[name].default
+        if isinstance(default, tuple):
+            ok = isinstance(value, (list, tuple)) and all(
+                isinstance(v, Real) and not isinstance(v, bool) for v in value
+            )
+        else:
+            ok = type(value) is type(default)
+        if not ok:
+            expected = "a list of numbers" if isinstance(default, tuple) else type(default).__name__
+            raise ConfigurationError(f"{kind!r} schedule parameter {name} = {value!r}: expected {expected}")

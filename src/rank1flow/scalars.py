@@ -243,9 +243,11 @@ def has_sqrt2(x: Scalar) -> bool:
 
 
 def coerce(x: Scalar, mode: str) -> Scalar:
-    """Bring a scalar into the canonical representation of *mode*."""
+    """Bring a scalar, or its wire string, into the canonical representation of *mode*."""
     from .errors import ModeError
 
+    if isinstance(x, str):
+        x = scalar_from_string(x)
     if mode == "float":
         return float(x)
     if mode == "rational":

@@ -34,11 +34,12 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigurationError, ResourceError
-from .scalars import SQRT2_FLOAT, Scalar, Sqrt2, coerce, scalar_to_string, sqrt2_sign
+from .scalars import MODES, Scalar, Sqrt2, coerce, scalar_to_string, sqrt2_sign
 
 DEFAULT_DIGIT_BUDGET = 200_000  # bits allowed in a height numerator
 # Int offsets of stages with at least _NUMPY_MIN_R copies are swept in
-# NumPy: below that the Python loop beats NumPy's per-call overhead.
+# NumPy.  NumPy's fixed cost per call is some 30-50 us; the Python loop
+# is faster up to r ~ 40-50 and NumPy is 1.3-1.5x faster at r = 64.
 # Lattice values below _INT64_SAFE = 2**61 keep every sum of three inside
 # int64; larger ones stay on the Python-int sweep.
 _NUMPY_MIN_R = 64
@@ -258,7 +259,7 @@ class TowerStage:
     spacers: list  # s_n(1) .. s_n(r_n)
     bottom: Scalar  # bottom spacer (0 unless symmetrized)
     offsets: list = field(default_factory=list)  # o_{n,1} .. o_{n,r_n}
-    _views: dict = field(default_factory=dict, repr=False, compare=False)
+    _view: Optional[tuple] = field(default=None, repr=False, compare=False)  # (lattice, view) of the last call
 
     @property
     def tower_measure(self):
@@ -290,18 +291,17 @@ class TowerStage:
 
     def on_lattice(self, lattice: Lattice) -> LatticeStage:
         """This stage in the coordinates of *lattice*, whose scale must be a
-        multiple of :attr:`denominator`; cached per lattice."""
-        view = self._views.get(lattice)
-        if view is None:
+        multiple of :attr:`denominator`; the view of the latest lattice is
+        cached."""
+        if self._view is None or self._view[0] != lattice:
             encode = lattice.encode
             h = encode(self.h)
             offsets = [encode(o) for o in self.offsets]
             array = None
             if not lattice.sqrt2 and self.r >= _NUMPY_MIN_R and offsets[-1] + h < _INT64_SAFE:
                 array = np.array(offsets, dtype=np.int64)
-            view = LatticeStage(self.n, self.r, h, offsets, array)
-            self._views[lattice] = view
-        return view
+            self._view = (lattice, LatticeStage(self.n, self.r, h, offsets, array))
+        return self._view[1]
 
 
 class Schedule:
@@ -322,6 +322,8 @@ class Schedule:
         meta: Optional[dict] = None,
         digit_budget: int = DEFAULT_DIGIT_BUDGET,
     ):
+        if mode not in MODES:
+            raise ConfigurationError(f"unknown scalar mode {mode!r}; choose from {list(MODES)}")
         self._params = params
         self.mode = mode
         self.name = name
@@ -353,14 +355,11 @@ class Schedule:
             w = prev.w_next
             mu = prev.measure + prev.spacer_mass_added
         self._check_budget(h)
-        try:
-            r, smap = self._params(m, h, w)
-            if r <= 1:
-                raise ConfigurationError(f"r_{m} = {r}; cut numbers must exceed 1")
-            spacers = [coerce(v, self.mode) for v in smap.values(r)]
-            bottom = coerce(smap.bottom_spacer, self.mode)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"bad parameters for stage {m}: {exc}") from None
+        r, smap = self._params(m, h, w)
+        if r <= 1:
+            raise ConfigurationError(f"r_{m} = {r}; cut numbers must exceed 1")
+        spacers = [coerce(v, self.mode) for v in smap.values(r)]
+        bottom = coerce(smap.bottom_spacer, self.mode)
         for v in spacers:
             if v < 0:
                 raise ConfigurationError(f"negative spacer at stage {m}")
@@ -544,14 +543,7 @@ def _sweep_sqrt2(stage: LatticeStage, shift: tuple, guard: int) -> list:
         if len(counts) > guard:
             raise ResourceError(f"overlap blowup at stage {stage.n}: more than {guard} deltas")
     items = list(counts.items())
-    # sort by the float value, then certify each neighbouring pair exactly;
-    # the exact comparison sort runs only when that fails
-    try:
-        items.sort(key=lambda kv: kv[0][0] + kv[0][1] * SQRT2_FLOAT)
-    except OverflowError:
-        pass
-    if any(sqrt2_sign(y[0] - x[0], y[1] - x[1]) <= 0 for (x, _), (y, _) in zip(items, items[1:])):
-        items.sort(key=cmp_to_key(lambda p, q: sqrt2_sign(p[0][0] - q[0][0], p[0][1] - q[0][1])))
+    items.sort(key=cmp_to_key(lambda p, q: sqrt2_sign(p[0][0] - q[0][0], p[0][1] - q[0][1])))
     return items
 
 

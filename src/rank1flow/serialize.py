@@ -2,7 +2,8 @@
 
 Schedules:  {"mode", "h1", "w1", "stages": [{"r", "spacer": {...}}, ...]}
             or {"named": {"kind", "params"}}, where a builder's params carry
-            any h1, w1 or mode.
+            any h1, w1 or mode; builders record every argument in their
+            meta, so a named document rebuilds the schedule at every depth.
 Exact scalars travel as strings "p/q" and "p/q+p'/q'*sqrt2".
 A "stages" document repeats its last entry for all deeper stages.
 """
@@ -49,6 +50,8 @@ def spacer_map_from_json(doc: dict):
 
 
 def schedule_from_json(doc: dict) -> Schedule:
+    if not isinstance(doc, dict):
+        raise ConfigurationError("a schedule document must be a JSON object")
     if "named" in doc:
         extra = sorted(k for k in ("h1", "w1", "mode") if k in doc)
         if extra:
@@ -56,14 +59,19 @@ def schedule_from_json(doc: dict) -> Schedule:
                 f"a 'named' schedule document cannot carry {extra}; pass them in named.params"
             )
         named = doc["named"]
+        if not isinstance(named, dict) or "kind" not in named or not isinstance(named.get("params", {}), dict):
+            raise ConfigurationError("'named' must be an object with a 'kind' and an optional 'params' object")
         return named_schedule(named["kind"], **named.get("params", {}))
     mode = doc.get("mode", "rational")
-    h1 = scalar_from_string(doc.get("h1", "1"))
-    w1 = scalar_from_string(doc.get("w1", "1"))
     stages = doc.get("stages")
     if not stages:
         raise ConfigurationError("schedule document needs either 'named' or non-empty 'stages'")
-    parsed = [(int(st["r"]), spacer_map_from_json(st["spacer"])) for st in stages]
+    try:
+        h1 = scalar_from_string(doc.get("h1", "1"))
+        w1 = scalar_from_string(doc.get("w1", "1"))
+        parsed = [(int(st["r"]), spacer_map_from_json(st["spacer"])) for st in stages]
+    except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+        raise ConfigurationError(f"malformed 'stages' schedule document: {exc!r}") from None
 
     def params(n, h, w):
         return parsed[min(n - 1, len(parsed) - 1)]
@@ -72,16 +80,14 @@ def schedule_from_json(doc: dict) -> Schedule:
 
 
 def schedule_to_json(schedule: Schedule, depth: int | None = None) -> dict:
-    """A named document when the builder's meta reproduces the schedule,
-    else the first *depth* (default 8) stages spelled out."""
+    """A named document for a builder's schedule (its meta holds every
+    builder argument), else the first *depth* (default 8) stages spelled out."""
     kind = schedule.meta.get("kind")
     if "symmetrized_from" in schedule.meta:
         kind = None
     if depth is None and kind not in (None, "json"):
         params = {k: v for k, v in schedule.meta.items() if k not in ("kind", "classes", "class_stages", "m_times")}
-        rebuilt = named_schedule(kind, **params)
-        if (rebuilt.mode, rebuilt.h1, rebuilt.w1) == (schedule.mode, schedule.h1, schedule.w1):
-            return {"named": {"kind": kind, "params": params}}
+        return {"named": {"kind": kind, "params": params}}
     doc = {
         "mode": schedule.mode,
         "h1": scalar_to_string(schedule.h1),
@@ -104,10 +110,15 @@ def load_schedule(source) -> Schedule:
     if isinstance(source, dict):
         return schedule_from_json(source)
     text = str(source)
-    if text.strip().startswith("{"):
-        return schedule_from_json(json.loads(text))
-    with open(text) as fh:
-        return schedule_from_json(json.load(fh))
+    try:
+        if text.strip().startswith("{"):
+            doc = json.loads(text)
+        else:
+            with open(text) as fh:
+                doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"cannot read schedule {text!r}: {exc}") from None
+    return schedule_from_json(doc)
 
 
 def correlation_result_to_json(res) -> dict:

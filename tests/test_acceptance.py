@@ -11,15 +11,18 @@ test body for the measured numbers.
 
 import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import rank1flow
 from rank1flow import (
     SQRT2,
     Correlator,
@@ -411,6 +414,9 @@ CLI_SPEC_SHA256 = {
 
 
 def test_criterion_9_cli_determinism(tmp_path):
+    # the CLI runs in a child process: give it the package this suite imports
+    package_root = str(Path(rank1flow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     started = time.monotonic()
     mismatches = []
     for kind, spec in CLI_SPECS.items():
@@ -423,6 +429,7 @@ def test_criterion_9_cli_determinism(tmp_path):
             proc = subprocess.run(
                 [sys.executable, "-m", "rank1flow.cli", kind, "--spec", str(spec_path), "--out", str(out)],
                 capture_output=True,
+                env=env,
             )
             codes.append(proc.returncode)
             files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}

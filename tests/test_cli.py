@@ -123,8 +123,20 @@ def test_plot_csv_has_header_comment(tmp_path, audit_spec):
         ("correlate", {"schedule": {"kind": "flat", "params": {"r": 2}}, "times": ["abc"]}),
         ("fock-claims", {"schedule": {"kind": "thm44", "params": {}}, "shifts": ["2"]}),
         ("stage-audit", {"schedule": {"kind": "flat", "params": {"r": "x"}}}),
+        ("stage-audit", {"schedule": {"kind": "asym49", "params": {"r_cap": "x"}}, "depth": 4}),
+        ("stage-audit", {"schedule": {"named": {"params": {}}}}),
+        ("stage-audit", {"schedule": {"stages": [{"r": 2}]}}),
+        ("stage-audit", {"schedule": "no-such-schedule.json"}),
     ],
-    ids=["unparsable-time", "fock-claims-without-class-label", "non-numeric-param"],
+    ids=[
+        "unparsable-time",
+        "fock-claims-without-class-label",
+        "non-numeric-param",
+        "param-read-at-build-time",
+        "named-without-kind",
+        "stage-without-spacer",
+        "missing-schedule-file",
+    ],
 )
 def test_malformed_spec_fields_exit_two(tmp_path, kind, spec):
     result = invoke([kind, "--spec", write_spec(tmp_path, "bad.json", spec), "--out", str(tmp_path / "o")])

@@ -125,6 +125,16 @@ def test_python_sweep_beyond_int64():
     assert overlap_pairs(view, lattice.encode(shift)) == reference_overlap_pairs(narrow, shift) == []
 
 
+def test_stage_view_follows_the_latest_lattice():
+    stage = SCHEDULES["staircase", "sqrt2"].stage(3)
+    coarse = Lattice(stage.denominator, True)
+    fine = Lattice(6 * stage.denominator, True)
+    for lattice in (coarse, fine, coarse):
+        view = stage.on_lattice(lattice)
+        assert stage.on_lattice(lattice) is view
+        assert (view.h, view.offsets) == (lattice.encode(stage.h), [lattice.encode(o) for o in stage.offsets])
+
+
 def test_pair_deltas_sorted_exactly_where_floats_cannot_tell():
     # eps = a - b sqrt 2 ~ 2**-100: as floats the deltas -eps, 0, eps are
     # rounding garbage, positive for n = 40, zero for 41 and negative for

@@ -90,8 +90,48 @@ def test_named_document_rejects_top_level_geometry(field):
         schedule_from_json(doc)
 
 
-def test_named_form_only_when_the_builder_reproduces_the_schedule():
-    sched = staircase34_schedule(staircase_stages=(2, 3), base=4, r_cap=16, h1=5)
-    doc = schedule_to_json(sched)
-    assert "named" not in doc
-    assert same_geometry(sched, schedule_from_json(doc))
+@pytest.mark.parametrize(
+    "sched",
+    [
+        staircase34_schedule(staircase_stages=(2, 3), base=4, r_cap=16, h1=5, w1="1/3"),
+        asym49_schedule(n_periods_growing_base=3, r_cap=16, h1="1/2", mode="sqrt2"),
+        thm44_schedule(s_values=(2,), q_max=1, k_max=1, r_cap=6, m_first=True, h1="1+1*sqrt2"),
+    ],
+    ids=["staircase", "asym49", "thm44"],
+)
+def test_named_form_keeps_every_builder_argument(sched):
+    doc = json.loads(json.dumps(schedule_to_json(sched)))
+    assert "named" in doc
+    assert same_geometry(sched, schedule_from_json(doc), depth=10)
+
+
+@pytest.mark.parametrize(
+    "named",
+    [
+        {"params": {"r": 3}},
+        {"kind": ["flat"]},
+        {"kind": "flat", "params": [3]},
+        {"kind": "asym49", "params": {"r_cap": "x"}},
+        {"kind": "thm44", "params": {"s_values": ["2"]}},
+        {"kind": "flat", "params": {"mode": "exact"}},
+        "flat",
+    ],
+)
+def test_malformed_named_document_rejected(named):
+    with pytest.raises(ConfigurationError):
+        schedule_from_json({"named": named})
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"stages": [{"spacer": {"variant": "constant", "c": "0"}}]},
+        {"stages": [{"r": 2, "spacer": {"variant": "constant", "c": 1}}]},
+        {"stages": [{"r": 2, "spacer": {"variant": "constant", "c": "0"}}], "h1": "abc"},
+        {"stages": [{"r": 2, "spacer": {"variant": "constant", "c": "0"}}], "mode": "exact"},
+        ["stages"],
+    ],
+)
+def test_malformed_stages_document_rejected(doc):
+    with pytest.raises(ConfigurationError):
+        schedule_from_json(doc)
