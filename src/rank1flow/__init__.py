@@ -23,7 +23,6 @@ from .correlate import (
     WeakLimitTarget,
     component_correlate,
     correlate,
-    direct_sum_correlate,
     inner_product,
     m_correlate,
     pick_stage,
@@ -39,7 +38,7 @@ from .errors import (
     ResourceError,
 )
 from .oracle import oracle_correlate, oracle_m_correlate
-from .scalars import SQRT2, Sqrt2, close, coerce, scalar_from_string, scalar_to_string
+from .scalars import SQRT2, Sqrt2, coerce, scalar_from_string, scalar_to_string
 from .schedule import (
     Constant,
     ExplicitList,

@@ -16,29 +16,30 @@ grouped through :func:`overlap_pairs`, with the exact cross-correlation
 of the two step functions as the base case.  The only error is the mass
 of copy-boundary crossings at stages above N; per stage it is at most
 ||f||_inf ||g||_inf |t| w_n, and the widths sum geometrically, so the
-total is bounded by 2 ||f||_inf ||g||_inf |t| w_N.
+total is bounded by 2 ||f||_inf ||g||_inf |t| w_N.  The m-point
+correlation runs the same recursion on tuples of shifts, one per
+function after the first.
 
-:class:`Correlator` runs the recursion for exact times on the integer
-lattice of :mod:`rank1flow.schedule`: -t is put on a lattice whose scale
-D is a multiple of the denominators of t and of stages k..N, and from
-there on shifts, memo keys, the |tau| < h_n tests and the overlap deltas
-are ints (x = A/D) or int pairs (x = (A + B*sqrt 2)/D).  A shift becomes
-a scalar again only as the argument of the base case.  Float times and
-float-mode schedules take the same recursion on scalar coordinates.
+Both run on the integer lattice of :mod:`rank1flow.schedule`: the shifts
+are put on a lattice whose scale D is a multiple of their denominators
+and of those of stages k..N, and from there on memo keys, the
+|tau| < h_n test and the deltas are ints (x = A/D) or int pairs
+(x = (A + B*sqrt 2)/D).  A shift becomes a scalar again only as an
+argument of the base case.  A float time enters at its exact binary
+value.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product as iproduct
-from math import lcm
-from typing import NamedTuple, Sequence
+from itertools import chain, product
+from math import lcm, prod
+from typing import Callable, Sequence
 
 from .errors import RangeError, ResourceError
-from .scalars import Scalar, Sqrt2
-from .schedule import Lattice, Schedule, scalar_denominator, within
+from .scalars import Scalar, Sqrt2, exact
+from .schedule import Lattice, Schedule, copy_windows, scalar_denominator, within
 from .stepfun import StepFunction, cross_correlation, product_integral
 
 DEFAULT_GUARD = 10**6
@@ -72,91 +73,93 @@ def pick_stage(schedule: Schedule, k: int, t_abs: Scalar, max_stage: int = 64) -
     raise RangeError(f"|t| = {float(t_abs):g} out of range: no stage up to {max_stage} is tall enough")
 
 
-class Correlator:
-    """Koopman correlations of one (f, g) pair under one schedule, with a
-    shift memo shared across query times.
+class _Recursion:
+    """The offset recursion, memoized on one integer lattice.
 
-    Exact shifts are memoized on one lattice whose scale only grows: a
-    time that needs a finer scale rescales the keys already stored.  Float
-    shifts have a memo of their own, keyed as before the lattice existed
-    (quantized on float-mode schedules), since a float and a lattice int
-    may compare equal while meaning different shifts.
+    B_n is stored at (n, x), with x the lattice coordinates of the shift
+    (of the shift tuple, for m points) at ``_scale``.  That scale only
+    grows: a query that needs a finer one rescales the keys already
+    stored, so the memo is shared across query times.  An arity supplies
+    :meth:`_base` (B_k), :meth:`_step` (the (delta, multiplicity) pairs of
+    one stage) and :meth:`_bound` (the truncation error at time t, width w).
     """
+
+    def __init__(self, schedule: Schedule, k: int, guard: int):
+        self.schedule = schedule
+        self.k = k
+        self.guard = guard
+        self._scale = 1
+        self._lattice = Lattice(1, False)
+        self._memo: dict = {}  # (n, lattice coordinates on self._scale) -> B_n
+
+    def _correlation(self, shift, t_abs: Scalar, stage: int | None) -> CorrelationResult:
+        """w_N * B_N at an exact shift (a scalar, or a tuple of them for m
+        points) with the arity's bound for times up to *t_abs*; B_N is 0
+        when a shift is outside |x| < h_N."""
+        sched = self.schedule
+        n = pick_stage(sched, self.k, t_abs) if stage is None else stage
+        if n < self.k:
+            raise RangeError(f"stage {n} is below the functions' stage {self.k}")
+        shifts = shift if isinstance(shift, tuple) else (shift,)
+        stages = [sched.stage(m) for m in range(self.k, n + 1)]
+        scale = lcm(self._scale, *map(scalar_denominator, shifts), *(st.denominator for st in stages))
+        if scale != self._scale:
+            m = scale // self._scale
+            self._memo = {(i, _rescaled(x, m)): v for (i, x), v in self._memo.items()}
+            self._scale = scale
+        self._lattice = lattice = Lattice(scale, sched.mode == "sqrt2" or any(isinstance(s, Sqrt2) for s in shifts))
+        xs = tuple(map(lattice.encode, shifts))
+        h = lattice.encode(stages[-1].h)
+        value = 0j
+        if all(within(x, h) for x in xs):
+            value = complex(self._B(n, xs if isinstance(shift, tuple) else xs[0]))
+        w_n = float(stages[-1].w)
+        return CorrelationResult(value=value * w_n, error_bound=self._bound(float(t_abs), w_n), stage_used=n)
+
+    def _B(self, n: int, x):
+        key = (n, x)
+        v = self._memo.get(key)
+        if v is None:
+            if n == self.k:
+                v = self._base(x)
+            else:
+                v = 0j
+                for delta, mult in self._step(n - 1, x):
+                    v += mult * self._B(n - 1, delta)
+            if len(self._memo) >= self.guard:
+                raise ResourceError(f"memo blowup near stage {n}: more than {self.guard} distinct shifts")
+            self._memo[key] = v
+        return v
+
+
+def _rescaled(x, m: int):
+    """Lattice coordinates (an int, or tuples of them) on an m times finer scale."""
+    return x * m if type(x) is int else tuple(_rescaled(y, m) for y in x)
+
+
+class Correlator(_Recursion):
+    """Koopman correlations of one (f, g) pair under one schedule, with a
+    shift memo shared across query times."""
 
     def __init__(self, schedule: Schedule, f: StepFunction, g: StepFunction, guard: int = DEFAULT_GUARD):
         if f.stage != g.stage:
             raise RangeError("f and g must live at a common stage (lift the shallower one)")
-        self.schedule = schedule
+        super().__init__(schedule, f.stage, guard)
         self.f = f
         self.g = g
-        self.k = f.stage
-        self.guard = guard
-        self._scale = 1
-        self._memo: dict = {}  # (n, lattice coordinate on self._scale) -> B_n
-        self._scalar_memo: dict = {}  # (n, float key) -> B_n
 
-    def _query(self, tau, n: int):
-        """The per-query context of :meth:`_B` and tau in its coordinates."""
-        sched = self.schedule
-        stages = [sched.stage(m) for m in range(self.k, n + 1)]
-        if sched.mode == "float" or isinstance(tau, float):
-            quanta = None
-            if sched.mode == "float":
-                quanta = {st.n: 1e-12 * max(1.0, float(st.h)) for st in stages}
-            return _Query(None, {st.n: st.h for st in stages}, quanta, self._scalar_memo), tau
-        scale = lcm(self._scale, scalar_denominator(tau), *(st.denominator for st in stages))
-        if scale != self._scale:
-            self._rescale(scale)
-        lattice = Lattice(scale, sched.mode == "sqrt2" or isinstance(tau, Sqrt2))
-        heights = {st.n: lattice.encode(st.h) for st in stages}
-        return _Query(lattice, heights, None, self._memo), lattice.encode(tau)
+    def _base(self, x):
+        return cross_correlation(self.f, self.g, self._lattice.decode(x))
 
-    def _rescale(self, scale: int):
-        m = scale // self._scale
-        entries = list(self._memo.items())
-        self._memo.clear()
-        for (n, x), v in entries:
-            self._memo[n, x * m if type(x) is int else (x[0] * m, x[1] * m)] = v
-        self._scale = scale
+    def _step(self, n: int, x):
+        return self.schedule.overlaps(n, x, guard=self.guard, lattice=self._lattice)
 
-    def _B(self, n: int, tau, q: "_Query"):
-        if not within(tau, q.heights[n]):
-            return 0j
-        key = (n, tau) if q.quanta is None else (n, round(float(tau) / q.quanta[n]))
-        v = q.memo.get(key)
-        if v is None:
-            if n == self.k:
-                v = cross_correlation(self.f, self.g, tau if q.lattice is None else q.lattice.decode(tau))
-            else:
-                v = 0j
-                for delta, mult in self.schedule.overlaps(n - 1, tau, guard=self.guard, lattice=q.lattice):
-                    v += mult * self._B(n - 1, delta, q)
-            self._remember(q.memo, key, v)
-        return v
-
-    def _remember(self, memo: dict, key, v):
-        if len(self._memo) + len(self._scalar_memo) >= self.guard:
-            raise ResourceError(
-                f"memo blowup near stage {key[0]}: more than {self.guard} distinct shifts"
-            )
-        memo[key] = v
+    def _bound(self, t: float, w: float) -> float:
+        return 2.0 * self.f.sup_norm * self.g.sup_norm * t * w
 
     def at(self, t: Scalar, stage: int | None = None) -> CorrelationResult:
-        n = pick_stage(self.schedule, self.k, abs(t)) if stage is None else stage
-        if n < self.k:
-            raise RangeError(f"stage {n} is below the functions' stage {self.k}")
-        w_n = self.schedule.width(n)
-        q, tau = self._query(-t, n)
-        value = complex(self._B(n, tau, q)) * float(w_n)
-        bound = 2.0 * self.f.sup_norm * self.g.sup_norm * float(abs(t)) * float(w_n)
-        return CorrelationResult(value=value, error_bound=bound, stage_used=n)
-
-
-class _Query(NamedTuple):
-    lattice: Lattice | None  # None: scalar coordinates
-    heights: dict  # n -> h_n in the query's coordinates
-    quanta: dict | None  # n -> float key quantum (float-mode schedules only)
-    memo: dict
+        t = exact(t)
+        return self._correlation(-t, abs(t), stage)
 
 
 def correlate(
@@ -170,88 +173,40 @@ def inner_product(schedule: Schedule, f: StepFunction, g: StepFunction) -> compl
     return complex(cross_correlation(f, g, 0)) * float(schedule.width(f.stage))
 
 
-# ---------------------------------------------------------------------------
-# m-point correlations
-# ---------------------------------------------------------------------------
-
-
-class MCorrelator:
+class MCorrelator(_Recursion):
     """integral of prod_i f_i(T_{-t_i} x) dmu via the m-fold offset
-    recursion; tuples of copies are grouped by their delta vectors."""
+    recursion on the shifts t_i - t_0, i >= 1; tuples of copies are
+    grouped by their delta vectors."""
 
     def __init__(self, schedule: Schedule, functions: Sequence[StepFunction], guard: int = DEFAULT_GUARD):
         if len(functions) < 2:
             raise RangeError("m-point correlation needs m >= 2")
-        stages = {f.stage for f in functions}
-        if len(stages) != 1:
+        if len({f.stage for f in functions}) != 1:
             raise RangeError("all functions must live at a common stage")
-        self.schedule = schedule
+        super().__init__(schedule, functions[0].stage, guard)
         self.functions = list(functions)
-        self.k = functions[0].stage
-        self.guard = guard
-        self._memo: dict = {}
 
-    def _key(self, n, taus):
-        if self.schedule.mode == "float":
-            quantum = 1e-12 * max(1.0, float(self.schedule.height(n)))
-            return n, tuple(round(float(t) / quantum) for t in taus)
-        return n, taus
+    def _base(self, xs: tuple):
+        return product_integral(self.functions, (0, *map(self._lattice.decode, xs)))
 
-    def _B(self, n: int, taus: tuple):
-        h = self.schedule.height(n)
-        if any(not abs(t) < h for t in taus):
-            return 0j
-        key = self._key(n, taus)
-        v = self._memo.get(key)
-        if v is not None:
-            return v
-        if n == self.k:
-            v = product_integral(self.functions, (0 * h,) + taus)
-        else:
-            st = self.schedule.stage(n - 1)
-            offs = st.offsets
-            h_prev = st.h
-            v = 0j
-            groups: Counter = Counter()
-            for j0, o0 in enumerate(offs):
-                per_i = []
-                dead = False
-                for tau in taus:
-                    lo = o0 - tau - h_prev
-                    hi = o0 - tau + h_prev
-                    a = bisect_right(offs, lo)
-                    b = bisect_left(offs, hi)
-                    if a >= b:
-                        dead = True
-                        break
-                    per_i.append([tau + offs[jp] - o0 for jp in range(a, b)])
-                if dead:
-                    continue
-                for combo in iproduct(*per_i):
-                    groups[combo] += 1
-                if len(groups) > self.guard:
-                    raise ResourceError(f"m-tuple delta blowup at stage {st.n}")
-            for deltas, mult in groups.items():
-                v += mult * self._B(n - 1, deltas)
-        if len(self._memo) >= self.guard:
-            raise ResourceError("m-point memo blowup")
-        self._memo[key] = v
-        return v
+    def _step(self, n: int, xs: tuple):
+        """Copy j0 with copies j'_i of the windows of each shift, j0 ascending,
+        then the j'_i in product order."""
+        view = self.schedule.stage(n).on_lattice(self._lattice)
+        per_copy = zip(*(copy_windows(view, x) for x in xs))
+        groups = Counter(chain.from_iterable(product(*windows) for windows in per_copy))
+        if len(groups) > self.guard:
+            raise ResourceError(f"m-tuple delta blowup at stage {n}: more than {self.guard} delta vectors")
+        return groups.items()
+
+    def _bound(self, t: float, w: float) -> float:
+        return 2.0 * prod(f.sup_norm for f in self.functions) * t * w * len(self.functions)
 
     def at(self, times: Sequence[Scalar], stage: int | None = None) -> CorrelationResult:
         if len(times) != len(self.functions):
             raise RangeError("need one time per function")
-        t0 = times[0]
-        taus = tuple(t - t0 for t in times[1:])
-        t_max = max(abs(t) for t in times)
-        n = pick_stage(self.schedule, self.k, t_max) if stage is None else stage
-        w_n = self.schedule.width(n)
-        value = complex(self._B(n, taus)) * float(w_n)
-        sup = 1.0
-        for f in self.functions:
-            sup *= f.sup_norm
-        bound = 2.0 * sup * float(t_max) * float(w_n) * len(self.functions)
-        return CorrelationResult(value=value, error_bound=bound, stage_used=n)
+        times = [exact(t) for t in times]
+        return self._correlation(tuple(t - times[0] for t in times[1:]), max(abs(t) for t in times), stage)
 
 
 def m_correlate(
@@ -321,46 +276,33 @@ def weak_limit_probe(
     return WeakLimitReport(list(times), residuals, bounds, threshold, final_below)
 
 
+def perturbation_bound(form: Callable, magnitudes: Sequence, bounds: Sequence) -> float:
+    """How far form(v) can move when each argument v_i may be off by e_i.
+
+    *form* is multilinear in its arguments with nonnegative coefficients
+    (a product of factors, or a permanent in its rows); the worst case is
+    form(|v| + e) - form(|v|), summed here as the telescoping series
+
+        sum_i form(|v_1|, ..., |v_{i-1}|, e_i, |v_{i+1}| + e_{i+1}, ...),
+
+    so that a single argument gives exactly form(e).
+    """
+    return sum(
+        form([*magnitudes[:i], e, *(m + b for m, b in zip(magnitudes[i + 1 :], bounds[i + 1 :]))])
+        for i, e in enumerate(bounds)
+    )
+
+
 def product_correlate(components: Sequence[tuple], t: Scalar, guard: int = DEFAULT_GUARD) -> CorrelationResult:
     """Cartesian product flow: components are (schedule, scale, f, g)
     tuples; the value is the exact product of the per-component values at
-    time scale * t, the bound the first-order product rule."""
-    values = []
-    bounds = []
-    stage_used = 0
-    for schedule, scale, f, g in components:
-        r = correlate(schedule, f, g, scale * t, guard=guard)
-        values.append(r.value)
-        bounds.append(r.error_bound)
-        stage_used = max(stage_used, r.stage_used)
+    time scale * t, the bound that of a product of certified factors."""
+    results = [correlate(schedule, f, g, scale * t, guard=guard) for schedule, scale, f, g in components]
     value = complex(1, 0)
-    for v in values:
-        value *= v
-    bound = 0.0
-    for i, e in enumerate(bounds):
-        partial = e
-        for j, v in enumerate(values):
-            if j != i:
-                partial *= abs(v) + bounds[j]
-        bound += partial
-    return CorrelationResult(value=value, error_bound=bound, stage_used=stage_used)
-
-
-def direct_sum_correlate(
-    schedule: Schedule, families: dict, t: Scalar, guard: int = DEFAULT_GUARD
-) -> CorrelationResult:
-    """Koopman correlation of the scaled direct sum over a finite scale
-    set: families maps s -> (f_s, g_s); the component at scale s is
-    probed at time s * t."""
-    value = 0j
-    bound = 0.0
-    stage_used = 0
-    for s, (f, g) in sorted(families.items()):
-        r = correlate(schedule, f, g, s * t, guard=guard)
-        value += r.value
-        bound += r.error_bound
-        stage_used = max(stage_used, r.stage_used)
-    return CorrelationResult(value=value, error_bound=bound, stage_used=stage_used)
+    for r in results:
+        value *= r.value
+    bound = perturbation_bound(prod, [abs(r.value) for r in results], [r.error_bound for r in results])
+    return CorrelationResult(value=value, error_bound=bound, stage_used=max((r.stage_used for r in results), default=0))
 
 
 @dataclass
@@ -386,8 +328,8 @@ class FockComponent:
 def component_correlate(
     schedule: Schedule, component: FockComponent, t: Scalar, guard: int = DEFAULT_GUARD
 ) -> CorrelationResult:
-    """prod_l <U_T(s_l t) f_l, f_l> ** n_l, with a first-order error
-    bound."""
+    """prod_l <U_T(s_l t) f_l, f_l> ** n_l, bounded as a product with each
+    factor repeated n_l times."""
     factors = []
     stage_used = 0
     for s_l, f_l in zip(component.shifts, component.vectors):
@@ -397,11 +339,6 @@ def component_correlate(
     value = complex(1, 0)
     for r, n_l in zip(factors, component.multiplicities):
         value *= r.value**n_l
-    bound = 0.0
-    for i, (r_i, n_i) in enumerate(zip(factors, component.multiplicities)):
-        partial = n_i * r_i.error_bound * abs(r_i.value) ** (n_i - 1)
-        for j, (r_j, n_j) in enumerate(zip(factors, component.multiplicities)):
-            if j != i:
-                partial *= abs(r_j.value) ** n_j
-        bound += partial
+    repeated = [r for r, n_l in zip(factors, component.multiplicities) for _ in range(n_l)]
+    bound = perturbation_bound(prod, [abs(r.value) for r in repeated], [r.error_bound for r in repeated])
     return CorrelationResult(value=value, error_bound=bound, stage_used=stage_used)

@@ -28,7 +28,7 @@ from .errors import ConfigurationError
 from .oracle import oracle_correlate
 from .schedule import Schedule, finiteness_test
 from .scalars import scalar_from_string, scalar_to_string
-from .serialize import load_schedule
+from .serialize import correlation_result_to_json, load_schedule
 from .spectral import affinity, autocorr_curve, bochner_density, curve_from_samples, dilate
 from .stepfun import StepFunction, indicator, lift, random_level_set, random_step_function, reflect
 from .schedule import symmetrize
@@ -129,7 +129,7 @@ def resolve_times(schedule: Schedule, doc) -> list:
     raise ConfigurationError(f"unknown time spec kind {kind!r}")
 
 
-def test_family(schedule: Schedule, params: dict, pair: bool = True) -> list:
+def seeded_family(schedule: Schedule, params: dict, pair: bool = True) -> list:
     """Seeded family of stage-measurable test functions."""
     stage = _field(params, "stage", int, 1)
     levels = _field(params, "levels", int, 4)
@@ -147,14 +147,6 @@ def test_family(schedule: Schedule, params: dict, pair: bool = True) -> list:
         else:
             fam.append(f)
     return fam
-
-
-def _cres(r) -> dict:
-    return {
-        "value": [r.value.real, r.value.imag],
-        "error_bound": r.error_bound,
-        "stage_used": r.stage_used,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +203,7 @@ def run_stage_audit(spec: dict):
 
 def run_correlate(spec: dict):
     schedule = resolve_schedule(spec)
-    (f, g) = test_family(schedule, spec, pair=True)[0]
+    (f, g) = seeded_family(schedule, spec, pair=True)[0]
     times = resolve_times(schedule, spec.get("times", ["0"]))
     against_oracle = _field(spec, "oracle", bool, False)
     corr = Correlator(schedule, f, g)
@@ -219,7 +211,7 @@ def run_correlate(spec: dict):
     ok_all = True
     for t in times:
         res = corr.at(t)
-        item = {"t": scalar_to_string(t), **_cres(res)}
+        item = {"t": scalar_to_string(t), **correlation_result_to_json(res)}
         if against_oracle:
             ref = oracle_correlate(schedule, f, g, t, stage=res.stage_used).value
             gap = abs(res.value - ref)
@@ -249,7 +241,7 @@ def run_weak_limit(spec: dict):
     schedule = resolve_schedule(spec)
     times = resolve_times(schedule, spec.get("times", ["0"]))
     target = _target_from_spec(_field(spec, "target", _dict, {"alpha": 1}))
-    family = test_family(schedule, spec)
+    family = seeded_family(schedule, spec)
     threshold = _field(spec, "threshold", float, 0.05)
     probe = weak_limit_probe(schedule, times, target, family, threshold=threshold)
     items = [
@@ -369,7 +361,7 @@ def run_fock_claims(spec: dict):
     shifts = _field(spec, "shifts", _list_of(_scalar))
     mults = tuple(_field(spec, "multiplicities", _list_of(int), [1] * len(shifts)))
     l0 = _field(spec, "l0", int, 1)
-    fam = test_family(schedule, spec, pair=False)
+    fam = seeded_family(schedule, spec, pair=False)
     vectors = tuple(fam[i % len(fam)] for i in range(len(shifts)))
     comp = FockComponent(tuple(shifts), mults, vectors)
     two_r = 2 * (_field(spec, "pairs", int, 0) or len(shifts))
@@ -389,13 +381,13 @@ def run_fock_claims(spec: dict):
                 {
                     "l": pos,
                     "s": scalar_to_string(s_l),
-                    **_cres(res),
+                    **correlation_result_to_json(res),
                     "predicted": [predicted.real, predicted.imag],
                     "residual": abs(res.value - predicted) / max(norm, 1e-30),
                 }
             )
         total = component_correlate(schedule, comp, t)
-        items.append({"t": scalar_to_string(t), "factors": factors, "component": _cres(total)})
+        items.append({"t": scalar_to_string(t), "factors": factors, "component": correlation_result_to_json(total)})
     final = items[-1]
     max_res = max(fc["residual"] for fc in final["factors"])
     report = {"items": items, "final_max_factor_residual": max_res, "threshold": threshold}
@@ -439,7 +431,7 @@ def _curve_for_spec(schedule, spec):
     dt = _field(spec, "dt", lambda v: Fraction(str(v)), "0.05")
     if dt <= 0:
         raise ConfigurationError(f"spec entry 'dt' must be positive, got {dt}")
-    f = test_family(schedule, spec, pair=False)[0]
+    f = seeded_family(schedule, spec, pair=False)[0]
     return autocorr_curve(schedule, f, dt, t_max)
 
 

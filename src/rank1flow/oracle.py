@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .correlate import CorrelationResult, pick_stage
-from .scalars import Scalar
+from .scalars import Scalar, exact
 from .schedule import Schedule
 from .stepfun import StepFunction, cross_correlation, lift, product_integral
 
@@ -20,6 +20,7 @@ from .stepfun import StepFunction, cross_correlation, lift, product_integral
 def oracle_correlate(
     schedule: Schedule, f: StepFunction, g: StepFunction, t: Scalar, stage: int | None = None
 ) -> CorrelationResult:
+    t = exact(t)
     n = pick_stage(schedule, f.stage, abs(t)) if stage is None else stage
     F = lift(schedule, f, n)
     G = lift(schedule, g, n)
@@ -36,11 +37,12 @@ def oracle_m_correlate(
     stage: int | None = None,
 ) -> CorrelationResult:
     k = functions[0].stage
+    times = [exact(t) for t in times]
     t_max = max(abs(t) for t in times)
     n = pick_stage(schedule, k, t_max) if stage is None else stage
     lifted = [lift(schedule, f, n) for f in functions]
     w_n = schedule.width(n)
-    value = complex(product_integral(lifted, list(times))) * float(w_n)
+    value = complex(product_integral(lifted, times)) * float(w_n)
     sup = 1.0
     for f in functions:
         sup *= f.sup_norm

@@ -1,25 +1,25 @@
 """Exact scalars for tower geometry.
 
-Three modes are supported:
+Two modes are supported:
 
 * ``rational`` -- plain :class:`fractions.Fraction` values,
 * ``sqrt2``    -- elements a + b*sqrt(2) of the quadratic field Q(sqrt 2),
-  represented by :class:`Sqrt2` with exact, sign-analysis based ordering,
-* ``float``    -- double precision, comparisons at relative tolerance 1e-12.
+  represented by :class:`Sqrt2` with exact, sign-analysis based ordering.
 
-All heights, widths, offsets, times and spacer values are scalars in one
-of these modes; a schedule never mixes modes.
+All heights, widths, offsets and spacer values are scalars in one of
+these modes; a schedule never mixes modes.  A float (a time, a shift, a
+base length) is taken at its exact binary value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isfinite, isqrt
 from typing import Union
 
-FLOAT_RTOL = 1e-12
+from .errors import ModeError, RangeError
 
-MODES = ("rational", "sqrt2", "float")
+MODES = ("rational", "sqrt2")
 
 
 class Sqrt2:
@@ -228,8 +228,6 @@ def sqrt2_sign(a: int, b: int) -> int:
 def floor_scalar(x: Scalar) -> int:
     if isinstance(x, Sqrt2):
         return x.__floor__()
-    if isinstance(x, float):
-        return int(x // 1)
     return int(Fraction(x) // 1)
 
 
@@ -244,35 +242,26 @@ def has_sqrt2(x: Scalar) -> bool:
 
 def coerce(x: Scalar, mode: str) -> Scalar:
     """Bring a scalar, or its wire string, into the canonical representation of *mode*."""
-    from .errors import ModeError
-
     if isinstance(x, str):
         x = scalar_from_string(x)
-    if mode == "float":
-        return float(x)
     if mode == "rational":
         if has_sqrt2(x):
             raise ModeError(f"{x!r} involves sqrt(2); schedule mode is exact-rational")
         if isinstance(x, Sqrt2):
             return x.a
-        if isinstance(x, float):
-            return Fraction(x).limit_denominator(10**12)
         return Fraction(x)
     if mode == "sqrt2":
-        if isinstance(x, Sqrt2):
-            return x
-        if isinstance(x, float):
-            return Sqrt2(Fraction(x).limit_denominator(10**12))
-        return Sqrt2(x)
+        return x if isinstance(x, Sqrt2) else Sqrt2(x)
     raise ValueError(f"unknown scalar mode {mode!r}")
 
 
-def close(x: Scalar, y: Scalar, mode: str) -> bool:
-    """Equality test; relative tolerance ``FLOAT_RTOL`` in float mode."""
-    if mode == "float":
-        fx, fy = float(x), float(y)
-        return abs(fx - fy) <= FLOAT_RTOL * max(1.0, abs(fx), abs(fy))
-    return x == y
+def exact(x: Scalar) -> Scalar:
+    """x, with a float replaced by its exact binary value."""
+    if isinstance(x, float):
+        if not isfinite(x):
+            raise RangeError(f"{x!r} is not a finite time or shift")
+        return Fraction(x)
+    return x
 
 
 # -- string form: "p/q" and "p/q+p'/q'*sqrt2" ----------------------------

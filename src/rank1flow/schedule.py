@@ -16,25 +16,29 @@ Exact geometry is compared and enumerated on an integer lattice: a
 :class:`Lattice` of scale D stores x as the integer x*D (rational data)
 or, over Q(sqrt 2), as the integer pair (a, b) with x = (a + b*sqrt 2)/D.
 :meth:`TowerStage.on_lattice` gives a stage's height and offsets in those
-coordinates, and :func:`overlap_pairs` sweeps them with plain integer
-arithmetic; the order of a pair is decided by :func:`sqrt2_sign`.  Scalars
-come back only at the boundary, via :meth:`Lattice.decode`.
+coordinates.  :func:`copy_windows` sweeps them with plain integer
+arithmetic, copy by copy, for the m-point engine, and :func:`overlap_pairs`
+counts its deltas for the 2-point one; the order of a pair is decided by
+:func:`sqrt2_sign`.  Scalars come back only at the boundary, via
+:meth:`Lattice.decode`.
 """
 
 from __future__ import annotations
 
+import operator
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
+from itertools import chain
 from math import lcm
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, ResourceError
-from .scalars import MODES, Scalar, Sqrt2, coerce, scalar_to_string, sqrt2_sign
+from .scalars import MODES, Scalar, Sqrt2, coerce, exact, scalar_to_string, sqrt2_sign
 
 DEFAULT_DIGIT_BUDGET = 200_000  # bits allowed in a height numerator
 # Int offsets of stages with at least _NUMPY_MIN_R copies are swept in
@@ -373,8 +377,6 @@ class Schedule:
         )
 
     def _check_budget(self, h):
-        if isinstance(h, float):
-            return
         num = h.a.numerator if hasattr(h, "a") else Fraction(h).numerator
         if num.bit_length() > self.digit_budget:
             raise ResourceError(
@@ -450,56 +452,73 @@ def overlap_pairs(stage, shift, guard: int = 10**6) -> list:
 
     *stage* is a :class:`TowerStage` with a scalar shift, or a
     :class:`LatticeStage` with the shift in the same lattice coordinates;
-    the deltas come back in the coordinates that went in.  An exact scalar
-    query runs on the smallest lattice holding the stage and the shift.
-
-    Offsets are strictly increasing, so the j' admissible for a given j
-    form a contiguous window, and both window ends move monotonically
-    with j (a single two-pointer sweep, no per-j bisection).
+    the deltas come back in the coordinates that went in.  A scalar query
+    runs on the smallest lattice holding the stage and the shift.
     """
-    if isinstance(stage, LatticeStage) or isinstance(shift, float) or isinstance(stage.h, float):
-        return _sweep(stage, shift, guard)
+    if isinstance(stage, LatticeStage):
+        return _lattice_overlaps(stage, shift, guard)
+    shift = exact(shift)
     lattice = Lattice(
         lcm(stage.denominator, scalar_denominator(shift)),
         isinstance(shift, Sqrt2) or isinstance(stage.h, Sqrt2),
     )
-    pairs = _sweep(stage.on_lattice(lattice), lattice.encode(shift), guard)
+    pairs = _lattice_overlaps(stage.on_lattice(lattice), lattice.encode(shift), guard)
     return [(lattice.decode(delta), mult) for delta, mult in pairs]
 
 
-def _sweep(stage, shift, guard: int) -> list:
-    """The two-pointer sweep on lattice ints, on a float shift over scalar
-    offsets, or (delegated) on lattice pairs."""
-    h = stage.h
-    if type(h) is tuple:
-        return _sweep_sqrt2(stage, shift, guard)
-    if getattr(stage, "array", None) is not None and -_INT64_SAFE < shift < _INT64_SAFE:
+def _lattice_overlaps(stage: LatticeStage, shift, guard: int) -> list:
+    if stage.array is not None and -_INT64_SAFE < shift < _INT64_SAFE:
         return _sweep_numpy(stage, shift, guard)
-    offs = stage.offsets
-    r = stage.r
-    counts: Counter = Counter()
-    a = b = 0
-    for j in range(r):
-        oj = offs[j]
-        lo = oj - shift - h  # need offs[j'] > lo
-        hi = oj - shift + h  # need offs[j'] < hi
-        while a < r and not offs[a] > lo:
-            a += 1
-        if b < a:
-            b = a
-        while b < r and offs[b] < hi:
-            b += 1
-        base = shift - oj
-        for jp in range(a, b):
-            counts[base + offs[jp]] += 1
-        if len(counts) > guard:
-            raise ResourceError(f"overlap blowup at stage {stage.n}: more than {guard} deltas")
+    counts = Counter(chain.from_iterable(copy_windows(stage, shift)))
+    if len(counts) > guard:
+        raise ResourceError(f"overlap blowup at stage {stage.n}: more than {guard} deltas")
+    if type(stage.h) is tuple:
+        return sorted(counts.items(), key=cmp_to_key(lambda p, q: sqrt2_sign(p[0][0] - q[0][0], p[0][1] - q[0][1])))
     return sorted(counts.items())
 
 
+def copy_windows(stage: LatticeStage, shift) -> list:
+    """For each copy j, the deltas shift + o_{j'} - o_j with |delta| < h_n,
+    in increasing j' and so in increasing order.
+
+    Coordinates are lattice ints, or (a, b) pairs ordered through
+    :func:`sqrt2_sign`.  Offsets strictly increase, so the admissible j'
+    form a window whose ends move monotonically with j: one two-pointer
+    sweep finds every window.
+    """
+    offs, r, h = stage.offsets, stage.r, stage.h
+    add, sub, less = (_pair_add, _pair_sub, _pair_less) if type(h) is tuple else (operator.add, operator.sub, operator.lt)
+    up, down = add(shift, h), sub(h, shift)
+    windows = []
+    a = b = 0
+    for oj in offs:
+        lo, hi = sub(oj, up), add(oj, down)  # need lo < o_{j'} < hi
+        while a < r and not less(lo, offs[a]):
+            a += 1
+        if b < a:
+            b = a
+        while b < r and less(offs[b], hi):
+            b += 1
+        base = sub(shift, oj)
+        windows.append([add(base, o) for o in offs[a:b]])
+    return windows
+
+
+def _pair_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def _pair_sub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def _pair_less(x, y) -> bool:
+    return sqrt2_sign(y[0] - x[0], y[1] - x[1]) > 0
+
+
 def _sweep_numpy(stage: LatticeStage, shift: int, guard: int) -> list:
-    """:func:`_sweep` on int64 offsets: the same windows found by
-    ``searchsorted``, the same sorted (delta, multiplicity) list."""
+    """The windows of :func:`copy_windows` on int64 offsets, found by
+    ``searchsorted``; the same sorted (delta, multiplicity) list."""
     offs = stage.array
     lo = offs - (shift + stage.h)
     hi = offs - (shift - stage.h)
@@ -516,35 +535,6 @@ def _sweep_numpy(stage: LatticeStage, shift: int, guard: int) -> list:
     if len(deltas) > guard:
         raise ResourceError(f"overlap blowup at stage {stage.n}: more than {guard} deltas")
     return list(zip(deltas.tolist(), mult.tolist()))
-
-
-def _sweep_sqrt2(stage: LatticeStage, shift: tuple, guard: int) -> list:
-    """:func:`_sweep` on (a, b) pairs, ordered through :func:`sqrt2_sign`."""
-    ha, hb = stage.h
-    sa, sb = shift
-    offs = stage.offsets
-    r = stage.r
-    counts: Counter = Counter()
-    a = b = 0
-    for j in range(r):
-        oa, ob = offs[j]
-        lo_a, lo_b = oa - sa - ha, ob - sb - hb
-        hi_a, hi_b = oa - sa + ha, ob - sb + hb
-        while a < r and sqrt2_sign(offs[a][0] - lo_a, offs[a][1] - lo_b) <= 0:
-            a += 1
-        if b < a:
-            b = a
-        while b < r and sqrt2_sign(offs[b][0] - hi_a, offs[b][1] - hi_b) < 0:
-            b += 1
-        base_a, base_b = sa - oa, sb - ob
-        for jp in range(a, b):
-            pa, pb = offs[jp]
-            counts[(base_a + pa, base_b + pb)] += 1
-        if len(counts) > guard:
-            raise ResourceError(f"overlap blowup at stage {stage.n}: more than {guard} deltas")
-    items = list(counts.items())
-    items.sort(key=cmp_to_key(lambda p, q: sqrt2_sign(p[0][0] - q[0][0], p[0][1] - q[0][1])))
-    return items
 
 
 def symmetrize(schedule: Schedule) -> Schedule:

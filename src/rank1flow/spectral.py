@@ -158,7 +158,3 @@ def affinity(a: SpectralEstimate, b: SpectralEstimate) -> float:
     pa = pa / _trapezoid(pa, grid)
     pb = pb / _trapezoid(pb, grid)
     return float(_trapezoid(np.sqrt(pa * pb), grid))
-
-
-def estimate_to_rows(est: SpectralEstimate):
-    return [(float(l), float(d)) for l, d in zip(est.freqs, est.density)]

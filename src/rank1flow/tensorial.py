@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .correlate import CorrelationResult
+import numpy as np
+
+from .correlate import CorrelationResult, perturbation_bound
 from .errors import ResourceError
 
 MAX_PERMANENT_SIZE = 20
@@ -52,17 +54,11 @@ def permanent(matrix: Sequence[Sequence[complex]]) -> complex:
 
 
 def sym_tensor_correlate(gram: Sequence[Sequence[CorrelationResult]]) -> CorrelationResult:
-    """Permanent of a Gram matrix of correlation results, with the error
-    bound propagated by first-order perturbation (row replacement)."""
-    n = len(gram)
-    values = [[complex(r.value) for r in row] for row in gram]
-    value = permanent(values)
-    abs_values = [[abs(v) for v in row] for row in values]
-    bound = 0.0
-    stage_used = 0
-    for i, row in enumerate(gram):
-        perturbed = [list(r) for r in abs_values]
-        perturbed[i] = [res.error_bound for res in row]
-        bound += abs(permanent(perturbed))
-        stage_used = max(stage_used, max(res.stage_used for res in row))
+    """Permanent of a Gram matrix of correlation results; the bound is
+    perm(|V| + E) - perm(|V|), the permanent being multilinear in its rows."""
+    value = permanent([[r.value for r in row] for row in gram])
+    magnitudes = [np.array([abs(r.value) for r in row]) for row in gram]
+    bounds = [np.array([r.error_bound for r in row]) for row in gram]
+    bound = perturbation_bound(lambda rows: permanent(rows).real, magnitudes, bounds)
+    stage_used = max((r.stage_used for row in gram for r in row), default=0)
     return CorrelationResult(value=value, error_bound=bound, stage_used=stage_used)

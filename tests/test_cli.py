@@ -58,6 +58,25 @@ def test_correlate_with_oracle(tmp_path):
     assert all(item["ok"] for item in report["result"]["items"])
 
 
+def test_float_time_on_a_sqrt2_schedule(tmp_path):
+    # "2.5" parses as a float; it runs at its exact binary value, 5/2
+    spec = write_spec(
+        tmp_path,
+        "corr.json",
+        {
+            "schedule": {"kind": "thm44", "params": {"s_values": [2], "q_max": 1, "k_max": 1, "r_cap": 6}},
+            "times": ["2.5", "5/2"],
+            "oracle": True,
+        },
+    )
+    out = tmp_path / "out"
+    result = invoke(["correlate", "--spec", spec, "--out", str(out)])
+    assert result.exit_code in (0, 1), result.output
+    items = json.loads((out / "report.json").read_text())["result"]["items"]
+    assert [it["t"] for it in items] == ["2.5", "5/2"]
+    assert items[0]["value"] == items[1]["value"]
+
+
 def test_missing_spec_file_is_usage_error(tmp_path):
     result = invoke(["stage-audit", "--spec", str(tmp_path / "nope.json")])
     assert result.exit_code == 2
@@ -121,6 +140,7 @@ def test_plot_csv_has_header_comment(tmp_path, audit_spec):
     "kind, spec",
     [
         ("correlate", {"schedule": {"kind": "flat", "params": {"r": 2}}, "times": ["abc"]}),
+        ("correlate", {"schedule": {"kind": "flat", "params": {"r": 2}}, "times": ["inf"]}),
         ("fock-claims", {"schedule": {"kind": "thm44", "params": {}}, "shifts": ["2"]}),
         ("stage-audit", {"schedule": {"kind": "flat", "params": {"r": "x"}}}),
         ("stage-audit", {"schedule": {"kind": "asym49", "params": {"r_cap": "x"}}, "depth": 4}),
@@ -130,6 +150,7 @@ def test_plot_csv_has_header_comment(tmp_path, audit_spec):
     ],
     ids=[
         "unparsable-time",
+        "infinite-time",
         "fock-claims-without-class-label",
         "non-numeric-param",
         "param-read-at-build-time",

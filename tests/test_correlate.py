@@ -7,6 +7,7 @@ from rank1flow import (
     Correlator,
     SQRT2,
     WeakLimitTarget,
+    asym49_schedule,
     correlate,
     inner_product,
     m_correlate,
@@ -14,6 +15,7 @@ from rank1flow import (
     oracle_m_correlate,
     pick_stage,
     random_step_function,
+    thm44_schedule,
     weak_limit_probe,
 )
 from rank1flow.errors import RangeError
@@ -142,6 +144,35 @@ def test_m_correlate_matches_oracle(small_asym):
     res = m_correlate(small_asym, fs, times)
     ref = oracle_m_correlate(small_asym, fs, times, stage=res.stage_used)
     assert abs(res.value - ref.value) <= res.error_bound + 1e-9
+
+
+SQRT2_SCHEDULES = {
+    "thm44": lambda: thm44_schedule(s_values=(2,), q_max=1, k_max=1, r_cap=6),
+    "asym49-sqrt2": lambda: asym49_schedule(r_cap=16, mode="sqrt2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SQRT2_SCHEDULES))
+def test_m_correlate_matches_oracle_over_sqrt2(name):
+    sched = SQRT2_SCHEDULES[name]()
+    rng = random.Random(37)
+    fs = [random_step_function(1, sched.height(1), 3, rng) for _ in range(3)]
+    d = sched.stage(1).offsets[1]  # a copy offset, so that shifted copies meet
+    values = []
+    for times in ((0, Fraction(1, 4), Fraction(-1, 5)), (0, SQRT2 / 8, -SQRT2 / 5), (d + Fraction(1, 8), 0, Fraction(1, 3))):
+        res = m_correlate(sched, fs, times)
+        ref = oracle_m_correlate(sched, fs, times, stage=res.stage_used)
+        assert abs(res.value - ref.value) <= res.error_bound + 1e-9
+        values.append(res.value)
+    assert all(abs(v) > 1e-3 for v in values)
+
+
+def test_float_time_is_its_exact_binary_value(small_staircase, small_thm44):
+    for sched in (small_staircase, small_thm44):
+        f, g = pair(sched, 41)
+        for t in (2.5, -0.1, 1 / 3):
+            assert correlate(sched, f, g, t) == correlate(sched, f, g, Fraction(t))
+            assert m_correlate(sched, [f, g, f], (0, t, -t)) == m_correlate(sched, [f, g, f], (0, Fraction(t), -Fraction(t)))
 
 
 def test_weak_limit_probe_identity_at_zero(flat2):

@@ -4,7 +4,7 @@ from math import isqrt
 
 import pytest
 
-from rank1flow import SQRT2, Sqrt2, close, coerce, scalar_from_string, scalar_to_string
+from rank1flow import SQRT2, Sqrt2, coerce, scalar_from_string, scalar_to_string
 from rank1flow.errors import ModeError
 from rank1flow.scalars import ceil_scalar, floor_scalar
 
@@ -84,10 +84,3 @@ def test_scalar_to_string_forms():
 def test_coerce_rejects_sqrt2_in_rational_mode():
     with pytest.raises(ModeError):
         coerce(SQRT2, "rational")
-
-
-def test_coerce_and_close_float_mode():
-    x = coerce(Fraction(1, 3), "float")
-    assert isinstance(x, float)
-    assert close(x, 1 / 3 + 1e-15, "float")
-    assert not close(x, 1 / 3 + 1e-6, "float")

@@ -15,7 +15,7 @@ from rank1flow import (
     indicator,
 )
 from rank1flow.errors import ConfigurationError, DegenerateInputError
-from rank1flow.experiments import _curve_for_spec, test_family as spec_family
+from rank1flow.experiments import _curve_for_spec, seeded_family
 
 
 def gaussian_curve(dt=0.05, t_max=20.0):
@@ -143,7 +143,7 @@ def test_spec_dt_is_exact_and_matches_the_float_curve():
     spec = {"schedule": {"kind": "asym49", "params": {}}, "dt": 0.05, "t_max": 4, "seed": 3}
     exact = _curve_for_spec(sched, spec)
     as_text = _curve_for_spec(sched, {**spec, "dt": "0.05"})
-    f = spec_family(sched, spec, pair=False)[0]
+    f = seeded_family(sched, spec, pair=False)[0]
     floats = autocorr_curve(sched, f, 0.05, 4)
     assert np.array_equal(exact.values, as_text.values)
     assert exact.dt == floats.dt == 0.05

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from rank1flow import CorrelationResult, permanent, product_correlate, sym_tensor_correlate
+from rank1flow.correlate import perturbation_bound
 from rank1flow import correlate, flat_schedule, random_step_function
 from rank1flow.errors import ResourceError
 
@@ -68,9 +69,29 @@ def test_sym_tensor_correlate_bound_is_first_order():
     gram = [[_res(1.0, 0.1), _res(0.0, 0.1)], [_res(0.0, 0.1), _res(1.0, 0.1)]]
     out = sym_tensor_correlate(gram)
     assert out.value == pytest.approx(1.0)
-    # row replacement: each of the 2 rows replaced by its bounds gives
-    # perm([[0.1, 0.1], [0, 1]]) = 0.1 + 0 ... total 2 * 0.1
-    assert out.error_bound == pytest.approx(0.2)
+    # every entry may be off by 0.1: at worst perm([[1.1, 0.1], [0.1, 1.1]]) - 1
+    # = 0.22, above the first-order row-replacement estimate 0.2
+    assert out.error_bound >= 0.22 - 1e-12
+
+
+def test_perturbation_bound_single_factor_is_exact():
+    for v, e in ((0.1, 0.3), (0.7, 1e-17), (-2.5, 0.125)):
+        assert perturbation_bound(math.prod, [abs(v)], [e]) == e
+
+
+def test_perturbation_bound_covers_every_corner():
+    rng = random.Random(3)
+    for m in range(1, 5):
+        values = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(m)]
+        bounds = [rng.uniform(0, 0.5) for _ in range(m)]
+        bound = perturbation_bound(math.prod, [abs(v) for v in values], bounds)
+        exact = math.prod(values)
+        for signs in itertools.product((-1, 1), repeat=m):
+            moved = math.prod(v + s * e * v / abs(v) for v, s, e in zip(values, signs, bounds))
+            assert abs(moved - exact) <= bound + 1e-12
+        # the all-outward corner attains it
+        outward = math.prod(v + e * v / abs(v) for v, e in zip(values, bounds))
+        assert abs(outward - exact) == pytest.approx(bound)
 
 
 def test_product_correlate_factorizes_exactly():

@@ -1,0 +1,46 @@
+"""The benchmark's per-layer trace (``perfbench/tracing.py``) wraps engine
+boundaries by name; a boundary it cannot find reads 0 in every trace.
+Run it against this package so that a refactor cannot blind it silently."""
+
+import runpy
+from pathlib import Path
+
+from rank1flow.correlate import Correlator
+from rank1flow.experiments import run_experiment
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+SPECS = {
+    "weak-limit": {
+        "schedule": {"kind": "flat", "params": {"r": 3}},
+        "times": ["1/2", "-5/4"],
+        "target": {"alpha": 0},
+        "family_size": 1,
+    },
+    "triple-asymmetry": {
+        "schedule": {"kind": "asym49", "params": {}},
+        "stage_count": 1,
+        "forward_sets": 1,
+        "backward_period_max": 2,
+    },
+}
+
+
+def test_trace_finds_every_engine_boundary():
+    at = Correlator.at
+    tracer = runpy.run_path(str(TRACING))["Tracer"]()  # run_path writes no bytecode cache
+    tracer.install()
+    try:
+        traces = {}
+        for kind, spec in SPECS.items():
+            tracer.run_op(lambda: run_experiment(kind, spec))
+            traces[kind] = tracer.finish_op()
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    assert Correlator.at is at
+    for kind, trace in traces.items():
+        assert trace["counts"]["at_calls"] > 0, kind
+        assert trace["counts"]["base_calls"] > 0, kind
+        assert trace["self_s"]["stepfun.base"] > 0, kind
+    assert traces["weak-limit"]["counts"]["overlap_calls"] > 0
