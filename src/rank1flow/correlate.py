@@ -31,7 +31,7 @@ value.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import _count_elements
 from dataclasses import dataclass
 from itertools import chain, product
 from math import lcm, prod
@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 
 from .errors import RangeError, ResourceError
 from .scalars import Scalar, Sqrt2, exact
-from .schedule import Lattice, Schedule, copy_windows, scalar_denominator, within
+from .schedule import Lattice, Schedule, copy_windows, rescaled, scalar_denominator, within
 from .stepfun import StepFunction, cross_correlation, product_integral
 
 DEFAULT_GUARD = 10**6
@@ -105,7 +105,7 @@ class _Recursion:
         scale = lcm(self._scale, *map(scalar_denominator, shifts), *(st.denominator for st in stages))
         if scale != self._scale:
             m = scale // self._scale
-            self._memo = {(i, _rescaled(x, m)): v for (i, x), v in self._memo.items()}
+            self._memo = {(i, rescaled(x, m)): v for (i, x), v in self._memo.items()}
             self._scale = scale
         self._lattice = lattice = Lattice(scale, sched.mode == "sqrt2" or any(isinstance(s, Sqrt2) for s in shifts))
         xs = tuple(map(lattice.encode, shifts))
@@ -130,11 +130,6 @@ class _Recursion:
                 raise ResourceError(f"memo blowup near stage {n}: more than {self.guard} distinct shifts")
             self._memo[key] = v
         return v
-
-
-def _rescaled(x, m: int):
-    """Lattice coordinates (an int, or tuples of them) on an m times finer scale."""
-    return x * m if type(x) is int else tuple(_rescaled(y, m) for y in x)
 
 
 class Correlator(_Recursion):
@@ -194,7 +189,8 @@ class MCorrelator(_Recursion):
         then the j'_i in product order."""
         view = self.schedule.stage(n).on_lattice(self._lattice)
         per_copy = zip(*(copy_windows(view, x) for x in xs))
-        groups = Counter(chain.from_iterable(product(*windows) for windows in per_copy))
+        groups: dict = {}
+        _count_elements(groups, chain.from_iterable(product(*windows) for windows in per_copy))
         if len(groups) > self.guard:
             raise ResourceError(f"m-tuple delta blowup at stage {n}: more than {self.guard} delta vectors")
         return groups.items()

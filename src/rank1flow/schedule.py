@@ -12,26 +12,30 @@ tower at offset
 
 and h_{n+1} = o_{r_n} + h_n + s_n(r_n).
 
-Exact geometry is compared and enumerated on an integer lattice: a
+Exact geometry is built, compared and enumerated on an integer lattice: a
 :class:`Lattice` of scale D stores x as the integer x*D (rational data)
 or, over Q(sqrt 2), as the integer pair (a, b) with x = (a + b*sqrt 2)/D.
-:meth:`TowerStage.on_lattice` gives a stage's height and offsets in those
-coordinates.  :func:`copy_windows` sweeps them with plain integer
-arithmetic, copy by copy, for the m-point engine, and :func:`overlap_pairs`
-counts its deltas for the 2-point one; the order of a pair is decided by
-:func:`sqrt2_sign`.  Scalars come back only at the boundary, via
-:meth:`Lattice.decode`.
+Each stage is built on its own lattice, D_n = lcm of the denominators of
+h_n, the bottom spacer and s_n(1) .. s_n(r_n - 1), the smallest scale
+holding h_n and every offset: the spacer values are encoded once each
+and the offsets accumulated as ints or int pairs.  The scalar offsets,
+h_{n+1} and the spacer mass are decoded from there on first use.
+:meth:`TowerStage.on_lattice` rescales a stage to a finer lattice, where
+:func:`copy_windows` sweeps it with plain integer arithmetic, copy by
+copy, for the m-point engine, and :func:`overlap_pairs` counts its deltas
+for the 2-point one; the order of a pair is decided by :func:`sqrt2_sign`.
+Scalars come back only at the boundary, via :meth:`Lattice.decode`.
 """
 
 from __future__ import annotations
 
 import operator
 import threading
-from collections import Counter
+from collections import _count_elements
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
-from itertools import chain
+from itertools import accumulate, chain
 from math import lcm
 from typing import Callable, NamedTuple, Optional
 
@@ -239,6 +243,11 @@ class LatticeStage(NamedTuple):
     array: Optional[np.ndarray] = None  # the int offsets as int64, where the NumPy sweep applies
 
 
+def rescaled(x, m: int):
+    """Lattice coordinates (an int, or tuples of them) on an m times finer scale."""
+    return x * m if type(x) is int else tuple(rescaled(y, m) for y in x)
+
+
 def within(x, h) -> bool:
     """|x| < h, for x and h both scalars or both lattice coordinates."""
     if type(h) is tuple:
@@ -253,7 +262,13 @@ def within(x, h) -> bool:
 
 @dataclass
 class TowerStage:
-    """Exact geometry of stage n, plus the cut data used to build n+1."""
+    """Exact geometry of stage n, plus the cut data used to build n+1.
+
+    The height and offsets are stored on the stage's own lattice, of scale
+    :attr:`denominator`; ``top`` holds h_{n+1} on the finer lattice that
+    also takes the last spacer.  :attr:`offsets`, :attr:`h_next` and
+    :attr:`spacer_mass_added` are decoded from them on first use.
+    """
 
     n: int
     h: Scalar  # height h_n
@@ -262,45 +277,58 @@ class TowerStage:
     r: int  # cut number r_n
     spacers: list  # s_n(1) .. s_n(r_n)
     bottom: Scalar  # bottom spacer (0 unless symmetrized)
-    offsets: list = field(default_factory=list)  # o_{n,1} .. o_{n,r_n}
+    denominator: int  # smallest lattice scale holding h and every offset
+    grid: LatticeStage  # h and o_{n,1} .. o_{n,r_n} on Lattice(denominator)
+    top: tuple  # (lattice, h_{n+1} in its coordinates)
     _view: Optional[tuple] = field(default=None, repr=False, compare=False)  # (lattice, view) of the last call
 
     @property
     def tower_measure(self):
         return self.h * self.w
 
-    @property
+    @cached_property
+    def offsets(self) -> list:
+        """o_{n,1} .. o_{n,r_n}."""
+        decode = Lattice(self.denominator, type(self.grid.h) is tuple).decode
+        return [decode(o) for o in self.grid.offsets]
+
+    @cached_property
     def h_next(self):
-        return self.offsets[-1] + self.h + self.spacers[-1]
+        lattice, h_next = self.top
+        return lattice.decode(h_next)
 
     @property
     def w_next(self):
         return self.w / self.r
 
-    @property
+    @cached_property
     def spacer_mass_added(self):
-        total = self.bottom
-        for s in self.spacers:
-            total = total + s
-        return self.w_next * total
+        # bottom + s(1) + ... + s(r) = h_{n+1} - r*h_n
+        lattice, h_next = self.top
+        r, h = self.r, rescaled(self.grid.h, lattice.scale // self.denominator)
+        total = (h_next[0] - r * h[0], h_next[1] - r * h[1]) if type(h) is tuple else h_next - r * h
+        return self.w_next * lattice.decode(total)
 
     def offset(self, j: int):
         """o_{n,j}, 1-based."""
         return self.offsets[j - 1]
-
-    @cached_property
-    def denominator(self) -> int:
-        """Smallest lattice scale holding h and every offset (exact data only)."""
-        return lcm(scalar_denominator(self.h), *(scalar_denominator(o) for o in self.offsets))
 
     def on_lattice(self, lattice: Lattice) -> LatticeStage:
         """This stage in the coordinates of *lattice*, whose scale must be a
         multiple of :attr:`denominator`; the view of the latest lattice is
         cached."""
         if self._view is None or self._view[0] != lattice:
-            encode = lattice.encode
-            h = encode(self.h)
-            offsets = [encode(o) for o in self.offsets]
+            m, rest = divmod(lattice.scale, self.denominator)
+            if rest:
+                raise ValueError(f"lattice scale {lattice.scale} is not a multiple of {self.denominator}")
+            grid = self.grid
+            h, offsets = rescaled(grid.h, m), grid.offsets
+            if type(grid.h) is tuple:
+                offsets = [(a * m, b * m) for a, b in offsets] if m != 1 else offsets
+            elif lattice.sqrt2:
+                h, offsets = (h, 0), [(o * m, 0) for o in offsets]
+            elif m != 1:
+                offsets = [o * m for o in offsets]
             array = None
             if not lattice.sqrt2 and self.r >= _NUMPY_MIN_R and offsets[-1] + h < _INT64_SAFE:
                 array = np.array(offsets, dtype=np.int64)
@@ -334,6 +362,8 @@ class Schedule:
         self.meta = meta if meta is not None else {}
         self.h1 = coerce(h1, mode)
         self.w1 = coerce(w1, mode)
+        if not (self.h1 > 0 and self.w1 > 0):
+            raise ConfigurationError(f"h1 = {h1!r} and w1 = {w1!r} must be positive")
         self.digit_budget = digit_budget
         self._stages: list[TowerStage] = []
         self._lock = threading.Lock()
@@ -355,32 +385,51 @@ class Schedule:
             h, w, mu = self.h1, self.w1, self.h1 * self.w1
         else:
             prev = self._stages[-1]
-            h = prev.h_next
-            w = prev.w_next
-            mu = prev.measure + prev.spacer_mass_added
-        self._check_budget(h)
+            h, w, mu = prev.h_next, prev.w_next, prev.measure + prev.spacer_mass_added
+        self._check_budget(m, h)
         r, smap = self._params(m, h, w)
         if r <= 1:
             raise ConfigurationError(f"r_{m} = {r}; cut numbers must exceed 1")
-        spacers = [coerce(v, self.mode) for v in smap.values(r)]
-        bottom = coerce(smap.bottom_spacer, self.mode)
-        for v in spacers:
-            if v < 0:
-                raise ConfigurationError(f"negative spacer at stage {m}")
-        if bottom < 0:
+        mode, sqrt2 = self.mode, self.mode == "sqrt2"
+        values = smap.values(r)
+        # the spacer maps repeat one object for a repeated value: each
+        # object is coerced and encoded once
+        scalar = {i: coerce(v, mode) for i, v in {id(v): v for v in values}.items()}
+        spacers = [scalar[id(v)] for v in values]
+        bottom = coerce(smap.bottom_spacer, mode)
+        ids = [id(v) for v in values[:-1]]  # s(1) .. s(r-1) step the offsets; s(r) enters only h_{n+1}
+        inner = {i: scalar[i] for i in ids}
+        scale = lcm(scalar_denominator(h), scalar_denominator(bottom), *map(scalar_denominator, inner.values()))
+        lattice = Lattice(scale, sqrt2)
+        top = Lattice(lcm(scale, scalar_denominator(spacers[-1])), sqrt2)
+        H, B, last = lattice.encode(h), lattice.encode(bottom), top.encode(spacers[-1])
+        steps = {i: lattice.encode(v) for i, v in inner.items()}
+        negative = (lambda x: sqrt2_sign(*x) < 0) if sqrt2 else (lambda x: x < 0)
+        if any(map(negative, steps.values())) or negative(last):
+            raise ConfigurationError(f"negative spacer at stage {m}")
+        if negative(B):
             raise ConfigurationError(f"negative bottom spacer at stage {m}")
-        offsets = [bottom]
-        for j in range(r - 1):
-            offsets.append(offsets[-1] + h + spacers[j])
+        k = top.scale // scale
+        if sqrt2:  # o_{j+1} = o_j + h + s(j), component by component
+            offsets = list(zip(*(accumulate([H[c] + steps[i][c] for i in ids], initial=B[c]) for c in (0, 1))))
+            h_next = tuple((o + x) * k + s for o, x, s in zip(offsets[-1], H, last))
+        else:
+            offsets = list(accumulate([H + steps[i] for i in ids], initial=B))
+            h_next = (offsets[-1] + H) * k + last
+        grid = LatticeStage(m, r, H, offsets)
         self._stages.append(
-            TowerStage(n=m, h=h, w=w, measure=mu, r=r, spacers=spacers, bottom=bottom, offsets=offsets)
+            TowerStage(m, h, w, mu, r, spacers, bottom, denominator=scale, grid=grid, top=(top, h_next))
         )
 
-    def _check_budget(self, h):
-        num = h.a.numerator if hasattr(h, "a") else Fraction(h).numerator
-        if num.bit_length() > self.digit_budget:
+    def _check_budget(self, n: int, h):
+        """The digit budget: every component of h_n on its own lattice
+        (its numerator, or both integers of (a + b*sqrt 2)/D) must fit."""
+        a, b = Lattice(scalar_denominator(h), True).encode(h)
+        bits = max(a.bit_length(), b.bit_length())
+        if bits > self.digit_budget:
             raise ResourceError(
-                f"height numerator exceeds the digit budget ({self.digit_budget} bits)"
+                f"digit budget exceeded at stage {n}: the height needs {bits} bits, "
+                f"more than the budget of {self.digit_budget} bits"
             )
 
     # -- convenience -----------------------------------------------------
@@ -435,10 +484,7 @@ def finiteness_test(schedule: Schedule, horizon: int, budget: Scalar = 1) -> Fin
     status = "finite-so-far"
     for n in range(1, horizon + 1):
         st = schedule.stage(n)
-        mass: Scalar = st.bottom
-        for s in st.spacers:
-            mass = mass + s
-        total = total + mass / (st.h * st.r)
+        total = total + st.spacer_mass_added / st.tower_measure
         sums.append(total)
         if total > budget:
             status = "diverged"
@@ -469,7 +515,8 @@ def overlap_pairs(stage, shift, guard: int = 10**6) -> list:
 def _lattice_overlaps(stage: LatticeStage, shift, guard: int) -> list:
     if stage.array is not None and -_INT64_SAFE < shift < _INT64_SAFE:
         return _sweep_numpy(stage, shift, guard)
-    counts = Counter(chain.from_iterable(copy_windows(stage, shift)))
+    counts: dict = {}
+    _count_elements(counts, chain.from_iterable(copy_windows(stage, shift)))
     if len(counts) > guard:
         raise ResourceError(f"overlap blowup at stage {stage.n}: more than {guard} deltas")
     if type(stage.h) is tuple:

@@ -9,6 +9,7 @@ NumPy arrays, and (a, b) pairs for Q(sqrt 2)) must return the same
 from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from rank1flow import (
@@ -133,6 +134,15 @@ def test_stage_view_follows_the_latest_lattice():
         view = stage.on_lattice(lattice)
         assert stage.on_lattice(lattice) is view
         assert (view.h, view.offsets) == (lattice.encode(stage.h), [lattice.encode(o) for o in stage.offsets])
+
+
+def test_stage_view_needs_a_multiple_of_the_stage_scale():
+    stage = SCHEDULES["staircase", "rational"].stage(2)
+    assert stage.denominator == 4
+    with pytest.raises(ValueError, match="not a multiple of 4"):
+        stage.on_lattice(Lattice(6, False))
+    view = stage.on_lattice(Lattice(12, True))  # a rational stage on a Q(sqrt 2) lattice
+    assert view.offsets == [(3 * o, 0) for o in stage.grid.offsets] and view.h == (3 * stage.grid.h, 0)
 
 
 def test_pair_deltas_sorted_exactly_where_floats_cannot_tell():

@@ -1,18 +1,26 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rank1flow import (
     Constant,
     ExplicitList,
     Schedule,
+    Sqrt2,
+    asym49_schedule,
     finiteness_test,
     flat_schedule,
     overlap_pairs,
     schedule_from_json,
+    staircase34_schedule,
     symmetrize,
+    thm44_schedule,
 )
-from rank1flow.errors import ConfigurationError
+from rank1flow.errors import ConfigurationError, ResourceError
+from rank1flow.scalars import coerce
+from rank1flow.schedule import scalar_denominator
 
 
 def explicit_schedule(entries):
@@ -183,3 +191,172 @@ def test_schedule_from_json_stages_repeat_last():
     assert sched.stage(1).r == 2
     assert sched.stage(2).r == 3
     assert sched.stage(5).r == 3
+
+
+# ---------------------------------------------------------------------------
+# the lattice build against the scalar build it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_stages(sched, depth):
+    """Stages 1..depth built the old way: coerce every spacer, then add the
+    Fraction/Sqrt2 offsets one by one.  *sched* must be fresh, since its
+    ``params`` may record the stages it has seen."""
+    out = []
+    mode = sched.mode
+    h, w, mu = sched.h1, sched.w1, sched.h1 * sched.w1
+    for n in range(1, depth + 1):
+        r, smap = sched._params(n, h, w)
+        spacers = [coerce(v, mode) for v in smap.values(r)]
+        bottom = coerce(smap.bottom_spacer, mode)
+        offsets = [bottom]
+        for j in range(r - 1):
+            offsets.append(offsets[-1] + h + spacers[j])
+        total = bottom
+        for v in spacers:
+            total = total + v
+        stage = {
+            "h": h,
+            "offsets": offsets,
+            "h_next": offsets[-1] + h + spacers[-1],
+            "measure": mu,
+            "spacer_mass_added": w / r * total,
+            "denominator": lcm(scalar_denominator(h), *(scalar_denominator(o) for o in offsets)),
+        }
+        out.append(stage)
+        h, w, mu = stage["h_next"], w / r, mu + stage["spacer_mass_added"]
+    return out
+
+
+def assert_same_scalar(got, want):
+    assert type(got) is type(want) and got == want
+    if isinstance(want, Sqrt2):
+        assert (type(got.a), type(got.b)) == (type(want.a), type(want.b))
+
+
+def assert_builds_like_reference(build, depth):
+    sched, fresh = build(), build()
+    for n, want in enumerate(reference_stages(fresh, depth), start=1):
+        got = sched.stage(n)
+        for name in ("h", "h_next", "measure", "spacer_mass_added", "denominator"):
+            assert_same_scalar(getattr(got, name), want[name])
+        assert len(got.offsets) == len(want["offsets"]) == got.r
+        for o, ref in zip(got.offsets, want["offsets"]):
+            assert_same_scalar(o, ref)
+
+
+BUILDS = {
+    "flat": (lambda mode: flat_schedule(3, h1="2/3", w1="1/5", mode=mode), 4),
+    "staircase34": (lambda mode: staircase34_schedule((2, 3), base=4, r_cap=64, mode=mode), 4),
+    "asym49": (lambda mode: asym49_schedule(r_cap=16, h1="1/2", mode=mode), 5),
+    "symmetrized_asym49": (lambda mode: symmetrize(asym49_schedule(r_cap=16, mode=mode)), 4),
+    "thm44": (lambda mode: thm44_schedule(s_values=(2, 3), q_max=2, k_max=2, r_cap=24, h1="1+1*sqrt2"), 8),
+    "symmetrized_thm44": (lambda mode: symmetrize(thm44_schedule(s_values=(2,), q_max=1, k_max=1, r_cap=6)), 5),
+    # s(r) = 1/7 enters only h_{n+1}: the stage lattice does not take it
+    "last_spacer_alone": (
+        lambda mode: Schedule(lambda n, h, w: (3, ExplicitList((1, 0, Fraction(n, 7)))), mode=mode),
+        4,
+    ),
+    # h = 1/2 and s = 1/2 or 3/2: the steps h + s are whole, D_n still takes h
+    "cancelling_denominators": (
+        lambda mode: Schedule(
+            lambda n, h, w: (3, ExplicitList((Fraction(1, 2), Fraction(3, 2), 1), bottom_spacer=Fraction(1, 3))),
+            h1=Fraction(1, 2),
+            mode=mode,
+        ),
+        4,
+    ),
+}
+BUILD_CASES = [(name, mode) for name in BUILDS for mode in ("rational", "sqrt2") if "thm44" not in name or mode == "sqrt2"]
+
+
+@pytest.mark.parametrize(("name", "mode"), BUILD_CASES, ids=[f"{n}-{m}" for n, m in BUILD_CASES])
+def test_lattice_build_matches_scalar_build(name, mode):
+    build, depth = BUILDS[name]
+    assert_builds_like_reference(lambda: build(mode), depth)
+
+
+def test_last_spacer_denominator_stays_off_the_stage_lattice():
+    sched = BUILDS["last_spacer_alone"][0]("rational")
+    assert sched.stage(1).denominator == 1
+    assert sched.stage(1).h_next == Fraction(29, 7)  # offsets 0, 2, 3 and h = 1
+    assert sched.stage(2).denominator == 7
+
+
+sqrt2_spacers = st.builds(
+    Sqrt2,
+    st.fractions(min_value=0, max_value=3, max_denominator=6),
+    st.fractions(min_value=0, max_value=2, max_denominator=5),
+)
+
+
+@st.composite
+def explicit_builds(draw):
+    mode = draw(st.sampled_from(["rational", "sqrt2"]))
+    value = st.fractions(min_value=0, max_value=3, max_denominator=6)
+    if mode == "sqrt2":
+        value = st.one_of(value, sqrt2_spacers)
+    entries = [
+        (r, tuple(draw(st.lists(value, min_size=r, max_size=r))), draw(value))
+        for r in draw(st.lists(st.integers(min_value=2, max_value=5), min_size=1, max_size=3))
+    ]
+    h1 = draw(st.fractions(min_value=Fraction(1, 9), max_value=3, max_denominator=9))
+
+    def build():
+        def params(n, h, w):
+            r, spacers, bottom = entries[min(n - 1, len(entries) - 1)]
+            return r, ExplicitList(spacers, bottom_spacer=bottom)
+
+        return Schedule(params, h1=h1, mode=mode)
+
+    return build
+
+
+@settings(max_examples=60, deadline=None)
+@given(explicit_builds(), st.integers(min_value=1, max_value=4))
+def test_lattice_build_matches_scalar_build_on_random_spacers(build, depth):
+    assert_builds_like_reference(build, depth)
+
+
+@pytest.mark.parametrize(
+    "spacers",
+    [(Sqrt2(1, -1), 0, 0), (0, 0, Sqrt2(-2, 1) - 1)],
+    ids=["inner", "last"],
+)
+def test_negative_sqrt2_spacer_rejected(spacers):
+    sched = Schedule(lambda n, h, w: (3, ExplicitList(spacers)), mode="sqrt2")
+    with pytest.raises(ConfigurationError, match="negative spacer at stage 1"):
+        sched.stage(1)
+    # -1 + sqrt 2 > 0 although its rational part is negative
+    assert Schedule(lambda n, h, w: (2, Constant(Sqrt2(-1, 1))), mode="sqrt2").stage(2).h > 0
+
+
+@pytest.mark.parametrize(("h1", "w1"), [(0, 1), (1, 0), (-1, 1), (Sqrt2(1, -1), 1)])
+def test_base_data_must_be_positive(h1, w1):
+    with pytest.raises(ConfigurationError, match="must be positive"):
+        Schedule(lambda n, h, w: (2, Constant(0)), h1=h1, w1=w1, mode="sqrt2")
+
+
+@pytest.mark.parametrize(
+    ("mode", "h1", "spacer"),
+    [("rational", 1, 2**40), ("sqrt2", Sqrt2(0, 1), Sqrt2(0, 2**40))],
+)
+def test_digit_budget_counts_every_height_component(mode, h1, spacer):
+    # h_2 = 2 h_1 + 2**41 (times sqrt 2 in the second case): 42 bits
+    sched = Schedule(lambda n, h, w: (2, Constant(spacer)), h1=h1, mode=mode, digit_budget=32)
+    assert sched.stage(1).h == h1
+    with pytest.raises(ResourceError, match=r"digit budget exceeded at stage 2: .* 42 bits, .* 32 bits"):
+        sched.stage(4)
+
+
+def test_finiteness_terms_are_spacer_mass_over_tower_measure(small_asym, small_thm44):
+    for sched in (small_asym, small_thm44, symmetrize(small_asym)):
+        sums = finiteness_test(sched, 5).partial_sums
+        total = 0
+        for n, got in enumerate(sums, start=1):
+            stage = sched.stage(n)
+            mass = stage.bottom
+            for v in stage.spacers:
+                mass = mass + v
+            total = total + mass / (stage.h * stage.r)
+            assert_same_scalar(got, total)
