@@ -24,8 +24,10 @@ Both run on the integer lattice of :mod:`rank1flow.schedule`: the shifts
 are put on a lattice whose scale D is a multiple of their denominators
 and of those of stages k..N, and from there on memo keys, the
 |tau| < h_n test and the deltas are ints (x = A/D) or int pairs
-(x = (A + B*sqrt 2)/D).  A shift becomes a scalar again only as an
-argument of the base case.  A float time enters at its exact binary
+(x = (A + B*sqrt 2)/D).  The scale is also a multiple of the
+functions' breakpoint denominators, so the base case takes the shift in
+the same coordinates as the functions' breakpoint grids: nothing is
+decoded on the query path.  A float time enters at its exact binary
 value.
 """
 
@@ -77,19 +79,22 @@ class _Recursion:
     """The offset recursion, memoized on one integer lattice.
 
     B_n is stored at (n, x), with x the lattice coordinates of the shift
-    (of the shift tuple, for m points) at ``_scale``.  That scale only
-    grows: a query that needs a finer one rescales the keys already
-    stored, so the memo is shared across query times.  An arity supplies
+    (of the shift tuple, for m points) at ``_scale``.  That scale starts
+    at the lcm of the functions' breakpoint denominators, so the base case
+    reads their grids on it, and only grows: a query that needs a finer
+    one rescales the keys already stored, so the memo is shared across
+    query times.  An arity supplies
     :meth:`_base` (B_k), :meth:`_step` (the (delta, multiplicity) pairs of
     one stage) and :meth:`_bound` (the truncation error at time t, width w).
     """
 
-    def __init__(self, schedule: Schedule, k: int, guard: int):
+    def __init__(self, schedule: Schedule, functions: Sequence[StepFunction], guard: int):
         self.schedule = schedule
-        self.k = k
+        self.k = functions[0].stage
         self.guard = guard
-        self._scale = 1
-        self._lattice = Lattice(1, False)
+        self._scale = lcm(*(f.denominator for f in functions))
+        self._sqrt2 = schedule.mode == "sqrt2" or any(f.sqrt2 for f in functions)
+        self._lattice = Lattice(self._scale, self._sqrt2)
         self._memo: dict = {}  # (n, lattice coordinates on self._scale) -> B_n
 
     def _correlation(self, shift, t_abs: Scalar, stage: int | None) -> CorrelationResult:
@@ -107,7 +112,7 @@ class _Recursion:
             m = scale // self._scale
             self._memo = {(i, rescaled(x, m)): v for (i, x), v in self._memo.items()}
             self._scale = scale
-        self._lattice = lattice = Lattice(scale, sched.mode == "sqrt2" or any(isinstance(s, Sqrt2) for s in shifts))
+        self._lattice = lattice = Lattice(scale, self._sqrt2 or any(isinstance(s, Sqrt2) for s in shifts))
         xs = tuple(map(lattice.encode, shifts))
         h = lattice.encode(stages[-1].h)
         value = 0j
@@ -139,12 +144,12 @@ class Correlator(_Recursion):
     def __init__(self, schedule: Schedule, f: StepFunction, g: StepFunction, guard: int = DEFAULT_GUARD):
         if f.stage != g.stage:
             raise RangeError("f and g must live at a common stage (lift the shallower one)")
-        super().__init__(schedule, f.stage, guard)
+        super().__init__(schedule, (f, g), guard)
         self.f = f
         self.g = g
 
     def _base(self, x):
-        return cross_correlation(self.f, self.g, self._lattice.decode(x))
+        return cross_correlation(self.f, self.g, x, self._lattice)
 
     def _step(self, n: int, x):
         return self.schedule.overlaps(n, x, guard=self.guard, lattice=self._lattice)
@@ -178,11 +183,12 @@ class MCorrelator(_Recursion):
             raise RangeError("m-point correlation needs m >= 2")
         if len({f.stage for f in functions}) != 1:
             raise RangeError("all functions must live at a common stage")
-        super().__init__(schedule, functions[0].stage, guard)
         self.functions = list(functions)
+        super().__init__(schedule, self.functions, guard)
 
     def _base(self, xs: tuple):
-        return product_integral(self.functions, (0, *map(self._lattice.decode, xs)))
+        lattice = self._lattice
+        return product_integral(self.functions, ((0, 0) if lattice.sqrt2 else 0, *xs), lattice)
 
     def _step(self, n: int, xs: tuple):
         """Copy j0 with copies j'_i of the windows of each shift, j0 ascending,

@@ -85,6 +85,13 @@ def _list_of(parse):
     return parse_list
 
 
+def _positive(value) -> int:
+    n = int(value)
+    if n < 1:
+        raise ValueError("must be at least 1")
+    return n
+
+
 def _optional_float(value):
     return None if value is None else float(value)
 
@@ -109,7 +116,15 @@ def resolve_schedule(spec: dict) -> Schedule:
 
 
 def resolve_times(schedule: Schedule, doc) -> list:
-    """Literal time list, stage-height multiples, or recorded class times."""
+    """Literal time list, stage-height multiples, or recorded class times;
+    a spec that names no time is a ConfigurationError."""
+    times = _times(schedule, doc)
+    if not times:
+        raise ConfigurationError(f"times = {doc!r}: no time to evaluate")
+    return times
+
+
+def _times(schedule: Schedule, doc) -> list:
     if isinstance(doc, list):
         return [_parse(t, "time", _scalar) for t in doc]
     if not isinstance(doc, dict):
@@ -132,9 +147,9 @@ def resolve_times(schedule: Schedule, doc) -> list:
 def seeded_family(schedule: Schedule, params: dict, pair: bool = True) -> list:
     """Seeded family of stage-measurable test functions."""
     stage = _field(params, "stage", int, 1)
-    levels = _field(params, "levels", int, 4)
+    levels = _field(params, "levels", _positive, 4)
     seed = _field(params, "seed", int, 0)
-    size = _field(params, "family_size", int, 3)
+    size = _field(params, "family_size", _positive, 3)
     mean_zero = _field(params, "mean_zero", bool, False)
     rng = random.Random(seed)
     h = schedule.height(stage)
@@ -266,9 +281,9 @@ def asym_stage_indices(schedule: Schedule, count: int) -> list:
 
 def forward_level_sets(schedule: Schedule, spec: dict) -> list:
     stage = _field(spec, "set_stage", int, 2)
-    levels = _field(spec, "set_levels", int, 4)
+    levels = _field(spec, "set_levels", _positive, 4)
     seed = _field(spec, "seed", int, 0)
-    count = _field(spec, "forward_sets", int, 5)
+    count = _field(spec, "forward_sets", _positive, 5)
     rng = random.Random(seed)
     h = schedule.height(stage)
     return [random_level_set(stage, h, levels, rng) for _ in range(count)]
@@ -317,7 +332,7 @@ def triple_ratio(schedule: Schedule, a: StepFunction, n, sign: int):
 
 def run_triple_asymmetry(spec: dict):
     schedule = resolve_schedule(spec)
-    idx = asym_stage_indices(schedule, _field(spec, "stage_count", int, 3))
+    idx = asym_stage_indices(schedule, _field(spec, "stage_count", _positive, 3))
     n_times = [schedule.height(l) + 1 for l in idx]
     thr_fwd = _field(spec, "forward_threshold", float, 0.19)
     thr_bwd = _field(spec, "backward_threshold", float, 0.1)
@@ -478,9 +493,9 @@ def reflection_cases(schedule: Schedule, spec: dict):
     """Random (f, g, t) with t on the scale of the small spacers, where
     the truncation bounds are tight and any reflection defect shows."""
     stage = _field(spec, "stage", int, 1)
-    levels = _field(spec, "levels", int, 4)
+    levels = _field(spec, "levels", _positive, 4)
     seed = _field(spec, "seed", int, 0)
-    cases = _field(spec, "cases", int, 50)
+    cases = _field(spec, "cases", _positive, 50)
     rng = random.Random(seed)
     h = schedule.height(stage)
     out = []

@@ -14,7 +14,8 @@ base length) is taken at its exact binary value.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isfinite, isqrt
+from functools import cmp_to_key
+from math import gcd, isfinite, isqrt, lcm
 from typing import Union
 
 from .errors import ModeError, RangeError
@@ -163,15 +164,9 @@ class Sqrt2:
     # -- conversions -----------------------------------------------------
 
     def __float__(self):
-        # fine for the magnitudes we meet; b*sqrt(2) is evaluated through
-        # an integer square root to dodge catastrophic cancellation
-        if self.b == 0:
-            return float(self.a)
-        p, q = self.b.numerator, self.b.denominator
-        root = Fraction(isqrt(2 * p * p * 10**40), q * 10**20)
-        if p < 0:
-            root = -root
-        return float(self.a + root)
+        a, b = self.a, self.b
+        d = lcm(a.denominator, b.denominator)
+        return sqrt2_float(a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d)
 
     def __floor__(self):
         p, q = self.b.numerator, self.b.denominator
@@ -200,7 +195,7 @@ SQRT2_FLOAT = 1.4142135623730951
 # a + b*sqrt(2); the filter's threshold (|a| + 2 |b|) * 2**-50 is over
 # twice that.
 _FILTER_ULPS = 2.0**-50
-_FLOAT_BITS = 1000  # integers this wide convert to float without overflow
+FLOAT_BITS = 1000  # integers this wide convert to float without overflow
 
 
 def sqrt2_sign(a: int, b: int) -> int:
@@ -215,7 +210,7 @@ def sqrt2_sign(a: int, b: int) -> int:
         return (a > 0) - (a < 0)
     if a == 0 or (a > 0) == (b > 0):
         return 1 if b > 0 else -1
-    if a.bit_length() < _FLOAT_BITS and b.bit_length() < _FLOAT_BITS:
+    if a.bit_length() < FLOAT_BITS and b.bit_length() < FLOAT_BITS:
         fa = float(a)
         fb = float(b)
         v = fa + fb * SQRT2_FLOAT
@@ -223,6 +218,41 @@ def sqrt2_sign(a: int, b: int) -> int:
             return 1 if v > 0 else -1
     d = a * a - 2 * b * b  # never 0: sqrt(2) is irrational and b != 0
     return (1 if d > 0 else -1) if a > 0 else (1 if d < 0 else -1)
+
+
+def sqrt2_sorted(pairs) -> list:
+    """The distinct integer pairs (a, b) of *pairs* in increasing order of
+    a + b*sqrt(2).
+
+    A sort by float value is kept when :func:`sqrt2_sign` confirms each
+    adjacent step; an order that floats cannot tell (or values beyond
+    float range) is sorted by the exact sign instead.
+    """
+    points = set(pairs)
+    try:
+        out = sorted(points, key=lambda p: p[0] + p[1] * SQRT2_FLOAT)
+    except OverflowError:
+        out = None
+    if out is None or not all(sqrt2_sign(q[0] - p[0], q[1] - p[1]) > 0 for p, q in zip(out, out[1:])):
+        out = sorted(points, key=cmp_to_key(lambda p, q: sqrt2_sign(p[0] - q[0], p[1] - q[1])))
+    return out
+
+
+def sqrt2_float(a: int, b: int, d: int) -> float:
+    """float((a + b*sqrt 2)/d) for integers a, b and d > 0.
+
+    b*sqrt(2)/d, with b/d in lowest terms p/q, is taken as
+    isqrt(2 p^2 10^40)/(q 10^20), within 10^-20/q of its value, which
+    dodges catastrophic cancellation at the magnitudes we meet; the sum
+    with a/d is exact and rounded once.
+    """
+    if b == 0:
+        return a / d
+    g = gcd(b, d)
+    p, q = b // g, d // g
+    root = isqrt(2 * p * p * 10**40)
+    s = q * 10**20
+    return (a * s + (root if p > 0 else -root) * d) / (d * s)
 
 
 def floor_scalar(x: Scalar) -> int:

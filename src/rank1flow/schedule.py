@@ -23,26 +23,25 @@ h_{n+1} and the spacer mass are decoded from there on first use.
 :meth:`TowerStage.on_lattice` rescales a stage to a finer lattice, where
 :func:`copy_windows` sweeps it with plain integer arithmetic, copy by
 copy, for the m-point engine, and :func:`overlap_pairs` counts its deltas
-for the 2-point one; the order of a pair is decided by :func:`sqrt2_sign`.
+for the 2-point one.  Pairs are compared on float values where these
+clear their rounding bound, and by :func:`sqrt2_sign` where they do not.
 Scalars come back only at the boundary, via :meth:`Lattice.decode`.
 """
 
 from __future__ import annotations
 
-import operator
-import threading
 from collections import _count_elements
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from itertools import accumulate, chain
-from math import lcm
+from math import inf, lcm
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, ResourceError
-from .scalars import MODES, Scalar, Sqrt2, coerce, exact, scalar_to_string, sqrt2_sign
+from .scalars import FLOAT_BITS, MODES, SQRT2_FLOAT, Scalar, Sqrt2, coerce, exact, scalar_to_string, sqrt2_sign, sqrt2_sorted
 
 DEFAULT_DIGIT_BUDGET = 200_000  # bits allowed in a height numerator
 # Int offsets of stages with at least _NUMPY_MIN_R copies are swept in
@@ -241,6 +240,7 @@ class LatticeStage(NamedTuple):
     h: object  # int or (a, b)
     offsets: list
     array: Optional[np.ndarray] = None  # the int offsets as int64, where the NumPy sweep applies
+    floats: Optional[tuple] = None  # pair offsets as floats, and their largest |a| + 2|b|, within float range
 
 
 def rescaled(x, m: int):
@@ -309,10 +309,6 @@ class TowerStage:
         total = (h_next[0] - r * h[0], h_next[1] - r * h[1]) if type(h) is tuple else h_next - r * h
         return self.w_next * lattice.decode(total)
 
-    def offset(self, j: int):
-        """o_{n,j}, 1-based."""
-        return self.offsets[j - 1]
-
     def on_lattice(self, lattice: Lattice) -> LatticeStage:
         """This stage in the coordinates of *lattice*, whose scale must be a
         multiple of :attr:`denominator`; the view of the latest lattice is
@@ -329,10 +325,14 @@ class TowerStage:
                 h, offsets = (h, 0), [(o * m, 0) for o in offsets]
             elif m != 1:
                 offsets = [o * m for o in offsets]
-            array = None
-            if not lattice.sqrt2 and self.r >= _NUMPY_MIN_R and offsets[-1] + h < _INT64_SAFE:
+            array = floats = None
+            if lattice.sqrt2:
+                magnitude = max(abs(a) + 2 * abs(b) for a, b in offsets)
+                if magnitude.bit_length() < FLOAT_BITS:
+                    floats = ([a + b * SQRT2_FLOAT for a, b in offsets], float(magnitude))
+            elif self.r >= _NUMPY_MIN_R and offsets[-1] + h < _INT64_SAFE:
                 array = np.array(offsets, dtype=np.int64)
-            self._view = (lattice, LatticeStage(self.n, self.r, h, offsets, array))
+            self._view = (lattice, LatticeStage(self.n, self.r, h, offsets, array, floats))
         return self._view[1]
 
 
@@ -366,7 +366,6 @@ class Schedule:
             raise ConfigurationError(f"h1 = {h1!r} and w1 = {w1!r} must be positive")
         self.digit_budget = digit_budget
         self._stages: list[TowerStage] = []
-        self._lock = threading.Lock()
         self._overlap_cache: dict = {}
 
     # -- stage computation ----------------------------------------------
@@ -374,10 +373,9 @@ class Schedule:
     def stage(self, n: int) -> TowerStage:
         if n < 1:
             raise ConfigurationError("stage index must be >= 1")
-        with self._lock:
-            while len(self._stages) < n:
-                self._build_next()
-            return self._stages[n - 1]
+        while len(self._stages) < n:
+            self._build_next()
+        return self._stages[n - 1]
 
     def _build_next(self):
         m = len(self._stages) + 1
@@ -520,7 +518,7 @@ def _lattice_overlaps(stage: LatticeStage, shift, guard: int) -> list:
     if len(counts) > guard:
         raise ResourceError(f"overlap blowup at stage {stage.n}: more than {guard} deltas")
     if type(stage.h) is tuple:
-        return sorted(counts.items(), key=cmp_to_key(lambda p, q: sqrt2_sign(p[0][0] - q[0][0], p[0][1] - q[0][1])))
+        return [(delta, counts[delta]) for delta in sqrt2_sorted(counts)]
     return sorted(counts.items())
 
 
@@ -528,39 +526,66 @@ def copy_windows(stage: LatticeStage, shift) -> list:
     """For each copy j, the deltas shift + o_{j'} - o_j with |delta| < h_n,
     in increasing j' and so in increasing order.
 
-    Coordinates are lattice ints, or (a, b) pairs ordered through
-    :func:`sqrt2_sign`.  Offsets strictly increase, so the admissible j'
-    form a window whose ends move monotonically with j: one two-pointer
+    Coordinates are lattice ints, or (a, b) pairs (see
+    :func:`_pair_windows`).  Offsets strictly increase, so the admissible
+    j' form a window whose ends move monotonically with j: one two-pointer
     sweep finds every window.
     """
+    if type(stage.h) is tuple:
+        return _pair_windows(stage, shift)
     offs, r, h = stage.offsets, stage.r, stage.h
-    add, sub, less = (_pair_add, _pair_sub, _pair_less) if type(h) is tuple else (operator.add, operator.sub, operator.lt)
-    up, down = add(shift, h), sub(h, shift)
+    up, down = shift + h, h - shift
     windows = []
     a = b = 0
     for oj in offs:
-        lo, hi = sub(oj, up), add(oj, down)  # need lo < o_{j'} < hi
-        while a < r and not less(lo, offs[a]):
+        lo, hi = oj - up, oj + down  # need lo < o_{j'} < hi
+        while a < r and not lo < offs[a]:
             a += 1
         if b < a:
             b = a
-        while b < r and less(offs[b], hi):
+        while b < r and offs[b] < hi:
             b += 1
-        base = sub(shift, oj)
-        windows.append([add(base, o) for o in offs[a:b]])
+        base = shift - oj
+        windows.append([base + o for o in offs[a:b]])
     return windows
 
 
-def _pair_add(x, y):
-    return (x[0] + y[0], x[1] + y[1])
-
-
-def _pair_sub(x, y):
-    return (x[0] - y[0], x[1] - y[1])
-
-
-def _pair_less(x, y) -> bool:
-    return sqrt2_sign(y[0] - x[0], y[1] - x[1]) > 0
+def _pair_windows(stage: LatticeStage, shift) -> list:
+    """:func:`copy_windows` on (a, b) pairs.  Each window end is decided on
+    the float offsets of the view where the float difference clears its
+    rounding bound ``tol``, and by :func:`sqrt2_sign` of the exact
+    difference otherwise; without float offsets every test is exact."""
+    offs, r = stage.offsets, stage.r
+    (ha, hb), (sa, sb) = stage.h, shift
+    ua, ub, da, db = sa + ha, sb + hb, ha - sa, hb - sb  # shift + h and h - shift
+    tol = inf
+    if stage.floats is not None and max(map(abs, (ua, ub, da, db))).bit_length() < FLOAT_BITS:
+        fo, magnitude = stage.floats
+        fu, fd = ua + ub * SQRT2_FLOAT, da + db * SQRT2_FLOAT
+        # each float is within 2**-51 (|a| + 2|b|) of its value and the two
+        # roundings of a test add less than that again: tol is 4x the sum
+        tol = (2 * magnitude + max(abs(ua) + 2 * abs(ub), abs(da) + 2 * abs(db))) * 2.0**-48
+    else:
+        fo, fu, fd = [0.0] * r, 0.0, 0.0
+    windows = []
+    a = b = 0
+    for j, (oa, ob) in enumerate(offs):
+        lo, hi = fo[j] - fu, fo[j] + fd  # need lo < o_{j'} < hi
+        while a < r:
+            d = fo[a] - lo
+            if d > tol or (d >= -tol and sqrt2_sign(offs[a][0] - oa + ua, offs[a][1] - ob + ub) > 0):
+                break
+            a += 1
+        if b < a:
+            b = a
+        while b < r:
+            d = hi - fo[b]
+            if d < -tol or (d <= tol and sqrt2_sign(oa + da - offs[b][0], ob + db - offs[b][1]) <= 0):
+                break
+            b += 1
+        ba, bb = sa - oa, sb - ob
+        windows.append([(ba + pa, bb + pb) for pa, pb in offs[a:b]])
+    return windows
 
 
 def _sweep_numpy(stage: LatticeStage, shift: int, guard: int) -> list:

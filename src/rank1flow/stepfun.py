@@ -4,17 +4,33 @@ A stage-k measurable function depends on the height in the stage-k tower
 only; it is stored as strictly increasing breakpoints
 0 = b_0 < ... < b_m = h_k with one complex value per piece
 [b_{i-1}, b_i).
+
+The base case of the correlation engine, :func:`cross_correlation` and
+:func:`product_integral`, runs on the integer lattice of
+:mod:`rank1flow.schedule`.  A function's breakpoint grid is its
+breakpoints on a lattice whose scale is a multiple of their
+:attr:`StepFunction.denominator`: ints, or (a, b) pairs over Q(sqrt 2);
+the grid of the latest lattice is cached.  One merge loop walks the
+shifted grids of all functions, with the shifts in the same coordinates;
+scalar shifts go on the smallest lattice that holds them and the
+breakpoints.  Each piece length is the float that ``float()`` of the
+exact ``Fraction`` or ``Sqrt2`` length gives.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from itertools import chain
+from math import lcm
+from typing import Optional, Sequence
 
 from .errors import ConfigurationError, ResourceError
-from .scalars import Scalar, scalar_from_string, scalar_to_string
+from .scalars import Scalar, Sqrt2, exact, scalar_from_string, scalar_to_string, sqrt2_float, sqrt2_sorted
+from .schedule import Lattice, scalar_denominator
 
 
 @dataclass
@@ -22,6 +38,7 @@ class StepFunction:
     stage: int
     breakpoints: list  # m + 1 scalars, 0 = b_0 < ... < b_m = h_stage
     values: list  # m complex values
+    _grid: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)  # (lattice, grid) of the last call
 
     def __post_init__(self):
         if len(self.breakpoints) != len(self.values) + 1:
@@ -33,6 +50,27 @@ class StepFunction:
     @property
     def height(self):
         return self.breakpoints[-1]
+
+    @cached_property
+    def denominator(self) -> int:
+        """Smallest lattice scale holding every breakpoint."""
+        return lcm(*(scalar_denominator(exact(b)) for b in self.breakpoints))
+
+    @cached_property
+    def sqrt2(self) -> bool:
+        """Whether a breakpoint is a :class:`Sqrt2`, so that the grid
+        needs a Q(sqrt 2) lattice."""
+        return any(isinstance(b, Sqrt2) for b in self.breakpoints)
+
+    def on_lattice(self, lattice: Lattice) -> list:
+        """The breakpoints in the coordinates of *lattice* (ints, or (a, b)
+        pairs), whose scale must be a multiple of :attr:`denominator`; the
+        grid of the latest lattice is cached."""
+        if self._grid is None or self._grid[0] != lattice:
+            if lattice.scale % self.denominator:
+                raise ValueError(f"lattice scale {lattice.scale} is not a multiple of {self.denominator}")
+            self._grid = (lattice, [lattice.encode(exact(b)) for b in self.breakpoints])
+        return self._grid[1]
 
     @property
     def sup_norm(self) -> float:
@@ -63,18 +101,6 @@ class StepFunction:
             else:
                 hi = mid - 1
         return complex(self.values[lo])
-
-    def merged(self) -> "StepFunction":
-        """Adjacent equal values merged; semantics unchanged."""
-        bps = [self.breakpoints[0]]
-        vals = []
-        for b, v in zip(self.breakpoints[1:], self.values):
-            if vals and v == vals[-1]:
-                bps[-1] = b
-            else:
-                vals.append(v)
-                bps.append(b)
-        return StepFunction(self.stage, bps, vals)
 
     def scaled(self, c: complex) -> "StepFunction":
         return StepFunction(self.stage, list(self.breakpoints), [c * complex(v) for v in self.values])
@@ -154,74 +180,85 @@ def random_level_set(stage: int, height: Scalar, levels: int, rng: random.Random
 # ---------------------------------------------------------------------------
 
 
-def cross_correlation(f: StepFunction, g: StepFunction, tau: Scalar) -> complex:
-    """integral of f(y + tau) * conj(g(y)) dy, exact piecewise.
+def _pieces(functions: Sequence[StepFunction], shifts, lattice: Optional[Lattice]):
+    """Yield (length, idx) for each piece of the common support of the
+    f_i(y - shift_i), in increasing y: a maximal interval on which no
+    shifted breakpoint falls, with idx[i] the piece of f_i there (one
+    list, updated in place).
 
-    Piece lengths are computed in exact arithmetic; the complex value
-    accumulates in doubles.
+    With a *lattice*, the shifts are given in its coordinates; scalar
+    shifts (a float at its exact value) are put on the smallest lattice
+    holding them and the breakpoints.  On an int lattice the shifted
+    breakpoints are their own order keys; Q(sqrt 2) pairs are ranked
+    through :func:`sqrt2_sorted`.  A length is (B - A)/D, a correctly
+    rounded int division as ``float(Fraction)`` is, or
+    :func:`sqrt2_float` of the pair difference, as ``float(Sqrt2)``.
     """
-    # support of the integrand: y in [0, h_g) with y + tau in [0, h_f)
-    lo = max(g.breakpoints[0], f.breakpoints[0] - tau)
-    hi = min(g.breakpoints[-1], f.breakpoints[-1] - tau)
+    if lattice is None:
+        shifts = [exact(s) for s in shifts]
+        lattice = Lattice(
+            lcm(*(f.denominator for f in functions), *map(scalar_denominator, shifts)),
+            any(f.sqrt2 for f in functions) or any(isinstance(s, Sqrt2) for s in shifts),
+        )
+        shifts = [lattice.encode(s) for s in shifts]
+    scale = lattice.scale
+    grids = [f.on_lattice(lattice) for f in functions]
+    points = None
+    if lattice.sqrt2:
+        shifted = [[(a + sa, b + sb) for a, b in grid] for grid, (sa, sb) in zip(grids, shifts)]
+        points = sqrt2_sorted(chain.from_iterable(shifted))
+        rank = {p: i for i, p in enumerate(points)}
+        keys = [[rank[p] for p in bps] for bps in shifted]
+    else:
+        keys = [[b + s for b in grid] for grid, s in zip(grids, shifts)]
+    lo = max(bps[0] for bps in keys)
+    hi = min(bps[-1] for bps in keys)
     if not lo < hi:
-        return 0j
-    fi = gi = 0
-    fb = [b - tau for b in f.breakpoints]
-    gb = g.breakpoints
-    while fb[fi + 1] <= lo:
-        fi += 1
-    while gb[gi + 1] <= lo:
-        gi += 1
-    total = 0j
-    cur = lo
-    while cur < hi:
-        nxt = fb[fi + 1] if fb[fi + 1] < gb[gi + 1] else gb[gi + 1]
-        if nxt > hi:
-            nxt = hi
-        total += complex(f.values[fi]) * complex(g.values[gi]).conjugate() * float(nxt - cur)
-        cur = nxt
-        if fi + 1 < len(f.values) and fb[fi + 1] <= cur:
-            fi += 1
-        if gi + 1 < len(g.values) and gb[gi + 1] <= cur:
-            gi += 1
-    return total
-
-
-def product_integral(functions: Sequence[StepFunction], shifts: Sequence[Scalar]) -> complex:
-    """integral of prod_i f_i(y - shift_i) dy over the common support."""
-    lo = None
-    hi = None
-    shifted = []
-    for f, s in zip(functions, shifts):
-        b0 = f.breakpoints[0] + s
-        b1 = f.breakpoints[-1] + s
-        lo = b0 if lo is None or b0 > lo else lo
-        hi = b1 if hi is None or b1 < hi else hi
-        shifted.append(([b + s for b in f.breakpoints], f.values))
-    if lo is None or not lo < hi:
-        return 0j
-    idx = []
-    for bps, _ in shifted:
-        i = 0
-        while bps[i + 1] <= lo:
-            i += 1
-        idx.append(i)
-    total = 0j
+        return
+    idx = [bisect_right(bps, lo) - 1 for bps in keys]
     cur = lo
     while cur < hi:
         nxt = hi
-        for i, (bps, _) in enumerate(shifted):
-            b = bps[idx[i] + 1]
+        for bps, i in zip(keys, idx):
+            b = bps[i + 1]
             if b < nxt:
                 nxt = b
-        piece = complex(1, 0)
-        for i, (_, vals) in enumerate(shifted):
-            piece *= complex(vals[idx[i]])
-        total += piece * float(nxt - cur)
+        if points is None:
+            yield (nxt - cur) / scale, idx
+        else:
+            (a0, b0), (a1, b1) = points[cur], points[nxt]
+            yield sqrt2_float(a1 - a0, b1 - b0, scale), idx
         cur = nxt
-        for i, (bps, _) in enumerate(shifted):
-            if idx[i] + 1 < len(shifted[i][1]) and bps[idx[i] + 1] <= cur:
-                idx[i] += 1
+        for n, bps in enumerate(keys):
+            if bps[idx[n] + 1] <= cur:
+                idx[n] += 1
+
+
+def cross_correlation(f: StepFunction, g: StepFunction, tau, lattice: Optional[Lattice] = None) -> complex:
+    """integral of f(y + tau) * conj(g(y)) dy, exact piecewise.
+
+    tau is a scalar, or lattice coordinates with *lattice* given (see
+    :func:`_pieces`); the complex value accumulates in doubles.
+    """
+    shifts = ((-tau[0], -tau[1]), (0, 0)) if type(tau) is tuple else (-tau, 0)
+    fv = [complex(v) for v in f.values]
+    gv = [complex(v).conjugate() for v in g.values]
+    total = 0j
+    for length, (i, j) in _pieces((f, g), shifts, lattice):
+        total += fv[i] * gv[j] * length
+    return total
+
+
+def product_integral(functions: Sequence[StepFunction], shifts: Sequence, lattice: Optional[Lattice] = None) -> complex:
+    """integral of prod_i f_i(y - shift_i) dy over the common support;
+    the shifts are scalars, or lattice coordinates with *lattice* given."""
+    values = [[complex(v) for v in f.values] for f in functions]
+    total = 0j
+    for length, idx in _pieces(functions, shifts, lattice):
+        piece = complex(1, 0)
+        for vals, i in zip(values, idx):
+            piece *= vals[i]
+        total += piece * length
     return total
 
 

@@ -147,6 +147,13 @@ def test_plot_csv_has_header_comment(tmp_path, audit_spec):
         ("stage-audit", {"schedule": {"named": {"params": {}}}}),
         ("stage-audit", {"schedule": {"stages": [{"r": 2}]}}),
         ("stage-audit", {"schedule": "no-such-schedule.json"}),
+        ("weak-limit", {"schedule": {"kind": "flat", "params": {"r": 2}}, "times": []}),
+        ("weak-limit", {"schedule": {"kind": "flat", "params": {"r": 2}}, "times": ["1/2"], "family_size": 0}),
+        ("triple-asymmetry", {"schedule": {"kind": "asym49", "params": {}}, "stage_count": 0}),
+        ("triple-asymmetry", {"schedule": {"kind": "asym49", "params": {}}, "stage_count": 1, "forward_sets": 0}),
+        ("triple-asymmetry", {"schedule": {"kind": "asym49", "params": {}}, "stage_count": 1, "set_levels": 0}),
+        ("weak-limit", {"schedule": {"kind": "flat", "params": {"r": 2}}, "times": ["1/2"], "levels": 0}),
+        ("reflection-check", {"schedule": {"kind": "flat", "params": {"r": 2}}, "cases": 0}),
     ],
     ids=[
         "unparsable-time",
@@ -157,6 +164,13 @@ def test_plot_csv_has_header_comment(tmp_path, audit_spec):
         "named-without-kind",
         "stage-without-spacer",
         "missing-schedule-file",
+        "no-times",
+        "empty-family",
+        "no-stages",
+        "no-forward-sets",
+        "no-set-levels",
+        "no-levels",
+        "no-reflection-cases",
     ],
 )
 def test_malformed_spec_fields_exit_two(tmp_path, kind, spec):

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rank1flow import (
+    ExplicitList,
+    Schedule,
     Sqrt2,
     asym49_schedule,
     flat_schedule,
@@ -154,6 +156,24 @@ def test_pair_deltas_sorted_exactly_where_floats_cannot_tell():
         eps = (a, -b)
         stage = LatticeStage(n=1, r=2, h=(1, 0), offsets=[(0, 0), eps])
         assert overlap_pairs(stage, (0, 0)) == [((-a, b), 1), ((0, 0), 2), (eps, 1)]
+
+
+def test_float_filter_defers_near_ties_to_the_exact_sign():
+    # offsets 0 < 1 + eps < 3 + eps with eps = 99 - 70 sqrt 2; shifts that
+    # put a window end within (3 + 2 sqrt 2)**-n of an offset, where the
+    # float offsets of the view cannot tell the side
+    spacers = ExplicitList((Sqrt2(99, -70), Sqrt2(1), Sqrt2(0)))
+    stage = Schedule(lambda n, h, w: (3, spacers), mode="sqrt2").stage(1)
+    assert stage.on_lattice(Lattice(1, True)).floats is not None
+    offs = stage.offsets
+    for n in (2, 20, 40):
+        a, b = pell(n)
+        for tiny in (Sqrt2(0), Sqrt2(a, -b), Sqrt2(-a, b)):
+            for i in range(3):
+                for k in range(3):
+                    for edge in (stage.h, -stage.h, 0):
+                        shift = offs[i] - offs[k] + edge + tiny
+                        assert overlap_pairs(stage, shift) == reference_overlap_pairs(stage, shift)
 
 
 PELL_NEAR_TIES = [(99, -70), (577, -408), (3363, -2378), (-99, 70), (-577, 408), (17, -12), (-17, 12)]
