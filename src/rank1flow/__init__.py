@@ -67,7 +67,6 @@ from .spectral import (
 )
 from .stepfun import (
     StepFunction,
-    cross_correlation,
     indicator,
     level_partition,
     lift,

@@ -12,23 +12,24 @@ recursion
 
     B_{n+1}(tau) = sum over pairs (j, j') of copies:  B_n(tau + o_{j'} - o_j),
 
-grouped through :func:`overlap_pairs`, with the exact cross-correlation
-of the two step functions as the base case.  The only error is the mass
-of copy-boundary crossings at stages above N; per stage it is at most
-||f||_inf ||g||_inf |t| w_n, and the widths sum geometrically, so the
-total is bounded by 2 ||f||_inf ||g||_inf |t| w_N.  The m-point
-correlation runs the same recursion on tuples of shifts, one per
-function after the first.
+grouped through :func:`overlap_pairs`, with the exact integral of the
+product of the two step functions as the base case.  The only error is
+the mass of copy-boundary crossings at stages above N; per stage it is
+at most ||f||_inf ||g||_inf |t| w_n, and the widths sum geometrically,
+so the total is bounded by 2 ||f||_inf ||g||_inf |t| w_N.
 
-Both run on the integer lattice of :mod:`rank1flow.schedule`: the shifts
-are put on a lattice whose scale D is a multiple of their denominators
-and of those of stages k..N, and from there on memo keys, the
-|tau| < h_n test and the deltas are ints (x = A/D) or int pairs
+One recursion, :class:`MCorrelator`, serves every arity: the m-point
+correlation runs it on tuples of shifts, one per function after the
+first, and :class:`Correlator` is its m = 2 case on (f, conj g) at times
+(t, 0).  It runs on the integer lattice of :mod:`rank1flow.schedule`:
+the shifts are put on a lattice whose scale D is a multiple of their
+denominators and of those of stages k..N, and from there on memo keys,
+the |tau| < h_n test and the deltas are ints (x = A/D) or int pairs
 (x = (A + B*sqrt 2)/D).  The scale is also a multiple of the
-functions' breakpoint denominators, so the base case takes the shift in
-the same coordinates as the functions' breakpoint grids: nothing is
-decoded on the query path.  A float time enters at its exact binary
-value.
+functions' breakpoint denominators, so the base case,
+:func:`product_integral`, takes the shifts in the same coordinates as
+the functions' breakpoint grids: nothing is decoded on the query path.
+A float time enters at its exact binary value.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from typing import Callable, Sequence
 
 from .errors import RangeError, ResourceError
 from .scalars import Scalar, Sqrt2, exact
-from .schedule import Lattice, Schedule, copy_windows, rescaled, scalar_denominator, within
-from .stepfun import StepFunction, cross_correlation, product_integral
+from .schedule import Lattice, Schedule, rescaled, scalar_denominator, within
+from .stepfun import StepFunction, product_integral
 
 DEFAULT_GUARD = 10**6
 STAGE_MARGIN = 4
@@ -75,37 +76,44 @@ def pick_stage(schedule: Schedule, k: int, t_abs: Scalar, max_stage: int = 64) -
     raise RangeError(f"|t| = {float(t_abs):g} out of range: no stage up to {max_stage} is tall enough")
 
 
-class _Recursion:
-    """The offset recursion, memoized on one integer lattice.
+class MCorrelator:
+    """integral of prod_i f_i(T_{-t_i} x) dmu via the m-fold offset
+    recursion on the shifts t_i - t_0, i >= 1, memoized on one integer
+    lattice.
 
     B_n is stored at (n, x), with x the lattice coordinates of the shift
-    (of the shift tuple, for m points) at ``_scale``.  That scale starts
-    at the lcm of the functions' breakpoint denominators, so the base case
+    tuple at ``_scale`` (at m = 2, of the one shift).  That scale starts at
+    the lcm of the functions' breakpoint denominators, so the base case
     reads their grids on it, and only grows: a query that needs a finer
     one rescales the keys already stored, so the memo is shared across
-    query times.  An arity supplies
-    :meth:`_base` (B_k), :meth:`_step` (the (delta, multiplicity) pairs of
-    one stage) and :meth:`_bound` (the truncation error at time t, width w).
+    query times.  The step is chosen once, from m: the schedule's sorted
+    overlaps at m = 2, else tuples of copies grouped by delta vector.
     """
 
-    def __init__(self, schedule: Schedule, functions: Sequence[StepFunction], guard: int):
+    def __init__(self, schedule: Schedule, functions: Sequence[StepFunction], guard: int = DEFAULT_GUARD):
+        if len(functions) < 2:
+            raise RangeError("m-point correlation needs m >= 2")
+        if len({f.stage for f in functions}) != 1:
+            raise RangeError("all functions must live at a common stage (lift the shallower ones)")
         self.schedule = schedule
+        self.functions = list(functions)
         self.k = functions[0].stage
         self.guard = guard
         self._scale = lcm(*(f.denominator for f in functions))
         self._sqrt2 = schedule.mode == "sqrt2" or any(f.sqrt2 for f in functions)
         self._lattice = Lattice(self._scale, self._sqrt2)
         self._memo: dict = {}  # (n, lattice coordinates on self._scale) -> B_n
+        self._pair = len(functions) == 2
+        self._step = self._overlaps if self._pair else self._windows
 
-    def _correlation(self, shift, t_abs: Scalar, stage: int | None) -> CorrelationResult:
-        """w_N * B_N at an exact shift (a scalar, or a tuple of them for m
-        points) with the arity's bound for times up to *t_abs*; B_N is 0
-        when a shift is outside |x| < h_N."""
+    def _correlation(self, shifts: tuple, t_abs: Scalar, stage: int | None) -> CorrelationResult:
+        """w_N * B_N at exact shifts, one per function after the first,
+        with the bound for times up to *t_abs*; B_N is 0 when a shift is
+        outside |x| < h_N."""
         sched = self.schedule
         n = pick_stage(sched, self.k, t_abs) if stage is None else stage
         if n < self.k:
             raise RangeError(f"stage {n} is below the functions' stage {self.k}")
-        shifts = shift if isinstance(shift, tuple) else (shift,)
         stages = [sched.stage(m) for m in range(self.k, n + 1)]
         scale = lcm(self._scale, *map(scalar_denominator, shifts), *(st.denominator for st in stages))
         if scale != self._scale:
@@ -117,7 +125,7 @@ class _Recursion:
         h = lattice.encode(stages[-1].h)
         value = 0j
         if all(within(x, h) for x in xs):
-            value = complex(self._B(n, xs if isinstance(shift, tuple) else xs[0]))
+            value = complex(self._B(n, xs[0] if self._pair else xs))
         w_n = float(stages[-1].w)
         return CorrelationResult(value=value * w_n, error_bound=self._bound(float(t_abs), w_n), stage_used=n)
 
@@ -126,7 +134,8 @@ class _Recursion:
         v = self._memo.get(key)
         if v is None:
             if n == self.k:
-                v = self._base(x)
+                zero = (0, 0) if self._lattice.sqrt2 else 0
+                v = product_integral(self.functions, (zero, x) if self._pair else (zero, *x), self._lattice)
             else:
                 v = 0j
                 for delta, mult in self._step(n - 1, x):
@@ -136,65 +145,14 @@ class _Recursion:
             self._memo[key] = v
         return v
 
+    def _overlaps(self, n: int, x):
+        return self.schedule.overlaps(n, x, self._lattice, guard=self.guard)
 
-class Correlator(_Recursion):
-    """Koopman correlations of one (f, g) pair under one schedule, with a
-    shift memo shared across query times."""
-
-    def __init__(self, schedule: Schedule, f: StepFunction, g: StepFunction, guard: int = DEFAULT_GUARD):
-        if f.stage != g.stage:
-            raise RangeError("f and g must live at a common stage (lift the shallower one)")
-        super().__init__(schedule, (f, g), guard)
-        self.f = f
-        self.g = g
-
-    def _base(self, x):
-        return cross_correlation(self.f, self.g, x, self._lattice)
-
-    def _step(self, n: int, x):
-        return self.schedule.overlaps(n, x, guard=self.guard, lattice=self._lattice)
-
-    def _bound(self, t: float, w: float) -> float:
-        return 2.0 * self.f.sup_norm * self.g.sup_norm * t * w
-
-    def at(self, t: Scalar, stage: int | None = None) -> CorrelationResult:
-        t = exact(t)
-        return self._correlation(-t, abs(t), stage)
-
-
-def correlate(
-    schedule: Schedule, f: StepFunction, g: StepFunction, t: Scalar, guard: int = DEFAULT_GUARD, stage: int | None = None
-) -> CorrelationResult:
-    return Correlator(schedule, f, g, guard=guard).at(t, stage=stage)
-
-
-def inner_product(schedule: Schedule, f: StepFunction, g: StepFunction) -> complex:
-    """<f, g> at the common stage, weight w_k."""
-    return complex(cross_correlation(f, g, 0)) * float(schedule.width(f.stage))
-
-
-class MCorrelator(_Recursion):
-    """integral of prod_i f_i(T_{-t_i} x) dmu via the m-fold offset
-    recursion on the shifts t_i - t_0, i >= 1; tuples of copies are
-    grouped by their delta vectors."""
-
-    def __init__(self, schedule: Schedule, functions: Sequence[StepFunction], guard: int = DEFAULT_GUARD):
-        if len(functions) < 2:
-            raise RangeError("m-point correlation needs m >= 2")
-        if len({f.stage for f in functions}) != 1:
-            raise RangeError("all functions must live at a common stage")
-        self.functions = list(functions)
-        super().__init__(schedule, self.functions, guard)
-
-    def _base(self, xs: tuple):
-        lattice = self._lattice
-        return product_integral(self.functions, ((0, 0) if lattice.sqrt2 else 0, *xs), lattice)
-
-    def _step(self, n: int, xs: tuple):
+    def _windows(self, n: int, xs: tuple):
         """Copy j0 with copies j'_i of the windows of each shift, j0 ascending,
         then the j'_i in product order."""
-        view = self.schedule.stage(n).on_lattice(self._lattice)
-        per_copy = zip(*(copy_windows(view, x) for x in xs))
+        sched, lattice = self.schedule, self._lattice
+        per_copy = zip(*(sched.windows(n, x, lattice, guard=self.guard) for x in xs))
         groups: dict = {}
         _count_elements(groups, chain.from_iterable(product(*windows) for windows in per_copy))
         if len(groups) > self.guard:
@@ -219,6 +177,34 @@ def m_correlate(
     stage: int | None = None,
 ) -> CorrelationResult:
     return MCorrelator(schedule, functions, guard=guard).at(times, stage=stage)
+
+
+class Correlator(MCorrelator):
+    """Koopman correlations <U_T(t) f, g> of one pair under one schedule:
+    the m = 2 case on (f, conj g) at times (t, 0), with a shift memo shared
+    across query times."""
+
+    def __init__(self, schedule: Schedule, f: StepFunction, g: StepFunction, guard: int = DEFAULT_GUARD):
+        super().__init__(schedule, (f, g.conjugate()), guard)
+
+    def _bound(self, t: float, w: float) -> float:
+        """The 2-point bound, half the m-point formula at m = 2."""
+        return 2.0 * self.functions[0].sup_norm * self.functions[1].sup_norm * t * w
+
+    def at(self, t: Scalar, stage: int | None = None) -> CorrelationResult:
+        t = exact(t)
+        return self._correlation((-t,), abs(t), stage)
+
+
+def correlate(
+    schedule: Schedule, f: StepFunction, g: StepFunction, t: Scalar, guard: int = DEFAULT_GUARD, stage: int | None = None
+) -> CorrelationResult:
+    return Correlator(schedule, f, g, guard=guard).at(t, stage=stage)
+
+
+def inner_product(schedule: Schedule, f: StepFunction, g: StepFunction) -> complex:
+    """<f, g> at the common stage, weight w_k: the base case at shift 0."""
+    return complex(product_integral([f, g.conjugate()], (0, 0))) * float(schedule.width(f.stage))
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,11 @@ from .correlate import (
 )
 from .errors import ConfigurationError
 from .oracle import oracle_correlate
-from .schedule import Schedule, finiteness_test
+from .schedule import Schedule, finiteness_test, symmetrize
 from .scalars import scalar_from_string, scalar_to_string
 from .serialize import correlation_result_to_json, load_schedule
 from .spectral import affinity, autocorr_curve, bochner_density, curve_from_samples, dilate
 from .stepfun import StepFunction, indicator, lift, random_level_set, random_step_function, reflect
-from .schedule import symmetrize
 
 REPORT_VERSION = "rank1-report-1"
 
@@ -173,6 +172,7 @@ def run_stage_audit(spec: dict):
     schedule = resolve_schedule(spec)
     depth = _field(spec, "depth", int, 8)
     items = []
+    plot = []
     ok_all = True
     for n in range(1, depth + 1):
         st = schedule.stage(n)
@@ -203,6 +203,7 @@ def run_stage_audit(spec: dict):
                 "ok": ok,
             }
         )
+        plot.append([n, st.r, float(st.h), float(st.measure)])
     report = {"items": items}
     horizon = _field(spec, "finiteness_horizon", int, 0)
     if horizon:
@@ -212,7 +213,6 @@ def run_stage_audit(spec: dict):
             "partial_sum": scalar_to_string(verdict.partial_sum),
             "horizon": verdict.horizon,
         }
-    plot = [[it["n"], it["r"], float(scalar_from_string(it["h"])), float(scalar_from_string(it["measure"]))] for it in items]
     return report, ok_all, ("n,r,h,measure", plot)
 
 
@@ -235,7 +235,7 @@ def run_correlate(spec: dict):
             item["ok"] = gap <= res.error_bound + 1e-9
             ok_all = ok_all and item["ok"]
         items.append(item)
-    plot = [[i, float(scalar_from_string(it["t"])), it["value"][0], it["value"][1], it["error_bound"]] for i, it in enumerate(items)]
+    plot = [[i, float(t), it["value"][0], it["value"][1], it["error_bound"]] for i, (t, it) in enumerate(zip(times, items))]
     return {"items": items}, ok_all, ("i,t,re,im,bound", plot)
 
 
@@ -269,7 +269,7 @@ def run_weak_limit(spec: dict):
         "final_residual": probe.final_residual,
         "final_below": probe.final_below,
     }
-    plot = [[it["j"], float(scalar_from_string(it["t"])), it["residual"], it["bound"]] for it in items]
+    plot = [[it["j"], float(t), it["residual"], it["bound"]] for t, it in zip(probe.times, items)]
     return report, bool(probe.final_below), ("j,t,residual,bound", plot)
 
 
@@ -337,12 +337,14 @@ def run_triple_asymmetry(spec: dict):
     thr_fwd = _field(spec, "forward_threshold", float, 0.19)
     thr_bwd = _field(spec, "backward_threshold", float, 0.1)
     forward_items = []
+    plot = []
     worst_forward = None
     for s_idx, a in enumerate(forward_level_sets(schedule, spec)):
         rows = []
         for i, n in enumerate(n_times):
             ratio, bound, stage_used = triple_ratio(schedule, a, n, +1)
             rows.append({"i": i, "n": scalar_to_string(n), "ratio": ratio, "bound": bound, "stage_used": stage_used})
+            plot.append([s_idx, i, float(n), ratio, bound])
         final = rows[-1]["ratio"]
         worst_forward = final if worst_forward is None else min(worst_forward, final)
         forward_items.append({"set": s_idx, "rows": rows, "final_ratio": final})
@@ -362,10 +364,6 @@ def run_triple_asymmetry(spec: dict):
         "backward_best": best,
         "backward_threshold": thr_bwd,
     }
-    plot = []
-    for it in forward_items:
-        for row in it["rows"]:
-            plot.append([it["set"], row["i"], float(scalar_from_string(row["n"])), row["ratio"], row["bound"]])
     return report, passed, ("set,i,n,ratio,bound", plot)
 
 
@@ -520,6 +518,7 @@ def run_reflection_check(spec: dict):
     items = []
     violations = 0
     eval_depth = _field(spec, "eval_depth", int, 3)
+    plot = []
     for i, (f, g, t) in enumerate(reflection_cases(schedule, spec)):
         deep = g.stage + depth
         rf = lift(schedule, reflect(f), deep)
@@ -531,18 +530,10 @@ def run_reflection_check(spec: dict):
         bound = lhs.error_bound + rhs.error_bound
         ok = gap <= bound + 1e-9
         violations += 0 if ok else 1
-        items.append(
-            {
-                "case": i,
-                "t": scalar_to_string(t),
-                "gap": gap,
-                "bound": bound,
-                "ok": ok,
-            }
-        )
+        items.append({"case": i, "t": scalar_to_string(t), "gap": gap, "bound": bound, "ok": ok})
+        plot.append([i, float(t), gap, bound])
     gross = sum(1 for it in items if it["gap"] > 10.0 * (it["bound"] + 1e-9))
     report = {"items": items, "violations": violations, "gross_violations": gross}
-    plot = [[it["case"], float(scalar_from_string(it["t"])), it["gap"], it["bound"]] for it in items]
     return report, violations == 0, ("case,t,gap,bound", plot)
 
 

@@ -9,25 +9,13 @@ main engine produces must agree with this one within its error bound.
 
 from __future__ import annotations
 
+from math import prod
 from typing import Sequence
 
 from .correlate import CorrelationResult, pick_stage
 from .scalars import Scalar, exact
 from .schedule import Schedule
-from .stepfun import StepFunction, cross_correlation, lift, product_integral
-
-
-def oracle_correlate(
-    schedule: Schedule, f: StepFunction, g: StepFunction, t: Scalar, stage: int | None = None
-) -> CorrelationResult:
-    t = exact(t)
-    n = pick_stage(schedule, f.stage, abs(t)) if stage is None else stage
-    F = lift(schedule, f, n)
-    G = lift(schedule, g, n)
-    w_n = schedule.width(n)
-    value = complex(cross_correlation(F, G, -t)) * float(w_n)
-    bound = 2.0 * f.sup_norm * g.sup_norm * float(abs(t)) * float(w_n)
-    return CorrelationResult(value=value, error_bound=bound, stage_used=n)
+from .stepfun import StepFunction, lift, product_integral
 
 
 def oracle_m_correlate(
@@ -36,15 +24,18 @@ def oracle_m_correlate(
     times: Sequence[Scalar],
     stage: int | None = None,
 ) -> CorrelationResult:
-    k = functions[0].stage
     times = [exact(t) for t in times]
     t_max = max(abs(t) for t in times)
-    n = pick_stage(schedule, k, t_max) if stage is None else stage
+    n = pick_stage(schedule, functions[0].stage, t_max) if stage is None else stage
     lifted = [lift(schedule, f, n) for f in functions]
     w_n = schedule.width(n)
     value = complex(product_integral(lifted, times)) * float(w_n)
-    sup = 1.0
-    for f in functions:
-        sup *= f.sup_norm
-    bound = 2.0 * sup * float(t_max) * float(w_n) * len(functions)
+    bound = 2.0 * prod(f.sup_norm for f in functions) * float(t_max) * float(w_n) * len(functions)
     return CorrelationResult(value=value, error_bound=bound, stage_used=n)
+
+
+def oracle_correlate(
+    schedule: Schedule, f: StepFunction, g: StepFunction, t: Scalar, stage: int | None = None
+) -> CorrelationResult:
+    """<U(t) f, g>: :func:`oracle_m_correlate` on (f, conj g) at times (t, 0)."""
+    return oracle_m_correlate(schedule, [f, g.conjugate()], (t, 0), stage=stage)

@@ -367,6 +367,7 @@ class Schedule:
         self.digit_budget = digit_budget
         self._stages: list[TowerStage] = []
         self._overlap_cache: dict = {}
+        self._window_cache: dict = {}
 
     # -- stage computation ----------------------------------------------
 
@@ -432,20 +433,27 @@ class Schedule:
 
     # -- convenience -----------------------------------------------------
 
-    def overlaps(self, n: int, shift, guard: int = 10**6, lattice: Optional[Lattice] = None) -> list:
-        """Cached :func:`overlap_pairs` for stage n; with a *lattice*, the
-        shift and the deltas are its coordinates.  The overlap structure
+    def overlaps(self, n: int, shift, lattice: Lattice, guard: int = 10**6) -> list:
+        """Cached :func:`overlap_pairs` for stage n, with the shift and the
+        deltas in the coordinates of *lattice*.  The overlap structure
         depends on the geometry only, so all correlators on this schedule
         share it."""
         key = (n, lattice, shift)
         cached = self._overlap_cache.get(key)
         if cached is None:
-            stage = self.stage(n)
-            if lattice is not None:
-                stage = stage.on_lattice(lattice)
-            cached = overlap_pairs(stage, shift, guard=guard)
+            cached = overlap_pairs(self.stage(n).on_lattice(lattice), shift, guard=guard)
             if len(self._overlap_cache) < guard:
                 self._overlap_cache[key] = cached
+        return cached
+
+    def windows(self, n: int, shift, lattice: Lattice, guard: int = 10**6) -> list:
+        """Cached :func:`copy_windows` for stage n, keyed as :meth:`overlaps`."""
+        key = (n, lattice, shift)
+        cached = self._window_cache.get(key)
+        if cached is None:
+            cached = copy_windows(self.stage(n).on_lattice(lattice), shift)
+            if len(self._window_cache) < guard:
+                self._window_cache[key] = cached
         return cached
 
     def height(self, n: int):

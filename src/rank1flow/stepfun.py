@@ -5,16 +5,17 @@ only; it is stored as strictly increasing breakpoints
 0 = b_0 < ... < b_m = h_k with one complex value per piece
 [b_{i-1}, b_i).
 
-The base case of the correlation engine, :func:`cross_correlation` and
-:func:`product_integral`, runs on the integer lattice of
-:mod:`rank1flow.schedule`.  A function's breakpoint grid is its
-breakpoints on a lattice whose scale is a multiple of their
-:attr:`StepFunction.denominator`: ints, or (a, b) pairs over Q(sqrt 2);
-the grid of the latest lattice is cached.  One merge loop walks the
-shifted grids of all functions, with the shifts in the same coordinates;
-scalar shifts go on the smallest lattice that holds them and the
-breakpoints.  Each piece length is the float that ``float()`` of the
-exact ``Fraction`` or ``Sqrt2`` length gives.
+The base case of the correlation engine, :func:`product_integral`, runs
+on the integer lattice of :mod:`rank1flow.schedule`.  A function's
+breakpoint grid is its breakpoints on a lattice whose scale is a
+multiple of their :attr:`StepFunction.denominator`: ints, or (a, b)
+pairs over Q(sqrt 2); the grid of the latest lattice is cached.  One
+merge loop walks the shifted grids of all functions, with the shifts in
+the same coordinates; scalar shifts go on the smallest lattice that
+holds them and the breakpoints.  Each piece length is the float that
+``float()`` of the exact ``Fraction`` or ``Sqrt2`` length gives.  The
+cross-correlation int f(y + tau) conj(g(y)) dy is the case
+``product_integral([f, g.conjugate()], (-tau, 0))``.
 """
 
 from __future__ import annotations
@@ -102,8 +103,9 @@ class StepFunction:
                 hi = mid - 1
         return complex(self.values[lo])
 
-    def scaled(self, c: complex) -> "StepFunction":
-        return StepFunction(self.stage, list(self.breakpoints), [c * complex(v) for v in self.values])
+    def conjugate(self) -> "StepFunction":
+        """The complex conjugate, on the same breakpoints."""
+        return StepFunction(self.stage, list(self.breakpoints), [complex(v).conjugate() for v in self.values])
 
     def to_json(self) -> dict:
         return {
@@ -176,7 +178,7 @@ def random_level_set(stage: int, height: Scalar, levels: int, rng: random.Random
 
 
 # ---------------------------------------------------------------------------
-# exact cross-correlation and lifting
+# the base case and lifting
 # ---------------------------------------------------------------------------
 
 
@@ -234,30 +236,15 @@ def _pieces(functions: Sequence[StepFunction], shifts, lattice: Optional[Lattice
                 idx[n] += 1
 
 
-def cross_correlation(f: StepFunction, g: StepFunction, tau, lattice: Optional[Lattice] = None) -> complex:
-    """integral of f(y + tau) * conj(g(y)) dy, exact piecewise.
-
-    tau is a scalar, or lattice coordinates with *lattice* given (see
-    :func:`_pieces`); the complex value accumulates in doubles.
-    """
-    shifts = ((-tau[0], -tau[1]), (0, 0)) if type(tau) is tuple else (-tau, 0)
-    fv = [complex(v) for v in f.values]
-    gv = [complex(v).conjugate() for v in g.values]
-    total = 0j
-    for length, (i, j) in _pieces((f, g), shifts, lattice):
-        total += fv[i] * gv[j] * length
-    return total
-
-
 def product_integral(functions: Sequence[StepFunction], shifts: Sequence, lattice: Optional[Lattice] = None) -> complex:
     """integral of prod_i f_i(y - shift_i) dy over the common support;
     the shifts are scalars, or lattice coordinates with *lattice* given."""
-    values = [[complex(v) for v in f.values] for f in functions]
+    first, *rest = [[complex(v) for v in f.values] for f in functions]
     total = 0j
     for length, idx in _pieces(functions, shifts, lattice):
-        piece = complex(1, 0)
-        for vals, i in zip(values, idx):
-            piece *= vals[i]
+        piece = first[idx[0]]
+        for k, vals in enumerate(rest, 1):
+            piece *= vals[idx[k]]
         total += piece * length
     return total
 

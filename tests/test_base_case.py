@@ -4,7 +4,9 @@
 the breakpoints in plain ``Fraction``/``Sqrt2`` arithmetic.  The lattice
 kernel, reached with scalar shifts or with lattice coordinates, must give
 ``repr``-identical complex values, so that even the sign of a zero
-counts.
+counts.  The 2-point engine's base case is ``product_integral`` on
+(f, conj g) at shifts (-tau, 0); it must match the cross-correlation
+loop exactly.
 """
 
 import random
@@ -18,7 +20,6 @@ from rank1flow import (
     Sqrt2,
     StepFunction,
     asym49_schedule,
-    cross_correlation,
     flat_schedule,
     lift,
     product_integral,
@@ -109,10 +110,13 @@ def on_lattice(functions, shifts, factor=1):
 
 
 def assert_cross_matches(f, g, tau, factor=1):
+    """The 2-point base case, product_integral on (f, conj g) at shifts
+    (-tau, 0), through the scalar and the lattice entries."""
     expected = repr(reference_cross_correlation(f, g, tau))
-    assert repr(cross_correlation(f, g, tau)) == expected
-    lattice, (x,) = on_lattice((f, g), (tau,), factor)
-    assert repr(cross_correlation(f, g, x, lattice)) == expected
+    pair, shifts = [f, g.conjugate()], [-tau, 0]
+    assert repr(product_integral(pair, shifts)) == expected
+    lattice, xs = on_lattice(pair, shifts, factor)
+    assert repr(product_integral(pair, xs, lattice)) == expected
 
 
 def assert_product_matches(functions, shifts, factor=1):
@@ -189,7 +193,7 @@ def test_product_integral_matches_scalar_loop(key, m):
 def test_supports_that_touch_or_miss_give_zero():
     f = StepFunction(1, [0, Fraction(1, 3), 1], [1 + 0j, -2j])
     for tau in (1, -1, 2, Fraction(-5, 2)):
-        assert cross_correlation(f, f, tau) == 0j == reference_cross_correlation(f, f, tau)
+        assert product_integral([f, f.conjugate()], [-tau, 0]) == 0j == reference_cross_correlation(f, f, tau)
         assert product_integral([f, f], [0, tau]) == 0j == reference_product_integral([f, f], [0, tau])
 
 
@@ -258,11 +262,11 @@ def test_float_shifts_enter_at_their_exact_value():
     f, g = family(sched, rng, 2)
     for tau in (0.05, -1.75, 3.3, 1e-9, -0.1 * 7):
         expected = reference_cross_correlation(f, g, exact(tau))
-        assert repr(cross_correlation(f, g, tau)) == repr(expected)
+        assert repr(product_integral([f, g.conjugate()], [-tau, 0])) == repr(expected)
         assert repr(product_integral([f, g], [0, tau])) == repr(reference_product_integral([f, g], [0, exact(tau)]))
     thm = SCHEDULES["thm44", "sqrt2"]
     f, g = family(thm, rng, 2)
-    assert repr(cross_correlation(f, g, 0.3)) == repr(reference_cross_correlation(f, g, Sqrt2(exact(0.3))))
+    assert repr(product_integral([f, g.conjugate()], [-0.3, 0])) == repr(reference_cross_correlation(f, g, Sqrt2(exact(0.3))))
 
 
 def test_grid_needs_a_multiple_of_the_breakpoint_scale():

@@ -122,18 +122,14 @@ def test_mismatched_stages_rejected(flat2):
 
 
 def test_m_correlate_two_points_equals_correlate(flat3, small_asym):
+    """<U(t) f, g> is the 2-point joint moment of (f, conj g) at times
+    (t, 0): the same recursion, so the values are equal exactly."""
     rng = random.Random(29)
     for sched in (flat3, small_asym):
         f, g = pair(sched, rng.randrange(10**6))
         for t in (0, Fraction(1, 2), -1):
-            two = m_correlate(sched, [g, f], (0, t))
-            # <U(t) f, g-bar> with unconjugated product: match via the
-            # conjugate of g in the two-point integral
-            gb = g.scaled(1)
-            gb.values[:] = [complex(v).conjugate() for v in g.values]
-            two2 = m_correlate(sched, [gb, f], (0, t))
-            one = correlate(sched, f, g, t)
-            assert abs(two2.value - one.value) <= two2.error_bound + one.error_bound + 1e-12
+            two = m_correlate(sched, [f, g.conjugate()], (t, 0))
+            assert two.value == correlate(sched, f, g, t).value
 
 
 def test_m_correlate_matches_oracle(small_asym):

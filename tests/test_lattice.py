@@ -8,6 +8,7 @@ NumPy arrays, and (a, b) pairs for Q(sqrt 2)) must return the same
 
 from collections import Counter
 from fractions import Fraction
+from itertools import chain, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +25,7 @@ from rank1flow import (
     thm44_schedule,
 )
 from rank1flow.scalars import sqrt2_sign
-from rank1flow.schedule import Lattice, LatticeStage, scalar_denominator
+from rank1flow.schedule import Lattice, LatticeStage, copy_windows, scalar_denominator
 
 
 def reference_overlap_pairs(stage, shift):
@@ -106,6 +107,22 @@ def test_engine_lattice_matches_scalar_loop(case, factor):
     lattice = Lattice(scale, isinstance(shift, Sqrt2) or isinstance(stage.h, Sqrt2))
     got = sched.overlaps(stage.n, lattice.encode(shift), lattice=lattice)
     assert [(lattice.decode(d), m) for d, m in got] == reference_overlap_pairs(stage, shift)
+
+
+@pytest.mark.parametrize("key", [("asym49", "rational"), ("asym49", "sqrt2"), ("thm44", "sqrt2")], ids="-".join)
+def test_schedule_caches_the_copy_windows(key):
+    """The m-point step reads its windows through ``Schedule.windows``:
+    the windows of ``copy_windows``, kept per (stage, lattice, shift)."""
+    sched = SCHEDULES[key]
+    stage = sched.stage(2)
+    coarse, fine = (Lattice(k * stage.denominator, type(stage.grid.h) is tuple) for k in (1, 2))
+    shifts = (0 * stage.h, stage.h - stage.offsets[1], stage.offsets[-1] - stage.offsets[0])
+    # the same coordinates on two lattices are two shifts, cached apart
+    for x, lattice in product(map(coarse.encode, shifts), (coarse, fine)):
+        windows = sched.windows(2, x, lattice)
+        assert windows == copy_windows(stage.on_lattice(lattice), x)
+        assert sched.windows(2, x, lattice) is windows
+        assert Counter(chain.from_iterable(windows)) == Counter(dict(sched.overlaps(2, x, lattice)))
 
 
 def test_numpy_sweep_runs_on_wide_stages():

@@ -20,7 +20,7 @@ from rank1flow import (
 )
 from rank1flow.errors import ConfigurationError, ResourceError
 from rank1flow.scalars import coerce
-from rank1flow.schedule import scalar_denominator
+from rank1flow.schedule import Lattice, scalar_denominator
 
 
 def explicit_schedule(entries):
@@ -108,12 +108,15 @@ def test_overlap_pairs_multiplicity_grouping(flat3):
 
 def test_overlap_fast_path_matches_generic(small_staircase):
     # the fractional-shift path exercises the same sweep; compare a
-    # rational shift against the same shift fed through the cached API
+    # rational shift against the same shift fed through the cached API,
+    # which works on a lattice, with the deltas decoded
     st = small_staircase.stage(2)
     shift = Fraction(5, 4)
     direct = overlap_pairs(st, shift)
-    cached = small_staircase.overlaps(2, shift)
-    assert direct == cached
+    lattice = Lattice(st.denominator * 4, False)
+    cached = small_staircase.overlaps(2, lattice.encode(shift), lattice)
+    assert [(lattice.decode(d), m) for d, m in cached] == direct
+    assert small_staircase.overlaps(2, lattice.encode(shift), lattice) is cached
     assert all(isinstance(d, Fraction) for d, _ in direct)
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from rank1flow import (
     StepFunction,
-    cross_correlation,
     indicator,
     lift,
     product_integral,
@@ -30,6 +29,12 @@ def test_indicator_evaluation():
     assert f(4) == 0  # outside support
 
 
+def cross_correlation(f, g, tau):
+    """int f(y + tau) conj(g(y)) dy: the product integral of (f, conj g)
+    at shifts (-tau, 0)."""
+    return product_integral([f, g.conjugate()], [-tau, 0])
+
+
 def test_cross_correlation_zero_shift_is_inner_integral():
     f = indicator(1, 4, 0, 2)
     g = indicator(1, 4, 1, 3)
@@ -47,6 +52,7 @@ def test_cross_correlation_shift_moves_support():
 def test_cross_correlation_conjugates_g():
     f = indicator(1, 2, 0, 2)
     g = StepFunction(1, [0, 2], [1j])
+    assert g.conjugate().values == [-1j]
     assert cross_correlation(f, g, 0) == pytest.approx(-2j)
 
 
@@ -54,11 +60,10 @@ def test_product_integral_matches_pairwise():
     rng = random.Random(3)
     f = random_step_function(1, 4, 4, rng)
     g = random_step_function(1, 4, 4, rng)
-    two = product_integral([f, g.scaled(1)], [0, Fraction(1, 2)])
-    # product_integral multiplies plain values; compare against the
-    # cross-correlation of f with conj(g) undone
-    gb = StepFunction(g.stage, list(g.breakpoints), [complex(v).conjugate() for v in g.values])
-    ref = cross_correlation(f, gb, Fraction(1, 2))
+    two = product_integral([f, g], [0, Fraction(1, 2)])
+    # product_integral multiplies plain values; the cross-correlation
+    # conjugates its second function, so it is given conj(g)
+    ref = cross_correlation(f, g.conjugate(), Fraction(1, 2))
     assert two == pytest.approx(ref)
 
 
