@@ -30,11 +30,21 @@ functions' breakpoint denominators, so the base case,
 :func:`product_integral`, takes the shifts in the same coordinates as
 the functions' breakpoint grids: nothing is decoded on the query path.
 A float time enters at its exact binary value.
+
+The recursion is evaluated level by level, not depth first.  Top down,
+from stage N to stage k, a query collects the distinct shifts each stage
+needs that the memo lacks, and takes the step for all of them at once:
+at m = 2 that is one call of :meth:`Schedule.overlaps`, which sweeps the
+uncached shifts of a stage as one batch (in NumPy once the batch is
+large enough, see :func:`overlap_batch`).  Bottom up, from stage k back
+to N, each new value is summed over its step in the order the step lists
+the deltas (increasing at m = 2), the order of a depth-first recursion,
+so every value is bit-identical to it.
 """
 
 from __future__ import annotations
 
-from collections import _count_elements
+from collections import _count_elements, defaultdict
 from dataclasses import dataclass
 from itertools import chain, product
 from math import lcm, prod
@@ -81,13 +91,15 @@ class MCorrelator:
     recursion on the shifts t_i - t_0, i >= 1, memoized on one integer
     lattice.
 
-    B_n is stored at (n, x), with x the lattice coordinates of the shift
-    tuple at ``_scale`` (at m = 2, of the one shift).  That scale starts at
-    the lcm of the functions' breakpoint denominators, so the base case
-    reads their grids on it, and only grows: a query that needs a finer
-    one rescales the keys already stored, so the memo is shared across
-    query times.  The step is chosen once, from m: the schedule's sorted
-    overlaps at m = 2, else tuples of copies grouped by delta vector.
+    B_n is stored in the memo of stage n at x, the lattice coordinates of
+    the shift tuple at ``_scale`` (at m = 2, of the one shift).  That
+    scale starts at the lcm of the functions' breakpoint denominators, so
+    the base case reads their grids on it, and only grows: a query that
+    needs a finer one rescales the keys already stored, so the memo is
+    shared across query times.  The step is chosen once, from m: the
+    schedule's sorted overlaps at m = 2, else tuples of copies grouped by
+    delta vector.  Either takes a list of shifts and returns one
+    (delta, multiplicity) sequence per shift.
     """
 
     def __init__(self, schedule: Schedule, functions: Sequence[StepFunction], guard: int = DEFAULT_GUARD):
@@ -102,9 +114,11 @@ class MCorrelator:
         self._scale = lcm(*(f.denominator for f in functions))
         self._sqrt2 = schedule.mode == "sqrt2" or any(f.sqrt2 for f in functions)
         self._lattice = Lattice(self._scale, self._sqrt2)
-        self._memo: dict = {}  # (n, lattice coordinates on self._scale) -> B_n
+        self._memo: defaultdict = defaultdict(dict)  # n -> {lattice coordinates on self._scale: B_n}
+        self._size = 0  # entries in the memo
+        self._norm = prod(f.sup_norm for f in self.functions)  # of the bound, read per query
         self._pair = len(functions) == 2
-        self._step = self._overlaps if self._pair else self._windows
+        self._step = schedule.overlaps if self._pair else self._windows
 
     def _correlation(self, shifts: tuple, t_abs: Scalar, stage: int | None) -> CorrelationResult:
         """w_N * B_N at exact shifts, one per function after the first,
@@ -118,7 +132,8 @@ class MCorrelator:
         scale = lcm(self._scale, *map(scalar_denominator, shifts), *(st.denominator for st in stages))
         if scale != self._scale:
             m = scale // self._scale
-            self._memo = {(i, rescaled(x, m)): v for (i, x), v in self._memo.items()}
+            memo = {i: {rescaled(x, m): v for x, v in level.items()} for i, level in self._memo.items()}
+            self._memo = defaultdict(dict, memo)
             self._scale = scale
         self._lattice = lattice = Lattice(scale, self._sqrt2 or any(isinstance(s, Sqrt2) for s in shifts))
         xs = tuple(map(lattice.encode, shifts))
@@ -130,37 +145,58 @@ class MCorrelator:
         return CorrelationResult(value=value * w_n, error_bound=self._bound(float(t_abs), w_n), stage_used=n)
 
     def _B(self, n: int, x):
-        key = (n, x)
-        v = self._memo.get(key)
-        if v is None:
+        """B_n at x, level by level.  Top down, each stage's step is taken
+        at once for all the shifts it needs that the memo lacks; bottom up,
+        each new value is summed over its step in the step's order, as a
+        depth-first recursion would."""
+        memo = self._memo
+        top = memo[n]
+        if x in top:
+            return top[x]
+        size, levels, xs = self._size, [], [x]
+        while xs:
+            size += len(xs)
+            if size > self.guard:
+                raise ResourceError(f"memo blowup near stage {n}: more than {self.guard} distinct shifts")
             if n == self.k:
                 zero = (0, 0) if self._lattice.sqrt2 else 0
-                v = product_integral(self.functions, (zero, x) if self._pair else (zero, *x), self._lattice)
-            else:
+                base = [
+                    product_integral(self.functions, (zero, y) if self._pair else (zero, *y), self._lattice) for y in xs
+                ]
+                memo[n].update(zip(xs, base))
+                break
+            steps = self._step(n - 1, xs, self._lattice, self.guard)
+            levels.append((memo[n], xs, steps))
+            n -= 1
+            xs = list({d for pairs in steps for d, _ in pairs}.difference(memo[n]))
+        self._size = size
+        for here, xs, steps in reversed(levels):
+            below = memo[n]
+            for y, pairs in zip(xs, steps):
                 v = 0j
-                for delta, mult in self._step(n - 1, x):
-                    v += mult * self._B(n - 1, delta)
-            if len(self._memo) >= self.guard:
-                raise ResourceError(f"memo blowup near stage {n}: more than {self.guard} distinct shifts")
-            self._memo[key] = v
-        return v
+                for d, mult in pairs:
+                    v += mult * below[d]
+                here[y] = v
+            n += 1
+        return top[x]
 
-    def _overlaps(self, n: int, x):
-        return self.schedule.overlaps(n, x, self._lattice, guard=self.guard)
-
-    def _windows(self, n: int, xs: tuple):
-        """Copy j0 with copies j'_i of the windows of each shift, j0 ascending,
-        then the j'_i in product order."""
-        sched, lattice = self.schedule, self._lattice
-        per_copy = zip(*(sched.windows(n, x, lattice, guard=self.guard) for x in xs))
-        groups: dict = {}
-        _count_elements(groups, chain.from_iterable(product(*windows) for windows in per_copy))
-        if len(groups) > self.guard:
-            raise ResourceError(f"m-tuple delta blowup at stage {n}: more than {self.guard} delta vectors")
-        return groups.items()
+    def _windows(self, n: int, xs: list, lattice: Lattice, guard: int) -> list:
+        """The m >= 3 step, called as :meth:`Schedule.overlaps`: for each
+        shift tuple, the delta vectors of copy j0 with copies j'_i of the
+        windows of each shift, j0 ascending, then the j'_i in product order."""
+        sched = self.schedule
+        steps = []
+        for x in xs:
+            per_copy = zip(*(sched.windows(n, xi, lattice, guard=guard) for xi in x))
+            groups: dict = {}
+            _count_elements(groups, chain.from_iterable(product(*windows) for windows in per_copy))
+            if len(groups) > guard:
+                raise ResourceError(f"m-tuple delta blowup at stage {n}: more than {guard} delta vectors")
+            steps.append(groups.items())
+        return steps
 
     def _bound(self, t: float, w: float) -> float:
-        return 2.0 * prod(f.sup_norm for f in self.functions) * t * w * len(self.functions)
+        return 2.0 * self._norm * t * w * len(self.functions)
 
     def at(self, times: Sequence[Scalar], stage: int | None = None) -> CorrelationResult:
         if len(times) != len(self.functions):
@@ -189,7 +225,7 @@ class Correlator(MCorrelator):
 
     def _bound(self, t: float, w: float) -> float:
         """The 2-point bound, half the m-point formula at m = 2."""
-        return 2.0 * self.functions[0].sup_norm * self.functions[1].sup_norm * t * w
+        return 2.0 * self._norm * t * w  # = 2.0 * ||f|| * ||g|| * t * w: doubling is exact
 
     def at(self, t: Scalar, stage: int | None = None) -> CorrelationResult:
         t = exact(t)
@@ -256,12 +292,17 @@ def weak_limit_probe(
             if ref is not None:
                 predicted += complex(target.beta) * ref.value
                 b += abs(complex(target.beta)) * ref.error_bound
-            worst = max(worst, abs(res.value - predicted))
-            bnd = max(bnd, b)
+            # a NaN residual or bound is kept: max() would drop it
+            worst = _max_keeping_nan(worst, abs(res.value - predicted))
+            bnd = _max_keeping_nan(bnd, b)
         residuals.append(worst)
         bounds.append(bnd)
     final_below = None if threshold is None else residuals[-1] < threshold
     return WeakLimitReport(list(times), residuals, bounds, threshold, final_below)
+
+
+def _max_keeping_nan(a: float, b: float) -> float:
+    return b if b > a or b != b else a
 
 
 def perturbation_bound(form: Callable, magnitudes: Sequence, bounds: Sequence) -> float:

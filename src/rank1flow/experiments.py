@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import random
 from fractions import Fraction
+from math import isfinite
 
 from .builders import named_schedule
 from .correlate import (
@@ -30,7 +31,7 @@ from .schedule import Schedule, finiteness_test, symmetrize
 from .scalars import scalar_from_string, scalar_to_string
 from .serialize import correlation_result_to_json, load_schedule
 from .spectral import affinity, autocorr_curve, bochner_density, curve_from_samples, dilate
-from .stepfun import StepFunction, indicator, lift, random_level_set, random_step_function, reflect
+from .stepfun import StepFunction, lift, random_level_set, random_step_function, reflect
 
 REPORT_VERSION = "rank1-report-1"
 
@@ -89,6 +90,13 @@ def _positive(value) -> int:
     if n < 1:
         raise ValueError("must be at least 1")
     return n
+
+
+def _finite(value) -> float:
+    x = float(value)
+    if not isfinite(x):
+        raise ValueError("must be finite")
+    return x
 
 
 def _optional_float(value):
@@ -242,8 +250,8 @@ def run_correlate(spec: dict):
 def _target_from_spec(doc: dict) -> WeakLimitTarget:
     def cplx(v):
         if isinstance(v, list):
-            return complex(v[0], v[1])
-        return complex(float(v), 0.0)
+            return complex(_finite(v[0]), _finite(v[1]))
+        return complex(_finite(v), 0.0)
 
     return WeakLimitTarget(
         alpha=_field(doc, "alpha", cplx, 0),
@@ -257,7 +265,7 @@ def run_weak_limit(spec: dict):
     times = resolve_times(schedule, spec.get("times", ["0"]))
     target = _target_from_spec(_field(spec, "target", _dict, {"alpha": 1}))
     family = seeded_family(schedule, spec)
-    threshold = _field(spec, "threshold", float, 0.05)
+    threshold = _field(spec, "threshold", _finite, 0.05)
     probe = weak_limit_probe(schedule, times, target, family, threshold=threshold)
     items = [
         {"j": j, "t": scalar_to_string(t), "residual": r, "bound": b}

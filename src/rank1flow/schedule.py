@@ -26,6 +26,14 @@ copy, for the m-point engine, and :func:`overlap_pairs` counts its deltas
 for the 2-point one.  Pairs are compared on float values where these
 clear their rounding bound, and by :func:`sqrt2_sign` where they do not.
 Scalars come back only at the boundary, via :meth:`Lattice.decode`.
+
+The 2-point engine asks for the overlaps of a whole stage's shifts at
+once (:meth:`Schedule.overlaps`), and :func:`overlap_batch` applies the
+batch rule: on int offsets, a batch of at least ``_NUMPY_MIN_WORK``
+(shift, copy) pairs whose values fit int64 is swept in one NumPy pass
+(``searchsorted`` for every window, one sort for every delta); a smaller
+batch, values past int64 and (a, b) pairs take the Python sweep, one
+shift at a time.  Both give the same sorted (delta, multiplicity) lists.
 """
 
 from __future__ import annotations
@@ -44,12 +52,16 @@ from .errors import ConfigurationError, ResourceError
 from .scalars import FLOAT_BITS, MODES, SQRT2_FLOAT, Scalar, Sqrt2, coerce, exact, scalar_to_string, sqrt2_sign, sqrt2_sorted
 
 DEFAULT_DIGIT_BUDGET = 200_000  # bits allowed in a height numerator
-# Int offsets of stages with at least _NUMPY_MIN_R copies are swept in
-# NumPy.  NumPy's fixed cost per call is some 30-50 us; the Python loop
-# is faster up to r ~ 40-50 and NumPy is 1.3-1.5x faster at r = 64.
-# Lattice values below _INT64_SAFE = 2**61 keep every sum of three inside
-# int64; larger ones stay on the Python-int sweep.
-_NUMPY_MIN_R = 64
+# A batch of shifts on int offsets is swept in NumPy when it holds at
+# least _NUMPY_MIN_WORK (shift, copy) pairs.  NumPy costs some 55-80 us
+# per batch whatever its size; measured on stages with r = 4, 16 and 64,
+# the Python loop is 1.6-4x faster at 16-32 pairs, NumPy 1.0-1.6x faster
+# at 64 and 2.6-3.6x at 256.  The sweep takes _CHUNK pairs at a time, so
+# that its int64 arrays stay at 64 KB.  Lattice values below
+# _INT64_SAFE = 2**61 keep every sum of three inside int64; larger ones
+# stay on the Python-int sweep.
+_NUMPY_MIN_WORK = 64
+_CHUNK = 8192
 _INT64_SAFE = 2**61
 
 
@@ -330,7 +342,7 @@ class TowerStage:
                 magnitude = max(abs(a) + 2 * abs(b) for a, b in offsets)
                 if magnitude.bit_length() < FLOAT_BITS:
                     floats = ([a + b * SQRT2_FLOAT for a, b in offsets], float(magnitude))
-            elif self.r >= _NUMPY_MIN_R and offsets[-1] + h < _INT64_SAFE:
+            elif offsets[-1] + h < _INT64_SAFE:
                 array = np.array(offsets, dtype=np.int64)
             self._view = (lattice, LatticeStage(self.n, self.r, h, offsets, array, floats))
         return self._view[1]
@@ -433,18 +445,28 @@ class Schedule:
 
     # -- convenience -----------------------------------------------------
 
-    def overlaps(self, n: int, shift, lattice: Lattice, guard: int = 10**6) -> list:
-        """Cached :func:`overlap_pairs` for stage n, with the shift and the
-        deltas in the coordinates of *lattice*.  The overlap structure
-        depends on the geometry only, so all correlators on this schedule
-        share it."""
-        key = (n, lattice, shift)
-        cached = self._overlap_cache.get(key)
-        if cached is None:
-            cached = overlap_pairs(self.stage(n).on_lattice(lattice), shift, guard=guard)
-            if len(self._overlap_cache) < guard:
-                self._overlap_cache[key] = cached
-        return cached
+    def overlaps(self, n: int, shifts: list, lattice: Lattice, guard: int = 10**6) -> list:
+        """Cached :func:`overlap_pairs` for stage n at each of *shifts*, in
+        order, with the shifts and the deltas in the coordinates of
+        *lattice*.  The shifts not in the cache are swept as one batch
+        (:func:`overlap_batch`).  The overlap structure depends on the
+        geometry only, so all correlators on this schedule share it."""
+        cache = self._overlap_cache
+        found, missing = [], []
+        for x in shifts:
+            pairs = cache.get((n, lattice, x))
+            if pairs is None:
+                missing.append(x)
+            found.append(pairs)
+        if not missing:
+            return found
+        swept = overlap_batch(self.stage(n).on_lattice(lattice), missing, guard)
+        for x, pairs in zip(missing[: max(guard - len(cache), 0)], swept):
+            cache[n, lattice, x] = pairs
+        if len(missing) == len(found):
+            return swept
+        fresh = iter(swept)
+        return [next(fresh) if pairs is None else pairs for pairs in found]
 
     def windows(self, n: int, shift, lattice: Lattice, guard: int = 10**6) -> list:
         """Cached :func:`copy_windows` for stage n, keyed as :meth:`overlaps`."""
@@ -518,9 +540,32 @@ def overlap_pairs(stage, shift, guard: int = 10**6) -> list:
     return [(lattice.decode(delta), mult) for delta, mult in pairs]
 
 
+def overlap_batch(stage: LatticeStage, shifts: list, guard: int = 10**6) -> list:
+    """:func:`overlap_pairs` of a lattice stage at each of *shifts*, in order.
+
+    The batch rule: int offsets are swept in NumPy, all shifts at once,
+    when the batch holds at least ``_NUMPY_MIN_WORK`` (shift, copy) pairs
+    and its values fit int64; otherwise, and on (a, b) pairs, each shift
+    takes the Python sweep.
+    """
+    if len(shifts) * stage.r >= _NUMPY_MIN_WORK and _fits_int64(stage, shifts):
+        return _sweep_batch(stage, shifts, guard)
+    return [overlap_pairs(stage, x, guard) for x in shifts]
+
+
+def _fits_int64(stage: LatticeStage, shifts) -> bool:
+    """Whether every value of :func:`_sweep_batch` on *shifts* fits int64."""
+    return (
+        stage.array is not None
+        and len(shifts) * stage.h < _INT64_SAFE
+        and -_INT64_SAFE < min(shifts)
+        and max(shifts) < _INT64_SAFE
+    )
+
+
 def _lattice_overlaps(stage: LatticeStage, shift, guard: int) -> list:
-    if stage.array is not None and -_INT64_SAFE < shift < _INT64_SAFE:
-        return _sweep_numpy(stage, shift, guard)
+    if stage.r >= _NUMPY_MIN_WORK and _fits_int64(stage, (shift,)):  # a batch of one
+        return _sweep_batch(stage, [shift], guard)[0]
     counts: dict = {}
     _count_elements(counts, chain.from_iterable(copy_windows(stage, shift)))
     if len(counts) > guard:
@@ -596,25 +641,38 @@ def _pair_windows(stage: LatticeStage, shift) -> list:
     return windows
 
 
-def _sweep_numpy(stage: LatticeStage, shift: int, guard: int) -> list:
-    """The windows of :func:`copy_windows` on int64 offsets, found by
-    ``searchsorted``; the same sorted (delta, multiplicity) list."""
-    offs = stage.array
-    lo = offs - (shift + stage.h)
-    hi = offs - (shift - stage.h)
-    a = np.searchsorted(offs, lo, side="right")  # first j' with offs[j'] > lo
-    b = np.searchsorted(offs, hi, side="left")  # first j' with offs[j'] >= hi
-    width = np.maximum(b - a, 0)
-    total = int(width.sum())
-    if total == 0:
-        return []
-    j = np.repeat(np.arange(stage.r), width)
-    # j' runs from a_j upward inside each window
-    jp = np.arange(total) + np.repeat(a - (np.cumsum(width) - width), width)
-    deltas, mult = np.unique(offs[jp] - offs[j] + shift, return_counts=True)
-    if len(deltas) > guard:
+def _sweep_batch(stage: LatticeStage, shifts: list, guard: int) -> list:
+    """:func:`overlap_pairs` at every shift of a batch on int64 offsets:
+    the windows of :func:`copy_windows` of all (shift, copy) pairs found by
+    one ``searchsorted`` each way, their deltas sorted by (shift, delta)
+    and counted.  The same sorted (delta, multiplicity) list per shift."""
+    step = max(1, _CHUNK // stage.r)
+    return [pairs for i in range(0, len(shifts), step) for pairs in _sweep_chunk(stage, shifts[i : i + step], guard)]
+
+
+def _sweep_chunk(stage: LatticeStage, shifts: list, guard: int) -> list:
+    offs, h, count = stage.array, stage.h, len(shifts)
+    base = np.array(shifts, dtype=np.int64)[:, None] - offs  # shift - o_j, one row per shift
+    a = np.searchsorted(offs, (-h - base).ravel(), side="right")  # first j' with o_j' > o_j - shift - h
+    width = np.searchsorted(offs, (h - base).ravel(), side="left") - a  # to the first j' with o_j' >= o_j - shift + h
+    ends = np.cumsum(width)
+    total = int(ends[-1])
+    # j' runs from a upward inside each window
+    jp = np.repeat(a - ends + width, width)
+    jp += np.arange(total)
+    # -h < delta < h, so key = row * 2h + delta + h orders by (row, delta)
+    base += np.arange(h, 2 * h * count, 2 * h)[:, None]
+    keys = np.repeat(base.ravel(), width)
+    keys += offs[jp]
+    keys.sort()
+    first = np.flatnonzero(np.diff(keys, prepend=0))
+    row, delta = np.divmod(keys[first], 2 * h)
+    per_row = np.bincount(row, minlength=count)
+    if per_row.max() > guard:
         raise ResourceError(f"overlap blowup at stage {stage.n}: more than {guard} deltas")
-    return list(zip(deltas.tolist(), mult.tolist()))
+    pairs = list(zip((delta - h).tolist(), np.diff(first, append=total).tolist()))
+    ends = np.cumsum(per_row).tolist()
+    return [pairs[i:j] for i, j in zip([0, *ends], ends)]
 
 
 def symmetrize(schedule: Schedule) -> Schedule:

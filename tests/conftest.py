@@ -9,11 +9,26 @@ from rank1flow import (
     symmetrize,
     thm44_schedule,
 )
+from rank1flow import schedule as schedule_module
 
 
 @pytest.fixture()
 def rng():
     return random.Random(0)
+
+
+@pytest.fixture()
+def numpy_batches(monkeypatch):
+    """The sizes of the batches that take the NumPy overlap sweep."""
+    sizes = []
+    sweep = schedule_module._sweep_batch
+
+    def spy(stage, shifts, guard):
+        sizes.append(len(shifts))
+        return sweep(stage, shifts, guard)
+
+    monkeypatch.setattr(schedule_module, "_sweep_batch", spy)
+    return sizes
 
 
 @pytest.fixture(scope="session")

@@ -154,6 +154,9 @@ def test_plot_csv_has_header_comment(tmp_path, audit_spec):
         ("triple-asymmetry", {"schedule": {"kind": "asym49", "params": {}}, "stage_count": 1, "set_levels": 0}),
         ("weak-limit", {"schedule": {"kind": "flat", "params": {"r": 2}}, "times": ["1/2"], "levels": 0}),
         ("reflection-check", {"schedule": {"kind": "flat", "params": {"r": 2}}, "cases": 0}),
+        ("weak-limit", {"schedule": {"kind": "flat", "params": {"r": 2}}, "times": ["1"], "target": {"alpha": "nan"}}),
+        ("weak-limit", {"schedule": {"kind": "flat", "params": {"r": 2}}, "times": ["1"], "target": {"beta": "inf"}}),
+        ("weak-limit", {"schedule": {"kind": "flat", "params": {"r": 2}}, "times": ["1"], "threshold": "nan"}),
     ],
     ids=[
         "unparsable-time",
@@ -171,6 +174,9 @@ def test_plot_csv_has_header_comment(tmp_path, audit_spec):
         "no-set-levels",
         "no-levels",
         "no-reflection-cases",
+        "nan-alpha",
+        "infinite-beta",
+        "nan-threshold",
     ],
 )
 def test_malformed_spec_fields_exit_two(tmp_path, kind, spec):

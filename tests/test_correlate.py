@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,20 +6,24 @@ import pytest
 
 from rank1flow import (
     Correlator,
+    MCorrelator,
     SQRT2,
     WeakLimitTarget,
     asym49_schedule,
     correlate,
+    flat_schedule,
     inner_product,
     m_correlate,
     oracle_correlate,
     oracle_m_correlate,
     pick_stage,
+    product_integral,
     random_step_function,
+    staircase34_schedule,
     thm44_schedule,
     weak_limit_probe,
 )
-from rank1flow.errors import RangeError
+from rank1flow.errors import RangeError, ResourceError
 
 
 def pair(schedule, seed, stage=1, levels=4):
@@ -70,21 +75,26 @@ def test_stage_stability(flat3, small_staircase, small_asym):
             assert abs(a.value - b.value) <= a.error_bound + b.error_bound + 1e-12
 
 
+def memo_size(corr):
+    """Entries of a correlator's memo, which holds one dict per stage."""
+    return sum(map(len, corr._memo.values()))
+
+
 def test_correlator_memo_is_shared_across_times(flat2):
     f, g = pair(flat2, 1)
     corr = Correlator(flat2, f, g)
     half = corr.at(Fraction(1, 2))
-    first = len(corr._memo)
+    first = memo_size(corr)
     assert first > 0
     corr.at(Fraction(1, 2))
-    assert len(corr._memo) == first  # warm queries add nothing
+    assert memo_size(corr) == first  # warm queries add nothing
     # a time with a new denominator rescales the stored shifts onto a finer
     # lattice; the entries of 1/2 stay in the same memo and still hit
     third = corr.at(Fraction(1, 3))
-    second = len(corr._memo)
+    second = memo_size(corr)
     assert second > first
     assert corr.at(Fraction(1, 2)).value == half.value
-    assert len(corr._memo) == second
+    assert memo_size(corr) == second
     assert third.value == Correlator(flat2, f, g).at(Fraction(1, 3)).value
 
 
@@ -184,3 +194,104 @@ def test_weak_limit_probe_reports_all_times(flat2):
     assert len(probe.residuals) == 3
     assert len(probe.bounds) == 3
     assert probe.final_below is None
+
+
+def test_weak_limit_probe_keeps_a_nan_residual(flat2):
+    fam = [pair(flat2, s) for s in (1, 2)]
+    probe = weak_limit_probe(flat2, [1], WeakLimitTarget(alpha=complex("nan")), fam, threshold=0.5)
+    assert math.isnan(probe.final_residual) and probe.final_below is False
+    probe = weak_limit_probe(flat2, [1], WeakLimitTarget(beta=complex("nan"), s=1), fam, threshold=0.5)
+    assert math.isnan(probe.final_residual) and math.isnan(probe.bounds[0]) and probe.final_below is False
+
+
+# the level loop's two paths, on fresh schedules (cached overlaps skip the
+# guard): the NumPy sweep of a batch of shifts (a staircase with r = 64 at
+# stage 3, queried at stage 4) and one Python sweep per shift (small cut
+# numbers, or Q(sqrt 2) pairs)
+SCHEDULES = {
+    "wide_staircase": lambda: staircase34_schedule(staircase_stages=(2, 3), base=4, r_cap=64),
+    "flat3": lambda: flat_schedule(3),
+    "thm44": lambda: thm44_schedule(s_values=(2,), q_max=1, k_max=1, r_cap=6),
+}
+
+
+@pytest.mark.parametrize(
+    "schedule, stage, guard, message, batched",
+    [
+        ("wide_staircase", 4, 39, "memo blowup near stage 1: more than 39 distinct shifts", True),
+        ("wide_staircase", 4, 19, "overlap blowup at stage 3: more than 19 deltas", True),
+        ("flat3", 4, 6, "memo blowup near stage 1: more than 6 distinct shifts", False),
+        ("flat3", 4, 1, "overlap blowup at stage 3: more than 1 deltas", False),
+        ("thm44", None, 2, "memo blowup near stage 2: more than 2 distinct shifts", False),
+        ("thm44", None, 1, "overlap blowup at stage 2: more than 1 deltas", False),
+    ],
+    ids=["memo-batched", "overlap-batched", "memo-per-shift", "overlap-per-shift", "memo-sqrt2", "overlap-sqrt2"],
+)
+def test_guards_name_stage_and_count(numpy_batches, schedule, stage, guard, message, batched):
+    sched = SCHEDULES[schedule]()
+    f, g = pair(sched, 1)
+    t = Fraction(-7, 3)
+    with pytest.raises(ResourceError, match=f"^{message}$"):
+        Correlator(sched, f, g, guard=guard).at(t, stage=stage)
+    assert bool(numpy_batches) == batched
+    # each guard sits one below the count it meets (20 deltas at the top
+    # of the staircase, 2 on flat3 and thm44, or the memo the query
+    # needs), and a guard of the memo's size lets the query through
+    corr = Correlator(sched, f, g)
+    value = corr.at(t, stage=stage).value
+    assert message.startswith("overlap") or memo_size(corr) == guard + 1
+    assert Correlator(sched, f, g, guard=memo_size(corr)).at(t, stage=stage).value == value
+
+
+def depth_first(corr, n, x, memo):
+    """B_n(x) by the depth-first recursion the level loop replaced, on the
+    correlator's current lattice: each value summed over its step in the
+    same order."""
+    if (n, x) not in memo:
+        if n == corr.k:
+            zero = (0, 0) if corr._lattice.sqrt2 else 0
+            v = product_integral(corr.functions, (zero, x) if corr._pair else (zero, *x), corr._lattice)
+        else:
+            v = 0j
+            for d, mult in corr._step(n - 1, [x], corr._lattice, corr.guard)[0]:
+                v += mult * depth_first(corr, n - 1, d, memo)
+        memo[n, x] = v
+    return memo[n, x]
+
+
+# times whose denominators 3, 2, 4, 7 make each new query rescale the memo
+ORDER_TIMES = [Fraction(-7, 3), Fraction(1, 2), Fraction(5, 4), Fraction(-2, 7), Fraction(9, 14)]
+
+
+def correlators(name):
+    """(make a fresh correlator, query it at a time) for each path."""
+    if name == "triple":
+        sched = asym49_schedule(r_cap=16)
+        fs = [*pair(sched, 3), pair(sched, 4)[0]]
+        return (lambda: MCorrelator(sched, fs)), (lambda c, t: c.at((0, t, -t / 2)))
+    sched = SCHEDULES["wide_staircase" if name == "batched" else "thm44"]()
+    f, g = pair(sched, 2)
+    stage = 4 if name == "batched" else None
+    return (lambda: Correlator(sched, f, g)), (lambda c, t: c.at(t, stage=stage))
+
+
+@pytest.mark.parametrize("name", ["batched", "sqrt2", "triple"])
+def test_query_order_does_not_change_values(numpy_batches, name):
+    make, query = correlators(name)
+    fresh = [repr(query(make(), t).value) for t in ORDER_TIMES]
+    forward, backward = make(), make()
+    assert [repr(query(forward, t).value) for t in ORDER_TIMES] == fresh
+    assert [repr(query(backward, t).value) for t in ORDER_TIMES[::-1]] == fresh[::-1]
+    assert bool(numpy_batches) == (name == "batched")
+
+
+@pytest.mark.parametrize("name", ["batched", "sqrt2", "triple"])
+def test_level_loop_equals_depth_first_recursion(name):
+    make, query = correlators(name)
+    corr = make()
+    for t in ORDER_TIMES:
+        query(corr, t)
+        memo = {}
+        for n, level in corr._memo.items():
+            for x, v in level.items():
+                assert repr(v) == repr(depth_first(corr, n, x, memo))

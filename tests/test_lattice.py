@@ -9,6 +9,7 @@ NumPy arrays, and (a, b) pairs for Q(sqrt 2)) must return the same
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, product
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,8 +25,18 @@ from rank1flow import (
     symmetrize,
     thm44_schedule,
 )
+from rank1flow import schedule as schedule_module
 from rank1flow.scalars import sqrt2_sign
-from rank1flow.schedule import Lattice, LatticeStage, copy_windows, scalar_denominator
+from rank1flow.schedule import (
+    _NUMPY_MIN_WORK,
+    Lattice,
+    LatticeStage,
+    _fits_int64,
+    _sweep_batch,
+    copy_windows,
+    overlap_batch,
+    scalar_denominator,
+)
 
 
 def reference_overlap_pairs(stage, shift):
@@ -105,7 +116,7 @@ def test_engine_lattice_matches_scalar_loop(case, factor):
     sched, stage, shift = case
     scale = factor * stage.denominator * scalar_denominator(shift)
     lattice = Lattice(scale, isinstance(shift, Sqrt2) or isinstance(stage.h, Sqrt2))
-    got = sched.overlaps(stage.n, lattice.encode(shift), lattice=lattice)
+    (got,) = sched.overlaps(stage.n, [lattice.encode(shift)], lattice=lattice)
     assert [(lattice.decode(d), m) for d, m in got] == reference_overlap_pairs(stage, shift)
 
 
@@ -122,14 +133,99 @@ def test_schedule_caches_the_copy_windows(key):
         windows = sched.windows(2, x, lattice)
         assert windows == copy_windows(stage.on_lattice(lattice), x)
         assert sched.windows(2, x, lattice) is windows
-        assert Counter(chain.from_iterable(windows)) == Counter(dict(sched.overlaps(2, x, lattice)))
+        assert Counter(chain.from_iterable(windows)) == Counter(dict(sched.overlaps(2, [x], lattice)[0]))
 
 
-def test_numpy_sweep_runs_on_wide_stages():
-    sched = SCHEDULES["staircase", "rational"]
-    lattice = Lattice(sched.stage(3).denominator, False)
-    assert sched.stage(3).r == 64 and sched.stage(3).on_lattice(lattice).array is not None
-    assert sched.stage(2).r == 16 and sched.stage(2).on_lattice(lattice).array is None
+RATIONAL = sorted(key for key in SCHEDULES if key[1] == "rational")
+# offsets fit int64, but a batch of 8 shifts takes 8 h = 2**61 and
+# overflows the batched sweep's sort key: the Python sweep takes it
+WIDE = flat_schedule(4, h1=2**58).stage(1)
+SHIFT_KINDS = ["small", "offset_difference", "next_to_height", "empty_windows", "past_int64"]
+
+
+@st.composite
+def shift_batch(draw):
+    """A stage of a rational builder and a batch of scalar shifts for it."""
+    key = draw(st.sampled_from([*RATIONAL, None]))
+    stage = WIDE if key is None else SCHEDULES[key].stage(draw(st.integers(1, DEPTH[key])))
+    offs, h = stage.offsets, stage.h
+    unit = Fraction(1, 3 * stage.denominator)
+    shifts = []
+    for _ in range(draw(st.integers(min_value=1, max_value=80))):
+        kind = draw(st.sampled_from(SHIFT_KINDS))
+        if kind == "small":
+            x = draw(fractions) * h
+        elif kind == "offset_difference":
+            x = offs[draw(st.integers(0, stage.r - 1))] - offs[draw(st.integers(0, stage.r - 1))]
+        elif kind == "next_to_height":  # |x| at h_n, or one lattice unit off it
+            x = h + draw(st.integers(-1, 1)) * unit
+        elif kind == "empty_windows":  # every delta is at least x - o_r >= h_n
+            x = stage.h_next + draw(st.integers(0, 2)) * unit
+        else:
+            x = Fraction(2**64 + 1, 3)
+        shifts.append(x if draw(st.booleans()) else -x)
+    return stage, shifts, draw(st.integers(min_value=1, max_value=5))
+
+
+@settings(max_examples=120, deadline=None)
+@given(shift_batch())
+def test_overlap_batch_matches_scalar_loop(case):
+    """``overlap_batch`` and, wherever its values fit int64, the batched
+    NumPy sweep itself, whatever the batch rule picks: shift by shift,
+    the (delta, multiplicity) lists of the scalar loop."""
+    stage, shifts, factor = case
+    lattice = Lattice(factor * lcm(stage.denominator, *map(scalar_denominator, shifts)), False)
+    view, xs = stage.on_lattice(lattice), [lattice.encode(x) for x in shifts]
+    expected = [reference_overlap_pairs(stage, x) for x in shifts]
+
+    def decoded(batch):
+        return [[(lattice.decode(d), m) for d, m in pairs] for pairs in batch]
+
+    assert decoded(overlap_batch(view, xs)) == expected
+    if _fits_int64(view, xs):
+        assert decoded(_sweep_batch(view, xs, 10**6)) == expected
+
+
+def test_batches_past_int64_take_the_python_sweep(numpy_batches):
+    view = WIDE.on_lattice(Lattice(1, False))
+    xs = [i * view.h // 2 for i in range(-8, 8)]  # enough (shift, copy) pairs for NumPy, but 16 h = 2**62
+    assert view.array is not None and len(xs) * view.r >= _NUMPY_MIN_WORK and not _fits_int64(view, xs)
+    expected = [reference_overlap_pairs(WIDE, x) for x in xs]
+    assert overlap_batch(view, xs) == expected
+    past = [2**62, *xs[1:]]  # one shift past int64
+    assert overlap_batch(view, past) == [reference_overlap_pairs(WIDE, 2**62), *expected[1:]]
+    assert numpy_batches == []
+    assert _sweep_batch(view, xs[:4], 10**6) == expected[:4]  # 4 h = 2**60 fits
+
+
+@pytest.mark.parametrize("chunk", [1, 130, 8192])
+def test_sweep_splits_a_batch_into_chunks(monkeypatch, chunk):
+    """A chunk holds _CHUNK // r shifts, at least one."""
+    stage = SCHEDULES["staircase", "rational"].stage(3)
+    lattice = Lattice(stage.denominator, False)
+    view = stage.on_lattice(lattice)
+    xs = [lattice.encode(o - stage.offsets[9]) + k for o in stage.offsets[::4] for k in (-1, 0, 5)]
+    expected = [reference_overlap_pairs(stage, lattice.decode(x)) for x in xs]
+    monkeypatch.setattr(schedule_module, "_CHUNK", chunk)
+    assert [[(lattice.decode(d), m) for d, m in pairs] for pairs in _sweep_batch(view, xs, 10**6)] == expected
+
+
+@pytest.mark.parametrize("key, batched", [(("staircase", "rational"), True), (("thm44", "sqrt2"), False)])
+def test_overlap_cache_stops_at_the_guard(numpy_batches, key, batched):
+    sched = SCHEDULES[key]
+    fresh = Schedule(sched._params, h1=sched.h1, w1=sched.w1, mode=sched.mode)
+    stage = fresh.stage(3)
+    lattice = Lattice(3 * stage.denominator, key[1] == "sqrt2")
+    xs = [lattice.encode(Fraction(i, 3)) for i in range(-40, 40)]
+    expected = [overlap_pairs(stage.on_lattice(lattice), x) for x in xs]
+    guard = max(map(len, expected)) + 1
+    assert len(xs) > guard
+    numpy_batches.clear()
+    assert fresh.overlaps(3, xs, lattice, guard=guard) == expected
+    assert bool(numpy_batches) == batched
+    assert len(fresh._overlap_cache) == guard
+    assert fresh.overlaps(3, xs[::-1], lattice, guard=guard) == expected[::-1]
+    assert len(fresh._overlap_cache) == guard
 
 
 def test_python_sweep_beyond_int64():

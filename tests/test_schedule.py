@@ -114,9 +114,9 @@ def test_overlap_fast_path_matches_generic(small_staircase):
     shift = Fraction(5, 4)
     direct = overlap_pairs(st, shift)
     lattice = Lattice(st.denominator * 4, False)
-    cached = small_staircase.overlaps(2, lattice.encode(shift), lattice)
+    (cached,) = small_staircase.overlaps(2, [lattice.encode(shift)], lattice)
     assert [(lattice.decode(d), m) for d, m in cached] == direct
-    assert small_staircase.overlaps(2, lattice.encode(shift), lattice) is cached
+    assert small_staircase.overlaps(2, [lattice.encode(shift)], lattice)[0] is cached
     assert all(isinstance(d, Fraction) for d, _ in direct)
 
 
