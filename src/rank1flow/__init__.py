@@ -40,15 +40,8 @@ from .errors import (
 from .oracle import oracle_correlate, oracle_m_correlate
 from .scalars import SQRT2, Sqrt2, coerce, scalar_from_string, scalar_to_string
 from .schedule import (
-    Constant,
-    ExplicitList,
     FinitenessVerdict,
-    FractionSplit,
-    PairedGaps,
     Schedule,
-    SpacerMap,
-    Staircase,
-    Symmetrized,
     TowerStage,
     finiteness_test,
     overlap_pairs,

@@ -27,16 +27,26 @@ from numbers import Real
 
 from .errors import ConfigurationError
 from .scalars import Sqrt2, ceil_scalar, coerce, scalar_to_string
-from .schedule import (
-    Constant,
-    ExplicitList,
-    FractionSplit,
-    PairedGaps,
-    Schedule,
-    Staircase,
-)
+from .schedule import Schedule
 
 DEFAULT_R_CAP = 4096
+
+
+def staircase(u, r: int) -> list:
+    """The staircase roof s(j) = (j - 1) * u, j = 1..r."""
+    return [j * u for j in range(r)]
+
+
+def fraction_split(q: int, s, r: int) -> list:
+    """s(j) = 0 for j <= ceil(r/q), s(j) = s on the top (q-1)/q fraction."""
+    cut = -(-r // q)
+    return [0 if j < cut else s for j in range(r)]
+
+
+def paired_gaps(gaps, separators) -> list:
+    """k adjacent pairs of copies (r = 2k): gap g_i above copy 2i-1,
+    separator a_i above copy 2i; a_k is the final top spacer."""
+    return [v for pair in zip(gaps, separators) for v in pair]
 
 
 def _geometry(h1, w1, mode, /, **more) -> dict:
@@ -51,7 +61,7 @@ def flat_schedule(r: int = 2, h1=1, w1=1, mode="rational") -> Schedule:
         raise ConfigurationError("flat schedule needs r > 1")
 
     def params(n, h, w):
-        return r, Constant(0)
+        return r, [0] * r
 
     meta = {"kind": "flat", "r": r, **_geometry(h1, w1, mode, mode=mode)}
     return Schedule(params, h1=h1, w1=w1, mode=mode, name=f"flat(r={r})", meta=meta)
@@ -84,8 +94,8 @@ def staircase34_schedule(
     def params(n, h, w):
         r = cuts(n)
         if n in stairs:
-            return r, Staircase(Fraction(1, isqrt(r)))
-        return r, Constant(0)
+            return r, staircase(Fraction(1, isqrt(r)), r)
+        return r, [0] * r
 
     return Schedule(
         params,
@@ -120,11 +130,11 @@ def asym49_schedule(
     def params(n, h, w):
         phase = (n - 1) % period
         if phase == 0:
-            return 5, ExplicitList((0, 1, 1, 2, 2))
+            return 5, (0, 1, 1, 2, 2)
         if phase == 1:
-            i = (n - 1) // period
-            return min(n_periods_growing_base * 2**i, r_cap), Constant(0)
-        return 2, Constant(0)
+            r = min(n_periods_growing_base * 2 ** ((n - 1) // period), r_cap)
+            return r, [0] * r
+        return 2, [0, 0]
 
     return Schedule(
         params,
@@ -238,11 +248,12 @@ def thm44_schedule(
         j = stages_seen.index(n) + 1  # visit counter within the class
         kind = cls[0]
         if kind == "L1":
-            s = cls[1]
-            return cuts(n), Constant(Sqrt2(0, s))
+            r = cuts(n)
+            return r, [Sqrt2(0, cls[1])] * r
         if kind == "L2":
             s, q = cls[1], cls[2]
-            return cuts(n), FractionSplit(q, s)
+            r = cuts(n)
+            return r, fraction_split(q, s, r)
         combo, l0 = cls[1], cls[2]
         k = len(combo)
         s_min, s_max = combo[0], combo[-1]
@@ -257,7 +268,7 @@ def thm44_schedule(
             gaps.append(g)
         seps = [j * t_j * s_max * growth**i for i in range(1, k + 1)]
         meta["m_times"].setdefault(label, []).append({"stage": n, "t": t_j})
-        return 2 * k, PairedGaps(tuple(gaps), tuple(seps))
+        return 2 * k, paired_gaps(gaps, seps)
 
     return Schedule(
         params,

@@ -57,6 +57,7 @@ from .stepfun import StepFunction, product_integral
 
 DEFAULT_GUARD = 10**6
 STAGE_MARGIN = 4
+MAX_STAGE = 64  # the deepest stage pick_stage looks at
 
 
 @dataclass
@@ -75,15 +76,15 @@ class WeakLimitTarget:
     s: Scalar = 0
 
 
-def pick_stage(schedule: Schedule, k: int, t_abs: Scalar, max_stage: int = 64) -> int:
-    """Smallest N >= k with h_N >= STAGE_MARGIN * (h_k + |t|)."""
+def pick_stage(schedule: Schedule, k: int, t_abs: Scalar) -> int:
+    """Smallest N >= k with h_N >= STAGE_MARGIN * (h_k + |t|), up to MAX_STAGE."""
     need = STAGE_MARGIN * (schedule.height(k) + t_abs)
     n = k
-    while n <= max_stage:
+    while n <= MAX_STAGE:
         if not schedule.height(n) < need:
             return n
         n += 1
-    raise RangeError(f"|t| = {float(t_abs):g} out of range: no stage up to {max_stage} is tall enough")
+    raise RangeError(f"|t| = {float(t_abs):g} out of range: no stage up to {MAX_STAGE} is tall enough")
 
 
 class MCorrelator:

@@ -13,7 +13,6 @@ import random
 from fractions import Fraction
 from math import isfinite
 
-from .builders import named_schedule
 from .correlate import (
     Correlator,
     FockComponent,
@@ -114,9 +113,8 @@ def resolve_schedule(spec: dict) -> Schedule:
     if doc is None:
         raise ConfigurationError("experiment spec needs a 'schedule' entry")
     if isinstance(doc, dict) and "kind" in doc and "stages" not in doc and "named" not in doc:
-        sched = named_schedule(doc["kind"], **_field(doc, "params", _dict, {}))
-    else:
-        sched = load_schedule(doc)
+        doc = {"named": doc}
+    sched = load_schedule(doc)
     if spec.get("symmetrize"):
         sched = symmetrize(sched)
     return sched

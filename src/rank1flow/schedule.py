@@ -1,13 +1,14 @@
 """Cutting-and-stacking schedules and exact tower geometry.
 
-A schedule assigns to every stage n >= 1 a cut number r_n > 1 and a spacer
-map s_n.  Stage n of the construction is a tower of height h_n and width
+A schedule assigns to every stage n >= 1 a cut number r_n > 1, the spacer
+heights s_n(1) .. s_n(r_n) and a bottom spacer (0 except on symmetrized
+towers).  Stage n of the construction is a tower of height h_n and width
 w_n; it is cut into r_n columns of width w_n / r_n, a spacer of height
 s_n(j) is put on top of column j, and the columns are stacked bottom to
 top.  Copy j of the stage-n tower therefore sits inside the stage-(n+1)
 tower at offset
 
-    o_1 = bottom spacer (0 unless the map carries one),
+    o_1 = bottom spacer,
     o_{j+1} = o_j + h_n + s_n(j),
 
 and h_{n+1} = o_{r_n} + h_n + s_n(r_n).
@@ -49,7 +50,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigurationError, ResourceError
-from .scalars import FLOAT_BITS, MODES, SQRT2_FLOAT, Scalar, Sqrt2, coerce, exact, scalar_to_string, sqrt2_sign, sqrt2_sorted
+from .scalars import FLOAT_BITS, MODES, SQRT2_FLOAT, Scalar, Sqrt2, coerce, exact, sqrt2_sign, sqrt2_sorted
 
 DEFAULT_DIGIT_BUDGET = 200_000  # bits allowed in a height numerator
 # A batch of shifts on int offsets is swept in NumPy when it holds at
@@ -63,145 +64,6 @@ DEFAULT_DIGIT_BUDGET = 200_000  # bits allowed in a height numerator
 _NUMPY_MIN_WORK = 64
 _CHUNK = 8192
 _INT64_SAFE = 2**61
-
-
-# ---------------------------------------------------------------------------
-# spacer maps
-# ---------------------------------------------------------------------------
-
-
-class SpacerMap:
-    """Base class: a map j -> s(j) >= 0 for j = 1..r, plus an optional
-    bottom spacer inserted underneath copy 1."""
-
-    bottom_spacer: Scalar = 0
-
-    def values(self, r: int) -> list:
-        raise NotImplementedError
-
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class ExplicitList(SpacerMap):
-    spacers: tuple
-    bottom_spacer: Scalar = 0
-
-    def values(self, r):
-        if len(self.spacers) != r:
-            raise ConfigurationError(
-                f"explicit spacer list has {len(self.spacers)} entries, need r={r}"
-            )
-        return list(self.spacers)
-
-    def to_json(self):
-        return {
-            "variant": "explicit",
-            "spacers": [scalar_to_string(v) for v in self.spacers],
-            "bottom": scalar_to_string(self.bottom_spacer),
-        }
-
-
-@dataclass(frozen=True)
-class Constant(SpacerMap):
-    c: Scalar = 0
-
-    def values(self, r):
-        return [self.c] * r
-
-    def to_json(self):
-        return {"variant": "constant", "c": scalar_to_string(self.c)}
-
-
-@dataclass(frozen=True)
-class Staircase(SpacerMap):
-    """s(j) = (j - 1) * u."""
-
-    u: Scalar
-
-    def values(self, r):
-        return [(j - 1) * self.u for j in range(1, r + 1)]
-
-    def to_json(self):
-        return {"variant": "staircase", "u": scalar_to_string(self.u)}
-
-
-@dataclass(frozen=True)
-class FractionSplit(SpacerMap):
-    """s(j) = 0 for j <= ceil(r/q), s(j) = s on the top (q-1)/q fraction."""
-
-    q: int
-    s: Scalar
-
-    def values(self, r):
-        cut = -(-r // self.q)  # ceil(r / q)
-        return [0 if j <= cut else self.s for j in range(1, r + 1)]
-
-    def to_json(self):
-        return {"variant": "fraction_split", "q": self.q, "s": scalar_to_string(self.s)}
-
-
-@dataclass(frozen=True)
-class PairedGaps(SpacerMap):
-    """k adjacent pairs (r = 2k): gap g_i above copy 2i-1, separator a_i
-    above copy 2i; a_k is the final top spacer."""
-
-    gaps: tuple
-    separators: tuple
-
-    def values(self, r):
-        k = len(self.gaps)
-        if len(self.separators) != k or r != 2 * k:
-            raise ConfigurationError("paired gaps need r = 2k with k gaps and k separators")
-        out = []
-        for i in range(k):
-            out.append(self.gaps[i])
-            out.append(self.separators[i])
-        return out
-
-    def to_json(self):
-        return {
-            "variant": "paired_gaps",
-            "gaps": [scalar_to_string(v) for v in self.gaps],
-            "separators": [scalar_to_string(v) for v in self.separators],
-        }
-
-
-@dataclass(frozen=True)
-class Symmetrized(SpacerMap):
-    """Palindromic respacing of an inner map with r_inner copies.
-
-    The symmetrized stage has r' = 2 r - 1 copies; read bottom to top
-    (including the bottom spacer) the gap sequence is
-
-        s(r), s(r-1), ..., s(1), s(1), s(2), ..., s(r),
-
-    which is the reflection of the original around the centre copy.
-    """
-
-    inner: SpacerMap
-    r_inner: int
-
-    @property
-    def bottom_spacer(self):  # type: ignore[override]
-        return self.inner.values(self.r_inner)[-1]
-
-    def values(self, r):
-        ri = self.r_inner
-        if r != 2 * ri - 1:
-            raise ConfigurationError(f"symmetrized map needs r = {2 * ri - 1}, got {r}")
-        s = self.inner.values(ri)
-        out = [s[ri - 1 - j] for j in range(1, ri)]  # s(r-1) .. s(1)
-        out.extend(s[j] for j in range(ri))  # s(1) .. s(r)
-        return out
-
-    def to_json(self):
-        return {
-            "variant": "symmetrized",
-            "r_inner": self.r_inner,
-            "inner": self.inner.to_json(),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +211,15 @@ class TowerStage:
 
 
 class Schedule:
-    """A deterministic generator n -> (r_n, SpacerMap_n) plus base data.
+    """A deterministic generator n -> (r_n, spacers_n, bottom_n) plus base data.
 
-    ``params`` is called with (n, h_n, w_n) so that spacer maps may depend
-    on the geometry built so far; stages are computed in order and cached,
-    so the callback sees a consistent, reproducible history.
+    ``params(n, h_n, w_n)`` returns ``(r, spacers)`` or ``(r, spacers,
+    bottom)``: the cut number, the r spacer heights s_n(1) .. s_n(r) as a
+    sequence, and the bottom spacer (default 0).  It sees the geometry
+    built so far, so spacers may depend on it; stages are computed in
+    order and cached, so the callback sees a consistent, reproducible
+    history.  A value that repeats should be one repeated object: each
+    object is coerced and encoded once.
     """
 
     def __init__(
@@ -398,16 +264,15 @@ class Schedule:
             prev = self._stages[-1]
             h, w, mu = prev.h_next, prev.w_next, prev.measure + prev.spacer_mass_added
         self._check_budget(m, h)
-        r, smap = self._params(m, h, w)
+        r, values, *bottom = self._params(m, h, w)
         if r <= 1:
             raise ConfigurationError(f"r_{m} = {r}; cut numbers must exceed 1")
+        if len(values) != r:
+            raise ConfigurationError(f"stage {m} has {len(values)} spacers, need r_{m} = {r}")
         mode, sqrt2 = self.mode, self.mode == "sqrt2"
-        values = smap.values(r)
-        # the spacer maps repeat one object for a repeated value: each
-        # object is coerced and encoded once
         scalar = {i: coerce(v, mode) for i, v in {id(v): v for v in values}.items()}
         spacers = [scalar[id(v)] for v in values]
-        bottom = coerce(smap.bottom_spacer, mode)
+        bottom = coerce(bottom[0] if bottom else 0, mode)
         ids = [id(v) for v in values[:-1]]  # s(1) .. s(r-1) step the offsets; s(r) enters only h_{n+1}
         inner = {i: scalar[i] for i in ids}
         scale = lcm(scalar_denominator(h), scalar_denominator(bottom), *map(scalar_denominator, inner.values()))
@@ -675,6 +540,14 @@ def _sweep_chunk(stage: LatticeStage, shifts: list, guard: int) -> list:
     return [pairs[i:j] for i, j in zip([0, *ends], ends)]
 
 
+def reflected(spacers) -> tuple:
+    """The palindromic respacing of s(1) .. s(r): the 2r - 1 spacers
+    s(r-1), ..., s(1), s(1), s(2), ..., s(r) and the bottom spacer s(r).
+    Read bottom to top, bottom spacer first, the gaps are the reflection
+    of the original around the centre copy."""
+    return [*spacers[-2::-1], *spacers], spacers[-1]
+
+
 def symmetrize(schedule: Schedule) -> Schedule:
     """Palindromic respacing: r'_n = 2 r_n - 1, spacers reflected around
     the centre copy, with the original top spacer duplicated underneath
@@ -686,7 +559,7 @@ def symmetrize(schedule: Schedule) -> Schedule:
             raise ConfigurationError(
                 f"stage {n} already carries a bottom spacer; symmetrizing it is not defined"
             )
-        return 2 * st.r - 1, Symmetrized(ExplicitList(tuple(st.spacers)), st.r)
+        return (2 * st.r - 1, *reflected(st.spacers))
 
     return Schedule(
         params,

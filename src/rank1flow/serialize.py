@@ -4,6 +4,9 @@ Schedules:  {"mode", "h1", "w1", "stages": [{"r", "spacer": {...}}, ...]}
             or {"named": {"kind", "params"}}, where a builder's params carry
             any h1, w1 or mode; builders record every argument in their
             meta, so a named document rebuilds the schedule at every depth.
+            A "spacer" object names a "variant" (explicit, constant,
+            staircase, fraction_split, paired_gaps, symmetrized) and is
+            read into the entry's spacer list and bottom spacer.
 Exact scalars travel as strings "p/q" and "p/q+p'/q'*sqrt2".
 A "stages" document repeats its last entry for all deeper stages.
 """
@@ -12,40 +15,35 @@ from __future__ import annotations
 
 import json
 
-from .builders import named_schedule
+from .builders import fraction_split, named_schedule, paired_gaps, staircase
 from .errors import ConfigurationError
 from .scalars import scalar_from_string, scalar_to_string
-from .schedule import (
-    Constant,
-    ExplicitList,
-    FractionSplit,
-    PairedGaps,
-    Schedule,
-    Staircase,
-    Symmetrized,
-)
+from .schedule import Schedule, reflected
 
 
-def spacer_map_from_json(doc: dict):
+def spacers_from_json(doc: dict, r: int) -> tuple:
+    """The (spacers, bottom) of a stage entry's "spacer" object, for its r."""
     variant = doc.get("variant")
     if variant == "explicit":
-        return ExplicitList(
-            tuple(scalar_from_string(s) for s in doc["spacers"]),
-            bottom_spacer=scalar_from_string(doc.get("bottom", "0")),
-        )
+        return [scalar_from_string(s) for s in doc["spacers"]], scalar_from_string(doc.get("bottom", "0"))
     if variant == "constant":
-        return Constant(scalar_from_string(doc["c"]))
+        return [scalar_from_string(doc["c"])] * r, 0
     if variant == "staircase":
-        return Staircase(scalar_from_string(doc["u"]))
+        return staircase(scalar_from_string(doc["u"]), r), 0
     if variant == "fraction_split":
-        return FractionSplit(int(doc["q"]), scalar_from_string(doc["s"]))
+        return fraction_split(int(doc["q"]), scalar_from_string(doc["s"]), r), 0
     if variant == "paired_gaps":
-        return PairedGaps(
-            tuple(scalar_from_string(s) for s in doc["gaps"]),
-            tuple(scalar_from_string(s) for s in doc["separators"]),
-        )
+        gaps, separators = doc["gaps"], doc["separators"]
+        if len(gaps) != len(separators):
+            raise ConfigurationError(
+                f"paired gaps need one separator per gap: {len(gaps)} gaps, {len(separators)} separators"
+            )
+        return paired_gaps(map(scalar_from_string, gaps), map(scalar_from_string, separators)), 0
     if variant == "symmetrized":
-        return Symmetrized(spacer_map_from_json(doc["inner"]), int(doc["r_inner"]))
+        r_inner = int(doc["r_inner"])
+        if r != 2 * r_inner - 1:
+            raise ConfigurationError(f"symmetrized spacers need r = {2 * r_inner - 1}, got {r}")
+        return reflected(spacers_from_json(doc["inner"], r_inner)[0])
     raise ConfigurationError(f"unknown spacer variant {variant!r}")
 
 
@@ -61,6 +59,11 @@ def schedule_from_json(doc: dict) -> Schedule:
         named = doc["named"]
         if not isinstance(named, dict) or "kind" not in named or not isinstance(named.get("params", {}), dict):
             raise ConfigurationError("'named' must be an object with a 'kind' and an optional 'params' object")
+        unknown = sorted(set(named) - {"kind", "params"})
+        if unknown:
+            raise ConfigurationError(
+                f"a named schedule takes only 'kind' and 'params', not {unknown}; builder parameters go in 'params'"
+            )
         return named_schedule(named["kind"], **named.get("params", {}))
     mode = doc.get("mode", "rational")
     stages = doc.get("stages")
@@ -69,7 +72,10 @@ def schedule_from_json(doc: dict) -> Schedule:
     try:
         h1 = scalar_from_string(doc.get("h1", "1"))
         w1 = scalar_from_string(doc.get("w1", "1"))
-        parsed = [(int(st["r"]), spacer_map_from_json(st["spacer"])) for st in stages]
+        parsed = []
+        for st in stages:
+            r = int(st["r"])
+            parsed.append((r, *spacers_from_json(st["spacer"], r)))
     except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
         raise ConfigurationError(f"malformed 'stages' schedule document: {exc!r}") from None
 

@@ -33,6 +33,8 @@ from .errors import ConfigurationError, ResourceError
 from .scalars import Scalar, Sqrt2, exact, scalar_from_string, scalar_to_string, sqrt2_float, sqrt2_sorted
 from .schedule import Lattice, scalar_denominator
 
+MAX_BREAKPOINTS = 2_000_000  # the most breakpoints lift builds per stage
+
 
 @dataclass
 class StepFunction:
@@ -249,7 +251,7 @@ def product_integral(functions: Sequence[StepFunction], shifts: Sequence, lattic
     return total
 
 
-def lift(schedule, f: StepFunction, target_stage: int, max_breakpoints: int = 2_000_000) -> StepFunction:
+def lift(schedule, f: StepFunction, target_stage: int) -> StepFunction:
     """The stage-N function equal to f on every copy of its stage and 0 on
     all spacer levels, materialized explicitly.
 
@@ -274,7 +276,7 @@ def lift(schedule, f: StepFunction, target_stage: int, max_breakpoints: int = 2_
                 bps.append(o + b)
                 vals.append(v)
             pos = o + cur.breakpoints[-1]
-            if len(bps) > max_breakpoints:
+            if len(bps) > MAX_BREAKPOINTS:
                 raise ResourceError("lift breakpoint blowup")
         if pos < h_next:
             bps.append(h_next)

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -146,6 +148,29 @@ def test_plot_csv_has_header_comment(tmp_path, audit_spec):
         ("stage-audit", {"schedule": {"kind": "asym49", "params": {"r_cap": "x"}}, "depth": 4}),
         ("stage-audit", {"schedule": {"named": {"params": {}}}}),
         ("stage-audit", {"schedule": {"stages": [{"r": 2}]}}),
+        ("stage-audit", {"schedule": {"stages": [{"r": 3, "spacer": {"variant": "explicit", "spacers": ["0"]}}]}}),
+        (
+            "stage-audit",
+            {"schedule": {"stages": [{"r": 4, "spacer": {"variant": "paired_gaps", "gaps": ["1"], "separators": []}}]}},
+        ),
+        (
+            "stage-audit",
+            {
+                "schedule": {
+                    "stages": [{"r": 4, "spacer": {"variant": "symmetrized", "r_inner": 2, "inner": {"variant": "staircase", "u": "1"}}}]
+                }
+            },
+        ),
+        (
+            "stage-audit",
+            {
+                "schedule": {
+                    "stages": [
+                        {"r": 3, "spacer": {"variant": "symmetrized", "r_inner": 2, "inner": {"variant": "explicit", "spacers": ["0"]}}}
+                    ]
+                }
+            },
+        ),
         ("stage-audit", {"schedule": "no-such-schedule.json"}),
         ("weak-limit", {"schedule": {"kind": "flat", "params": {"r": 2}}, "times": []}),
         ("weak-limit", {"schedule": {"kind": "flat", "params": {"r": 2}}, "times": ["1/2"], "family_size": 0}),
@@ -166,6 +191,10 @@ def test_plot_csv_has_header_comment(tmp_path, audit_spec):
         "param-read-at-build-time",
         "named-without-kind",
         "stage-without-spacer",
+        "spacer-list-too-short",
+        "paired-gaps-without-a-separator",
+        "symmetrized-r-mismatch",
+        "symmetrized-inner-too-short",
         "missing-schedule-file",
         "no-times",
         "empty-family",
@@ -183,3 +212,25 @@ def test_malformed_spec_fields_exit_two(tmp_path, kind, spec):
     result = invoke([kind, "--spec", write_spec(tmp_path, "bad.json", spec), "--out", str(tmp_path / "o")])
     assert result.exit_code == 2, result.output
     assert "error:" in result.output
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [{"kind": "flat", "r": 3}, {"named": {"kind": "flat", "r": 3}}],
+    ids=["kind-form", "named-form"],
+)
+def test_unknown_schedule_key_exits_two_naming_it(tmp_path, schedule):
+    result = invoke(["stage-audit", "--spec", write_spec(tmp_path, "bad.json", {"schedule": schedule})])
+    assert result.exit_code == 2
+    assert "['r']" in result.output
+
+
+def test_readme_cli_example_runs_as_written(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    spec = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    out = tmp_path / "out"
+    result = invoke(["stage-audit", "--spec", write_spec(tmp_path, "audit.json", spec), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    items = json.loads((out / "report.json").read_text())["result"]["items"]
+    assert len(items) == spec["depth"]
+    assert max(item["r"] for item in items) <= spec["schedule"]["params"]["r_cap"]

@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rank1flow import (
-    ExplicitList,
     Schedule,
     Sqrt2,
     asym49_schedule,
@@ -275,7 +274,7 @@ def test_float_filter_defers_near_ties_to_the_exact_sign():
     # offsets 0 < 1 + eps < 3 + eps with eps = 99 - 70 sqrt 2; shifts that
     # put a window end within (3 + 2 sqrt 2)**-n of an offset, where the
     # float offsets of the view cannot tell the side
-    spacers = ExplicitList((Sqrt2(99, -70), Sqrt2(1), Sqrt2(0)))
+    spacers = (Sqrt2(99, -70), Sqrt2(1), Sqrt2(0))
     stage = Schedule(lambda n, h, w: (3, spacers), mode="sqrt2").stage(1)
     assert stage.on_lattice(Lattice(1, True)).floats is not None
     offs = stage.offsets

@@ -6,7 +6,6 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from rank1flow import (
-    ExplicitList,
     Schedule,
     Sqrt2,
     correlate,
@@ -37,7 +36,7 @@ def schedules(draw, max_stages=3, max_r=4):
 
     def params(n, h, w):
         r, spacers = entries[min(n - 1, len(entries) - 1)]
-        return r, ExplicitList(tuple(spacers[:r]))
+        return r, spacers[:r]
 
     return Schedule(params)
 

@@ -5,8 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rank1flow import (
-    Constant,
-    ExplicitList,
     Schedule,
     Sqrt2,
     asym49_schedule,
@@ -28,7 +26,7 @@ def explicit_schedule(entries):
 
     def params(n, h, w):
         r, spacers = entries[min(n - 1, len(entries) - 1)]
-        return r, ExplicitList(tuple(spacers))
+        return r, spacers
 
     return Schedule(params)
 
@@ -79,6 +77,13 @@ def test_cut_number_must_exceed_one():
     sched = explicit_schedule([(1, (0,))])
     with pytest.raises(ConfigurationError):
         sched.stage(1)
+
+
+def test_spacer_list_of_wrong_length_names_the_stage():
+    sched = Schedule(lambda n, h, w: (3, [0, 0, 0] if n < 3 else [0, 0]))
+    assert sched.stage(2).r == 3
+    with pytest.raises(ConfigurationError, match="stage 3 has 2 spacers, need r_3 = 3"):
+        sched.stage(3)
 
 
 def test_negative_spacer_rejected():
@@ -136,7 +141,7 @@ def test_finiteness_flat_is_zero(flat2):
 def test_finiteness_diverges_on_fat_spacers():
     # s(j) = h on both copies: each stage adds mass comparable to the tower
     def params(n, h, w):
-        return 2, ExplicitList((h, h))
+        return 2, (h, h)
 
     sched = Schedule(params)
     verdict = finiteness_test(sched, 5)
@@ -209,9 +214,9 @@ def reference_stages(sched, depth):
     mode = sched.mode
     h, w, mu = sched.h1, sched.w1, sched.h1 * sched.w1
     for n in range(1, depth + 1):
-        r, smap = sched._params(n, h, w)
-        spacers = [coerce(v, mode) for v in smap.values(r)]
-        bottom = coerce(smap.bottom_spacer, mode)
+        r, values, *bottom = sched._params(n, h, w)
+        spacers = [coerce(v, mode) for v in values]
+        bottom = coerce(bottom[0] if bottom else 0, mode)
         offsets = [bottom]
         for j in range(r - 1):
             offsets.append(offsets[-1] + h + spacers[j])
@@ -257,13 +262,13 @@ BUILDS = {
     "symmetrized_thm44": (lambda mode: symmetrize(thm44_schedule(s_values=(2,), q_max=1, k_max=1, r_cap=6)), 5),
     # s(r) = 1/7 enters only h_{n+1}: the stage lattice does not take it
     "last_spacer_alone": (
-        lambda mode: Schedule(lambda n, h, w: (3, ExplicitList((1, 0, Fraction(n, 7)))), mode=mode),
+        lambda mode: Schedule(lambda n, h, w: (3, (1, 0, Fraction(n, 7))), mode=mode),
         4,
     ),
     # h = 1/2 and s = 1/2 or 3/2: the steps h + s are whole, D_n still takes h
     "cancelling_denominators": (
         lambda mode: Schedule(
-            lambda n, h, w: (3, ExplicitList((Fraction(1, 2), Fraction(3, 2), 1), bottom_spacer=Fraction(1, 3))),
+            lambda n, h, w: (3, (Fraction(1, 2), Fraction(3, 2), 1), Fraction(1, 3)),
             h1=Fraction(1, 2),
             mode=mode,
         ),
@@ -308,7 +313,7 @@ def explicit_builds(draw):
     def build():
         def params(n, h, w):
             r, spacers, bottom = entries[min(n - 1, len(entries) - 1)]
-            return r, ExplicitList(spacers, bottom_spacer=bottom)
+            return r, spacers, bottom
 
         return Schedule(params, h1=h1, mode=mode)
 
@@ -327,17 +332,17 @@ def test_lattice_build_matches_scalar_build_on_random_spacers(build, depth):
     ids=["inner", "last"],
 )
 def test_negative_sqrt2_spacer_rejected(spacers):
-    sched = Schedule(lambda n, h, w: (3, ExplicitList(spacers)), mode="sqrt2")
+    sched = Schedule(lambda n, h, w: (3, spacers), mode="sqrt2")
     with pytest.raises(ConfigurationError, match="negative spacer at stage 1"):
         sched.stage(1)
     # -1 + sqrt 2 > 0 although its rational part is negative
-    assert Schedule(lambda n, h, w: (2, Constant(Sqrt2(-1, 1))), mode="sqrt2").stage(2).h > 0
+    assert Schedule(lambda n, h, w: (2, [Sqrt2(-1, 1)] * 2), mode="sqrt2").stage(2).h > 0
 
 
 @pytest.mark.parametrize(("h1", "w1"), [(0, 1), (1, 0), (-1, 1), (Sqrt2(1, -1), 1)])
 def test_base_data_must_be_positive(h1, w1):
     with pytest.raises(ConfigurationError, match="must be positive"):
-        Schedule(lambda n, h, w: (2, Constant(0)), h1=h1, w1=w1, mode="sqrt2")
+        Schedule(lambda n, h, w: (2, [0, 0]), h1=h1, w1=w1, mode="sqrt2")
 
 
 @pytest.mark.parametrize(
@@ -346,7 +351,7 @@ def test_base_data_must_be_positive(h1, w1):
 )
 def test_digit_budget_counts_every_height_component(mode, h1, spacer):
     # h_2 = 2 h_1 + 2**41 (times sqrt 2 in the second case): 42 bits
-    sched = Schedule(lambda n, h, w: (2, Constant(spacer)), h1=h1, mode=mode, digit_budget=32)
+    sched = Schedule(lambda n, h, w: (2, [spacer] * 2), h1=h1, mode=mode, digit_budget=32)
     assert sched.stage(1).h == h1
     with pytest.raises(ResourceError, match=r"digit budget exceeded at stage 2: .* 42 bits, .* 32 bits"):
         sched.stage(4)

@@ -12,6 +12,7 @@ from rank1flow import (
     thm44_schedule,
 )
 from rank1flow.errors import ConfigurationError
+from rank1flow.scalars import scalar_to_string
 
 
 def same_geometry(a, b, depth=5):
@@ -135,3 +136,74 @@ def test_malformed_named_document_rejected(named):
 def test_malformed_stages_document_rejected(doc):
     with pytest.raises(ConfigurationError):
         schedule_from_json(doc)
+
+
+def _stage(r, spacer, mode="rational"):
+    return {"mode": mode, "stages": [{"r": r, "spacer": spacer}]}
+
+
+@pytest.mark.parametrize(
+    ("doc", "spacers", "bottom", "offsets"),
+    [
+        (
+            _stage(3, {"variant": "explicit", "spacers": ["1/2", "0", "2"], "bottom": "1/3"}),
+            ["1/2", "0", "2"],
+            "1/3",
+            ["1/3", "11/6", "17/6"],
+        ),
+        (_stage(3, {"variant": "constant", "c": "1/4"}), ["1/4"] * 3, "0", ["0", "5/4", "5/2"]),
+        (
+            _stage(3, {"variant": "constant", "c": "0+1*sqrt2"}, mode="sqrt2"),
+            ["0+1*sqrt2"] * 3,
+            "0",
+            ["0", "1+1*sqrt2", "2+2*sqrt2"],
+        ),
+        (_stage(4, {"variant": "staircase", "u": "1/2"}), ["0", "1/2", "1", "3/2"], "0", ["0", "1", "5/2", "9/2"]),
+        (
+            _stage(5, {"variant": "fraction_split", "q": 2, "s": "3"}),
+            ["0", "0", "0", "3", "3"],
+            "0",
+            ["0", "1", "2", "3", "7"],
+        ),
+        (
+            _stage(4, {"variant": "paired_gaps", "gaps": ["1", "2"], "separators": ["5", "7"]}),
+            ["1", "5", "2", "7"],
+            "0",
+            ["0", "2", "8", "11"],
+        ),
+        (
+            _stage(5, {"variant": "symmetrized", "r_inner": 3, "inner": {"variant": "staircase", "u": "1"}}),
+            ["1", "0", "0", "1", "2"],
+            "2",
+            ["2", "4", "5", "6", "8"],
+        ),
+        (
+            _stage(
+                7,
+                {"variant": "symmetrized", "r_inner": 4, "inner": {"variant": "fraction_split", "q": 2, "s": "1/2"}},
+            ),
+            ["1/2", "0", "0", "0", "0", "1/2", "1/2"],
+            "1/2",
+            ["1/2", "2", "3", "4", "5", "6", "15/2"],
+        ),
+    ],
+    ids=[
+        "explicit-with-bottom",
+        "constant",
+        "constant-sqrt2",
+        "staircase",
+        "fraction_split",
+        "paired_gaps",
+        "symmetrized-staircase",
+        "symmetrized-fraction_split",
+    ],
+)
+def test_every_spacer_variant_builds_its_stage(doc, spacers, bottom, offsets):
+    sched = schedule_from_json(doc)
+    st = sched.stage(1)
+    assert [scalar_to_string(v) for v in st.spacers] == spacers
+    assert scalar_to_string(st.bottom) == bottom
+    assert [scalar_to_string(o) for o in st.offsets] == offsets
+    # the last entry repeats, on the next stage's height
+    assert [scalar_to_string(v) for v in sched.stage(2).spacers] == spacers
+
