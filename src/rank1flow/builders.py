@@ -157,7 +157,7 @@ def asym49_schedule(
 # ---------------------------------------------------------------------------
 
 
-def _class_list(s_values, q_max, k_max, l0_max=None):
+def _class_list(s_values, q_max, k_max):
     classes = []
     for s in s_values:
         for q in range(1, q_max + 1):
@@ -166,8 +166,7 @@ def _class_list(s_values, q_max, k_max, l0_max=None):
     svals = sorted(s_values)
     for k in range(1, k_max + 1):
         for combo in _ascending_tuples(svals, k):
-            top = k if l0_max is None else min(k, l0_max)
-            for l0 in range(1, top + 1):
+            for l0 in range(1, k + 1):
                 classes.append(("M", combo, l0))
     return classes
 

@@ -50,12 +50,12 @@ from itertools import chain, product
 from math import lcm, prod
 from typing import Callable, Sequence
 
+from . import schedule as geometry
 from .errors import RangeError, ResourceError
 from .scalars import Scalar, Sqrt2, exact
 from .schedule import Lattice, Schedule, rescaled, scalar_denominator, within
 from .stepfun import StepFunction, product_integral
 
-DEFAULT_GUARD = 10**6
 STAGE_MARGIN = 4
 MAX_STAGE = 64  # the deepest stage pick_stage looks at
 
@@ -103,7 +103,7 @@ class MCorrelator:
     (delta, multiplicity) sequence per shift.
     """
 
-    def __init__(self, schedule: Schedule, functions: Sequence[StepFunction], guard: int = DEFAULT_GUARD):
+    def __init__(self, schedule: Schedule, functions: Sequence[StepFunction]):
         if len(functions) < 2:
             raise RangeError("m-point correlation needs m >= 2")
         if len({f.stage for f in functions}) != 1:
@@ -111,7 +111,6 @@ class MCorrelator:
         self.schedule = schedule
         self.functions = list(functions)
         self.k = functions[0].stage
-        self.guard = guard
         self._scale = lcm(*(f.denominator for f in functions))
         self._sqrt2 = schedule.mode == "sqrt2" or any(f.sqrt2 for f in functions)
         self._lattice = Lattice(self._scale, self._sqrt2)
@@ -150,15 +149,15 @@ class MCorrelator:
         at once for all the shifts it needs that the memo lacks; bottom up,
         each new value is summed over its step in the step's order, as a
         depth-first recursion would."""
-        memo = self._memo
+        memo, guard = self._memo, geometry.GUARD
         top = memo[n]
         if x in top:
             return top[x]
         size, levels, xs = self._size, [], [x]
         while xs:
             size += len(xs)
-            if size > self.guard:
-                raise ResourceError(f"memo blowup near stage {n}: more than {self.guard} distinct shifts")
+            if size > guard:
+                raise ResourceError(f"memo blowup near stage {n}: more than {guard} distinct shifts")
             if n == self.k:
                 zero = (0, 0) if self._lattice.sqrt2 else 0
                 base = [
@@ -166,7 +165,7 @@ class MCorrelator:
                 ]
                 memo[n].update(zip(xs, base))
                 break
-            steps = self._step(n - 1, xs, self._lattice, self.guard)
+            steps = self._step(n - 1, xs, self._lattice)
             levels.append((memo[n], xs, steps))
             n -= 1
             xs = list({d for pairs in steps for d, _ in pairs}.difference(memo[n]))
@@ -181,14 +180,14 @@ class MCorrelator:
             n += 1
         return top[x]
 
-    def _windows(self, n: int, xs: list, lattice: Lattice, guard: int) -> list:
+    def _windows(self, n: int, xs: list, lattice: Lattice) -> list:
         """The m >= 3 step, called as :meth:`Schedule.overlaps`: for each
         shift tuple, the delta vectors of copy j0 with copies j'_i of the
         windows of each shift, j0 ascending, then the j'_i in product order."""
-        sched = self.schedule
+        sched, guard = self.schedule, geometry.GUARD
         steps = []
         for x in xs:
-            per_copy = zip(*(sched.windows(n, xi, lattice, guard=guard) for xi in x))
+            per_copy = zip(*(sched.windows(n, xi, lattice) for xi in x))
             groups: dict = {}
             _count_elements(groups, chain.from_iterable(product(*windows) for windows in per_copy))
             if len(groups) > guard:
@@ -207,13 +206,9 @@ class MCorrelator:
 
 
 def m_correlate(
-    schedule: Schedule,
-    functions: Sequence[StepFunction],
-    times: Sequence[Scalar],
-    guard: int = DEFAULT_GUARD,
-    stage: int | None = None,
+    schedule: Schedule, functions: Sequence[StepFunction], times: Sequence[Scalar], stage: int | None = None
 ) -> CorrelationResult:
-    return MCorrelator(schedule, functions, guard=guard).at(times, stage=stage)
+    return MCorrelator(schedule, functions).at(times, stage=stage)
 
 
 class Correlator(MCorrelator):
@@ -221,8 +216,8 @@ class Correlator(MCorrelator):
     the m = 2 case on (f, conj g) at times (t, 0), with a shift memo shared
     across query times."""
 
-    def __init__(self, schedule: Schedule, f: StepFunction, g: StepFunction, guard: int = DEFAULT_GUARD):
-        super().__init__(schedule, (f, g.conjugate()), guard)
+    def __init__(self, schedule: Schedule, f: StepFunction, g: StepFunction):
+        super().__init__(schedule, (f, g.conjugate()))
 
     def _bound(self, t: float, w: float) -> float:
         """The 2-point bound, half the m-point formula at m = 2."""
@@ -234,9 +229,9 @@ class Correlator(MCorrelator):
 
 
 def correlate(
-    schedule: Schedule, f: StepFunction, g: StepFunction, t: Scalar, guard: int = DEFAULT_GUARD, stage: int | None = None
+    schedule: Schedule, f: StepFunction, g: StepFunction, t: Scalar, stage: int | None = None
 ) -> CorrelationResult:
-    return Correlator(schedule, f, g, guard=guard).at(t, stage=stage)
+    return Correlator(schedule, f, g).at(t, stage=stage)
 
 
 def inner_product(schedule: Schedule, f: StepFunction, g: StepFunction) -> complex:
@@ -268,7 +263,6 @@ def weak_limit_probe(
     target: WeakLimitTarget,
     test_family: Sequence[tuple],
     threshold: float | None = None,
-    guard: int = DEFAULT_GUARD,
 ) -> WeakLimitReport:
     """Residuals r_j = max over (f, g) of
     |<U_T(t_j) f, g> - alpha <f, g> - beta <U_T(s) f, g>|.
@@ -276,7 +270,7 @@ def weak_limit_probe(
     Monotonicity is not asserted; the report only flags whether the final
     residual is below the caller's threshold.
     """
-    correlators = [Correlator(schedule, f, g, guard=guard) for f, g in test_family]
+    correlators = [Correlator(schedule, f, g) for f, g in test_family]
     base = []
     for corr, (f, g) in zip(correlators, test_family):
         ip = inner_product(schedule, f, g)
@@ -323,11 +317,11 @@ def perturbation_bound(form: Callable, magnitudes: Sequence, bounds: Sequence) -
     )
 
 
-def product_correlate(components: Sequence[tuple], t: Scalar, guard: int = DEFAULT_GUARD) -> CorrelationResult:
+def product_correlate(components: Sequence[tuple], t: Scalar) -> CorrelationResult:
     """Cartesian product flow: components are (schedule, scale, f, g)
     tuples; the value is the exact product of the per-component values at
     time scale * t, the bound that of a product of certified factors."""
-    results = [correlate(schedule, f, g, scale * t, guard=guard) for schedule, scale, f, g in components]
+    results = [correlate(schedule, f, g, scale * t) for schedule, scale, f, g in components]
     value = complex(1, 0)
     for r in results:
         value *= r.value
@@ -355,15 +349,13 @@ class FockComponent:
             raise RangeError("multiplicities must be >= 1")
 
 
-def component_correlate(
-    schedule: Schedule, component: FockComponent, t: Scalar, guard: int = DEFAULT_GUARD
-) -> CorrelationResult:
+def component_correlate(schedule: Schedule, component: FockComponent, t: Scalar) -> CorrelationResult:
     """prod_l <U_T(s_l t) f_l, f_l> ** n_l, bounded as a product with each
     factor repeated n_l times."""
     factors = []
     stage_used = 0
     for s_l, f_l in zip(component.shifts, component.vectors):
-        r = correlate(schedule, f_l, f_l, s_l * t, guard=guard)
+        r = correlate(schedule, f_l, f_l, s_l * t)
         factors.append(r)
         stage_used = max(stage_used, r.stage_used)
     value = complex(1, 0)

@@ -52,7 +52,8 @@ import numpy as np
 from .errors import ConfigurationError, ResourceError
 from .scalars import FLOAT_BITS, MODES, SQRT2_FLOAT, Scalar, Sqrt2, coerce, exact, sqrt2_sign, sqrt2_sorted
 
-DEFAULT_DIGIT_BUDGET = 200_000  # bits allowed in a height numerator
+GUARD = 10**6  # memo entries per query, delta vectors per m-tuple step, deltas per shift, cache entries
+DIGIT_BUDGET = 200_000  # bits in each component of a stage height on its own lattice
 # A batch of shifts on int offsets is swept in NumPy when it holds at
 # least _NUMPY_MIN_WORK (shift, copy) pairs.  NumPy costs some 55-80 us
 # per batch whatever its size; measured on stages with r = 4, 16 and 64,
@@ -230,7 +231,6 @@ class Schedule:
         mode: str = "rational",
         name: str = "custom",
         meta: Optional[dict] = None,
-        digit_budget: int = DEFAULT_DIGIT_BUDGET,
     ):
         if mode not in MODES:
             raise ConfigurationError(f"unknown scalar mode {mode!r}; choose from {list(MODES)}")
@@ -242,7 +242,6 @@ class Schedule:
         self.w1 = coerce(w1, mode)
         if not (self.h1 > 0 and self.w1 > 0):
             raise ConfigurationError(f"h1 = {h1!r} and w1 = {w1!r} must be positive")
-        self.digit_budget = digit_budget
         self._stages: list[TowerStage] = []
         self._overlap_cache: dict = {}
         self._window_cache: dict = {}
@@ -302,15 +301,15 @@ class Schedule:
         (its numerator, or both integers of (a + b*sqrt 2)/D) must fit."""
         a, b = Lattice(scalar_denominator(h), True).encode(h)
         bits = max(a.bit_length(), b.bit_length())
-        if bits > self.digit_budget:
+        if bits > DIGIT_BUDGET:
             raise ResourceError(
                 f"digit budget exceeded at stage {n}: the height needs {bits} bits, "
-                f"more than the budget of {self.digit_budget} bits"
+                f"more than the budget of {DIGIT_BUDGET} bits"
             )
 
     # -- convenience -----------------------------------------------------
 
-    def overlaps(self, n: int, shifts: list, lattice: Lattice, guard: int = 10**6) -> list:
+    def overlaps(self, n: int, shifts: list, lattice: Lattice) -> list:
         """Cached :func:`overlap_pairs` for stage n at each of *shifts*, in
         order, with the shifts and the deltas in the coordinates of
         *lattice*.  The shifts not in the cache are swept as one batch
@@ -325,21 +324,21 @@ class Schedule:
             found.append(pairs)
         if not missing:
             return found
-        swept = overlap_batch(self.stage(n).on_lattice(lattice), missing, guard)
-        for x, pairs in zip(missing[: max(guard - len(cache), 0)], swept):
+        swept = overlap_batch(self.stage(n).on_lattice(lattice), missing)
+        for x, pairs in zip(missing[: max(GUARD - len(cache), 0)], swept):
             cache[n, lattice, x] = pairs
         if len(missing) == len(found):
             return swept
         fresh = iter(swept)
         return [next(fresh) if pairs is None else pairs for pairs in found]
 
-    def windows(self, n: int, shift, lattice: Lattice, guard: int = 10**6) -> list:
+    def windows(self, n: int, shift, lattice: Lattice) -> list:
         """Cached :func:`copy_windows` for stage n, keyed as :meth:`overlaps`."""
         key = (n, lattice, shift)
         cached = self._window_cache.get(key)
         if cached is None:
             cached = copy_windows(self.stage(n).on_lattice(lattice), shift)
-            if len(self._window_cache) < guard:
+            if len(self._window_cache) < GUARD:
                 self._window_cache[key] = cached
         return cached
 
@@ -363,12 +362,12 @@ class FinitenessVerdict:
     horizon: int
 
 
-def finiteness_test(schedule: Schedule, horizon: int, budget: Scalar = 1) -> FinitenessVerdict:
+def finiteness_test(schedule: Schedule, horizon: int) -> FinitenessVerdict:
     """Partial sums of the finiteness criterion series
     sum_n h_n^{-1} r_n^{-1} sum_j s_n(j).
 
     Never claims convergence of the full series; reports "diverged" as
-    soon as the partial sum exceeds *budget*.
+    soon as the partial sum exceeds 1.
     """
     if horizon < 1:
         raise ConfigurationError("horizon must be >= 1")
@@ -379,12 +378,12 @@ def finiteness_test(schedule: Schedule, horizon: int, budget: Scalar = 1) -> Fin
         st = schedule.stage(n)
         total = total + st.spacer_mass_added / st.tower_measure
         sums.append(total)
-        if total > budget:
+        if total > 1:
             status = "diverged"
     return FinitenessVerdict(status=status, partial_sum=total, partial_sums=sums, horizon=horizon)
 
 
-def overlap_pairs(stage, shift, guard: int = 10**6) -> list:
+def overlap_pairs(stage, shift) -> list:
     """All distinct values delta = shift + o_{j'} - o_j with |delta| < h_n,
     each with the number of (j, j') pairs realizing it, in increasing order
     of delta.
@@ -395,17 +394,17 @@ def overlap_pairs(stage, shift, guard: int = 10**6) -> list:
     runs on the smallest lattice holding the stage and the shift.
     """
     if isinstance(stage, LatticeStage):
-        return _lattice_overlaps(stage, shift, guard)
+        return _lattice_overlaps(stage, shift)
     shift = exact(shift)
     lattice = Lattice(
         lcm(stage.denominator, scalar_denominator(shift)),
         isinstance(shift, Sqrt2) or isinstance(stage.h, Sqrt2),
     )
-    pairs = _lattice_overlaps(stage.on_lattice(lattice), lattice.encode(shift), guard)
+    pairs = _lattice_overlaps(stage.on_lattice(lattice), lattice.encode(shift))
     return [(lattice.decode(delta), mult) for delta, mult in pairs]
 
 
-def overlap_batch(stage: LatticeStage, shifts: list, guard: int = 10**6) -> list:
+def overlap_batch(stage: LatticeStage, shifts: list) -> list:
     """:func:`overlap_pairs` of a lattice stage at each of *shifts*, in order.
 
     The batch rule: int offsets are swept in NumPy, all shifts at once,
@@ -414,8 +413,8 @@ def overlap_batch(stage: LatticeStage, shifts: list, guard: int = 10**6) -> list
     takes the Python sweep.
     """
     if len(shifts) * stage.r >= _NUMPY_MIN_WORK and _fits_int64(stage, shifts):
-        return _sweep_batch(stage, shifts, guard)
-    return [overlap_pairs(stage, x, guard) for x in shifts]
+        return _sweep_batch(stage, shifts)
+    return [overlap_pairs(stage, x) for x in shifts]
 
 
 def _fits_int64(stage: LatticeStage, shifts) -> bool:
@@ -428,13 +427,11 @@ def _fits_int64(stage: LatticeStage, shifts) -> bool:
     )
 
 
-def _lattice_overlaps(stage: LatticeStage, shift, guard: int) -> list:
-    if stage.r >= _NUMPY_MIN_WORK and _fits_int64(stage, (shift,)):  # a batch of one
-        return _sweep_batch(stage, [shift], guard)[0]
+def _lattice_overlaps(stage: LatticeStage, shift) -> list:
     counts: dict = {}
     _count_elements(counts, chain.from_iterable(copy_windows(stage, shift)))
-    if len(counts) > guard:
-        raise ResourceError(f"overlap blowup at stage {stage.n}: more than {guard} deltas")
+    if len(counts) > GUARD:
+        raise ResourceError(f"overlap blowup at stage {stage.n}: more than {GUARD} deltas")
     if type(stage.h) is tuple:
         return [(delta, counts[delta]) for delta in sqrt2_sorted(counts)]
     return sorted(counts.items())
@@ -506,16 +503,16 @@ def _pair_windows(stage: LatticeStage, shift) -> list:
     return windows
 
 
-def _sweep_batch(stage: LatticeStage, shifts: list, guard: int) -> list:
+def _sweep_batch(stage: LatticeStage, shifts: list) -> list:
     """:func:`overlap_pairs` at every shift of a batch on int64 offsets:
     the windows of :func:`copy_windows` of all (shift, copy) pairs found by
     one ``searchsorted`` each way, their deltas sorted by (shift, delta)
     and counted.  The same sorted (delta, multiplicity) list per shift."""
     step = max(1, _CHUNK // stage.r)
-    return [pairs for i in range(0, len(shifts), step) for pairs in _sweep_chunk(stage, shifts[i : i + step], guard)]
+    return [pairs for i in range(0, len(shifts), step) for pairs in _sweep_chunk(stage, shifts[i : i + step])]
 
 
-def _sweep_chunk(stage: LatticeStage, shifts: list, guard: int) -> list:
+def _sweep_chunk(stage: LatticeStage, shifts: list) -> list:
     offs, h, count = stage.array, stage.h, len(shifts)
     base = np.array(shifts, dtype=np.int64)[:, None] - offs  # shift - o_j, one row per shift
     a = np.searchsorted(offs, (-h - base).ravel(), side="right")  # first j' with o_j' > o_j - shift - h
@@ -533,8 +530,8 @@ def _sweep_chunk(stage: LatticeStage, shifts: list, guard: int) -> list:
     first = np.flatnonzero(np.diff(keys, prepend=0))
     row, delta = np.divmod(keys[first], 2 * h)
     per_row = np.bincount(row, minlength=count)
-    if per_row.max() > guard:
-        raise ResourceError(f"overlap blowup at stage {stage.n}: more than {guard} deltas")
+    if per_row.max() > GUARD:
+        raise ResourceError(f"overlap blowup at stage {stage.n}: more than {GUARD} deltas")
     pairs = list(zip((delta - h).tolist(), np.diff(first, append=total).tolist()))
     ends = np.cumsum(per_row).tolist()
     return [pairs[i:j] for i, j in zip([0, *ends], ends)]
@@ -568,5 +565,4 @@ def symmetrize(schedule: Schedule) -> Schedule:
         mode=schedule.mode,
         name=f"symmetrized({schedule.name})",
         meta={"symmetrized_from": schedule.name, **schedule.meta},
-        digit_budget=schedule.digit_budget,
     )

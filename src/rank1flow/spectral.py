@@ -54,13 +54,11 @@ class SpectralEstimate:
         return float(_trapezoid(self.density, self.freqs))
 
 
-def autocorr_curve(
-    schedule: Schedule, f: StepFunction, dt, t_max, guard: int = 10**6
-) -> AutocorrCurve:
+def autocorr_curve(schedule: Schedule, f: StepFunction, dt, t_max) -> AutocorrCurve:
     """Sample <U_T(t_i) f, f> on the uniform grid t_i = i * dt,
     |t_i| <= t_max, sharing one correlator memo across the sweep."""
     n = int(round(float(t_max) / float(dt)))
-    corr = Correlator(schedule, f, f, guard=guard)
+    corr = Correlator(schedule, f, f)
     times, values, bounds = [], [], []
     for i in range(-n, n + 1):
         t = i * dt

@@ -152,7 +152,6 @@ def random_step_function(
     height: Scalar,
     levels: int,
     rng: random.Random,
-    complex_values: bool = True,
     mean_zero: bool = False,
 ) -> StepFunction:
     """A seeded random function on the uniform level partition."""
@@ -160,7 +159,7 @@ def random_step_function(
     vals = []
     for _ in range(levels):
         re = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0])
-        im = rng.choice([-0.5, 0.0, 0.5]) if complex_values else 0.0
+        im = rng.choice([-0.5, 0.0, 0.5])
         vals.append(complex(re, im))
     if all(v == 0 for v in vals):
         vals[rng.randrange(levels)] = 1 + 0j

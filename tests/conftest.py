@@ -23,9 +23,9 @@ def numpy_batches(monkeypatch):
     sizes = []
     sweep = schedule_module._sweep_batch
 
-    def spy(stage, shifts, guard):
+    def spy(stage, shifts):
         sizes.append(len(shifts))
-        return sweep(stage, shifts, guard)
+        return sweep(stage, shifts)
 
     monkeypatch.setattr(schedule_module, "_sweep_batch", spy)
     return sizes

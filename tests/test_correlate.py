@@ -23,6 +23,7 @@ from rank1flow import (
     thm44_schedule,
     weak_limit_probe,
 )
+from rank1flow import schedule as schedule_module
 from rank1flow.errors import RangeError, ResourceError
 
 
@@ -227,20 +228,46 @@ SCHEDULES = {
     ],
     ids=["memo-batched", "overlap-batched", "memo-per-shift", "overlap-per-shift", "memo-sqrt2", "overlap-sqrt2"],
 )
-def test_guards_name_stage_and_count(numpy_batches, schedule, stage, guard, message, batched):
+def test_guards_name_stage_and_count(monkeypatch, numpy_batches, schedule, stage, guard, message, batched):
     sched = SCHEDULES[schedule]()
     f, g = pair(sched, 1)
     t = Fraction(-7, 3)
+    default = schedule_module.GUARD
+    monkeypatch.setattr(schedule_module, "GUARD", guard)
     with pytest.raises(ResourceError, match=f"^{message}$"):
-        Correlator(sched, f, g, guard=guard).at(t, stage=stage)
+        Correlator(sched, f, g).at(t, stage=stage)
     assert bool(numpy_batches) == batched
     # each guard sits one below the count it meets (20 deltas at the top
     # of the staircase, 2 on flat3 and thm44, or the memo the query
     # needs), and a guard of the memo's size lets the query through
+    monkeypatch.setattr(schedule_module, "GUARD", default)
     corr = Correlator(sched, f, g)
     value = corr.at(t, stage=stage).value
     assert message.startswith("overlap") or memo_size(corr) == guard + 1
-    assert Correlator(sched, f, g, guard=memo_size(corr)).at(t, stage=stage).value == value
+    monkeypatch.setattr(schedule_module, "GUARD", memo_size(corr))
+    assert Correlator(sched, f, g).at(t, stage=stage).value == value
+
+
+def test_m_point_step_and_window_cache_follow_the_guard(monkeypatch):
+    """GUARD also bounds the delta vectors of one m-tuple step and the fill
+    of the window cache; the query below needs 9 memo entries and 6
+    windows, and 3 or more delta vectors at stage 2."""
+    f, g = pair(asym49_schedule(r_cap=16), 3)
+    times = (0, Fraction(7, 3), Fraction(-5, 2))
+    sched = asym49_schedule(r_cap=16)
+    corr = MCorrelator(sched, [f, g, f])
+    value = corr.at(times).value
+    assert (memo_size(corr), len(sched._window_cache)) == (9, 6)
+    monkeypatch.setattr(schedule_module, "GUARD", 2)
+    with pytest.raises(ResourceError, match="^m-tuple delta blowup at stage 2: more than 2 delta vectors$"):
+        MCorrelator(asym49_schedule(r_cap=16), [f, g, f]).at(times)
+    monkeypatch.setattr(schedule_module, "GUARD", 5)
+    sched = asym49_schedule(r_cap=16)
+    with pytest.raises(ResourceError, match="^memo blowup near stage 1: more than 5 distinct shifts$"):
+        MCorrelator(sched, [f, g, f]).at(times)
+    assert len(sched._window_cache) == 5
+    monkeypatch.setattr(schedule_module, "GUARD", 9)
+    assert MCorrelator(asym49_schedule(r_cap=16), [f, g, f]).at(times).value == value
 
 
 def depth_first(corr, n, x, memo):
@@ -253,7 +280,7 @@ def depth_first(corr, n, x, memo):
             v = product_integral(corr.functions, (zero, x) if corr._pair else (zero, *x), corr._lattice)
         else:
             v = 0j
-            for d, mult in corr._step(n - 1, [x], corr._lattice, corr.guard)[0]:
+            for d, mult in corr._step(n - 1, [x], corr._lattice)[0]:
                 v += mult * depth_first(corr, n - 1, d, memo)
         memo[n, x] = v
     return memo[n, x]

@@ -182,7 +182,7 @@ def test_overlap_batch_matches_scalar_loop(case):
 
     assert decoded(overlap_batch(view, xs)) == expected
     if _fits_int64(view, xs):
-        assert decoded(_sweep_batch(view, xs, 10**6)) == expected
+        assert decoded(_sweep_batch(view, xs)) == expected
 
 
 def test_batches_past_int64_take_the_python_sweep(numpy_batches):
@@ -194,7 +194,7 @@ def test_batches_past_int64_take_the_python_sweep(numpy_batches):
     past = [2**62, *xs[1:]]  # one shift past int64
     assert overlap_batch(view, past) == [reference_overlap_pairs(WIDE, 2**62), *expected[1:]]
     assert numpy_batches == []
-    assert _sweep_batch(view, xs[:4], 10**6) == expected[:4]  # 4 h = 2**60 fits
+    assert _sweep_batch(view, xs[:4]) == expected[:4]  # 4 h = 2**60 fits
 
 
 @pytest.mark.parametrize("chunk", [1, 130, 8192])
@@ -206,11 +206,11 @@ def test_sweep_splits_a_batch_into_chunks(monkeypatch, chunk):
     xs = [lattice.encode(o - stage.offsets[9]) + k for o in stage.offsets[::4] for k in (-1, 0, 5)]
     expected = [reference_overlap_pairs(stage, lattice.decode(x)) for x in xs]
     monkeypatch.setattr(schedule_module, "_CHUNK", chunk)
-    assert [[(lattice.decode(d), m) for d, m in pairs] for pairs in _sweep_batch(view, xs, 10**6)] == expected
+    assert [[(lattice.decode(d), m) for d, m in pairs] for pairs in _sweep_batch(view, xs)] == expected
 
 
 @pytest.mark.parametrize("key, batched", [(("staircase", "rational"), True), (("thm44", "sqrt2"), False)])
-def test_overlap_cache_stops_at_the_guard(numpy_batches, key, batched):
+def test_overlap_cache_stops_at_the_guard(monkeypatch, numpy_batches, key, batched):
     sched = SCHEDULES[key]
     fresh = Schedule(sched._params, h1=sched.h1, w1=sched.w1, mode=sched.mode)
     stage = fresh.stage(3)
@@ -220,10 +220,11 @@ def test_overlap_cache_stops_at_the_guard(numpy_batches, key, batched):
     guard = max(map(len, expected)) + 1
     assert len(xs) > guard
     numpy_batches.clear()
-    assert fresh.overlaps(3, xs, lattice, guard=guard) == expected
+    monkeypatch.setattr(schedule_module, "GUARD", guard)
+    assert fresh.overlaps(3, xs, lattice) == expected
     assert bool(numpy_batches) == batched
     assert len(fresh._overlap_cache) == guard
-    assert fresh.overlaps(3, xs[::-1], lattice, guard=guard) == expected[::-1]
+    assert fresh.overlaps(3, xs[::-1], lattice) == expected[::-1]
     assert len(fresh._overlap_cache) == guard
 
 

@@ -16,6 +16,7 @@ from rank1flow import (
     symmetrize,
     thm44_schedule,
 )
+from rank1flow import schedule as schedule_module
 from rank1flow.errors import ConfigurationError, ResourceError
 from rank1flow.scalars import coerce
 from rank1flow.schedule import Lattice, scalar_denominator
@@ -349,9 +350,10 @@ def test_base_data_must_be_positive(h1, w1):
     ("mode", "h1", "spacer"),
     [("rational", 1, 2**40), ("sqrt2", Sqrt2(0, 1), Sqrt2(0, 2**40))],
 )
-def test_digit_budget_counts_every_height_component(mode, h1, spacer):
+def test_digit_budget_counts_every_height_component(monkeypatch, mode, h1, spacer):
     # h_2 = 2 h_1 + 2**41 (times sqrt 2 in the second case): 42 bits
-    sched = Schedule(lambda n, h, w: (2, [spacer] * 2), h1=h1, mode=mode, digit_budget=32)
+    monkeypatch.setattr(schedule_module, "DIGIT_BUDGET", 32)
+    sched = Schedule(lambda n, h, w: (2, [spacer] * 2), h1=h1, mode=mode)
     assert sched.stage(1).h == h1
     with pytest.raises(ResourceError, match=r"digit budget exceeded at stage 2: .* 42 bits, .* 32 bits"):
         sched.stage(4)
