@@ -40,6 +40,10 @@ large enough, see :func:`overlap_batch`).  Bottom up, from stage k back
 to N, each new value is summed over its step in the order the step lists
 the deltas (increasing at m = 2), the order of a depth-first recursion,
 so every value is bit-identical to it.
+
+The memo of a query and the delta vectors of an m-tuple step are bounded
+by :data:`rank1flow.schedule.GUARD`, read when each check runs, and the
+working stage by ``MAX_STAGE``.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from itertools import chain, product
 from math import lcm, prod
 from typing import Callable, Sequence
 
-from . import schedule as geometry
+from . import schedule as geometry  # for GUARD, read at call time
 from .errors import RangeError, ResourceError
 from .scalars import Scalar, Sqrt2, exact
 from .schedule import Lattice, Schedule, rescaled, scalar_denominator, within

@@ -3,7 +3,9 @@
 Each runner takes a parsed experiment spec (a plain dict), drives the
 library, and returns a JSON-ready report dict plus a pass/fail verdict.
 Reports are deterministic: seeds are explicit, iteration orders fixed,
-and nothing time- or host-dependent goes into the report body.
+and nothing time- or host-dependent goes into the report body.  A spec
+entry that the run never reads is an error, as is a boolean entry that
+is not JSON true or false and an integer entry that is not a JSON integer.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import ConfigurationError
 from .oracle import oracle_correlate
 from .schedule import Schedule, finiteness_test, symmetrize
 from .scalars import scalar_from_string, scalar_to_string
-from .serialize import correlation_result_to_json, load_schedule
+from .serialize import Reader, boolean, correlation_result_to_json, integer, load_schedule, parse_as, positive
 from .spectral import affinity, autocorr_curve, bochner_density, curve_from_samples, dilate
 from .stepfun import StepFunction, lift, random_level_set, random_step_function, reflect
 
@@ -53,19 +55,12 @@ KINDS = (
 _REQUIRED = object()
 
 
-def _parse(value, what: str, parse):
-    """parse(value); a value it rejects is a ConfigurationError naming *what*."""
-    try:
-        return parse(value)
-    except (TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
-        raise ConfigurationError(f"{what} = {value!r}: {exc}") from None
-
-
-def _field(spec: dict, key: str, parse, default=_REQUIRED):
+def _field(spec, key: str, parse, default=_REQUIRED):
     """spec[key] (or *default*) read through *parse*; a missing required
     entry or a malformed value is a ConfigurationError."""
-    if key in spec:
-        return _parse(spec[key], f"spec entry {key!r}", parse)
+    value = spec.get(key, _REQUIRED)
+    if value is not _REQUIRED:
+        return parse_as(value, f"spec entry {key!r}", parse)
     if default is _REQUIRED:
         raise ConfigurationError(f"spec needs a {key!r} entry")
     return parse(default)
@@ -84,13 +79,6 @@ def _list_of(parse):
     return parse_list
 
 
-def _positive(value) -> int:
-    n = int(value)
-    if n < 1:
-        raise ValueError("must be at least 1")
-    return n
-
-
 def _finite(value) -> float:
     x = float(value)
     if not isfinite(x):
@@ -102,12 +90,6 @@ def _optional_float(value):
     return None if value is None else float(value)
 
 
-def _dict(value) -> dict:
-    if not isinstance(value, dict):
-        raise TypeError("expected an object")
-    return value
-
-
 def resolve_schedule(spec: dict) -> Schedule:
     doc = spec.get("schedule")
     if doc is None:
@@ -115,7 +97,7 @@ def resolve_schedule(spec: dict) -> Schedule:
     if isinstance(doc, dict) and "kind" in doc and "stages" not in doc and "named" not in doc:
         doc = {"named": doc}
     sched = load_schedule(doc)
-    if spec.get("symmetrize"):
+    if _field(spec, "symmetrize", boolean, False):
         sched = symmetrize(sched)
     return sched
 
@@ -131,16 +113,20 @@ def resolve_times(schedule: Schedule, doc) -> list:
 
 def _times(schedule: Schedule, doc) -> list:
     if isinstance(doc, list):
-        return [_parse(t, "time", _scalar) for t in doc]
+        return [parse_as(t, "time", _scalar) for t in doc]
     if not isinstance(doc, dict):
         raise ConfigurationError(f"times = {doc!r}: expected a list of times or a time-spec object")
+    doc = Reader(doc, "spec entry 'times'")
     kind = doc.get("kind")
     if kind == "heights":
         d = _field(doc, "d", _scalar, "1")
-        return [d * schedule.height(n) for n in _field(doc, "stages", _list_of(int))]
+        stages = _field(doc, "stages", _list_of(integer))
+        doc.close()
+        return [d * schedule.height(n) for n in stages]
     if kind == "m_class":
-        build_to = _field(doc, "build_to", int)
+        build_to = _field(doc, "build_to", integer)
         label = _field(doc, "label", str)
+        doc.close()
         schedule.stage(build_to)
         recorded = schedule.meta.get("m_times", {}).get(label)
         if not recorded:
@@ -151,11 +137,11 @@ def _times(schedule: Schedule, doc) -> list:
 
 def seeded_family(schedule: Schedule, params: dict, pair: bool = True) -> list:
     """Seeded family of stage-measurable test functions."""
-    stage = _field(params, "stage", int, 1)
-    levels = _field(params, "levels", _positive, 4)
-    seed = _field(params, "seed", int, 0)
-    size = _field(params, "family_size", _positive, 3)
-    mean_zero = _field(params, "mean_zero", bool, False)
+    stage = _field(params, "stage", integer, 1)
+    levels = _field(params, "levels", positive, 4)
+    seed = _field(params, "seed", integer, 0)
+    size = _field(params, "family_size", positive, 3)
+    mean_zero = _field(params, "mean_zero", boolean, False)
     rng = random.Random(seed)
     h = schedule.height(stage)
     fam = []
@@ -176,7 +162,7 @@ def seeded_family(schedule: Schedule, params: dict, pair: bool = True) -> list:
 
 def run_stage_audit(spec: dict):
     schedule = resolve_schedule(spec)
-    depth = _field(spec, "depth", int, 8)
+    depth = _field(spec, "depth", integer, 8)
     items = []
     plot = []
     ok_all = True
@@ -211,7 +197,7 @@ def run_stage_audit(spec: dict):
         )
         plot.append([n, st.r, float(st.h), float(st.measure)])
     report = {"items": items}
-    horizon = _field(spec, "finiteness_horizon", int, 0)
+    horizon = _field(spec, "finiteness_horizon", integer, 0)
     if horizon:
         verdict = finiteness_test(schedule, horizon)
         report["finiteness"] = {
@@ -226,7 +212,7 @@ def run_correlate(spec: dict):
     schedule = resolve_schedule(spec)
     (f, g) = seeded_family(schedule, spec, pair=True)[0]
     times = resolve_times(schedule, spec.get("times", ["0"]))
-    against_oracle = _field(spec, "oracle", bool, False)
+    against_oracle = _field(spec, "oracle", boolean, False)
     corr = Correlator(schedule, f, g)
     items = []
     ok_all = True
@@ -245,23 +231,26 @@ def run_correlate(spec: dict):
     return {"items": items}, ok_all, ("i,t,re,im,bound", plot)
 
 
-def _target_from_spec(doc: dict) -> WeakLimitTarget:
+def _target_from_spec(doc) -> WeakLimitTarget:
     def cplx(v):
         if isinstance(v, list):
             return complex(_finite(v[0]), _finite(v[1]))
         return complex(_finite(v), 0.0)
 
-    return WeakLimitTarget(
+    doc = Reader(doc, "spec entry 'target'")
+    target = WeakLimitTarget(
         alpha=_field(doc, "alpha", cplx, 0),
         beta=_field(doc, "beta", cplx, 0),
         s=_field(doc, "s", _scalar, "0"),
     )
+    doc.close()
+    return target
 
 
 def run_weak_limit(spec: dict):
     schedule = resolve_schedule(spec)
     times = resolve_times(schedule, spec.get("times", ["0"]))
-    target = _target_from_spec(_field(spec, "target", _dict, {"alpha": 1}))
+    target = _target_from_spec(spec.get("target", {"alpha": 1}))
     family = seeded_family(schedule, spec)
     threshold = _field(spec, "threshold", _finite, 0.05)
     probe = weak_limit_probe(schedule, times, target, family, threshold=threshold)
@@ -286,10 +275,10 @@ def asym_stage_indices(schedule: Schedule, count: int) -> list:
 
 
 def forward_level_sets(schedule: Schedule, spec: dict) -> list:
-    stage = _field(spec, "set_stage", int, 2)
-    levels = _field(spec, "set_levels", _positive, 4)
-    seed = _field(spec, "seed", int, 0)
-    count = _field(spec, "forward_sets", _positive, 5)
+    stage = _field(spec, "set_stage", integer, 2)
+    levels = _field(spec, "set_levels", positive, 4)
+    seed = _field(spec, "seed", integer, 0)
+    count = _field(spec, "forward_sets", positive, 5)
     rng = random.Random(seed)
     h = schedule.height(stage)
     return [random_level_set(stage, h, levels, rng) for _ in range(count)]
@@ -300,10 +289,10 @@ def backward_candidates(schedule: Schedule, spec: dict) -> list:
 
     The spacer displacements that survive the stacking are small integers,
     so combs whose period avoids them are natural witnesses."""
-    stage = _field(spec, "set_stage", int, 2)
+    stage = _field(spec, "set_stage", integer, 2)
     h = schedule.height(stage)
     out = []
-    for period in range(2, _field(spec, "backward_period_max", int, 4) + 1):
+    for period in range(2, _field(spec, "backward_period_max", integer, 4) + 1):
         for phase in range(period):
             bps = [0 * h]
             vals = []
@@ -338,7 +327,7 @@ def triple_ratio(schedule: Schedule, a: StepFunction, n, sign: int):
 
 def run_triple_asymmetry(spec: dict):
     schedule = resolve_schedule(spec)
-    idx = asym_stage_indices(schedule, _field(spec, "stage_count", _positive, 3))
+    idx = asym_stage_indices(schedule, _field(spec, "stage_count", positive, 3))
     n_times = [schedule.height(l) + 1 for l in idx]
     thr_fwd = _field(spec, "forward_threshold", float, 0.19)
     thr_bwd = _field(spec, "backward_threshold", float, 0.1)
@@ -378,12 +367,12 @@ def run_fock_claims(spec: dict):
     label = _field(spec, "class_label", str)
     times = resolve_times(schedule, {"kind": "m_class", "label": label, "build_to": spec.get("build_to", 12)})
     shifts = _field(spec, "shifts", _list_of(_scalar))
-    mults = tuple(_field(spec, "multiplicities", _list_of(int), [1] * len(shifts)))
-    l0 = _field(spec, "l0", int, 1)
+    mults = tuple(_field(spec, "multiplicities", _list_of(integer), [1] * len(shifts)))
+    l0 = _field(spec, "l0", integer, 1)
     fam = seeded_family(schedule, spec, pair=False)
     vectors = tuple(fam[i % len(fam)] for i in range(len(shifts)))
     comp = FockComponent(tuple(shifts), mults, vectors)
-    two_r = 2 * (_field(spec, "pairs", int, 0) or len(shifts))
+    two_r = 2 * (_field(spec, "pairs", integer, 0) or len(shifts))
     threshold = _field(spec, "threshold", float, 0.1)
     items = []
     for t in times:
@@ -431,7 +420,8 @@ def _curve_for_spec(schedule, spec):
     if analytic:
         import math
 
-        kind = _parse(analytic, "analytic", _dict).get("kind")
+        analytic = Reader(analytic, "spec entry 'analytic'")
+        kind = analytic.get("kind")
         dt = _field(spec, "dt", float, 0.05)
         n = int(round(t_max / dt))
         ts = [i * dt for i in range(-n, n + 1)]
@@ -442,6 +432,7 @@ def _curve_for_spec(schedule, spec):
             vals = [sum(math.cos(2 * math.pi * l0 * t) for l0 in freqs) for t in ts]
         else:
             raise ConfigurationError(f"unknown analytic curve {kind!r}")
+        analytic.close()
         return curve_from_samples(dt, vals)
     if schedule is None:
         raise ConfigurationError("spec needs a 'schedule' or an 'analytic' curve")
@@ -458,7 +449,7 @@ def _estimate_for_spec(curve, spec):
     return bochner_density(
         curve,
         lam_max=_field(spec, "lam", float, 4.0),
-        grid_size=_field(spec, "grid_size", int, 801),
+        grid_size=_field(spec, "grid_size", integer, 801),
         taper_width=_field(spec, "taper_width", _optional_float, None),
     )
 
@@ -496,10 +487,10 @@ def run_disjointness(spec: dict):
 def reflection_cases(schedule: Schedule, spec: dict):
     """Random (f, g, t) with t on the scale of the small spacers, where
     the truncation bounds are tight and any reflection defect shows."""
-    stage = _field(spec, "stage", int, 1)
-    levels = _field(spec, "levels", _positive, 4)
-    seed = _field(spec, "seed", int, 0)
-    cases = _field(spec, "cases", _positive, 50)
+    stage = _field(spec, "stage", integer, 1)
+    levels = _field(spec, "levels", positive, 4)
+    seed = _field(spec, "seed", integer, 0)
+    cases = _field(spec, "cases", positive, 50)
     rng = random.Random(seed)
     h = schedule.height(stage)
     out = []
@@ -520,10 +511,10 @@ def run_reflection_check(spec: dict):
     within summed bounds; a genuinely asymmetric schedule has no global
     reflection and must break the identity at some case."""
     schedule = resolve_schedule(spec)
-    depth = _field(spec, "reflect_depth", int, 2)
+    depth = _field(spec, "reflect_depth", integer, 2)
     items = []
     violations = 0
-    eval_depth = _field(spec, "eval_depth", int, 3)
+    eval_depth = _field(spec, "eval_depth", integer, 3)
     plot = []
     for i, (f, g, t) in enumerate(reflection_cases(schedule, spec)):
         deep = g.stage + depth
@@ -559,9 +550,9 @@ def run_experiment(kind: str, spec: dict) -> dict:
     """Full report for one experiment; deterministic for a fixed spec."""
     if kind not in _RUNNERS:
         raise ConfigurationError(f"unknown experiment kind {kind!r}")
-    if not isinstance(spec, dict):
-        raise ConfigurationError("an experiment spec must be a JSON object")
-    body, passed, (header, rows) = _RUNNERS[kind](spec)
+    reader = Reader(spec, "spec")
+    body, passed, (header, rows) = _RUNNERS[kind](reader)
+    reader.close()
     return {
         "version": REPORT_VERSION,
         "experiment": kind,

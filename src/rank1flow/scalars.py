@@ -26,8 +26,8 @@ MODES = ("rational", "sqrt2")
 class Sqrt2:
     """An element a + b*sqrt(2) of Q(sqrt 2) with a, b rational.
 
-    Ordering agrees with the real embedding and is decided exactly by
-    sign analysis (no floating point involved).
+    Ordering agrees with the real embedding and is decided exactly, by
+    :func:`sqrt2_sign` on the components over their common denominator.
     """
 
     __slots__ = ("a", "b")
@@ -38,22 +38,16 @@ class Sqrt2:
 
     # -- sign analysis ---------------------------------------------------
 
-    def sign(self) -> int:
+    def _scaled(self) -> tuple:
+        """Integers (A, B, D), D > 0 the lcm of the denominators, with
+        self = (A + B*sqrt 2)/D."""
         a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # mixed signs: compare a^2 with 2 b^2
-        d = a * a - 2 * b * b
-        if a > 0:  # b < 0
-            return (d > 0) - (d < 0)
-        # a < 0, b > 0: a + b sqrt2 > 0 iff 2 b^2 > a^2
-        return (d < 0) - (d > 0)
+        d = lcm(a.denominator, b.denominator)
+        return a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d
+
+    def sign(self) -> int:
+        a, b, _ = self._scaled()
+        return sqrt2_sign(a, b)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -125,10 +119,6 @@ class Sqrt2:
             return NotImplemented
         return self.a == o.a and self.b == o.b
 
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
-
     def __lt__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -164,9 +154,7 @@ class Sqrt2:
     # -- conversions -----------------------------------------------------
 
     def __float__(self):
-        a, b = self.a, self.b
-        d = lcm(a.denominator, b.denominator)
-        return sqrt2_float(a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d)
+        return sqrt2_float(*self._scaled())
 
     def __floor__(self):
         p, q = self.b.numerator, self.b.denominator
@@ -199,7 +187,7 @@ FLOAT_BITS = 1000  # integers this wide convert to float without overflow
 
 
 def sqrt2_sign(a: int, b: int) -> int:
-    """Sign of a + b*sqrt(2) for integers a, b; agrees with :meth:`Sqrt2.sign`.
+    """Sign of a + b*sqrt(2) for integers a, b.
 
     Operands of one sign decide at once.  Mixed signs go through a float
     filter (Shewchuk's adaptive-predicate idea): the float value decides

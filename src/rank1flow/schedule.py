@@ -35,6 +35,14 @@ batch rule: on int offsets, a batch of at least ``_NUMPY_MIN_WORK``
 (``searchsorted`` for every window, one sort for every delta); a smaller
 batch, values past int64 and (a, b) pairs take the Python sweep, one
 shift at a time.  Both give the same sorted (delta, multiplicity) lists.
+
+Two module constants bound the work, with no parameter to set them:
+``GUARD`` (the deltas per shift in either sweep, the entries of a
+schedule's overlap and window caches, and in :mod:`rank1flow.correlate`
+the memo of a query and the delta vectors of an m-tuple step) and
+``DIGIT_BUDGET`` (the bits of a stage height).  Each check reads its
+constant when it runs, so patching ``schedule.GUARD`` moves all five
+GUARD limits at once.
 """
 
 from __future__ import annotations

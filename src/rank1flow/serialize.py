@@ -9,6 +9,11 @@ Schedules:  {"mode", "h1", "w1", "stages": [{"r", "spacer": {...}}, ...]}
             read into the entry's spacer list and bottom spacer.
 Exact scalars travel as strings "p/q" and "p/q+p'/q'*sqrt2".
 A "stages" document repeats its last entry for all deeper stages.
+
+Documents and experiment specs are read through :class:`Reader`, which
+rejects every entry that nothing reads, and through strict parsers:
+:func:`integer` takes only JSON integers, :func:`boolean` only true and
+false.
 """
 
 from __future__ import annotations
@@ -21,35 +26,94 @@ from .scalars import scalar_from_string, scalar_to_string
 from .schedule import Schedule, reflected
 
 
-def spacers_from_json(doc: dict, r: int) -> tuple:
-    """The (spacers, bottom) of a stage entry's "spacer" object, for its r."""
+class Reader:
+    """A JSON object whose reads are recorded: :meth:`close` rejects the
+    entries nothing read, naming them, so that a misspelt or misplaced
+    entry is an error and not a silent default."""
+
+    def __init__(self, doc, what: str):
+        if not isinstance(doc, dict):
+            raise ConfigurationError(f"{what} must be a JSON object")
+        self.what, self._doc, self._read = what, doc, set()
+
+    def __contains__(self, key) -> bool:
+        return key in self._doc
+
+    def __getitem__(self, key):
+        self._read.add(key)
+        return self._doc[key]
+
+    def get(self, key, default=None):
+        self._read.add(key)
+        return self._doc.get(key, default)
+
+    def close(self) -> None:
+        unread = [key for key in self._doc if key not in self._read]
+        if unread:
+            raise ConfigurationError(f"{self.what} has unknown or unused entries {unread}")
+
+
+def parse_as(value, what: str, parse):
+    """parse(value); a value it rejects is a ConfigurationError naming *what*."""
+    try:
+        return parse(value)
+    except (TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
+        raise ConfigurationError(f"{what} = {value!r}: {exc}") from None
+
+
+def integer(value) -> int:
+    if type(value) is not int:  # a float, a string or a boolean
+        raise TypeError("expected an integer")
+    return value
+
+
+def positive(value) -> int:
+    if integer(value) < 1:
+        raise ValueError("must be at least 1")
+    return value
+
+
+def boolean(value) -> bool:
+    if type(value) is not bool:
+        raise TypeError("expected true or false")
+    return value
+
+
+def spacers_from_json(doc: dict, r: int, what: str) -> tuple:
+    """The (spacers, bottom) of a stage entry's "spacer" object, for its r;
+    *what* names the object in error messages."""
+    doc = Reader(doc, what)
     variant = doc.get("variant")
+    bottom = 0
     if variant == "explicit":
-        return [scalar_from_string(s) for s in doc["spacers"]], scalar_from_string(doc.get("bottom", "0"))
-    if variant == "constant":
-        return [scalar_from_string(doc["c"])] * r, 0
-    if variant == "staircase":
-        return staircase(scalar_from_string(doc["u"]), r), 0
-    if variant == "fraction_split":
-        return fraction_split(int(doc["q"]), scalar_from_string(doc["s"]), r), 0
-    if variant == "paired_gaps":
+        spacers = [scalar_from_string(s) for s in doc["spacers"]]
+        bottom = scalar_from_string(doc.get("bottom", "0"))
+    elif variant == "constant":
+        spacers = [scalar_from_string(doc["c"])] * r
+    elif variant == "staircase":
+        spacers = staircase(scalar_from_string(doc["u"]), r)
+    elif variant == "fraction_split":
+        spacers = fraction_split(parse_as(doc["q"], f"{what} entry 'q'", positive), scalar_from_string(doc["s"]), r)
+    elif variant == "paired_gaps":
         gaps, separators = doc["gaps"], doc["separators"]
         if len(gaps) != len(separators):
             raise ConfigurationError(
                 f"paired gaps need one separator per gap: {len(gaps)} gaps, {len(separators)} separators"
             )
-        return paired_gaps(map(scalar_from_string, gaps), map(scalar_from_string, separators)), 0
-    if variant == "symmetrized":
-        r_inner = int(doc["r_inner"])
+        spacers = paired_gaps(map(scalar_from_string, gaps), map(scalar_from_string, separators))
+    elif variant == "symmetrized":
+        r_inner = parse_as(doc["r_inner"], f"{what} entry 'r_inner'", integer)
         if r != 2 * r_inner - 1:
             raise ConfigurationError(f"symmetrized spacers need r = {2 * r_inner - 1}, got {r}")
-        return reflected(spacers_from_json(doc["inner"], r_inner)[0])
-    raise ConfigurationError(f"unknown spacer variant {variant!r}")
+        spacers, bottom = reflected(spacers_from_json(doc["inner"], r_inner, f"{what}.inner")[0])
+    else:
+        raise ConfigurationError(f"unknown spacer variant {variant!r}")
+    doc.close()
+    return spacers, bottom
 
 
 def schedule_from_json(doc: dict) -> Schedule:
-    if not isinstance(doc, dict):
-        raise ConfigurationError("a schedule document must be a JSON object")
+    doc = Reader(doc, "schedule document")
     if "named" in doc:
         extra = sorted(k for k in ("h1", "w1", "mode") if k in doc)
         if extra:
@@ -57,6 +121,7 @@ def schedule_from_json(doc: dict) -> Schedule:
                 f"a 'named' schedule document cannot carry {extra}; pass them in named.params"
             )
         named = doc["named"]
+        doc.close()
         if not isinstance(named, dict) or "kind" not in named or not isinstance(named.get("params", {}), dict):
             raise ConfigurationError("'named' must be an object with a 'kind' and an optional 'params' object")
         unknown = sorted(set(named) - {"kind", "params"})
@@ -72,10 +137,13 @@ def schedule_from_json(doc: dict) -> Schedule:
     try:
         h1 = scalar_from_string(doc.get("h1", "1"))
         w1 = scalar_from_string(doc.get("w1", "1"))
+        doc.close()
         parsed = []
-        for st in stages:
-            r = int(st["r"])
-            parsed.append((r, *spacers_from_json(st["spacer"], r)))
+        for i, st in enumerate(stages):
+            st = Reader(st, f"stages[{i}]")
+            r = parse_as(st["r"], f"stages[{i}] entry 'r'", integer)
+            parsed.append((r, *spacers_from_json(st["spacer"], r, f"stages[{i}].spacer")))
+            st.close()
     except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
         raise ConfigurationError(f"malformed 'stages' schedule document: {exc!r}") from None
 

@@ -6,7 +6,8 @@ import pytest
 from click.testing import CliRunner
 
 from rank1flow.cli import main
-from rank1flow.experiments import KINDS
+from rank1flow.errors import ConfigurationError
+from rank1flow.experiments import KINDS, run_experiment
 
 
 def write_spec(tmp_path, name, spec):
@@ -138,6 +139,52 @@ def test_plot_csv_has_header_comment(tmp_path, audit_spec):
     assert first.startswith("# experiment: stage-audit")
 
 
+FLAT2 = {"kind": "flat", "params": {"r": 2}}
+CONSTANT = {"variant": "constant", "c": "1"}
+
+# entries nothing reads, mistyped booleans and integers, and malformed
+# "stages" documents (each ran with exit 0 or 1 before these checks),
+# with the entry the error message must name
+UNREAD_OR_MISTYPED = {
+    "misspelt-spec-entry": ("stage-audit", {"schedule": FLAT2, "dpeth": 2}, "['dpeth']"),
+    "misspelt-target-entry": (
+        "weak-limit",
+        {"schedule": FLAT2, "times": ["1"], "target": {"alpha": 0, "bta": 1}},
+        "['bta']",
+    ),
+    "misspelt-time-spec-entry": (
+        "weak-limit",
+        {"schedule": FLAT2, "times": {"kind": "heights", "stages": [2], "dd": "1"}},
+        "['dd']",
+    ),
+    "misspelt-analytic-entry": ("spectrum", {"analytic": {"kind": "gaussian", "width": 2}}, "['width']"),
+    "string-boolean": ("weak-limit", {"schedule": FLAT2, "times": ["1"], "mean_zero": "false"}, "'mean_zero'"),
+    "string-symmetrize": ("stage-audit", {"schedule": FLAT2, "symmetrize": "no"}, "'symmetrize'"),
+    "fractional-depth": ("stage-audit", {"schedule": FLAT2, "depth": 2.9}, "'depth'"),
+    "stages-top-level-key": (
+        "stage-audit",
+        {"schedule": {"stages": [{"r": 2, "spacer": CONSTANT}], "hl": "2"}},
+        "['hl']",
+    ),
+    "stages-entry-bottom": (
+        "stage-audit",
+        {"schedule": {"stages": [{"r": 2, "spacer": CONSTANT, "bottom": "5"}]}},
+        "stages[0] has unknown or unused entries ['bottom']",
+    ),
+    "constant-spacer-bottom": (
+        "stage-audit",
+        {"schedule": {"stages": [{"r": 2, "spacer": {**CONSTANT, "bottom": "5"}}]}},
+        "stages[0].spacer has unknown or unused entries ['bottom']",
+    ),
+    "fraction-split-negative-q": (
+        "stage-audit",
+        {"schedule": {"stages": [{"r": 4, "spacer": {"variant": "fraction_split", "q": -2, "s": "1"}}]}},
+        "'q'",
+    ),
+    "fractional-r": ("stage-audit", {"schedule": {"stages": [{"r": 2.7, "spacer": CONSTANT}]}}, "'r'"),
+}
+
+
 @pytest.mark.parametrize(
     "kind, spec",
     [
@@ -182,6 +229,7 @@ def test_plot_csv_has_header_comment(tmp_path, audit_spec):
         ("weak-limit", {"schedule": {"kind": "flat", "params": {"r": 2}}, "times": ["1"], "target": {"alpha": "nan"}}),
         ("weak-limit", {"schedule": {"kind": "flat", "params": {"r": 2}}, "times": ["1"], "target": {"beta": "inf"}}),
         ("weak-limit", {"schedule": {"kind": "flat", "params": {"r": 2}}, "times": ["1"], "threshold": "nan"}),
+        *((kind, spec) for kind, spec, _ in UNREAD_OR_MISTYPED.values()),
     ],
     ids=[
         "unparsable-time",
@@ -206,12 +254,19 @@ def test_plot_csv_has_header_comment(tmp_path, audit_spec):
         "nan-alpha",
         "infinite-beta",
         "nan-threshold",
+        *UNREAD_OR_MISTYPED,
     ],
 )
 def test_malformed_spec_fields_exit_two(tmp_path, kind, spec):
     result = invoke([kind, "--spec", write_spec(tmp_path, "bad.json", spec), "--out", str(tmp_path / "o")])
     assert result.exit_code == 2, result.output
     assert "error:" in result.output
+
+
+@pytest.mark.parametrize("kind, spec, named", UNREAD_OR_MISTYPED.values(), ids=list(UNREAD_OR_MISTYPED))
+def test_unread_or_mistyped_entry_is_named(kind, spec, named):
+    with pytest.raises(ConfigurationError, match=re.escape(named)):
+        run_experiment(kind, spec)
 
 
 @pytest.mark.parametrize(

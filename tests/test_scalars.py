@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rank1flow import SQRT2, Sqrt2, coerce, scalar_from_string, scalar_to_string
 from rank1flow.errors import ModeError
@@ -36,6 +37,61 @@ def test_mixed_sign_comparison_is_exact():
     assert Fraction(99, 70) > SQRT2
     assert Fraction(99, 70) - SQRT2 < Fraction(1, 10**4)
     assert Fraction(1393, 985) < SQRT2
+
+
+def reference_sign(x):
+    """Sqrt2.sign as it was first written, by hand on the Fraction
+    components; Sqrt2.sign now calls sqrt2_sign on their integer form."""
+    a, b = x.a, x.b
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return (b > 0) - (b < 0)
+    if a > 0 and b > 0:
+        return 1
+    if a < 0 and b < 0:
+        return -1
+    d = a * a - 2 * b * b
+    if a > 0:
+        return (d > 0) - (d < 0)
+    return (d < 0) - (d > 0)
+
+
+def pell(n):
+    """The n-th solution (p, q) of p^2 - 2 q^2 = +-1: p/q is a convergent
+    of sqrt(2), so p - q*sqrt(2) is within 1/(2q) of 0."""
+    p, q = 1, 1
+    for _ in range(n):
+        p, q = p + 2 * q, p + q
+    return p, q
+
+
+# components up to 1100 bits, past float range
+components = st.builds(
+    Fraction, st.integers(min_value=-(2**1100), max_value=2**1100), st.integers(min_value=1, max_value=2**1100)
+) | st.fractions(max_denominator=10**6)
+
+
+@st.composite
+def pell_near_ties(draw):
+    """+-(p - q*sqrt 2)*k for a Pell pair (p, q) (1393/985 at n = 8, past
+    1000 bits from n = 786) and a rational k, nudged by at most one unit."""
+    p, q = pell(draw(st.integers(min_value=1, max_value=900)))
+    k = draw(st.fractions(max_denominator=10**4).filter(bool))
+    nudge = draw(st.sampled_from([0, 0, -1, 1]))
+    return Sqrt2((p + nudge) * k, -q * k)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.builds(Sqrt2, components, components) | pell_near_ties())
+@example(Sqrt2(Fraction(99, 70), -1))
+@example(Sqrt2(Fraction(-1393, 985), 1))
+@example(Sqrt2(pell(800)[0], -pell(800)[1]))  # 1018 bits each
+def test_sign_matches_the_fraction_sign_analysis(x):
+    sign = reference_sign(x)
+    assert x.sign() == sign
+    assert (x < 0, x == 0, x > 0, x != 0) == (sign < 0, sign == 0, sign > 0, sign != 0)
+    assert x != Sqrt2(x.a + 1, x.b) and not x != Sqrt2(x.a, x.b) and x != "x"
 
 
 def test_floor_small():
