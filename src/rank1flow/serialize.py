@@ -62,7 +62,7 @@ def parse_as(value, what: str, parse):
 
 
 def integer(value) -> int:
-    if type(value) is not int:  # a float, a string or a boolean
+    if type(value) is not int:  # not isinstance: a boolean is an int
         raise TypeError("expected an integer")
     return value
 
