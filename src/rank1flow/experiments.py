@@ -3,9 +3,10 @@
 Each runner takes a parsed experiment spec (a plain dict), drives the
 library, and returns a JSON-ready report dict plus a pass/fail verdict.
 Reports are deterministic: seeds are explicit, iteration orders fixed,
-and nothing time- or host-dependent goes into the report body.  A spec
-entry that the run never reads is an error, as is a boolean entry that
-is not JSON true or false and an integer entry that is not a JSON integer.
+and nothing time- or host-dependent goes into the report body.  A runner
+reads every entry of its spec, then closes the spec (an entry nothing
+read is an error) before it runs the experiment.  A boolean entry must
+be JSON true or false and an integer entry a JSON integer.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import csv
 import random
 from fractions import Fraction
+from functools import partial
 from math import isfinite
 
 from .correlate import (
@@ -163,6 +165,8 @@ def seeded_family(schedule: Schedule, params: dict, pair: bool = True) -> list:
 def run_stage_audit(spec: dict):
     schedule = resolve_schedule(spec)
     depth = _field(spec, "depth", integer, 8)
+    horizon = _field(spec, "finiteness_horizon", integer, 0)
+    spec.close()
     items = []
     plot = []
     ok_all = True
@@ -197,7 +201,6 @@ def run_stage_audit(spec: dict):
         )
         plot.append([n, st.r, float(st.h), float(st.measure)])
     report = {"items": items}
-    horizon = _field(spec, "finiteness_horizon", integer, 0)
     if horizon:
         verdict = finiteness_test(schedule, horizon)
         report["finiteness"] = {
@@ -211,8 +214,10 @@ def run_stage_audit(spec: dict):
 def run_correlate(spec: dict):
     schedule = resolve_schedule(spec)
     (f, g) = seeded_family(schedule, spec, pair=True)[0]
-    times = resolve_times(schedule, spec.get("times", ["0"]))
+    time_spec = spec.get("times", ["0"])
     against_oracle = _field(spec, "oracle", boolean, False)
+    spec.close()
+    times = resolve_times(schedule, time_spec)
     corr = Correlator(schedule, f, g)
     items = []
     ok_all = True
@@ -249,10 +254,12 @@ def _target_from_spec(doc) -> WeakLimitTarget:
 
 def run_weak_limit(spec: dict):
     schedule = resolve_schedule(spec)
-    times = resolve_times(schedule, spec.get("times", ["0"]))
+    time_spec = spec.get("times", ["0"])
     target = _target_from_spec(spec.get("target", {"alpha": 1}))
     family = seeded_family(schedule, spec)
     threshold = _field(spec, "threshold", _finite, 0.05)
+    spec.close()
+    times = resolve_times(schedule, time_spec)
     probe = weak_limit_probe(schedule, times, target, family, threshold=threshold)
     items = [
         {"j": j, "t": scalar_to_string(t), "residual": r, "bound": b}
@@ -327,14 +334,17 @@ def triple_ratio(schedule: Schedule, a: StepFunction, n, sign: int):
 
 def run_triple_asymmetry(spec: dict):
     schedule = resolve_schedule(spec)
-    idx = asym_stage_indices(schedule, _field(spec, "stage_count", positive, 3))
-    n_times = [schedule.height(l) + 1 for l in idx]
+    count = _field(spec, "stage_count", positive, 3)
     thr_fwd = _field(spec, "forward_threshold", float, 0.19)
     thr_bwd = _field(spec, "backward_threshold", float, 0.1)
+    forward_sets = forward_level_sets(schedule, spec)
+    candidates = backward_candidates(schedule, spec)
+    spec.close()
+    n_times = [schedule.height(l) + 1 for l in asym_stage_indices(schedule, count)]
     forward_items = []
     plot = []
     worst_forward = None
-    for s_idx, a in enumerate(forward_level_sets(schedule, spec)):
+    for s_idx, a in enumerate(forward_sets):
         rows = []
         for i, n in enumerate(n_times):
             ratio, bound, stage_used = triple_ratio(schedule, a, n, +1)
@@ -345,7 +355,7 @@ def run_triple_asymmetry(spec: dict):
         forward_items.append({"set": s_idx, "rows": rows, "final_ratio": final})
     backward_items = []
     best = None
-    for label, a in backward_candidates(schedule, spec):
+    for label, a in candidates:
         ratio, bound, _ = triple_ratio(schedule, a, n_times[-1], -1)
         backward_items.append({"set": label, "final_ratio": ratio, "bound": bound})
         if best is None or ratio < best["final_ratio"]:
@@ -365,7 +375,7 @@ def run_triple_asymmetry(spec: dict):
 def run_fock_claims(spec: dict):
     schedule = resolve_schedule(spec)
     label = _field(spec, "class_label", str)
-    times = resolve_times(schedule, {"kind": "m_class", "label": label, "build_to": spec.get("build_to", 12)})
+    build_to = spec.get("build_to", 12)
     shifts = _field(spec, "shifts", _list_of(_scalar))
     mults = tuple(_field(spec, "multiplicities", _list_of(integer), [1] * len(shifts)))
     l0 = _field(spec, "l0", integer, 1)
@@ -374,6 +384,11 @@ def run_fock_claims(spec: dict):
     comp = FockComponent(tuple(shifts), mults, vectors)
     two_r = 2 * (_field(spec, "pairs", integer, 0) or len(shifts))
     threshold = _field(spec, "threshold", float, 0.1)
+    off_scale = None
+    if spec.get("off_scale") is not None:
+        off_scale = (_field(spec, "off_scale", _scalar), _field(spec, "off_scale_threshold", float, 0.05))
+    spec.close()
+    times = resolve_times(schedule, {"kind": "m_class", "label": label, "build_to": build_to})
     items = []
     for t in times:
         factors = []
@@ -400,13 +415,13 @@ def run_fock_claims(spec: dict):
     max_res = max(fc["residual"] for fc in final["factors"])
     report = {"items": items, "final_max_factor_residual": max_res, "threshold": threshold}
     passed = max_res < threshold
-    if spec.get("off_scale") is not None:
-        b = _field(spec, "off_scale", _scalar)
+    if off_scale is not None:
+        b, off_threshold = off_scale
         f0 = comp.vectors[0]
         norm = inner_product(schedule, f0, f0).real
         probes = [abs(correlate(schedule, f0, f0, b * t).value) / norm for t in times]
         report["off_scale"] = {"b": scalar_to_string(b), "values": probes}
-        passed = passed and probes[-1] < _field(spec, "off_scale_threshold", float, 0.05)
+        passed = passed and probes[-1] < off_threshold
     plot = []
     for j, it in enumerate(items):
         for fc in it["factors"]:
@@ -415,6 +430,8 @@ def run_fock_claims(spec: dict):
 
 
 def _curve_for_spec(schedule, spec):
+    """Read the curve entries of a spectrum or disjointness spec; returns
+    a function of no arguments that samples the curve."""
     analytic = spec.get("analytic")
     t_max = _field(spec, "t_max", float, 8.0)
     if analytic:
@@ -433,7 +450,7 @@ def _curve_for_spec(schedule, spec):
         else:
             raise ConfigurationError(f"unknown analytic curve {kind!r}")
         analytic.close()
-        return curve_from_samples(dt, vals)
+        return partial(curve_from_samples, dt, vals)
     if schedule is None:
         raise ConfigurationError("spec needs a 'schedule' or an 'analytic' curve")
     # the sample times i * dt stay exact, so a rational schedule keeps its
@@ -442,22 +459,25 @@ def _curve_for_spec(schedule, spec):
     if dt <= 0:
         raise ConfigurationError(f"spec entry 'dt' must be positive, got {dt}")
     f = seeded_family(schedule, spec, pair=False)[0]
-    return autocorr_curve(schedule, f, dt, t_max)
+    return partial(autocorr_curve, schedule, f, dt, t_max)
 
 
-def _estimate_for_spec(curve, spec):
-    return bochner_density(
-        curve,
-        lam_max=_field(spec, "lam", float, 4.0),
-        grid_size=_field(spec, "grid_size", integer, 801),
-        taper_width=_field(spec, "taper_width", _optional_float, None),
-    )
+def _estimate_entries(spec) -> dict:
+    """The keyword arguments of bochner_density that the spec sets."""
+    return {
+        "lam_max": _field(spec, "lam", float, 4.0),
+        "grid_size": _field(spec, "grid_size", integer, 801),
+        "taper_width": _field(spec, "taper_width", _optional_float, None),
+    }
 
 
 def run_spectrum(spec: dict):
     schedule = resolve_schedule(spec) if spec.get("schedule") else None
-    curve = _curve_for_spec(schedule, spec)
-    est = _estimate_for_spec(curve, spec)
+    sample = _curve_for_spec(schedule, spec)
+    estimate = _estimate_entries(spec)
+    spec.close()
+    curve = sample()
+    est = bochner_density(curve, **estimate)
     c0 = curve.values[len(curve.values) // 2].real
     report = {
         "c0": c0,
@@ -472,10 +492,12 @@ def run_spectrum(spec: dict):
 
 def run_disjointness(spec: dict):
     schedule = resolve_schedule(spec) if spec.get("schedule") else None
-    curve = _curve_for_spec(schedule, spec)
-    est = _estimate_for_spec(curve, spec)
+    sample = _curve_for_spec(schedule, spec)
+    estimate = _estimate_entries(spec)
     factors = _field(spec, "dilations", _list_of(float), [2.0])
     threshold = _field(spec, "threshold", float, 0.5)
+    spec.close()
+    est = bochner_density(sample(), **estimate)
     self_aff = affinity(est, est)
     items = [{"t": t, "affinity": affinity(est, dilate(est, t))} for t in factors]
     passed = self_aff == 1.0 and all(it["affinity"] < threshold for it in items)
@@ -512,11 +534,13 @@ def run_reflection_check(spec: dict):
     reflection and must break the identity at some case."""
     schedule = resolve_schedule(spec)
     depth = _field(spec, "reflect_depth", integer, 2)
+    eval_depth = _field(spec, "eval_depth", integer, 3)
+    cases = reflection_cases(schedule, spec)
+    spec.close()
     items = []
     violations = 0
-    eval_depth = _field(spec, "eval_depth", integer, 3)
     plot = []
-    for i, (f, g, t) in enumerate(reflection_cases(schedule, spec)):
+    for i, (f, g, t) in enumerate(cases):
         deep = g.stage + depth
         rf = lift(schedule, reflect(f), deep)
         rg = reflect(g, schedule, deep)
@@ -550,9 +574,7 @@ def run_experiment(kind: str, spec: dict) -> dict:
     """Full report for one experiment; deterministic for a fixed spec."""
     if kind not in _RUNNERS:
         raise ConfigurationError(f"unknown experiment kind {kind!r}")
-    reader = Reader(spec, "spec")
-    body, passed, (header, rows) = _RUNNERS[kind](reader)
-    reader.close()
+    body, passed, (header, rows) = _RUNNERS[kind](Reader(spec, "spec"))
     return {
         "version": REPORT_VERSION,
         "experiment": kind,

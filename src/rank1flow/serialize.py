@@ -115,21 +115,13 @@ def spacers_from_json(doc: dict, r: int, what: str) -> tuple:
 def schedule_from_json(doc: dict) -> Schedule:
     doc = Reader(doc, "schedule document")
     if "named" in doc:
-        extra = sorted(k for k in ("h1", "w1", "mode") if k in doc)
-        if extra:
-            raise ConfigurationError(
-                f"a 'named' schedule document cannot carry {extra}; pass them in named.params"
-            )
-        named = doc["named"]
+        named = Reader(doc["named"], "named schedule (its builder's parameters, h1, w1 and mode go in 'params')")
         doc.close()
-        if not isinstance(named, dict) or "kind" not in named or not isinstance(named.get("params", {}), dict):
-            raise ConfigurationError("'named' must be an object with a 'kind' and an optional 'params' object")
-        unknown = sorted(set(named) - {"kind", "params"})
-        if unknown:
-            raise ConfigurationError(
-                f"a named schedule takes only 'kind' and 'params', not {unknown}; builder parameters go in 'params'"
-            )
-        return named_schedule(named["kind"], **named.get("params", {}))
+        kind, params = named.get("kind"), named.get("params", {})
+        named.close()
+        if not isinstance(params, dict):
+            raise ConfigurationError(f"named schedule 'params' must be a JSON object, got {params!r}")
+        return named_schedule(kind, **params)
     mode = doc.get("mode", "rational")
     stages = doc.get("stages")
     if not stages:

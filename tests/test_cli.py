@@ -5,9 +5,11 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from rank1flow import experiments
 from rank1flow.cli import main
 from rank1flow.errors import ConfigurationError
 from rank1flow.experiments import KINDS, run_experiment
+from rank1flow.schedule import Schedule
 
 
 def write_spec(tmp_path, name, spec):
@@ -269,6 +271,62 @@ def test_unread_or_mistyped_entry_is_named(kind, spec, named):
         run_experiment(kind, spec)
 
 
+# a valid spec of each kind whose run builds stages past 2 or estimates a
+# spectrum; only reading the spec stays within stage 2
+SHALLOW_READ = {
+    "stage-audit": {"schedule": FLAT2},
+    "correlate": {"schedule": FLAT2, "times": {"kind": "heights", "stages": [4]}},
+    "weak-limit": {"schedule": FLAT2, "times": {"kind": "heights", "stages": [4]}},
+    "triple-asymmetry": {"schedule": {"kind": "asym49", "params": {}}, "stage_count": 2},
+    "fock-claims": {
+        "schedule": {"kind": "thm44", "params": {"s_values": [2], "q_max": 2, "k_max": 1}},
+        "class_label": "M[l0=1;2]",
+        "shifts": ["2"],
+    },
+    "spectrum": {"analytic": {"kind": "gaussian"}},
+    "disjointness": {"analytic": {"kind": "cosine", "freqs": [1.0]}},
+    "reflection-check": {"schedule": FLAT2},
+}
+
+
+def test_every_kind_has_a_shallow_read_spec():
+    assert sorted(SHALLOW_READ) == sorted(KINDS)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_unread_entry_is_named_before_the_run(monkeypatch, kind):
+    build = Schedule.stage
+
+    def shallow_stage(schedule, n):
+        assert n <= 2, "the run started before the spec was checked"
+        return build(schedule, n)
+
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("the run started before the spec was checked")
+
+    monkeypatch.setattr(Schedule, "stage", shallow_stage)
+    monkeypatch.setattr(experiments, "bochner_density", no_estimate)
+    with pytest.raises(ConfigurationError, match=re.escape("spec has unknown or unused entries ['bogus']")):
+        run_experiment(kind, {**SHALLOW_READ[kind], "bogus": 1})
+
+
+def test_off_scale_threshold_is_read_when_the_residual_check_fails():
+    spec = {
+        **SHALLOW_READ["fock-claims"],
+        "build_to": 6,
+        "stage": 2,
+        "levels": 5,
+        "family_size": 1,
+        "threshold": 0,
+        "off_scale": "3",
+        "off_scale_threshold": 0.05,
+    }
+    report = run_experiment("fock-claims", spec)
+    assert report["passed"] is False
+    assert report["result"]["final_max_factor_residual"] >= 0
+    assert report["result"]["off_scale"]["b"] == "3"
+
+
 @pytest.mark.parametrize(
     "schedule",
     [{"kind": "flat", "r": 3}, {"named": {"kind": "flat", "r": 3}}],
@@ -277,6 +335,7 @@ def test_unread_or_mistyped_entry_is_named(kind, spec, named):
 def test_unknown_schedule_key_exits_two_naming_it(tmp_path, schedule):
     result = invoke(["stage-audit", "--spec", write_spec(tmp_path, "bad.json", {"schedule": schedule})])
     assert result.exit_code == 2
+    assert "named schedule (its builder's parameters, h1, w1 and mode go in 'params') has unknown" in result.output
     assert "['r']" in result.output
 
 

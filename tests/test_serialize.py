@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -87,7 +88,7 @@ def test_unknown_spacer_variant_rejected():
 @pytest.mark.parametrize("field", ["h1", "w1", "mode"])
 def test_named_document_rejects_top_level_geometry(field):
     doc = {"named": {"kind": "flat", "params": {"r": 3}}, field: "5" if field != "mode" else "float"}
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match=re.escape(f"['{field}']")):
         schedule_from_json(doc)
 
 

@@ -141,8 +141,8 @@ def test_spec_dt_is_exact_and_matches_the_float_curve():
     i/20; the values agree with the float-dt sweep within 1e-12."""
     sched = asym49_schedule()
     spec = {"schedule": {"kind": "asym49", "params": {}}, "dt": 0.05, "t_max": 4, "seed": 3}
-    exact = _curve_for_spec(sched, spec)
-    as_text = _curve_for_spec(sched, {**spec, "dt": "0.05"})
+    exact = _curve_for_spec(sched, spec)()
+    as_text = _curve_for_spec(sched, {**spec, "dt": "0.05"})()
     f = seeded_family(sched, spec, pair=False)[0]
     floats = autocorr_curve(sched, f, 0.05, 4)
     assert np.array_equal(exact.values, as_text.values)
