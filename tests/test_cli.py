@@ -289,10 +289,6 @@ SHALLOW_READ = {
 }
 
 
-def test_every_kind_has_a_shallow_read_spec():
-    assert sorted(SHALLOW_READ) == sorted(KINDS)
-
-
 @pytest.mark.parametrize("kind", KINDS)
 def test_unread_entry_is_named_before_the_run(monkeypatch, kind):
     build = Schedule.stage
