@@ -48,6 +48,7 @@ working stage by ``MAX_STAGE``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import _count_elements, defaultdict
 from dataclasses import dataclass
 from itertools import chain, product
@@ -81,14 +82,22 @@ class WeakLimitTarget:
 
 
 def pick_stage(schedule: Schedule, k: int, t_abs: Scalar) -> int:
-    """Smallest N >= k with h_N >= STAGE_MARGIN * (h_k + |t|), up to MAX_STAGE."""
-    need = STAGE_MARGIN * (schedule.height(k) + t_abs)
-    n = k
-    while n <= MAX_STAGE:
-        if not schedule.height(n) < need:
-            return n
+    """Smallest N >= k with h_N >= STAGE_MARGIN * (h_k + |t|), up to MAX_STAGE.
+
+    The condition reads u_N >= |t| for the thresholds
+    u_N = h_N / STAGE_MARGIN - h_k, which do not decrease with N.  They
+    are kept in one list per (schedule, k), built lazily stage by stage,
+    so N is one bisection of the list; MAX_STAGE is read on every call."""
+    bracket = schedule.stage_thresholds.setdefault(k, [])
+    n = k + bisect_left(bracket, t_abs)
+    while n == k + len(bracket) and n <= MAX_STAGE:
+        bracket.append(schedule.height(n) / STAGE_MARGIN - schedule.height(k))
+        if not bracket[-1] < t_abs:
+            break
         n += 1
-    raise RangeError(f"|t| = {float(t_abs):g} out of range: no stage up to {MAX_STAGE} is tall enough")
+    if n > MAX_STAGE:
+        raise RangeError(f"|t| = {float(t_abs):g} out of range: no stage up to {MAX_STAGE} is tall enough")
+    return n
 
 
 class MCorrelator:

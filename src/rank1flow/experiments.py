@@ -6,7 +6,9 @@ Reports are deterministic: seeds are explicit, iteration orders fixed,
 and nothing time- or host-dependent goes into the report body.  A runner
 reads every entry of its spec, then closes the spec (an entry nothing
 read is an error) before it runs the experiment.  A boolean entry must
-be JSON true or false and an integer entry a JSON integer.
+be JSON true or false, an integer entry a JSON integer and a number
+entry a finite JSON number; the one numeric string read as a number is a
+schedule curve's ``dt``, taken exactly from its decimal text.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import csv
 import random
 from fractions import Fraction
 from functools import partial
-from math import isfinite
 
 from .correlate import (
     Correlator,
@@ -32,7 +33,7 @@ from .errors import ConfigurationError
 from .oracle import oracle_correlate
 from .schedule import Schedule, finiteness_test, symmetrize
 from .scalars import scalar_from_string, scalar_to_string
-from .serialize import Reader, boolean, correlation_result_to_json, integer, load_schedule, parse_as, positive
+from .serialize import Reader, boolean, correlation_result_to_json, integer, load_schedule, number, parse_as, positive
 from .spectral import affinity, autocorr_curve, bochner_density, curve_from_samples, dilate
 from .stepfun import StepFunction, lift, random_level_set, random_step_function, reflect
 
@@ -68,6 +69,14 @@ def _field(spec, key: str, parse, default=_REQUIRED):
     return parse(default)
 
 
+def _positive_field(spec, key: str, parse, default):
+    """A :func:`_field` that must be positive."""
+    value = _field(spec, key, parse, default)
+    if not value > 0:
+        raise ConfigurationError(f"spec entry {key!r} must be positive, got {value}")
+    return value
+
+
 def _scalar(value):
     return scalar_from_string(str(value))
 
@@ -81,15 +90,8 @@ def _list_of(parse):
     return parse_list
 
 
-def _finite(value) -> float:
-    x = float(value)
-    if not isfinite(x):
-        raise ValueError("must be finite")
-    return x
-
-
-def _optional_float(value):
-    return None if value is None else float(value)
+def _optional_number(value):
+    return None if value is None else number(value)
 
 
 def resolve_schedule(spec: dict) -> Schedule:
@@ -239,8 +241,8 @@ def run_correlate(spec: dict):
 def _target_from_spec(doc) -> WeakLimitTarget:
     def cplx(v):
         if isinstance(v, list):
-            return complex(_finite(v[0]), _finite(v[1]))
-        return complex(_finite(v), 0.0)
+            return complex(number(v[0]), number(v[1]))
+        return complex(number(v), 0.0)
 
     doc = Reader(doc, "spec entry 'target'")
     target = WeakLimitTarget(
@@ -257,7 +259,7 @@ def run_weak_limit(spec: dict):
     time_spec = spec.get("times", ["0"])
     target = _target_from_spec(spec.get("target", {"alpha": 1}))
     family = seeded_family(schedule, spec)
-    threshold = _field(spec, "threshold", _finite, 0.05)
+    threshold = _field(spec, "threshold", number, 0.05)
     spec.close()
     times = resolve_times(schedule, time_spec)
     probe = weak_limit_probe(schedule, times, target, family, threshold=threshold)
@@ -335,8 +337,8 @@ def triple_ratio(schedule: Schedule, a: StepFunction, n, sign: int):
 def run_triple_asymmetry(spec: dict):
     schedule = resolve_schedule(spec)
     count = _field(spec, "stage_count", positive, 3)
-    thr_fwd = _field(spec, "forward_threshold", float, 0.19)
-    thr_bwd = _field(spec, "backward_threshold", float, 0.1)
+    thr_fwd = _field(spec, "forward_threshold", number, 0.19)
+    thr_bwd = _field(spec, "backward_threshold", number, 0.1)
     forward_sets = forward_level_sets(schedule, spec)
     candidates = backward_candidates(schedule, spec)
     spec.close()
@@ -383,10 +385,10 @@ def run_fock_claims(spec: dict):
     vectors = tuple(fam[i % len(fam)] for i in range(len(shifts)))
     comp = FockComponent(tuple(shifts), mults, vectors)
     two_r = 2 * (_field(spec, "pairs", integer, 0) or len(shifts))
-    threshold = _field(spec, "threshold", float, 0.1)
+    threshold = _field(spec, "threshold", number, 0.1)
     off_scale = None
     if spec.get("off_scale") is not None:
-        off_scale = (_field(spec, "off_scale", _scalar), _field(spec, "off_scale_threshold", float, 0.05))
+        off_scale = (_field(spec, "off_scale", _scalar), _field(spec, "off_scale_threshold", number, 0.05))
     spec.close()
     times = resolve_times(schedule, {"kind": "m_class", "label": label, "build_to": build_to})
     items = []
@@ -433,19 +435,19 @@ def _curve_for_spec(schedule, spec):
     """Read the curve entries of a spectrum or disjointness spec; returns
     a function of no arguments that samples the curve."""
     analytic = spec.get("analytic")
-    t_max = _field(spec, "t_max", float, 8.0)
+    t_max = _positive_field(spec, "t_max", number, 8.0)
     if analytic:
         import math
 
         analytic = Reader(analytic, "spec entry 'analytic'")
         kind = analytic.get("kind")
-        dt = _field(spec, "dt", float, 0.05)
+        dt = _positive_field(spec, "dt", number, 0.05)
         n = int(round(t_max / dt))
         ts = [i * dt for i in range(-n, n + 1)]
         if kind == "gaussian":
             vals = [math.exp(-math.pi * t * t) for t in ts]
         elif kind == "cosine":
-            freqs = _field(analytic, "freqs", _list_of(float), [1.0])
+            freqs = _field(analytic, "freqs", _list_of(number), [1.0])
             vals = [sum(math.cos(2 * math.pi * l0 * t) for l0 in freqs) for t in ts]
         else:
             raise ConfigurationError(f"unknown analytic curve {kind!r}")
@@ -455,9 +457,7 @@ def _curve_for_spec(schedule, spec):
         raise ConfigurationError("spec needs a 'schedule' or an 'analytic' curve")
     # the sample times i * dt stay exact, so a rational schedule keeps its
     # lattice kernel; a JSON number keeps its decimal text through repr
-    dt = _field(spec, "dt", lambda v: Fraction(str(v)), "0.05")
-    if dt <= 0:
-        raise ConfigurationError(f"spec entry 'dt' must be positive, got {dt}")
+    dt = _positive_field(spec, "dt", lambda v: Fraction(str(v)), "0.05")
     f = seeded_family(schedule, spec, pair=False)[0]
     return partial(autocorr_curve, schedule, f, dt, t_max)
 
@@ -465,9 +465,9 @@ def _curve_for_spec(schedule, spec):
 def _estimate_entries(spec) -> dict:
     """The keyword arguments of bochner_density that the spec sets."""
     return {
-        "lam_max": _field(spec, "lam", float, 4.0),
+        "lam_max": _positive_field(spec, "lam", number, 4.0),
         "grid_size": _field(spec, "grid_size", integer, 801),
-        "taper_width": _field(spec, "taper_width", _optional_float, None),
+        "taper_width": _field(spec, "taper_width", _optional_number, None),
     }
 
 
@@ -494,8 +494,8 @@ def run_disjointness(spec: dict):
     schedule = resolve_schedule(spec) if spec.get("schedule") else None
     sample = _curve_for_spec(schedule, spec)
     estimate = _estimate_entries(spec)
-    factors = _field(spec, "dilations", _list_of(float), [2.0])
-    threshold = _field(spec, "threshold", float, 0.5)
+    factors = _field(spec, "dilations", _list_of(number), [2.0])
+    threshold = _field(spec, "threshold", number, 0.5)
     spec.close()
     est = bochner_density(sample(), **estimate)
     self_aff = affinity(est, est)

@@ -88,6 +88,8 @@ class Sqrt2:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):  # a rational divisor scales each component
+            return Sqrt2(self.a / other, self.b / other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -253,6 +253,7 @@ class Schedule:
         self._stages: list[TowerStage] = []
         self._overlap_cache: dict = {}
         self._window_cache: dict = {}
+        self.stage_thresholds: dict = {}  # k -> [u_k, u_{k+1}, ...] of correlate.pick_stage
 
     # -- stage computation ----------------------------------------------
 

@@ -12,13 +12,14 @@ A "stages" document repeats its last entry for all deeper stages.
 
 Documents and experiment specs are read through :class:`Reader`, which
 rejects every entry that nothing reads, and through strict parsers:
-:func:`integer` takes only JSON integers, :func:`boolean` only true and
-false.
+:func:`integer` takes only JSON integers, :func:`number` only finite JSON
+numbers (not booleans or strings), :func:`boolean` only true and false.
 """
 
 from __future__ import annotations
 
 import json
+from math import isfinite
 
 from .builders import fraction_split, named_schedule, paired_gaps, staircase
 from .errors import ConfigurationError
@@ -57,7 +58,7 @@ def parse_as(value, what: str, parse):
     """parse(value); a value it rejects is a ConfigurationError naming *what*."""
     try:
         return parse(value)
-    except (TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, IndexError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigurationError(f"{what} = {value!r}: {exc}") from None
 
 
@@ -71,6 +72,15 @@ def positive(value) -> int:
     if integer(value) < 1:
         raise ValueError("must be at least 1")
     return value
+
+
+def number(value) -> float:
+    if type(value) not in (int, float):  # not a boolean, and not a numeric string
+        raise TypeError("expected a number")
+    x = float(value)
+    if not isfinite(x):
+        raise ValueError("must be finite")
+    return x
 
 
 def boolean(value) -> bool:

@@ -6,6 +6,15 @@ taper gives a nonnegative density estimate; negative lobes (taper and
 truncation artifacts) are clipped and the mass renormalized to c(0).
 Dilation lambda -> t * lambda and the Hellinger affinity provide the
 probes used for spectral-disjointness experiments.
+
+Both halves of the path use c(-t) = conj c(t), which holds because U_T
+is unitary.  :func:`autocorr_curve` queries the engine at t >= 0 only
+and mirrors the rest: the truncated engine value is Hermitian too
+(B_N(-tau) = conj B_N(tau)), and the working stage and the bound depend
+on |t| only.  :func:`bochner_density` evaluates exp(-2 pi i lambda t)
+for the t >= 0 columns and fills the t < 0 ones with their conjugates,
+bit for bit the values a full evaluation gives.  A curve's times must
+therefore be symmetric about 0, with t = 0 in the middle.
 """
 
 from __future__ import annotations
@@ -56,17 +65,20 @@ class SpectralEstimate:
 
 def autocorr_curve(schedule: Schedule, f: StepFunction, dt, t_max) -> AutocorrCurve:
     """Sample <U_T(t_i) f, f> on the uniform grid t_i = i * dt,
-    |t_i| <= t_max, sharing one correlator memo across the sweep."""
+    |t_i| <= t_max, sharing one correlator memo across the sweep.  The
+    engine is queried at i = 0..n; the value at -t_i is the conjugate of
+    the one at t_i, with the same bound."""
     n = int(round(float(t_max) / float(dt)))
     corr = Correlator(schedule, f, f)
-    times, values, bounds = [], [], []
-    for i in range(-n, n + 1):
-        t = i * dt
-        r = corr.at(t)
-        times.append(float(t))
-        values.append(r.value)
-        bounds.append(r.error_bound)
-    return AutocorrCurve(dt=float(dt), times=np.array(times), values=np.array(values), bounds=np.array(bounds))
+    half = [corr.at(i * dt) for i in range(n + 1)]
+    values = np.array([r.value for r in half], dtype=complex)
+    bounds = np.array([r.error_bound for r in half])
+    return AutocorrCurve(
+        dt=float(dt),
+        times=np.array([float(i * dt) for i in range(-n, n + 1)]),
+        values=np.concatenate([np.conjugate(values[:0:-1]), values]),
+        bounds=np.concatenate([bounds[:0:-1], bounds]),
+    )
 
 
 def curve_from_samples(dt: float, values, bounds=None) -> AutocorrCurve:
@@ -84,20 +96,28 @@ def bochner_density(
 ) -> SpectralEstimate:
     """density(lambda) = dt * sum_i w(t_i) c(t_i) exp(-2 pi i lambda t_i)
     with the Gaussian taper w(t) = exp(-t^2 / (2 width^2)); negative
-    lobes are clipped and the mass renormalized to c(0)."""
-    t_max = float(curve.times[-1])
+    lobes are clipped and the mass renormalized to c(0).  The times must
+    be symmetric about 0: the phases of t < 0 are the conjugates of those
+    of -t."""
+    times = curve.times
+    n = len(times) // 2
+    if not np.array_equal(times[n:], -times[n::-1]):
+        raise ConfigurationError("curve times must be symmetric about 0, with t = 0 in the middle")
+    t_max = float(times[-1])
     if taper_width is None:
         taper_width = t_max / 3.0
     if taper_width > t_max:
         raise ConfigurationError(f"taper width {taper_width} exceeds T_max {t_max}")
     if taper_width <= 0:
         raise ConfigurationError("taper width must be positive")
-    w = np.exp(-(curve.times**2) / (2.0 * taper_width**2))
+    w = np.exp(-(times**2) / (2.0 * taper_width**2))
     freqs = np.linspace(-lam_max, lam_max, grid_size)
-    phases = np.exp(-2j * np.pi * np.outer(freqs, curve.times))
+    phases = np.empty((len(freqs), len(times)), dtype=complex)
+    np.exp(-2j * np.pi * np.outer(freqs, times[n:]), out=phases[:, n:])
+    np.conjugate(phases[:, :n:-1], out=phases[:, :n])
     density = curve.dt * np.real(phases @ (w * curve.values))
     density = np.clip(density, 0.0, None)
-    c0 = float(np.real(curve.values[len(curve.values) // 2]))
+    c0 = float(np.real(curve.values[n]))
     mass = float(_trapezoid(density, freqs))
     if mass > 0 and c0 > 0:
         density *= c0 / mass

@@ -30,7 +30,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .errors import ConfigurationError, ResourceError
-from .scalars import Scalar, Sqrt2, exact, scalar_from_string, scalar_to_string, sqrt2_float, sqrt2_sorted
+from .scalars import Scalar, Sqrt2, exact, sqrt2_float, sqrt2_sorted
 from .schedule import Lattice, scalar_denominator
 
 MAX_BREAKPOINTS = 2_000_000  # the most breakpoints lift builds per stage
@@ -79,19 +79,6 @@ class StepFunction:
     def sup_norm(self) -> float:
         return max(abs(complex(v)) for v in self.values) if self.values else 0.0
 
-    def norm2_sq_unweighted(self) -> float:
-        """integral of |f|^2 over [0, h_k), without the width weight."""
-        total = 0.0
-        for a, b, v in zip(self.breakpoints, self.breakpoints[1:], self.values):
-            total += abs(complex(v)) ** 2 * float(b - a)
-        return total
-
-    def mean_unweighted(self) -> complex:
-        total = 0j
-        for a, b, v in zip(self.breakpoints, self.breakpoints[1:], self.values):
-            total += complex(v) * float(b - a)
-        return total
-
     def __call__(self, y: Scalar) -> complex:
         """Value at height y; 0 outside [0, h_k)."""
         if y < 0 or not y < self.height:
@@ -108,21 +95,6 @@ class StepFunction:
     def conjugate(self) -> "StepFunction":
         """The complex conjugate, on the same breakpoints."""
         return StepFunction(self.stage, list(self.breakpoints), [complex(v).conjugate() for v in self.values])
-
-    def to_json(self) -> dict:
-        return {
-            "stage": self.stage,
-            "breakpoints": [scalar_to_string(b) for b in self.breakpoints],
-            "values": [[complex(v).real, complex(v).imag] for v in self.values],
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "StepFunction":
-        return cls(
-            stage=doc["stage"],
-            breakpoints=[scalar_from_string(s) for s in doc["breakpoints"]],
-            values=[complex(re, im) for re, im in doc["values"]],
-        )
 
 
 def indicator(stage: int, height: Scalar, lo: Scalar, hi: Scalar) -> StepFunction:

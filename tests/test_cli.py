@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from pathlib import Path
 
@@ -184,6 +185,16 @@ UNREAD_OR_MISTYPED = {
         "'q'",
     ),
     "fractional-r": ("stage-audit", {"schedule": {"stages": [{"r": 2.7, "spacer": CONSTANT}]}}, "'r'"),
+    "boolean-threshold": ("weak-limit", {"schedule": FLAT2, "times": ["1"], "threshold": True}, "'threshold'"),
+    "boolean-t-max": ("spectrum", {"analytic": {"kind": "gaussian"}, "t_max": True}, "'t_max'"),
+    "string-threshold": ("disjointness", {"analytic": {"kind": "gaussian"}, "threshold": "0.5"}, "'threshold'"),
+    "string-lam": ("spectrum", {"analytic": {"kind": "gaussian"}, "lam": "4"}, "'lam'"),
+    "string-alpha": ("weak-limit", {"schedule": FLAT2, "times": ["1"], "target": {"alpha": "0.5"}}, "'alpha'"),
+    "boolean-dilation": ("disjointness", {"analytic": {"kind": "gaussian"}, "dilations": [True]}, "'dilations'"),
+    "analytic-string-dt": ("spectrum", {"analytic": {"kind": "gaussian"}, "dt": "0.05"}, "'dt'"),
+    "analytic-zero-dt": ("spectrum", {"analytic": {"kind": "gaussian"}, "dt": 0}, "'dt'"),
+    "negative-t-max": ("spectrum", {"analytic": {"kind": "gaussian"}, "t_max": -1}, "'t_max'"),
+    "infinite-t-max": ("disjointness", {"analytic": {"kind": "gaussian"}, "t_max": math.inf}, "'t_max'"),
 }
 
 

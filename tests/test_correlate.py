@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -20,11 +21,14 @@ from rank1flow import (
     product_integral,
     random_step_function,
     staircase34_schedule,
+    symmetrize,
     thm44_schedule,
     weak_limit_probe,
 )
 from rank1flow import schedule as schedule_module
 from rank1flow.errors import RangeError, ResourceError
+
+correlate_module = importlib.import_module("rank1flow.correlate")  # the package exports a function of that name
 
 
 def pair(schedule, seed, stage=1, levels=4):
@@ -123,6 +127,68 @@ def test_out_of_range_time_raises(flat2):
     f, g = pair(flat2, 2)
     with pytest.raises(RangeError):
         correlate(flat2, f, g, 10**25)
+
+
+def linear_pick_stage(schedule, k, t_abs):
+    """pick_stage by its definition: the first stage from k up to MAX_STAGE
+    with h_N >= STAGE_MARGIN * (h_k + |t|)."""
+    need = correlate_module.STAGE_MARGIN * (schedule.height(k) + t_abs)
+    for n in range(k, correlate_module.MAX_STAGE + 1):
+        if not schedule.height(n) < need:
+            return n
+    raise RangeError(f"|t| = {float(t_abs):g} out of range")
+
+
+STAGE_BUILDERS = {
+    "flat": lambda: flat_schedule(3),
+    "staircase34": lambda: staircase34_schedule(staircase_stages=(2, 3), base=4, r_cap=16),
+    "asym49": lambda: asym49_schedule(r_cap=16),
+    "asym49-sqrt2": lambda: asym49_schedule(r_cap=16, mode="sqrt2"),
+    "thm44": lambda: thm44_schedule(s_values=(2,), q_max=1, k_max=1, r_cap=6),
+    "symmetrized-flat": lambda: symmetrize(flat_schedule(3)),
+}
+
+
+def stage_probe_times(schedule, k, rng):
+    """|t| at and one unit either side of each stage's threshold up to k + 4,
+    random rationals and multiples of sqrt 2 below the last one, and 0."""
+    margin = correlate_module.STAGE_MARGIN
+    edges = [schedule.height(n) / margin - schedule.height(k) for n in range(k, k + 5)]
+    top = float(edges[-1])
+    times = [0, *edges, *(e + Fraction(1, 10**9) for e in edges), *(e - Fraction(1, 10**9) for e in edges[1:])]
+    times += [Fraction(rng.randrange(int(64 * top)), 64) for _ in range(30)]
+    times += [rng.randrange(int(8 * top / 1.5)) * SQRT2 / 8 for _ in range(10)]
+    return [t for t in times if t >= 0]
+
+
+@pytest.mark.parametrize("order", ["increasing", "decreasing", "shuffled"])
+@pytest.mark.parametrize("name", list(STAGE_BUILDERS))
+def test_cached_pick_stage_matches_its_definition(name, order):
+    """The bisected threshold list gives the linear search's stage for every
+    |t| and k, in any query order; with MAX_STAGE lowered after the list
+    has grown past it, both raise RangeError for the deeper stages."""
+    rng = random.Random(f"{name}-{order}")
+    sched, reference = STAGE_BUILDERS[name](), STAGE_BUILDERS[name]()
+    probes = {k: stage_probe_times(reference, k, rng) for k in (1, 2)}
+    for k, times in probes.items():
+        if order == "shuffled":
+            rng.shuffle(times)
+        else:
+            times.sort(key=float, reverse=order == "decreasing")
+        picked = [pick_stage(sched, k, t) for t in times]
+        assert picked == [linear_pick_stage(reference, k, t) for t in times]
+        assert k + 4 in picked and k + 5 in picked
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(correlate_module, "MAX_STAGE", 4)
+        for k, times in probes.items():
+            for t in times:
+                try:
+                    expected = linear_pick_stage(reference, k, t)
+                except RangeError:
+                    with pytest.raises(RangeError, match="no stage up to 4"):
+                        pick_stage(sched, k, t)
+                else:
+                    assert pick_stage(sched, k, t) == expected <= 4
 
 
 def test_mismatched_stages_rejected(flat2):

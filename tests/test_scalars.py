@@ -24,6 +24,16 @@ def test_division_roundtrip():
     assert (x / y) * y == x
 
 
+def test_rational_divisor_matches_field_division():
+    x = Sqrt2(Fraction(3, 7), Fraction(-2, 5))
+    for d in (4, -3, Fraction(5, 6)):
+        q = x / d
+        assert (q.a, q.b) == (x.a / d, x.b / d)
+        assert q == x / Sqrt2(d) and q * d == x
+    with pytest.raises(ZeroDivisionError):
+        x / 0
+
+
 def test_ordering_matches_real_embedding():
     vals = [Sqrt2(0, 1), Sqrt2(1, 0), Sqrt2(3, -1), Sqrt2(-1, 1), Sqrt2(Fraction(7, 5))]
     by_exact = sorted(vals)

@@ -1,9 +1,12 @@
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from rank1flow import (
+    Correlator,
     affinity,
     aggregate,
     asym49_schedule,
@@ -13,9 +16,13 @@ from rank1flow import (
     dilate,
     flat_schedule,
     indicator,
+    random_step_function,
 )
 from rank1flow.errors import ConfigurationError, DegenerateInputError
-from rank1flow.experiments import _curve_for_spec, seeded_family
+from rank1flow.experiments import _curve_for_spec, _estimate_entries, seeded_family
+from rank1flow.spectral import AutocorrCurve
+
+trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz  # numpy < 2 lacks trapezoid
 
 
 def gaussian_curve(dt=0.05, t_max=20.0):
@@ -46,7 +53,6 @@ def test_gaussian_mass_matches_c0():
 def test_cosine_lobes_carry_mass():
     est = bochner_density(cosine_curve(), lam_max=4.0, grid_size=1601, taper_width=6.0)
     lobes = (np.abs(est.freqs - 1.0) <= 0.25) | (np.abs(est.freqs + 1.0) <= 0.25)
-    trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz  # numpy < 2 lacks trapezoid
     lobe_mass = float(trapezoid(np.where(lobes, est.density, 0.0), est.freqs))
     assert lobe_mass >= 0.9 * est.total_mass
 
@@ -150,3 +156,87 @@ def test_spec_dt_is_exact_and_matches_the_float_curve():
     assert len(exact.values) == len(floats.values) == 161
     assert np.max(np.abs(exact.values - floats.values)) <= 1e-12
     assert np.max(np.abs(exact.times - floats.times)) <= 1e-12
+
+
+def two_sided_sweep(schedule, f, dt, t_max):
+    """(times, values, bounds) with the engine queried at every i * dt,
+    |i| <= n, negative times included."""
+    n = int(round(float(t_max) / float(dt)))
+    corr = Correlator(schedule, f, f)
+    results = [corr.at(i * dt) for i in range(-n, n + 1)]
+    times = np.array([float(i * dt) for i in range(-n, n + 1)])
+    return times, np.array([r.value for r in results]), np.array([r.error_bound for r in results])
+
+
+@pytest.mark.parametrize("t_max", [3, 0.1], ids=["n>0", "n=0"])
+@pytest.mark.parametrize("dt", [Fraction(1, 4), 0.3], ids=["exact-dt", "float-dt"])
+@pytest.mark.parametrize("name", ["flat3", "small_staircase", "small_asym", "small_thm44"])
+def test_half_sweep_matches_a_two_sided_sweep(request, name, dt, t_max):
+    """The mirrored half is within 1e-15 of the engine's values at t < 0,
+    with equal times and bounds; the queried half is the engine's, exactly."""
+    sched = request.getfixturevalue(name)
+    f = random_step_function(1, sched.height(1), 4, random.Random(5))
+    curve = autocorr_curve(sched, f, dt, t_max)
+    times, values, bounds = two_sided_sweep(sched, f, dt, t_max)
+    n = len(times) // 2
+    assert np.array_equal(curve.times, times)
+    assert np.array_equal(curve.bounds, bounds)
+    assert np.array_equal(curve.values[n:], values[n:])
+    assert np.array_equal(curve.values[:n], np.conjugate(values[: n : -1]))
+    assert np.max(np.abs(curve.values - values)) <= 1e-15
+
+
+def test_half_sweep_queries_each_nonnegative_time_once(monkeypatch, flat3):
+    at, queried = Correlator.at, []
+
+    def counting(self, t, stage=None):
+        queried.append(t)
+        return at(self, t, stage)
+
+    monkeypatch.setattr(Correlator, "at", counting)
+    f = random_step_function(1, flat3.height(1), 4, random.Random(2))
+    curve = autocorr_curve(flat3, f, Fraction(1, 4), 2)
+    assert queried == [i * Fraction(1, 4) for i in range(9)]
+    assert len(curve.values) == 17
+
+
+def full_transform_density(curve, lam_max, grid_size, taper_width):
+    """bochner_density with exp evaluated at every (frequency, time)."""
+    w = np.exp(-(curve.times**2) / (2.0 * taper_width**2))
+    freqs = np.linspace(-lam_max, lam_max, grid_size)
+    phases = np.exp(-2j * np.pi * np.outer(freqs, curve.times))
+    density = np.clip(curve.dt * np.real(phases @ (w * curve.values)), 0.0, None)
+    density *= float(np.real(curve.values[len(curve.values) // 2])) / float(trapezoid(density, freqs))
+    return density
+
+
+# the curve and estimate entries of the spectrum and disjointness specs of
+# the CLI determinism check (criterion 9)
+CLI_CURVES = {
+    "gaussian": {"analytic": {"kind": "gaussian"}, "dt": 0.05, "t_max": 20.0, "taper_width": 15.0, "lam": 4.0},
+    "cosine": {"analytic": {"kind": "cosine", "freqs": [1.0]}, "dt": 0.05, "t_max": 20.0, "taper_width": 6.0, "lam": 4.0},
+}
+
+
+@pytest.mark.parametrize("name", CLI_CURVES)
+def test_mirrored_phases_are_bit_identical_on_analytic_curves(name):
+    spec = CLI_CURVES[name]
+    curve = _curve_for_spec(None, spec)()
+    estimate = _estimate_entries(spec)
+    est = bochner_density(curve, **estimate)
+    assert np.array_equal(est.density, full_transform_density(curve, **estimate))
+
+
+def test_mirrored_phases_are_bit_identical_on_an_engine_curve():
+    sched = asym49_schedule()
+    spec = {"schedule": {"kind": "asym49", "params": {}}, "dt": 0.05, "t_max": 4, "seed": 1}
+    curve = _curve_for_spec(sched, spec)()
+    est = bochner_density(curve, lam_max=4.0, grid_size=401)
+    assert np.array_equal(est.density, full_transform_density(curve, 4.0, 401, est.taper_width))
+
+
+@pytest.mark.parametrize("times", [[0.0, 0.5, 1.0], [-0.5, 0.0, 0.5, 1.0], [-1.0, 0.1, 1.0]])
+def test_transform_needs_times_symmetric_about_zero(times):
+    curve = AutocorrCurve(dt=0.5, times=times, values=np.ones(len(times)), bounds=np.zeros(len(times)))
+    with pytest.raises(ConfigurationError, match="symmetric about 0"):
+        bochner_density(curve, lam_max=1.0, taper_width=0.5)

@@ -15,6 +15,11 @@ from rank1flow import (
 from rank1flow.errors import ConfigurationError
 
 
+def norm2_sq(f):
+    """integral of |f|^2 over [0, h_k), without the width weight."""
+    return product_integral([f, f.conjugate()], [0, 0]).real
+
+
 def test_breakpoints_must_increase():
     with pytest.raises(ConfigurationError):
         StepFunction(1, [0, 1, 1], [1 + 0j, 2 + 0j])
@@ -86,7 +91,7 @@ def test_reflect_preserves_norms(rng):
     f = random_step_function(1, 4, 5, rng)
     r = reflect(f)
     assert r.sup_norm == f.sup_norm
-    assert r.norm2_sq_unweighted() == pytest.approx(f.norm2_sq_unweighted())
+    assert norm2_sq(r) == pytest.approx(norm2_sq(f))
 
 
 def test_reflect_at_deeper_stage_lifts_first(flat2):
@@ -112,8 +117,8 @@ def test_lift_preserves_masses(flat3):
     F = lift(flat3, f, 3)
     # 9 copies of f inside stage 3, nothing else
     assert F.stage == 3
-    assert F.mean_unweighted() == pytest.approx(9 * f.mean_unweighted())
-    assert F.norm2_sq_unweighted() == pytest.approx(9 * f.norm2_sq_unweighted())
+    assert product_integral([F], [0]) == pytest.approx(9 * product_integral([f], [0]))
+    assert norm2_sq(F) == pytest.approx(9 * norm2_sq(f))
 
 
 def test_lift_downward_rejected(flat3):
@@ -126,10 +131,3 @@ def test_random_level_set_is_indicator(rng):
     a = random_level_set(1, 4, 4, rng)
     assert set(a.values) <= {0j, 1 + 0j}
     assert any(v == 1 for v in a.values)
-
-
-def test_step_function_json_roundtrip(rng):
-    f = random_step_function(1, Fraction(7, 2), 5, rng)
-    back = StepFunction.from_json(f.to_json())
-    assert back.breakpoints == f.breakpoints
-    assert back.values == f.values
