@@ -33,25 +33,23 @@ A float time enters at its exact binary value.
 
 The recursion is evaluated level by level, not depth first.  Top down,
 from stage N to stage k, a query collects the distinct shifts each stage
-needs that the memo lacks, and takes the step for all of them at once:
-at m = 2 that is one call of :meth:`Schedule.overlaps`, which sweeps the
-uncached shifts of a stage as one batch (in NumPy once the batch is
-large enough, see :func:`overlap_batch`).  Bottom up, from stage k back
+needs that the memo lacks, and takes the schedule's step for all of them
+at once: one call of :meth:`Schedule.overlaps` at m = 2, which sweeps the
+uncached shifts as one batch (see :func:`overlap_batch`), or of
+:meth:`Schedule.tuple_overlaps` at m >= 3.  Bottom up, from stage k back
 to N, each new value is summed over its step in the order the step lists
 the deltas (increasing at m = 2), the order of a depth-first recursion,
 so every value is bit-identical to it.
 
-The memo of a query and the delta vectors of an m-tuple step are bounded
-by :data:`rank1flow.schedule.GUARD`, read when each check runs, and the
-working stage by ``MAX_STAGE``.
+The memo of a query is bounded by :data:`rank1flow.schedule.GUARD`, read
+when its check runs, and the working stage by ``MAX_STAGE``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import _count_elements, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, product
 from math import lcm, prod
 from typing import Callable, Sequence
 
@@ -110,10 +108,10 @@ class MCorrelator:
     scale starts at the lcm of the functions' breakpoint denominators, so
     the base case reads their grids on it, and only grows: a query that
     needs a finer one rescales the keys already stored, so the memo is
-    shared across query times.  The step is chosen once, from m: the
-    schedule's sorted overlaps at m = 2, else tuples of copies grouped by
-    delta vector.  Either takes a list of shifts and returns one
-    (delta, multiplicity) sequence per shift.
+    shared across query times.  The step is the schedule's, chosen once
+    from m: :meth:`Schedule.overlaps` at m = 2, else
+    :meth:`Schedule.tuple_overlaps`.  Either takes a list of shifts and
+    returns one (delta, multiplicity) sequence per shift.
     """
 
     def __init__(self, schedule: Schedule, functions: Sequence[StepFunction]):
@@ -131,7 +129,7 @@ class MCorrelator:
         self._size = 0  # entries in the memo
         self._norm = prod(f.sup_norm for f in self.functions)  # of the bound, read per query
         self._pair = len(functions) == 2
-        self._step = schedule.overlaps if self._pair else self._windows
+        self._step = schedule.overlaps if self._pair else schedule.tuple_overlaps
 
     def _correlation(self, shifts: tuple, t_abs: Scalar, stage: int | None) -> CorrelationResult:
         """w_N * B_N at exact shifts, one per function after the first,
@@ -192,21 +190,6 @@ class MCorrelator:
                 here[y] = v
             n += 1
         return top[x]
-
-    def _windows(self, n: int, xs: list, lattice: Lattice) -> list:
-        """The m >= 3 step, called as :meth:`Schedule.overlaps`: for each
-        shift tuple, the delta vectors of copy j0 with copies j'_i of the
-        windows of each shift, j0 ascending, then the j'_i in product order."""
-        sched, guard = self.schedule, geometry.GUARD
-        steps = []
-        for x in xs:
-            per_copy = zip(*(sched.windows(n, xi, lattice) for xi in x))
-            groups: dict = {}
-            _count_elements(groups, chain.from_iterable(product(*windows) for windows in per_copy))
-            if len(groups) > guard:
-                raise ResourceError(f"m-tuple delta blowup at stage {n}: more than {guard} delta vectors")
-            steps.append(groups.items())
-        return steps
 
     def _bound(self, t: float, w: float) -> float:
         return 2.0 * self._norm * t * w * len(self.functions)

@@ -81,13 +81,21 @@ def _scalar(value):
     return scalar_from_string(str(value))
 
 
-def _list_of(parse):
+def _list_of(parse, least: int = 0):
     def parse_list(value):
         if not isinstance(value, list):
             raise TypeError("expected a list")
+        if len(value) < least:
+            raise ValueError(f"needs at least {least} entries")
         return [parse(v) for v in value]
 
     return parse_list
+
+
+def _grid_size(value) -> int:
+    if integer(value) < 2:
+        raise ValueError("must be at least 2")
+    return value
 
 
 def _optional_number(value):
@@ -166,7 +174,7 @@ def seeded_family(schedule: Schedule, params: dict, pair: bool = True) -> list:
 
 def run_stage_audit(spec: dict):
     schedule = resolve_schedule(spec)
-    depth = _field(spec, "depth", integer, 8)
+    depth = _field(spec, "depth", positive, 8)
     horizon = _field(spec, "finiteness_horizon", integer, 0)
     spec.close()
     items = []
@@ -466,7 +474,7 @@ def _estimate_entries(spec) -> dict:
     """The keyword arguments of bochner_density that the spec sets."""
     return {
         "lam_max": _positive_field(spec, "lam", number, 4.0),
-        "grid_size": _field(spec, "grid_size", integer, 801),
+        "grid_size": _field(spec, "grid_size", _grid_size, 801),
         "taper_width": _field(spec, "taper_width", _optional_number, None),
     }
 
@@ -494,7 +502,7 @@ def run_disjointness(spec: dict):
     schedule = resolve_schedule(spec) if spec.get("schedule") else None
     sample = _curve_for_spec(schedule, spec)
     estimate = _estimate_entries(spec)
-    factors = _field(spec, "dilations", _list_of(number), [2.0])
+    factors = _field(spec, "dilations", _list_of(number, least=1), [2.0])
     threshold = _field(spec, "threshold", number, 0.5)
     spec.close()
     est = bochner_density(sample(), **estimate)

@@ -23,26 +23,28 @@ and the offsets accumulated as ints or int pairs.  The scalar offsets,
 h_{n+1} and the spacer mass are decoded from there on first use.
 :meth:`TowerStage.on_lattice` rescales a stage to a finer lattice, where
 :func:`copy_windows` sweeps it with plain integer arithmetic, copy by
-copy, for the m-point engine, and :func:`overlap_pairs` counts its deltas
-for the 2-point one.  Pairs are compared on float values where these
-clear their rounding bound, and by :func:`sqrt2_sign` where they do not.
-Scalars come back only at the boundary, via :meth:`Lattice.decode`.
+copy, and :func:`overlap_pairs` counts the deltas of the windows.  Pairs
+are compared on float values where these clear their rounding bound, and
+by :func:`sqrt2_sign` where they do not.  Scalars come back only at the
+boundary, via :meth:`Lattice.decode`.
 
-The 2-point engine asks for the overlaps of a whole stage's shifts at
-once (:meth:`Schedule.overlaps`), and :func:`overlap_batch` applies the
-batch rule: on int offsets, a batch of at least ``_NUMPY_MIN_WORK``
-(shift, copy) pairs whose values fit int64 is swept in one NumPy pass
-(``searchsorted`` for every window, one sort for every delta); a smaller
-batch, values past int64 and (a, b) pairs take the Python sweep, one
-shift at a time.  Both give the same sorted (delta, multiplicity) lists.
+The engine takes the step of a stage for a whole level of shifts at
+once, from the schedule's one overlap cache: :meth:`Schedule.overlaps` at
+m = 2, :meth:`Schedule.tuple_overlaps` on shift tuples at m >= 3.  At
+m = 2, :func:`overlap_batch` applies the batch rule: on int offsets, a
+batch of at least ``_NUMPY_MIN_WORK`` (shift, copy) pairs whose values
+fit int64 is swept in one NumPy pass (``searchsorted`` for every window,
+one sort for every delta); a smaller batch, values past int64 and (a, b)
+pairs take the Python sweep, one shift at a time.  Both give the same
+sorted (delta, multiplicity) lists.  At m >= 3, :func:`tuple_overlaps`
+groups the copy tuples of the windows by delta vector.
 
 Two module constants bound the work, with no parameter to set them:
-``GUARD`` (the deltas per shift in either sweep, the entries of a
-schedule's overlap and window caches, and in :mod:`rank1flow.correlate`
-the memo of a query and the delta vectors of an m-tuple step) and
-``DIGIT_BUDGET`` (the bits of a stage height).  Each check reads its
-constant when it runs, so patching ``schedule.GUARD`` moves all five
-GUARD limits at once.
+``GUARD`` (the deltas per shift in either sweep, the delta vectors of an
+m-tuple step, the entries of a schedule's overlap cache, and in
+:mod:`rank1flow.correlate` the memo of a query) and ``DIGIT_BUDGET`` (the
+bits of a stage height).  Each check reads its constant when it runs, so
+patching ``schedule.GUARD`` moves all four GUARD limits at once.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from collections import _count_elements
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, product
 from math import inf, lcm
 from typing import Callable, NamedTuple, Optional
 
@@ -252,7 +254,6 @@ class Schedule:
             raise ConfigurationError(f"h1 = {h1!r} and w1 = {w1!r} must be positive")
         self._stages: list[TowerStage] = []
         self._overlap_cache: dict = {}
-        self._window_cache: dict = {}
         self.stage_thresholds: dict = {}  # k -> [u_k, u_{k+1}, ...] of correlate.pick_stage
 
     # -- stage computation ----------------------------------------------
@@ -321,9 +322,18 @@ class Schedule:
     def overlaps(self, n: int, shifts: list, lattice: Lattice) -> list:
         """Cached :func:`overlap_pairs` for stage n at each of *shifts*, in
         order, with the shifts and the deltas in the coordinates of
-        *lattice*.  The shifts not in the cache are swept as one batch
-        (:func:`overlap_batch`).  The overlap structure depends on the
-        geometry only, so all correlators on this schedule share it."""
+        *lattice*; the uncached shifts are swept as one batch
+        (:func:`overlap_batch`)."""
+        return self._cached(overlap_batch, n, shifts, lattice)
+
+    def tuple_overlaps(self, n: int, shifts: list, lattice: Lattice) -> list:
+        """Cached :func:`tuple_overlaps` for stage n at each shift tuple of *shifts*."""
+        return self._cached(tuple_overlaps, n, shifts, lattice)
+
+    def _cached(self, step, n: int, shifts: list, lattice: Lattice) -> list:
+        """*step* at *shifts* through the one overlap cache, which fills up
+        to GUARD entries.  Its keys (n, lattice, x) hold a coordinate at
+        m = 2, a tuple of coordinates at m >= 3: on one lattice they differ."""
         cache = self._overlap_cache
         found, missing = [], []
         for x in shifts:
@@ -333,23 +343,13 @@ class Schedule:
             found.append(pairs)
         if not missing:
             return found
-        swept = overlap_batch(self.stage(n).on_lattice(lattice), missing)
+        swept = step(self.stage(n).on_lattice(lattice), missing)
         for x, pairs in zip(missing[: max(GUARD - len(cache), 0)], swept):
             cache[n, lattice, x] = pairs
         if len(missing) == len(found):
             return swept
         fresh = iter(swept)
         return [next(fresh) if pairs is None else pairs for pairs in found]
-
-    def windows(self, n: int, shift, lattice: Lattice) -> list:
-        """Cached :func:`copy_windows` for stage n, keyed as :meth:`overlaps`."""
-        key = (n, lattice, shift)
-        cached = self._window_cache.get(key)
-        if cached is None:
-            cached = copy_windows(self.stage(n).on_lattice(lattice), shift)
-            if len(self._window_cache) < GUARD:
-                self._window_cache[key] = cached
-        return cached
 
     def height(self, n: int):
         return self.stage(n).h
@@ -424,6 +424,22 @@ def overlap_batch(stage: LatticeStage, shifts: list) -> list:
     if len(shifts) * stage.r >= _NUMPY_MIN_WORK and _fits_int64(stage, shifts):
         return _sweep_batch(stage, shifts)
     return [overlap_pairs(stage, x) for x in shifts]
+
+
+def tuple_overlaps(stage: LatticeStage, shifts: list) -> list:
+    """The m-point step of a lattice stage at each shift tuple of *shifts*:
+    the delta vectors of copy j0 with copies j'_i of each shift's
+    :func:`copy_windows`, counted in the order first met (j0 ascending,
+    then the j'_i in ``product`` order)."""
+    steps = []
+    for x in shifts:
+        per_copy = zip(*(copy_windows(stage, xi) for xi in x))
+        groups: dict = {}
+        _count_elements(groups, chain.from_iterable(product(*windows) for windows in per_copy))
+        if len(groups) > GUARD:
+            raise ResourceError(f"m-tuple delta blowup at stage {stage.n}: more than {GUARD} delta vectors")
+        steps.append(groups.items())
+    return steps
 
 
 def _fits_int64(stage: LatticeStage, shifts) -> bool:

@@ -45,6 +45,9 @@ class AutocorrCurve:
         self.times = np.asarray(self.times, dtype=float)
         self.values = np.asarray(self.values, dtype=complex)
         self.bounds = np.asarray(self.bounds, dtype=float)
+        if not len(self.times) == len(self.values) == len(self.bounds):
+            sizes = f"{len(self.times)}, {len(self.values)} and {len(self.bounds)}"
+            raise ConfigurationError(f"a curve needs as many values and bounds as times, got {sizes}")
 
 
 @dataclass
@@ -84,6 +87,8 @@ def autocorr_curve(schedule: Schedule, f: StepFunction, dt, t_max) -> AutocorrCu
 def curve_from_samples(dt: float, values, bounds=None) -> AutocorrCurve:
     """Build a curve from raw samples (index -n..n); analytic test inputs."""
     values = np.asarray(values, dtype=complex)
+    if len(values) % 2 == 0:
+        raise ConfigurationError(f"samples at indices -n..n come in an odd number, got {len(values)}")
     n = (len(values) - 1) // 2
     times = np.arange(-n, n + 1) * float(dt)
     if bounds is None:

@@ -195,6 +195,10 @@ UNREAD_OR_MISTYPED = {
     "analytic-zero-dt": ("spectrum", {"analytic": {"kind": "gaussian"}, "dt": 0}, "'dt'"),
     "negative-t-max": ("spectrum", {"analytic": {"kind": "gaussian"}, "t_max": -1}, "'t_max'"),
     "infinite-t-max": ("disjointness", {"analytic": {"kind": "gaussian"}, "t_max": math.inf}, "'t_max'"),
+    "zero-grid-size": ("spectrum", {"analytic": {"kind": "gaussian"}, "grid_size": 0}, "'grid_size'"),
+    "negative-grid-size": ("disjointness", {"analytic": {"kind": "gaussian"}, "grid_size": -1}, "'grid_size'"),
+    "zero-depth": ("stage-audit", {"schedule": FLAT2, "depth": 0}, "'depth'"),
+    "empty-dilations": ("disjointness", {"analytic": {"kind": "gaussian"}, "dilations": []}, "'dilations'"),
 }
 
 

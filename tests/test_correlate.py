@@ -314,26 +314,69 @@ def test_guards_name_stage_and_count(monkeypatch, numpy_batches, schedule, stage
     assert Correlator(sched, f, g).at(t, stage=stage).value == value
 
 
-def test_m_point_step_and_window_cache_follow_the_guard(monkeypatch):
+def test_m_point_step_and_its_cache_follow_the_guard(monkeypatch):
     """GUARD also bounds the delta vectors of one m-tuple step and the fill
-    of the window cache; the query below needs 9 memo entries and 6
-    windows, and 3 or more delta vectors at stage 2."""
+    of the schedule's overlap cache, which holds the tuple steps; the query
+    below needs 9 memo entries and 5 tuple steps (4 at stage 1), and 3 or
+    more delta vectors at stage 2."""
     f, g = pair(asym49_schedule(r_cap=16), 3)
     times = (0, Fraction(7, 3), Fraction(-5, 2))
     sched = asym49_schedule(r_cap=16)
     corr = MCorrelator(sched, [f, g, f])
     value = corr.at(times).value
-    assert (memo_size(corr), len(sched._window_cache)) == (9, 6)
+    steps = dict(sched._overlap_cache)
+    assert (memo_size(corr), len(steps)) == (9, 5)
     monkeypatch.setattr(schedule_module, "GUARD", 2)
     with pytest.raises(ResourceError, match="^m-tuple delta blowup at stage 2: more than 2 delta vectors$"):
         MCorrelator(asym49_schedule(r_cap=16), [f, g, f]).at(times)
     monkeypatch.setattr(schedule_module, "GUARD", 5)
-    sched = asym49_schedule(r_cap=16)
+    fresh = asym49_schedule(r_cap=16)
     with pytest.raises(ResourceError, match="^memo blowup near stage 1: more than 5 distinct shifts$"):
-        MCorrelator(sched, [f, g, f]).at(times)
-    assert len(sched._window_cache) == 5
+        MCorrelator(fresh, [f, g, f]).at(times)
+    assert fresh._overlap_cache.keys() == steps.keys()
+    # with room for 3 entries, the fourth stage-1 step is taken but not kept
+    monkeypatch.setattr(schedule_module, "GUARD", 3)
+    fresh = asym49_schedule(r_cap=16)
+    xs = [x for n, _, x in steps if n == 1]
+    first = fresh.tuple_overlaps(1, xs, corr._lattice)
+    assert [list(step) for step in first] == [list(steps[1, corr._lattice, x]) for x in xs]
+    again = fresh.tuple_overlaps(1, xs, corr._lattice)
+    assert [a is b for a, b in zip(again, first)] == [True, True, True, False]
+    assert len(fresh._overlap_cache) == 3
+    # the 2-point step on the same full cache keeps its own guard
+    with pytest.raises(ResourceError, match="^overlap blowup at stage 3: more than 3 deltas$"):
+        Correlator(fresh, f, g).at(times[1], stage=4)
+    assert len(fresh._overlap_cache) == 3
     monkeypatch.setattr(schedule_module, "GUARD", 9)
     assert MCorrelator(asym49_schedule(r_cap=16), [f, g, f]).at(times).value == value
+
+
+def arity(key) -> int:
+    """m of an overlap cache key (n, lattice, x): x is one coordinate at
+    m = 2, a tuple of them at m >= 3."""
+    _, lattice, x = key
+    return 2 if type(x) is int or (lattice.sqrt2 and type(x[0]) is int) else 1 + len(x)
+
+
+@pytest.mark.parametrize("name", ["asym49", "thm44"])
+def test_one_schedule_serves_two_and_three_point_steps(name):
+    """A 2-point and a 3-point correlator on one schedule share its overlap
+    cache, on the same lattices, in either order of queries, and give the
+    values of correlators on fresh schedules, bit for bit."""
+    make = (lambda: asym49_schedule(r_cap=16)) if name == "asym49" else SCHEDULES["thm44"]
+    f, g = pair(make(), 3)
+    times = [*ORDER_TIMES, *([SQRT2 - Fraction(3, 2)] if name == "thm44" else [])]
+
+    def values(two_point, three_point, two_first):
+        two, three = Correlator(two_point, f, g), MCorrelator(three_point, [f, g, f])
+        queries = [lambda t: two.at(t), lambda t: three.at((0, t, -t / 2))]
+        return [repr(query(t).value) for query in queries[:: 1 if two_first else -1] for t in times]
+
+    for two_first in (True, False):
+        shared = make()
+        assert values(shared, shared, two_first) == values(make(), make(), two_first)
+        lattices = [{key[:2] for key in shared._overlap_cache if arity(key) == m} for m in (2, 3)]
+        assert lattices[0] & lattices[1]
 
 
 def depth_first(corr, n, x, memo):

@@ -35,6 +35,7 @@ from rank1flow.schedule import (
     copy_windows,
     overlap_batch,
     scalar_denominator,
+    tuple_overlaps,
 )
 
 
@@ -119,20 +120,37 @@ def test_engine_lattice_matches_scalar_loop(case, factor):
     assert [(lattice.decode(d), m) for d, m in got] == reference_overlap_pairs(stage, shift)
 
 
+def reference_tuple_step(stage, x):
+    """The m-point step at the shift tuple *x* by plain loops: delta vectors
+    of copy j0 with copies j'_i of each shift's window, as first met."""
+    counts = {}
+    for windows in zip(*(copy_windows(stage, xi) for xi in x)):
+        for deltas in product(*windows):
+            counts[deltas] = counts.get(deltas, 0) + 1
+    return list(counts.items())
+
+
 @pytest.mark.parametrize("key", [("asym49", "rational"), ("asym49", "sqrt2"), ("thm44", "sqrt2")], ids="-".join)
-def test_schedule_caches_the_copy_windows(key):
-    """The m-point step reads its windows through ``Schedule.windows``:
-    the windows of ``copy_windows``, kept per (stage, lattice, shift)."""
+def test_schedule_caches_the_tuple_steps(key):
+    """The m-point step comes from ``Schedule.tuple_overlaps``, kept per
+    (stage, lattice, shift tuple) in the overlap cache; on one shift, its
+    copy windows count the deltas of ``overlap_pairs``."""
     sched = SCHEDULES[key]
     stage = sched.stage(2)
     coarse, fine = (Lattice(k * stage.denominator, type(stage.grid.h) is tuple) for k in (1, 2))
-    shifts = (0 * stage.h, stage.h - stage.offsets[1], stage.offsets[-1] - stage.offsets[0])
-    # the same coordinates on two lattices are two shifts, cached apart
-    for x, lattice in product(map(coarse.encode, shifts), (coarse, fine)):
-        windows = sched.windows(2, x, lattice)
-        assert windows == copy_windows(stage.on_lattice(lattice), x)
-        assert sched.windows(2, x, lattice) is windows
-        assert Counter(chain.from_iterable(windows)) == Counter(dict(sched.overlaps(2, [x], lattice)[0]))
+    offs = stage.offsets
+    shifts = list(dict.fromkeys(coarse.encode(x) for x in (0 * stage.h, offs[1] - offs[0], offs[0] - offs[-1], offs[-1])))
+    xs = list(product(shifts, repeat=2))
+    # the same coordinates on two lattices are two shift tuples, cached apart
+    for lattice in (coarse, fine):
+        view = stage.on_lattice(lattice)
+        steps = sched.tuple_overlaps(2, xs, lattice)
+        assert [list(step) for step in steps] == [reference_tuple_step(view, x) for x in xs]
+        assert all(again is step for again, step in zip(sched.tuple_overlaps(2, xs, lattice), steps))
+        for x in shifts:
+            (single,) = tuple_overlaps(view, [(x,)])
+            assert {deltas: mult for (deltas,), mult in single} == dict(overlap_pairs(view, x))
+            assert Counter(chain.from_iterable(copy_windows(view, x))) == Counter(dict(sched.overlaps(2, [x], lattice)[0]))
 
 
 RATIONAL = sorted(key for key in SCHEDULES if key[1] == "rational")

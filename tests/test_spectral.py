@@ -240,3 +240,17 @@ def test_transform_needs_times_symmetric_about_zero(times):
     curve = AutocorrCurve(dt=0.5, times=times, values=np.ones(len(times)), bounds=np.zeros(len(times)))
     with pytest.raises(ConfigurationError, match="symmetric about 0"):
         bochner_density(curve, lam_max=1.0, taper_width=0.5)
+
+
+@pytest.mark.parametrize("count", [0, 2, 4])
+def test_curve_from_samples_needs_an_odd_count(count):
+    with pytest.raises(ConfigurationError, match=f"an odd number, got {count}"):
+        curve_from_samples(0.5, list(range(1, count + 1)))
+    assert len(curve_from_samples(0.5, list(range(count + 1))).times) == count + 1
+
+
+@pytest.mark.parametrize("lengths", [(3, 4, 3), (3, 3, 4), (4, 3, 3)])
+def test_curve_needs_one_value_and_bound_per_time(lengths):
+    times, values, bounds = (np.arange(k) - 1.0 for k in lengths)
+    with pytest.raises(ConfigurationError, match="as many values and bounds as times"):
+        AutocorrCurve(dt=1.0, times=times, values=values, bounds=bounds)
