@@ -127,6 +127,7 @@ class MCorrelator:
         self._lattice = Lattice(self._scale, self._sqrt2)
         self._memo: defaultdict = defaultdict(dict)  # n -> {lattice coordinates on self._scale: B_n}
         self._size = 0  # entries in the memo
+        self._tops: dict = {}  # working stage n -> (stage n, lcm of the denominators of stages k..n)
         self._norm = prod(f.sup_norm for f in self.functions)  # of the bound, read per query
         self._pair = len(functions) == 2
         self._step = schedule.overlaps if self._pair else schedule.tuple_overlaps
@@ -139,8 +140,11 @@ class MCorrelator:
         n = pick_stage(sched, self.k, t_abs) if stage is None else stage
         if n < self.k:
             raise RangeError(f"stage {n} is below the functions' stage {self.k}")
-        stages = [sched.stage(m) for m in range(self.k, n + 1)]
-        scale = lcm(self._scale, *map(scalar_denominator, shifts), *(st.denominator for st in stages))
+        if n not in self._tops:
+            stages = [sched.stage(m) for m in range(self.k, n + 1)]
+            self._tops[n] = stages[-1], lcm(*(st.denominator for st in stages))
+        top, denominator = self._tops[n]
+        scale = lcm(self._scale, denominator, *map(scalar_denominator, shifts))
         if scale != self._scale:
             m = scale // self._scale
             memo = {i: {rescaled(x, m): v for x, v in level.items()} for i, level in self._memo.items()}
@@ -148,11 +152,11 @@ class MCorrelator:
             self._scale = scale
         self._lattice = lattice = Lattice(scale, self._sqrt2 or any(isinstance(s, Sqrt2) for s in shifts))
         xs = tuple(map(lattice.encode, shifts))
-        h = lattice.encode(stages[-1].h)
+        h = lattice.encode(top.h)
         value = 0j
         if all(within(x, h) for x in xs):
             value = complex(self._B(n, xs[0] if self._pair else xs))
-        w_n = float(stages[-1].w)
+        w_n = float(top.w)
         return CorrelationResult(value=value * w_n, error_bound=self._bound(float(t_abs), w_n), stage_used=n)
 
     def _B(self, n: int, x):

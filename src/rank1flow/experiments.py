@@ -386,7 +386,7 @@ def run_fock_claims(spec: dict):
     schedule = resolve_schedule(spec)
     label = _field(spec, "class_label", str)
     build_to = spec.get("build_to", 12)
-    shifts = _field(spec, "shifts", _list_of(_scalar))
+    shifts = _field(spec, "shifts", _list_of(_scalar, least=1))
     mults = tuple(_field(spec, "multiplicities", _list_of(integer), [1] * len(shifts)))
     l0 = _field(spec, "l0", integer, 1)
     fam = seeded_family(schedule, spec, pair=False)
@@ -455,7 +455,7 @@ def _curve_for_spec(schedule, spec):
         if kind == "gaussian":
             vals = [math.exp(-math.pi * t * t) for t in ts]
         elif kind == "cosine":
-            freqs = _field(analytic, "freqs", _list_of(number), [1.0])
+            freqs = _field(analytic, "freqs", _list_of(number, least=1), [1.0])
             vals = [sum(math.cos(2 * math.pi * l0 * t) for l0 in freqs) for t in ts]
         else:
             raise ConfigurationError(f"unknown analytic curve {kind!r}")

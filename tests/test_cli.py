@@ -199,6 +199,12 @@ UNREAD_OR_MISTYPED = {
     "negative-grid-size": ("disjointness", {"analytic": {"kind": "gaussian"}, "grid_size": -1}, "'grid_size'"),
     "zero-depth": ("stage-audit", {"schedule": FLAT2, "depth": 0}, "'depth'"),
     "empty-dilations": ("disjointness", {"analytic": {"kind": "gaussian"}, "dilations": []}, "'dilations'"),
+    "empty-shifts": (
+        "fock-claims",
+        {"schedule": {"kind": "thm44", "params": {}}, "class_label": "M[l0=1;2]", "shifts": []},
+        "'shifts'",
+    ),
+    "empty-cosine-freqs": ("spectrum", {"analytic": {"kind": "cosine", "freqs": []}}, "'freqs'"),
 }
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -201,13 +202,56 @@ def test_half_sweep_queries_each_nonnegative_time_once(monkeypatch, flat3):
 
 
 def full_transform_density(curve, lam_max, grid_size, taper_width):
-    """bochner_density with exp evaluated at every (frequency, time)."""
+    """bochner_density with exp evaluated at every (frequency, time) and
+    one dense sum: (freqs, raw sum before the clip, density)."""
     w = np.exp(-(curve.times**2) / (2.0 * taper_width**2))
     freqs = np.linspace(-lam_max, lam_max, grid_size)
     phases = np.exp(-2j * np.pi * np.outer(freqs, curve.times))
-    density = np.clip(curve.dt * np.real(phases @ (w * curve.values)), 0.0, None)
+    raw = curve.dt * np.real(phases @ (w * curve.values))
+    density = np.clip(raw, 0.0, None)
     density *= float(np.real(curve.values[len(curve.values) // 2])) / float(trapezoid(density, freqs))
-    return density
+    return freqs, raw, density
+
+
+U = 2.0**-53
+
+
+def gamma(k):
+    return k * U / (1 - k * U)
+
+
+def transform_rounding_bound(curve, freqs, taper_width):
+    """Per frequency: the rounding bound of the bochner_density docstring
+    (Horner on z = exp(-2 pi i dt lambda)) plus the same kind of bound
+    for the dense sum of full_transform_density, whose terms carry an
+    exp of a rounded lambda * t and one sum of 2n + 1 complex products.
+    exp is taken to be within 1 ulp per component (error <= 2u)."""
+    n = len(curve.times) // 2
+    i, t, c = np.arange(n + 1), curve.times[n:], curve.values
+    w = np.exp(-(t**2) / (2.0 * taper_width**2))
+    a = np.abs(w * np.concatenate([c[n : n + 1], c[n + 1 :] + np.conjugate(c[:n][::-1])]))
+    lam = np.abs(freqs)[:, None]
+    eps = gamma(3) * 2 * np.pi * lam * curve.dt + 2 * U
+    grid_error = np.abs(t - i * curve.dt) + np.spacing(t)  # |t_i - i dt| with i * dt exact
+    horner = (gamma(4 * i + 4) + i * eps + 2 * np.pi * lam * grid_error) @ a
+    terms = np.abs(w * np.concatenate([c[n : n + 1], np.abs(c[n + 1 :]) + np.abs(c[:n][::-1])]))
+    dense = (gamma(2 * n + 6) + gamma(3) * 2 * np.pi * lam * t + 2 * U) @ terms
+    return curve.dt * (horner + dense)
+
+
+def assert_within_rounding_bound(curve, estimate):
+    """bochner_density against the dense reference, within the bound on
+    the raw sums carried through the clip (1-Lipschitz) and the
+    renormalization by c(0) / mass, and never above 1e-12 * max density."""
+    est = bochner_density(curve, **estimate)
+    freqs, raw, reference = full_transform_density(curve, **{**estimate, "taper_width": est.taper_width})
+    assert np.array_equal(est.freqs, freqs)
+    bound = transform_rounding_bound(curve, freqs, est.taper_width)
+    mass = float(trapezoid(np.clip(raw, 0.0, None), freqs))
+    scale = float(np.real(curve.values[len(curve.values) // 2])) / mass
+    mass_error = float(trapezoid(bound, freqs)) + 2 * gamma(len(freqs) + 1) * mass
+    tolerance = scale * bound + reference * (mass_error / mass + 4 * U)
+    assert np.all(np.abs(est.density - reference) <= np.minimum(tolerance, 1e-12 * np.max(reference)))
 
 
 # the curve and estimate entries of the spectrum and disjointness specs of
@@ -219,20 +263,15 @@ CLI_CURVES = {
 
 
 @pytest.mark.parametrize("name", CLI_CURVES)
-def test_mirrored_phases_are_bit_identical_on_analytic_curves(name):
+def test_horner_density_is_within_its_rounding_bound_on_analytic_curves(name):
     spec = CLI_CURVES[name]
-    curve = _curve_for_spec(None, spec)()
-    estimate = _estimate_entries(spec)
-    est = bochner_density(curve, **estimate)
-    assert np.array_equal(est.density, full_transform_density(curve, **estimate))
+    assert_within_rounding_bound(_curve_for_spec(None, spec)(), _estimate_entries(spec))
 
 
-def test_mirrored_phases_are_bit_identical_on_an_engine_curve():
+def test_horner_density_is_within_its_rounding_bound_on_an_engine_curve():
     sched = asym49_schedule()
     spec = {"schedule": {"kind": "asym49", "params": {}}, "dt": 0.05, "t_max": 4, "seed": 1}
-    curve = _curve_for_spec(sched, spec)()
-    est = bochner_density(curve, lam_max=4.0, grid_size=401)
-    assert np.array_equal(est.density, full_transform_density(curve, 4.0, 401, est.taper_width))
+    assert_within_rounding_bound(_curve_for_spec(sched, spec)(), {"lam_max": 4.0, "grid_size": 401})
 
 
 @pytest.mark.parametrize("times", [[0.0, 0.5, 1.0], [-0.5, 0.0, 0.5, 1.0], [-1.0, 0.1, 1.0]])
@@ -240,6 +279,29 @@ def test_transform_needs_times_symmetric_about_zero(times):
     curve = AutocorrCurve(dt=0.5, times=times, values=np.ones(len(times)), bounds=np.zeros(len(times)))
     with pytest.raises(ConfigurationError, match="symmetric about 0"):
         bochner_density(curve, lam_max=1.0, taper_width=0.5)
+
+
+@pytest.mark.parametrize("offset", [0.1, 4 * np.spacing(0.5)], ids=["coarse", "4-ulps"])
+def test_transform_needs_uniform_times(offset):
+    half = np.array([0.0, 0.5 + offset, 1.0])
+    times = np.concatenate([-half[:0:-1], half])
+    curve = AutocorrCurve(dt=0.5, times=times, values=np.ones(5), bounds=np.zeros(5))
+    with pytest.raises(ConfigurationError, match="uniform"):
+        bochner_density(curve, lam_max=1.0, taper_width=0.5)
+
+
+def test_transform_allocates_no_grid_by_times_array():
+    """641 samples on a 1601-point grid: a complex grid x times array
+    would take 16 MB; the Horner evaluation peaks below 1 MB."""
+    curve = cosine_curve(dt=0.05, t_max=16.0)
+    assert len(curve.times) == 641
+    tracemalloc.start()
+    try:
+        bochner_density(curve, lam_max=4.0, grid_size=1601)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, f"peak {peak} bytes"
 
 
 @pytest.mark.parametrize("count", [0, 2, 4])
