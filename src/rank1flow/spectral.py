@@ -141,7 +141,8 @@ def bochner_density(
         raise ConfigurationError("taper width must be positive")
     c = curve.values
     w = np.exp(-(times[n:] ** 2) / (2.0 * taper_width**2))
-    a = w * np.concatenate([c[n : n + 1], c[n + 1 :] + np.conjugate(c[:n][::-1])])
+    a = w * (c[n:] + np.conjugate(c[n::-1]))
+    a[0] = w[0] * c[n]
     freqs = np.linspace(-lam_max, lam_max, grid_size)
     z = np.exp(-2j * np.pi * curve.dt * freqs)
     density = curve.dt * np.real(np.polyval(a[::-1], z))

@@ -229,12 +229,14 @@ def transform_rounding_bound(curve, freqs, taper_width):
     n = len(curve.times) // 2
     i, t, c = np.arange(n + 1), curve.times[n:], curve.values
     w = np.exp(-(t**2) / (2.0 * taper_width**2))
-    a = np.abs(w * np.concatenate([c[n : n + 1], c[n + 1 :] + np.conjugate(c[:n][::-1])]))
+    a = np.abs(w * (c[n:] + np.conjugate(c[n::-1])))
+    a[0] = np.abs(w[0] * c[n])
     lam = np.abs(freqs)[:, None]
     eps = gamma(3) * 2 * np.pi * lam * curve.dt + 2 * U
     grid_error = np.abs(t - i * curve.dt) + np.spacing(t)  # |t_i - i dt| with i * dt exact
     horner = (gamma(4 * i + 4) + i * eps + 2 * np.pi * lam * grid_error) @ a
-    terms = np.abs(w * np.concatenate([c[n : n + 1], np.abs(c[n + 1 :]) + np.abs(c[:n][::-1])]))
+    terms = w * (np.abs(c[n:]) + np.abs(c[n::-1]))
+    terms[0] = w[0] * np.abs(c[n])
     dense = (gamma(2 * n + 6) + gamma(3) * 2 * np.pi * lam * t + 2 * U) @ terms
     return curve.dt * (horner + dense)
 
