@@ -450,7 +450,7 @@ def _curve_for_spec(schedule, spec):
         analytic = Reader(analytic, "spec entry 'analytic'")
         kind = analytic.get("kind")
         dt = _positive_field(spec, "dt", number, 0.05)
-        n = int(round(t_max / dt))
+        n = _sample_count(t_max, dt)
         ts = [i * dt for i in range(-n, n + 1)]
         if kind == "gaussian":
             vals = [math.exp(-math.pi * t * t) for t in ts]
@@ -466,8 +466,20 @@ def _curve_for_spec(schedule, spec):
     # the sample times i * dt stay exact, so a rational schedule keeps its
     # lattice kernel; a JSON number keeps its decimal text through repr
     dt = _positive_field(spec, "dt", lambda v: Fraction(str(v)), "0.05")
+    _sample_count(t_max, dt)
     f = seeded_family(schedule, spec, pair=False)[0]
     return partial(autocorr_curve, schedule, f, dt, t_max)
+
+
+def _sample_count(t_max, dt) -> int:
+    """The n of the sample times i * dt, |i| <= n, as :func:`autocorr_curve`
+    rounds it; a curve needs a time besides 0."""
+    n = int(round(float(t_max) / float(dt)))
+    if n < 1:
+        raise ConfigurationError(
+            f"spec entry 't_max' = {t_max} must exceed half of 'dt' = {float(dt)}: the curve has no time but 0"
+        )
+    return n
 
 
 def _estimate_entries(spec) -> dict:

@@ -28,16 +28,27 @@ are compared on float values where these clear their rounding bound, and
 by :func:`sqrt2_sign` where they do not.  Scalars come back only at the
 boundary, via :meth:`Lattice.decode`.
 
+A stage whose spacers s_n(1) .. s_n(r_n - 1) encode to one value (flat
+stages, a constant spacer, zero spacers below the top) has equally spaced
+offsets, o_{j+1} - o_j = p = h_n + s; the stage records p as its
+``period`` when it is built.  Its overlaps are then the deltas x + k p,
+each realized by the r_n - |k| pairs with j' - j = k, and since p >= h_n
+at most two k keep |x + k p| < h_n.  :func:`overlap_pairs` answers such a
+stage in closed form, O(1) per shift whatever r_n: two floor divisions on
+ints; on (a, b) pairs, the float quotient (the exact floor past float
+range), confirmed by :func:`sqrt2_sign`.
+
 The engine takes the step of a stage for a whole level of shifts at
 once, from the schedule's one overlap cache: :meth:`Schedule.overlaps` at
 m = 2, :meth:`Schedule.tuple_overlaps` on shift tuples at m >= 3.  At
-m = 2, :func:`overlap_batch` applies the batch rule: on int offsets, a
-batch of at least ``_NUMPY_MIN_WORK`` (shift, copy) pairs whose values
+m = 2, :func:`overlap_batch` applies the batch rule: an equally spaced
+stage takes the closed form, one shift at a time; on other int offsets,
+a batch of at least ``_NUMPY_MIN_WORK`` (shift, copy) pairs whose values
 fit int64 is swept in one NumPy pass (``searchsorted`` for every window,
 one sort for every delta); a smaller batch, values past int64 and (a, b)
-pairs take the Python sweep, one shift at a time.  Both give the same
-sorted (delta, multiplicity) lists.  At m >= 3, :func:`tuple_overlaps`
-groups the copy tuples of the windows by delta vector.
+pairs take the Python sweep, one shift at a time.  All three give the
+same sorted (delta, multiplicity) lists.  At m >= 3, :func:`tuple_overlaps`
+groups the copy tuples of the windows by delta vector, on every stage.
 
 Two module constants bound the work, with no parameter to set them:
 ``GUARD`` (the deltas per shift in either sweep, the delta vectors of an
@@ -54,7 +65,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, product
-from math import inf, lcm
+from math import floor, inf, lcm
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -126,6 +137,7 @@ class LatticeStage(NamedTuple):
     offsets: list
     array: Optional[np.ndarray] = None  # the int offsets as int64, where the NumPy sweep applies
     floats: Optional[tuple] = None  # pair offsets as floats, and their largest |a| + 2|b|, within float range
+    period: object = None  # o_{j+1} - o_j, where the offsets are equally spaced
 
 
 def rescaled(x, m: int):
@@ -204,20 +216,22 @@ class TowerStage:
                 raise ValueError(f"lattice scale {lattice.scale} is not a multiple of {self.denominator}")
             grid = self.grid
             h, offsets = rescaled(grid.h, m), grid.offsets
+            period = None if grid.period is None else rescaled(grid.period, m)
             if type(grid.h) is tuple:
                 offsets = [(a * m, b * m) for a, b in offsets] if m != 1 else offsets
             elif lattice.sqrt2:
                 h, offsets = (h, 0), [(o * m, 0) for o in offsets]
+                period = None if period is None else (period, 0)
             elif m != 1:
                 offsets = [o * m for o in offsets]
-            array = floats = None
-            if lattice.sqrt2:
+            array = floats = None  # the closed form of equally spaced offsets reads neither
+            if period is None and lattice.sqrt2:
                 magnitude = max(abs(a) + 2 * abs(b) for a, b in offsets)
                 if magnitude.bit_length() < FLOAT_BITS:
                     floats = ([a + b * SQRT2_FLOAT for a, b in offsets], float(magnitude))
-            elif offsets[-1] + h < _INT64_SAFE:
+            elif period is None and offsets[-1] + h < _INT64_SAFE:
                 array = np.array(offsets, dtype=np.int64)
-            self._view = (lattice, LatticeStage(self.n, self.r, h, offsets, array, floats))
+            self._view = (lattice, LatticeStage(self.n, self.r, h, offsets, array, floats, period))
         return self._view[1]
 
 
@@ -301,7 +315,10 @@ class Schedule:
         else:
             offsets = list(accumulate([H + steps[i] for i in ids], initial=B))
             h_next = (offsets[-1] + H) * k + last
-        grid = LatticeStage(m, r, H, offsets)
+        period = None
+        if len(set(steps.values())) == 1:  # equally spaced offsets
+            period = tuple(y - x for x, y in zip(*offsets[:2])) if sqrt2 else offsets[1] - offsets[0]
+        grid = LatticeStage(m, r, H, offsets, period=period)
         self._stages.append(
             TowerStage(m, h, w, mu, r, spacers, bottom, denominator=scale, grid=grid, top=(top, h_next))
         )
@@ -416,10 +433,11 @@ def overlap_pairs(stage, shift) -> list:
 def overlap_batch(stage: LatticeStage, shifts: list) -> list:
     """:func:`overlap_pairs` of a lattice stage at each of *shifts*, in order.
 
-    The batch rule: int offsets are swept in NumPy, all shifts at once,
-    when the batch holds at least ``_NUMPY_MIN_WORK`` (shift, copy) pairs
-    and its values fit int64; otherwise, and on (a, b) pairs, each shift
-    takes the Python sweep.
+    The batch rule: an equally spaced stage (whose view has no int64
+    array) takes the closed form, shift by shift; other int offsets are
+    swept in NumPy, all shifts at once, when the batch holds at least
+    ``_NUMPY_MIN_WORK`` (shift, copy) pairs and its values fit int64;
+    otherwise, and on (a, b) pairs, each shift takes the Python sweep.
     """
     if len(shifts) * stage.r >= _NUMPY_MIN_WORK and _fits_int64(stage, shifts):
         return _sweep_batch(stage, shifts)
@@ -453,6 +471,11 @@ def _fits_int64(stage: LatticeStage, shifts) -> bool:
 
 
 def _lattice_overlaps(stage: LatticeStage, shift) -> list:
+    if stage.period is not None:
+        pairs = _periodic_overlaps(stage, shift)
+        if len(pairs) > GUARD:
+            raise ResourceError(f"overlap blowup at stage {stage.n}: more than {GUARD} deltas")
+        return pairs
     counts: dict = {}
     _count_elements(counts, chain.from_iterable(copy_windows(stage, shift)))
     if len(counts) > GUARD:
@@ -460,6 +483,57 @@ def _lattice_overlaps(stage: LatticeStage, shift) -> list:
     if type(stage.h) is tuple:
         return [(delta, counts[delta]) for delta in sqrt2_sorted(counts)]
     return sorted(counts.items())
+
+
+def _periodic_overlaps(stage: LatticeStage, shift) -> list:
+    """:func:`overlap_pairs` of a stage with equally spaced offsets,
+    o_{j+1} - o_j = p, in closed form: the pairs with j' - j = k give the
+    delta shift + k p, r - |k| times, for every |k| < r with
+    -h < shift + k p < h.  Since p >= h, there are at most two such k."""
+    r, p, h = stage.r, stage.period, stage.h
+    if type(h) is tuple:
+        (pa, pb), (ha, hb), (sa, sb) = p, h, shift
+        k = _least_multiple(p, (-ha - sa, -hb - sb), r, True)
+        end = _least_multiple(p, (ha - sa, hb - sb), r, False) - 1
+        pairs = []
+        while k <= end:
+            pairs.append(((sa + k * pa, sb + k * pb), r - abs(k)))
+            k += 1
+        return pairs
+    k = (-h - shift) // p + 1
+    end = (h - shift - 1) // p
+    if k < 1 - r:
+        k = 1 - r
+    if end >= r:
+        end = r - 1
+    pairs = []
+    while k <= end:
+        pairs.append((shift + k * p, r - abs(k)))
+        k += 1
+    return pairs
+
+
+def _least_multiple(p, y, r: int, strict: bool) -> int:
+    """The least k in [1 - r, r - 1] with k p > y (*strict*) or k p >= y,
+    on (a, b) pairs with p > 0; r when there is none.  The guess, from the
+    float quotient y/p (from the exact floor past float range), is clipped
+    into [1 - r, r] and moved to the answer by exact signs: k p - y grows
+    with k."""
+    (pa, pb), (ya, yb) = p, y
+    fp = 0.0
+    if max(abs(pa), abs(pb), abs(ya), abs(yb)).bit_length() < FLOAT_BITS:
+        fp = pa + pb * SQRT2_FLOAT
+    if fp > 0:
+        k = floor(min(max((ya + yb * SQRT2_FLOAT) / fp, -r), r)) + 1
+    else:
+        k = floor(Sqrt2(ya, yb) / Sqrt2(pa, pb)) + 1
+    k = min(max(k, 1 - r), r)
+    tie = 0 if strict else -1  # the sign of k p - y must exceed it
+    while k > 1 - r and sqrt2_sign((k - 1) * pa - ya, (k - 1) * pb - yb) > tie:
+        k -= 1
+    while k < r and not sqrt2_sign(k * pa - ya, k * pb - yb) > tie:
+        k += 1
+    return k
 
 
 def copy_windows(stage: LatticeStage, shift) -> list:

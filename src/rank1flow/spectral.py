@@ -74,12 +74,14 @@ def autocorr_curve(schedule: Schedule, f: StepFunction, dt, t_max) -> AutocorrCu
     the one at t_i, with the same bound."""
     n = int(round(float(t_max) / float(dt)))
     corr = Correlator(schedule, f, f)
-    half = [corr.at(i * dt) for i in range(n + 1)]
+    ts = [i * dt for i in range(n + 1)]
+    half = [corr.at(t) for t in ts]
     values = np.array([r.value for r in half], dtype=complex)
     bounds = np.array([r.error_bound for r in half])
+    times = np.array([float(t) for t in ts])  # rounding is odd: float(-t) = -float(t)
     return AutocorrCurve(
         dt=float(dt),
-        times=np.array([float(i * dt) for i in range(-n, n + 1)]),
+        times=np.concatenate([-times[:0:-1], times]),
         values=np.concatenate([np.conjugate(values[:0:-1]), values]),
         bounds=np.concatenate([bounds[:0:-1], bounds]),
     )

@@ -286,6 +286,28 @@ def test_malformed_spec_fields_exit_two(tmp_path, kind, spec):
     assert "error:" in result.output
 
 
+# curves whose t_max rounds to no sample time but 0 (t_max = dt/2 rounds
+# half to even, to 0), for both kinds and both branches of the curve
+NO_TIME_BUT_ZERO = {
+    "spectrum-analytic": ("spectrum", {"analytic": {"kind": "gaussian"}, "t_max": 0.02}),
+    "disjointness-analytic": ("disjointness", {"analytic": {"kind": "cosine", "freqs": [1.0]}, "t_max": 0.025}),
+    "spectrum-schedule": ("spectrum", {"schedule": FLAT2, "t_max": 0.02}),
+    "disjointness-schedule": ("disjointness", {"schedule": FLAT2, "t_max": 0.125, "dt": "0.25"}),
+}
+
+
+@pytest.mark.parametrize("kind, spec", NO_TIME_BUT_ZERO.values(), ids=list(NO_TIME_BUT_ZERO))
+def test_curve_without_a_nonzero_time_exits_two_before_sampling(monkeypatch, tmp_path, kind, spec):
+    def no_sample(*args, **kwargs):
+        raise AssertionError("the curve was sampled")
+
+    monkeypatch.setattr(experiments, "autocorr_curve", no_sample)
+    monkeypatch.setattr(experiments, "curve_from_samples", no_sample)
+    result = invoke([kind, "--spec", write_spec(tmp_path, "short.json", spec), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert "error: spec entry 't_max' =" in result.output and "must exceed half of 'dt' =" in result.output
+
+
 @pytest.mark.parametrize("kind, spec, named", UNREAD_OR_MISTYPED.values(), ids=list(UNREAD_OR_MISTYPED))
 def test_unread_or_mistyped_entry_is_named(kind, spec, named):
     with pytest.raises(ConfigurationError, match=re.escape(named)):

@@ -59,7 +59,7 @@ def reference_overlap_pairs(stage, shift):
 
 
 # (builder, deepest stage probed); every builder in both exact modes, and
-# stages with r >= 64 so that the NumPy sweep runs too
+# a staircase stage with r = 64 so that the NumPy sweep runs too
 BUILDERS = {
     "flat3": (lambda mode: flat_schedule(3, mode=mode), 4),
     "flat64": (lambda mode: flat_schedule(64, mode=mode), 2),
@@ -153,10 +153,16 @@ def test_schedule_caches_the_tuple_steps(key):
             assert Counter(chain.from_iterable(copy_windows(view, x))) == Counter(dict(sched.overlaps(2, [x], lattice)[0]))
 
 
+def uneven(r, h1=1):
+    """A rational schedule with spacers 0, 1, 0, 1, ...: its offsets are not
+    equally spaced, so its stages take the sweep, not the closed form."""
+    return Schedule(lambda n, h, w: (r, [0, 1] * (r // 2)), h1=h1)
+
+
 RATIONAL = sorted(key for key in SCHEDULES if key[1] == "rational")
 # offsets fit int64, but a batch of 8 shifts takes 8 h = 2**61 and
 # overflows the batched sweep's sort key: the Python sweep takes it
-WIDE = flat_schedule(4, h1=2**58).stage(1)
+WIDE = uneven(4, h1=2**58).stage(1)
 SHIFT_KINDS = ["small", "offset_difference", "next_to_height", "empty_windows", "past_int64"]
 
 
@@ -247,16 +253,155 @@ def test_overlap_cache_stops_at_the_guard(monkeypatch, numpy_batches, key, batch
 
 
 def test_python_sweep_beyond_int64():
-    wide = flat_schedule(64, h1=2**62).stage(2)
+    wide = uneven(64, h1=2**62).stage(2)
     lattice = Lattice(3, False)
     assert wide.on_lattice(lattice).array is None
     shift = Fraction(2**68 + 1, 3)
     assert overlap_pairs(wide, shift) == reference_overlap_pairs(wide, shift) != []
     # a shift past int64 on a stage that does fit: the sweep skips NumPy
-    narrow = SCHEDULES["flat64", "rational"].stage(2)
+    narrow = SCHEDULES["asym49", "rational"].stage(1)
     view = narrow.on_lattice(lattice)
     assert view.array is not None
     assert overlap_pairs(view, lattice.encode(shift)) == reference_overlap_pairs(narrow, shift) == []
+
+
+# equally spaced stages, answered in closed form: (schedule, stages).  On
+# flat stages p = h; thm44 at r_cap = 256 has the constant sqrt(2) s spacer
+# at stages 6 and 8 and zero spacers below the top at stage 7; "constant"
+# has p > h, a bottom spacer and a different top spacer, which do not
+# enter; "past-float" has heights beyond float range.  flat(4096), whose
+# scalar loop takes 0.1 s a shift, is probed at its edges below
+PERIODIC = {
+    "flat3": (flat_schedule(3), (1, 3)),
+    "thm44": (thm44_schedule(s_values=(2,), q_max=2, k_max=1, r_cap=256), (6, 7, 8)),
+    "constant": (Schedule(lambda n, h, w: (7, [Fraction(2, 3)] * 6 + [5], Fraction(1, 2))), (1, 2)),
+    "past-float": (Schedule(lambda n, h, w: (3, [Sqrt2(0, 1)] * 2 + [1]), h1=Sqrt2(2**1100, 3), mode="sqrt2"), (1, 2)),
+}
+PERIODIC_KINDS = ["edge", "step", "window_edge", "small", "past_int64"]
+
+
+@st.composite
+def periodic_case(draw):
+    """An equally spaced stage, a lattice for it (a rational stage also on
+    a Q(sqrt 2) lattice) and a shift, moved off its kind's value by 0, one
+    lattice unit or a near tie (3 + 2 sqrt 2)**-n of one."""
+    sched, stages = PERIODIC[draw(st.sampled_from(sorted(PERIODIC)))]
+    stage = sched.stage(draw(st.sampled_from(stages)))
+    pairs = isinstance(stage.h, Sqrt2) or draw(st.booleans())
+    factor = draw(st.integers(1, 3))
+    lattice = Lattice(factor * stage.denominator, pairs)
+    h, p, r = stage.h, stage.offsets[1] - stage.offsets[0], stage.r
+    unit = Fraction(1, lattice.scale)
+    nudges = [0, unit, -unit]
+    if pairs:
+        a, b = pell(draw(st.integers(1, 60)))
+        nudges += [Sqrt2(0, unit), Sqrt2(0, -unit), Sqrt2(a, -b) * unit, Sqrt2(-a, b) * unit]
+    kind = draw(st.sampled_from(PERIODIC_KINDS))
+    if kind == "edge":  # |x| = h
+        x = draw(st.sampled_from([h, -h]))
+    elif kind == "step":  # a delta on 0
+        x = draw(st.integers(-r - 1, r + 1)) * p
+    elif kind == "window_edge":  # a delta on h or -h
+        x = draw(st.integers(1 - r, r - 1)) * p + draw(st.sampled_from([h, -h]))
+    elif kind == "small":
+        x = Fraction(draw(st.integers(-9, 9)), factor) * h
+    else:
+        x = draw(st.integers(-r, r)) * p + draw(st.sampled_from([2**64, -(2**64), 2**70 + 1]))
+    return stage, lattice, lattice.encode(x + draw(st.sampled_from(nudges)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(periodic_case())
+def test_closed_form_matches_scalar_loop(case):
+    """On equally spaced offsets ``overlap_pairs`` answers in closed form
+    from a view that holds neither float offsets nor an int64 array: the
+    lists of the scalar loop, element for element."""
+    stage, lattice, x = case
+    view = stage.on_lattice(lattice)
+    assert view.period is not None and view.array is None and view.floats is None
+    got = [(lattice.decode(d), m) for d, m in overlap_pairs(view, x)]
+    assert got == reference_overlap_pairs(stage, lattice.decode(x))
+    assert len(got) <= 2
+
+
+FLAT4096 = flat_schedule(4096).stage(2)
+H4096 = 3 * 4096  # its height (and step) in units of 1/3
+
+
+@pytest.mark.parametrize(
+    "x",
+    # the edges +-h, steps k p with k = 0, 1, r - 1 and r, each one unit
+    # of 1/3 either side, and shifts past int64
+    [0, 1, -1, H4096, -H4096, H4096 - 1, -H4096 - 1, H4096 + 1, 4095 * H4096 + 1, -4095 * H4096 - 1, 4096 * H4096 - 1, 2**64 + 1, -(2**70)],
+)
+def test_closed_form_on_a_wide_flat_stage(x):
+    lattice = Lattice(3, False)
+    view = FLAT4096.on_lattice(lattice)
+    assert view.period == view.h == H4096 and view.array is None
+    assert [(lattice.decode(d), m) for d, m in overlap_pairs(view, x)] == reference_overlap_pairs(FLAT4096, lattice.decode(x))
+
+
+def _sweep_overlaps(view, x):
+    """The copy-window sweep of *view* at *x*, on the same offsets with no period."""
+    return overlap_pairs(view._replace(period=None), x)
+
+
+@pytest.mark.parametrize(
+    "stage",
+    [
+        PERIODIC["thm44"][0].stage(8),
+        Schedule(lambda n, h, w: (256, [Sqrt2(0, 1)] * 256), h1=Sqrt2(2**1100, 3), mode="sqrt2").stage(1),
+    ],
+    ids=["float-quotient", "exact-floor"],
+)
+def test_closed_form_answers_a_far_shift_at_once(monkeypatch, stage):
+    """A shift near or far past the last copy costs a few sign tests, not
+    r, whether k comes from the float quotient or, past float range, from
+    the exact floor."""
+    view = stage.on_lattice(Lattice(stage.denominator, True))
+    xs = [(k * view.period[0] + 1, k * view.period[1]) for k in (view.r - 1, view.r + 5, 10**40, -(10**40))]
+    expected = [_sweep_overlaps(view, x) for x in xs]
+    signs, sign = [], schedule_module.sqrt2_sign
+    monkeypatch.setattr(schedule_module, "sqrt2_sign", lambda a, b: signs.append(1) or sign(a, b))
+    assert [overlap_pairs(view, x) for x in xs] == expected
+    assert len(signs) <= 4 * len(xs)
+
+
+@pytest.mark.parametrize("mode", ["rational", "sqrt2"])
+def test_period_is_read_from_the_encoded_spacers(mode):
+    """Equal spacer values that are distinct objects still space the
+    offsets equally; the top spacer and the bottom spacer do not enter."""
+    one = (lambda: Fraction(1, 3)) if mode == "rational" else (lambda: Sqrt2(0, Fraction(1, 3)))
+    equal = Schedule(lambda n, h, w: (5, [one() for _ in range(4)] + [7], 2), mode=mode).stage(1)
+    assert equal.grid.period == Lattice(equal.denominator, mode == "sqrt2").encode(equal.h + one())
+    unequal = Schedule(lambda n, h, w: (5, [one() for _ in range(3)] + [0, 0]), mode=mode).stage(1)
+    assert unequal.grid.period is None
+
+
+def test_equally_spaced_stages_skip_both_sweeps(monkeypatch, numpy_batches):
+    """Equally spaced stages reach neither the NumPy sweep nor the copy
+    windows of the m = 2 step; staircase and asym49 spacer stages still do."""
+    windows, copy = [], schedule_module.copy_windows
+    monkeypatch.setattr(schedule_module, "copy_windows", lambda stage, shift: windows.append(stage.n) or copy(stage, shift))
+
+    def step(sched, n, count):
+        """Stage n of *sched* at the 2 count - 1 shifts i h / count, |i| <
+        count, each with a delta; whether the stage is equally spaced."""
+        stage = sched.stage(n)
+        lattice = Lattice(count * stage.denominator, sched.mode == "sqrt2")
+        xs = [lattice.encode(stage.h * Fraction(i, count)) for i in range(1 - count, count)]
+        assert all(sched.overlaps(n, xs, lattice))
+        return stage.grid.period is not None
+
+    thm44 = thm44_schedule(s_values=(2,), q_max=2, k_max=1, r_cap=256)
+    assert step(flat_schedule(64), 2, 40)
+    assert step(staircase34_schedule((2, 3), base=4, r_cap=64), 1, 40)
+    assert step(asym49_schedule(r_cap=16), 2, 40)
+    assert step(thm44, 6, 40) and step(thm44, 7, 40)
+    assert numpy_batches == [] and windows == []
+    assert not step(staircase34_schedule((2, 3), base=4, r_cap=64), 3, 40) and numpy_batches
+    assert not step(asym49_schedule(r_cap=16), 1, 6) and not step(thm44, 4, 6)
+    assert set(windows) == {1, 4}
 
 
 def test_stage_view_follows_the_latest_lattice():

@@ -187,6 +187,16 @@ def test_half_sweep_matches_a_two_sided_sweep(request, name, dt, t_max):
     assert np.max(np.abs(curve.values - values)) <= 1e-15
 
 
+@pytest.mark.parametrize("dt, t_max", [(Fraction(1, 20), 16), (Fraction(1, 3), 2), (0.05, 4), (0.3, 3)])
+def test_curve_times_keep_the_bits_of_each_product(flat3, dt, t_max):
+    """The t < 0 half of the times is the negation of the t >= 0 half,
+    bit for bit float(i * dt) at every i, the sign of 0 included."""
+    f = random_step_function(1, flat3.height(1), 4, random.Random(1))
+    curve = autocorr_curve(flat3, f, dt, t_max)
+    n = int(round(float(t_max) / float(dt)))
+    assert curve.times.tobytes() == np.array([float(i * dt) for i in range(-n, n + 1)]).tobytes()
+
+
 def test_half_sweep_queries_each_nonnegative_time_once(monkeypatch, flat3):
     at, queried = Correlator.at, []
 
