@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import inspect
 from fractions import Fraction
-from math import factorial, isqrt
+from math import ceil, factorial, isqrt
 from numbers import Real
 
 from .errors import ConfigurationError
-from .scalars import Sqrt2, ceil_scalar, coerce, scalar_to_string
+from .scalars import Sqrt2, coerce, scalar_to_string
 from .schedule import Schedule
 
 DEFAULT_R_CAP = 4096
@@ -256,7 +256,7 @@ def thm44_schedule(
         combo, l0 = cls[1], cls[2]
         k = len(combo)
         s_min, s_max = combo[0], combo[-1]
-        t_j = t_base**j * ceil_scalar((h + s_max + 1) / s_min)
+        t_j = t_base**j * ceil((h + s_max + 1) / s_min)
         gaps = []
         for i, s in enumerate(combo, start=1):
             g = t_j * s - h

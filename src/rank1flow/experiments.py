@@ -34,7 +34,7 @@ from .oracle import oracle_correlate
 from .schedule import Schedule, finiteness_test, symmetrize
 from .scalars import scalar_from_string, scalar_to_string
 from .serialize import Reader, boolean, correlation_result_to_json, integer, load_schedule, number, parse_as, positive
-from .spectral import affinity, autocorr_curve, bochner_density, curve_from_samples, dilate
+from .spectral import affinity, autocorr_curve, bochner_density, curve_from_samples, dilate, sample_count
 from .stepfun import StepFunction, lift, random_level_set, random_step_function, reflect
 
 REPORT_VERSION = "rank1-report-1"
@@ -249,6 +249,8 @@ def run_correlate(spec: dict):
 def _target_from_spec(doc) -> WeakLimitTarget:
     def cplx(v):
         if isinstance(v, list):
+            if len(v) != 2:
+                raise ValueError("expected a number or [re, im]")
             return complex(number(v[0]), number(v[1]))
         return complex(number(v), 0.0)
 
@@ -450,7 +452,7 @@ def _curve_for_spec(schedule, spec):
         analytic = Reader(analytic, "spec entry 'analytic'")
         kind = analytic.get("kind")
         dt = _positive_field(spec, "dt", number, 0.05)
-        n = _sample_count(t_max, dt)
+        n = sample_count(t_max, dt)
         ts = [i * dt for i in range(-n, n + 1)]
         if kind == "gaussian":
             vals = [math.exp(-math.pi * t * t) for t in ts]
@@ -466,20 +468,9 @@ def _curve_for_spec(schedule, spec):
     # the sample times i * dt stay exact, so a rational schedule keeps its
     # lattice kernel; a JSON number keeps its decimal text through repr
     dt = _positive_field(spec, "dt", lambda v: Fraction(str(v)), "0.05")
-    _sample_count(t_max, dt)
+    sample_count(t_max, dt)
     f = seeded_family(schedule, spec, pair=False)[0]
     return partial(autocorr_curve, schedule, f, dt, t_max)
-
-
-def _sample_count(t_max, dt) -> int:
-    """The n of the sample times i * dt, |i| <= n, as :func:`autocorr_curve`
-    rounds it; a curve needs a time besides 0."""
-    n = int(round(float(t_max) / float(dt)))
-    if n < 1:
-        raise ConfigurationError(
-            f"spec entry 't_max' = {t_max} must exceed half of 'dt' = {float(dt)}: the curve has no time but 0"
-        )
-    return n
 
 
 def _estimate_entries(spec) -> dict:

@@ -159,16 +159,12 @@ class Sqrt2:
         return sqrt2_float(*self._scaled())
 
     def __floor__(self):
-        p, q = self.b.numerator, self.b.denominator
-        if p == 0:
-            return self.a.numerator // self.a.denominator
-        # bracket b*sqrt(2) between consecutive multiples of 1/q
-        s = isqrt(2 * p * p)
-        low = self.a + Fraction(s if p > 0 else -s - 1, q)
-        c = low.numerator // low.denominator
-        while c + 1 <= self:
-            c += 1
-        return c
+        a, b, d = self._scaled()
+        return sqrt2_floordiv(a, b, d, 0)
+
+    def __ceil__(self):
+        a, b, d = self._scaled()
+        return -sqrt2_floordiv(-a, -b, d, 0)
 
     def __repr__(self):
         if self.b == 0:
@@ -245,15 +241,20 @@ def sqrt2_float(a: int, b: int, d: int) -> float:
     return (a * s + (root if p > 0 else -root) * d) / (d * s)
 
 
-def floor_scalar(x: Scalar) -> int:
-    if isinstance(x, Sqrt2):
-        return x.__floor__()
-    return int(Fraction(x) // 1)
+def sqrt2_floordiv(a: int, b: int, c: int, d: int) -> int:
+    """floor((a + b*sqrt 2)/(c + d*sqrt 2)) for integers, (c, d) != (0, 0).
 
-
-def ceil_scalar(x: Scalar) -> int:
-    f = floor_scalar(x)
-    return f if x == f else f + 1
+    Exact: times the conjugate the quotient is (A + B*sqrt 2)/N with N > 0,
+    and for B != 0 the integer s = isqrt(2 B^2) brackets |B|*sqrt 2
+    strictly between s and s + 1, so no float enters.
+    """
+    A, B, N = a * c - 2 * b * d, b * c - a * d, c * c - 2 * d * d
+    if N < 0:
+        A, B, N = -A, -B, -N
+    if B == 0:
+        return A // N
+    s = isqrt(2 * B * B)
+    return (A + s) // N if B > 0 else (A - s - 1) // N
 
 
 def has_sqrt2(x: Scalar) -> bool:

@@ -21,12 +21,14 @@ h_n, the bottom spacer and s_n(1) .. s_n(r_n - 1), the smallest scale
 holding h_n and every offset: the spacer values are encoded once each
 and the offsets accumulated as ints or int pairs.  The scalar offsets,
 h_{n+1} and the spacer mass are decoded from there on first use.
-:meth:`TowerStage.on_lattice` rescales a stage to a finer lattice, where
-:func:`copy_windows` sweeps it with plain integer arithmetic, copy by
-copy, and :func:`overlap_pairs` counts the deltas of the windows.  Pairs
-are compared on float values where these clear their rounding bound, and
-by :func:`sqrt2_sign` where they do not.  Scalars come back only at the
-boundary, via :meth:`Lattice.decode`.
+:meth:`TowerStage.on_lattice` rescales a stage to a finer lattice: the
+view, a :class:`LatticeStage`, holds the exact geometry only, and each
+route builds what else it needs when it runs.  :func:`copy_windows`
+sweeps a view with plain integer arithmetic, copy by copy, and
+:func:`overlap_pairs` counts the deltas of the windows.  Pairs are
+compared on float values, built per sweep, where these clear their
+rounding bound, and by :func:`sqrt2_sign` where they do not.  Scalars
+come back only at the boundary, via :meth:`Lattice.decode`.
 
 A stage whose spacers s_n(1) .. s_n(r_n - 1) encode to one value (flat
 stages, a constant spacer, zero spacers below the top) has equally spaced
@@ -34,9 +36,9 @@ offsets, o_{j+1} - o_j = p = h_n + s; the stage records p as its
 ``period`` when it is built.  Its overlaps are then the deltas x + k p,
 each realized by the r_n - |k| pairs with j' - j = k, and since p >= h_n
 at most two k keep |x + k p| < h_n.  :func:`overlap_pairs` answers such a
-stage in closed form, O(1) per shift whatever r_n: two floor divisions on
-ints; on (a, b) pairs, the float quotient (the exact floor past float
-range), confirmed by :func:`sqrt2_sign`.
+stage in closed form, O(1) per shift whatever r_n: two floor divisions,
+on ints or, on (a, b) pairs, by the exact integer floor of
+:func:`~rank1flow.scalars.sqrt2_floordiv`.
 
 The engine takes the step of a stage for a whole level of shifts at
 once, from the schedule's one overlap cache: :meth:`Schedule.overlaps` at
@@ -44,11 +46,12 @@ m = 2, :meth:`Schedule.tuple_overlaps` on shift tuples at m >= 3.  At
 m = 2, :func:`overlap_batch` applies the batch rule: an equally spaced
 stage takes the closed form, one shift at a time; on other int offsets,
 a batch of at least ``_NUMPY_MIN_WORK`` (shift, copy) pairs whose values
-fit int64 is swept in one NumPy pass (``searchsorted`` for every window,
-one sort for every delta); a smaller batch, values past int64 and (a, b)
-pairs take the Python sweep, one shift at a time.  All three give the
-same sorted (delta, multiplicity) lists.  At m >= 3, :func:`tuple_overlaps`
-groups the copy tuples of the windows by delta vector, on every stage.
+fit int64 is swept in one NumPy pass (the offsets as one int64 array
+per batch, ``searchsorted`` for every window, one sort for every delta);
+a smaller batch, values past int64 and (a, b) pairs take the Python
+sweep, one shift at a time.  All three give the same sorted (delta,
+multiplicity) lists.  At m >= 3, :func:`tuple_overlaps` groups the copy
+tuples of the windows by delta vector, on every stage.
 
 Two module constants bound the work, with no parameter to set them:
 ``GUARD`` (the deltas per shift in either sweep, the delta vectors of an
@@ -65,13 +68,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, product
-from math import floor, inf, lcm
+from math import inf, lcm
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, ResourceError
-from .scalars import FLOAT_BITS, MODES, SQRT2_FLOAT, Scalar, Sqrt2, coerce, exact, sqrt2_sign, sqrt2_sorted
+from .scalars import FLOAT_BITS, MODES, SQRT2_FLOAT, Scalar, Sqrt2, coerce, exact, sqrt2_floordiv, sqrt2_sign, sqrt2_sorted
 
 GUARD = 10**6  # memo entries per query, delta vectors per m-tuple step, deltas per shift, cache entries
 DIGIT_BUDGET = 200_000  # bits in each component of a stage height on its own lattice
@@ -135,8 +138,6 @@ class LatticeStage(NamedTuple):
     r: int
     h: object  # int or (a, b)
     offsets: list
-    array: Optional[np.ndarray] = None  # the int offsets as int64, where the NumPy sweep applies
-    floats: Optional[tuple] = None  # pair offsets as floats, and their largest |a| + 2|b|, within float range
     period: object = None  # o_{j+1} - o_j, where the offsets are equally spaced
 
 
@@ -224,14 +225,7 @@ class TowerStage:
                 period = None if period is None else (period, 0)
             elif m != 1:
                 offsets = [o * m for o in offsets]
-            array = floats = None  # the closed form of equally spaced offsets reads neither
-            if period is None and lattice.sqrt2:
-                magnitude = max(abs(a) + 2 * abs(b) for a, b in offsets)
-                if magnitude.bit_length() < FLOAT_BITS:
-                    floats = ([a + b * SQRT2_FLOAT for a, b in offsets], float(magnitude))
-            elif period is None and offsets[-1] + h < _INT64_SAFE:
-                array = np.array(offsets, dtype=np.int64)
-            self._view = (lattice, LatticeStage(self.n, self.r, h, offsets, array, floats, period))
+            self._view = (lattice, LatticeStage(self.n, self.r, h, offsets, period))
         return self._view[1]
 
 
@@ -433,11 +427,11 @@ def overlap_pairs(stage, shift) -> list:
 def overlap_batch(stage: LatticeStage, shifts: list) -> list:
     """:func:`overlap_pairs` of a lattice stage at each of *shifts*, in order.
 
-    The batch rule: an equally spaced stage (whose view has no int64
-    array) takes the closed form, shift by shift; other int offsets are
-    swept in NumPy, all shifts at once, when the batch holds at least
-    ``_NUMPY_MIN_WORK`` (shift, copy) pairs and its values fit int64;
-    otherwise, and on (a, b) pairs, each shift takes the Python sweep.
+    The batch rule: an equally spaced stage takes the closed form, shift
+    by shift; other int offsets are swept in NumPy, all shifts at once,
+    when the batch holds at least ``_NUMPY_MIN_WORK`` (shift, copy) pairs
+    and its values fit int64 (:func:`_fits_int64`); otherwise, and on
+    (a, b) pairs, each shift takes the Python sweep.
     """
     if len(shifts) * stage.r >= _NUMPY_MIN_WORK and _fits_int64(stage, shifts):
         return _sweep_batch(stage, shifts)
@@ -461,9 +455,12 @@ def tuple_overlaps(stage: LatticeStage, shifts: list) -> list:
 
 
 def _fits_int64(stage: LatticeStage, shifts) -> bool:
-    """Whether every value of :func:`_sweep_batch` on *shifts* fits int64."""
+    """Whether *stage* takes the sweep, on int offsets, and every value of
+    :func:`_sweep_batch` on *shifts* fits int64."""
     return (
-        stage.array is not None
+        type(stage.h) is int
+        and stage.period is None
+        and stage.offsets[-1] + stage.h < _INT64_SAFE
         and len(shifts) * stage.h < _INT64_SAFE
         and -_INT64_SAFE < min(shifts)
         and max(shifts) < _INT64_SAFE
@@ -473,33 +470,32 @@ def _fits_int64(stage: LatticeStage, shifts) -> bool:
 def _lattice_overlaps(stage: LatticeStage, shift) -> list:
     if stage.period is not None:
         pairs = _periodic_overlaps(stage, shift)
-        if len(pairs) > GUARD:
-            raise ResourceError(f"overlap blowup at stage {stage.n}: more than {GUARD} deltas")
-        return pairs
-    counts: dict = {}
-    _count_elements(counts, chain.from_iterable(copy_windows(stage, shift)))
-    if len(counts) > GUARD:
+    else:
+        counts: dict = {}
+        _count_elements(counts, chain.from_iterable(copy_windows(stage, shift)))
+        if type(stage.h) is tuple:
+            pairs = [(delta, counts[delta]) for delta in sqrt2_sorted(counts)]
+        else:
+            pairs = sorted(counts.items())
+    if len(pairs) > GUARD:
         raise ResourceError(f"overlap blowup at stage {stage.n}: more than {GUARD} deltas")
-    if type(stage.h) is tuple:
-        return [(delta, counts[delta]) for delta in sqrt2_sorted(counts)]
-    return sorted(counts.items())
+    return pairs
 
 
 def _periodic_overlaps(stage: LatticeStage, shift) -> list:
     """:func:`overlap_pairs` of a stage with equally spaced offsets,
     o_{j+1} - o_j = p, in closed form: the pairs with j' - j = k give the
     delta shift + k p, r - |k| times, for every |k| < r with
-    -h < shift + k p < h.  Since p >= h, there are at most two such k."""
+    -h < shift + k p < h.  Since p >= h, there are at most two such k:
+    from floor((-h - shift)/p) + 1 to ceil((h - shift)/p) - 1, two exact
+    integer floors."""
     r, p, h = stage.r, stage.period, stage.h
     if type(h) is tuple:
         (pa, pb), (ha, hb), (sa, sb) = p, h, shift
-        k = _least_multiple(p, (-ha - sa, -hb - sb), r, True)
-        end = _least_multiple(p, (ha - sa, hb - sb), r, False) - 1
-        pairs = []
-        while k <= end:
-            pairs.append(((sa + k * pa, sb + k * pb), r - abs(k)))
-            k += 1
-        return pairs
+        k = max(sqrt2_floordiv(-ha - sa, -hb - sb, pa, pb) + 1, 1 - r)
+        end = min(-sqrt2_floordiv(sa - ha, sb - hb, pa, pb) - 1, r - 1)
+        return [((sa + j * pa, sb + j * pb), r - abs(j)) for j in range(k, end + 1)]
+    # flat stages' hot path: max, min and a comprehension cost twice this
     k = (-h - shift) // p + 1
     end = (h - shift - 1) // p
     if k < 1 - r:
@@ -511,29 +507,6 @@ def _periodic_overlaps(stage: LatticeStage, shift) -> list:
         pairs.append((shift + k * p, r - abs(k)))
         k += 1
     return pairs
-
-
-def _least_multiple(p, y, r: int, strict: bool) -> int:
-    """The least k in [1 - r, r - 1] with k p > y (*strict*) or k p >= y,
-    on (a, b) pairs with p > 0; r when there is none.  The guess, from the
-    float quotient y/p (from the exact floor past float range), is clipped
-    into [1 - r, r] and moved to the answer by exact signs: k p - y grows
-    with k."""
-    (pa, pb), (ya, yb) = p, y
-    fp = 0.0
-    if max(abs(pa), abs(pb), abs(ya), abs(yb)).bit_length() < FLOAT_BITS:
-        fp = pa + pb * SQRT2_FLOAT
-    if fp > 0:
-        k = floor(min(max((ya + yb * SQRT2_FLOAT) / fp, -r), r)) + 1
-    else:
-        k = floor(Sqrt2(ya, yb) / Sqrt2(pa, pb)) + 1
-    k = min(max(k, 1 - r), r)
-    tie = 0 if strict else -1  # the sign of k p - y must exceed it
-    while k > 1 - r and sqrt2_sign((k - 1) * pa - ya, (k - 1) * pb - yb) > tie:
-        k -= 1
-    while k < r and not sqrt2_sign(k * pa - ya, k * pb - yb) > tie:
-        k += 1
-    return k
 
 
 def copy_windows(stage: LatticeStage, shift) -> list:
@@ -566,21 +539,22 @@ def copy_windows(stage: LatticeStage, shift) -> list:
 
 def _pair_windows(stage: LatticeStage, shift) -> list:
     """:func:`copy_windows` on (a, b) pairs.  Each window end is decided on
-    the float offsets of the view where the float difference clears its
+    float values, built per call, where the float difference clears its
     rounding bound ``tol``, and by :func:`sqrt2_sign` of the exact
-    difference otherwise; without float offsets every test is exact."""
+    difference otherwise; past float range every test is exact."""
     offs, r = stage.offsets, stage.r
     (ha, hb), (sa, sb) = stage.h, shift
     ua, ub, da, db = sa + ha, sb + hb, ha - sa, hb - sb  # shift + h and h - shift
-    tol = inf
-    if stage.floats is not None and max(map(abs, (ua, ub, da, db))).bit_length() < FLOAT_BITS:
-        fo, magnitude = stage.floats
+    magnitude = max(abs(a) + 2 * abs(b) for a, b in offs)
+    edge = max(abs(ua) + 2 * abs(ub), abs(da) + 2 * abs(db))
+    if max(magnitude, edge).bit_length() < FLOAT_BITS:
+        fo = [a + b * SQRT2_FLOAT for a, b in offs]
         fu, fd = ua + ub * SQRT2_FLOAT, da + db * SQRT2_FLOAT
         # each float is within 2**-51 (|a| + 2|b|) of its value and the two
         # roundings of a test add less than that again: tol is 4x the sum
-        tol = (2 * magnitude + max(abs(ua) + 2 * abs(ub), abs(da) + 2 * abs(db))) * 2.0**-48
+        tol = (2 * magnitude + edge) * 2.0**-48
     else:
-        fo, fu, fd = [0.0] * r, 0.0, 0.0
+        fo, fu, fd, tol = [0.0] * r, 0.0, 0.0, inf
     windows = []
     a = b = 0
     for j, (oa, ob) in enumerate(offs):
@@ -607,12 +581,13 @@ def _sweep_batch(stage: LatticeStage, shifts: list) -> list:
     the windows of :func:`copy_windows` of all (shift, copy) pairs found by
     one ``searchsorted`` each way, their deltas sorted by (shift, delta)
     and counted.  The same sorted (delta, multiplicity) list per shift."""
+    offs = np.array(stage.offsets, dtype=np.int64)
     step = max(1, _CHUNK // stage.r)
-    return [pairs for i in range(0, len(shifts), step) for pairs in _sweep_chunk(stage, shifts[i : i + step])]
+    return [pairs for i in range(0, len(shifts), step) for pairs in _sweep_chunk(stage, offs, shifts[i : i + step])]
 
 
-def _sweep_chunk(stage: LatticeStage, shifts: list) -> list:
-    offs, h, count = stage.array, stage.h, len(shifts)
+def _sweep_chunk(stage: LatticeStage, offs: np.ndarray, shifts: list) -> list:
+    h, count = stage.h, len(shifts)
     base = np.array(shifts, dtype=np.int64)[:, None] - offs  # shift - o_j, one row per shift
     a = np.searchsorted(offs, (-h - base).ravel(), side="right")  # first j' with o_j' > o_j - shift - h
     width = np.searchsorted(offs, (h - base).ravel(), side="left") - a  # to the first j' with o_j' >= o_j - shift + h

@@ -67,12 +67,23 @@ class SpectralEstimate:
         return float(_trapezoid(self.density, self.freqs))
 
 
+def sample_count(t_max, dt) -> int:
+    """The n of the sample times i * dt, |i| <= n, of a curve up to
+    *t_max*; a curve needs a time besides 0."""
+    n = int(round(float(t_max) / float(dt)))
+    if n < 1:
+        raise ConfigurationError(
+            f"spec entry 't_max' = {t_max} must exceed half of 'dt' = {float(dt)}: the curve has no time but 0"
+        )
+    return n
+
+
 def autocorr_curve(schedule: Schedule, f: StepFunction, dt, t_max) -> AutocorrCurve:
     """Sample <U_T(t_i) f, f> on the uniform grid t_i = i * dt,
-    |t_i| <= t_max, sharing one correlator memo across the sweep.  The
-    engine is queried at i = 0..n; the value at -t_i is the conjugate of
-    the one at t_i, with the same bound."""
-    n = int(round(float(t_max) / float(dt)))
+    |t_i| <= t_max (:func:`sample_count`), sharing one correlator memo
+    across the sweep.  The engine is queried at i = 0..n; the value at
+    -t_i is the conjugate of the one at t_i, with the same bound."""
+    n = sample_count(t_max, dt)
     corr = Correlator(schedule, f, f)
     ts = [i * dt for i in range(n + 1)]
     half = [corr.at(t) for t in ts]

@@ -205,6 +205,16 @@ UNREAD_OR_MISTYPED = {
         "'shifts'",
     ),
     "empty-cosine-freqs": ("spectrum", {"analytic": {"kind": "cosine", "freqs": []}}, "'freqs'"),
+    "three-part-alpha": (
+        "weak-limit",
+        {"schedule": FLAT2, "times": ["1"], "target": {"alpha": [0, 0, 7]}},
+        "'alpha' = [0, 0, 7]: expected a number or [re, im]",
+    ),
+    "one-part-beta": (
+        "weak-limit",
+        {"schedule": FLAT2, "times": ["1"], "target": {"beta": [0]}},
+        "'beta' = [0]: expected a number or [re, im]",
+    ),
 }
 
 

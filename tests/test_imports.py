@@ -1,8 +1,10 @@
-"""No module of the package imports a name it does not use.
+"""No module of the package imports a name it does not use, and no
+private definition is left unread.
 
-A static scan with :mod:`ast`: every name an ``import`` statement binds
-must be read somewhere in its module.  ``__init__.py`` is left out, since
-it imports names to export them.
+Static scans with :mod:`ast`: every name an ``import`` statement binds
+must be read somewhere in its module (``__init__.py`` is left out, since
+it imports names to export them), and every private module-level
+function, class or constant must be read somewhere in the package.
 """
 
 import ast
@@ -41,3 +43,54 @@ def test_the_package_is_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def private_definitions(source: str) -> dict:
+    """name -> line of each module-level function, class or constant of
+    *source* whose name starts with a single underscore."""
+    defined = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        defined.update((name, node.lineno) for name in names if name.startswith("_") and not name.startswith("__"))
+    return defined
+
+
+def read_names(source: str) -> set:
+    """Every name *source* loads, as a bare name or as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def orphans(sources: dict) -> list:
+    """(module, line, name) of each private definition no module reads."""
+    read = set().union(*map(read_names, sources.values()))
+    return sorted(
+        (module, line, name)
+        for module, source in sources.items()
+        for name, line in private_definitions(source).items()
+        if name not in read
+    )
+
+
+def test_the_scan_finds_an_orphan():
+    sources = {
+        "a.py": "_used = 1\n_LEFT = 2\n\n\ndef _gone():\n    return _used\n\n\nclass _Kept:\n    pass\n",
+        "b.py": "from .a import _Kept\n\nx = _Kept()\n",
+    }
+    assert orphans(sources) == [("a.py", 2, "_LEFT"), ("a.py", 5, "_gone")]
+
+
+def test_every_private_definition_is_read():
+    sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert orphans(sources) == []

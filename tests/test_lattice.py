@@ -212,7 +212,7 @@ def test_overlap_batch_matches_scalar_loop(case):
 def test_batches_past_int64_take_the_python_sweep(numpy_batches):
     view = WIDE.on_lattice(Lattice(1, False))
     xs = [i * view.h // 2 for i in range(-8, 8)]  # enough (shift, copy) pairs for NumPy, but 16 h = 2**62
-    assert view.array is not None and len(xs) * view.r >= _NUMPY_MIN_WORK and not _fits_int64(view, xs)
+    assert _fits_int64(view, xs[:4]) and len(xs) * view.r >= _NUMPY_MIN_WORK and not _fits_int64(view, xs)
     expected = [reference_overlap_pairs(WIDE, x) for x in xs]
     assert overlap_batch(view, xs) == expected
     past = [2**62, *xs[1:]]  # one shift past int64
@@ -255,13 +255,13 @@ def test_overlap_cache_stops_at_the_guard(monkeypatch, numpy_batches, key, batch
 def test_python_sweep_beyond_int64():
     wide = uneven(64, h1=2**62).stage(2)
     lattice = Lattice(3, False)
-    assert wide.on_lattice(lattice).array is None
+    assert not _fits_int64(wide.on_lattice(lattice), [0])
     shift = Fraction(2**68 + 1, 3)
     assert overlap_pairs(wide, shift) == reference_overlap_pairs(wide, shift) != []
     # a shift past int64 on a stage that does fit: the sweep skips NumPy
     narrow = SCHEDULES["asym49", "rational"].stage(1)
     view = narrow.on_lattice(lattice)
-    assert view.array is not None
+    assert _fits_int64(view, [0])
     assert overlap_pairs(view, lattice.encode(shift)) == reference_overlap_pairs(narrow, shift) == []
 
 
@@ -313,13 +313,19 @@ def periodic_case(draw):
 @settings(max_examples=80, deadline=None)
 @given(periodic_case())
 def test_closed_form_matches_scalar_loop(case):
-    """On equally spaced offsets ``overlap_pairs`` answers in closed form
-    from a view that holds neither float offsets nor an int64 array: the
-    lists of the scalar loop, element for element."""
+    """On equally spaced offsets ``overlap_pairs`` answers in closed form,
+    taking neither the NumPy sweep nor a sign test: the lists of the
+    scalar loop, element for element."""
     stage, lattice, x = case
     view = stage.on_lattice(lattice)
-    assert view.period is not None and view.array is None and view.floats is None
-    got = [(lattice.decode(d), m) for d, m in overlap_pairs(view, x)]
+    assert view.period is not None and not _fits_int64(view, [x])
+    signs, sign = [], schedule_module.sqrt2_sign
+    schedule_module.sqrt2_sign = lambda a, b: signs.append(1) or sign(a, b)
+    try:
+        got = [(lattice.decode(d), m) for d, m in overlap_pairs(view, x)]
+    finally:
+        schedule_module.sqrt2_sign = sign
+    assert signs == []
     assert got == reference_overlap_pairs(stage, lattice.decode(x))
     assert len(got) <= 2
 
@@ -337,7 +343,7 @@ H4096 = 3 * 4096  # its height (and step) in units of 1/3
 def test_closed_form_on_a_wide_flat_stage(x):
     lattice = Lattice(3, False)
     view = FLAT4096.on_lattice(lattice)
-    assert view.period == view.h == H4096 and view.array is None
+    assert view.period == view.h == H4096 and not _fits_int64(view, [x])
     assert [(lattice.decode(d), m) for d, m in overlap_pairs(view, x)] == reference_overlap_pairs(FLAT4096, lattice.decode(x))
 
 
@@ -356,8 +362,7 @@ def _sweep_overlaps(view, x):
 )
 def test_closed_form_answers_a_far_shift_at_once(monkeypatch, stage):
     """A shift near or far past the last copy costs a few sign tests, not
-    r, whether k comes from the float quotient or, past float range, from
-    the exact floor."""
+    r, within float range and past it."""
     view = stage.on_lattice(Lattice(stage.denominator, True))
     xs = [(k * view.period[0] + 1, k * view.period[1]) for k in (view.r - 1, view.r + 5, 10**40, -(10**40))]
     expected = [_sweep_overlaps(view, x) for x in xs]
@@ -434,13 +439,17 @@ def test_pair_deltas_sorted_exactly_where_floats_cannot_tell():
         assert overlap_pairs(stage, (0, 0)) == [((-a, b), 1), ((0, 0), 2), (eps, 1)]
 
 
-def test_float_filter_defers_near_ties_to_the_exact_sign():
+def test_float_filter_defers_near_ties_to_the_exact_sign(monkeypatch):
     # offsets 0 < 1 + eps < 3 + eps with eps = 99 - 70 sqrt 2; shifts that
     # put a window end within (3 + 2 sqrt 2)**-n of an offset, where the
-    # float offsets of the view cannot tell the side
+    # float offsets of the sweep cannot tell the side
     spacers = (Sqrt2(99, -70), Sqrt2(1), Sqrt2(0))
     stage = Schedule(lambda n, h, w: (3, spacers), mode="sqrt2").stage(1)
-    assert stage.on_lattice(Lattice(1, True)).floats is not None
+    # the float filter runs: a shift clear of every window end takes no sign test
+    signs, sign = [], schedule_module.sqrt2_sign
+    monkeypatch.setattr(schedule_module, "sqrt2_sign", lambda a, b: signs.append(1) or sign(a, b))
+    copy_windows(stage.on_lattice(Lattice(1, True)), (0, 0))
+    assert signs == []
     offs = stage.offsets
     for n in (2, 20, 40):
         a, b = pell(n)
@@ -450,6 +459,25 @@ def test_float_filter_defers_near_ties_to_the_exact_sign():
                     for edge in (stage.h, -stage.h, 0):
                         shift = offs[i] - offs[k] + edge + tiny
                         assert overlap_pairs(stage, shift) == reference_overlap_pairs(stage, shift)
+
+
+def test_copy_windows_of_an_equally_spaced_pair_stage_use_the_float_filter(monkeypatch):
+    """The m-point step sweeps the copy windows of equally spaced stages
+    too; on (a, b) pairs it decides the window ends on floats, as on any
+    other stage, and leaves only near ties to the exact sign."""
+    stage = PERIODIC["thm44"][0].stage(8)
+    lattice = Lattice(3 * stage.denominator, True)
+    view, x = stage.on_lattice(lattice), lattice.encode(stage.h / 3)
+    assert view.period is not None
+    (ha, hb), (sa, sb) = view.h, x
+    expected = []
+    for oa, ob in view.offsets:  # every pair, by the exact sign
+        deltas = ((sa + pa - oa, sb + pb - ob) for pa, pb in view.offsets)
+        expected.append([(a, b) for a, b in deltas if sqrt2_sign(ha - a, hb - b) > 0 and sqrt2_sign(ha + a, hb + b) > 0])
+    signs, sign = [], schedule_module.sqrt2_sign
+    monkeypatch.setattr(schedule_module, "sqrt2_sign", lambda a, b: signs.append(1) or sign(a, b))
+    assert copy_windows(view, x) == expected
+    assert len(signs) < view.r / 8
 
 
 PELL_NEAR_TIES = [(99, -70), (577, -408), (3363, -2378), (-99, 70), (-577, 408), (17, -12), (-17, 12)]

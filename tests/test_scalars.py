@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from rank1flow import SQRT2, Sqrt2, coerce, scalar_from_string, scalar_to_string
 from rank1flow.errors import ModeError
-from rank1flow.scalars import ceil_scalar, floor_scalar
+from rank1flow.scalars import sqrt2_floordiv
 
 
 def test_sqrt2_squares_to_two():
@@ -126,10 +126,50 @@ def test_floor_huge_negative():
 
 
 def test_floor_ceil_helpers():
-    assert floor_scalar(Fraction(7, 2)) == 3
-    assert ceil_scalar(Fraction(7, 2)) == 4
-    assert ceil_scalar(Fraction(4, 2)) == 2
-    assert ceil_scalar(SQRT2) == 2
+    assert math.floor(Fraction(7, 2)) == 3
+    assert math.ceil(Fraction(7, 2)) == 4
+    assert math.ceil(Fraction(4, 2)) == 2
+    assert math.ceil(SQRT2) == 2
+
+
+small_ints = st.integers(min_value=-(10**6), max_value=10**6)
+huge_ints = st.integers(min_value=-(2**1100), max_value=2**1100)  # past float range
+any_ints = small_ints | huge_ints
+
+
+@st.composite
+def floor_quotients(draw):
+    """(a, b, c, d) for floor((a + b sqrt 2)/(c + d sqrt 2)): any operands,
+    small or past float range; a divisor of negative norm (-1 + sqrt 2,
+    scaled); a rational quotient m/n (B = 0); and a Pell near tie, an
+    integer k plus or minus (3 + 2 sqrt 2)**-n of the divisor."""
+    kind = draw(st.sampled_from(["any", "negative_norm", "rational", "pell"]))
+    c, d = draw(st.tuples(any_ints, any_ints).filter(any))
+    if kind == "negative_norm":
+        k = draw(any_ints.filter(bool))
+        c, d = -k, k
+    if kind == "rational":
+        m, n = draw(any_ints), draw(small_ints.filter(bool))
+        return m * c, m * d, n * c, n * d
+    if kind == "pell":
+        p, q = pell(draw(st.integers(min_value=1, max_value=900)))
+        eps = draw(st.sampled_from([(p, -q), (-p, q)]))
+        k = draw(any_ints)
+        return k * c + eps[0], k * d + eps[1], c, d
+    return draw(any_ints), draw(any_ints), c, d
+
+
+@settings(max_examples=400, deadline=None)
+@given(floor_quotients())
+@example((1, 0, -1, 1))  # 1/(-1 + sqrt 2) = 1 + sqrt 2
+@example((7, 0, 2, 0))
+@example((-7, 0, 2, 0))
+def test_exact_floor_brackets_the_quotient(operands):
+    a, b, c, d = operands
+    k, q = sqrt2_floordiv(a, b, c, d), Sqrt2(a, b) / Sqrt2(c, d)
+    assert Sqrt2(k) <= q < Sqrt2(k + 1)
+    assert math.floor(q) == k
+    assert math.ceil(q) == (k if q == k else k + 1)
 
 
 @pytest.mark.parametrize(

@@ -174,9 +174,14 @@ def two_sided_sweep(schedule, f, dt, t_max):
 @pytest.mark.parametrize("name", ["flat3", "small_staircase", "small_asym", "small_thm44"])
 def test_half_sweep_matches_a_two_sided_sweep(request, name, dt, t_max):
     """The mirrored half is within 1e-15 of the engine's values at t < 0,
-    with equal times and bounds; the queried half is the engine's, exactly."""
+    with equal times and bounds; the queried half is the engine's, exactly.
+    At n = 0 the curve would hold no time but 0, and is refused."""
     sched = request.getfixturevalue(name)
     f = random_step_function(1, sched.height(1), 4, random.Random(5))
+    if t_max < dt / 2:
+        with pytest.raises(ConfigurationError, match="must exceed half of 'dt'"):
+            autocorr_curve(sched, f, dt, t_max)
+        return
     curve = autocorr_curve(sched, f, dt, t_max)
     times, values, bounds = two_sided_sweep(sched, f, dt, t_max)
     n = len(times) // 2
@@ -185,6 +190,16 @@ def test_half_sweep_matches_a_two_sided_sweep(request, name, dt, t_max):
     assert np.array_equal(curve.values[n:], values[n:])
     assert np.array_equal(curve.values[:n], np.conjugate(values[: n : -1]))
     assert np.max(np.abs(curve.values - values)) <= 1e-15
+
+
+@pytest.mark.parametrize("dt, t_max", [(Fraction(1, 20), Fraction(1, 50)), (0.05, 0.025), (0.05, -1)])
+def test_a_curve_needs_a_time_besides_zero(flat3, dt, t_max):
+    """t_max <= dt/2 rounds to n = 0 sample steps, a negative t_max below
+    that: no curve, where a one-point or empty curve would have failed
+    only later, in bochner_density."""
+    f = random_step_function(1, flat3.height(1), 4, random.Random(1))
+    with pytest.raises(ConfigurationError, match="must exceed half of 'dt'"):
+        autocorr_curve(flat3, f, dt, t_max)
 
 
 @pytest.mark.parametrize("dt, t_max", [(Fraction(1, 20), 16), (Fraction(1, 3), 2), (0.05, 4), (0.3, 3)])
