@@ -3,8 +3,8 @@
 The package builds exact tower geometry for a schedule of cuts and
 spacers, evaluates Koopman correlations <U(t) f, g> by an exact
 stage-recursive overlap count, and provides weak-limit probes, joint
-moment (m-point) correlations, symmetric-tensor machinery and spectral
-density estimates on top of that engine.
+moment (m-point) correlations, diagonal coefficients of symmetric Fock
+components and spectral density estimates on top of that engine.
 """
 
 from .builders import (
@@ -21,12 +21,10 @@ from .correlate import (
     MCorrelator,
     WeakLimitReport,
     WeakLimitTarget,
-    component_correlate,
     correlate,
     inner_product,
     m_correlate,
     pick_stage,
-    product_correlate,
     weak_limit_probe,
 )
 from .errors import (
@@ -52,7 +50,6 @@ from .spectral import (
     AutocorrCurve,
     SpectralEstimate,
     affinity,
-    aggregate,
     autocorr_curve,
     bochner_density,
     curve_from_samples,
@@ -68,6 +65,5 @@ from .stepfun import (
     random_step_function,
     reflect,
 )
-from .tensorial import permanent, sym_tensor_correlate
 
 __version__ = "0.1.0"

@@ -51,7 +51,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from math import lcm, prod
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import schedule as geometry  # for GUARD, read at call time
 from .errors import RangeError, ResourceError
@@ -300,40 +300,28 @@ def _max_keeping_nan(a: float, b: float) -> float:
     return b if b > a or b != b else a
 
 
-def perturbation_bound(form: Callable, magnitudes: Sequence, bounds: Sequence) -> float:
-    """How far form(v) can move when each argument v_i may be off by e_i.
+def perturbation_bound(magnitudes: Sequence, bounds: Sequence) -> float:
+    """How far a product of factors v_i can move when each may be off by e_i.
 
-    *form* is multilinear in its arguments with nonnegative coefficients
-    (a product of factors, or a permanent in its rows); the worst case is
-    form(|v| + e) - form(|v|), summed here as the telescoping series
+    The worst case is prod(|v| + e) - prod(|v|), summed here as the
+    telescoping series
 
-        sum_i form(|v_1|, ..., |v_{i-1}|, e_i, |v_{i+1}| + e_{i+1}, ...),
+        sum_i prod(|v_1|, ..., |v_{i-1}|, e_i, |v_{i+1}| + e_{i+1}, ...),
 
-    so that a single argument gives exactly form(e).
+    so that a single factor gives exactly e_1.
     """
     return sum(
-        form([*magnitudes[:i], e, *(m + b for m, b in zip(magnitudes[i + 1 :], bounds[i + 1 :]))])
+        prod([*magnitudes[:i], e, *(m + b for m, b in zip(magnitudes[i + 1 :], bounds[i + 1 :]))])
         for i, e in enumerate(bounds)
     )
 
 
-def product_correlate(components: Sequence[tuple], t: Scalar) -> CorrelationResult:
-    """Cartesian product flow: components are (schedule, scale, f, g)
-    tuples; the value is the exact product of the per-component values at
-    time scale * t, the bound that of a product of certified factors."""
-    results = [correlate(schedule, f, g, scale * t) for schedule, scale, f, g in components]
-    value = complex(1, 0)
-    for r in results:
-        value *= r.value
-    bound = perturbation_bound(prod, [abs(r.value) for r in results], [r.error_bound for r in results])
-    return CorrelationResult(value=value, error_bound=bound, stage_used=max((r.stage_used for r in results), default=0))
-
-
 @dataclass
 class FockComponent:
-    """Shifts s_1 < ... < s_k with multiplicities and test vectors; the
-    diagonal matrix coefficient of the corresponding symmetric-tensor
-    block factorizes over the shifts."""
+    """Shifts s_1 < ... < s_k with multiplicities n_l and test vectors f_l;
+    the diagonal matrix coefficient of the corresponding symmetric-tensor
+    block at time t is the product of the factors <U_T(s_l t) f_l, f_l>,
+    each raised to n_l."""
 
     shifts: tuple
     multiplicities: tuple
@@ -347,20 +335,3 @@ class FockComponent:
                 raise RangeError("shifts must be strictly increasing")
         if any(m < 1 for m in self.multiplicities):
             raise RangeError("multiplicities must be >= 1")
-
-
-def component_correlate(schedule: Schedule, component: FockComponent, t: Scalar) -> CorrelationResult:
-    """prod_l <U_T(s_l t) f_l, f_l> ** n_l, bounded as a product with each
-    factor repeated n_l times."""
-    factors = []
-    stage_used = 0
-    for s_l, f_l in zip(component.shifts, component.vectors):
-        r = correlate(schedule, f_l, f_l, s_l * t)
-        factors.append(r)
-        stage_used = max(stage_used, r.stage_used)
-    value = complex(1, 0)
-    for r, n_l in zip(factors, component.multiplicities):
-        value *= r.value**n_l
-    repeated = [r for r, n_l in zip(factors, component.multiplicities) for _ in range(n_l)]
-    bound = perturbation_bound(prod, [abs(r.value) for r in repeated], [r.error_bound for r in repeated])
-    return CorrelationResult(value=value, error_bound=bound, stage_used=stage_used)

@@ -19,13 +19,14 @@ from fractions import Fraction
 from functools import partial
 
 from .correlate import (
+    CorrelationResult,
     Correlator,
     FockComponent,
     WeakLimitTarget,
-    component_correlate,
     correlate,
     inner_product,
     m_correlate,
+    perturbation_bound,
     pick_stage,
     weak_limit_probe,
 )
@@ -214,7 +215,6 @@ def run_stage_audit(spec: dict):
     if horizon:
         verdict = finiteness_test(schedule, horizon)
         report["finiteness"] = {
-            "status": verdict.status,
             "partial_sum": scalar_to_string(verdict.partial_sum),
             "horizon": verdict.horizon,
         }
@@ -391,37 +391,43 @@ def run_fock_claims(spec: dict):
     shifts = _field(spec, "shifts", _list_of(_scalar, least=1))
     mults = tuple(_field(spec, "multiplicities", _list_of(integer), [1] * len(shifts)))
     l0 = _field(spec, "l0", integer, 1)
+    if not 1 <= l0 <= len(shifts):
+        raise ConfigurationError(f"spec entry 'l0' = {l0} must be from 1 to the number of shifts, {len(shifts)}")
     fam = seeded_family(schedule, spec, pair=False)
     vectors = tuple(fam[i % len(fam)] for i in range(len(shifts)))
     comp = FockComponent(tuple(shifts), mults, vectors)
-    two_r = 2 * (_field(spec, "pairs", integer, 0) or len(shifts))
+    two_r = 2 * _field(spec, "pairs", positive, len(shifts))
     threshold = _field(spec, "threshold", number, 0.1)
     off_scale = None
     if spec.get("off_scale") is not None:
         off_scale = (_field(spec, "off_scale", _scalar), _field(spec, "off_scale_threshold", number, 0.05))
     spec.close()
     times = resolve_times(schedule, {"kind": "m_class", "label": label, "build_to": build_to})
+    # one memo per factor, shared across the class times; norms and the
+    # l0 reference do not depend on t
+    correlators = [Correlator(schedule, f_l, f_l) for f_l in comp.vectors]
+    norms = [inner_product(schedule, f_l, f_l).real for f_l in comp.vectors]
+    predictions = [complex(norm / two_r) for norm in norms]
+    predictions[l0 - 1] = correlators[l0 - 1].at(comp.shifts[l0 - 1]).value / two_r
     items = []
     for t in times:
-        factors = []
-        for pos, (s_l, f_l) in enumerate(zip(comp.shifts, comp.vectors), start=1):
-            res = correlate(schedule, f_l, f_l, s_l * t)
-            norm = inner_product(schedule, f_l, f_l).real
-            if pos == l0:
-                ref = correlate(schedule, f_l, f_l, s_l)
-                predicted = ref.value / two_r
-            else:
-                predicted = complex(norm / two_r)
-            factors.append(
-                {
-                    "l": pos,
-                    "s": scalar_to_string(s_l),
-                    **correlation_result_to_json(res),
-                    "predicted": [predicted.real, predicted.imag],
-                    "residual": abs(res.value - predicted) / max(norm, 1e-30),
-                }
-            )
-        total = component_correlate(schedule, comp, t)
+        results = [corr.at(s_l * t) for corr, s_l in zip(correlators, comp.shifts)]
+        factors = [
+            {
+                "l": pos,
+                "s": scalar_to_string(s_l),
+                **correlation_result_to_json(res),
+                "predicted": [predicted.real, predicted.imag],
+                "residual": abs(res.value - predicted) / max(norm, 1e-30),
+            }
+            for pos, (s_l, res, norm, predicted) in enumerate(zip(comp.shifts, results, norms, predictions), start=1)
+        ]
+        value = complex(1, 0)
+        for res, n_l in zip(results, comp.multiplicities):
+            value *= res.value**n_l
+        repeated = [res for res, n_l in zip(results, comp.multiplicities) for _ in range(n_l)]
+        bound = perturbation_bound([abs(r.value) for r in repeated], [r.error_bound for r in repeated])
+        total = CorrelationResult(value=value, error_bound=bound, stage_used=max(r.stage_used for r in results))
         items.append({"t": scalar_to_string(t), "factors": factors, "component": correlation_result_to_json(total)})
     final = items[-1]
     max_res = max(fc["residual"] for fc in final["factors"])
@@ -429,9 +435,7 @@ def run_fock_claims(spec: dict):
     passed = max_res < threshold
     if off_scale is not None:
         b, off_threshold = off_scale
-        f0 = comp.vectors[0]
-        norm = inner_product(schedule, f0, f0).real
-        probes = [abs(correlate(schedule, f0, f0, b * t).value) / norm for t in times]
+        probes = [abs(correlators[0].at(b * t).value) / norms[0] for t in times]
         report["off_scale"] = {"b": scalar_to_string(b), "values": probes}
         passed = passed and probes[-1] < off_threshold
     plot = []

@@ -376,7 +376,6 @@ class Schedule:
 
 @dataclass
 class FinitenessVerdict:
-    status: str  # "finite-so-far" | "diverged"
     partial_sum: Scalar
     partial_sums: list
     horizon: int
@@ -384,23 +383,22 @@ class FinitenessVerdict:
 
 def finiteness_test(schedule: Schedule, horizon: int) -> FinitenessVerdict:
     """Partial sums of the finiteness criterion series
-    sum_n h_n^{-1} r_n^{-1} sum_j s_n(j).
+    sum_n x_n, x_n = h_n^{-1} r_n^{-1} sum_j s_n(j).
 
-    Never claims convergence of the full series; reports "diverged" as
-    soon as the partial sum exceeds 1.
+    x_n is the spacer mass stage n adds over the measure of tower n, so
+    mu(X_{N+1}) = mu(X_1) * prod_{n <= N} (1 + x_n): the measure is finite
+    exactly when the series converges, and a finite horizon decides
+    neither.
     """
     if horizon < 1:
         raise ConfigurationError("horizon must be >= 1")
     total: Scalar = 0
     sums = []
-    status = "finite-so-far"
     for n in range(1, horizon + 1):
         st = schedule.stage(n)
         total = total + st.spacer_mass_added / st.tower_measure
         sums.append(total)
-        if total > 1:
-            status = "diverged"
-    return FinitenessVerdict(status=status, partial_sum=total, partial_sums=sums, horizon=horizon)
+    return FinitenessVerdict(partial_sum=total, partial_sums=sums, horizon=horizon)
 
 
 def overlap_pairs(stage, shift) -> list:

@@ -167,18 +167,6 @@ def bochner_density(
     return SpectralEstimate(freqs=freqs, density=density, taper_kind="gaussian", taper_width=float(taper_width))
 
 
-def aggregate(estimates, weights) -> SpectralEstimate:
-    """Weighted sum of estimates on a common grid (truncated maximal-type
-    aggregate sum_j 2^-j sigma_j when called with those weights)."""
-    if not estimates:
-        raise DegenerateInputError("no estimates to aggregate")
-    base = estimates[0]
-    density = np.zeros_like(base.density)
-    for est, wt in zip(estimates, weights):
-        density += wt * _regrid(est, base.freqs)
-    return SpectralEstimate(freqs=base.freqs.copy(), density=density, taper_kind=base.taper_kind, taper_width=base.taper_width)
-
-
 def _regrid(est: SpectralEstimate, freqs: np.ndarray) -> np.ndarray:
     return np.interp(freqs, est.freqs, est.density, left=0.0, right=0.0)
 

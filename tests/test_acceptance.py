@@ -378,10 +378,12 @@ CLI_SPECS = {
 # every later change must keep these bytes unless a change of values is
 # intended and recorded in CHANGES.md.  The spectrum and disjointness entries
 # were re-recorded when bochner_density became a Horner evaluation, which moves
-# densities and affinities at the rounding level.
+# densities and affinities at the rounding level.  The stage-audit report was
+# re-recorded when the finiteness entry lost its "status" key (a finite
+# horizon decides neither convergence nor divergence); its plot is unchanged.
 CLI_SPEC_SHA256 = {
     "stage-audit": (
-        "ae3410d53d4913f62e5f2353a30db184dffa356c0811348e0f6ed398e3568484",
+        "363e5edd0ba916dc5083e94c79b9eba0a23b66c0d631a296aed6f79507d36a9c",
         "85da338cb8833bf2692a84efcdec1a7ba08d5ebd61cf45095c240b597771313d",
     ),
     "correlate": (

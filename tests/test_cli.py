@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from rank1flow import experiments
+from rank1flow import MCorrelator, experiments
 from rank1flow.cli import main
+from rank1flow.correlate import perturbation_bound
 from rank1flow.errors import ConfigurationError
 from rank1flow.experiments import KINDS, run_experiment
 from rank1flow.schedule import Schedule
@@ -144,6 +145,7 @@ def test_plot_csv_has_header_comment(tmp_path, audit_spec):
 
 FLAT2 = {"kind": "flat", "params": {"r": 2}}
 CONSTANT = {"variant": "constant", "c": "1"}
+ONE_SHIFT = {"schedule": {"kind": "thm44", "params": {}}, "class_label": "M[l0=1;2]", "shifts": ["2"]}
 
 # entries nothing reads, mistyped booleans and integers, and malformed
 # "stages" documents (each ran with exit 0 or 1 before these checks),
@@ -205,6 +207,9 @@ UNREAD_OR_MISTYPED = {
         "'shifts'",
     ),
     "empty-cosine-freqs": ("spectrum", {"analytic": {"kind": "cosine", "freqs": []}}, "'freqs'"),
+    "zero-l0": ("fock-claims", {**ONE_SHIFT, "l0": 0}, "'l0' = 0"),
+    "l0-past-the-shifts": ("fock-claims", {**ONE_SHIFT, "l0": 2}, "'l0' = 2"),
+    "negative-pairs": ("fock-claims", {**ONE_SHIFT, "pairs": -1}, "'pairs' = -1"),
     "three-part-alpha": (
         "weak-limit",
         {"schedule": FLAT2, "times": ["1"], "target": {"alpha": [0, 0, 7]}},
@@ -374,6 +379,48 @@ def test_off_scale_threshold_is_read_when_the_residual_check_fails():
     assert report["passed"] is False
     assert report["result"]["final_max_factor_residual"] >= 0
     assert report["result"]["off_scale"]["b"] == "3"
+
+
+# the spec of acceptance criterion 5: one shift, two class times
+CRITERION_5 = {
+    **SHALLOW_READ["fock-claims"],
+    "build_to": 10,
+    "l0": 1,
+    "stage": 2,
+    "levels": 5,
+    "seed": 0,
+    "family_size": 1,
+    "threshold": 0.1,
+    "off_scale": "3",
+    "off_scale_threshold": 0.05,
+}
+
+
+def test_fock_claims_queries_each_factor_once_per_class_time(monkeypatch):
+    """One query per factor and class time, one per off-scale probe, and
+    one for the l0 reference."""
+    calls = []
+    query = MCorrelator._correlation
+
+    def spy(self, *args):
+        calls.append(args)
+        return query(self, *args)
+
+    monkeypatch.setattr(MCorrelator, "_correlation", spy)
+    items = run_experiment("fock-claims", CRITERION_5)["result"]["items"]
+    assert len(items) == 2
+    assert len(calls) == (len(CRITERION_5["shifts"]) + 1) * len(items) + 1
+
+
+def test_a_repeated_factor_is_repeated_in_the_component_and_its_bound():
+    items = run_experiment("fock-claims", {**CRITERION_5, "multiplicities": [2]})["result"]["items"]
+    for item in items:
+        (factor,) = item["factors"]
+        value, bound = complex(*factor["value"]), factor["error_bound"]
+        component = item["component"]
+        assert complex(*component["value"]) == value**2
+        assert component["error_bound"] == perturbation_bound([abs(value)] * 2, [bound] * 2)
+        assert component["stage_used"] == factor["stage_used"]
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -26,6 +27,7 @@ from rank1flow import (
     weak_limit_probe,
 )
 from rank1flow import schedule as schedule_module
+from rank1flow.correlate import perturbation_bound
 from rank1flow.errors import RangeError, ResourceError
 
 correlate_module = importlib.import_module("rank1flow.correlate")  # the package exports a function of that name
@@ -269,6 +271,26 @@ def test_weak_limit_probe_keeps_a_nan_residual(flat2):
     assert math.isnan(probe.final_residual) and probe.final_below is False
     probe = weak_limit_probe(flat2, [1], WeakLimitTarget(beta=complex("nan"), s=1), fam, threshold=0.5)
     assert math.isnan(probe.final_residual) and math.isnan(probe.bounds[0]) and probe.final_below is False
+
+
+def test_perturbation_bound_single_factor_is_exact():
+    for v, e in ((0.1, 0.3), (0.7, 1e-17), (-2.5, 0.125)):
+        assert perturbation_bound([abs(v)], [e]) == e
+
+
+def test_perturbation_bound_covers_every_corner():
+    rng = random.Random(3)
+    for m in range(1, 5):
+        values = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(m)]
+        bounds = [rng.uniform(0, 0.5) for _ in range(m)]
+        bound = perturbation_bound([abs(v) for v in values], bounds)
+        exact = math.prod(values)
+        for signs in itertools.product((-1, 1), repeat=m):
+            moved = math.prod(v + s * e * v / abs(v) for v, s, e in zip(values, signs, bounds))
+            assert abs(moved - exact) <= bound + 1e-12
+        # the all-outward corner attains it
+        outward = math.prod(v + e * v / abs(v) for v, e in zip(values, bounds))
+        assert abs(outward - exact) == pytest.approx(bound)
 
 
 # the level loop's two paths, on fresh schedules (cached overlaps skip the

@@ -1,10 +1,12 @@
 """No module of the package imports a name it does not use, and no
-private definition is left unread.
+definition is left unread.
 
 Static scans with :mod:`ast`: every name an ``import`` statement binds
 must be read somewhere in its module (``__init__.py`` is left out, since
-it imports names to export them), and every private module-level
-function, class or constant must be read somewhere in the package.
+it imports names to export them), every private module-level function,
+class or constant must be read somewhere in the package, and every
+public one by some module other than ``__init__.py``, apart from a few
+names kept for readers outside the package.
 """
 
 import ast
@@ -45,9 +47,9 @@ def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
 
 
-def private_definitions(source: str) -> dict:
+def definitions(source: str) -> dict:
     """name -> line of each module-level function, class or constant of
-    *source* whose name starts with a single underscore."""
+    *source*, dunder names left out."""
     defined = {}
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -57,7 +59,7 @@ def private_definitions(source: str) -> dict:
             names = [t.id for t in targets if isinstance(t, ast.Name)]
         else:
             continue
-        defined.update((name, node.lineno) for name in names if name.startswith("_") and not name.startswith("__"))
+        defined.update((name, node.lineno) for name in names if not name.startswith("__"))
     return defined
 
 
@@ -78,9 +80,30 @@ def orphans(sources: dict) -> list:
     return sorted(
         (module, line, name)
         for module, source in sources.items()
-        for name, line in private_definitions(source).items()
-        if name not in read
+        for name, line in definitions(source).items()
+        if name.startswith("_") and name not in read
     )
+
+
+def exported_only(sources: dict) -> list:
+    """(module, line, name) of each public definition that no module but
+    ``__init__.py`` reads."""
+    read = set().union(*(read_names(source) for module, source in sources.items() if module != "__init__.py"))
+    return sorted(
+        (module, line, name)
+        for module, source in sources.items()
+        for name, line in definitions(source).items()
+        if not name.startswith("_") and name not in read
+    )
+
+
+# public names that no module of the package reads, each kept for a reader
+# outside it
+EXPORTED_ONLY = {
+    "SQRT2": "the sqrt 2 constant that specs and users write with",
+    "schedule_to_json": "the writer half of the wire format, and the serialize tests' round-trip reference",
+    "indicator": "a documented test-function builder",
+}
 
 
 def test_the_scan_finds_an_orphan():
@@ -94,3 +117,17 @@ def test_the_scan_finds_an_orphan():
 def test_every_private_definition_is_read():
     sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
     assert orphans(sources) == []
+
+
+def test_the_scan_finds_a_public_name_only_exported():
+    sources = {
+        "a.py": "LIMIT = 2\n\n\ndef used():\n    return LIMIT\n\n\ndef exported():\n    pass\n",
+        "b.py": "from .a import used\n\nused()\n",
+        "__init__.py": "from .a import exported, used\n\nexported()\n",
+    }
+    assert exported_only(sources) == [("a.py", 8, "exported")]
+
+
+def test_every_public_definition_is_read():
+    sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert [entry for entry in exported_only(sources) if entry[2] not in EXPORTED_ONLY] == []

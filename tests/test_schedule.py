@@ -135,7 +135,6 @@ def test_overlap_pairs_negation_symmetry(small_asym):
 
 def test_finiteness_flat_is_zero(flat2):
     verdict = finiteness_test(flat2, 10)
-    assert verdict.status == "finite-so-far"
     assert verdict.partial_sum == 0
 
 
@@ -146,7 +145,7 @@ def test_finiteness_diverges_on_fat_spacers():
 
     sched = Schedule(params)
     verdict = finiteness_test(sched, 5)
-    assert verdict.status == "diverged"
+    assert verdict.partial_sums == [1, 2, 3, 4, 5]
 
 
 def test_finiteness_partial_sums_monotone(small_asym):
@@ -357,6 +356,18 @@ def test_digit_budget_counts_every_height_component(monkeypatch, mode, h1, space
     assert sched.stage(1).h == h1
     with pytest.raises(ResourceError, match=r"digit budget exceeded at stage 2: .* 42 bits, .* 32 bits"):
         sched.stage(4)
+
+
+def test_tower_measure_is_one_plus_each_term_multiplied(small_asym, small_thm44, small_staircase):
+    """mu(X_{N+1}) = mu(X_1) * prod_{n <= N} (1 + x_n) exactly, x_n the
+    terms of the finiteness series: the measure is finite exactly when the
+    series converges."""
+    for sched in (small_asym, small_thm44, symmetrize(small_asym), small_staircase):
+        sums = finiteness_test(sched, 6).partial_sums
+        measure = sched.stage(1).measure
+        for n, (before, after) in enumerate(zip([0, *sums], sums), start=1):
+            measure = measure * (1 + (after - before))
+            assert sched.stage(n + 1).measure == measure
 
 
 def test_finiteness_terms_are_spacer_mass_over_tower_measure(small_asym, small_thm44):

@@ -9,7 +9,6 @@ import pytest
 from rank1flow import (
     Correlator,
     affinity,
-    aggregate,
     asym49_schedule,
     autocorr_curve,
     bochner_density,
@@ -125,12 +124,6 @@ def test_affinity_zero_mass_rejected():
     z = SpectralEstimate(freqs=freqs, density=np.zeros_like(freqs), taper_kind="gaussian", taper_width=1.0)
     with pytest.raises(DegenerateInputError):
         affinity(z, z)
-
-
-def test_aggregate_weighted_sum():
-    est = bochner_density(cosine_curve(), lam_max=4.0, grid_size=801)
-    agg = aggregate([est, est], [0.25, 0.5])
-    assert np.allclose(agg.density, 0.75 * est.density)
 
 
 def test_autocorr_curve_from_engine():
