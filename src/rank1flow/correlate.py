@@ -56,7 +56,7 @@ from typing import Sequence
 from . import schedule as geometry  # for GUARD, read at call time
 from .errors import RangeError, ResourceError
 from .scalars import Scalar, Sqrt2, exact
-from .schedule import Lattice, Schedule, rescaled, scalar_denominator, within
+from .schedule import Lattice, Schedule, rescaled, within
 from .stepfun import StepFunction, product_integral
 
 STAGE_MARGIN = 4
@@ -144,7 +144,7 @@ class MCorrelator:
             stages = [sched.stage(m) for m in range(self.k, n + 1)]
             self._tops[n] = stages[-1], lcm(*(st.denominator for st in stages))
         top, denominator = self._tops[n]
-        scale = lcm(self._scale, denominator, *map(scalar_denominator, shifts))
+        scale = lcm(self._scale, denominator, *(s.denominator for s in shifts))
         if scale != self._scale:
             m = scale // self._scale
             memo = {i: {rescaled(x, m): v for x, v in level.items()} for i, level in self._memo.items()}
@@ -308,12 +308,15 @@ def perturbation_bound(magnitudes: Sequence, bounds: Sequence) -> float:
 
         sum_i prod(|v_1|, ..., |v_{i-1}|, e_i, |v_{i+1}| + e_{i+1}, ...),
 
-    so that a single factor gives exactly e_1.
+    in one backward pass, O(n): the sum over factors i.. is
+    e_i * tail + |v_i| * (the sum over factors i+1..), with tail the
+    product of |v_j| + e_j for j > i.  A single factor gives exactly e_1.
     """
-    return sum(
-        prod([*magnitudes[:i], e, *(m + b for m, b in zip(magnitudes[i + 1 :], bounds[i + 1 :]))])
-        for i, e in enumerate(bounds)
-    )
+    total, tail = 0, 1
+    for m, e in zip(reversed(magnitudes), reversed(bounds)):
+        total = e * tail + m * total
+        tail *= m + e
+    return total
 
 
 @dataclass

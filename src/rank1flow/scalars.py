@@ -3,12 +3,17 @@
 Two modes are supported:
 
 * ``rational`` -- plain :class:`fractions.Fraction` values,
-* ``sqrt2``    -- elements a + b*sqrt(2) of the quadratic field Q(sqrt 2),
-  represented by :class:`Sqrt2` with exact, sign-analysis based ordering.
+* ``sqrt2``    -- elements of the quadratic field Q(sqrt 2), represented by
+  :class:`Sqrt2` as the ints (a, b, denominator) of
+  (a + b*sqrt 2)/denominator in lowest terms, with exact, sign-analysis
+  based ordering.
 
 All heights, widths, offsets and spacer values are scalars in one of
 these modes; a schedule never mixes modes.  A float (a time, a shift, a
-base length) is taken at its exact binary value.
+base length) is taken at its exact binary value, also where it meets a
+:class:`Sqrt2`.  ``Sqrt2`` arithmetic runs on ints alone; a ``Fraction``
+appears only at the boundary (rational components in, the rational
+mode, the string form and the hash of a rational value).
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd, isfinite, isqrt, lcm
+from operator import ge, gt, le, lt
 from typing import Union
 
 from .errors import ModeError, RangeError
@@ -23,153 +29,140 @@ from .errors import ModeError, RangeError
 MODES = ("rational", "sqrt2")
 
 
-class Sqrt2:
-    """An element a + b*sqrt(2) of Q(sqrt 2) with a, b rational.
+def _form(x):
+    """The integer form (a, b, d) of a scalar x, a float at its exact
+    binary value; None when x is no scalar."""
+    if isinstance(x, Sqrt2):
+        return x.a, x.b, x.denominator
+    if isinstance(x, float):
+        x = exact(x)
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, 0, x.denominator
+    return None
 
-    Ordering agrees with the real embedding and is decided exactly, by
-    :func:`sqrt2_sign` on the components over their common denominator.
+
+def _operators(op):
+    """The forward and reflected :class:`Sqrt2` methods of *op*, a binary
+    operation on integer forms (the pattern of :mod:`fractions`)."""
+
+    def forward(self, other):
+        o = _form(other)
+        return NotImplemented if o is None else op((self.a, self.b, self.denominator), o)
+
+    def reflected(self, other):
+        o = _form(other)
+        return NotImplemented if o is None else op(o, (self.a, self.b, self.denominator))
+
+    return forward, reflected
+
+
+def _comparison(test):
+    """A :class:`Sqrt2` comparison: *test* of the sign of self - other against 0."""
+
+    def compare(self, other):
+        o = _form(other)
+        if o is None:
+            return NotImplemented
+        c, e, f = o
+        d = self.denominator
+        return test(sqrt2_sign(self.a * f - c * d, self.b * f - e * d), 0)
+
+    return compare
+
+
+def _add(x, y):
+    (a, b, d), (c, e, f) = x, y
+    return Sqrt2.from_ints(a * f + c * d, b * f + e * d, d * f)
+
+
+def _sub(x, y):
+    (a, b, d), (c, e, f) = x, y
+    return Sqrt2.from_ints(a * f - c * d, b * f - e * d, d * f)
+
+
+def _mul(x, y):
+    (a, b, d), (c, e, f) = x, y
+    return Sqrt2.from_ints(a * c + 2 * b * e, a * e + b * c, d * f)
+
+
+def _div(x, y):
+    """x/y, times the conjugate of y's numerator."""
+    (a, b, d), (c, e, f) = x, y
+    norm = c * c - 2 * e * e
+    if norm == 0:
+        raise ZeroDivisionError("division by zero in Q(sqrt 2)")
+    return Sqrt2.from_ints(f * (a * c - 2 * b * e), f * (b * c - a * e), d * norm)
+
+
+class Sqrt2:
+    """An element (a + b*sqrt 2)/denominator of Q(sqrt 2), held as ints in
+    lowest terms: denominator > 0 and gcd(a, b, denominator) = 1, the form
+    of a lattice pair over its scale.  The form is canonical, so ``==``
+    compares the fields; ordering agrees with the real embedding and is
+    decided exactly, by :func:`sqrt2_sign` of cross-multiplied integers.
+    ``Sqrt2(a, b)`` takes rational components, the value a + b*sqrt(2).
     """
 
-    __slots__ = ("a", "b")
+    __slots__ = ("a", "b", "denominator")
 
     def __init__(self, a=0, b=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-
-    # -- sign analysis ---------------------------------------------------
-
-    def _scaled(self) -> tuple:
-        """Integers (A, B, D), D > 0 the lcm of the denominators, with
-        self = (A + B*sqrt 2)/D."""
-        a, b = self.a, self.b
+        a, b = Fraction(a), Fraction(b)
         d = lcm(a.denominator, b.denominator)
-        return a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d
+        self.a, self.b = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
+        self.denominator = d
+
+    @classmethod
+    def from_ints(cls, a: int, b: int, d: int) -> Sqrt2:
+        """(a + b*sqrt 2)/d for ints a, b and d != 0, in lowest terms."""
+        g = gcd(a, b, d)
+        if d < 0:
+            g = -g
+        x = cls.__new__(cls)
+        x.a, x.b, x.denominator = a // g, b // g, d // g
+        return x
 
     def sign(self) -> int:
-        a, b, _ = self._scaled()
-        return sqrt2_sign(a, b)
+        return sqrt2_sign(self.a, self.b)
 
-    # -- arithmetic ------------------------------------------------------
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, Sqrt2):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return Sqrt2(x)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Sqrt2(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Sqrt2(self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Sqrt2(o.a - self.a, o.b - self.b)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Sqrt2(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):  # a rational divisor scales each component
-            return Sqrt2(self.a / other, self.b / other)
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        den = o.a * o.a - 2 * o.b * o.b
-        if den == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt 2)")
-        # multiply by the conjugate of o
-        na = self.a * o.a - 2 * self.b * o.b
-        nb = self.b * o.a - self.a * o.b
-        return Sqrt2(na / den, nb / den)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+    __add__, __radd__ = _operators(_add)
+    __sub__, __rsub__ = _operators(_sub)
+    __mul__, __rmul__ = _operators(_mul)
+    __truediv__, __rtruediv__ = _operators(_div)
+    __lt__ = _comparison(lt)
+    __le__ = _comparison(le)
+    __gt__ = _comparison(gt)
+    __ge__ = _comparison(ge)
 
     def __neg__(self):
-        return Sqrt2(-self.a, -self.b)
+        return Sqrt2.from_ints(-self.a, -self.b, self.denominator)
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
 
-    # -- comparisons -----------------------------------------------------
-
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
-
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() < 0
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() <= 0
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() > 0
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() >= 0
+        o = _form(other)
+        return NotImplemented if o is None else (self.a, self.b, self.denominator) == o
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b))
+        if self.b == 0:  # as the int or Fraction it equals
+            return hash(Fraction(self.a, self.denominator))
+        return hash((self.a, self.b, self.denominator))
 
     def __bool__(self):
         return self.a != 0 or self.b != 0
 
-    # -- conversions -----------------------------------------------------
-
     def __float__(self):
-        return sqrt2_float(*self._scaled())
+        return sqrt2_float(self.a, self.b, self.denominator)
 
     def __floor__(self):
-        a, b, d = self._scaled()
-        return sqrt2_floordiv(a, b, d, 0)
+        return sqrt2_floordiv(self.a, self.b, self.denominator, 0)
 
     def __ceil__(self):
-        a, b, d = self._scaled()
-        return -sqrt2_floordiv(-a, -b, d, 0)
+        return -sqrt2_floordiv(-self.a, -self.b, self.denominator, 0)
 
     def __repr__(self):
-        if self.b == 0:
-            return f"Sqrt2({self.a})"
-        return f"Sqrt2({self.a}, {self.b})"
+        a, b = Fraction(self.a, self.denominator), Fraction(self.b, self.denominator)
+        return f"Sqrt2({a})" if self.b == 0 else f"Sqrt2({a}, {b})"
 
 
 SQRT2 = Sqrt2(0, 1)
@@ -262,15 +255,13 @@ def has_sqrt2(x: Scalar) -> bool:
 
 
 def coerce(x: Scalar, mode: str) -> Scalar:
-    """Bring a scalar, or its wire string, into the canonical representation of *mode*."""
-    if isinstance(x, str):
-        x = scalar_from_string(x)
+    """Bring a scalar, or its wire string, into the canonical representation
+    of *mode*; a float is taken at its exact binary value."""
+    x = exact(scalar_from_string(x) if isinstance(x, str) else x)
     if mode == "rational":
         if has_sqrt2(x):
             raise ModeError(f"{x!r} involves sqrt(2); schedule mode is exact-rational")
-        if isinstance(x, Sqrt2):
-            return x.a
-        return Fraction(x)
+        return Fraction(x.a, x.denominator) if isinstance(x, Sqrt2) else Fraction(x)
     if mode == "sqrt2":
         return x if isinstance(x, Sqrt2) else Sqrt2(x)
     raise ValueError(f"unknown scalar mode {mode!r}")
@@ -280,7 +271,7 @@ def exact(x: Scalar) -> Scalar:
     """x, with a float replaced by its exact binary value."""
     if isinstance(x, float):
         if not isfinite(x):
-            raise RangeError(f"{x!r} is not a finite time or shift")
+            raise RangeError(f"{x!r} is not a finite scalar")
         return Fraction(x)
     return x
 
@@ -292,9 +283,8 @@ def scalar_to_string(x: Scalar) -> str:
     if isinstance(x, float):
         return repr(x)
     if isinstance(x, Sqrt2):
-        if x.b == 0:
-            return str(x.a)
-        return f"{x.a}+{x.b}*sqrt2"
+        a = Fraction(x.a, x.denominator)
+        return str(a) if x.b == 0 else f"{a}+{Fraction(x.b, x.denominator)}*sqrt2"
     return str(Fraction(x))
 
 

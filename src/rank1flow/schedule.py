@@ -26,9 +26,11 @@ view, a :class:`LatticeStage`, holds the exact geometry only, and each
 route builds what else it needs when it runs.  :func:`copy_windows`
 sweeps a view with plain integer arithmetic, copy by copy, and
 :func:`overlap_pairs` counts the deltas of the windows.  Pairs are
-compared on float values, built per sweep, where these clear their
-rounding bound, and by :func:`sqrt2_sign` where they do not.  Scalars
-come back only at the boundary, via :meth:`Lattice.decode`.
+compared on float values where these clear their rounding bound, and
+by :func:`sqrt2_sign` where they do not; the m-point step builds the
+offsets' floats once per batch of shift tuples, the m = 2 sweep once
+per shift.  Scalars come back only at the boundary, via
+:meth:`Lattice.decode`.
 
 A stage whose spacers s_n(1) .. s_n(r_n - 1) encode to one value (flat
 stages, a constant spacer, zero spacers below the top) has equally spaced
@@ -96,38 +98,29 @@ _INT64_SAFE = 2**61
 # ---------------------------------------------------------------------------
 
 
-def scalar_denominator(x: Scalar) -> int:
-    """Smallest D > 0 with x*D in Z (rational x) or Z[sqrt 2] (x in Q(sqrt 2))."""
-    if isinstance(x, Sqrt2):
-        return lcm(x.a.denominator, x.b.denominator)
-    return x.denominator  # int or Fraction
-
-
 class Lattice(NamedTuple):
     """Coordinates on (1/scale) Z, or on (1/scale) Z[sqrt 2] as int pairs.
 
-    An exact scalar x whose :func:`scalar_denominator` divides ``scale`` is
-    stored as the int x*scale, or, when ``sqrt2`` is set, as the pair
-    (a, b) with x = (a + b*sqrt 2)/scale.  Ints and tuples of ints hash and
-    compare in C, so memo and cache keys on the lattice stay cheap.
+    An exact scalar x whose ``denominator`` divides ``scale`` is stored as
+    the int x*scale, or, when ``sqrt2`` is set, as the pair (a, b) with
+    x = (a + b*sqrt 2)/scale: a :class:`Sqrt2` holds such a pair over its
+    own ``denominator``, and encoding rescales it.  Ints and tuples of
+    ints hash and compare in C, so memo and cache keys on the lattice stay
+    cheap.
     """
 
     scale: int
     sqrt2: bool
 
     def encode(self, x: Scalar):
-        if self.sqrt2:
-            if isinstance(x, Sqrt2):
-                return (self._int(x.a), self._int(x.b))
-            return (self._int(x), 0)
-        return self._int(x)
-
-    def _int(self, x) -> int:
-        return x.numerator * (self.scale // x.denominator)
+        m = self.scale // x.denominator
+        if isinstance(x, Sqrt2):
+            return (x.a * m, x.b * m)
+        return (x.numerator * m, 0) if self.sqrt2 else x.numerator * m
 
     def decode(self, v) -> Scalar:
         if self.sqrt2:
-            return Sqrt2(Fraction(v[0], self.scale), Fraction(v[1], self.scale))
+            return Sqrt2.from_ints(v[0], v[1], self.scale)
         return Fraction(v, self.scale)
 
 
@@ -292,9 +285,9 @@ class Schedule:
         bottom = coerce(bottom[0] if bottom else 0, mode)
         ids = [id(v) for v in values[:-1]]  # s(1) .. s(r-1) step the offsets; s(r) enters only h_{n+1}
         inner = {i: scalar[i] for i in ids}
-        scale = lcm(scalar_denominator(h), scalar_denominator(bottom), *map(scalar_denominator, inner.values()))
+        scale = lcm(h.denominator, bottom.denominator, *(v.denominator for v in inner.values()))
         lattice = Lattice(scale, sqrt2)
-        top = Lattice(lcm(scale, scalar_denominator(spacers[-1])), sqrt2)
+        top = Lattice(lcm(scale, spacers[-1].denominator), sqrt2)
         H, B, last = lattice.encode(h), lattice.encode(bottom), top.encode(spacers[-1])
         steps = {i: lattice.encode(v) for i, v in inner.items()}
         negative = (lambda x: sqrt2_sign(*x) < 0) if sqrt2 else (lambda x: x < 0)
@@ -320,7 +313,7 @@ class Schedule:
     def _check_budget(self, n: int, h):
         """The digit budget: every component of h_n on its own lattice
         (its numerator, or both integers of (a + b*sqrt 2)/D) must fit."""
-        a, b = Lattice(scalar_denominator(h), True).encode(h)
+        a, b = (h.a, h.b) if isinstance(h, Sqrt2) else (h.numerator, 0)
         bits = max(a.bit_length(), b.bit_length())
         if bits > DIGIT_BUDGET:
             raise ResourceError(
@@ -415,7 +408,7 @@ def overlap_pairs(stage, shift) -> list:
         return _lattice_overlaps(stage, shift)
     shift = exact(shift)
     lattice = Lattice(
-        lcm(stage.denominator, scalar_denominator(shift)),
+        lcm(stage.denominator, shift.denominator),
         isinstance(shift, Sqrt2) or isinstance(stage.h, Sqrt2),
     )
     pairs = _lattice_overlaps(stage.on_lattice(lattice), lattice.encode(shift))
@@ -440,10 +433,12 @@ def tuple_overlaps(stage: LatticeStage, shifts: list) -> list:
     """The m-point step of a lattice stage at each shift tuple of *shifts*:
     the delta vectors of copy j0 with copies j'_i of each shift's
     :func:`copy_windows`, counted in the order first met (j0 ascending,
-    then the j'_i in ``product`` order)."""
+    then the j'_i in ``product`` order).  On (a, b) pairs the float
+    offsets are built once for the batch."""
+    floats = _pair_floats(stage.offsets) if type(stage.h) is tuple else None
     steps = []
     for x in shifts:
-        per_copy = zip(*(copy_windows(stage, xi) for xi in x))
+        per_copy = zip(*(copy_windows(stage, xi, floats) for xi in x))
         groups: dict = {}
         _count_elements(groups, chain.from_iterable(product(*windows) for windows in per_copy))
         if len(groups) > GUARD:
@@ -507,17 +502,18 @@ def _periodic_overlaps(stage: LatticeStage, shift) -> list:
     return pairs
 
 
-def copy_windows(stage: LatticeStage, shift) -> list:
+def copy_windows(stage: LatticeStage, shift, floats=None) -> list:
     """For each copy j, the deltas shift + o_{j'} - o_j with |delta| < h_n,
     in increasing j' and so in increasing order.
 
     Coordinates are lattice ints, or (a, b) pairs (see
-    :func:`_pair_windows`).  Offsets strictly increase, so the admissible
-    j' form a window whose ends move monotonically with j: one two-pointer
-    sweep finds every window.
+    :func:`_pair_windows`, which takes the :func:`_pair_floats` of the
+    offsets as *floats*, or builds them).  Offsets strictly increase, so
+    the admissible j' form a window whose ends move monotonically with j:
+    one two-pointer sweep finds every window.
     """
     if type(stage.h) is tuple:
-        return _pair_windows(stage, shift)
+        return _pair_windows(stage, shift, floats or _pair_floats(stage.offsets))
     offs, r, h = stage.offsets, stage.r, stage.h
     up, down = shift + h, h - shift
     windows = []
@@ -535,18 +531,26 @@ def copy_windows(stage: LatticeStage, shift) -> list:
     return windows
 
 
-def _pair_windows(stage: LatticeStage, shift) -> list:
+def _pair_floats(offs: list) -> tuple:
+    """The float values of (a, b) offsets, None past float range, and the
+    largest |a| + 2|b|, their rounding scale."""
+    magnitude = max(abs(a) + 2 * abs(b) for a, b in offs)
+    floats = [a + b * SQRT2_FLOAT for a, b in offs] if magnitude.bit_length() < FLOAT_BITS else None
+    return floats, magnitude
+
+
+def _pair_windows(stage: LatticeStage, shift, floats: tuple) -> list:
     """:func:`copy_windows` on (a, b) pairs.  Each window end is decided on
-    float values, built per call, where the float difference clears its
-    rounding bound ``tol``, and by :func:`sqrt2_sign` of the exact
-    difference otherwise; past float range every test is exact."""
+    float values (the offsets' from *floats*, the window edges' built per
+    call) where the float difference clears its rounding bound ``tol``,
+    and by :func:`sqrt2_sign` of the exact difference otherwise; past
+    float range every test is exact."""
     offs, r = stage.offsets, stage.r
     (ha, hb), (sa, sb) = stage.h, shift
     ua, ub, da, db = sa + ha, sb + hb, ha - sa, hb - sb  # shift + h and h - shift
-    magnitude = max(abs(a) + 2 * abs(b) for a, b in offs)
+    fo, magnitude = floats
     edge = max(abs(ua) + 2 * abs(ub), abs(da) + 2 * abs(db))
-    if max(magnitude, edge).bit_length() < FLOAT_BITS:
-        fo = [a + b * SQRT2_FLOAT for a, b in offs]
+    if fo is not None and edge.bit_length() < FLOAT_BITS:
         fu, fd = ua + ub * SQRT2_FLOAT, da + db * SQRT2_FLOAT
         # each float is within 2**-51 (|a| + 2|b|) of its value and the two
         # roundings of a test add less than that again: tol is 4x the sum

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 from .errors import ConfigurationError, ResourceError
 from .scalars import Scalar, Sqrt2, exact, sqrt2_float, sqrt2_sorted
-from .schedule import Lattice, scalar_denominator
+from .schedule import Lattice
 
 MAX_BREAKPOINTS = 2_000_000  # the most breakpoints lift builds per stage
 
@@ -57,7 +57,7 @@ class StepFunction:
     @cached_property
     def denominator(self) -> int:
         """Smallest lattice scale holding every breakpoint."""
-        return lcm(*(scalar_denominator(exact(b)) for b in self.breakpoints))
+        return lcm(*(exact(b).denominator for b in self.breakpoints))
 
     @cached_property
     def sqrt2(self) -> bool:
@@ -172,7 +172,7 @@ def _pieces(functions: Sequence[StepFunction], shifts, lattice: Optional[Lattice
     if lattice is None:
         shifts = [exact(s) for s in shifts]
         lattice = Lattice(
-            lcm(*(f.denominator for f in functions), *map(scalar_denominator, shifts)),
+            lcm(*(f.denominator for f in functions), *(s.denominator for s in shifts)),
             any(f.sqrt2 for f in functions) or any(isinstance(s, Sqrt2) for s in shifts),
         )
         shifts = [lattice.encode(s) for s in shifts]

@@ -29,7 +29,7 @@ from rank1flow import (
     thm44_schedule,
 )
 from rank1flow.scalars import exact
-from rank1flow.schedule import Lattice, scalar_denominator
+from rank1flow.schedule import Lattice
 
 
 def reference_cross_correlation(f, g, tau):
@@ -103,7 +103,7 @@ def on_lattice(functions, shifts, factor=1):
     for f in functions:
         scale *= f.denominator
     for s in shifts:
-        scale *= scalar_denominator(s)
+        scale *= s.denominator
     sqrt2 = any(f.sqrt2 for f in functions) or any(isinstance(s, Sqrt2) for s in shifts)
     lattice = Lattice(scale, sqrt2)
     return lattice, [lattice.encode(s) for s in shifts]

@@ -5,11 +5,12 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from rank1flow import MCorrelator, experiments
 from rank1flow.cli import main
 from rank1flow.correlate import perturbation_bound
-from rank1flow.errors import ConfigurationError
+from rank1flow.errors import ConfigurationError, Rank1Error
 from rank1flow.experiments import KINDS, run_experiment
 from rank1flow.schedule import Schedule
 
@@ -444,3 +445,72 @@ def test_readme_cli_example_runs_as_written(tmp_path):
     items = json.loads((out / "report.json").read_text())["result"]["items"]
     assert len(items) == spec["depth"]
     assert max(item["r"] for item in items) <= spec["schedule"]["params"]["r_cap"]
+
+
+def test_a_decimal_height_multiple_on_a_sqrt2_schedule(tmp_path):
+    """A decimal d meets the Q(sqrt 2) stage height at its exact binary
+    value: 0.5 * h_5 runs as (1/2) h_5 does.  The loose threshold makes the
+    verdict pass, so that exit 0 tells the run apart from a crash."""
+    spec = {
+        "schedule": {"kind": "thm44", "params": {}},
+        "times": {"kind": "heights", "stages": [5], "d": "0.5"},
+        "threshold": 1,
+    }
+    out = tmp_path / "out"
+    result = invoke(["weak-limit", "--spec", write_spec(tmp_path, "w.json", spec), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    report = json.loads((out / "report.json").read_text())
+    assert [it["t"] for it in report["result"]["items"]] == ["300+720*sqrt2"]
+    halved = run_experiment("weak-limit", {**spec, "times": {**spec["times"], "d": "1/2"}})
+    assert report["result"] == halved["result"]
+
+
+def test_a_decimal_shift_is_ordered_against_a_sqrt2_shift():
+    """FockComponent checks 1.5 < 2 sqrt 2 at the decimal's exact value."""
+    report = run_experiment("fock-claims", {**CRITERION_5, "shifts": ["1.5", "0+2*sqrt2"]})
+    assert isinstance(report["passed"], bool)
+    items = report["result"]["items"]
+    assert len(items) == 2 and all([fc["s"] for fc in it["factors"]] == ["1.5", "0+2*sqrt2"] for it in items)
+
+
+# each scalar spec entry, and a builder's h1, on flat and shallow thm44
+SHALLOW_THM44 = {"kind": "thm44", "params": {"s_values": [2], "q_max": 2, "k_max": 1}}
+SHALLOW_FOCK = {"class_label": "M[l0=1;2]", "build_to": 6, "stage": 2, "levels": 5, "family_size": 1}
+SCALAR_ENTRIES = {
+    "times": lambda schedule, s: ("correlate", {"schedule": schedule, "times": [s]}),
+    "heights-d": lambda schedule, s: (
+        "weak-limit",
+        {"schedule": schedule, "times": {"kind": "heights", "stages": [3], "d": s}},
+    ),
+    "target-s": lambda schedule, s: ("weak-limit", {"schedule": schedule, "times": ["1"], "target": {"beta": 1, "s": s}}),
+    "shifts": lambda schedule, s: ("fock-claims", {"schedule": schedule, **SHALLOW_FOCK, "shifts": [s, "0+2*sqrt2"]}),
+    "off_scale": lambda schedule, s: (
+        "fock-claims",
+        {"schedule": schedule, **SHALLOW_FOCK, "shifts": ["2"], "off_scale": s},
+    ),
+    "h1": lambda schedule, s: (
+        "stage-audit",
+        {"schedule": {**schedule, "params": {**schedule["params"], "h1": s}}, "depth": 3},
+    ),
+}
+small_fractions = st.fractions(min_value=-12, max_value=12, max_denominator=12)
+scalar_strings = st.one_of(
+    st.integers(min_value=-12, max_value=12).map(str),
+    small_fractions.map(str),
+    st.floats(min_value=-12, max_value=12).map(repr),
+    st.tuples(small_fractions, small_fractions).map(lambda ab: f"{ab[0]}+{ab[1]}*sqrt2"),
+    st.sampled_from(["inf", "-inf", "nan"]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(SCALAR_ENTRIES)), st.sampled_from([FLAT2, SHALLOW_THM44]), scalar_strings)
+def test_generated_scalars_keep_the_exit_contract(entry, schedule, text):
+    """A scalar in any spec entry gives a report (exit 0 or 1) or a
+    Rank1Error (exit 2), never another exception."""
+    kind, spec = SCALAR_ENTRIES[entry](schedule, text)
+    try:
+        report = run_experiment(kind, spec)
+    except Rank1Error:
+        return
+    assert isinstance(report["passed"], bool)

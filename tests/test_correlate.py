@@ -2,6 +2,7 @@ import importlib
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -291,6 +292,15 @@ def test_perturbation_bound_covers_every_corner():
         # the all-outward corner attains it
         outward = math.prod(v + e * v / abs(v) for v, e in zip(values, bounds))
         assert abs(outward - exact) == pytest.approx(bound)
+
+
+def test_perturbation_bound_of_many_equal_factors_is_one_pass():
+    """10**5 equal factors, as a large multiplicity repeats one, in well
+    under a second; the bound is prod(1 + e) - 1."""
+    started = time.perf_counter()
+    bound = perturbation_bound([1.0] * 10**5, [1e-7] * 10**5)
+    assert time.perf_counter() - started < 1.0
+    assert bound == pytest.approx(math.expm1(10**5 * math.log1p(1e-7)), rel=1e-9)
 
 
 # the level loop's two paths, on fresh schedules (cached overlaps skip the

@@ -34,7 +34,6 @@ from rank1flow.schedule import (
     _sweep_batch,
     copy_windows,
     overlap_batch,
-    scalar_denominator,
     tuple_overlaps,
 )
 
@@ -114,7 +113,7 @@ def test_engine_lattice_matches_scalar_loop(case, factor):
     """The engine's path: a cached lattice view at a scale finer than
     needed, reached through ``Schedule.overlaps``."""
     sched, stage, shift = case
-    scale = factor * stage.denominator * scalar_denominator(shift)
+    scale = factor * stage.denominator * shift.denominator
     lattice = Lattice(scale, isinstance(shift, Sqrt2) or isinstance(stage.h, Sqrt2))
     (got,) = sched.overlaps(stage.n, [lattice.encode(shift)], lattice=lattice)
     assert [(lattice.decode(d), m) for d, m in got] == reference_overlap_pairs(stage, shift)
@@ -197,7 +196,7 @@ def test_overlap_batch_matches_scalar_loop(case):
     NumPy sweep itself, whatever the batch rule picks: shift by shift,
     the (delta, multiplicity) lists of the scalar loop."""
     stage, shifts, factor = case
-    lattice = Lattice(factor * lcm(stage.denominator, *map(scalar_denominator, shifts)), False)
+    lattice = Lattice(factor * lcm(stage.denominator, *(x.denominator for x in shifts)), False)
     view, xs = stage.on_lattice(lattice), [lattice.encode(x) for x in shifts]
     expected = [reference_overlap_pairs(stage, x) for x in shifts]
 
@@ -478,6 +477,30 @@ def test_copy_windows_of_an_equally_spaced_pair_stage_use_the_float_filter(monke
     monkeypatch.setattr(schedule_module, "sqrt2_sign", lambda a, b: signs.append(1) or sign(a, b))
     assert copy_windows(view, x) == expected
     assert len(signs) < view.r / 8
+
+
+def test_the_m_point_step_builds_the_float_offsets_once_per_batch(monkeypatch):
+    """thm44 (r_cap 256) at stage 8: a batch of shift tuples builds the
+    float offsets of the (a, b) pairs once, and every copy window it
+    sweeps is the one the exact sign finds pair by pair."""
+    stage = PERIODIC["thm44"][0].stage(8)
+    lattice = Lattice(3 * stage.denominator, True)
+    view, offs = stage.on_lattice(lattice), stage.offsets
+    shifts = [lattice.encode(x) for x in (0 * stage.h, stage.h / 3, offs[1] - offs[0], offs[2] - offs[0] - stage.h)]
+    ha, hb = view.h
+    for sa, sb in shifts:
+        expected = []
+        for oa, ob in view.offsets:
+            deltas = ((sa + pa - oa, sb + pb - ob) for pa, pb in view.offsets)
+            expected.append([(a, b) for a, b in deltas if sqrt2_sign(ha - a, hb - b) > 0 and sqrt2_sign(ha + a, hb + b) > 0])
+        assert copy_windows(view, (sa, sb)) == expected
+    xs = list(product(shifts, repeat=2))
+    built, build = [], schedule_module._pair_floats
+    monkeypatch.setattr(schedule_module, "_pair_floats", lambda offsets: built.append(1) or build(offsets))
+    steps = tuple_overlaps(view, xs)
+    assert len(built) == 1
+    monkeypatch.setattr(schedule_module, "_pair_floats", build)
+    assert [list(step) for step in steps] == [reference_tuple_step(view, x) for x in xs]
 
 
 PELL_NEAR_TIES = [(99, -70), (577, -408), (3363, -2378), (-99, 70), (-577, 408), (17, -12), (-17, 12)]

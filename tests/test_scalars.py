@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rank1flow import SQRT2, Sqrt2, coerce, scalar_from_string, scalar_to_string
-from rank1flow.errors import ModeError
+from rank1flow.errors import ModeError, RangeError
 from rank1flow.scalars import sqrt2_floordiv
 
 
@@ -28,7 +28,10 @@ def test_rational_divisor_matches_field_division():
     x = Sqrt2(Fraction(3, 7), Fraction(-2, 5))
     for d in (4, -3, Fraction(5, 6)):
         q = x / d
-        assert (q.a, q.b) == (x.a / d, x.b / d)
+        assert (Fraction(q.a, q.denominator), Fraction(q.b, q.denominator)) == (
+            Fraction(x.a, x.denominator) / d,
+            Fraction(x.b, x.denominator) / d,
+        )
         assert q == x / Sqrt2(d) and q * d == x
     with pytest.raises(ZeroDivisionError):
         x / 0
@@ -49,10 +52,19 @@ def test_mixed_sign_comparison_is_exact():
     assert Fraction(1393, 985) < SQRT2
 
 
+def pair(x):
+    """x as the Fraction pair (a, b), x = a + b*sqrt 2: the form Sqrt2 held
+    before its integer form, kept as the reference."""
+    if isinstance(x, Sqrt2):
+        return Fraction(x.a, x.denominator), Fraction(x.b, x.denominator)
+    return Fraction(x), Fraction(0)
+
+
 def reference_sign(x):
     """Sqrt2.sign as it was first written, by hand on the Fraction
-    components; Sqrt2.sign now calls sqrt2_sign on their integer form."""
-    a, b = x.a, x.b
+    components (of a Sqrt2, or a Fraction pair as such); Sqrt2.sign now
+    calls sqrt2_sign on the integer form."""
+    a, b = x if isinstance(x, tuple) else pair(x)
     if b == 0:
         return (a > 0) - (a < 0)
     if a == 0:
@@ -101,7 +113,8 @@ def test_sign_matches_the_fraction_sign_analysis(x):
     sign = reference_sign(x)
     assert x.sign() == sign
     assert (x < 0, x == 0, x > 0, x != 0) == (sign < 0, sign == 0, sign > 0, sign != 0)
-    assert x != Sqrt2(x.a + 1, x.b) and not x != Sqrt2(x.a, x.b) and x != "x"
+    a, b = pair(x)
+    assert x != Sqrt2(a + 1, b) and not x != Sqrt2(a, b) and x != "x"
 
 
 def test_floor_small():
@@ -190,3 +203,108 @@ def test_scalar_to_string_forms():
 def test_coerce_rejects_sqrt2_in_rational_mode():
     with pytest.raises(ModeError):
         coerce(SQRT2, "rational")
+
+
+# -- the integer form against the Fraction pairs -------------------------
+
+small_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+elements = st.builds(Sqrt2, small_fractions, small_fractions) | st.builds(Sqrt2, components, components)
+rationals = st.integers(min_value=-(10**6), max_value=10**6) | small_fractions
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def reference_arithmetic(op, p, q):
+    """op on Fraction pairs p = a + b*sqrt 2 and q."""
+    (a, b), (c, d) = p, q
+    if op == "+":
+        return a + c, b + d
+    if op == "-":
+        return a - c, b - d
+    if op == "*":
+        return a * c + 2 * b * d, a * d + b * c
+    norm = c * c - 2 * d * d
+    return (a * c - 2 * b * d) / norm, (b * c - a * d) / norm
+
+
+def assert_canonical(x):
+    assert type(x.a) is type(x.b) is type(x.denominator) is int
+    assert x.denominator > 0 and math.gcd(x.a, x.b, x.denominator) == 1
+
+
+OPERATORS = {"+": lambda x, y: x + y, "-": lambda x, y: x - y, "*": lambda x, y: x * y, "/": lambda x, y: x / y}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(OPERATORS)), elements, elements | rationals, st.booleans())
+def test_arithmetic_matches_the_fraction_pairs(op, x, y, reflected):
+    """+ - * / of two elements, or of an element and an int or Fraction on
+    either side, give the reference pair in canonical integer form."""
+    left, right = (y, x) if reflected else (x, y)
+    if op == "/" and not right:
+        with pytest.raises(ZeroDivisionError):
+            left / right
+        return
+    got = OPERATORS[op](left, right)
+    assert isinstance(got, Sqrt2)
+    assert_canonical(got)
+    assert pair(got) == reference_arithmetic(op, pair(left), pair(right))
+
+
+@settings(max_examples=100, deadline=None)
+@given(elements, elements | rationals, st.integers(min_value=-(10**9), max_value=10**9).filter(bool))
+def test_equal_values_have_equal_fields(x, y, k):
+    """The integer form is canonical: any multiple of it normalizes back,
+    and == is equality of the fields."""
+    again = Sqrt2.from_ints(k * x.a, k * x.b, k * x.denominator)
+    assert_canonical(again)
+    assert (again.a, again.b, again.denominator) == (x.a, x.b, x.denominator) and again == x
+    assert (x == y) == (pair(x) == pair(y))
+
+
+@settings(max_examples=100, deadline=None)
+@given(elements, finite_floats)
+def test_ordering_against_a_float_at_its_exact_value(x, f):
+    a, b = pair(x)
+    sign = reference_sign((a - Fraction(f), b))
+    assert (x < f, x <= f, x == f, x >= f, x > f, x != f) == (sign < 0, sign <= 0, sign == 0, sign >= 0, sign > 0, sign != 0)
+    assert (f > x, f >= x, f == x, f <= x, f < x) == (sign < 0, sign <= 0, sign == 0, sign >= 0, sign > 0)
+    assert pair(x * f) == reference_arithmetic("*", (a, b), (Fraction(f), 0))
+    assert pair(f - x) == reference_arithmetic("-", (Fraction(f), 0), (a, b))
+
+
+@pytest.mark.parametrize("f", [math.inf, -math.inf, math.nan])
+def test_a_float_beyond_the_reals_is_a_range_error(f):
+    for meet in (lambda: SQRT2 * f, lambda: f + SQRT2, lambda: f < SQRT2, lambda: SQRT2 >= f):
+        with pytest.raises(RangeError):
+            meet()
+
+
+@settings(max_examples=100, deadline=None)
+@given(elements)
+def test_floor_and_ceil_bracket_the_value(x):
+    k = math.floor(x)
+    a, b = pair(x)
+    assert reference_sign((a - k, b)) >= 0 and reference_sign((a - k - 1, b)) < 0
+    assert math.ceil(x) == (k if b == 0 and a == k else k + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rationals)
+def test_rational_elements_hash_and_compare_as_the_rational(q):
+    x = Sqrt2(q)
+    assert x == q and q == x and hash(x) == hash(q) and hash(x) == hash(Fraction(q))
+    assert {q: "found"}[x] == "found" and {x: "found"}[q] == "found"
+    assert x != q + 1 and x != Sqrt2(q, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(elements)
+def test_the_string_form_round_trips(x):
+    a, b = pair(x)
+    text = scalar_to_string(x)
+    assert text == (str(a) if b == 0 else f"{a}+{b}*sqrt2")
+    back = scalar_from_string(text)
+    if b:
+        assert (back.a, back.b, back.denominator) == (x.a, x.b, x.denominator)
+    else:
+        assert back == x and type(back) is Fraction

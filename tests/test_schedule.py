@@ -19,7 +19,7 @@ from rank1flow import (
 from rank1flow import schedule as schedule_module
 from rank1flow.errors import ConfigurationError, ResourceError
 from rank1flow.scalars import coerce
-from rank1flow.schedule import Lattice, scalar_denominator
+from rank1flow.schedule import Lattice
 
 
 def explicit_schedule(entries):
@@ -229,7 +229,7 @@ def reference_stages(sched, depth):
             "h_next": offsets[-1] + h + spacers[-1],
             "measure": mu,
             "spacer_mass_added": w / r * total,
-            "denominator": lcm(scalar_denominator(h), *(scalar_denominator(o) for o in offsets)),
+            "denominator": lcm(h.denominator, *(o.denominator for o in offsets)),
         }
         out.append(stage)
         h, w, mu = stage["h_next"], w / r, mu + stage["spacer_mass_added"]
