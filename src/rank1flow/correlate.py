@@ -34,12 +34,18 @@ A float time enters at its exact binary value.
 The recursion is evaluated level by level, not depth first.  Top down,
 from stage N to stage k, a query collects the distinct shifts each stage
 needs that the memo lacks, and takes the schedule's step for all of them
-at once: one call of :meth:`Schedule.overlaps` at m = 2, which sweeps the
-uncached shifts as one batch (see :func:`overlap_batch`), or of
-:meth:`Schedule.tuple_overlaps` at m >= 3.  Bottom up, from stage k back
-to N, each new value is summed over its step in the order the step lists
-the deltas (increasing at m = 2), the order of a depth-first recursion,
-so every value is bit-identical to it.
+at once: one call of :meth:`Schedule.overlaps` at m = 2 (see
+:func:`overlap_batch`), or of :meth:`Schedule.tuple_overlaps` at m >= 3.
+Bottom up, from stage k back to N, each new value is summed over its
+step in the order the step lists the deltas (increasing at m = 2), the
+order of a depth-first recursion, so every value is bit-identical to it.
+A list step is summed term by term in Python.  An array step (int64
+arrays, at m = 2) is summed in NumPy: its distinct deltas come from one
+``np.unique``, their values one stage down are gathered once, and each
+shift's terms mult * B(delta) are added by ``np.bincount``, the real and
+the imaginary parts apart.  ``bincount`` adds in input order from 0.0,
+and a complex times an int64 is the same product as in Python, so the
+sums are the list step's, bit for bit.
 
 The memo of a query is bounded by :data:`rank1flow.schedule.GUARD`, read
 when its check runs, and the working stage by ``MAX_STAGE``.
@@ -52,6 +58,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from math import lcm, prod
 from typing import Sequence
+
+import numpy as np
 
 from . import schedule as geometry  # for GUARD, read at call time
 from .errors import RangeError, ResourceError
@@ -111,7 +119,8 @@ class MCorrelator:
     shared across query times.  The step is the schedule's, chosen once
     from m: :meth:`Schedule.overlaps` at m = 2, else
     :meth:`Schedule.tuple_overlaps`.  Either takes a list of shifts and
-    returns one (delta, multiplicity) sequence per shift.
+    returns one (delta, multiplicity) sequence per shift, or, for an
+    array step at m = 2, the arrays (counts, deltas, mults).
     """
 
     def __init__(self, schedule: Schedule, functions: Sequence[StepFunction]):
@@ -163,7 +172,8 @@ class MCorrelator:
         """B_n at x, level by level.  Top down, each stage's step is taken
         at once for all the shifts it needs that the memo lacks; bottom up,
         each new value is summed over its step in the step's order, as a
-        depth-first recursion would."""
+        depth-first recursion would: term by term for a list step, by
+        :func:`_row_sums` for an array step."""
         memo, guard = self._memo, geometry.GUARD
         top = memo[n]
         if x in top:
@@ -180,18 +190,25 @@ class MCorrelator:
                 ]
                 memo[n].update(zip(xs, base))
                 break
-            steps = self._step(n - 1, xs, self._lattice)
-            levels.append((memo[n], xs, steps))
+            here, steps = memo[n], self._step(n - 1, xs, self._lattice)
             n -= 1
-            xs = list({d for pairs in steps for d, _ in pairs}.difference(memo[n]))
+            if type(steps) is tuple:  # an array step
+                steps, new = _distinct_deltas(steps, memo[n])
+            else:
+                new = list({d for pairs in steps for d, _ in pairs}.difference(memo[n]))
+            levels.append((here, xs, steps))
+            xs = new
         self._size = size
         for here, xs, steps in reversed(levels):
             below = memo[n]
-            for y, pairs in zip(xs, steps):
-                v = 0j
-                for d, mult in pairs:
-                    v += mult * below[d]
-                here[y] = v
+            if type(steps) is tuple:
+                here.update(zip(xs, _row_sums(steps, below)))
+            else:
+                for y, pairs in zip(xs, steps):
+                    v = 0j
+                    for d, mult in pairs:
+                        v += mult * below[d]
+                    here[y] = v
             n += 1
         return top[x]
 
@@ -203,6 +220,31 @@ class MCorrelator:
             raise RangeError("need one time per function")
         times = [exact(t) for t in times]
         return self._correlation(tuple(t - times[0] for t in times[1:]), max(abs(t) for t in times), stage)
+
+
+def _distinct_deltas(step: tuple, below: dict) -> tuple:
+    """An array step (counts, deltas, mults) as (counts, keys, index,
+    mults), with keys the distinct deltas as ints and index each delta's
+    place among them, and the keys that *below*, the memo one stage down,
+    lacks."""
+    counts, deltas, mults = step
+    keys, index = np.unique(deltas, return_inverse=True)
+    keys = keys.tolist()
+    return (counts, keys, index, mults), [d for d in keys if d not in below]
+
+
+def _row_sums(step: tuple, below: dict) -> list:
+    """The values of an array level: the terms mult * B(delta) of each
+    shift, its row, summed in order from 0.0 by ``bincount``, the real and
+    the imaginary parts apart, as the list level's loop adds them."""
+    counts, keys, index, mults = step
+    terms = np.array([below[d] for d in keys], dtype=complex)[index]
+    terms *= mults
+    rows = np.repeat(np.arange(len(counts)), counts)
+    sums = np.empty(len(counts), dtype=complex)
+    sums.real = np.bincount(rows, terms.real, len(counts))
+    sums.imag = np.bincount(rows, terms.imag, len(counts))
+    return sums.tolist()
 
 
 def m_correlate(

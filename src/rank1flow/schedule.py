@@ -27,10 +27,9 @@ route builds what else it needs when it runs.  :func:`copy_windows`
 sweeps a view with plain integer arithmetic, copy by copy, and
 :func:`overlap_pairs` counts the deltas of the windows.  Pairs are
 compared on float values where these clear their rounding bound, and
-by :func:`sqrt2_sign` where they do not; the m-point step builds the
-offsets' floats once per batch of shift tuples, the m = 2 sweep once
-per shift.  Scalars come back only at the boundary, via
-:meth:`Lattice.decode`.
+by :func:`sqrt2_sign` where they do not; both steps build the offsets'
+floats once per batch of shifts.  Scalars come back only at the
+boundary, via :meth:`Lattice.decode`.
 
 A stage whose spacers s_n(1) .. s_n(r_n - 1) encode to one value (flat
 stages, a constant spacer, zero spacers below the top) has equally spaced
@@ -43,21 +42,25 @@ on ints or, on (a, b) pairs, by the exact integer floor of
 :func:`~rank1flow.scalars.sqrt2_floordiv`.
 
 The engine takes the step of a stage for a whole level of shifts at
-once, from the schedule's one overlap cache: :meth:`Schedule.overlaps` at
-m = 2, :meth:`Schedule.tuple_overlaps` on shift tuples at m >= 3.  At
-m = 2, :func:`overlap_batch` applies the batch rule: an equally spaced
-stage takes the closed form, one shift at a time; on other int offsets,
-a batch of at least ``_NUMPY_MIN_WORK`` (shift, copy) pairs whose values
-fit int64 is swept in one NumPy pass (the offsets as one int64 array
-per batch, ``searchsorted`` for every window, one sort for every delta);
-a smaller batch, values past int64 and (a, b) pairs take the Python
-sweep, one shift at a time.  All three give the same sorted (delta,
-multiplicity) lists.  At m >= 3, :func:`tuple_overlaps` groups the copy
-tuples of the windows by delta vector, on every stage.
+once: :meth:`Schedule.overlaps` at m = 2, :meth:`Schedule.tuple_overlaps`
+on shift tuples at m >= 3.  At m = 2, :func:`overlap_batch` applies the
+batch rule.  A batch of at least ``_NUMPY_MIN_WORK`` (shift, copy) pairs
+on int offsets whose values fit int64 is an array step: int64 arrays
+(counts, deltas, mults) for all its shifts at once, from the closed
+form, vectorized, on an equally spaced stage and from one NumPy sweep on
+others (the offsets as one int64 array per batch, ``searchsorted`` for
+every window, one sort for every delta).  Any other batch (a smaller
+one, values past int64, (a, b) pairs) is a list step: one (delta,
+multiplicity) list per shift, from the closed form or the Python sweep.
+Either gives each shift's deltas in increasing order.  At m >= 3,
+:func:`tuple_overlaps` groups the copy tuples of the windows by delta
+vector, on every stage.  List steps and m-tuple steps go through the
+schedule's one overlap cache; an array step is recomputed, which costs
+less than reassembling a batch from cached pieces.
 
 Two module constants bound the work, with no parameter to set them:
-``GUARD`` (the deltas per shift in either sweep, the delta vectors of an
-m-tuple step, the entries of a schedule's overlap cache, and in
+``GUARD`` (the deltas per shift of every m = 2 step, the delta vectors of
+an m-tuple step, the entries of a schedule's overlap cache, and in
 :mod:`rank1flow.correlate` the memo of a query) and ``DIGIT_BUDGET`` (the
 bits of a stage height).  Each check reads its constant when it runs, so
 patching ``schedule.GUARD`` moves all four GUARD limits at once.
@@ -80,14 +83,14 @@ from .scalars import FLOAT_BITS, MODES, SQRT2_FLOAT, Scalar, Sqrt2, coerce, exac
 
 GUARD = 10**6  # memo entries per query, delta vectors per m-tuple step, deltas per shift, cache entries
 DIGIT_BUDGET = 200_000  # bits in each component of a stage height on its own lattice
-# A batch of shifts on int offsets is swept in NumPy when it holds at
+# A batch of shifts on int offsets is an array step when it holds at
 # least _NUMPY_MIN_WORK (shift, copy) pairs.  NumPy costs some 55-80 us
 # per batch whatever its size; measured on stages with r = 4, 16 and 64,
 # the Python loop is 1.6-4x faster at 16-32 pairs, NumPy 1.0-1.6x faster
 # at 64 and 2.6-3.6x at 256.  The sweep takes _CHUNK pairs at a time, so
 # that its int64 arrays stay at 64 KB.  Lattice values below
 # _INT64_SAFE = 2**61 keep every sum of three inside int64; larger ones
-# stay on the Python-int sweep.
+# take the list step, on Python ints.
 _NUMPY_MIN_WORK = 64
 _CHUNK = 8192
 _INT64_SAFE = 2**61
@@ -323,21 +326,28 @@ class Schedule:
 
     # -- convenience -----------------------------------------------------
 
-    def overlaps(self, n: int, shifts: list, lattice: Lattice) -> list:
-        """Cached :func:`overlap_pairs` for stage n at each of *shifts*, in
-        order, with the shifts and the deltas in the coordinates of
-        *lattice*; the uncached shifts are swept as one batch
-        (:func:`overlap_batch`)."""
-        return self._cached(overlap_batch, n, shifts, lattice)
+    def overlaps(self, n: int, shifts: list, lattice: Lattice):
+        """:func:`overlap_batch` for stage n at *shifts*, with the shifts and
+        the deltas in the coordinates of *lattice*.  An array step comes
+        back as its (counts, deltas, mults) arrays and is not cached; a list
+        step is taken for the uncached shifts only, as one batch, and comes
+        back as one (delta, multiplicity) list per shift, in order."""
+        view = self.stage(n).on_lattice(lattice)
+        # the batch rule of overlap_batch, inline, so that a list level pays no extra call
+        if len(shifts) * view.r >= _NUMPY_MIN_WORK and _fits_int64(view, shifts):
+            return overlap_batch(view, shifts)
+        return self._cached(_list_step, n, shifts, lattice, view)
 
     def tuple_overlaps(self, n: int, shifts: list, lattice: Lattice) -> list:
         """Cached :func:`tuple_overlaps` for stage n at each shift tuple of *shifts*."""
         return self._cached(tuple_overlaps, n, shifts, lattice)
 
-    def _cached(self, step, n: int, shifts: list, lattice: Lattice) -> list:
+    def _cached(self, step, n: int, shifts: list, lattice: Lattice, view: Optional[LatticeStage] = None) -> list:
         """*step* at *shifts* through the one overlap cache, which fills up
-        to GUARD entries.  Its keys (n, lattice, x) hold a coordinate at
-        m = 2, a tuple of coordinates at m >= 3: on one lattice they differ."""
+        to GUARD entries; *view* is stage n on *lattice*, fetched here when
+        a shift misses if not given.  The cache keys (n, lattice, x) hold a
+        coordinate at m = 2, a tuple of coordinates at m >= 3: on one
+        lattice they differ."""
         cache = self._overlap_cache
         found, missing = [], []
         for x in shifts:
@@ -347,7 +357,7 @@ class Schedule:
             found.append(pairs)
         if not missing:
             return found
-        swept = step(self.stage(n).on_lattice(lattice), missing)
+        swept = step(view or self.stage(n).on_lattice(lattice), missing)
         for x, pairs in zip(missing[: max(GUARD - len(cache), 0)], swept):
             cache[n, lattice, x] = pairs
         if len(missing) == len(found):
@@ -394,18 +404,20 @@ def finiteness_test(schedule: Schedule, horizon: int) -> FinitenessVerdict:
     return FinitenessVerdict(partial_sum=total, partial_sums=sums, horizon=horizon)
 
 
-def overlap_pairs(stage, shift) -> list:
+def overlap_pairs(stage, shift, floats=None) -> list:
     """All distinct values delta = shift + o_{j'} - o_j with |delta| < h_n,
     each with the number of (j, j') pairs realizing it, in increasing order
     of delta.
 
     *stage* is a :class:`TowerStage` with a scalar shift, or a
-    :class:`LatticeStage` with the shift in the same lattice coordinates;
-    the deltas come back in the coordinates that went in.  A scalar query
-    runs on the smallest lattice holding the stage and the shift.
+    :class:`LatticeStage` with the shift in the same lattice coordinates
+    (and, on (a, b) pairs, optionally the :func:`_pair_floats` of its
+    offsets as *floats*); the deltas come back in the coordinates that
+    went in.  A scalar query runs on the smallest lattice holding the stage
+    and the shift.
     """
     if isinstance(stage, LatticeStage):
-        return _lattice_overlaps(stage, shift)
+        return _lattice_overlaps(stage, shift, floats)
     shift = exact(shift)
     lattice = Lattice(
         lcm(stage.denominator, shift.denominator),
@@ -415,18 +427,25 @@ def overlap_pairs(stage, shift) -> list:
     return [(lattice.decode(delta), mult) for delta, mult in pairs]
 
 
-def overlap_batch(stage: LatticeStage, shifts: list) -> list:
-    """:func:`overlap_pairs` of a lattice stage at each of *shifts*, in order.
+def overlap_batch(stage: LatticeStage, shifts: list):
+    """The m = 2 step of a lattice stage at *shifts*: the
+    :func:`overlap_pairs` of each shift, as an array step or a list step.
 
-    The batch rule: an equally spaced stage takes the closed form, shift
-    by shift; other int offsets are swept in NumPy, all shifts at once,
-    when the batch holds at least ``_NUMPY_MIN_WORK`` (shift, copy) pairs
-    and its values fit int64 (:func:`_fits_int64`); otherwise, and on
-    (a, b) pairs, each shift takes the Python sweep.
+    The batch rule: a batch of at least ``_NUMPY_MIN_WORK`` (shift, copy)
+    pairs on int offsets whose values fit int64 (:func:`_fits_int64`) is
+    an array step, all shifts at once: int64 arrays (counts, deltas,
+    mults) in which shift i owns the next counts[i] deltas and their
+    multiplicities, from the vectorized closed form
+    (:func:`_periodic_batch`) on an equally spaced stage and the NumPy
+    sweep (:func:`_sweep_batch`) on others.  Any other batch is a list
+    step, one (delta, multiplicity) list per shift: the closed form or the
+    Python sweep, shift by shift, with the float offsets of (a, b) pairs
+    built once for the batch.  Both give each shift's deltas in increasing
+    order.
     """
     if len(shifts) * stage.r >= _NUMPY_MIN_WORK and _fits_int64(stage, shifts):
-        return _sweep_batch(stage, shifts)
-    return [overlap_pairs(stage, x) for x in shifts]
+        return _sweep_batch(stage, shifts) if stage.period is None else _periodic_batch(stage, shifts)
+    return _list_step(stage, shifts)
 
 
 def tuple_overlaps(stage: LatticeStage, shifts: list) -> list:
@@ -447,12 +466,17 @@ def tuple_overlaps(stage: LatticeStage, shifts: list) -> list:
     return steps
 
 
+def _list_step(stage: LatticeStage, shifts: list) -> list:
+    """The list step of :func:`overlap_batch`."""
+    floats = _pair_floats(stage.offsets) if type(stage.h) is tuple and stage.period is None else None
+    return [overlap_pairs(stage, x, floats) for x in shifts]
+
+
 def _fits_int64(stage: LatticeStage, shifts) -> bool:
-    """Whether *stage* takes the sweep, on int offsets, and every value of
-    :func:`_sweep_batch` on *shifts* fits int64."""
+    """Whether *stage* has int offsets and every value of an array step
+    on *shifts* fits int64."""
     return (
         type(stage.h) is int
-        and stage.period is None
         and stage.offsets[-1] + stage.h < _INT64_SAFE
         and len(shifts) * stage.h < _INT64_SAFE
         and -_INT64_SAFE < min(shifts)
@@ -460,12 +484,12 @@ def _fits_int64(stage: LatticeStage, shifts) -> bool:
     )
 
 
-def _lattice_overlaps(stage: LatticeStage, shift) -> list:
+def _lattice_overlaps(stage: LatticeStage, shift, floats=None) -> list:
     if stage.period is not None:
         pairs = _periodic_overlaps(stage, shift)
     else:
         counts: dict = {}
-        _count_elements(counts, chain.from_iterable(copy_windows(stage, shift)))
+        _count_elements(counts, chain.from_iterable(copy_windows(stage, shift, floats)))
         if type(stage.h) is tuple:
             pairs = [(delta, counts[delta]) for delta in sqrt2_sorted(counts)]
         else:
@@ -578,17 +602,18 @@ def _pair_windows(stage: LatticeStage, shift, floats: tuple) -> list:
     return windows
 
 
-def _sweep_batch(stage: LatticeStage, shifts: list) -> list:
-    """:func:`overlap_pairs` at every shift of a batch on int64 offsets:
-    the windows of :func:`copy_windows` of all (shift, copy) pairs found by
-    one ``searchsorted`` each way, their deltas sorted by (shift, delta)
-    and counted.  The same sorted (delta, multiplicity) list per shift."""
+def _sweep_batch(stage: LatticeStage, shifts: list) -> tuple:
+    """The array step of a stage on int64 offsets: the windows of
+    :func:`copy_windows` of all (shift, copy) pairs found by one
+    ``searchsorted`` each way, their deltas sorted by (shift, delta) and
+    counted, ``_CHUNK`` (shift, copy) pairs at a time."""
     offs = np.array(stage.offsets, dtype=np.int64)
     step = max(1, _CHUNK // stage.r)
-    return [pairs for i in range(0, len(shifts), step) for pairs in _sweep_chunk(stage, offs, shifts[i : i + step])]
+    chunks = [_sweep_chunk(stage, offs, shifts[i : i + step]) for i in range(0, len(shifts), step)]
+    return tuple(map(np.concatenate, zip(*chunks)))
 
 
-def _sweep_chunk(stage: LatticeStage, offs: np.ndarray, shifts: list) -> list:
+def _sweep_chunk(stage: LatticeStage, offs: np.ndarray, shifts: list) -> tuple:
     h, count = stage.h, len(shifts)
     base = np.array(shifts, dtype=np.int64)[:, None] - offs  # shift - o_j, one row per shift
     a = np.searchsorted(offs, (-h - base).ravel(), side="right")  # first j' with o_j' > o_j - shift - h
@@ -605,12 +630,31 @@ def _sweep_chunk(stage: LatticeStage, offs: np.ndarray, shifts: list) -> list:
     keys.sort()
     first = np.flatnonzero(np.diff(keys, prepend=0))
     row, delta = np.divmod(keys[first], 2 * h)
-    per_row = np.bincount(row, minlength=count)
-    if per_row.max() > GUARD:
+    counts = np.bincount(row, minlength=count)
+    _check_deltas(stage, counts)
+    return counts, delta - h, np.diff(first, append=total)
+
+
+def _periodic_batch(stage: LatticeStage, shifts: list) -> tuple:
+    """The array step of an equally spaced stage on int64 offsets: the
+    closed form of :func:`_periodic_overlaps` for every shift at once,
+    k from max(floor((-h - x)/p) + 1, 1 - r) to min(floor((h - x - 1)/p),
+    r - 1)."""
+    r, p, h = stage.r, stage.period, stage.h
+    xs = np.array(shifts, dtype=np.int64)
+    k = np.maximum((-h - xs) // p + 1, 1 - r)
+    counts = np.maximum(np.minimum((h - xs - 1) // p, r - 1) - k + 1, 0)
+    _check_deltas(stage, counts)
+    ends = np.cumsum(counts)
+    ks = np.repeat(k - ends + counts, counts)
+    ks += np.arange(int(ends[-1]))
+    return counts, np.repeat(xs, counts) + ks * p, r - np.abs(ks)
+
+
+def _check_deltas(stage: LatticeStage, counts: np.ndarray):
+    """The per-shift guard of an array step, on its delta counts."""
+    if counts.max() > GUARD:
         raise ResourceError(f"overlap blowup at stage {stage.n}: more than {GUARD} deltas")
-    pairs = list(zip((delta - h).tolist(), np.diff(first, append=total).tolist()))
-    ends = np.cumsum(per_row).tolist()
-    return [pairs[i:j] for i, j in zip([0, *ends], ends)]
 
 
 def reflected(spacers) -> tuple:

@@ -5,12 +5,15 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rank1flow import (
+    SQRT2,
     Correlator,
     MCorrelator,
-    SQRT2,
+    Schedule,
+    StepFunction,
     WeakLimitTarget,
     asym49_schedule,
     correlate,
@@ -421,7 +424,10 @@ def depth_first(corr, n, x, memo):
             v = product_integral(corr.functions, (zero, x) if corr._pair else (zero, *x), corr._lattice)
         else:
             v = 0j
-            for d, mult in corr._step(n - 1, [x], corr._lattice)[0]:
+            step = corr._step(n - 1, [x], corr._lattice)
+            # an array step of the one shift: (counts, deltas, mults)
+            pairs = zip(step[1].tolist(), step[2].tolist()) if type(step) is tuple else step[0]
+            for d, mult in pairs:
                 v += mult * depth_first(corr, n - 1, d, memo)
         memo[n, x] = v
     return memo[n, x]
@@ -463,3 +469,99 @@ def test_level_loop_equals_depth_first_recursion(name):
         for n, level in corr._memo.items():
             for x, v in level.items():
                 assert repr(v) == repr(depth_first(corr, n, x, memo))
+
+
+@pytest.fixture()
+def array_steps(monkeypatch):
+    """(route, stage, shifts) of every array step taken: the NumPy sweep or
+    the vectorized closed form."""
+    steps = []
+    for route in ("_sweep_batch", "_periodic_batch"):
+        original = getattr(schedule_module, route)
+
+        def spy(stage, shifts, route=route, original=original):
+            steps.append((route, stage.n, len(shifts)))
+            return original(stage, shifts)
+
+        monkeypatch.setattr(schedule_module, route, spy)
+    return steps
+
+
+def assert_depth_first(corr):
+    """Every memo value, repr for repr, as the depth-first recursion sums it."""
+    memo = {}
+    for n, level in corr._memo.items():
+        for x, v in level.items():
+            assert repr(v) == repr(depth_first(corr, n, x, memo))
+
+
+def test_array_levels_equal_the_depth_first_sums(array_steps):
+    """A staircase query at stage 5 whose levels take the NumPy sweep
+    (stages 2 and 4) and the vectorized closed form (the flat stages 1 and
+    3): the values of the depth-first recursion, bit for bit."""
+    sched = staircase34_schedule(staircase_stages=(2, 4), base=4, r_cap=256)
+    f, g = pair(sched, 2)
+    corr = Correlator(sched, f, g)
+    for t in (Fraction(-9, 10) * sched.height(4), Fraction(7, 3)):
+        corr.at(t, stage=5)
+    assert {(route, n) for route, n, _ in array_steps} == {
+        ("_sweep_batch", 4),
+        ("_periodic_batch", 3),
+        ("_sweep_batch", 2),
+        ("_periodic_batch", 1),
+    }
+    assert_depth_first(corr)
+
+
+def test_array_levels_sum_each_row_in_order(array_steps):
+    """Terms that span 30 orders of magnitude, many per shift: a pairwise
+    sum (``np.sum``, ``np.dot``, ``np.add.reduceat``) of a row differs from
+    the in-order one, and every value is the in-order one."""
+    sched = Schedule(lambda n, h, w: (64, [Fraction(j * j % 97, 97) for j in range(64)]))
+    f = StepFunction(1, [0, Fraction(1, 3), Fraction(2, 3), 1], [1e15, 1.0, 1e-15j])
+    g = StepFunction(1, [0, Fraction(1, 2), 1], [1.0, 3e-9 + 1e7j])
+    corr = Correlator(sched, f, g)
+    for t in (Fraction(-7, 3), Fraction(5, 4), Fraction(-70, 3)):
+        corr.at(t, stage=3)
+    assert {(route, n) for route, n, _ in array_steps} == {("_sweep_batch", 2), ("_sweep_batch", 1)}
+    assert_depth_first(corr)
+    below, reordered = corr._memo[1], 0
+    for x, v in corr._memo[2].items():
+        step = sched.overlaps(1, [x], corr._lattice)
+        terms = np.array([m * below[d] for d, m in zip(step[1].tolist(), step[2].tolist())])
+        reordered += np.sum(terms) != v
+    assert reordered > 10
+
+
+def test_levels_past_int64_take_the_list_step(monkeypatch, array_steps):
+    """With every value past ``_INT64_SAFE``, the same queries take the list
+    step only and give the same values, repr for repr; a time whose
+    denominator puts the lattice past int64 does so too."""
+    sched = SCHEDULES["wide_staircase"]()
+    f, g = pair(sched, 2)
+    arrays = [repr(Correlator(sched, f, g).at(t, stage=4).value) for t in ORDER_TIMES]
+    assert array_steps
+    array_steps.clear()
+    monkeypatch.setattr(schedule_module, "_INT64_SAFE", 1)
+    assert [repr(Correlator(sched, f, g).at(t, stage=4).value) for t in ORDER_TIMES] == arrays
+    monkeypatch.undo()
+    corr = Correlator(sched, f, g)
+    corr.at(Fraction(-7, 3) + Fraction(1, 2**62), stage=4)
+    assert array_steps == []
+    assert_depth_first(corr)
+
+
+def test_pairs_and_tuples_never_take_an_array_step(array_steps):
+    """A Q(sqrt 2) time on a rational staircase (its (a, b) pairs) and a
+    3-point query keep the list step, though one shift at stage 3 (r = 64)
+    is already batch enough for an array step."""
+    sched = SCHEDULES["wide_staircase"]()
+    assert sched.stage(3).r >= schedule_module._NUMPY_MIN_WORK
+    f, g = pair(sched, 2)
+    corr = Correlator(sched, f, g)
+    corr.at(SQRT2 - Fraction(3, 2), stage=4)
+    assert corr._lattice.sqrt2
+    MCorrelator(sched, [f, g, f]).at((0, Fraction(7, 3), Fraction(-5, 2)), stage=4)
+    assert array_steps == []
+    Correlator(sched, f, g).at(Fraction(-3, 2), stage=4)
+    assert array_steps

@@ -11,6 +11,7 @@ from fractions import Fraction
 from itertools import chain, product
 from math import lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -36,6 +37,17 @@ from rank1flow.schedule import (
     overlap_batch,
     tuple_overlaps,
 )
+
+
+def per_shift(step) -> list:
+    """A step of ``overlap_batch`` as one (delta, multiplicity) list per
+    shift: an array step's (counts, deltas, mults) split at its counts."""
+    if type(step) is not tuple:
+        return step
+    counts, deltas, mults = step
+    pairs = list(zip(deltas.tolist(), mults.tolist()))
+    ends = np.cumsum(counts).tolist()
+    return [pairs[i:j] for i, j in zip([0, *ends], ends)]
 
 
 def reference_overlap_pairs(stage, shift):
@@ -115,7 +127,7 @@ def test_engine_lattice_matches_scalar_loop(case, factor):
     sched, stage, shift = case
     scale = factor * stage.denominator * shift.denominator
     lattice = Lattice(scale, isinstance(shift, Sqrt2) or isinstance(stage.h, Sqrt2))
-    (got,) = sched.overlaps(stage.n, [lattice.encode(shift)], lattice=lattice)
+    (got,) = per_shift(sched.overlaps(stage.n, [lattice.encode(shift)], lattice=lattice))
     assert [(lattice.decode(d), m) for d, m in got] == reference_overlap_pairs(stage, shift)
 
 
@@ -149,7 +161,7 @@ def test_schedule_caches_the_tuple_steps(key):
         for x in shifts:
             (single,) = tuple_overlaps(view, [(x,)])
             assert {deltas: mult for (deltas,), mult in single} == dict(overlap_pairs(view, x))
-            assert Counter(chain.from_iterable(copy_windows(view, x))) == Counter(dict(sched.overlaps(2, [x], lattice)[0]))
+            assert Counter(chain.from_iterable(copy_windows(view, x))) == Counter(dict(per_shift(sched.overlaps(2, [x], lattice))[0]))
 
 
 def uneven(r, h1=1):
@@ -203,9 +215,9 @@ def test_overlap_batch_matches_scalar_loop(case):
     def decoded(batch):
         return [[(lattice.decode(d), m) for d, m in pairs] for pairs in batch]
 
-    assert decoded(overlap_batch(view, xs)) == expected
+    assert decoded(per_shift(overlap_batch(view, xs))) == expected
     if _fits_int64(view, xs):
-        assert decoded(_sweep_batch(view, xs)) == expected
+        assert decoded(per_shift(_sweep_batch(view, xs))) == expected
 
 
 def test_batches_past_int64_take_the_python_sweep(numpy_batches):
@@ -217,7 +229,7 @@ def test_batches_past_int64_take_the_python_sweep(numpy_batches):
     past = [2**62, *xs[1:]]  # one shift past int64
     assert overlap_batch(view, past) == [reference_overlap_pairs(WIDE, 2**62), *expected[1:]]
     assert numpy_batches == []
-    assert _sweep_batch(view, xs[:4]) == expected[:4]  # 4 h = 2**60 fits
+    assert per_shift(_sweep_batch(view, xs[:4])) == expected[:4]  # 4 h = 2**60 fits
 
 
 @pytest.mark.parametrize("chunk", [1, 130, 8192])
@@ -229,11 +241,14 @@ def test_sweep_splits_a_batch_into_chunks(monkeypatch, chunk):
     xs = [lattice.encode(o - stage.offsets[9]) + k for o in stage.offsets[::4] for k in (-1, 0, 5)]
     expected = [reference_overlap_pairs(stage, lattice.decode(x)) for x in xs]
     monkeypatch.setattr(schedule_module, "_CHUNK", chunk)
-    assert [[(lattice.decode(d), m) for d, m in pairs] for pairs in _sweep_batch(view, xs)] == expected
+    assert [[(lattice.decode(d), m) for d, m in pairs] for pairs in per_shift(_sweep_batch(view, xs))] == expected
 
 
 @pytest.mark.parametrize("key, batched", [(("staircase", "rational"), True), (("thm44", "sqrt2"), False)])
 def test_overlap_cache_stops_at_the_guard(monkeypatch, numpy_batches, key, batched):
+    """A list step fills the overlap cache up to GUARD entries; an array
+    step (80 shifts on the staircase's r = 64 stage) leaves it untouched,
+    and the same stage on a lattice past int64 takes the list step."""
     sched = SCHEDULES[key]
     fresh = Schedule(sched._params, h1=sched.h1, w1=sched.w1, mode=sched.mode)
     stage = fresh.stage(3)
@@ -244,11 +259,19 @@ def test_overlap_cache_stops_at_the_guard(monkeypatch, numpy_batches, key, batch
     assert len(xs) > guard
     numpy_batches.clear()
     monkeypatch.setattr(schedule_module, "GUARD", guard)
-    assert fresh.overlaps(3, xs, lattice) == expected
-    assert bool(numpy_batches) == batched
-    assert len(fresh._overlap_cache) == guard
-    assert fresh.overlaps(3, xs[::-1], lattice) == expected[::-1]
-    assert len(fresh._overlap_cache) == guard
+    for _ in range(2):
+        assert per_shift(fresh.overlaps(3, xs, lattice)) == expected
+        assert bool(numpy_batches) == batched
+        assert len(fresh._overlap_cache) == (0 if batched else guard)
+        xs, expected = xs[::-1], expected[::-1]
+    if batched:
+        wide = Lattice(2**62 * lattice.scale, False)
+        ys = [2**62 * x for x in xs]
+        assert not _fits_int64(stage.on_lattice(wide), ys)
+        for _ in range(2):
+            assert fresh.overlaps(3, ys, wide) == [[(2**62 * d, m) for d, m in pairs] for pairs in expected]
+            assert len(fresh._overlap_cache) == guard
+            ys, expected = ys[::-1], expected[::-1]
 
 
 def test_python_sweep_beyond_int64():
@@ -317,7 +340,7 @@ def test_closed_form_matches_scalar_loop(case):
     scalar loop, element for element."""
     stage, lattice, x = case
     view = stage.on_lattice(lattice)
-    assert view.period is not None and not _fits_int64(view, [x])
+    assert view.period is not None
     signs, sign = [], schedule_module.sqrt2_sign
     schedule_module.sqrt2_sign = lambda a, b: signs.append(1) or sign(a, b)
     try:
@@ -339,11 +362,17 @@ H4096 = 3 * 4096  # its height (and step) in units of 1/3
     # of 1/3 either side, and shifts past int64
     [0, 1, -1, H4096, -H4096, H4096 - 1, -H4096 - 1, H4096 + 1, 4095 * H4096 + 1, -4095 * H4096 - 1, 4096 * H4096 - 1, 2**64 + 1, -(2**70)],
 )
-def test_closed_form_on_a_wide_flat_stage(x):
+def test_closed_form_on_a_wide_flat_stage(numpy_batches, x):
+    """One shift, and a batch of it as the step of a level: the vectorized
+    closed form where its values fit int64, the scalar one past it."""
     lattice = Lattice(3, False)
     view = FLAT4096.on_lattice(lattice)
-    assert view.period == view.h == H4096 and not _fits_int64(view, [x])
-    assert [(lattice.decode(d), m) for d, m in overlap_pairs(view, x)] == reference_overlap_pairs(FLAT4096, lattice.decode(x))
+    assert view.period == view.h == H4096
+    expected = reference_overlap_pairs(FLAT4096, lattice.decode(x))
+    assert [(lattice.decode(d), m) for d, m in overlap_pairs(view, x)] == expected
+    step = overlap_batch(view, [x, -x])
+    assert (type(step) is tuple) == _fits_int64(view, [x, -x]) and numpy_batches == []
+    assert [(lattice.decode(d), m) for d, m in per_shift(step)[0]] == expected
 
 
 def _sweep_overlaps(view, x):
@@ -386,7 +415,9 @@ def test_equally_spaced_stages_skip_both_sweeps(monkeypatch, numpy_batches):
     """Equally spaced stages reach neither the NumPy sweep nor the copy
     windows of the m = 2 step; staircase and asym49 spacer stages still do."""
     windows, copy = [], schedule_module.copy_windows
-    monkeypatch.setattr(schedule_module, "copy_windows", lambda stage, shift: windows.append(stage.n) or copy(stage, shift))
+    monkeypatch.setattr(
+        schedule_module, "copy_windows", lambda stage, shift, floats=None: windows.append(stage.n) or copy(stage, shift, floats)
+    )
 
     def step(sched, n, count):
         """Stage n of *sched* at the 2 count - 1 shifts i h / count, |i| <
@@ -394,7 +425,7 @@ def test_equally_spaced_stages_skip_both_sweeps(monkeypatch, numpy_batches):
         stage = sched.stage(n)
         lattice = Lattice(count * stage.denominator, sched.mode == "sqrt2")
         xs = [lattice.encode(stage.h * Fraction(i, count)) for i in range(1 - count, count)]
-        assert all(sched.overlaps(n, xs, lattice))
+        assert all(per_shift(sched.overlaps(n, xs, lattice)))
         return stage.grid.period is not None
 
     thm44 = thm44_schedule(s_values=(2,), q_max=2, k_max=1, r_cap=256)
@@ -501,6 +532,22 @@ def test_the_m_point_step_builds_the_float_offsets_once_per_batch(monkeypatch):
     assert len(built) == 1
     monkeypatch.setattr(schedule_module, "_pair_floats", build)
     assert [list(step) for step in steps] == [reference_tuple_step(view, x) for x in xs]
+
+
+def test_the_pair_step_builds_the_float_offsets_once_per_batch(monkeypatch):
+    """thm44 (r_cap 256) at stage 9, not equally spaced: a list step on
+    (a, b) pairs builds the float offsets once for its batch, and each
+    shift gets its own :func:`overlap_pairs`."""
+    stage = PERIODIC["thm44"][0].stage(9)
+    lattice = Lattice(3 * stage.denominator, True)
+    view, offs = stage.on_lattice(lattice), stage.offsets
+    assert view.period is None and view.r * 4 >= _NUMPY_MIN_WORK
+    xs = [lattice.encode(x) for x in (0 * stage.h, stage.h / 3, offs[1] - offs[0], offs[2] - offs[0] - stage.h)]
+    expected = [overlap_pairs(view, x) for x in xs]
+    built, build = [], schedule_module._pair_floats
+    monkeypatch.setattr(schedule_module, "_pair_floats", lambda offsets: built.append(1) or build(offsets))
+    assert overlap_batch(view, xs) == expected
+    assert len(built) == 1
 
 
 PELL_NEAR_TIES = [(99, -70), (577, -408), (3363, -2378), (-99, 70), (-577, 408), (17, -12), (-17, 12)]
