@@ -23,7 +23,6 @@ from .correlate import (
     WeakLimitTarget,
     correlate,
     inner_product,
-    m_correlate,
     pick_stage,
     weak_limit_probe,
 )

@@ -47,8 +47,12 @@ the imaginary parts apart.  ``bincount`` adds in input order from 0.0,
 and a complex times an int64 is the same product as in Python, so the
 sums are the list step's, bit for bit.
 
-The memo of a query is bounded by :data:`rank1flow.schedule.GUARD`, read
-when its check runs, and the working stage by ``MAX_STAGE``.
+The schedule keeps each step it takes whole, keyed by stage, lattice and
+shifts, so a second correlator that asks for the same levels, as the
+functions of one family do at the same times, takes no step at all.  The
+memo of a query is bounded by :data:`rank1flow.schedule.GUARD`, read
+when its check runs, as are the deltas the schedule keeps; the working
+stage is bounded by ``MAX_STAGE``.
 """
 
 from __future__ import annotations
@@ -120,7 +124,8 @@ class MCorrelator:
     from m: :meth:`Schedule.overlaps` at m = 2, else
     :meth:`Schedule.tuple_overlaps`.  Either takes a list of shifts and
     returns one (delta, multiplicity) sequence per shift, or, for an
-    array step at m = 2, the arrays (counts, deltas, mults).
+    array step at m = 2, the arrays (counts, deltas, mults); the
+    schedule caches each such level whole.
     """
 
     def __init__(self, schedule: Schedule, functions: Sequence[StepFunction]):
@@ -245,12 +250,6 @@ def _row_sums(step: tuple, below: dict) -> list:
     sums.real = np.bincount(rows, terms.real, len(counts))
     sums.imag = np.bincount(rows, terms.imag, len(counts))
     return sums.tolist()
-
-
-def m_correlate(
-    schedule: Schedule, functions: Sequence[StepFunction], times: Sequence[Scalar], stage: int | None = None
-) -> CorrelationResult:
-    return MCorrelator(schedule, functions).at(times, stage=stage)
 
 
 class Correlator(MCorrelator):

@@ -22,10 +22,10 @@ from .correlate import (
     CorrelationResult,
     Correlator,
     FockComponent,
+    MCorrelator,
     WeakLimitTarget,
     correlate,
     inner_product,
-    m_correlate,
     perturbation_bound,
     pick_stage,
     weak_limit_probe,
@@ -235,7 +235,7 @@ def run_correlate(spec: dict):
         res = corr.at(t)
         item = {"t": scalar_to_string(t), **correlation_result_to_json(res)}
         if against_oracle:
-            ref = oracle_correlate(schedule, f, g, t, stage=res.stage_used).value
+            ref = oracle_correlate(schedule, f, g, t, stage=res.stage_used)
             gap = abs(res.value - ref)
             item["oracle_value"] = [ref.real, ref.imag]
             item["oracle_gap"] = gap
@@ -309,9 +309,10 @@ def backward_candidates(schedule: Schedule, spec: dict) -> list:
     The spacer displacements that survive the stacking are small integers,
     so combs whose period avoids them are natural witnesses."""
     stage = _field(spec, "set_stage", integer, 2)
+    period_max = _field(spec, "backward_period_max", integer, 4)
     h = schedule.height(stage)
     out = []
-    for period in range(2, _field(spec, "backward_period_max", integer, 4) + 1):
+    for period in range(2, period_max + 1):
         for phase in range(period):
             bps = [0 * h]
             vals = []
@@ -334,14 +335,21 @@ def backward_candidates(schedule: Schedule, spec: dict) -> list:
                 vals.append(0j)
             if any(v for v in vals):
                 out.append((f"comb period={period} phase={phase}", StepFunction(stage, bps, vals)))
+    if not out:
+        raise ConfigurationError(
+            f"no backward candidate: no comb of unit height and period 2 to {period_max} "
+            f"fits in stage {stage} of height {scalar_to_string(h)}"
+        )
     return out
 
 
-def triple_ratio(schedule: Schedule, a: StepFunction, n, sign: int):
-    """mu(A meet T_{sn}A meet T_{3sn}A) / mu(A) with its error bound."""
+def triple_ratios(schedule: Schedule, a: StepFunction, ns: list, sign: int) -> list:
+    """mu(A meet T_{sn}A meet T_{3sn}A) / mu(A) with its error bound and
+    stage, for each n of *ns*; the set keeps one memo and one mu(A)."""
     mu_a = inner_product(schedule, a, a).real
-    res = m_correlate(schedule, [a, a, a], (0 * n, sign * n, 3 * sign * n))
-    return res.value.real / mu_a, res.error_bound / mu_a, res.stage_used
+    corr = MCorrelator(schedule, [a, a, a])
+    results = [corr.at((0 * n, sign * n, 3 * sign * n)) for n in ns]
+    return [(res.value.real / mu_a, res.error_bound / mu_a, res.stage_used) for res in results]
 
 
 def run_triple_asymmetry(spec: dict):
@@ -358,8 +366,8 @@ def run_triple_asymmetry(spec: dict):
     worst_forward = None
     for s_idx, a in enumerate(forward_sets):
         rows = []
-        for i, n in enumerate(n_times):
-            ratio, bound, stage_used = triple_ratio(schedule, a, n, +1)
+        ratios = triple_ratios(schedule, a, n_times, +1)
+        for i, (n, (ratio, bound, stage_used)) in enumerate(zip(n_times, ratios)):
             rows.append({"i": i, "n": scalar_to_string(n), "ratio": ratio, "bound": bound, "stage_used": stage_used})
             plot.append([s_idx, i, float(n), ratio, bound])
         final = rows[-1]["ratio"]
@@ -368,11 +376,11 @@ def run_triple_asymmetry(spec: dict):
     backward_items = []
     best = None
     for label, a in candidates:
-        ratio, bound, _ = triple_ratio(schedule, a, n_times[-1], -1)
+        ((ratio, bound, _),) = triple_ratios(schedule, a, n_times[-1:], -1)
         backward_items.append({"set": label, "final_ratio": ratio, "bound": bound})
         if best is None or ratio < best["final_ratio"]:
             best = backward_items[-1]
-    passed = worst_forward >= thr_fwd and best is not None and best["final_ratio"] <= thr_bwd
+    passed = worst_forward >= thr_fwd and best["final_ratio"] <= thr_bwd
     report = {
         "forward": forward_items,
         "forward_liminf_estimate": worst_forward,
@@ -445,15 +453,18 @@ def run_fock_claims(spec: dict):
     return report, passed, ("j,l,re,predicted_re,residual", plot)
 
 
-def _curve_for_spec(schedule, spec):
-    """Read the curve entries of a spectrum or disjointness spec; returns
-    a function of no arguments that samples the curve."""
-    analytic = spec.get("analytic")
+def _curve_for_spec(spec):
+    """Read the curve entries of a spectrum or disjointness spec, which
+    names exactly one of a 'schedule' and an 'analytic' curve; returns a
+    function of no arguments that samples the curve."""
+    if ("schedule" in spec) == ("analytic" in spec):
+        raise ConfigurationError("spec needs exactly one of a 'schedule' and an 'analytic' curve")
+    schedule = resolve_schedule(spec) if "schedule" in spec else None
     t_max = _positive_field(spec, "t_max", number, 8.0)
-    if analytic:
+    if schedule is None:
         import math
 
-        analytic = Reader(analytic, "spec entry 'analytic'")
+        analytic = Reader(spec["analytic"], "spec entry 'analytic'")
         kind = analytic.get("kind")
         dt = _positive_field(spec, "dt", number, 0.05)
         n = sample_count(t_max, dt)
@@ -467,8 +478,6 @@ def _curve_for_spec(schedule, spec):
             raise ConfigurationError(f"unknown analytic curve {kind!r}")
         analytic.close()
         return partial(curve_from_samples, dt, vals)
-    if schedule is None:
-        raise ConfigurationError("spec needs a 'schedule' or an 'analytic' curve")
     # the sample times i * dt stay exact, so a rational schedule keeps its
     # lattice kernel; a JSON number keeps its decimal text through repr
     dt = _positive_field(spec, "dt", lambda v: Fraction(str(v)), "0.05")
@@ -487,8 +496,7 @@ def _estimate_entries(spec) -> dict:
 
 
 def run_spectrum(spec: dict):
-    schedule = resolve_schedule(spec) if spec.get("schedule") else None
-    sample = _curve_for_spec(schedule, spec)
+    sample = _curve_for_spec(spec)
     estimate = _estimate_entries(spec)
     spec.close()
     curve = sample()
@@ -506,8 +514,7 @@ def run_spectrum(spec: dict):
 
 
 def run_disjointness(spec: dict):
-    schedule = resolve_schedule(spec) if spec.get("schedule") else None
-    sample = _curve_for_spec(schedule, spec)
+    sample = _curve_for_spec(spec)
     estimate = _estimate_entries(spec)
     factors = _field(spec, "dilations", _list_of(number, least=1), [2.0])
     threshold = _field(spec, "threshold", number, 0.5)

@@ -9,33 +9,22 @@ main engine produces must agree with this one within its error bound.
 
 from __future__ import annotations
 
-from math import prod
 from typing import Sequence
 
-from .correlate import CorrelationResult, pick_stage
 from .scalars import Scalar, exact
 from .schedule import Schedule
 from .stepfun import StepFunction, lift, product_integral
 
 
 def oracle_m_correlate(
-    schedule: Schedule,
-    functions: Sequence[StepFunction],
-    times: Sequence[Scalar],
-    stage: int | None = None,
-) -> CorrelationResult:
-    times = [exact(t) for t in times]
-    t_max = max(abs(t) for t in times)
-    n = pick_stage(schedule, functions[0].stage, t_max) if stage is None else stage
-    lifted = [lift(schedule, f, n) for f in functions]
-    w_n = schedule.width(n)
-    value = complex(product_integral(lifted, times)) * float(w_n)
-    bound = 2.0 * prod(f.sup_norm for f in functions) * float(t_max) * float(w_n) * len(functions)
-    return CorrelationResult(value=value, error_bound=bound, stage_used=n)
+    schedule: Schedule, functions: Sequence[StepFunction], times: Sequence[Scalar], stage: int
+) -> complex:
+    """The m-point correlation at working stage *stage*, the value the
+    engine's recursion truncates to there."""
+    lifted = [lift(schedule, f, stage) for f in functions]
+    return complex(product_integral(lifted, [exact(t) for t in times])) * float(schedule.width(stage))
 
 
-def oracle_correlate(
-    schedule: Schedule, f: StepFunction, g: StepFunction, t: Scalar, stage: int | None = None
-) -> CorrelationResult:
+def oracle_correlate(schedule: Schedule, f: StepFunction, g: StepFunction, t: Scalar, stage: int) -> complex:
     """<U(t) f, g>: :func:`oracle_m_correlate` on (f, conj g) at times (t, 0)."""
-    return oracle_m_correlate(schedule, [f, g.conjugate()], (t, 0), stage=stage)
+    return oracle_m_correlate(schedule, [f, g.conjugate()], (t, 0), stage)

@@ -54,13 +54,14 @@ one, values past int64, (a, b) pairs) is a list step: one (delta,
 multiplicity) list per shift, from the closed form or the Python sweep.
 Either gives each shift's deltas in increasing order.  At m >= 3,
 :func:`tuple_overlaps` groups the copy tuples of the windows by delta
-vector, on every stage.  List steps and m-tuple steps go through the
-schedule's one overlap cache; an array step is recomputed, which costs
-less than reassembling a batch from cached pieces.
+vector, on every stage.  The schedule keeps each step whole, whatever
+its kind, keyed by its stage, lattice and shifts: a family of functions
+queried at the same times under one schedule takes each level's step
+once.
 
 Two module constants bound the work, with no parameter to set them:
 ``GUARD`` (the deltas per shift of every m = 2 step, the delta vectors of
-an m-tuple step, the entries of a schedule's overlap cache, and in
+an m-tuple step, the deltas a schedule keeps in its overlap cache, and in
 :mod:`rank1flow.correlate` the memo of a query) and ``DIGIT_BUDGET`` (the
 bits of a stage height).  Each check reads its constant when it runs, so
 patching ``schedule.GUARD`` moves all four GUARD limits at once.
@@ -81,7 +82,7 @@ import numpy as np
 from .errors import ConfigurationError, ResourceError
 from .scalars import FLOAT_BITS, MODES, SQRT2_FLOAT, Scalar, Sqrt2, coerce, exact, sqrt2_floordiv, sqrt2_sign, sqrt2_sorted
 
-GUARD = 10**6  # memo entries per query, delta vectors per m-tuple step, deltas per shift, cache entries
+GUARD = 10**6  # memo entries per query, delta vectors per m-tuple step, deltas per shift, deltas cached
 DIGIT_BUDGET = 200_000  # bits in each component of a stage height on its own lattice
 # A batch of shifts on int offsets is an array step when it holds at
 # least _NUMPY_MIN_WORK (shift, copy) pairs.  NumPy costs some 55-80 us
@@ -257,7 +258,8 @@ class Schedule:
         if not (self.h1 > 0 and self.w1 > 0):
             raise ConfigurationError(f"h1 = {h1!r} and w1 = {w1!r} must be positive")
         self._stages: list[TowerStage] = []
-        self._overlap_cache: dict = {}
+        self._overlap_cache: dict = {}  # (n, lattice, shifts) -> the step of that level
+        self._cached_deltas = 0  # deltas held by the overlap cache
         self.stage_thresholds: dict = {}  # k -> [u_k, u_{k+1}, ...] of correlate.pick_stage
 
     # -- stage computation ----------------------------------------------
@@ -327,43 +329,30 @@ class Schedule:
     # -- convenience -----------------------------------------------------
 
     def overlaps(self, n: int, shifts: list, lattice: Lattice):
-        """:func:`overlap_batch` for stage n at *shifts*, with the shifts and
-        the deltas in the coordinates of *lattice*.  An array step comes
-        back as its (counts, deltas, mults) arrays and is not cached; a list
-        step is taken for the uncached shifts only, as one batch, and comes
-        back as one (delta, multiplicity) list per shift, in order."""
-        view = self.stage(n).on_lattice(lattice)
-        # the batch rule of overlap_batch, inline, so that a list level pays no extra call
-        if len(shifts) * view.r >= _NUMPY_MIN_WORK and _fits_int64(view, shifts):
-            return overlap_batch(view, shifts)
-        return self._cached(_list_step, n, shifts, lattice, view)
+        """Cached :func:`overlap_batch` for stage n at *shifts*, with the
+        shifts and the deltas in the coordinates of *lattice*."""
+        return self._cached(overlap_batch, n, shifts, lattice)
 
     def tuple_overlaps(self, n: int, shifts: list, lattice: Lattice) -> list:
         """Cached :func:`tuple_overlaps` for stage n at each shift tuple of *shifts*."""
         return self._cached(tuple_overlaps, n, shifts, lattice)
 
-    def _cached(self, step, n: int, shifts: list, lattice: Lattice, view: Optional[LatticeStage] = None) -> list:
-        """*step* at *shifts* through the one overlap cache, which fills up
-        to GUARD entries; *view* is stage n on *lattice*, fetched here when
-        a shift misses if not given.  The cache keys (n, lattice, x) hold a
-        coordinate at m = 2, a tuple of coordinates at m >= 3: on one
-        lattice they differ."""
-        cache = self._overlap_cache
-        found, missing = [], []
-        for x in shifts:
-            pairs = cache.get((n, lattice, x))
-            if pairs is None:
-                missing.append(x)
-            found.append(pairs)
-        if not missing:
-            return found
-        swept = step(view or self.stage(n).on_lattice(lattice), missing)
-        for x, pairs in zip(missing[: max(GUARD - len(cache), 0)], swept):
-            cache[n, lattice, x] = pairs
-        if len(missing) == len(found):
-            return swept
-        fresh = iter(swept)
-        return [next(fresh) if pairs is None else pairs for pairs in found]
+    def _cached(self, step, n: int, shifts: list, lattice: Lattice):
+        """*step* for stage n on *lattice* at *shifts*, a whole level, through
+        the one overlap cache.  The key (n, lattice, shifts) holds
+        coordinates at m = 2 and tuples of them at m >= 3, which differ on
+        one lattice; the value is what *step* returned.  A level is kept
+        while every kept level together holds at most GUARD deltas, so a
+        level too large to keep is computed each time it is asked for."""
+        key = (n, lattice, tuple(shifts))
+        level = self._overlap_cache.get(key)
+        if level is None:
+            level = step(self.stage(n).on_lattice(lattice), shifts)
+            size = len(level[1]) if type(level) is tuple else sum(map(len, level))
+            if self._cached_deltas + size <= GUARD:
+                self._overlap_cache[key] = level
+                self._cached_deltas += size
+        return level
 
     def height(self, n: int):
         return self.stage(n).h
@@ -445,7 +434,8 @@ def overlap_batch(stage: LatticeStage, shifts: list):
     """
     if len(shifts) * stage.r >= _NUMPY_MIN_WORK and _fits_int64(stage, shifts):
         return _sweep_batch(stage, shifts) if stage.period is None else _periodic_batch(stage, shifts)
-    return _list_step(stage, shifts)
+    floats = _pair_floats(stage.offsets) if type(stage.h) is tuple and stage.period is None else None
+    return [overlap_pairs(stage, x, floats) for x in shifts]
 
 
 def tuple_overlaps(stage: LatticeStage, shifts: list) -> list:
@@ -464,12 +454,6 @@ def tuple_overlaps(stage: LatticeStage, shifts: list) -> list:
             raise ResourceError(f"m-tuple delta blowup at stage {stage.n}: more than {GUARD} delta vectors")
         steps.append(groups.items())
     return steps
-
-
-def _list_step(stage: LatticeStage, shifts: list) -> list:
-    """The list step of :func:`overlap_batch`."""
-    floats = _pair_floats(stage.offsets) if type(stage.h) is tuple and stage.period is None else None
-    return [overlap_pairs(stage, x, floats) for x in shifts]
 
 
 def _fits_int64(stage: LatticeStage, shifts) -> bool:

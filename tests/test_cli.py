@@ -263,6 +263,16 @@ UNREAD_OR_MISTYPED = {
         ("triple-asymmetry", {"schedule": {"kind": "asym49", "params": {}}, "stage_count": 0}),
         ("triple-asymmetry", {"schedule": {"kind": "asym49", "params": {}}, "stage_count": 1, "forward_sets": 0}),
         ("triple-asymmetry", {"schedule": {"kind": "asym49", "params": {}}, "stage_count": 1, "set_levels": 0}),
+        ("triple-asymmetry", {"schedule": {"kind": "asym49", "params": {}}, "stage_count": 1, "backward_period_max": 1}),
+        (
+            "triple-asymmetry",
+            {"schedule": {"kind": "flat", "params": {"r": 2, "h1": "1/4"}}, "stage_count": 1, "set_stage": 1},
+        ),
+        ("spectrum", {"schedule": FLAT2, "analytic": {"kind": "gaussian"}}),
+        ("spectrum", {"schedule": {}, "analytic": {"kind": "gaussian"}}),
+        ("disjointness", {"schedule": FLAT2, "analytic": False}),
+        ("spectrum", {"t_max": 4.0}),
+        ("disjointness", {}),
         ("weak-limit", {"schedule": {"kind": "flat", "params": {"r": 2}}, "times": ["1/2"], "levels": 0}),
         ("reflection-check", {"schedule": {"kind": "flat", "params": {"r": 2}}, "cases": 0}),
         ("weak-limit", {"schedule": {"kind": "flat", "params": {"r": 2}}, "times": ["1"], "target": {"alpha": "nan"}}),
@@ -288,6 +298,13 @@ UNREAD_OR_MISTYPED = {
         "no-stages",
         "no-forward-sets",
         "no-set-levels",
+        "no-backward-period",
+        "no-comb-under-the-set-stage",
+        "schedule-and-analytic",
+        "empty-schedule-beside-analytic",
+        "false-analytic-beside-schedule",
+        "spectrum-without-a-curve",
+        "disjointness-without-a-curve",
         "no-levels",
         "no-reflection-cases",
         "nan-alpha",

@@ -19,7 +19,6 @@ from rank1flow import (
     correlate,
     flat_schedule,
     inner_product,
-    m_correlate,
     oracle_correlate,
     oracle_m_correlate,
     pick_stage,
@@ -117,7 +116,7 @@ def test_oracle_agreement_spot_checks(flat2, flat3, small_staircase, small_asym,
             t = Fraction(rng.randrange(-6, 7), 4)
             res = correlate(sched, f, g, t)
             ref = oracle_correlate(sched, f, g, t, stage=res.stage_used)
-            assert abs(res.value - ref.value) <= res.error_bound + 1e-9
+            assert abs(res.value - ref) <= res.error_bound + 1e-9
 
 
 def test_oracle_agreement_sqrt2_times(small_thm44):
@@ -126,7 +125,7 @@ def test_oracle_agreement_sqrt2_times(small_thm44):
     for t in (SQRT2, 2 * SQRT2, Fraction(1, 2), 1 - SQRT2):
         res = correlate(small_thm44, f, g, t)
         ref = oracle_correlate(small_thm44, f, g, t, stage=res.stage_used)
-        assert abs(res.value - ref.value) <= res.error_bound + 1e-9
+        assert abs(res.value - ref) <= res.error_bound + 1e-9
 
 
 def test_out_of_range_time_raises(flat2):
@@ -211,7 +210,7 @@ def test_m_correlate_two_points_equals_correlate(flat3, small_asym):
     for sched in (flat3, small_asym):
         f, g = pair(sched, rng.randrange(10**6))
         for t in (0, Fraction(1, 2), -1):
-            two = m_correlate(sched, [f, g.conjugate()], (t, 0))
+            two = MCorrelator(sched, [f, g.conjugate()]).at((t, 0))
             assert two.value == correlate(sched, f, g, t).value
 
 
@@ -220,9 +219,9 @@ def test_m_correlate_matches_oracle(small_asym):
     h = small_asym.height(1)
     fs = [random_step_function(1, h, 3, rng) for _ in range(3)]
     times = (0, Fraction(3, 2), -1)
-    res = m_correlate(small_asym, fs, times)
+    res = MCorrelator(small_asym, fs).at(times)
     ref = oracle_m_correlate(small_asym, fs, times, stage=res.stage_used)
-    assert abs(res.value - ref.value) <= res.error_bound + 1e-9
+    assert abs(res.value - ref) <= res.error_bound + 1e-9
 
 
 SQRT2_SCHEDULES = {
@@ -239,9 +238,9 @@ def test_m_correlate_matches_oracle_over_sqrt2(name):
     d = sched.stage(1).offsets[1]  # a copy offset, so that shifted copies meet
     values = []
     for times in ((0, Fraction(1, 4), Fraction(-1, 5)), (0, SQRT2 / 8, -SQRT2 / 5), (d + Fraction(1, 8), 0, Fraction(1, 3))):
-        res = m_correlate(sched, fs, times)
+        res = MCorrelator(sched, fs).at(times)
         ref = oracle_m_correlate(sched, fs, times, stage=res.stage_used)
-        assert abs(res.value - ref.value) <= res.error_bound + 1e-9
+        assert abs(res.value - ref) <= res.error_bound + 1e-9
         values.append(res.value)
     assert all(abs(v) > 1e-3 for v in values)
 
@@ -251,7 +250,7 @@ def test_float_time_is_its_exact_binary_value(small_staircase, small_thm44):
         f, g = pair(sched, 41)
         for t in (2.5, -0.1, 1 / 3):
             assert correlate(sched, f, g, t) == correlate(sched, f, g, Fraction(t))
-            assert m_correlate(sched, [f, g, f], (0, t, -t)) == m_correlate(sched, [f, g, f], (0, Fraction(t), -Fraction(t)))
+            assert MCorrelator(sched, [f, g, f]).at((0, t, -t)) == MCorrelator(sched, [f, g, f]).at((0, Fraction(t), -Fraction(t)))
 
 
 def test_weak_limit_probe_identity_at_zero(flat2):
@@ -350,46 +349,55 @@ def test_guards_name_stage_and_count(monkeypatch, numpy_batches, schedule, stage
 
 
 def test_m_point_step_and_its_cache_follow_the_guard(monkeypatch):
-    """GUARD also bounds the delta vectors of one m-tuple step and the fill
-    of the schedule's overlap cache, which holds the tuple steps; the query
-    below needs 9 memo entries and 5 tuple steps (4 at stage 1), and 3 or
-    more delta vectors at stage 2."""
+    """GUARD also bounds the delta vectors of one m-tuple step and the
+    deltas the schedule's overlap cache keeps, which holds the tuple steps
+    as levels; the query below needs 9 memo entries and 2 levels: 1 shift
+    tuple at stage 2 with 4 delta vectors, and 4 at stage 1 with 5 delta
+    vectors in all, at most 3 for one tuple."""
     f, g = pair(asym49_schedule(r_cap=16), 3)
     times = (0, Fraction(7, 3), Fraction(-5, 2))
     sched = asym49_schedule(r_cap=16)
     corr = MCorrelator(sched, [f, g, f])
     value = corr.at(times).value
     steps = dict(sched._overlap_cache)
-    assert (memo_size(corr), len(steps)) == (9, 5)
+    assert (memo_size(corr), len(steps)) == (9, 2)
+    assert {n: [len(groups) for groups in level] for (n, _, _), level in steps.items()} == {2: [4], 1: [1, 1, 0, 3]}
     monkeypatch.setattr(schedule_module, "GUARD", 2)
     with pytest.raises(ResourceError, match="^m-tuple delta blowup at stage 2: more than 2 delta vectors$"):
         MCorrelator(asym49_schedule(r_cap=16), [f, g, f]).at(times)
+    # both steps are taken before the memo trips; only the first fits
     monkeypatch.setattr(schedule_module, "GUARD", 5)
     fresh = asym49_schedule(r_cap=16)
     with pytest.raises(ResourceError, match="^memo blowup near stage 1: more than 5 distinct shifts$"):
         MCorrelator(fresh, [f, g, f]).at(times)
-    assert fresh._overlap_cache.keys() == steps.keys()
-    # with room for 3 entries, the fourth stage-1 step is taken but not kept
-    monkeypatch.setattr(schedule_module, "GUARD", 3)
+    assert list(fresh._overlap_cache) == [key for key in steps if key[0] == 2]
+    # with room for 4 delta vectors, the stage-1 level is taken but not
+    # kept, and the stage-2 level is kept
+    monkeypatch.setattr(schedule_module, "GUARD", 4)
     fresh = asym49_schedule(r_cap=16)
-    xs = [x for n, _, x in steps if n == 1]
-    first = fresh.tuple_overlaps(1, xs, corr._lattice)
-    assert [list(step) for step in first] == [list(steps[1, corr._lattice, x]) for x in xs]
-    again = fresh.tuple_overlaps(1, xs, corr._lattice)
-    assert [a is b for a, b in zip(again, first)] == [True, True, True, False]
-    assert len(fresh._overlap_cache) == 3
+    (_, _, xs), (_, _, ys) = sorted(steps)
+    first = fresh.tuple_overlaps(1, list(xs), corr._lattice)
+    again = fresh.tuple_overlaps(1, list(xs), corr._lattice)
+    assert again is not first
+    reference = [list(step) for step in steps[1, corr._lattice, xs]]
+    assert [list(step) for step in first] == [list(step) for step in again] == reference
+    assert fresh._overlap_cache == {}
+    top = fresh.tuple_overlaps(2, list(ys), corr._lattice)
+    assert fresh.tuple_overlaps(2, list(ys), corr._lattice) is top
+    assert list(fresh._overlap_cache) == [(2, corr._lattice, ys)]
     # the 2-point step on the same full cache keeps its own guard
+    monkeypatch.setattr(schedule_module, "GUARD", 3)
     with pytest.raises(ResourceError, match="^overlap blowup at stage 3: more than 3 deltas$"):
         Correlator(fresh, f, g).at(times[1], stage=4)
-    assert len(fresh._overlap_cache) == 3
+    assert list(fresh._overlap_cache) == [(2, corr._lattice, ys)]
     monkeypatch.setattr(schedule_module, "GUARD", 9)
     assert MCorrelator(asym49_schedule(r_cap=16), [f, g, f]).at(times).value == value
 
 
 def arity(key) -> int:
-    """m of an overlap cache key (n, lattice, x): x is one coordinate at
-    m = 2, a tuple of them at m >= 3."""
-    _, lattice, x = key
+    """m of an overlap cache key (n, lattice, shifts): each shift is one
+    coordinate at m = 2, a tuple of them at m >= 3."""
+    _, lattice, (x, *_) = key
     return 2 if type(x) is int or (lattice.sqrt2 and type(x[0]) is int) else 1 + len(x)
 
 
@@ -457,6 +465,35 @@ def test_query_order_does_not_change_values(numpy_batches, name):
     assert [repr(query(forward, t).value) for t in ORDER_TIMES] == fresh
     assert [repr(query(backward, t).value) for t in ORDER_TIMES[::-1]] == fresh[::-1]
     assert bool(numpy_batches) == (name == "batched")
+
+
+@pytest.mark.parametrize("name", ["batched", "sqrt2", "triple"])
+def test_a_second_correlator_with_the_same_queries_takes_no_step(monkeypatch, name):
+    """The schedule keeps each level whole: a second correlator of the same
+    functions with the same query history finds every level it needs (the
+    staircase's array levels, thm44's list levels, asym49's 3-point
+    levels) and takes no step, and both give the values of a correlator on
+    a fresh schedule, repr for repr."""
+    steps = []
+    for route in ("overlap_batch", "tuple_overlaps"):
+        original = getattr(schedule_module, route)
+
+        def spy(stage, shifts, route=route, original=original):
+            steps.append(route)
+            return original(stage, shifts)
+
+        monkeypatch.setattr(schedule_module, route, spy)
+    make, query = correlators(name)
+    first, second = make(), make()
+    values = [repr(query(first, t).value) for t in ORDER_TIMES]
+    assert set(steps) == {"tuple_overlaps" if name == "triple" else "overlap_batch"}
+    steps.clear()
+    assert [repr(query(second, t).value) for t in ORDER_TIMES] == values
+    assert steps == []
+    make_fresh, _ = correlators(name)
+    fresh = make_fresh()
+    assert [repr(query(fresh, t).value) for t in ORDER_TIMES] == values
+    assert steps
 
 
 @pytest.mark.parametrize("name", ["batched", "sqrt2", "triple"])
@@ -542,9 +579,11 @@ def test_levels_past_int64_take_the_list_step(monkeypatch, array_steps):
     arrays = [repr(Correlator(sched, f, g).at(t, stage=4).value) for t in ORDER_TIMES]
     assert array_steps
     array_steps.clear()
-    monkeypatch.setattr(schedule_module, "_INT64_SAFE", 1)
-    assert [repr(Correlator(sched, f, g).at(t, stage=4).value) for t in ORDER_TIMES] == arrays
-    monkeypatch.undo()
+    with monkeypatch.context() as patched:  # undo() would drop the spies too
+        patched.setattr(schedule_module, "_INT64_SAFE", 1)
+        fresh = SCHEDULES["wide_staircase"]()  # the first schedule keeps its array levels
+        assert [repr(Correlator(fresh, f, g).at(t, stage=4).value) for t in ORDER_TIMES] == arrays
+    assert array_steps == []
     corr = Correlator(sched, f, g)
     corr.at(Fraction(-7, 3) + Fraction(1, 2**62), stage=4)
     assert array_steps == []

@@ -144,7 +144,7 @@ def reference_tuple_step(stage, x):
 @pytest.mark.parametrize("key", [("asym49", "rational"), ("asym49", "sqrt2"), ("thm44", "sqrt2")], ids="-".join)
 def test_schedule_caches_the_tuple_steps(key):
     """The m-point step comes from ``Schedule.tuple_overlaps``, kept per
-    (stage, lattice, shift tuple) in the overlap cache; on one shift, its
+    (stage, lattice, shift tuples) in the overlap cache; on one shift, its
     copy windows count the deltas of ``overlap_pairs``."""
     sched = SCHEDULES[key]
     stage = sched.stage(2)
@@ -246,32 +246,40 @@ def test_sweep_splits_a_batch_into_chunks(monkeypatch, chunk):
 
 @pytest.mark.parametrize("key, batched", [(("staircase", "rational"), True), (("thm44", "sqrt2"), False)])
 def test_overlap_cache_stops_at_the_guard(monkeypatch, numpy_batches, key, batched):
-    """A list step fills the overlap cache up to GUARD entries; an array
-    step (80 shifts on the staircase's r = 64 stage) leaves it untouched,
-    and the same stage on a lattice past int64 takes the list step."""
+    """The overlap cache keeps whole levels while they hold at most GUARD
+    deltas together.  Of two levels that each fit but not both (80 shifts
+    of stage 3, in two orders), the first asked is kept and the second is
+    computed each time it is asked for, in both query orders: an array
+    step (the staircase's r = 64 stage) as a list step, and the same stage
+    on a lattice past int64 takes the list step."""
     sched = SCHEDULES[key]
-    fresh = Schedule(sched._params, h1=sched.h1, w1=sched.w1, mode=sched.mode)
-    stage = fresh.stage(3)
+    stage = sched.stage(3)
     lattice = Lattice(3 * stage.denominator, key[1] == "sqrt2")
     xs = [lattice.encode(Fraction(i, 3)) for i in range(-40, 40)]
     expected = [overlap_pairs(stage.on_lattice(lattice), x) for x in xs]
-    guard = max(map(len, expected)) + 1
-    assert len(xs) > guard
-    numpy_batches.clear()
-    monkeypatch.setattr(schedule_module, "GUARD", guard)
-    for _ in range(2):
-        assert per_shift(fresh.overlaps(3, xs, lattice)) == expected
-        assert bool(numpy_batches) == batched
-        assert len(fresh._overlap_cache) == (0 if batched else guard)
-        xs, expected = xs[::-1], expected[::-1]
+    deltas = sum(map(len, expected))
+    monkeypatch.setattr(schedule_module, "GUARD", 2 * deltas - 1)
+
+    def check(lattice, xs, expected, array):
+        levels = [(xs, expected), (xs[::-1], expected[::-1])]
+        for (first, first_expected), (second, second_expected) in (levels, levels[::-1]):
+            fresh = Schedule(sched._params, h1=sched.h1, w1=sched.w1, mode=sched.mode)
+            numpy_batches.clear()
+            kept, dropped = fresh.overlaps(3, first, lattice), fresh.overlaps(3, second, lattice)
+            assert (per_shift(kept), per_shift(dropped)) == (first_expected, second_expected)
+            assert bool(numpy_batches) == array and (type(kept) is tuple) == array
+            assert fresh._overlap_cache == {(3, lattice, tuple(first)): kept}
+            assert fresh.overlaps(3, first, lattice) is kept
+            again = fresh.overlaps(3, second, lattice)
+            assert again is not dropped and per_shift(again) == second_expected
+            assert len(fresh._overlap_cache) == 1
+
+    check(lattice, xs, expected, batched)
     if batched:
         wide = Lattice(2**62 * lattice.scale, False)
         ys = [2**62 * x for x in xs]
         assert not _fits_int64(stage.on_lattice(wide), ys)
-        for _ in range(2):
-            assert fresh.overlaps(3, ys, wide) == [[(2**62 * d, m) for d, m in pairs] for pairs in expected]
-            assert len(fresh._overlap_cache) == guard
-            ys, expected = ys[::-1], expected[::-1]
+        check(wide, ys, [[(2**62 * d, m) for d, m in pairs] for pairs in expected], False)
 
 
 def test_python_sweep_beyond_int64():

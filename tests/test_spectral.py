@@ -141,8 +141,8 @@ def test_spec_dt_is_exact_and_matches_the_float_curve():
     i/20; the values agree with the float-dt sweep within 1e-12."""
     sched = asym49_schedule()
     spec = {"schedule": {"kind": "asym49", "params": {}}, "dt": 0.05, "t_max": 4, "seed": 3}
-    exact = _curve_for_spec(sched, spec)()
-    as_text = _curve_for_spec(sched, {**spec, "dt": "0.05"})()
+    exact = _curve_for_spec(spec)()
+    as_text = _curve_for_spec({**spec, "dt": "0.05"})()
     f = seeded_family(sched, spec, pair=False)[0]
     floats = autocorr_curve(sched, f, 0.05, 4)
     assert np.array_equal(exact.values, as_text.values)
@@ -285,13 +285,12 @@ CLI_CURVES = {
 @pytest.mark.parametrize("name", CLI_CURVES)
 def test_horner_density_is_within_its_rounding_bound_on_analytic_curves(name):
     spec = CLI_CURVES[name]
-    assert_within_rounding_bound(_curve_for_spec(None, spec)(), _estimate_entries(spec))
+    assert_within_rounding_bound(_curve_for_spec(spec)(), _estimate_entries(spec))
 
 
 def test_horner_density_is_within_its_rounding_bound_on_an_engine_curve():
-    sched = asym49_schedule()
     spec = {"schedule": {"kind": "asym49", "params": {}}, "dt": 0.05, "t_max": 4, "seed": 1}
-    assert_within_rounding_bound(_curve_for_spec(sched, spec)(), {"lam_max": 4.0, "grid_size": 401})
+    assert_within_rounding_bound(_curve_for_spec(spec)(), {"lam_max": 4.0, "grid_size": 401})
 
 
 @pytest.mark.parametrize("times", [[0.0, 0.5, 1.0], [-0.5, 0.0, 0.5, 1.0], [-1.0, 0.1, 1.0]])
