@@ -31,21 +31,25 @@ functions' breakpoint denominators, so the base case,
 the functions' breakpoint grids: nothing is decoded on the query path.
 A float time enters at its exact binary value.
 
-The recursion is evaluated level by level, not depth first.  Top down,
-from stage N to stage k, a query collects the distinct shifts each stage
-needs that the memo lacks, and takes the schedule's step for all of them
-at once: one call of :meth:`Schedule.overlaps` at m = 2 (see
-:func:`overlap_batch`), or of :meth:`Schedule.tuple_overlaps` at m >= 3.
-Bottom up, from stage k back to N, each new value is summed over its
-step in the order the step lists the deltas (increasing at m = 2), the
-order of a depth-first recursion, so every value is bit-identical to it.
-A list step is summed term by term in Python.  An array step (int64
-arrays, at m = 2) is summed in NumPy: its distinct deltas come from one
-``np.unique``, their values one stage down are gathered once, and each
-shift's terms mult * B(delta) are added by ``np.bincount``, the real and
-the imaginary parts apart.  ``bincount`` adds in input order from 0.0,
-and a complex times an int64 is the same product as in Python, so the
-sums are the list step's, bit for bit.
+A query is a batch of times, and the recursion is evaluated for the
+whole batch in one level-synchronous pass, not depth first.  The working
+stage of every time is picked first, so a time out of range raises
+before any step is taken.  Top down, from the highest working stage to
+stage k, each stage's frontier is the distinct shifts the stage above
+needs plus those of the times whose working stage it is, less the memo,
+and the schedule's step is taken for all of them at once: one call of
+:meth:`Schedule.overlaps` at m = 2 (see :func:`overlap_batch`), or of
+:meth:`Schedule.tuple_overlaps` at m >= 3, per stage and batch.  Bottom
+up, from stage k back, each new value is summed over its step in the
+order the step lists the deltas (increasing at m = 2), the order of a
+depth-first recursion, so every value is bit-identical to it, whatever
+the batch.  A list step is summed term by term in Python.  An array step
+(at m = 2) comes with its distinct deltas and each delta's index among
+them; their values one stage down are gathered once, and each shift's
+terms mult * B(delta) are added by ``np.bincount``, the real and the
+imaginary parts apart.  ``bincount`` adds in input order from 0.0, and a
+complex times an int64 is the same product as in Python, so the sums are
+the list step's, bit for bit.
 
 The schedule keeps each step it takes whole, keyed by stage, lattice and
 shifts, so a second correlator that asks for the same levels, as the
@@ -98,6 +102,8 @@ def pick_stage(schedule: Schedule, k: int, t_abs: Scalar) -> int:
     u_N = h_N / STAGE_MARGIN - h_k, which do not decrease with N.  They
     are kept in one list per (schedule, k), built lazily stage by stage,
     so N is one bisection of the list; MAX_STAGE is read on every call."""
+    if k > MAX_STAGE:
+        raise RangeError(f"the functions' stage {k} is past MAX_STAGE = {MAX_STAGE}: no working stage can be picked")
     bracket = schedule.stage_thresholds.setdefault(k, [])
     n = k + bisect_left(bracket, t_abs)
     while n == k + len(bracket) and n <= MAX_STAGE:
@@ -118,14 +124,15 @@ class MCorrelator:
     B_n is stored in the memo of stage n at x, the lattice coordinates of
     the shift tuple at ``_scale`` (at m = 2, of the one shift).  That
     scale starts at the lcm of the functions' breakpoint denominators, so
-    the base case reads their grids on it, and only grows: a query that
-    needs a finer one rescales the keys already stored, so the memo is
-    shared across query times.  The step is the schedule's, chosen once
+    the base case reads their grids on it, and only grows: a batch that
+    needs a finer one rescales the keys already stored, once, so the memo
+    is shared across batches.  The step is the schedule's, chosen once
     from m: :meth:`Schedule.overlaps` at m = 2, else
     :meth:`Schedule.tuple_overlaps`.  Either takes a list of shifts and
     returns one (delta, multiplicity) sequence per shift, or, for an
-    array step at m = 2, the arrays (counts, deltas, mults); the
-    schedule caches each such level whole.
+    array step at m = 2, (counts, keys, index, mults); the schedule
+    caches each such level whole.  :meth:`at` takes all the times of a
+    call at once.
     """
 
     def __init__(self, schedule: Schedule, functions: Sequence[StepFunction]):
@@ -146,66 +153,95 @@ class MCorrelator:
         self._pair = len(functions) == 2
         self._step = schedule.overlaps if self._pair else schedule.tuple_overlaps
 
-    def _correlation(self, shifts: tuple, t_abs: Scalar, stage: int | None) -> CorrelationResult:
-        """w_N * B_N at exact shifts, one per function after the first,
-        with the bound for times up to *t_abs*; B_N is 0 when a shift is
-        outside |x| < h_N."""
+    def _correlation(self, shifts: list, t_abs: list, stage: int | None) -> list:
+        """w_N * B_N for each query of a batch, at its exact shifts (one
+        per function after the first), with the bound for times up to its
+        |t| in *t_abs*; B_N is 0 when a shift is outside |x| < h_N.
+
+        Every working stage is picked before any step is taken, the memo
+        is rescaled at most once, to the lattice of the whole batch, and
+        one pass of :meth:`_B` computes every B_N the batch lacks."""
         sched = self.schedule
-        n = pick_stage(sched, self.k, t_abs) if stage is None else stage
-        if n < self.k:
-            raise RangeError(f"stage {n} is below the functions' stage {self.k}")
-        if n not in self._tops:
+        if stage is None:
+            ns = [pick_stage(sched, self.k, t) for t in t_abs]
+        elif stage < self.k:
+            raise RangeError(f"stage {stage} is below the functions' stage {self.k}")
+        else:
+            ns = [stage] * len(shifts)
+        if not ns:
+            return []
+        for n in set(ns).difference(self._tops):
             stages = [sched.stage(m) for m in range(self.k, n + 1)]
             self._tops[n] = stages[-1], lcm(*(st.denominator for st in stages))
-        top, denominator = self._tops[n]
-        scale = lcm(self._scale, denominator, *(s.denominator for s in shifts))
+        denominators = {s.denominator for query in shifts for s in query}
+        scale = lcm(self._scale, self._tops[max(ns)][1], *denominators)
         if scale != self._scale:
             m = scale // self._scale
             memo = {i: {rescaled(x, m): v for x, v in level.items()} for i, level in self._memo.items()}
             self._memo = defaultdict(dict, memo)
             self._scale = scale
-        self._lattice = lattice = Lattice(scale, self._sqrt2 or any(isinstance(s, Sqrt2) for s in shifts))
-        xs = tuple(map(lattice.encode, shifts))
-        h = lattice.encode(top.h)
-        value = 0j
-        if all(within(x, h) for x in xs):
-            value = complex(self._B(n, xs[0] if self._pair else xs))
-        w_n = float(top.w)
-        return CorrelationResult(value=value * w_n, error_bound=self._bound(float(t_abs), w_n), stage_used=n)
+        sqrt2 = self._sqrt2 or any(isinstance(s, Sqrt2) for query in shifts for s in query)
+        self._lattice = lattice = Lattice(scale, sqrt2)
+        heights = {n: lattice.encode(self._tops[n][0].h) for n in set(ns)}
+        keys, wanted = [], defaultdict(dict)  # wanted: n -> the keys of B_n, in order
+        for n, query in zip(ns, shifts):
+            xs = tuple(map(lattice.encode, query))
+            key = None
+            if all(within(x, heights[n]) for x in xs):
+                key = xs[0] if self._pair else xs
+                wanted[n][key] = None
+            keys.append(key)
+        if wanted:
+            self._B(wanted)
+        results = []
+        for n, key, t in zip(ns, keys, t_abs):
+            value = 0j if key is None else complex(self._memo[n][key])
+            w_n = float(self._tops[n][0].w)
+            results.append(CorrelationResult(value=value * w_n, error_bound=self._bound(float(t), w_n), stage_used=n))
+        return results
 
-    def _B(self, n: int, x):
-        """B_n at x, level by level.  Top down, each stage's step is taken
-        at once for all the shifts it needs that the memo lacks; bottom up,
-        each new value is summed over its step in the step's order, as a
-        depth-first recursion would: term by term for a list step, by
+    def _B(self, wanted: dict) -> None:
+        """B_n at the keys wanted[n] of each working stage n, into the
+        memo, in one level-synchronous pass.  Top down, from the highest
+        working stage to k, each stage's frontier is the new deltas of the
+        step above plus the keys wanted there, less the memo, and its step
+        is taken at once for the whole frontier; bottom up, each new value
+        is summed over its step in the step's order, as a depth-first
+        recursion would: term by term for a list step, by
         :func:`_row_sums` for an array step."""
         memo, guard = self._memo, geometry.GUARD
-        top = memo[n]
-        if x in top:
-            return top[x]
-        size, levels, xs = self._size, [], [x]
-        while xs:
-            size += len(xs)
-            if size > guard:
-                raise ResourceError(f"memo blowup near stage {n}: more than {guard} distinct shifts")
-            if n == self.k:
-                zero = (0, 0) if self._lattice.sqrt2 else 0
-                base = [
-                    product_integral(self.functions, (zero, y) if self._pair else (zero, *y), self._lattice) for y in xs
-                ]
-                memo[n].update(zip(xs, base))
+        n, lowest = max(wanted), min(wanted)
+        size, levels, xs = self._size, [], []
+        while True:
+            if n in wanted:
+                here, known = memo[n], set(xs)
+                xs += [x for x in wanted[n] if x not in here and x not in known]
+            if xs:
+                size += len(xs)
+                if size > guard:
+                    raise ResourceError(f"memo blowup near stage {n}: more than {guard} distinct shifts")
+                if n == self.k:
+                    zero = (0, 0) if self._lattice.sqrt2 else 0
+                    base = [
+                        product_integral(self.functions, (zero, y) if self._pair else (zero, *y), self._lattice)
+                        for y in xs
+                    ]
+                    memo[n].update(zip(xs, base))
+                    break
+                steps, below = self._step(n - 1, xs, self._lattice), memo[n - 1]
+                if type(steps) is tuple:  # an array step: (counts, keys, index, mults)
+                    new = [d for d in steps[1] if d not in below]
+                else:
+                    new = list({d for pairs in steps for d, _ in pairs}.difference(below))
+                levels.append((n, xs, steps))
+                xs = new
+            elif n <= lowest:
                 break
-            here, steps = memo[n], self._step(n - 1, xs, self._lattice)
             n -= 1
-            if type(steps) is tuple:  # an array step
-                steps, new = _distinct_deltas(steps, memo[n])
-            else:
-                new = list({d for pairs in steps for d, _ in pairs}.difference(memo[n]))
-            levels.append((here, xs, steps))
-            xs = new
         self._size = size
-        for here, xs, steps in reversed(levels):
-            below = memo[n]
+        while levels:  # each step is let go once its sums are stored
+            n, xs, steps = levels.pop()
+            here, below = memo[n], memo[n - 1]
             if type(steps) is tuple:
                 here.update(zip(xs, _row_sums(steps, below)))
             else:
@@ -214,28 +250,22 @@ class MCorrelator:
                     for d, mult in pairs:
                         v += mult * below[d]
                     here[y] = v
-            n += 1
-        return top[x]
 
     def _bound(self, t: float, w: float) -> float:
         return 2.0 * self._norm * t * w * len(self.functions)
 
-    def at(self, times: Sequence[Scalar], stage: int | None = None) -> CorrelationResult:
-        if len(times) != len(self.functions):
-            raise RangeError("need one time per function")
-        times = [exact(t) for t in times]
-        return self._correlation(tuple(t - times[0] for t in times[1:]), max(abs(t) for t in times), stage)
-
-
-def _distinct_deltas(step: tuple, below: dict) -> tuple:
-    """An array step (counts, deltas, mults) as (counts, keys, index,
-    mults), with keys the distinct deltas as ints and index each delta's
-    place among them, and the keys that *below*, the memo one stage down,
-    lacks."""
-    counts, deltas, mults = step
-    keys, index = np.unique(deltas, return_inverse=True)
-    keys = keys.tolist()
-    return (counts, keys, index, mults), [d for d in keys if d not in below]
+    def at(self, times: Sequence[Sequence[Scalar]], stage: int | None = None) -> list:
+        """One :class:`CorrelationResult` per time tuple of *times* (one
+        time per function), in order, from one pass over the batch; at
+        stage *stage*, or each at the stage :func:`pick_stage` gives it."""
+        shifts, t_abs = [], []
+        for query in times:
+            if len(query) != len(self.functions):
+                raise RangeError("need one time per function")
+            query = [exact(t) for t in query]
+            shifts.append(tuple(t - query[0] for t in query[1:]))
+            t_abs.append(max(map(abs, query)))
+        return self._correlation(shifts, t_abs, stage)
 
 
 def _row_sums(step: tuple, below: dict) -> list:
@@ -264,15 +294,18 @@ class Correlator(MCorrelator):
         """The 2-point bound, half the m-point formula at m = 2."""
         return 2.0 * self._norm * t * w  # = 2.0 * ||f|| * ||g|| * t * w: doubling is exact
 
-    def at(self, t: Scalar, stage: int | None = None) -> CorrelationResult:
-        t = exact(t)
-        return self._correlation((-t,), abs(t), stage)
+    def at(self, times: Sequence[Scalar], stage: int | None = None) -> list:
+        """One :class:`CorrelationResult` per time t of *times*, in order,
+        from one pass over the batch (see :meth:`MCorrelator.at`)."""
+        times = [exact(t) for t in times]
+        return self._correlation([(-t,) for t in times], [abs(t) for t in times], stage)
 
 
 def correlate(
     schedule: Schedule, f: StepFunction, g: StepFunction, t: Scalar, stage: int | None = None
 ) -> CorrelationResult:
-    return Correlator(schedule, f, g).at(t, stage=stage)
+    """<U_T(t) f, g> at the one time *t*."""
+    return Correlator(schedule, f, g).at([t], stage=stage)[0]
 
 
 def inner_product(schedule: Schedule, f: StepFunction, g: StepFunction) -> complex:
@@ -311,18 +344,18 @@ def weak_limit_probe(
     Monotonicity is not asserted; the report only flags whether the final
     residual is below the caller's threshold.
     """
-    correlators = [Correlator(schedule, f, g) for f, g in test_family]
+    # per pair, one batch: the reference time s (when beta is set), then the times
     base = []
-    for corr, (f, g) in zip(correlators, test_family):
-        ip = inner_product(schedule, f, g)
-        ref = corr.at(target.s) if target.beta else None
-        base.append((ip, ref))
+    for f, g in test_family:
+        results = Correlator(schedule, f, g).at([target.s, *times] if target.beta else times)
+        ref = results.pop(0) if target.beta else None
+        base.append((inner_product(schedule, f, g), ref, results))
     residuals, bounds = [], []
-    for t in times:
+    for j in range(len(times)):
         worst = 0.0
         bnd = 0.0
-        for corr, (ip, ref) in zip(correlators, base):
-            res = corr.at(t)
+        for ip, ref, results in base:
+            res = results[j]
             predicted = complex(target.alpha) * ip
             b = res.error_bound
             if ref is not None:

@@ -231,8 +231,7 @@ def run_correlate(spec: dict):
     corr = Correlator(schedule, f, g)
     items = []
     ok_all = True
-    for t in times:
-        res = corr.at(t)
+    for t, res in zip(times, corr.at(times)):
         item = {"t": scalar_to_string(t), **correlation_result_to_json(res)}
         if against_oracle:
             ref = oracle_correlate(schedule, f, g, t, stage=res.stage_used)
@@ -348,7 +347,7 @@ def triple_ratios(schedule: Schedule, a: StepFunction, ns: list, sign: int) -> l
     stage, for each n of *ns*; the set keeps one memo and one mu(A)."""
     mu_a = inner_product(schedule, a, a).real
     corr = MCorrelator(schedule, [a, a, a])
-    results = [corr.at((0 * n, sign * n, 3 * sign * n)) for n in ns]
+    results = corr.at([(0 * n, sign * n, 3 * sign * n) for n in ns])
     return [(res.value.real / mu_a, res.error_bound / mu_a, res.stage_used) for res in results]
 
 
@@ -411,15 +410,20 @@ def run_fock_claims(spec: dict):
         off_scale = (_field(spec, "off_scale", _scalar), _field(spec, "off_scale_threshold", number, 0.05))
     spec.close()
     times = resolve_times(schedule, {"kind": "m_class", "label": label, "build_to": build_to})
-    # one memo per factor, shared across the class times; norms and the
-    # l0 reference do not depend on t
-    correlators = [Correlator(schedule, f_l, f_l) for f_l in comp.vectors]
+    # one batch per factor: its class times s_l * t, then the l0 reference
+    # (factor l0) and the off-scale probes b * t (factor 1), which do not
+    # depend on the class time; norms are computed once
+    batches = [[s_l * t for t in times] for s_l in comp.shifts]
+    batches[l0 - 1].append(comp.shifts[l0 - 1])
+    if off_scale is not None:
+        batches[0] += [off_scale[0] * t for t in times]
+    answers = [Correlator(schedule, f_l, f_l).at(batch) for f_l, batch in zip(comp.vectors, batches)]
     norms = [inner_product(schedule, f_l, f_l).real for f_l in comp.vectors]
     predictions = [complex(norm / two_r) for norm in norms]
-    predictions[l0 - 1] = correlators[l0 - 1].at(comp.shifts[l0 - 1]).value / two_r
+    predictions[l0 - 1] = answers[l0 - 1][len(times)].value / two_r
     items = []
-    for t in times:
-        results = [corr.at(s_l * t) for corr, s_l in zip(correlators, comp.shifts)]
+    for j, t in enumerate(times):
+        results = [answer[j] for answer in answers]
         factors = [
             {
                 "l": pos,
@@ -443,7 +447,7 @@ def run_fock_claims(spec: dict):
     passed = max_res < threshold
     if off_scale is not None:
         b, off_threshold = off_scale
-        probes = [abs(correlators[0].at(b * t).value) / norms[0] for t in times]
+        probes = [abs(res.value) / norms[0] for res in answers[0][-len(times) :]]
         report["off_scale"] = {"b": scalar_to_string(b), "values": probes}
         passed = passed and probes[-1] < off_threshold
     plot = []

@@ -45,11 +45,12 @@ The engine takes the step of a stage for a whole level of shifts at
 once: :meth:`Schedule.overlaps` at m = 2, :meth:`Schedule.tuple_overlaps`
 on shift tuples at m >= 3.  At m = 2, :func:`overlap_batch` applies the
 batch rule.  A batch of at least ``_NUMPY_MIN_WORK`` (shift, copy) pairs
-on int offsets whose values fit int64 is an array step: int64 arrays
-(counts, deltas, mults) for all its shifts at once, from the closed
-form, vectorized, on an equally spaced stage and from one NumPy sweep on
-others (the offsets as one int64 array per batch, ``searchsorted`` for
-every window, one sort for every delta).  Any other batch (a smaller
+on int offsets whose values fit int64 is an array step for all its
+shifts at once, from the closed form, vectorized, on an equally spaced
+stage and from one NumPy sweep on others (the offsets as one int64
+array per batch, ``searchsorted`` for every window, one sort for every
+delta): (counts, keys, index, mults), with the distinct deltas as keys
+and each delta as its index among them.  Any other batch (a smaller
 one, values past int64, (a, b) pairs) is a list step: one (delta,
 multiplicity) list per shift, from the closed form or the Python sweep.
 Either gives each shift's deltas in increasing order.  At m >= 3,
@@ -348,7 +349,7 @@ class Schedule:
         level = self._overlap_cache.get(key)
         if level is None:
             level = step(self.stage(n).on_lattice(lattice), shifts)
-            size = len(level[1]) if type(level) is tuple else sum(map(len, level))
+            size = len(level[2]) if type(level) is tuple else sum(map(len, level))
             if self._cached_deltas + size <= GUARD:
                 self._overlap_cache[key] = level
                 self._cached_deltas += size
@@ -422,9 +423,11 @@ def overlap_batch(stage: LatticeStage, shifts: list):
 
     The batch rule: a batch of at least ``_NUMPY_MIN_WORK`` (shift, copy)
     pairs on int offsets whose values fit int64 (:func:`_fits_int64`) is
-    an array step, all shifts at once: int64 arrays (counts, deltas,
-    mults) in which shift i owns the next counts[i] deltas and their
-    multiplicities, from the vectorized closed form
+    an array step, all shifts at once: (counts, keys, index, mults), in
+    which shift i owns the next counts[i] entries of the int64 arrays
+    index and mults, each delta given by its index into keys, the
+    distinct deltas as an increasing list of ints, from the vectorized
+    closed form
     (:func:`_periodic_batch`) on an equally spaced stage and the NumPy
     sweep (:func:`_sweep_batch`) on others.  Any other batch is a list
     step, one (delta, multiplicity) list per shift: the closed form or the
@@ -594,7 +597,7 @@ def _sweep_batch(stage: LatticeStage, shifts: list) -> tuple:
     offs = np.array(stage.offsets, dtype=np.int64)
     step = max(1, _CHUNK // stage.r)
     chunks = [_sweep_chunk(stage, offs, shifts[i : i + step]) for i in range(0, len(shifts), step)]
-    return tuple(map(np.concatenate, zip(*chunks)))
+    return _keyed(*map(np.concatenate, zip(*chunks)))
 
 
 def _sweep_chunk(stage: LatticeStage, offs: np.ndarray, shifts: list) -> tuple:
@@ -632,7 +635,15 @@ def _periodic_batch(stage: LatticeStage, shifts: list) -> tuple:
     ends = np.cumsum(counts)
     ks = np.repeat(k - ends + counts, counts)
     ks += np.arange(int(ends[-1]))
-    return counts, np.repeat(xs, counts) + ks * p, r - np.abs(ks)
+    return _keyed(counts, np.repeat(xs, counts) + ks * p, r - np.abs(ks))
+
+
+def _keyed(counts: np.ndarray, deltas: np.ndarray, mults: np.ndarray) -> tuple:
+    """An array step as (counts, keys, index, mults): *keys* the distinct
+    deltas as ints, increasing, and *index* the place of each delta among
+    them, so that the step, cached or not, is summed with no sort."""
+    keys, index = np.unique(deltas, return_inverse=True)
+    return counts, keys.tolist(), index, mults
 
 
 def _check_deltas(stage: LatticeStage, counts: np.ndarray):

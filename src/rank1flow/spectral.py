@@ -80,13 +80,13 @@ def sample_count(t_max, dt) -> int:
 
 def autocorr_curve(schedule: Schedule, f: StepFunction, dt, t_max) -> AutocorrCurve:
     """Sample <U_T(t_i) f, f> on the uniform grid t_i = i * dt,
-    |t_i| <= t_max (:func:`sample_count`), sharing one correlator memo
-    across the sweep.  The engine is queried at i = 0..n; the value at
-    -t_i is the conjugate of the one at t_i, with the same bound."""
+    |t_i| <= t_max (:func:`sample_count`).  The engine is queried at
+    i = 0..n, in one batch; the value at -t_i is the conjugate of the one
+    at t_i, with the same bound."""
     n = sample_count(t_max, dt)
     corr = Correlator(schedule, f, f)
     ts = [i * dt for i in range(n + 1)]
-    half = [corr.at(t) for t in ts]
+    half = corr.at(ts)
     values = np.array([r.value for r in half], dtype=complex)
     bounds = np.array([r.error_bound for r in half])
     times = np.array([float(t) for t in ts])  # rounding is odd: float(-t) = -float(t)

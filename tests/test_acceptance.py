@@ -122,7 +122,7 @@ def test_criterion_3_staircase_weak_limits():
     h4 = sched.height(4)
     for i in range(30):
         c = Fraction(1) + Fraction(9 * i, 29)
-        sup = max(sup, abs(corr.at(-c * h4).value))
+        sup = max(sup, abs(corr.at([-c * h4])[0].value))
 
     # base-consistent companion: d = 3/4 -> (1/4) I
     quarter = weak_limit_probe(

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from rank1flow import MCorrelator, experiments
+from rank1flow import Correlator, experiments
 from rank1flow.cli import main
 from rank1flow.correlate import perturbation_bound
 from rank1flow.errors import ConfigurationError, Rank1Error
@@ -278,6 +278,7 @@ UNREAD_OR_MISTYPED = {
         ("weak-limit", {"schedule": {"kind": "flat", "params": {"r": 2}}, "times": ["1"], "target": {"alpha": "nan"}}),
         ("weak-limit", {"schedule": {"kind": "flat", "params": {"r": 2}}, "times": ["1"], "target": {"beta": "inf"}}),
         ("weak-limit", {"schedule": {"kind": "flat", "params": {"r": 2}}, "times": ["1"], "threshold": "nan"}),
+        ("weak-limit", {"schedule": {"kind": "flat", "params": {"r": 2}}, "times": ["3"], "stage": 99}),
         *((kind, spec) for kind, spec, _ in UNREAD_OR_MISTYPED.values()),
     ],
     ids=[
@@ -310,6 +311,7 @@ UNREAD_OR_MISTYPED = {
         "nan-alpha",
         "infinite-beta",
         "nan-threshold",
+        "family-stage-past-max-stage",
         *UNREAD_OR_MISTYPED,
     ],
 )
@@ -317,6 +319,15 @@ def test_malformed_spec_fields_exit_two(tmp_path, kind, spec):
     result = invoke([kind, "--spec", write_spec(tmp_path, "bad.json", spec), "--out", str(tmp_path / "o")])
     assert result.exit_code == 2, result.output
     assert "error:" in result.output
+
+
+def test_a_family_stage_past_max_stage_is_named(tmp_path):
+    """The fault is the functions' stage, not the time."""
+    spec = {"schedule": {"kind": "flat", "params": {"r": 2}}, "times": ["3"], "stage": 99}
+    result = invoke(["weak-limit", "--spec", write_spec(tmp_path, "deep.json", spec), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2
+    assert "the functions' stage 99 is past MAX_STAGE = 64" in result.output
+    assert "|t|" not in result.output
 
 
 # curves whose t_max rounds to no sample time but 0 (t_max = dt/2 rounds
@@ -418,13 +429,13 @@ def test_fock_claims_queries_each_factor_once_per_class_time(monkeypatch):
     """One query per factor and class time, one per off-scale probe, and
     one for the l0 reference."""
     calls = []
-    query = MCorrelator._correlation
+    query = Correlator.at
 
-    def spy(self, *args):
-        calls.append(args)
-        return query(self, *args)
+    def spy(self, times, stage=None):
+        calls.extend(times)
+        return query(self, times, stage)
 
-    monkeypatch.setattr(MCorrelator, "_correlation", spy)
+    monkeypatch.setattr(Correlator, "at", spy)
     items = run_experiment("fock-claims", CRITERION_5)["result"]["items"]
     assert len(items) == 2
     assert len(calls) == (len(CRITERION_5["shifts"]) + 1) * len(items) + 1

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rank1flow import (
     SQRT2,
@@ -93,19 +94,19 @@ def memo_size(corr):
 def test_correlator_memo_is_shared_across_times(flat2):
     f, g = pair(flat2, 1)
     corr = Correlator(flat2, f, g)
-    half = corr.at(Fraction(1, 2))
+    half = corr.at([Fraction(1, 2)])[0]
     first = memo_size(corr)
     assert first > 0
-    corr.at(Fraction(1, 2))
+    corr.at([Fraction(1, 2)])
     assert memo_size(corr) == first  # warm queries add nothing
     # a time with a new denominator rescales the stored shifts onto a finer
     # lattice; the entries of 1/2 stay in the same memo and still hit
-    third = corr.at(Fraction(1, 3))
+    third = corr.at([Fraction(1, 3)])[0]
     second = memo_size(corr)
     assert second > first
-    assert corr.at(Fraction(1, 2)).value == half.value
+    assert corr.at([Fraction(1, 2)])[0].value == half.value
     assert memo_size(corr) == second
-    assert third.value == Correlator(flat2, f, g).at(Fraction(1, 3)).value
+    assert third.value == Correlator(flat2, f, g).at([Fraction(1, 3)])[0].value
 
 
 def test_oracle_agreement_spot_checks(flat2, flat3, small_staircase, small_asym, sym_flat3):
@@ -210,7 +211,7 @@ def test_m_correlate_two_points_equals_correlate(flat3, small_asym):
     for sched in (flat3, small_asym):
         f, g = pair(sched, rng.randrange(10**6))
         for t in (0, Fraction(1, 2), -1):
-            two = MCorrelator(sched, [f, g.conjugate()]).at((t, 0))
+            two = MCorrelator(sched, [f, g.conjugate()]).at([(t, 0)])[0]
             assert two.value == correlate(sched, f, g, t).value
 
 
@@ -219,7 +220,7 @@ def test_m_correlate_matches_oracle(small_asym):
     h = small_asym.height(1)
     fs = [random_step_function(1, h, 3, rng) for _ in range(3)]
     times = (0, Fraction(3, 2), -1)
-    res = MCorrelator(small_asym, fs).at(times)
+    res = MCorrelator(small_asym, fs).at([times])[0]
     ref = oracle_m_correlate(small_asym, fs, times, stage=res.stage_used)
     assert abs(res.value - ref) <= res.error_bound + 1e-9
 
@@ -238,7 +239,7 @@ def test_m_correlate_matches_oracle_over_sqrt2(name):
     d = sched.stage(1).offsets[1]  # a copy offset, so that shifted copies meet
     values = []
     for times in ((0, Fraction(1, 4), Fraction(-1, 5)), (0, SQRT2 / 8, -SQRT2 / 5), (d + Fraction(1, 8), 0, Fraction(1, 3))):
-        res = MCorrelator(sched, fs).at(times)
+        res = MCorrelator(sched, fs).at([times])[0]
         ref = oracle_m_correlate(sched, fs, times, stage=res.stage_used)
         assert abs(res.value - ref) <= res.error_bound + 1e-9
         values.append(res.value)
@@ -250,7 +251,7 @@ def test_float_time_is_its_exact_binary_value(small_staircase, small_thm44):
         f, g = pair(sched, 41)
         for t in (2.5, -0.1, 1 / 3):
             assert correlate(sched, f, g, t) == correlate(sched, f, g, Fraction(t))
-            assert MCorrelator(sched, [f, g, f]).at((0, t, -t)) == MCorrelator(sched, [f, g, f]).at((0, Fraction(t), -Fraction(t)))
+            assert MCorrelator(sched, [f, g, f]).at([(0, t, -t)])[0] == MCorrelator(sched, [f, g, f]).at([(0, Fraction(t), -Fraction(t))])[0]
 
 
 def test_weak_limit_probe_identity_at_zero(flat2):
@@ -335,17 +336,17 @@ def test_guards_name_stage_and_count(monkeypatch, numpy_batches, schedule, stage
     default = schedule_module.GUARD
     monkeypatch.setattr(schedule_module, "GUARD", guard)
     with pytest.raises(ResourceError, match=f"^{message}$"):
-        Correlator(sched, f, g).at(t, stage=stage)
+        Correlator(sched, f, g).at([t], stage=stage)[0]
     assert bool(numpy_batches) == batched
     # each guard sits one below the count it meets (20 deltas at the top
     # of the staircase, 2 on flat3 and thm44, or the memo the query
     # needs), and a guard of the memo's size lets the query through
     monkeypatch.setattr(schedule_module, "GUARD", default)
     corr = Correlator(sched, f, g)
-    value = corr.at(t, stage=stage).value
+    value = corr.at([t], stage=stage)[0].value
     assert message.startswith("overlap") or memo_size(corr) == guard + 1
     monkeypatch.setattr(schedule_module, "GUARD", memo_size(corr))
-    assert Correlator(sched, f, g).at(t, stage=stage).value == value
+    assert Correlator(sched, f, g).at([t], stage=stage)[0].value == value
 
 
 def test_m_point_step_and_its_cache_follow_the_guard(monkeypatch):
@@ -358,18 +359,18 @@ def test_m_point_step_and_its_cache_follow_the_guard(monkeypatch):
     times = (0, Fraction(7, 3), Fraction(-5, 2))
     sched = asym49_schedule(r_cap=16)
     corr = MCorrelator(sched, [f, g, f])
-    value = corr.at(times).value
+    value = corr.at([times])[0].value
     steps = dict(sched._overlap_cache)
     assert (memo_size(corr), len(steps)) == (9, 2)
     assert {n: [len(groups) for groups in level] for (n, _, _), level in steps.items()} == {2: [4], 1: [1, 1, 0, 3]}
     monkeypatch.setattr(schedule_module, "GUARD", 2)
     with pytest.raises(ResourceError, match="^m-tuple delta blowup at stage 2: more than 2 delta vectors$"):
-        MCorrelator(asym49_schedule(r_cap=16), [f, g, f]).at(times)
+        MCorrelator(asym49_schedule(r_cap=16), [f, g, f]).at([times])
     # both steps are taken before the memo trips; only the first fits
     monkeypatch.setattr(schedule_module, "GUARD", 5)
     fresh = asym49_schedule(r_cap=16)
     with pytest.raises(ResourceError, match="^memo blowup near stage 1: more than 5 distinct shifts$"):
-        MCorrelator(fresh, [f, g, f]).at(times)
+        MCorrelator(fresh, [f, g, f]).at([times])
     assert list(fresh._overlap_cache) == [key for key in steps if key[0] == 2]
     # with room for 4 delta vectors, the stage-1 level is taken but not
     # kept, and the stage-2 level is kept
@@ -388,10 +389,10 @@ def test_m_point_step_and_its_cache_follow_the_guard(monkeypatch):
     # the 2-point step on the same full cache keeps its own guard
     monkeypatch.setattr(schedule_module, "GUARD", 3)
     with pytest.raises(ResourceError, match="^overlap blowup at stage 3: more than 3 deltas$"):
-        Correlator(fresh, f, g).at(times[1], stage=4)
+        Correlator(fresh, f, g).at([times[1]], stage=4)
     assert list(fresh._overlap_cache) == [(2, corr._lattice, ys)]
     monkeypatch.setattr(schedule_module, "GUARD", 9)
-    assert MCorrelator(asym49_schedule(r_cap=16), [f, g, f]).at(times).value == value
+    assert MCorrelator(asym49_schedule(r_cap=16), [f, g, f]).at([times])[0].value == value
 
 
 def arity(key) -> int:
@@ -412,7 +413,7 @@ def test_one_schedule_serves_two_and_three_point_steps(name):
 
     def values(two_point, three_point, two_first):
         two, three = Correlator(two_point, f, g), MCorrelator(three_point, [f, g, f])
-        queries = [lambda t: two.at(t), lambda t: three.at((0, t, -t / 2))]
+        queries = [lambda t: two.at([t])[0], lambda t: three.at([(0, t, -t / 2)])[0]]
         return [repr(query(t).value) for query in queries[:: 1 if two_first else -1] for t in times]
 
     for two_first in (True, False):
@@ -433,8 +434,8 @@ def depth_first(corr, n, x, memo):
         else:
             v = 0j
             step = corr._step(n - 1, [x], corr._lattice)
-            # an array step of the one shift: (counts, deltas, mults)
-            pairs = zip(step[1].tolist(), step[2].tolist()) if type(step) is tuple else step[0]
+            # an array step of the one shift: (counts, keys, index, mults)
+            pairs = zip(np.asarray(step[1])[step[2]].tolist(), step[3].tolist()) if type(step) is tuple else step[0]
             for d, mult in pairs:
                 v += mult * depth_first(corr, n - 1, d, memo)
         memo[n, x] = v
@@ -450,11 +451,11 @@ def correlators(name):
     if name == "triple":
         sched = asym49_schedule(r_cap=16)
         fs = [*pair(sched, 3), pair(sched, 4)[0]]
-        return (lambda: MCorrelator(sched, fs)), (lambda c, t: c.at((0, t, -t / 2)))
+        return (lambda: MCorrelator(sched, fs)), (lambda c, t: c.at([(0, t, -t / 2)])[0])
     sched = SCHEDULES["wide_staircase" if name == "batched" else "thm44"]()
     f, g = pair(sched, 2)
     stage = 4 if name == "batched" else None
-    return (lambda: Correlator(sched, f, g)), (lambda c, t: c.at(t, stage=stage))
+    return (lambda: Correlator(sched, f, g)), (lambda c, t: c.at([t], stage=stage)[0])
 
 
 @pytest.mark.parametrize("name", ["batched", "sqrt2", "triple"])
@@ -540,7 +541,7 @@ def test_array_levels_equal_the_depth_first_sums(array_steps):
     f, g = pair(sched, 2)
     corr = Correlator(sched, f, g)
     for t in (Fraction(-9, 10) * sched.height(4), Fraction(7, 3)):
-        corr.at(t, stage=5)
+        corr.at([t], stage=5)
     assert {(route, n) for route, n, _ in array_steps} == {
         ("_sweep_batch", 4),
         ("_periodic_batch", 3),
@@ -559,13 +560,13 @@ def test_array_levels_sum_each_row_in_order(array_steps):
     g = StepFunction(1, [0, Fraction(1, 2), 1], [1.0, 3e-9 + 1e7j])
     corr = Correlator(sched, f, g)
     for t in (Fraction(-7, 3), Fraction(5, 4), Fraction(-70, 3)):
-        corr.at(t, stage=3)
+        corr.at([t], stage=3)
     assert {(route, n) for route, n, _ in array_steps} == {("_sweep_batch", 2), ("_sweep_batch", 1)}
     assert_depth_first(corr)
     below, reordered = corr._memo[1], 0
     for x, v in corr._memo[2].items():
         step = sched.overlaps(1, [x], corr._lattice)
-        terms = np.array([m * below[d] for d, m in zip(step[1].tolist(), step[2].tolist())])
+        terms = np.array([m * below[d] for d, m in zip(np.asarray(step[1])[step[2]].tolist(), step[3].tolist())])
         reordered += np.sum(terms) != v
     assert reordered > 10
 
@@ -576,16 +577,16 @@ def test_levels_past_int64_take_the_list_step(monkeypatch, array_steps):
     denominator puts the lattice past int64 does so too."""
     sched = SCHEDULES["wide_staircase"]()
     f, g = pair(sched, 2)
-    arrays = [repr(Correlator(sched, f, g).at(t, stage=4).value) for t in ORDER_TIMES]
+    arrays = [repr(Correlator(sched, f, g).at([t], stage=4)[0].value) for t in ORDER_TIMES]
     assert array_steps
     array_steps.clear()
     with monkeypatch.context() as patched:  # undo() would drop the spies too
         patched.setattr(schedule_module, "_INT64_SAFE", 1)
         fresh = SCHEDULES["wide_staircase"]()  # the first schedule keeps its array levels
-        assert [repr(Correlator(fresh, f, g).at(t, stage=4).value) for t in ORDER_TIMES] == arrays
+        assert [repr(Correlator(fresh, f, g).at([t], stage=4)[0].value) for t in ORDER_TIMES] == arrays
     assert array_steps == []
     corr = Correlator(sched, f, g)
-    corr.at(Fraction(-7, 3) + Fraction(1, 2**62), stage=4)
+    corr.at([Fraction(-7, 3) + Fraction(1, 2**62)], stage=4)
     assert array_steps == []
     assert_depth_first(corr)
 
@@ -598,9 +599,136 @@ def test_pairs_and_tuples_never_take_an_array_step(array_steps):
     assert sched.stage(3).r >= schedule_module._NUMPY_MIN_WORK
     f, g = pair(sched, 2)
     corr = Correlator(sched, f, g)
-    corr.at(SQRT2 - Fraction(3, 2), stage=4)
+    corr.at([SQRT2 - Fraction(3, 2)], stage=4)
     assert corr._lattice.sqrt2
-    MCorrelator(sched, [f, g, f]).at((0, Fraction(7, 3), Fraction(-5, 2)), stage=4)
+    MCorrelator(sched, [f, g, f]).at([(0, Fraction(7, 3), Fraction(-5, 2))], stage=4)
     assert array_steps == []
-    Correlator(sched, f, g).at(Fraction(-3, 2), stage=4)
+    Correlator(sched, f, g).at([Fraction(-3, 2)], stage=4)
     assert array_steps
+
+
+def result_reprs(results) -> list:
+    return [(repr(r.value), repr(r.error_bound), r.stage_used) for r in results]
+
+
+@pytest.fixture()
+def level_steps(monkeypatch):
+    """The stage of every step taken, 2-point or m-point."""
+    stages = []
+    for route in ("overlap_batch", "tuple_overlaps"):
+        original = getattr(schedule_module, route)
+
+        def spy(stage, shifts, original=original):
+            stages.append(stage.n)
+            return original(stage, shifts)
+
+        monkeypatch.setattr(schedule_module, route, spy)
+    return stages
+
+
+# (schedule, arity, times): the staircase's levels are array steps, thm44's
+# Q(sqrt 2) list steps and asym49's 3-point steps; each list spans several
+# working stages
+BATCHES = {
+    "staircase": (
+        lambda: staircase34_schedule(staircase_stages=(2, 3), base=4, r_cap=64),
+        2,
+        [Fraction(-7, 3), Fraction(1, 2), Fraction(5, 4), 0, 40, -200, Fraction(17, 3), 23],
+    ),
+    "thm44": (SCHEDULES["thm44"], 2, [SQRT2, Fraction(1, 2), SQRT2 - Fraction(3, 2), 0, 40, -9 * SQRT2, 2]),
+    "asym49-triple": (lambda: asym49_schedule(r_cap=16), 3, [Fraction(-7, 3), Fraction(1, 2), 0, 12, -30, 50]),
+}
+
+
+def batch_correlator(name):
+    """(make a correlator on a fresh schedule, its query times)."""
+    make, m, times = BATCHES[name]
+    f, g = pair(make(), 5)
+    if m == 2:
+        return (lambda: Correlator(make(), f, g)), list(times)
+    return (lambda: MCorrelator(make(), [f, g, f])), [(0, t, -t / 2) for t in times]
+
+
+ORDERS = {
+    "as-listed": lambda ts: ts,
+    "reversed": lambda ts: ts[::-1],
+    "shuffled": lambda ts: random.Random(7).sample(ts, len(ts)),
+    "duplicates": lambda ts: [*ts, *ts[::2], ts[0]],
+}
+
+
+@pytest.mark.parametrize("stage", [None, 3], ids=["picked", "stage-3"])
+@pytest.mark.parametrize("order", list(ORDERS))
+@pytest.mark.parametrize("name", list(BATCHES))
+def test_a_batch_equals_one_time_batches(array_steps, level_steps, name, order, stage):
+    """One batch gives the values, bounds and stages of one-time batches,
+    repr for repr, whatever the order of its times and with repeats, and
+    takes at most one step per stage.  Picked, its times span several
+    working stages; at stage 3 some of their shifts leave |x| < h_3 and
+    the value is 0."""
+    make, times = batch_correlator(name)
+    times = ORDERS[order](times)
+    batch = make().at(times, stage=stage)
+    assert len(batch) == len(times)
+    assert sorted(level_steps) == sorted(set(level_steps))
+    assert bool(array_steps) == (name == "staircase")
+    one = make()
+    assert result_reprs(batch) == result_reprs([one.at([t], stage=stage)[0] for t in times])
+    if stage is None:
+        assert len({r.stage_used for r in batch}) >= 3
+    else:
+        assert any(r.value == 0 for r in batch) and any(r.value != 0 for r in batch)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.fractions(min_value=-300, max_value=300, max_denominator=12), min_size=1, max_size=12))
+def test_random_batches_equal_one_time_batches(times):
+    make, _ = batch_correlator("staircase")
+    one = make()
+    assert result_reprs(make().at(times)) == result_reprs([one.at([t])[0] for t in times])
+
+
+def test_an_empty_batch_takes_no_step(level_steps):
+    make, _ = batch_correlator("staircase")
+    assert make().at([]) == []
+    assert level_steps == []
+
+
+def test_a_batch_whose_union_passes_the_guard_raises(monkeypatch):
+    """Two times that each fit GUARD alone, asked together: their memo
+    union passes it, and the batch raises the memo guard."""
+    f, g = pair(flat_schedule(3), 1)
+    times = [Fraction(-7, 3), Fraction(5, 4)]
+
+    def memo_after(batch):
+        corr = Correlator(flat_schedule(3), f, g)
+        corr.at(batch, stage=4)
+        return memo_size(corr)
+
+    alone = max(memo_after([t]) for t in times)
+    union = memo_after(times)
+    assert union > alone
+    monkeypatch.setattr(schedule_module, "GUARD", alone)
+    for t in times:
+        memo_after([t])
+    with pytest.raises(ResourceError, match=f"^memo blowup near stage \\d+: more than {alone} distinct shifts$"):
+        memo_after(times)
+    monkeypatch.setattr(schedule_module, "GUARD", union)
+    assert memo_after(times) == union
+
+
+def test_a_time_past_max_stage_fails_its_batch_before_any_step(level_steps):
+    """The stages of a batch are picked before its first step: one time too
+    far for MAX_STAGE raises the RangeError it raises alone, and nothing
+    is computed for the others."""
+    f, g = pair(flat_schedule(2), 2)
+    far = 10**25
+    with pytest.raises(RangeError) as alone:
+        Correlator(flat_schedule(2), f, g).at([far])
+    corr = Correlator(flat_schedule(2), f, g)
+    with pytest.raises(RangeError) as batch:
+        corr.at([Fraction(1, 2), far, 1])
+    assert str(batch.value) == str(alone.value) == "|t| = 1e+25 out of range: no stage up to 64 is tall enough"
+    assert level_steps == [] and memo_size(corr) == 0
+    corr.at([Fraction(1, 2), 1])
+    assert level_steps

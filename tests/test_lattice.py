@@ -41,11 +41,11 @@ from rank1flow.schedule import (
 
 def per_shift(step) -> list:
     """A step of ``overlap_batch`` as one (delta, multiplicity) list per
-    shift: an array step's (counts, deltas, mults) split at its counts."""
+    shift: an array step's (counts, keys, index, mults) split at its counts."""
     if type(step) is not tuple:
         return step
-    counts, deltas, mults = step
-    pairs = list(zip(deltas.tolist(), mults.tolist()))
+    counts, keys, index, mults = step
+    pairs = list(zip(np.asarray(keys)[index].tolist(), mults.tolist()))
     ends = np.cumsum(counts).tolist()
     return [pairs[i:j] for i, j in zip([0, *ends], ends)]
 

@@ -157,7 +157,7 @@ def two_sided_sweep(schedule, f, dt, t_max):
     |i| <= n, negative times included."""
     n = int(round(float(t_max) / float(dt)))
     corr = Correlator(schedule, f, f)
-    results = [corr.at(i * dt) for i in range(-n, n + 1)]
+    results = [corr.at([i * dt])[0] for i in range(-n, n + 1)]
     times = np.array([float(i * dt) for i in range(-n, n + 1)])
     return times, np.array([r.value for r in results]), np.array([r.error_bound for r in results])
 
@@ -208,9 +208,9 @@ def test_curve_times_keep_the_bits_of_each_product(flat3, dt, t_max):
 def test_half_sweep_queries_each_nonnegative_time_once(monkeypatch, flat3):
     at, queried = Correlator.at, []
 
-    def counting(self, t, stage=None):
-        queried.append(t)
-        return at(self, t, stage)
+    def counting(self, times, stage=None):
+        queried.extend(times)
+        return at(self, times, stage)
 
     monkeypatch.setattr(Correlator, "at", counting)
     f = random_step_function(1, flat3.height(1), 4, random.Random(2))
