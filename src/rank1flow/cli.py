@@ -31,7 +31,7 @@ def _run(kind: str, spec_path: str, out_dir: str):
     try:
         with open(spec_path) as fh:
             spec = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: not UTF-8, or not JSON
         click.echo(f"error: cannot read spec {spec_path}: {exc}", err=True)
         sys.exit(2)
     started = time.monotonic()

@@ -22,14 +22,15 @@ One recursion, :class:`MCorrelator`, serves every arity: the m-point
 correlation runs it on tuples of shifts, one per function after the
 first, and :class:`Correlator` is its m = 2 case on (f, conj g) at times
 (t, 0).  It runs on the integer lattice of :mod:`rank1flow.schedule`:
-the shifts are put on a lattice whose scale D is a multiple of their
-denominators and of those of stages k..N, and from there on memo keys,
-the |tau| < h_n test and the deltas are ints (x = A/D) or int pairs
-(x = (A + B*sqrt 2)/D).  The scale is also a multiple of the
-functions' breakpoint denominators, so the base case,
-:func:`product_integral`, takes the shifts in the same coordinates as
-the functions' breakpoint grids: nothing is decoded on the query path.
-A float time enters at its exact binary value.
+each correlator keeps one lattice, first the smallest that holds the
+functions' breakpoints, and grows it in scale and in kind to the
+smallest that also holds a batch's shifts and stages k..N
+(:meth:`Lattice.holding`).  From there on memo keys, the |tau| < h_n
+test and the deltas are ints (x = A/D) or int pairs
+(x = (A + B*sqrt 2)/D), and the base case, :func:`product_integral`,
+takes the shifts in the same coordinates as the functions' breakpoint
+grids: nothing is decoded on the query path.  A float time enters at
+its exact binary value.
 
 A query is a batch of times, and the recursion is evaluated for the
 whole batch in one level-synchronous pass, not depth first.  The working
@@ -64,14 +65,15 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
-from math import lcm, prod
+from itertools import chain
+from math import prod
 from typing import Sequence
 
 import numpy as np
 
 from . import schedule as geometry  # for GUARD, read at call time
 from .errors import RangeError, ResourceError
-from .scalars import Scalar, Sqrt2, exact
+from .scalars import Scalar, exact
 from .schedule import Lattice, Schedule, rescaled, within
 from .stepfun import StepFunction, product_integral
 
@@ -121,14 +123,15 @@ class MCorrelator:
     recursion on the shifts t_i - t_0, i >= 1, memoized on one integer
     lattice.
 
-    B_n is stored in the memo of stage n at x, the lattice coordinates of
-    the shift tuple at ``_scale`` (at m = 2, of the one shift).  That
-    scale starts at the lcm of the functions' breakpoint denominators, so
-    the base case reads their grids on it, and only grows: a batch that
-    needs a finer one rescales the keys already stored, once, so the memo
-    is shared across batches.  The step is the schedule's, chosen once
-    from m: :meth:`Schedule.overlaps` at m = 2, else
-    :meth:`Schedule.tuple_overlaps`.  Either takes a list of shifts and
+    B_n is stored in the memo of stage n at x, the coordinates of the
+    shift tuple on ``_lattice`` (at m = 2, of the one shift).  That
+    lattice starts as the smallest holding the functions' breakpoints, so
+    the base case reads their grids on it, and only grows, in scale and
+    in kind: a batch that needs a finer scale, or Q(sqrt 2), moves the
+    keys already stored to the new lattice once, an int x to the pair
+    (x, 0), so every batch shares the one memo.  The step is the
+    schedule's, chosen once from m: :meth:`Schedule.overlaps` at m = 2,
+    else :meth:`Schedule.tuple_overlaps`.  Either takes a list of shifts and
     returns one (delta, multiplicity) sequence per shift, or, for an
     array step at m = 2, (counts, keys, index, mults); the schedule
     caches each such level whole.  :meth:`at` takes all the times of a
@@ -143,12 +146,8 @@ class MCorrelator:
         self.schedule = schedule
         self.functions = list(functions)
         self.k = functions[0].stage
-        self._scale = lcm(*(f.denominator for f in functions))
-        self._sqrt2 = schedule.mode == "sqrt2" or any(f.sqrt2 for f in functions)
-        self._lattice = Lattice(self._scale, self._sqrt2)
-        self._memo: defaultdict = defaultdict(dict)  # n -> {lattice coordinates on self._scale: B_n}
-        self._size = 0  # entries in the memo
-        self._tops: dict = {}  # working stage n -> (stage n, lcm of the denominators of stages k..n)
+        self._lattice = Lattice.holding((), *(f.lattice for f in functions))
+        self._memo: defaultdict = defaultdict(dict)  # n -> {coordinates on self._lattice: B_n}
         self._norm = prod(f.sup_norm for f in self.functions)  # of the bound, read per query
         self._pair = len(functions) == 2
         self._step = schedule.overlaps if self._pair else schedule.tuple_overlaps
@@ -159,7 +158,7 @@ class MCorrelator:
         |t| in *t_abs*; B_N is 0 when a shift is outside |x| < h_N.
 
         Every working stage is picked before any step is taken, the memo
-        is rescaled at most once, to the lattice of the whole batch, and
+        is moved at most once, to the lattice of the whole batch, and
         one pass of :meth:`_B` computes every B_N the batch lacks."""
         sched = self.schedule
         if stage is None:
@@ -170,19 +169,14 @@ class MCorrelator:
             ns = [stage] * len(shifts)
         if not ns:
             return []
-        for n in set(ns).difference(self._tops):
-            stages = [sched.stage(m) for m in range(self.k, n + 1)]
-            self._tops[n] = stages[-1], lcm(*(st.denominator for st in stages))
-        denominators = {s.denominator for query in shifts for s in query}
-        scale = lcm(self._scale, self._tops[max(ns)][1], *denominators)
-        if scale != self._scale:
-            m = scale // self._scale
-            memo = {i: {rescaled(x, m): v for x, v in level.items()} for i, level in self._memo.items()}
-            self._memo = defaultdict(dict, memo)
-            self._scale = scale
-        sqrt2 = self._sqrt2 or any(isinstance(s, Sqrt2) for query in shifts for s in query)
-        self._lattice = lattice = Lattice(scale, sqrt2)
-        heights = {n: lattice.encode(self._tops[n][0].h) for n in set(ns)}
+        old = self._lattice
+        stages = (sched.stage(m).lattice for m in range(self.k, max(ns) + 1))
+        lattice = Lattice.holding(chain.from_iterable(shifts), old, *stages)
+        if lattice != old:
+            m, lift = lattice.scale // old.scale, lattice.sqrt2 and not old.sqrt2
+            memo = {i: {rescaled(x, m, lift): v for x, v in level.items()} for i, level in self._memo.items()}
+            self._memo, self._lattice = defaultdict(dict, memo), lattice
+        heights = {n: lattice.encode(sched.stage(n).h) for n in set(ns)}
         keys, wanted = [], defaultdict(dict)  # wanted: n -> the keys of B_n, in order
         for n, query in zip(ns, shifts):
             xs = tuple(map(lattice.encode, query))
@@ -196,7 +190,7 @@ class MCorrelator:
         results = []
         for n, key, t in zip(ns, keys, t_abs):
             value = 0j if key is None else complex(self._memo[n][key])
-            w_n = float(self._tops[n][0].w)
+            w_n = float(sched.width(n))
             results.append(CorrelationResult(value=value * w_n, error_bound=self._bound(float(t), w_n), stage_used=n))
         return results
 
@@ -211,7 +205,7 @@ class MCorrelator:
         :func:`_row_sums` for an array step."""
         memo, guard = self._memo, geometry.GUARD
         n, lowest = max(wanted), min(wanted)
-        size, levels, xs = self._size, [], []
+        size, levels, xs = sum(map(len, memo.values())), [], []
         while True:
             if n in wanted:
                 here, known = memo[n], set(xs)
@@ -238,7 +232,6 @@ class MCorrelator:
             elif n <= lowest:
                 break
             n -= 1
-        self._size = size
         while levels:  # each step is let go once its sums are stored
             n, xs, steps = levels.pop()
             here, below = memo[n], memo[n - 1]

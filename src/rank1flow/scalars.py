@@ -291,9 +291,10 @@ def scalar_to_string(x: Scalar) -> str:
 def scalar_from_string(s: str) -> Scalar:
     s = s.strip()
     if "sqrt2" in s:
-        a_str, _, rest = s.rpartition("+")
-        b_str = rest.replace("*sqrt2", "")
-        return Sqrt2(Fraction(a_str), Fraction(b_str))
+        a_str, _, b_str = s.rpartition("+")
+        if not b_str.endswith("*sqrt2") or s.count("sqrt2") != 1:
+            raise ValueError(f"{s!r} is not of the form a+b*sqrt2")
+        return Sqrt2(Fraction(a_str), Fraction(b_str[: -len("*sqrt2")]))
     if "." in s or "e" in s or "inf" in s:
         return float(s)
     return Fraction(s)

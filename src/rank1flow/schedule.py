@@ -16,10 +16,12 @@ and h_{n+1} = o_{r_n} + h_n + s_n(r_n).
 Exact geometry is built, compared and enumerated on an integer lattice: a
 :class:`Lattice` of scale D stores x as the integer x*D (rational data)
 or, over Q(sqrt 2), as the integer pair (a, b) with x = (a + b*sqrt 2)/D.
-Each stage is built on its own lattice, D_n = lcm of the denominators of
-h_n, the bottom spacer and s_n(1) .. s_n(r_n - 1), the smallest scale
-holding h_n and every offset: the spacer values are encoded once each
-and the offsets accumulated as ints or int pairs.  The scalar offsets,
+:meth:`Lattice.holding` is the one rule that picks a lattice: the
+smallest one holding some exact scalars.  Each stage is built on its own
+lattice, D_n = lcm of the denominators of h_n, the bottom spacer and
+s_n(1) .. s_n(r_n - 1), the smallest scale holding h_n and every
+offset: the spacer values are encoded once each and the offsets
+accumulated as ints or int pairs.  The scalar offsets,
 h_{n+1} and the spacer mass are decoded from there on first use.
 :meth:`TowerStage.on_lattice` rescales a stage to a finer lattice: the
 view, a :class:`LatticeStage`, holds the exact geometry only, and each
@@ -76,7 +78,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, product
 from math import inf, lcm
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -117,6 +119,18 @@ class Lattice(NamedTuple):
     scale: int
     sqrt2: bool
 
+    @classmethod
+    def holding(cls, scalars: Iterable[Scalar], *lattices: Lattice) -> Lattice:
+        """The smallest lattice that holds every exact scalar of *scalars*
+        and refines each of *lattices*: its scale is the lcm of theirs and
+        of the scalars' denominators, over Q(sqrt 2) when one of them is."""
+        scale, sqrt2 = 1, False
+        for lattice in lattices:
+            scale, sqrt2 = lcm(scale, lattice.scale), sqrt2 or lattice.sqrt2
+        for x in scalars:
+            scale, sqrt2 = lcm(scale, x.denominator), sqrt2 or isinstance(x, Sqrt2)
+        return cls(scale, sqrt2)
+
     def encode(self, x: Scalar):
         m = self.scale // x.denominator
         if isinstance(x, Sqrt2):
@@ -139,9 +153,13 @@ class LatticeStage(NamedTuple):
     period: object = None  # o_{j+1} - o_j, where the offsets are equally spaced
 
 
-def rescaled(x, m: int):
-    """Lattice coordinates (an int, or tuples of them) on an m times finer scale."""
-    return x * m if type(x) is int else tuple(rescaled(y, m) for y in x)
+def rescaled(x, m: int, lift: bool = False):
+    """Lattice coordinates (an int, or tuples of them) on an m times finer
+    scale; with *lift*, the ints of an int lattice become the pairs
+    (x*m, 0) of a Q(sqrt 2) one."""
+    if type(x) is int:
+        return (x * m, 0) if lift else x * m
+    return tuple(rescaled(y, m, lift) for y in x)
 
 
 def within(x, h) -> bool:
@@ -160,9 +178,9 @@ def within(x, h) -> bool:
 class TowerStage:
     """Exact geometry of stage n, plus the cut data used to build n+1.
 
-    The height and offsets are stored on the stage's own lattice, of scale
-    :attr:`denominator`; ``top`` holds h_{n+1} on the finer lattice that
-    also takes the last spacer.  :attr:`offsets`, :attr:`h_next` and
+    The height and offsets are stored on the stage's own lattice, the
+    smallest that holds them; ``top`` holds h_{n+1} on the finer lattice
+    that also takes the last spacer.  :attr:`offsets`, :attr:`h_next` and
     :attr:`spacer_mass_added` are decoded from them on first use.
     """
 
@@ -173,8 +191,8 @@ class TowerStage:
     r: int  # cut number r_n
     spacers: list  # s_n(1) .. s_n(r_n)
     bottom: Scalar  # bottom spacer (0 unless symmetrized)
-    denominator: int  # smallest lattice scale holding h and every offset
-    grid: LatticeStage  # h and o_{n,1} .. o_{n,r_n} on Lattice(denominator)
+    lattice: Lattice  # smallest lattice holding h and every offset
+    grid: LatticeStage  # h and o_{n,1} .. o_{n,r_n} on that lattice
     top: tuple  # (lattice, h_{n+1} in its coordinates)
     _view: Optional[tuple] = field(default=None, repr=False, compare=False)  # (lattice, view) of the last call
 
@@ -182,11 +200,14 @@ class TowerStage:
     def tower_measure(self):
         return self.h * self.w
 
+    @property
+    def denominator(self) -> int:
+        return self.lattice.scale
+
     @cached_property
     def offsets(self) -> list:
         """o_{n,1} .. o_{n,r_n}."""
-        decode = Lattice(self.denominator, type(self.grid.h) is tuple).decode
-        return [decode(o) for o in self.grid.offsets]
+        return [self.lattice.decode(o) for o in self.grid.offsets]
 
     @cached_property
     def h_next(self):
@@ -285,15 +306,15 @@ class Schedule:
             raise ConfigurationError(f"r_{m} = {r}; cut numbers must exceed 1")
         if len(values) != r:
             raise ConfigurationError(f"stage {m} has {len(values)} spacers, need r_{m} = {r}")
-        mode, sqrt2 = self.mode, self.mode == "sqrt2"
+        mode = self.mode
         scalar = {i: coerce(v, mode) for i, v in {id(v): v for v in values}.items()}
         spacers = [scalar[id(v)] for v in values]
         bottom = coerce(bottom[0] if bottom else 0, mode)
         ids = [id(v) for v in values[:-1]]  # s(1) .. s(r-1) step the offsets; s(r) enters only h_{n+1}
         inner = {i: scalar[i] for i in ids}
-        scale = lcm(h.denominator, bottom.denominator, *(v.denominator for v in inner.values()))
-        lattice = Lattice(scale, sqrt2)
-        top = Lattice(lcm(scale, spacers[-1].denominator), sqrt2)
+        lattice = Lattice.holding([h, bottom, *inner.values()])
+        top = Lattice.holding(spacers[-1:], lattice)
+        sqrt2 = lattice.sqrt2
         H, B, last = lattice.encode(h), lattice.encode(bottom), top.encode(spacers[-1])
         steps = {i: lattice.encode(v) for i, v in inner.items()}
         negative = (lambda x: sqrt2_sign(*x) < 0) if sqrt2 else (lambda x: x < 0)
@@ -301,7 +322,7 @@ class Schedule:
             raise ConfigurationError(f"negative spacer at stage {m}")
         if negative(B):
             raise ConfigurationError(f"negative bottom spacer at stage {m}")
-        k = top.scale // scale
+        k = top.scale // lattice.scale
         if sqrt2:  # o_{j+1} = o_j + h + s(j), component by component
             offsets = list(zip(*(accumulate([H[c] + steps[i][c] for i in ids], initial=B[c]) for c in (0, 1))))
             h_next = tuple((o + x) * k + s for o, x, s in zip(offsets[-1], H, last))
@@ -313,7 +334,7 @@ class Schedule:
             period = tuple(y - x for x, y in zip(*offsets[:2])) if sqrt2 else offsets[1] - offsets[0]
         grid = LatticeStage(m, r, H, offsets, period=period)
         self._stages.append(
-            TowerStage(m, h, w, mu, r, spacers, bottom, denominator=scale, grid=grid, top=(top, h_next))
+            TowerStage(m, h, w, mu, r, spacers, bottom, lattice, grid=grid, top=(top, h_next))
         )
 
     def _check_budget(self, n: int, h):
@@ -409,10 +430,7 @@ def overlap_pairs(stage, shift, floats=None) -> list:
     if isinstance(stage, LatticeStage):
         return _lattice_overlaps(stage, shift, floats)
     shift = exact(shift)
-    lattice = Lattice(
-        lcm(stage.denominator, shift.denominator),
-        isinstance(shift, Sqrt2) or isinstance(stage.h, Sqrt2),
-    )
+    lattice = Lattice.holding([shift], stage.lattice)
     pairs = _lattice_overlaps(stage.on_lattice(lattice), lattice.encode(shift))
     return [(lattice.decode(delta), mult) for delta, mult in pairs]
 
@@ -499,18 +517,9 @@ def _periodic_overlaps(stage: LatticeStage, shift) -> list:
         k = max(sqrt2_floordiv(-ha - sa, -hb - sb, pa, pb) + 1, 1 - r)
         end = min(-sqrt2_floordiv(sa - ha, sb - hb, pa, pb) - 1, r - 1)
         return [((sa + j * pa, sb + j * pb), r - abs(j)) for j in range(k, end + 1)]
-    # flat stages' hot path: max, min and a comprehension cost twice this
-    k = (-h - shift) // p + 1
-    end = (h - shift - 1) // p
-    if k < 1 - r:
-        k = 1 - r
-    if end >= r:
-        end = r - 1
-    pairs = []
-    while k <= end:
-        pairs.append((shift + k * p, r - abs(k)))
-        k += 1
-    return pairs
+    k = max((-h - shift) // p + 1, 1 - r)
+    end = min((h - shift - 1) // p, r - 1)
+    return [(shift + j * p, r - abs(j)) for j in range(k, end + 1)]
 
 
 def copy_windows(stage: LatticeStage, shift, floats=None) -> list:

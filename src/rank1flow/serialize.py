@@ -192,7 +192,7 @@ def load_schedule(source) -> Schedule:
         else:
             with open(text) as fh:
                 doc = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigurationError(f"cannot read schedule {text!r}: {exc}") from None
     return schedule_from_json(doc)
 

@@ -8,7 +8,7 @@ only; it is stored as strictly increasing breakpoints
 The base case of the correlation engine, :func:`product_integral`, runs
 on the integer lattice of :mod:`rank1flow.schedule`.  A function's
 breakpoint grid is its breakpoints on a lattice whose scale is a
-multiple of their :attr:`StepFunction.denominator`: ints, or (a, b)
+multiple of that of its :attr:`StepFunction.lattice`: ints, or (a, b)
 pairs over Q(sqrt 2); the grid of the latest lattice is cached.  One
 merge loop walks the shifted grids of all functions, with the shifts in
 the same coordinates; scalar shifts go on the smallest lattice that
@@ -26,11 +26,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import lcm
 from typing import Optional, Sequence
 
 from .errors import ConfigurationError, ResourceError
-from .scalars import Scalar, Sqrt2, exact, sqrt2_float, sqrt2_sorted
+from .scalars import Scalar, exact, sqrt2_float, sqrt2_sorted
 from .schedule import Lattice
 
 MAX_BREAKPOINTS = 2_000_000  # the most breakpoints lift builds per stage
@@ -55,23 +54,17 @@ class StepFunction:
         return self.breakpoints[-1]
 
     @cached_property
-    def denominator(self) -> int:
-        """Smallest lattice scale holding every breakpoint."""
-        return lcm(*(exact(b).denominator for b in self.breakpoints))
-
-    @cached_property
-    def sqrt2(self) -> bool:
-        """Whether a breakpoint is a :class:`Sqrt2`, so that the grid
-        needs a Q(sqrt 2) lattice."""
-        return any(isinstance(b, Sqrt2) for b in self.breakpoints)
+    def lattice(self) -> Lattice:
+        """The smallest lattice holding every breakpoint."""
+        return Lattice.holding(map(exact, self.breakpoints))
 
     def on_lattice(self, lattice: Lattice) -> list:
         """The breakpoints in the coordinates of *lattice* (ints, or (a, b)
-        pairs), whose scale must be a multiple of :attr:`denominator`; the
-        grid of the latest lattice is cached."""
+        pairs), whose scale must be a multiple of that of :attr:`lattice`;
+        the grid of the latest lattice is cached."""
         if self._grid is None or self._grid[0] != lattice:
-            if lattice.scale % self.denominator:
-                raise ValueError(f"lattice scale {lattice.scale} is not a multiple of {self.denominator}")
+            if lattice.scale % self.lattice.scale:
+                raise ValueError(f"lattice scale {lattice.scale} is not a multiple of {self.lattice.scale}")
             self._grid = (lattice, [lattice.encode(exact(b)) for b in self.breakpoints])
         return self._grid[1]
 
@@ -171,10 +164,7 @@ def _pieces(functions: Sequence[StepFunction], shifts, lattice: Optional[Lattice
     """
     if lattice is None:
         shifts = [exact(s) for s in shifts]
-        lattice = Lattice(
-            lcm(*(f.denominator for f in functions), *(s.denominator for s in shifts)),
-            any(f.sqrt2 for f in functions) or any(isinstance(s, Sqrt2) for s in shifts),
-        )
+        lattice = Lattice.holding(shifts, *(f.lattice for f in functions))
         shifts = [lattice.encode(s) for s in shifts]
     scale = lattice.scale
     grids = [f.on_lattice(lattice) for f in functions]

@@ -101,10 +101,10 @@ def on_lattice(functions, shifts, factor=1):
     finer than needed, and the shifts in its coordinates."""
     scale = factor
     for f in functions:
-        scale *= f.denominator
+        scale *= f.lattice.scale
     for s in shifts:
         scale *= s.denominator
-    sqrt2 = any(f.sqrt2 for f in functions) or any(isinstance(s, Sqrt2) for s in shifts)
+    sqrt2 = any(f.lattice.sqrt2 for f in functions) or any(isinstance(s, Sqrt2) for s in shifts)
     lattice = Lattice(scale, sqrt2)
     return lattice, [lattice.encode(s) for s in shifts]
 
@@ -271,7 +271,7 @@ def test_float_shifts_enter_at_their_exact_value():
 
 def test_grid_needs_a_multiple_of_the_breakpoint_scale():
     f = StepFunction(1, [0, Fraction(1, 6), 1], [1 + 0j, 2 + 0j])
-    assert f.denominator == 6
+    assert f.lattice == Lattice(6, False)
     assert f.on_lattice(Lattice(12, False)) == [0, 2, 12]
     assert f.on_lattice(Lattice(12, True)) == [(0, 0), (2, 0), (12, 0)]
     with pytest.raises(ValueError, match="not a multiple of 6"):

@@ -97,6 +97,24 @@ def test_malformed_spec_exits_two(tmp_path):
     assert result.exit_code == 2
 
 
+DEEP = "[" * 100_000 + "]" * 100_000  # past the parser's recursion limit
+
+
+@pytest.mark.parametrize("name", ["not-utf8", "deeply-nested", "deeply-nested-schedule-file"])
+def test_unreadable_spec_bytes_exit_two(tmp_path, name):
+    path = tmp_path / "bad.json"
+    if name == "not-utf8":
+        path.write_bytes(b'{"schedule": "\xff"}')
+    elif name == "deeply-nested":
+        path.write_text(DEEP)
+    else:
+        (tmp_path / "schedule.json").write_text(DEEP)
+        path.write_text(json.dumps({"schedule": str(tmp_path / "schedule.json"), "times": ["1/2"]}))
+    result = invoke(["correlate", "--spec", str(path)])
+    assert result.exit_code == 2, result.output
+    assert "error: " in result.output and "Traceback" not in result.output
+
+
 def test_bad_schedule_kind_exits_two(tmp_path):
     spec = write_spec(tmp_path, "bad.json", {"schedule": {"kind": "mystery"}})
     result = invoke(["stage-audit", "--spec", spec])
@@ -147,6 +165,7 @@ def test_plot_csv_has_header_comment(tmp_path, audit_spec):
 FLAT2 = {"kind": "flat", "params": {"r": 2}}
 CONSTANT = {"variant": "constant", "c": "1"}
 ONE_SHIFT = {"schedule": {"kind": "thm44", "params": {}}, "class_label": "M[l0=1;2]", "shifts": ["2"]}
+SMALL_THM44 = {"kind": "thm44", "params": {"s_values": [2], "q_max": 1, "k_max": 1, "r_cap": 6}}
 
 # entries nothing reads, mistyped booleans and integers, and malformed
 # "stages" documents (each ran with exit 0 or 1 before these checks),
@@ -211,6 +230,12 @@ UNREAD_OR_MISTYPED = {
     "zero-l0": ("fock-claims", {**ONE_SHIFT, "l0": 0}, "'l0' = 0"),
     "l0-past-the-shifts": ("fock-claims", {**ONE_SHIFT, "l0": 2}, "'l0' = 2"),
     "negative-pairs": ("fock-claims", {**ONE_SHIFT, "pairs": -1}, "'pairs' = -1"),
+    "doubled-sqrt2-time": (
+        "correlate",
+        {"schedule": SMALL_THM44, "times": ["1+2*sqrt2*sqrt2"]},
+        "'1+2*sqrt2*sqrt2' is not of the form a+b*sqrt2",
+    ),
+    "glued-sqrt2-time": ("correlate", {"schedule": SMALL_THM44, "times": ["1+*sqrt22"]}, "'1+*sqrt22' is not of the form"),
     "three-part-alpha": (
         "weak-limit",
         {"schedule": FLAT2, "times": ["1"], "target": {"alpha": [0, 0, 7]}},

@@ -732,3 +732,76 @@ def test_a_time_past_max_stage_fails_its_batch_before_any_step(level_steps):
     assert level_steps == [] and memo_size(corr) == 0
     corr.at([Fraction(1, 2), 1])
     assert level_steps
+
+
+# -- one lattice per correlator, grown in scale and in kind ------------------
+
+MIXED = [SQRT2 - Fraction(3, 2), Fraction(1, 2)]
+
+
+def small_staircase34():
+    return staircase34_schedule(staircase_stages=(2,), base=4, r_cap=16)
+
+
+def key_kinds(corr) -> set:
+    """The types of a correlator's memo keys: int on an int lattice, tuple
+    (an (a, b) pair) on a Q(sqrt 2) one; at m >= 3, of each key's first shift."""
+    return {type(x if corr._pair else x[0]) for level in corr._memo.values() for x in level}
+
+
+def test_a_rational_batch_after_a_sqrt2_one_takes_no_step(level_steps):
+    """Once a correlator is on Q(sqrt 2) it stays there: a later rational
+    batch finds its keys in the memo, takes no step and adds no entry."""
+    sched = small_staircase34()
+    f, g = pair(sched, 0)
+    corr = Correlator(sched, f, g)
+    first = corr.at(MIXED)
+    assert (memo_size(corr), len(sched._overlap_cache)) == (12, 2)
+    steps = len(level_steps)
+    again = corr.at([Fraction(1, 2)])
+    assert (memo_size(corr), len(sched._overlap_cache), len(level_steps)) == (12, 2, steps)
+    assert repr(again[0].value) == repr(first[1].value)
+    assert key_kinds(corr) == {tuple}
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("sqrt2_first", [True, False], ids=["sqrt2-first", "rational-first"])
+def test_a_grown_lattice_keeps_one_memo(m, sqrt2_first):
+    """A rational and a Q(sqrt 2) batch, in either order, give the values of
+    fresh correlators bit for bit and leave memo keys of one kind: the
+    Q(sqrt 2) batch lifts the int keys of the rational one."""
+    f, g = pair(small_staircase34(), 0)
+
+    def fresh():
+        return Correlator(small_staircase34(), f, g) if m == 2 else MCorrelator(small_staircase34(), [f, g, f])
+
+    def queries(times):
+        return times if m == 2 else [(0, t, -t / 2) for t in times]
+
+    corr = fresh()
+    for times in (MIXED, [Fraction(1, 2)])[:: 1 if sqrt2_first else -1]:
+        assert result_reprs(corr.at(queries(times))) == result_reprs(fresh().at(queries(times)))
+        assert key_kinds(corr) == {tuple if corr._lattice.sqrt2 else int}
+    assert corr._lattice.sqrt2
+
+
+RATIONAL_BUILDERS = {
+    "flat": lambda: flat_schedule(3),
+    "staircase34": small_staircase34,
+    "asym49": lambda: asym49_schedule(r_cap=16),
+}
+small_times = st.fractions(min_value=-8, max_value=8, max_denominator=6)
+mixed_times = small_times | st.builds(lambda a, b: a + b * SQRT2, small_times, small_times)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(RATIONAL_BUILDERS)), st.lists(st.lists(mixed_times, min_size=1, max_size=3), min_size=2, max_size=4))
+def test_mixed_batches_equal_fresh_correlators(name, batches):
+    """Rational and Q(sqrt 2) batches in any order on one correlator equal
+    a fresh correlator per batch, bit for bit, on one kind of memo key."""
+    make = RATIONAL_BUILDERS[name]
+    f, g = pair(make(), 1)
+    corr = Correlator(make(), f, g)
+    for times in batches:
+        assert result_reprs(corr.at(times)) == result_reprs(Correlator(make(), f, g).at(times))
+        assert len(key_kinds(corr)) <= 1

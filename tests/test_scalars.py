@@ -194,6 +194,14 @@ def test_string_roundtrip(s):
     assert scalar_from_string(scalar_to_string(x)) == x
 
 
+@pytest.mark.parametrize("s", ["1+2*sqrt2*sqrt2", "1+*sqrt22", "2*sqrt2", "1+2*sqrt2+3", "sqrt2+1*sqrt2"])
+def test_malformed_sqrt2_strings_are_rejected(s):
+    """Only a+b*sqrt2 is read: exactly one *sqrt2, ending the text after
+    the last +."""
+    with pytest.raises(ValueError):
+        scalar_from_string(s)
+
+
 def test_scalar_to_string_forms():
     assert scalar_to_string(Fraction(3, 4)) == "3/4"
     assert scalar_to_string(Sqrt2(Fraction(1, 2), Fraction(5, 3))) == "1/2+5/3*sqrt2"
