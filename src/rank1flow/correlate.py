@@ -27,10 +27,9 @@ functions' breakpoints, and grows it in scale and in kind to the
 smallest that also holds a batch's shifts and stages k..N
 (:meth:`Lattice.holding`).  From there on memo keys, the |tau| < h_n
 test and the deltas are ints (x = A/D) or int pairs
-(x = (A + B*sqrt 2)/D), and the base case, :func:`product_integral`,
-takes the shifts in the same coordinates as the functions' breakpoint
-grids: nothing is decoded on the query path.  A float time enters at
-its exact binary value.
+(x = (A + B*sqrt 2)/D), and the base case takes the shifts in the same
+coordinates as the functions' breakpoint grids: nothing is decoded on
+the query path.  A float time enters at its exact binary value.
 
 A query is a batch of times, and the recursion is evaluated for the
 whole batch in one level-synchronous pass, not depth first.  The working
@@ -44,13 +43,18 @@ and the schedule's step is taken for all of them at once: one call of
 up, from stage k back, each new value is summed over its step in the
 order the step lists the deltas (increasing at m = 2), the order of a
 depth-first recursion, so every value is bit-identical to it, whatever
-the batch.  A list step is summed term by term in Python.  An array step
-(at m = 2) comes with its distinct deltas and each delta's index among
-them; their values one stage down are gathered once, and each shift's
-terms mult * B(delta) are added by ``np.bincount``, the real and the
-imaginary parts apart.  ``bincount`` adds in input order from 0.0, and a
-complex times an int64 is the same product as in Python, so the sums are
-the list step's, bit for bit.
+the batch.  A list step (at m = 2) and an m-tuple step are summed term
+by term in Python.  An array step (at m = 2) comes with its distinct deltas
+and each delta's index among them; their values one stage down are
+gathered once, and each shift's terms mult * B(delta) are added by
+``np.bincount``, the real and the imaginary parts apart.  ``bincount``
+adds in input order from 0.0, and a complex times an int64 is the same
+product as in Python, so the sums are the list step's, bit for bit.  At
+stage k the whole frontier is one call of
+:func:`~rank1flow.stepfun.array_integrals` where the lattice and the
+frontier's size allow it (an int lattice, coordinates below 2**53, at
+least ``_ARRAY_MIN_ROWS`` shift tuples), and :func:`product_integral`
+per shift tuple otherwise: the same values, bit for bit.
 
 The schedule keeps each step it takes whole, keyed by stage, lattice and
 shifts, so a second correlator that asks for the same levels, as the
@@ -75,7 +79,7 @@ from . import schedule as geometry  # for GUARD, read at call time
 from .errors import RangeError, ResourceError
 from .scalars import Scalar, exact
 from .schedule import Lattice, Schedule, rescaled, within
-from .stepfun import StepFunction, product_integral
+from .stepfun import StepFunction, array_integrals, product_integral
 
 STAGE_MARGIN = 4
 MAX_STAGE = 64  # the deepest stage pick_stage looks at
@@ -199,10 +203,10 @@ class MCorrelator:
         memo, in one level-synchronous pass.  Top down, from the highest
         working stage to k, each stage's frontier is the new deltas of the
         step above plus the keys wanted there, less the memo, and its step
-        is taken at once for the whole frontier; bottom up, each new value
-        is summed over its step in the step's order, as a depth-first
-        recursion would: term by term for a list step, by
-        :func:`_row_sums` for an array step."""
+        is taken at once for the whole frontier, and stage k's base case
+        too; bottom up, each new value is summed over its step in the
+        step's order, as a depth-first recursion would: term by term for a
+        list step, by :func:`_row_sums` for an array step."""
         memo, guard = self._memo, geometry.GUARD
         n, lowest = max(wanted), min(wanted)
         size, levels, xs = sum(map(len, memo.values())), [], []
@@ -216,10 +220,10 @@ class MCorrelator:
                     raise ResourceError(f"memo blowup near stage {n}: more than {guard} distinct shifts")
                 if n == self.k:
                     zero = (0, 0) if self._lattice.sqrt2 else 0
-                    base = [
-                        product_integral(self.functions, (zero, y) if self._pair else (zero, *y), self._lattice)
-                        for y in xs
-                    ]
+                    rows = [(zero, y) for y in xs] if self._pair else [(zero, *y) for y in xs]
+                    base = array_integrals(self.functions, rows, self._lattice)
+                    if base is None:
+                        base = [product_integral(self.functions, row, self._lattice) for row in rows]
                     memo[n].update(zip(xs, base))
                     break
                 steps, below = self._step(n - 1, xs, self._lattice), memo[n - 1]

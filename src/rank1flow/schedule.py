@@ -56,8 +56,13 @@ and each delta as its index among them.  Any other batch (a smaller
 one, values past int64, (a, b) pairs) is a list step: one (delta,
 multiplicity) list per shift, from the closed form or the Python sweep.
 Either gives each shift's deltas in increasing order.  At m >= 3,
-:func:`tuple_overlaps` groups the copy tuples of the windows by delta
-vector, on every stage.  The schedule keeps each step whole, whatever
+:func:`tuple_overlaps` answers an equally spaced stage in closed form:
+each shift's k come from the same two floors, the delta vectors are the
+product of those ranges, and each is realized by the copies j0 that keep
+every j0 + k_i among the r copies, r - max(0, k...) + min(0, k...) of
+them, listed in the order a sweep meets them first.  On other stages it
+groups the copy tuples of the windows by delta vector.  The schedule
+keeps each step whole, whatever
 its kind, keyed by its stage, lattice and shifts: a family of functions
 queried at the same times under one schedule takes each level's step
 once.
@@ -78,6 +83,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, product
 from math import inf, lcm
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -306,17 +312,22 @@ class Schedule:
             raise ConfigurationError(f"r_{m} = {r}; cut numbers must exceed 1")
         if len(values) != r:
             raise ConfigurationError(f"stage {m} has {len(values)} spacers, need r_{m} = {r}")
-        mode = self.mode
-        scalar = {i: coerce(v, mode) for i, v in {id(v): v for v in values}.items()}
-        spacers = [scalar[id(v)] for v in values]
+        mode, scalars, ids, spacers = self.mode, {}, [], []
+        for v in values:  # one pass: each distinct object is coerced once
+            i = id(v)
+            s = scalars.get(i)
+            if s is None:
+                s = scalars[i] = coerce(v, mode)
+            ids.append(i)
+            spacers.append(s)
         bottom = coerce(bottom[0] if bottom else 0, mode)
-        ids = [id(v) for v in values[:-1]]  # s(1) .. s(r-1) step the offsets; s(r) enters only h_{n+1}
-        inner = {i: scalar[i] for i in ids}
-        lattice = Lattice.holding([h, bottom, *inner.values()])
+        inner = ids[:-1]  # s(1) .. s(r-1) step the offsets; s(r) enters only h_{n+1}
+        distinct = dict.fromkeys(inner)
+        lattice = Lattice.holding([h, bottom, *map(scalars.__getitem__, distinct)])
         top = Lattice.holding(spacers[-1:], lattice)
         sqrt2 = lattice.sqrt2
         H, B, last = lattice.encode(h), lattice.encode(bottom), top.encode(spacers[-1])
-        steps = {i: lattice.encode(v) for i, v in inner.items()}
+        steps = {i: lattice.encode(scalars[i]) for i in distinct}  # each distinct object encoded once
         negative = (lambda x: sqrt2_sign(*x) < 0) if sqrt2 else (lambda x: x < 0)
         if any(map(negative, steps.values())) or negative(last):
             raise ConfigurationError(f"negative spacer at stage {m}")
@@ -324,10 +335,13 @@ class Schedule:
             raise ConfigurationError(f"negative bottom spacer at stage {m}")
         k = top.scale // lattice.scale
         if sqrt2:  # o_{j+1} = o_j + h + s(j), component by component
-            offsets = list(zip(*(accumulate([H[c] + steps[i][c] for i in ids], initial=B[c]) for c in (0, 1))))
+            rises = {i: (H[0] + a, H[1] + b) for i, (a, b) in steps.items()}
+            columns = zip(*map(rises.__getitem__, inner))
+            offsets = list(zip(*(accumulate(c, initial=b) for c, b in zip(columns, B))))
             h_next = tuple((o + x) * k + s for o, x, s in zip(offsets[-1], H, last))
         else:
-            offsets = list(accumulate([H + steps[i] for i in ids], initial=B))
+            rises = {i: H + s for i, s in steps.items()}
+            offsets = list(accumulate(map(rises.__getitem__, inner), initial=B))
             h_next = (offsets[-1] + H) * k + last
         period = None
         if len(set(steps.values())) == 1:  # equally spaced offsets
@@ -463,18 +477,42 @@ def tuple_overlaps(stage: LatticeStage, shifts: list) -> list:
     """The m-point step of a lattice stage at each shift tuple of *shifts*:
     the delta vectors of copy j0 with copies j'_i of each shift's
     :func:`copy_windows`, counted in the order first met (j0 ascending,
-    then the j'_i in ``product`` order).  On (a, b) pairs the float
-    offsets are built once for the batch."""
-    floats = _pair_floats(stage.offsets) if type(stage.h) is tuple else None
+    then the j'_i in ``product`` order).  An equally spaced stage answers
+    in closed form (:func:`_periodic_tuples`); on others, on (a, b)
+    pairs, the float offsets are built once for the batch."""
+    floats = _pair_floats(stage.offsets) if type(stage.h) is tuple and stage.period is None else None
     steps = []
     for x in shifts:
-        per_copy = zip(*(copy_windows(stage, xi, floats) for xi in x))
-        groups: dict = {}
-        _count_elements(groups, chain.from_iterable(product(*windows) for windows in per_copy))
-        if len(groups) > GUARD:
+        if stage.period is None:
+            per_copy = zip(*(copy_windows(stage, xi, floats) for xi in x))
+            groups: dict = {}
+            _count_elements(groups, chain.from_iterable(product(*windows) for windows in per_copy))
+            step = groups.items()
+        else:
+            step = _periodic_tuples(stage, x)
+        if len(step) > GUARD:
             raise ResourceError(f"m-tuple delta blowup at stage {stage.n}: more than {GUARD} delta vectors")
-        steps.append(groups.items())
+        steps.append(step)
     return steps
+
+
+def _periodic_tuples(stage: LatticeStage, x) -> list:
+    """:func:`tuple_overlaps` of an equally spaced stage at the shift tuple
+    *x*, in closed form.  The copies j0 and j0 + k_i give the delta vector
+    (x_i + k_i p), with each k_i from the range of :func:`_periodic_deltas`,
+    for the r - max(0, k...) + min(0, k...) copies j0 that keep every
+    j0 + k_i among the r copies.  A vector is first met at j0 = -min(0,
+    k...), and at one j0 in ``product`` order, so the vectors with a
+    positive count, stably sorted by that j0, come in the sweep's order."""
+    r, found = stage.r, []
+    for combo in product(*[_periodic_deltas(stage, xi) for xi in x]):
+        ks, deltas = zip(*combo)
+        low = min(0, *ks)
+        mult = r - max(0, *ks) + low
+        if mult > 0:
+            found.append((-low, deltas, mult))
+    found.sort(key=itemgetter(0))
+    return [item[1:] for item in found]
 
 
 def _fits_int64(stage: LatticeStage, shifts) -> bool:
@@ -490,8 +528,8 @@ def _fits_int64(stage: LatticeStage, shifts) -> bool:
 
 
 def _lattice_overlaps(stage: LatticeStage, shift, floats=None) -> list:
-    if stage.period is not None:
-        pairs = _periodic_overlaps(stage, shift)
+    if stage.period is not None:  # the pairs with j' - j = k give shift + k p, r - |k| times
+        pairs = [(delta, stage.r - abs(k)) for k, delta in _periodic_deltas(stage, shift)]
     else:
         counts: dict = {}
         _count_elements(counts, chain.from_iterable(copy_windows(stage, shift, floats)))
@@ -504,22 +542,22 @@ def _lattice_overlaps(stage: LatticeStage, shift, floats=None) -> list:
     return pairs
 
 
-def _periodic_overlaps(stage: LatticeStage, shift) -> list:
-    """:func:`overlap_pairs` of a stage with equally spaced offsets,
-    o_{j+1} - o_j = p, in closed form: the pairs with j' - j = k give the
-    delta shift + k p, r - |k| times, for every |k| < r with
-    -h < shift + k p < h.  Since p >= h, there are at most two such k:
-    from floor((-h - shift)/p) + 1 to ceil((h - shift)/p) - 1, two exact
-    integer floors."""
+def _periodic_deltas(stage: LatticeStage, shift) -> list:
+    """The closed form of a stage with equally spaced offsets, o_{j+1} - o_j
+    = p: (k, shift + k p) for every |k| < r with -h < shift + k p < h, k
+    increasing.  Since p >= h, there are at most two such k: from
+    floor((-h - shift)/p) + 1 to ceil((h - shift)/p) - 1, two exact
+    integer floors, on ints or, on (a, b) pairs, by
+    :func:`~rank1flow.scalars.sqrt2_floordiv`."""
     r, p, h = stage.r, stage.period, stage.h
     if type(h) is tuple:
         (pa, pb), (ha, hb), (sa, sb) = p, h, shift
         k = max(sqrt2_floordiv(-ha - sa, -hb - sb, pa, pb) + 1, 1 - r)
         end = min(-sqrt2_floordiv(sa - ha, sb - hb, pa, pb) - 1, r - 1)
-        return [((sa + j * pa, sb + j * pb), r - abs(j)) for j in range(k, end + 1)]
+        return [(j, (sa + j * pa, sb + j * pb)) for j in range(k, end + 1)]
     k = max((-h - shift) // p + 1, 1 - r)
     end = min((h - shift - 1) // p, r - 1)
-    return [(shift + j * p, r - abs(j)) for j in range(k, end + 1)]
+    return [(j, shift + j * p) for j in range(k, end + 1)]
 
 
 def copy_windows(stage: LatticeStage, shift, floats=None) -> list:
@@ -633,7 +671,7 @@ def _sweep_chunk(stage: LatticeStage, offs: np.ndarray, shifts: list) -> tuple:
 
 def _periodic_batch(stage: LatticeStage, shifts: list) -> tuple:
     """The array step of an equally spaced stage on int64 offsets: the
-    closed form of :func:`_periodic_overlaps` for every shift at once,
+    closed form of :func:`_periodic_deltas` for every shift at once,
     k from max(floor((-h - x)/p) + 1, 1 - r) to min(floor((h - x - 1)/p),
     r - 1)."""
     r, p, h = stage.r, stage.period, stage.h

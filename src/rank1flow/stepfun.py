@@ -16,6 +16,12 @@ holds them and the breakpoints.  Each piece length is the float that
 ``float()`` of the exact ``Fraction`` or ``Sqrt2`` length gives.  The
 cross-correlation int f(y + tau) conj(g(y)) dy is the case
 ``product_integral([f, g.conjugate()], (-tau, 0))``.
+
+The engine asks for the base case at a whole frontier of shift tuples.
+On an int lattice, from ``_ARRAY_MIN_ROWS`` tuples up and with every
+coordinate below 2**53, :func:`array_integrals` answers the frontier in
+one NumPy pass, bit for bit the values of :func:`product_integral`, which
+answers everything else tuple by tuple.
 """
 
 from __future__ import annotations
@@ -25,14 +31,24 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import ConfigurationError, ResourceError
 from .scalars import Scalar, exact, sqrt2_float, sqrt2_sorted
 from .schedule import Lattice
 
 MAX_BREAKPOINTS = 2_000_000  # the most breakpoints lift builds per stage
+# A base frontier on an int lattice is one array pass from _ARRAY_MIN_ROWS
+# shift tuples up.  The pass costs some 60-150 us whatever its size;
+# measured at m = 2, 3 and 4 on functions of 4, 8 and 16 pieces,
+# product_integral per tuple is 1.5-4x faster at 2-4 tuples, the two
+# are about even at 6-10, and the pass is 1.3-3.3x faster at 16.  Every
+# int below _FLOAT_EXACT = 2**53 is an exact float.
+_ARRAY_MIN_ROWS = 8
+_FLOAT_EXACT = 2**53
 
 
 @dataclass
@@ -210,6 +226,60 @@ def product_integral(functions: Sequence[StepFunction], shifts: Sequence, lattic
             piece *= vals[idx[k]]
         total += piece * length
     return total
+
+
+def array_integrals(functions: Sequence[StepFunction], shifts: list, lattice: Lattice) -> Optional[list]:
+    """:func:`product_integral` at every shift tuple of *shifts* (lattice
+    coordinates, one shift per function), from one array pass, or None
+    where the batch rule keeps :func:`product_integral`: on a Q(sqrt 2)
+    lattice, at a grid, shift or scale of 2**53 or more, and for fewer
+    than ``_ARRAY_MIN_ROWS`` tuples.
+
+    Each row's shifted grids are clipped to its common support [lo, hi]
+    and sorted; the pieces are the steps between distinct points, in
+    row order, and each function's piece is found by ``searchsorted`` on
+    its unshifted grid.  Below 2**53 a length (B - A)/D is a quotient of
+    two exact floats, so it is the correctly rounded value of Python's
+    int division.  The products take the real and imaginary parts apart,
+    in Python's order (``piece = f_0``, ``piece *= f_i``, then times
+    length + 0j), and each row is summed in piece order from 0.0 by
+    ``bincount``: every value is the one of :func:`product_integral`,
+    bit for bit.
+    """
+    if lattice.sqrt2 or len(shifts) < _ARRAY_MIN_ROWS or lattice.scale >= _FLOAT_EXACT:
+        return None
+    grids = [f.on_lattice(lattice) for f in functions]
+    if not (
+        -_FLOAT_EXACT < min(g[0] for g in grids) and max(g[-1] for g in grids) < _FLOAT_EXACT
+        and -_FLOAT_EXACT < min(map(min, shifts)) and max(map(max, shifts)) < _FLOAT_EXACT
+    ):
+        return None
+    rows, width = len(shifts), max(map(len, grids))
+    # each grid padded to one width with its last point, which adds only empty pieces
+    padded = np.array([g + g[-1:] * (width - len(g)) for g in grids], dtype=np.int64)
+    xs = np.array(shifts, dtype=np.int64)
+    points = xs[:, :, None] + padded  # rows x functions x width
+    lo = points[:, :, :1].max(axis=1, keepdims=True)
+    hi = points[:, :, -1:].min(axis=1, keepdims=True)
+    points.clip(lo, hi, out=points)
+    points = points.reshape(rows, -1)
+    points.sort(axis=1)
+    steps = points[:, 1:] - points[:, :-1]
+    row, col = np.nonzero(steps)
+    length = steps[row, col] / lattice.scale
+    keys = points[row, col] - xs[row].T  # the start of each piece, unshifted, per function
+    # each function's piece, as an index among the values of all functions
+    firsts = accumulate((len(f.values) for f in functions[:-1]), initial=-1)
+    values = np.array([complex(v) for f in functions for v in f.values])
+    parts = values[[np.searchsorted(g, k, side="right") + i for g, k, i in zip(padded, keys, firsts)]]
+    re, im = parts[0].real, parts[0].imag
+    for part in parts[1:]:
+        vr, vi = part.real, part.imag
+        re, im = re * vr - im * vi, re * vi + im * vr
+    sums = np.empty(rows, dtype=complex)
+    sums.real = np.bincount(row, re * length - im * 0.0, rows)
+    sums.imag = np.bincount(row, re * 0.0 + im * length, rows)
+    return sums.tolist()
 
 
 def lift(schedule, f: StepFunction, target_stage: int) -> StepFunction:

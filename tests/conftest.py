@@ -1,4 +1,6 @@
+import importlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,6 +12,8 @@ from rank1flow import (
     thm44_schedule,
 )
 from rank1flow import schedule as schedule_module
+
+correlate_module = importlib.import_module("rank1flow.correlate")  # the package exports a function of that name
 
 
 @pytest.fixture()
@@ -29,6 +33,29 @@ def numpy_batches(monkeypatch):
 
     monkeypatch.setattr(schedule_module, "_sweep_batch", spy)
     return sizes
+
+
+@pytest.fixture()
+def base_rows(monkeypatch):
+    """The base-case tuples of the recursion, counted by route: "array"
+    for those of a frontier that takes the array pass, "product_integral"
+    for each one that product_integral answers alone."""
+    rows = Counter()
+    array, scalar = correlate_module.array_integrals, correlate_module.product_integral
+
+    def array_spy(functions, shifts, lattice):
+        values = array(functions, shifts, lattice)
+        if values is not None:
+            rows["array"] += len(shifts)
+        return values
+
+    def scalar_spy(functions, shifts, lattice=None):
+        rows["product_integral"] += 1
+        return scalar(functions, shifts, lattice)
+
+    monkeypatch.setattr(correlate_module, "array_integrals", array_spy)
+    monkeypatch.setattr(correlate_module, "product_integral", scalar_spy)
+    return rows
 
 
 @pytest.fixture(scope="session")

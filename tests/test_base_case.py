@@ -30,6 +30,7 @@ from rank1flow import (
 )
 from rank1flow.scalars import exact
 from rank1flow.schedule import Lattice
+from rank1flow.stepfun import _ARRAY_MIN_ROWS, array_integrals
 
 
 def reference_cross_correlation(f, g, tau):
@@ -254,6 +255,52 @@ def test_base_case_matches_scalar_loops_on_random_data(case):
     functions, shifts, factor = case
     assert_product_matches(functions, shifts, factor)
     assert_cross_matches(functions[0], functions[1], shifts[1], factor)
+
+
+@st.composite
+def base_frontier(draw):
+    """Functions on one int lattice whose breakpoints come from one small
+    pool of points, so that they repeat across functions, with heights up
+    to a common h, and value parts among them zeros of either sign; and
+    a frontier of ``_ARRAY_MIN_ROWS`` or more shift tuples, among them
+    the shifts +-h and shifts past every support."""
+    factor, scale = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    lattice, h = Lattice(factor * scale, False), draw(st.integers(1, 12))
+    part = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.25, 0.1, 3.0])
+    functions = []
+    for _ in range(draw(st.integers(2, 4))):
+        top = draw(st.one_of(st.just(h), st.integers(1, h)))
+        inner = sorted(draw(st.sets(st.integers(1, top - 1), max_size=5))) if top > 1 else []
+        bps = [Fraction(b, scale) for b in (0, *inner, top)]
+        functions.append(StepFunction(1, bps, [complex(draw(part), draw(part)) for _ in inner + [top]]))
+    end = factor * h  # h in the lattice's coordinates
+    shift = st.one_of(st.integers(-end - 2, end + 2), st.sampled_from([end, -end, 0, 3 * end, -3 * end]))
+    rows = draw(st.lists(st.tuples(*[shift] * (len(functions) - 1)), min_size=_ARRAY_MIN_ROWS, max_size=3 * _ARRAY_MIN_ROWS))
+    return functions, [(0, *row) for row in rows], lattice
+
+
+@settings(max_examples=200, deadline=None)
+@given(base_frontier())
+def test_array_base_case_equals_product_integral(case):
+    """The array pass of a whole base frontier, repr for repr the values of
+    product_integral tuple by tuple, signed zeros included."""
+    functions, shifts, lattice = case
+    values = array_integrals(functions, shifts, lattice)
+    assert values is not None
+    assert repr(values) == repr([product_integral(functions, x, lattice) for x in shifts])
+
+
+def test_the_array_pass_needs_exact_floats():
+    """A shift of 2**53 or more, or a scale whose float is not exact,
+    leaves a frontier to product_integral."""
+    f = StepFunction(1, [0, 1, 2], [1 + 0j, 2j])
+    rows = [(0, k) for k in range(_ARRAY_MIN_ROWS)]
+    assert array_integrals([f, f], rows, Lattice(1, False)) is not None
+    assert array_integrals([f, f], [*rows, (0, 2**53)], Lattice(1, False)) is None
+    assert array_integrals([f, f], [*rows, (-(2**53), 0)], Lattice(1, False)) is None
+    tiny = StepFunction(1, [0, Fraction(1, 3**34), Fraction(2, 3**34)], [1 + 0j, 2j])
+    assert tiny.on_lattice(Lattice(3**34, False)) == [0, 1, 2]
+    assert array_integrals([tiny, tiny], rows, Lattice(3**34, False)) is None
 
 
 def test_float_shifts_enter_at_their_exact_value():

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +34,7 @@ from rank1flow import (
 from rank1flow import schedule as schedule_module
 from rank1flow.correlate import perturbation_bound
 from rank1flow.errors import RangeError, ResourceError
+from rank1flow.stepfun import _ARRAY_MIN_ROWS
 
 correlate_module = importlib.import_module("rank1flow.correlate")  # the package exports a function of that name
 
@@ -605,6 +607,44 @@ def test_pairs_and_tuples_never_take_an_array_step(array_steps):
     assert array_steps == []
     Correlator(sched, f, g).at([Fraction(-3, 2)], stage=4)
     assert array_steps
+
+
+def test_base_frontiers_on_int_lattices_take_the_array_pass(base_rows):
+    """A 3-point batch on asym49 and a 2-point one on a staircase, each
+    with a base frontier of ``_ARRAY_MIN_ROWS`` tuples or more on an int
+    lattice: the array pass answers every tuple, and each base value is
+    the depth-first recursion's, repr for repr."""
+    sched = asym49_schedule(r_cap=16)
+    triple = MCorrelator(sched, [*pair(sched, 3), pair(sched, 4)[0]])
+    triple.at([(0, t, -t / 2) for t in ORDER_TIMES])
+    wide = SCHEDULES["wide_staircase"]()
+    two = Correlator(wide, *pair(wide, 2))
+    two.at(ORDER_TIMES, stage=4)
+    counts = [len(corr._memo[corr.k]) for corr in (triple, two)]
+    assert min(counts) >= _ARRAY_MIN_ROWS
+    assert base_rows == Counter(array=sum(counts))
+    assert_depth_first(triple)
+    assert_depth_first(two)
+
+
+@pytest.mark.parametrize("case", ["sqrt2", "past-2**53", "below-break-even"])
+def test_base_frontiers_that_keep_product_integral(base_rows, case):
+    """A Q(sqrt 2) lattice and a grid past 2**53 (its shifts below it),
+    each at a base frontier big enough for the array pass, and a frontier
+    of fewer than ``_ARRAY_MIN_ROWS`` tuples: product_integral answers
+    each tuple."""
+    if case == "sqrt2":
+        sched, count = SCHEDULES["thm44"](), 2 * _ARRAY_MIN_ROWS
+    elif case == "past-2**53":
+        sched, count = flat_schedule(3, h1=2**60), 2 * _ARRAY_MIN_ROWS
+    else:
+        sched, count = asym49_schedule(r_cap=16), _ARRAY_MIN_ROWS - 1
+    f, g = pair(sched, 5)
+    corr = MCorrelator(sched, [f, g, f])
+    corr.at([(0, Fraction(i, 3 * count), Fraction(-i, 2 * count)) for i in range(count)], stage=1)
+    assert len(corr._memo[1]) == count
+    assert base_rows == Counter(product_integral=count)
+    assert_depth_first(corr)
 
 
 def result_reprs(results) -> list:

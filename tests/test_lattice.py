@@ -311,11 +311,12 @@ PERIODIC_KINDS = ["edge", "step", "window_edge", "small", "past_int64"]
 
 
 @st.composite
-def periodic_case(draw):
-    """An equally spaced stage, a lattice for it (a rational stage also on
-    a Q(sqrt 2) lattice) and a shift, moved off its kind's value by 0, one
-    lattice unit or a near tie (3 + 2 sqrt 2)**-n of one."""
-    sched, stages = PERIODIC[draw(st.sampled_from(sorted(PERIODIC)))]
+def periodic_case(draw, keys=tuple(sorted(PERIODIC)), count=1):
+    """An equally spaced stage of one of the PERIODIC *keys*, a lattice for
+    it (a rational stage also on a Q(sqrt 2) lattice) and *count* shifts,
+    each moved off its kind's value by 0, one lattice unit or a near tie
+    (3 + 2 sqrt 2)**-n of one."""
+    sched, stages = PERIODIC[draw(st.sampled_from(keys))]
     stage = sched.stage(draw(st.sampled_from(stages)))
     pairs = isinstance(stage.h, Sqrt2) or draw(st.booleans())
     factor = draw(st.integers(1, 3))
@@ -326,18 +327,21 @@ def periodic_case(draw):
     if pairs:
         a, b = pell(draw(st.integers(1, 60)))
         nudges += [Sqrt2(0, unit), Sqrt2(0, -unit), Sqrt2(a, -b) * unit, Sqrt2(-a, b) * unit]
-    kind = draw(st.sampled_from(PERIODIC_KINDS))
-    if kind == "edge":  # |x| = h
-        x = draw(st.sampled_from([h, -h]))
-    elif kind == "step":  # a delta on 0
-        x = draw(st.integers(-r - 1, r + 1)) * p
-    elif kind == "window_edge":  # a delta on h or -h
-        x = draw(st.integers(1 - r, r - 1)) * p + draw(st.sampled_from([h, -h]))
-    elif kind == "small":
-        x = Fraction(draw(st.integers(-9, 9)), factor) * h
-    else:
-        x = draw(st.integers(-r, r)) * p + draw(st.sampled_from([2**64, -(2**64), 2**70 + 1]))
-    return stage, lattice, lattice.encode(x + draw(st.sampled_from(nudges)))
+    shifts = []
+    for _ in range(count):
+        kind = draw(st.sampled_from(PERIODIC_KINDS))
+        if kind == "edge":  # |x| = h
+            x = draw(st.sampled_from([h, -h]))
+        elif kind == "step":  # a delta on 0
+            x = draw(st.integers(-r - 1, r + 1)) * p
+        elif kind == "window_edge":  # a delta on h or -h
+            x = draw(st.integers(1 - r, r - 1)) * p + draw(st.sampled_from([h, -h]))
+        elif kind == "small":
+            x = Fraction(draw(st.integers(-9, 9)), factor) * h
+        else:
+            x = draw(st.integers(-r, r)) * p + draw(st.sampled_from([2**64, -(2**64), 2**70 + 1]))
+        shifts.append(lattice.encode(x + draw(st.sampled_from(nudges))))
+    return stage, lattice, tuple(shifts)
 
 
 @settings(max_examples=80, deadline=None)
@@ -346,7 +350,7 @@ def test_closed_form_matches_scalar_loop(case):
     """On equally spaced offsets ``overlap_pairs`` answers in closed form,
     taking neither the NumPy sweep nor a sign test: the lists of the
     scalar loop, element for element."""
-    stage, lattice, x = case
+    stage, lattice, (x,) = case
     view = stage.on_lattice(lattice)
     assert view.period is not None
     signs, sign = [], schedule_module.sqrt2_sign
@@ -358,6 +362,70 @@ def test_closed_form_matches_scalar_loop(case):
     assert signs == []
     assert got == reference_overlap_pairs(stage, lattice.decode(x))
     assert len(got) <= 2
+
+
+def assert_tuple_step_is_the_sweep(view, xs):
+    """The m-point step of an equally spaced *view* at the shift tuples
+    *xs* is its closed form, which sweeps no copy window, and equals the
+    sweep of the same offsets with no period, order included."""
+    windows, copy = [], schedule_module.copy_windows
+    schedule_module.copy_windows = lambda *args: windows.append(1) or copy(*args)
+    try:
+        closed = [list(step) for step in tuple_overlaps(view, xs)]
+    finally:
+        schedule_module.copy_windows = copy
+    assert windows == []
+    assert closed == [list(step) for step in tuple_overlaps(view._replace(period=None), xs)]
+
+
+@pytest.mark.parametrize("key", sorted(PERIODIC))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_closed_form_tuple_step_equals_the_sweep(key, data):
+    """m = 3 and 4 on each PERIODIC fixture: a batch of three shift
+    tuples, shifts of every kind."""
+    count = data.draw(st.integers(2, 3))
+    stage, lattice, shifts = data.draw(periodic_case(keys=(key,), count=3 * count))
+    xs = [shifts[i : i + count] for i in range(0, len(shifts), count)]
+    assert_tuple_step_is_the_sweep(stage.on_lattice(lattice), xs)
+
+
+@st.composite
+def spaced_stage(draw):
+    """A random equally spaced lattice stage, on ints or (a, b) pairs, with
+    p >= h, and shift tuples of m - 1 = 2 or 3 shifts near the deltas
+    k p, k p + h and k p - h."""
+    r = draw(st.integers(2, 9))
+    if draw(st.booleans()):
+        h = (draw(st.integers(1, 20)), draw(st.integers(0, 10)))
+        p = (h[0] + draw(st.integers(0, 10)), h[1] + draw(st.integers(0, 5)))
+        o = (draw(st.integers(0, 5)), draw(st.integers(0, 3)))
+        offsets = [(o[0] + j * p[0], o[1] + j * p[1]) for j in range(r)]
+        near = st.tuples(st.integers(-h[0] - 2, h[0] + 2), st.integers(-h[1] - 1, h[1] + 1))
+
+        def shift(k, e):
+            return (k * p[0] + e[0], k * p[1] + e[1])
+
+    else:
+        h = draw(st.integers(1, 30))
+        p = h + draw(st.integers(0, 10))
+        o = draw(st.integers(0, 5))
+        offsets = [o + j * p for j in range(r)]
+        near = st.one_of(st.integers(-h - 2, h + 2), st.sampled_from([h, -h, 0]))
+
+        def shift(k, e):
+            return k * p + e
+
+    count = draw(st.integers(2, 3))
+    one = st.builds(shift, st.integers(-r, r), near)
+    xs = draw(st.lists(st.tuples(*[one] * count), min_size=1, max_size=4))
+    return LatticeStage(1, r, h, offsets, p), xs
+
+
+@settings(max_examples=200, deadline=None)
+@given(spaced_stage())
+def test_closed_form_tuple_step_equals_the_sweep_on_random_stages(case):
+    assert_tuple_step_is_the_sweep(*case)
 
 
 FLAT4096 = flat_schedule(4096).stage(2)
@@ -417,6 +485,24 @@ def test_period_is_read_from_the_encoded_spacers(mode):
     assert equal.grid.period == Lattice(equal.denominator, mode == "sqrt2").encode(equal.h + one())
     unequal = Schedule(lambda n, h, w: (5, [one() for _ in range(3)] + [0, 0]), mode=mode).stage(1)
     assert unequal.grid.period is None
+
+
+@pytest.mark.parametrize("mode", ["rational", "sqrt2"])
+def test_each_spacer_object_is_coerced_once(monkeypatch, mode):
+    """A stage whose spacers repeat a few objects is built with one coerce
+    per distinct object (and one for the bottom spacer): equal values that
+    are distinct objects count apart.  The stage is the one built from a
+    new object at every place."""
+    third, half, other_half, bottom = "1/3", Fraction(1, 2), Fraction(1, 2), Fraction(1, 4)
+    values = [third, half, third, other_half, half] * 20 + [Fraction(5)]
+    shared = Schedule(lambda n, h, w: (len(values), values, bottom), mode=mode)
+    calls, coerce = Counter(), schedule_module.coerce
+    monkeypatch.setattr(schedule_module, "coerce", lambda v, mode: calls.update([id(v)]) or coerce(v, mode))
+    stage = shared.stage(1)
+    assert calls == Counter({id(v): 1 for v in [*values, bottom]})
+    monkeypatch.setattr(schedule_module, "coerce", coerce)
+    fresh = Schedule(lambda n, h, w: (len(values), [Fraction(str(v)) for v in values], Fraction(1, 4)), mode=mode).stage(1)
+    assert (stage.spacers, stage.lattice, stage.grid, stage.top) == (fresh.spacers, fresh.lattice, fresh.grid, fresh.top)
 
 
 def test_equally_spaced_stages_skip_both_sweeps(monkeypatch, numpy_batches):
@@ -519,27 +605,32 @@ def test_copy_windows_of_an_equally_spaced_pair_stage_use_the_float_filter(monke
 
 
 def test_the_m_point_step_builds_the_float_offsets_once_per_batch(monkeypatch):
-    """thm44 (r_cap 256) at stage 8: a batch of shift tuples builds the
-    float offsets of the (a, b) pairs once, and every copy window it
-    sweeps is the one the exact sign finds pair by pair."""
-    stage = PERIODIC["thm44"][0].stage(8)
-    lattice = Lattice(3 * stage.denominator, True)
-    view, offs = stage.on_lattice(lattice), stage.offsets
-    shifts = [lattice.encode(x) for x in (0 * stage.h, stage.h / 3, offs[1] - offs[0], offs[2] - offs[0] - stage.h)]
-    ha, hb = view.h
-    for sa, sb in shifts:
-        expected = []
-        for oa, ob in view.offsets:
-            deltas = ((sa + pa - oa, sb + pb - ob) for pa, pb in view.offsets)
-            expected.append([(a, b) for a, b in deltas if sqrt2_sign(ha - a, hb - b) > 0 and sqrt2_sign(ha + a, hb + b) > 0])
-        assert copy_windows(view, (sa, sb)) == expected
-    xs = list(product(shifts, repeat=2))
+    """thm44 (r_cap 256): at stage 8, equally spaced, every copy window is
+    the one the exact sign finds pair by pair, and the closed form of the
+    m-point step builds no float offsets at all; at stage 9, not equally
+    spaced, a batch of shift tuples builds them once.  Both steps are the
+    ones of plain loops over the copy windows."""
     built, build = [], schedule_module._pair_floats
-    monkeypatch.setattr(schedule_module, "_pair_floats", lambda offsets: built.append(1) or build(offsets))
-    steps = tuple_overlaps(view, xs)
-    assert len(built) == 1
-    monkeypatch.setattr(schedule_module, "_pair_floats", build)
-    assert [list(step) for step in steps] == [reference_tuple_step(view, x) for x in xs]
+    for n, floats in ((8, 0), (9, 1)):
+        stage = PERIODIC["thm44"][0].stage(n)
+        lattice = Lattice(3 * stage.denominator, True)
+        view, offs = stage.on_lattice(lattice), stage.offsets
+        assert (view.period is not None) == (n == 8)
+        shifts = [lattice.encode(x) for x in (0 * stage.h, stage.h / 3, offs[1] - offs[0], offs[2] - offs[0] - stage.h)]
+        ha, hb = view.h
+        if n == 8:
+            for sa, sb in shifts:
+                expected = []
+                for oa, ob in view.offsets:
+                    deltas = ((sa + pa - oa, sb + pb - ob) for pa, pb in view.offsets)
+                    expected.append([(a, b) for a, b in deltas if sqrt2_sign(ha - a, hb - b) > 0 and sqrt2_sign(ha + a, hb + b) > 0])
+                assert copy_windows(view, (sa, sb)) == expected
+        xs = list(product(shifts, repeat=2))
+        monkeypatch.setattr(schedule_module, "_pair_floats", lambda offsets: built.append(n) or build(offsets))
+        steps = tuple_overlaps(view, xs)
+        monkeypatch.setattr(schedule_module, "_pair_floats", build)
+        assert built.count(n) == floats
+        assert [list(step) for step in steps] == [reference_tuple_step(view, x) for x in xs]
 
 
 def test_the_pair_step_builds_the_float_offsets_once_per_batch(monkeypatch):
