@@ -56,12 +56,14 @@ frontier's size allow it (an int lattice, coordinates below 2**53, at
 least ``_ARRAY_MIN_ROWS`` shift tuples), and :func:`product_integral`
 per shift tuple otherwise: the same values, bit for bit.
 
-The schedule keeps each step it takes whole, keyed by stage, lattice and
-shifts, so a second correlator that asks for the same levels, as the
-functions of one family do at the same times, takes no step at all.  The
-memo of a query is bounded by :data:`rank1flow.schedule.GUARD`, read
-when its check runs, as are the deltas the schedule keeps; the working
-stage is bounded by ``MAX_STAGE``.
+A correlator takes a family, one function tuple per member, all of one
+arity and one stage.  At the same times the members need the same keys,
+so the frontiers and the steps are the family's, one step per stage and
+batch; only the base case and the sums run per member, on its own memo,
+so each value is the one the member gets alone.  The schedule keeps no
+step.  :data:`rank1flow.schedule.GUARD`, read when its check runs, bounds
+the memo of a query, its keys counted once for the family, and
+``MAX_STAGE`` the working stage, picked or given.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ import numpy as np
 
 from . import schedule as geometry  # for GUARD, read at call time
 from .errors import RangeError, ResourceError
-from .scalars import Scalar, exact
+from .scalars import Scalar, exact, to_float
 from .schedule import Lattice, Schedule, rescaled, within
 from .stepfun import StepFunction, array_integrals, product_integral
 
@@ -118,68 +120,74 @@ def pick_stage(schedule: Schedule, k: int, t_abs: Scalar) -> int:
             break
         n += 1
     if n > MAX_STAGE:
-        raise RangeError(f"|t| = {float(t_abs):g} out of range: no stage up to {MAX_STAGE} is tall enough")
+        raise RangeError(f"|t| = {to_float(t_abs, '|t|'):g} out of range: no stage up to {MAX_STAGE} is tall enough")
     return n
 
 
 class MCorrelator:
-    """integral of prod_i f_i(T_{-t_i} x) dmu via the m-fold offset
-    recursion on the shifts t_i - t_0, i >= 1, memoized on one integer
-    lattice.
+    """integral of prod_i f_i(T_{-t_i} x) dmu for each member (f_0, ...,
+    f_{m-1}) of a family, via the m-fold offset recursion on the shifts
+    t_i - t_0, i >= 1, memoized on one integer lattice.
 
-    B_n is stored in the memo of stage n at x, the coordinates of the
-    shift tuple on ``_lattice`` (at m = 2, of the one shift).  That
-    lattice starts as the smallest holding the functions' breakpoints, so
+    B_n of a member is stored in its memo of stage n at x, the coordinates
+    of the shift tuple on ``_lattice`` (at m = 2, of the one shift).  That
+    lattice starts as the smallest holding every member's breakpoints, so
     the base case reads their grids on it, and only grows, in scale and
     in kind: a batch that needs a finer scale, or Q(sqrt 2), moves the
     keys already stored to the new lattice once, an int x to the pair
-    (x, 0), so every batch shares the one memo.  The step is the
-    schedule's, chosen once from m: :meth:`Schedule.overlaps` at m = 2,
-    else :meth:`Schedule.tuple_overlaps`.  Either takes a list of shifts and
+    (x, 0), so every batch shares the memos.  The step is the schedule's,
+    chosen once from m: :meth:`Schedule.overlaps` at m = 2, else
+    :meth:`Schedule.tuple_overlaps`.  Either takes a list of shifts and
     returns one (delta, multiplicity) sequence per shift, or, for an
-    array step at m = 2, (counts, keys, index, mults); the schedule
-    caches each such level whole.  :meth:`at` takes all the times of a
-    call at once.
+    array step at m = 2, (counts, keys, index, mults).  :meth:`at` takes
+    all the times of a call at once.
     """
 
-    def __init__(self, schedule: Schedule, functions: Sequence[StepFunction]):
-        if len(functions) < 2:
-            raise RangeError("m-point correlation needs m >= 2")
-        if len({f.stage for f in functions}) != 1:
+    def __init__(self, schedule: Schedule, family: Sequence[Sequence[StepFunction]]):
+        family = list(family)
+        if len({len(functions) for functions in family}) != 1 or len(family[0]) < 2:
+            raise RangeError("a family needs one or more members, all of one arity m >= 2")
+        if len({f.stage for functions in family for f in functions}) != 1:
             raise RangeError("all functions must live at a common stage (lift the shallower ones)")
         self.schedule = schedule
-        self.functions = list(functions)
-        self.k = functions[0].stage
-        self._lattice = Lattice.holding((), *(f.lattice for f in functions))
-        self._memo: defaultdict = defaultdict(dict)  # n -> {coordinates on self._lattice: B_n}
-        self._norm = prod(f.sup_norm for f in self.functions)  # of the bound, read per query
-        self._pair = len(functions) == 2
+        self.family = family
+        self.k = family[0][0].stage
+        self._lattice = Lattice.holding((), *(f.lattice for functions in family for f in functions))
+        self._memos = [defaultdict(dict) for _ in family]  # per member: n -> {coordinates on self._lattice: B_n}
+        self._norms = [prod(f.sup_norm for f in functions) for functions in family]  # of the bounds
+        self._pair = len(family[0]) == 2
         self._step = schedule.overlaps if self._pair else schedule.tuple_overlaps
 
     def _correlation(self, shifts: list, t_abs: list, stage: int | None) -> list:
-        """w_N * B_N for each query of a batch, at its exact shifts (one
-        per function after the first), with the bound for times up to its
-        |t| in *t_abs*; B_N is 0 when a shift is outside |x| < h_N.
+        """w_N * B_N for each member at each query of a batch, at its exact
+        shifts (one per function after the first), with the bound for
+        times up to its |t| in *t_abs*; B_N is 0 when a shift is outside
+        |x| < h_N.  One list of results per member, in query order.
 
-        Every working stage is picked before any step is taken, the memo
-        is moved at most once, to the lattice of the whole batch, and
+        Every working stage is picked before any step is taken, the memos
+        are moved at most once, to the lattice of the whole batch, and
         one pass of :meth:`_B` computes every B_N the batch lacks."""
         sched = self.schedule
         if stage is None:
             ns = [pick_stage(sched, self.k, t) for t in t_abs]
         elif stage < self.k:
             raise RangeError(f"stage {stage} is below the functions' stage {self.k}")
+        elif stage > MAX_STAGE:
+            raise RangeError(f"stage {stage} is past MAX_STAGE = {MAX_STAGE}")
         else:
             ns = [stage] * len(shifts)
+        results = [[] for _ in self.family]
         if not ns:
-            return []
+            return results
         old = self._lattice
         stages = (sched.stage(m).lattice for m in range(self.k, max(ns) + 1))
         lattice = Lattice.holding(chain.from_iterable(shifts), old, *stages)
         if lattice != old:
             m, lift = lattice.scale // old.scale, lattice.sqrt2 and not old.sqrt2
-            memo = {i: {rescaled(x, m, lift): v for x, v in level.items()} for i, level in self._memo.items()}
-            self._memo, self._lattice = defaultdict(dict, memo), lattice
+            for memo in self._memos:
+                for i, level in memo.items():
+                    memo[i] = {rescaled(x, m, lift): v for x, v in level.items()}
+            self._lattice = lattice
         heights = {n: lattice.encode(sched.stage(n).h) for n in set(ns)}
         keys, wanted = [], defaultdict(dict)  # wanted: n -> the keys of B_n, in order
         for n, query in zip(ns, shifts):
@@ -191,23 +199,25 @@ class MCorrelator:
             keys.append(key)
         if wanted:
             self._B(wanted)
-        results = []
         for n, key, t in zip(ns, keys, t_abs):
-            value = 0j if key is None else complex(self._memo[n][key])
-            w_n = float(sched.width(n))
-            results.append(CorrelationResult(value=value * w_n, error_bound=self._bound(float(t), w_n), stage_used=n))
+            w_n, t = to_float(sched.width(n), f"w_{n}"), to_float(t, "|t|")
+            for memo, norm, out in zip(self._memos, self._norms, results):
+                value = 0j if key is None else complex(memo[n][key])
+                out.append(CorrelationResult(value=value * w_n, error_bound=self._bound(norm, t, w_n), stage_used=n))
         return results
 
     def _B(self, wanted: dict) -> None:
-        """B_n at the keys wanted[n] of each working stage n, into the
-        memo, in one level-synchronous pass.  Top down, from the highest
-        working stage to k, each stage's frontier is the new deltas of the
-        step above plus the keys wanted there, less the memo, and its step
-        is taken at once for the whole frontier, and stage k's base case
-        too; bottom up, each new value is summed over its step in the
-        step's order, as a depth-first recursion would: term by term for a
-        list step, by :func:`_row_sums` for an array step."""
-        memo, guard = self._memo, geometry.GUARD
+        """B_n at the keys wanted[n] of each working stage n, into every
+        member's memo, in one level-synchronous pass; the members hold the
+        same keys, so the first memo stands for all.  Top down, from the
+        highest working stage to k, each stage's frontier is the new deltas
+        of the step above plus the keys wanted there, less the memo, and its
+        step is taken at once for the whole frontier, and stage k's base
+        case too, per member; bottom up, each member sums each new value
+        over its step in the step's order, as a depth-first recursion
+        would: term by term for a list step, by :func:`_row_sums` for an
+        array step."""
+        memos, memo, guard = self._memos, self._memos[0], geometry.GUARD
         n, lowest = max(wanted), min(wanted)
         size, levels, xs = sum(map(len, memo.values())), [], []
         while True:
@@ -221,10 +231,11 @@ class MCorrelator:
                 if n == self.k:
                     zero = (0, 0) if self._lattice.sqrt2 else 0
                     rows = [(zero, y) for y in xs] if self._pair else [(zero, *y) for y in xs]
-                    base = array_integrals(self.functions, rows, self._lattice)
-                    if base is None:
-                        base = [product_integral(self.functions, row, self._lattice) for row in rows]
-                    memo[n].update(zip(xs, base))
+                    for functions, member in zip(self.family, memos):
+                        base = array_integrals(functions, rows, self._lattice)
+                        if base is None:
+                            base = [product_integral(functions, row, self._lattice) for row in rows]
+                        member[n].update(zip(xs, base))
                     break
                 steps, below = self._step(n - 1, xs, self._lattice), memo[n - 1]
                 if type(steps) is tuple:  # an array step: (counts, keys, index, mults)
@@ -238,26 +249,28 @@ class MCorrelator:
             n -= 1
         while levels:  # each step is let go once its sums are stored
             n, xs, steps = levels.pop()
-            here, below = memo[n], memo[n - 1]
-            if type(steps) is tuple:
-                here.update(zip(xs, _row_sums(steps, below)))
-            else:
-                for y, pairs in zip(xs, steps):
-                    v = 0j
-                    for d, mult in pairs:
-                        v += mult * below[d]
-                    here[y] = v
+            for member in memos:
+                here, below = member[n], member[n - 1]
+                if type(steps) is tuple:
+                    here.update(zip(xs, _row_sums(steps, below)))
+                else:
+                    for y, pairs in zip(xs, steps):
+                        v = 0j
+                        for d, mult in pairs:
+                            v += mult * below[d]
+                        here[y] = v
 
-    def _bound(self, t: float, w: float) -> float:
-        return 2.0 * self._norm * t * w * len(self.functions)
+    def _bound(self, norm: float, t: float, w: float) -> float:
+        return 2.0 * norm * t * w * len(self.family[0])
 
     def at(self, times: Sequence[Sequence[Scalar]], stage: int | None = None) -> list:
-        """One :class:`CorrelationResult` per time tuple of *times* (one
-        time per function), in order, from one pass over the batch; at
-        stage *stage*, or each at the stage :func:`pick_stage` gives it."""
+        """One list per member of one :class:`CorrelationResult` per time
+        tuple of *times* (one time per function), in order, from one pass
+        over the batch; at stage *stage*, or each at the stage
+        :func:`pick_stage` gives it."""
         shifts, t_abs = [], []
         for query in times:
-            if len(query) != len(self.functions):
+            if len(query) != len(self.family[0]):
                 raise RangeError("need one time per function")
             query = [exact(t) for t in query]
             shifts.append(tuple(t - query[0] for t in query[1:]))
@@ -280,20 +293,21 @@ def _row_sums(step: tuple, below: dict) -> list:
 
 
 class Correlator(MCorrelator):
-    """Koopman correlations <U_T(t) f, g> of one pair under one schedule:
-    the m = 2 case on (f, conj g) at times (t, 0), with a shift memo shared
-    across query times."""
+    """Koopman correlations <U_T(t) f, g> of a family of pairs (f, g) under
+    one schedule: the m = 2 case on (f, conj g) at times (t, 0), with the
+    shift memos shared across query times."""
 
-    def __init__(self, schedule: Schedule, f: StepFunction, g: StepFunction):
-        super().__init__(schedule, (f, g.conjugate()))
+    def __init__(self, schedule: Schedule, pairs: Sequence[tuple]):
+        super().__init__(schedule, [(f, g.conjugate()) for f, g in pairs])
 
-    def _bound(self, t: float, w: float) -> float:
+    def _bound(self, norm: float, t: float, w: float) -> float:
         """The 2-point bound, half the m-point formula at m = 2."""
-        return 2.0 * self._norm * t * w  # = 2.0 * ||f|| * ||g|| * t * w: doubling is exact
+        return 2.0 * norm * t * w  # = 2.0 * ||f|| * ||g|| * t * w: doubling is exact
 
     def at(self, times: Sequence[Scalar], stage: int | None = None) -> list:
-        """One :class:`CorrelationResult` per time t of *times*, in order,
-        from one pass over the batch (see :meth:`MCorrelator.at`)."""
+        """One list per pair of one :class:`CorrelationResult` per time t
+        of *times*, in order, from one pass over the batch (see
+        :meth:`MCorrelator.at`)."""
         times = [exact(t) for t in times]
         return self._correlation([(-t,) for t in times], [abs(t) for t in times], stage)
 
@@ -302,12 +316,12 @@ def correlate(
     schedule: Schedule, f: StepFunction, g: StepFunction, t: Scalar, stage: int | None = None
 ) -> CorrelationResult:
     """<U_T(t) f, g> at the one time *t*."""
-    return Correlator(schedule, f, g).at([t], stage=stage)[0]
+    return Correlator(schedule, [(f, g)]).at([t], stage=stage)[0][0]
 
 
 def inner_product(schedule: Schedule, f: StepFunction, g: StepFunction) -> complex:
     """<f, g> at the common stage, weight w_k: the base case at shift 0."""
-    return complex(product_integral([f, g.conjugate()], (0, 0))) * float(schedule.width(f.stage))
+    return complex(product_integral([f, g.conjugate()], (0, 0))) * to_float(schedule.width(f.stage), f"w_{f.stage}")
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +355,10 @@ def weak_limit_probe(
     Monotonicity is not asserted; the report only flags whether the final
     residual is below the caller's threshold.
     """
-    # per pair, one batch: the reference time s (when beta is set), then the times
+    # one batch for the family: the reference time s (when beta is set), then the times
+    answers = Correlator(schedule, test_family).at([target.s, *times] if target.beta else times)
     base = []
-    for f, g in test_family:
-        results = Correlator(schedule, f, g).at([target.s, *times] if target.beta else times)
+    for (f, g), results in zip(test_family, answers):
         ref = results.pop(0) if target.beta else None
         base.append((inner_product(schedule, f, g), ref, results))
     residuals, bounds = [], []

@@ -33,7 +33,7 @@ from .correlate import (
 from .errors import ConfigurationError
 from .oracle import oracle_correlate
 from .schedule import Schedule, finiteness_test, symmetrize
-from .scalars import scalar_from_string, scalar_to_string
+from .scalars import scalar_from_string, scalar_to_string, to_float
 from .serialize import Reader, boolean, correlation_result_to_json, integer, load_schedule, number, parse_as, positive
 from .spectral import affinity, autocorr_curve, bochner_density, curve_from_samples, dilate, sample_count
 from .stepfun import StepFunction, lift, random_level_set, random_step_function, reflect
@@ -210,7 +210,7 @@ def run_stage_audit(spec: dict):
                 "ok": ok,
             }
         )
-        plot.append([n, st.r, float(st.h), float(st.measure)])
+        plot.append([n, st.r, to_float(st.h, f"h_{n}"), to_float(st.measure, f"the measure of stage {n}")])
     report = {"items": items}
     if horizon:
         verdict = finiteness_test(schedule, horizon)
@@ -228,10 +228,10 @@ def run_correlate(spec: dict):
     against_oracle = _field(spec, "oracle", boolean, False)
     spec.close()
     times = resolve_times(schedule, time_spec)
-    corr = Correlator(schedule, f, g)
+    (results,) = Correlator(schedule, [(f, g)]).at(times)
     items = []
     ok_all = True
-    for t, res in zip(times, corr.at(times)):
+    for t, res in zip(times, results):
         item = {"t": scalar_to_string(t), **correlation_result_to_json(res)}
         if against_oracle:
             ref = oracle_correlate(schedule, f, g, t, stage=res.stage_used)
@@ -342,13 +342,12 @@ def backward_candidates(schedule: Schedule, spec: dict) -> list:
     return out
 
 
-def triple_ratios(schedule: Schedule, a: StepFunction, ns: list, sign: int) -> list:
+def triple_ratios(schedule: Schedule, sets: list, ns: list, sign: int) -> list:
     """mu(A meet T_{sn}A meet T_{3sn}A) / mu(A) with its error bound and
-    stage, for each n of *ns*; the set keeps one memo and one mu(A)."""
-    mu_a = inner_product(schedule, a, a).real
-    corr = MCorrelator(schedule, [a, a, a])
-    results = corr.at([(0 * n, sign * n, 3 * sign * n) for n in ns])
-    return [(res.value.real / mu_a, res.error_bound / mu_a, res.stage_used) for res in results]
+    stage, for each n of *ns*: one list per set A of *sets*, from one pass."""
+    answers = MCorrelator(schedule, [[a, a, a] for a in sets]).at([(0 * n, sign * n, 3 * sign * n) for n in ns])
+    mus = [inner_product(schedule, a, a).real for a in sets]
+    return [[(res.value.real / mu, res.error_bound / mu, res.stage_used) for res in results] for mu, results in zip(mus, answers)]
 
 
 def run_triple_asymmetry(spec: dict):
@@ -363,9 +362,8 @@ def run_triple_asymmetry(spec: dict):
     forward_items = []
     plot = []
     worst_forward = None
-    for s_idx, a in enumerate(forward_sets):
+    for s_idx, ratios in enumerate(triple_ratios(schedule, forward_sets, n_times, +1)):
         rows = []
-        ratios = triple_ratios(schedule, a, n_times, +1)
         for i, (n, (ratio, bound, stage_used)) in enumerate(zip(n_times, ratios)):
             rows.append({"i": i, "n": scalar_to_string(n), "ratio": ratio, "bound": bound, "stage_used": stage_used})
             plot.append([s_idx, i, float(n), ratio, bound])
@@ -374,8 +372,8 @@ def run_triple_asymmetry(spec: dict):
         forward_items.append({"set": s_idx, "rows": rows, "final_ratio": final})
     backward_items = []
     best = None
-    for label, a in candidates:
-        ((ratio, bound, _),) = triple_ratios(schedule, a, n_times[-1:], -1)
+    backward = triple_ratios(schedule, [a for _, a in candidates], n_times[-1:], -1)
+    for (label, _), ((ratio, bound, _),) in zip(candidates, backward):
         backward_items.append({"set": label, "final_ratio": ratio, "bound": bound})
         if best is None or ratio < best["final_ratio"]:
             best = backward_items[-1]
@@ -417,7 +415,7 @@ def run_fock_claims(spec: dict):
     batches[l0 - 1].append(comp.shifts[l0 - 1])
     if off_scale is not None:
         batches[0] += [off_scale[0] * t for t in times]
-    answers = [Correlator(schedule, f_l, f_l).at(batch) for f_l, batch in zip(comp.vectors, batches)]
+    answers = [Correlator(schedule, [(f_l, f_l)]).at(batch)[0] for f_l, batch in zip(comp.vectors, batches)]
     norms = [inner_product(schedule, f_l, f_l).real for f_l in comp.vectors]
     predictions = [complex(norm / two_r) for norm in norms]
     predictions[l0 - 1] = answers[l0 - 1][len(times)].value / two_r

@@ -267,6 +267,14 @@ def coerce(x: Scalar, mode: str) -> Scalar:
     raise ValueError(f"unknown scalar mode {mode!r}")
 
 
+def to_float(x: Scalar, what: str) -> float:
+    """float(x); a value past float range raises a RangeError naming *what*."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise RangeError(f"{what} = {scalar_to_string(x)} is past float range") from None
+
+
 def exact(x: Scalar) -> Scalar:
     """x, with a float replaced by its exact binary value."""
     if isinstance(x, float):

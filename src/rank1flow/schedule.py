@@ -62,17 +62,14 @@ product of those ranges, and each is realized by the copies j0 that keep
 every j0 + k_i among the r copies, r - max(0, k...) + min(0, k...) of
 them, listed in the order a sweep meets them first.  On other stages it
 groups the copy tuples of the windows by delta vector.  The schedule
-keeps each step whole, whatever
-its kind, keyed by its stage, lattice and shifts: a family of functions
-queried at the same times under one schedule takes each level's step
-once.
+keeps no step; a correlator takes each for its whole family.
 
 Two module constants bound the work, with no parameter to set them:
 ``GUARD`` (the deltas per shift of every m = 2 step, the delta vectors of
-an m-tuple step, the deltas a schedule keeps in its overlap cache, and in
-:mod:`rank1flow.correlate` the memo of a query) and ``DIGIT_BUDGET`` (the
-bits of a stage height).  Each check reads its constant when it runs, so
-patching ``schedule.GUARD`` moves all four GUARD limits at once.
+an m-tuple step, and in :mod:`rank1flow.correlate` the memo of a query)
+and ``DIGIT_BUDGET`` (the bits of a stage height).  Each check reads its
+constant when it runs, so patching ``schedule.GUARD`` moves all three
+GUARD limits at once.
 """
 
 from __future__ import annotations
@@ -91,7 +88,7 @@ import numpy as np
 from .errors import ConfigurationError, ResourceError
 from .scalars import FLOAT_BITS, MODES, SQRT2_FLOAT, Scalar, Sqrt2, coerce, exact, sqrt2_floordiv, sqrt2_sign, sqrt2_sorted
 
-GUARD = 10**6  # memo entries per query, delta vectors per m-tuple step, deltas per shift, deltas cached
+GUARD = 10**6  # memo entries per query, delta vectors per m-tuple step, deltas per shift
 DIGIT_BUDGET = 200_000  # bits in each component of a stage height on its own lattice
 # A batch of shifts on int offsets is an array step when it holds at
 # least _NUMPY_MIN_WORK (shift, copy) pairs.  NumPy costs some 55-80 us
@@ -118,8 +115,7 @@ class Lattice(NamedTuple):
     the int x*scale, or, when ``sqrt2`` is set, as the pair (a, b) with
     x = (a + b*sqrt 2)/scale: a :class:`Sqrt2` holds such a pair over its
     own ``denominator``, and encoding rescales it.  Ints and tuples of
-    ints hash and compare in C, so memo and cache keys on the lattice stay
-    cheap.
+    ints hash and compare in C, so memo keys on the lattice stay cheap.
     """
 
     scale: int
@@ -286,8 +282,6 @@ class Schedule:
         if not (self.h1 > 0 and self.w1 > 0):
             raise ConfigurationError(f"h1 = {h1!r} and w1 = {w1!r} must be positive")
         self._stages: list[TowerStage] = []
-        self._overlap_cache: dict = {}  # (n, lattice, shifts) -> the step of that level
-        self._cached_deltas = 0  # deltas held by the overlap cache
         self.stage_thresholds: dict = {}  # k -> [u_k, u_{k+1}, ...] of correlate.pick_stage
 
     # -- stage computation ----------------------------------------------
@@ -365,30 +359,13 @@ class Schedule:
     # -- convenience -----------------------------------------------------
 
     def overlaps(self, n: int, shifts: list, lattice: Lattice):
-        """Cached :func:`overlap_batch` for stage n at *shifts*, with the
-        shifts and the deltas in the coordinates of *lattice*."""
-        return self._cached(overlap_batch, n, shifts, lattice)
+        """:func:`overlap_batch` for stage n at *shifts*, with the shifts
+        and the deltas in the coordinates of *lattice*."""
+        return overlap_batch(self.stage(n).on_lattice(lattice), shifts)
 
     def tuple_overlaps(self, n: int, shifts: list, lattice: Lattice) -> list:
-        """Cached :func:`tuple_overlaps` for stage n at each shift tuple of *shifts*."""
-        return self._cached(tuple_overlaps, n, shifts, lattice)
-
-    def _cached(self, step, n: int, shifts: list, lattice: Lattice):
-        """*step* for stage n on *lattice* at *shifts*, a whole level, through
-        the one overlap cache.  The key (n, lattice, shifts) holds
-        coordinates at m = 2 and tuples of them at m >= 3, which differ on
-        one lattice; the value is what *step* returned.  A level is kept
-        while every kept level together holds at most GUARD deltas, so a
-        level too large to keep is computed each time it is asked for."""
-        key = (n, lattice, tuple(shifts))
-        level = self._overlap_cache.get(key)
-        if level is None:
-            level = step(self.stage(n).on_lattice(lattice), shifts)
-            size = len(level[2]) if type(level) is tuple else sum(map(len, level))
-            if self._cached_deltas + size <= GUARD:
-                self._overlap_cache[key] = level
-                self._cached_deltas += size
-        return level
+        """:func:`tuple_overlaps` for stage n at each shift tuple of *shifts*."""
+        return tuple_overlaps(self.stage(n).on_lattice(lattice), shifts)
 
     def height(self, n: int):
         return self.stage(n).h
@@ -688,7 +665,7 @@ def _periodic_batch(stage: LatticeStage, shifts: list) -> tuple:
 def _keyed(counts: np.ndarray, deltas: np.ndarray, mults: np.ndarray) -> tuple:
     """An array step as (counts, keys, index, mults): *keys* the distinct
     deltas as ints, increasing, and *index* the place of each delta among
-    them, so that the step, cached or not, is summed with no sort."""
+    them, so that the step is summed with no sort."""
     keys, index = np.unique(deltas, return_inverse=True)
     return counts, keys.tolist(), index, mults
 

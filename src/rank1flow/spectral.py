@@ -84,9 +84,8 @@ def autocorr_curve(schedule: Schedule, f: StepFunction, dt, t_max) -> AutocorrCu
     i = 0..n, in one batch; the value at -t_i is the conjugate of the one
     at t_i, with the same bound."""
     n = sample_count(t_max, dt)
-    corr = Correlator(schedule, f, f)
     ts = [i * dt for i in range(n + 1)]
-    half = corr.at(ts)
+    (half,) = Correlator(schedule, [(f, f)]).at(ts)
     values = np.array([r.value for r in half], dtype=complex)
     bounds = np.array([r.error_bound for r in half])
     times = np.array([float(t) for t in ts])  # rounding is odd: float(-t) = -float(t)

@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, ResourceError
-from .scalars import Scalar, exact, sqrt2_float, sqrt2_sorted
+from .scalars import Scalar, exact, sqrt2_float, sqrt2_sorted, to_float
 from .schedule import Lattice
 
 MAX_BREAKPOINTS = 2_000_000  # the most breakpoints lift builds per stage
@@ -64,6 +64,7 @@ class StepFunction:
         for a, b in zip(self.breakpoints, self.breakpoints[1:]):
             if not a < b:
                 raise ConfigurationError("breakpoints must be strictly increasing")
+        to_float(self.breakpoints[-1] - self.breakpoints[0], f"the support length of a stage-{self.stage} function")
 
     @property
     def height(self):

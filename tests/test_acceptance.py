@@ -117,12 +117,12 @@ def test_criterion_3_staircase_weak_limits():
     threshold = 0.05 * norm_sq
 
     # (3-2): sup over 30 grid points c in [1, 10] of |<U(-c h_4) f, g>|
-    corr = Correlator(sched, f, g)
+    corr = Correlator(sched, [(f, g)])
     sup = 0.0
     h4 = sched.height(4)
     for i in range(30):
         c = Fraction(1) + Fraction(9 * i, 29)
-        sup = max(sup, abs(corr.at([-c * h4])[0].value))
+        sup = max(sup, abs(corr.at([-c * h4])[0][0].value))
 
     # base-consistent companion: d = 3/4 -> (1/4) I
     quarter = weak_limit_probe(

@@ -355,6 +355,42 @@ def test_a_family_stage_past_max_stage_is_named(tmp_path):
     assert "|t|" not in result.output
 
 
+def test_an_eval_depth_past_max_stage_exits_two(tmp_path):
+    """reflection-check evaluates at a given stage, bounded as a picked one is."""
+    spec = {"schedule": {"kind": "flat", "params": {"r": 2}}, "cases": 1, "eval_depth": 2000}
+    result = invoke(["reflection-check", "--spec", write_spec(tmp_path, "deep.json", spec), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert re.search(r"error: stage \d+ is past MAX_STAGE = 64", result.output)
+
+
+HUGE = "1" + "0" * 400  # past float range
+PAST_FLOAT_RANGE = {
+    "time": ("correlate", {"schedule": {"kind": "flat", "params": {"r": 2}}, "times": [HUGE]}, f"|t| = {HUGE}"),
+    "audit-height": ("stage-audit", {"schedule": {"kind": "flat", "params": {"r": 2}}, "depth": 1100}, "h_1025 = "),
+    "support": (
+        "correlate",
+        {
+            "schedule": {"h1": HUGE, "stages": [{"r": 2, "spacer": {"variant": "constant", "c": "0"}}]},
+            "times": {"kind": "heights", "stages": [1]},
+        },
+        f"the support length of a stage-1 function = {HUGE}",
+    ),
+    "width": (
+        "correlate",
+        {"schedule": {"w1": HUGE, "stages": [{"r": 2, "spacer": {"variant": "constant", "c": "0"}}]}, "times": ["1/2"]},
+        "w_",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PAST_FLOAT_RANGE))
+def test_a_value_past_float_range_exits_two_and_is_named(tmp_path, name):
+    kind, spec, named = PAST_FLOAT_RANGE[name]
+    result = invoke([kind, "--spec", write_spec(tmp_path, "huge.json", spec), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert f"error: {named}" in result.output and "is past float range" in result.output
+
+
 # curves whose t_max rounds to no sample time but 0 (t_max = dt/2 rounds
 # half to even, to 0), for both kinds and both branches of the curve
 NO_TIME_BUT_ZERO = {

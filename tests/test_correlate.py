@@ -90,25 +90,25 @@ def test_stage_stability(flat3, small_staircase, small_asym):
 
 def memo_size(corr):
     """Entries of a correlator's memo, which holds one dict per stage."""
-    return sum(map(len, corr._memo.values()))
+    return sum(map(len, corr._memos[0].values()))
 
 
 def test_correlator_memo_is_shared_across_times(flat2):
     f, g = pair(flat2, 1)
-    corr = Correlator(flat2, f, g)
-    half = corr.at([Fraction(1, 2)])[0]
+    corr = Correlator(flat2, [(f, g)])
+    half = corr.at([Fraction(1, 2)])[0][0]
     first = memo_size(corr)
     assert first > 0
     corr.at([Fraction(1, 2)])
     assert memo_size(corr) == first  # warm queries add nothing
     # a time with a new denominator rescales the stored shifts onto a finer
     # lattice; the entries of 1/2 stay in the same memo and still hit
-    third = corr.at([Fraction(1, 3)])[0]
+    third = corr.at([Fraction(1, 3)])[0][0]
     second = memo_size(corr)
     assert second > first
-    assert corr.at([Fraction(1, 2)])[0].value == half.value
+    assert corr.at([Fraction(1, 2)])[0][0].value == half.value
     assert memo_size(corr) == second
-    assert third.value == Correlator(flat2, f, g).at([Fraction(1, 3)])[0].value
+    assert third.value == Correlator(flat2, [(f, g)]).at([Fraction(1, 3)])[0][0].value
 
 
 def test_oracle_agreement_spot_checks(flat2, flat3, small_staircase, small_asym, sym_flat3):
@@ -213,7 +213,7 @@ def test_m_correlate_two_points_equals_correlate(flat3, small_asym):
     for sched in (flat3, small_asym):
         f, g = pair(sched, rng.randrange(10**6))
         for t in (0, Fraction(1, 2), -1):
-            two = MCorrelator(sched, [f, g.conjugate()]).at([(t, 0)])[0]
+            two = MCorrelator(sched, [[f, g.conjugate()]]).at([(t, 0)])[0][0]
             assert two.value == correlate(sched, f, g, t).value
 
 
@@ -222,7 +222,7 @@ def test_m_correlate_matches_oracle(small_asym):
     h = small_asym.height(1)
     fs = [random_step_function(1, h, 3, rng) for _ in range(3)]
     times = (0, Fraction(3, 2), -1)
-    res = MCorrelator(small_asym, fs).at([times])[0]
+    res = MCorrelator(small_asym, [fs]).at([times])[0][0]
     ref = oracle_m_correlate(small_asym, fs, times, stage=res.stage_used)
     assert abs(res.value - ref) <= res.error_bound + 1e-9
 
@@ -241,7 +241,7 @@ def test_m_correlate_matches_oracle_over_sqrt2(name):
     d = sched.stage(1).offsets[1]  # a copy offset, so that shifted copies meet
     values = []
     for times in ((0, Fraction(1, 4), Fraction(-1, 5)), (0, SQRT2 / 8, -SQRT2 / 5), (d + Fraction(1, 8), 0, Fraction(1, 3))):
-        res = MCorrelator(sched, fs).at([times])[0]
+        res = MCorrelator(sched, [fs]).at([times])[0][0]
         ref = oracle_m_correlate(sched, fs, times, stage=res.stage_used)
         assert abs(res.value - ref) <= res.error_bound + 1e-9
         values.append(res.value)
@@ -253,7 +253,7 @@ def test_float_time_is_its_exact_binary_value(small_staircase, small_thm44):
         f, g = pair(sched, 41)
         for t in (2.5, -0.1, 1 / 3):
             assert correlate(sched, f, g, t) == correlate(sched, f, g, Fraction(t))
-            assert MCorrelator(sched, [f, g, f]).at([(0, t, -t)])[0] == MCorrelator(sched, [f, g, f]).at([(0, Fraction(t), -Fraction(t))])[0]
+            assert MCorrelator(sched, [[f, g, f]]).at([(0, t, -t)])[0][0] == MCorrelator(sched, [[f, g, f]]).at([(0, Fraction(t), -Fraction(t))])[0][0]
 
 
 def test_weak_limit_probe_identity_at_zero(flat2):
@@ -338,91 +338,99 @@ def test_guards_name_stage_and_count(monkeypatch, numpy_batches, schedule, stage
     default = schedule_module.GUARD
     monkeypatch.setattr(schedule_module, "GUARD", guard)
     with pytest.raises(ResourceError, match=f"^{message}$"):
-        Correlator(sched, f, g).at([t], stage=stage)[0]
+        Correlator(sched, [(f, g)]).at([t], stage=stage)[0][0]
     assert bool(numpy_batches) == batched
+    with pytest.raises(ResourceError, match=f"^{message}$"):
+        Correlator(SCHEDULES[schedule](), [(f, g), (g, f), (f, f)]).at([t], stage=stage)
     # each guard sits one below the count it meets (20 deltas at the top
     # of the staircase, 2 on flat3 and thm44, or the memo the query
     # needs), and a guard of the memo's size lets the query through
     monkeypatch.setattr(schedule_module, "GUARD", default)
-    corr = Correlator(sched, f, g)
-    value = corr.at([t], stage=stage)[0].value
+    corr = Correlator(sched, [(f, g)])
+    value = corr.at([t], stage=stage)[0][0].value
     assert message.startswith("overlap") or memo_size(corr) == guard + 1
     monkeypatch.setattr(schedule_module, "GUARD", memo_size(corr))
-    assert Correlator(sched, f, g).at([t], stage=stage)[0].value == value
+    assert Correlator(sched, [(f, g)]).at([t], stage=stage)[0][0].value == value
+    # a family's memo guard counts each key once, not once per member
+    assert Correlator(sched, [(g, f), (f, g)]).at([t], stage=stage)[1][0].value == value
 
 
-def test_m_point_step_and_its_cache_follow_the_guard(monkeypatch):
-    """GUARD also bounds the delta vectors of one m-tuple step and the
-    deltas the schedule's overlap cache keeps, which holds the tuple steps
-    as levels; the query below needs 9 memo entries and 2 levels: 1 shift
-    tuple at stage 2 with 4 delta vectors, and 4 at stage 1 with 5 delta
-    vectors in all, at most 3 for one tuple."""
+def test_m_point_step_follows_the_guard(monkeypatch):
+    """GUARD also bounds the delta vectors of one m-tuple step; the query
+    below needs 9 memo entries and 2 levels: 1 shift tuple at stage 2 with
+    4 delta vectors, and 4 at stage 1 with 5 delta vectors in all, at most
+    3 for one tuple.  The schedule keeps no step: asked again, a level is
+    taken again."""
+    steps = []
+    original = schedule_module.tuple_overlaps
+
+    def spy(stage, shifts):
+        steps.append((stage.n, tuple(shifts), original(stage, shifts)))
+        return steps[-1][2]
+
+    monkeypatch.setattr(schedule_module, "tuple_overlaps", spy)
     f, g = pair(asym49_schedule(r_cap=16), 3)
     times = (0, Fraction(7, 3), Fraction(-5, 2))
     sched = asym49_schedule(r_cap=16)
-    corr = MCorrelator(sched, [f, g, f])
-    value = corr.at([times])[0].value
-    steps = dict(sched._overlap_cache)
+    corr = MCorrelator(sched, [[f, g, f]])
+    value = corr.at([times])[0][0].value
+    levels = {n: (xs, level) for n, xs, level in steps}
     assert (memo_size(corr), len(steps)) == (9, 2)
-    assert {n: [len(groups) for groups in level] for (n, _, _), level in steps.items()} == {2: [4], 1: [1, 1, 0, 3]}
+    assert {n: [len(groups) for groups in level] for n, (_, level) in levels.items()} == {2: [4], 1: [1, 1, 0, 3]}
     monkeypatch.setattr(schedule_module, "GUARD", 2)
     with pytest.raises(ResourceError, match="^m-tuple delta blowup at stage 2: more than 2 delta vectors$"):
-        MCorrelator(asym49_schedule(r_cap=16), [f, g, f]).at([times])
-    # both steps are taken before the memo trips; only the first fits
+        MCorrelator(asym49_schedule(r_cap=16), [[f, g, f]]).at([times])
+    # both steps are taken before the memo trips
     monkeypatch.setattr(schedule_module, "GUARD", 5)
-    fresh = asym49_schedule(r_cap=16)
+    steps.clear()
     with pytest.raises(ResourceError, match="^memo blowup near stage 1: more than 5 distinct shifts$"):
-        MCorrelator(fresh, [f, g, f]).at([times])
-    assert list(fresh._overlap_cache) == [key for key in steps if key[0] == 2]
-    # with room for 4 delta vectors, the stage-1 level is taken but not
-    # kept, and the stage-2 level is kept
+        MCorrelator(asym49_schedule(r_cap=16), [[f, g, f]]).at([times])
+    assert [n for n, _, _ in steps] == [2, 1]
+    # with room for 4 delta vectors, each level is taken whenever asked for
     monkeypatch.setattr(schedule_module, "GUARD", 4)
     fresh = asym49_schedule(r_cap=16)
-    (_, _, xs), (_, _, ys) = sorted(steps)
-    first = fresh.tuple_overlaps(1, list(xs), corr._lattice)
-    again = fresh.tuple_overlaps(1, list(xs), corr._lattice)
-    assert again is not first
-    reference = [list(step) for step in steps[1, corr._lattice, xs]]
-    assert [list(step) for step in first] == [list(step) for step in again] == reference
-    assert fresh._overlap_cache == {}
-    top = fresh.tuple_overlaps(2, list(ys), corr._lattice)
-    assert fresh.tuple_overlaps(2, list(ys), corr._lattice) is top
-    assert list(fresh._overlap_cache) == [(2, corr._lattice, ys)]
-    # the 2-point step on the same full cache keeps its own guard
+    for n, (xs, reference) in levels.items():
+        first = fresh.tuple_overlaps(n, list(xs), corr._lattice)
+        again = fresh.tuple_overlaps(n, list(xs), corr._lattice)
+        assert again is not first
+        assert [list(step) for step in first] == [list(step) for step in again] == [list(step) for step in reference]
+    # the 2-point step keeps its own guard
     monkeypatch.setattr(schedule_module, "GUARD", 3)
     with pytest.raises(ResourceError, match="^overlap blowup at stage 3: more than 3 deltas$"):
-        Correlator(fresh, f, g).at([times[1]], stage=4)
-    assert list(fresh._overlap_cache) == [(2, corr._lattice, ys)]
+        Correlator(fresh, [(f, g)]).at([times[1]], stage=4)
     monkeypatch.setattr(schedule_module, "GUARD", 9)
-    assert MCorrelator(asym49_schedule(r_cap=16), [f, g, f]).at([times])[0].value == value
-
-
-def arity(key) -> int:
-    """m of an overlap cache key (n, lattice, shifts): each shift is one
-    coordinate at m = 2, a tuple of them at m >= 3."""
-    _, lattice, (x, *_) = key
-    return 2 if type(x) is int or (lattice.sqrt2 and type(x[0]) is int) else 1 + len(x)
+    assert MCorrelator(asym49_schedule(r_cap=16), [[f, g, f]]).at([times])[0][0].value == value
 
 
 @pytest.mark.parametrize("name", ["asym49", "thm44"])
-def test_one_schedule_serves_two_and_three_point_steps(name):
-    """A 2-point and a 3-point correlator on one schedule share its overlap
-    cache, on the same lattices, in either order of queries, and give the
-    values of correlators on fresh schedules, bit for bit."""
+def test_one_schedule_serves_two_and_three_point_steps(monkeypatch, name):
+    """A 2-point and a 3-point correlator on one schedule take their steps
+    on the same lattices, in either order of queries, and give the values
+    of correlators on fresh schedules, bit for bit."""
     make = (lambda: asym49_schedule(r_cap=16)) if name == "asym49" else SCHEDULES["thm44"]
     f, g = pair(make(), 3)
     times = [*ORDER_TIMES, *([SQRT2 - Fraction(3, 2)] if name == "thm44" else [])]
+    lattices = {"overlaps": set(), "tuple_overlaps": set()}
+    for method, seen in lattices.items():
+
+        def spy(sched, n, shifts, lattice, original=getattr(Schedule, method), seen=seen):
+            seen.add((n, lattice))
+            return original(sched, n, shifts, lattice)
+
+        monkeypatch.setattr(Schedule, method, spy)
 
     def values(two_point, three_point, two_first):
-        two, three = Correlator(two_point, f, g), MCorrelator(three_point, [f, g, f])
-        queries = [lambda t: two.at([t])[0], lambda t: three.at([(0, t, -t / 2)])[0]]
+        two, three = Correlator(two_point, [(f, g)]), MCorrelator(three_point, [[f, g, f]])
+        queries = [lambda t: two.at([t])[0][0], lambda t: three.at([(0, t, -t / 2)])[0][0]]
         return [repr(query(t).value) for query in queries[:: 1 if two_first else -1] for t in times]
 
     for two_first in (True, False):
+        for seen in lattices.values():
+            seen.clear()
         shared = make()
-        assert values(shared, shared, two_first) == values(make(), make(), two_first)
-        lattices = [{key[:2] for key in shared._overlap_cache if arity(key) == m} for m in (2, 3)]
-        assert lattices[0] & lattices[1]
+        on_shared = values(shared, shared, two_first)
+        assert lattices["overlaps"] & lattices["tuple_overlaps"]
+        assert on_shared == values(make(), make(), two_first)
 
 
 def depth_first(corr, n, x, memo):
@@ -432,7 +440,7 @@ def depth_first(corr, n, x, memo):
     if (n, x) not in memo:
         if n == corr.k:
             zero = (0, 0) if corr._lattice.sqrt2 else 0
-            v = product_integral(corr.functions, (zero, x) if corr._pair else (zero, *x), corr._lattice)
+            v = product_integral(corr.family[0], (zero, x) if corr._pair else (zero, *x), corr._lattice)
         else:
             v = 0j
             step = corr._step(n - 1, [x], corr._lattice)
@@ -453,11 +461,11 @@ def correlators(name):
     if name == "triple":
         sched = asym49_schedule(r_cap=16)
         fs = [*pair(sched, 3), pair(sched, 4)[0]]
-        return (lambda: MCorrelator(sched, fs)), (lambda c, t: c.at([(0, t, -t / 2)])[0])
+        return (lambda: MCorrelator(sched, [fs])), (lambda c, t: c.at([(0, t, -t / 2)])[0][0])
     sched = SCHEDULES["wide_staircase" if name == "batched" else "thm44"]()
     f, g = pair(sched, 2)
     stage = 4 if name == "batched" else None
-    return (lambda: Correlator(sched, f, g)), (lambda c, t: c.at([t], stage=stage)[0])
+    return (lambda: Correlator(sched, [(f, g)])), (lambda c, t: c.at([t], stage=stage)[0][0])
 
 
 @pytest.mark.parametrize("name", ["batched", "sqrt2", "triple"])
@@ -470,33 +478,88 @@ def test_query_order_does_not_change_values(numpy_batches, name):
     assert bool(numpy_batches) == (name == "batched")
 
 
+def family_correlator(name, seeds):
+    """A correlator with one member per seed on a fresh schedule of a
+    :func:`correlators` path, and its query at one time."""
+    if name == "triple":
+        sched = asym49_schedule(r_cap=16)
+        family = [[*pair(sched, seed), pair(sched, seed + 1)[0]] for seed in seeds]
+        return MCorrelator(sched, family), (lambda c, t: c.at([(0, t, -t / 2)]))
+    sched = SCHEDULES["wide_staircase" if name == "batched" else "thm44"]()
+    stage = 4 if name == "batched" else None
+    return Correlator(sched, [pair(sched, seed) for seed in seeds]), (lambda c, t: c.at([t], stage=stage))
+
+
 @pytest.mark.parametrize("name", ["batched", "sqrt2", "triple"])
-def test_a_second_correlator_with_the_same_queries_takes_no_step(monkeypatch, name):
-    """The schedule keeps each level whole: a second correlator of the same
-    functions with the same query history finds every level it needs (the
-    staircase's array levels, thm44's list levels, asym49's 3-point
-    levels) and takes no step, and both give the values of a correlator on
-    a fresh schedule, repr for repr."""
+def test_a_family_takes_one_step_per_stage_per_batch(monkeypatch, name):
+    """One frontier and one step per stage serve a whole family: batch by
+    batch, a family of three takes the steps each of its members takes
+    alone (the staircase's array levels, thm44's list levels, asym49's
+    3-point levels), at most one per stage, and gives each member the
+    values of its one-member correlator, repr for repr."""
     steps = []
     for route in ("overlap_batch", "tuple_overlaps"):
         original = getattr(schedule_module, route)
 
         def spy(stage, shifts, route=route, original=original):
-            steps.append(route)
+            steps.append((route, stage.n))
             return original(stage, shifts)
 
         monkeypatch.setattr(schedule_module, route, spy)
-    make, query = correlators(name)
-    first, second = make(), make()
-    values = [repr(query(first, t).value) for t in ORDER_TIMES]
-    assert set(steps) == {"tuple_overlaps" if name == "triple" else "overlap_batch"}
-    steps.clear()
-    assert [repr(query(second, t).value) for t in ORDER_TIMES] == values
-    assert steps == []
-    make_fresh, _ = correlators(name)
-    fresh = make_fresh()
-    assert [repr(query(fresh, t).value) for t in ORDER_TIMES] == values
-    assert steps
+
+    def history(seeds):
+        """(the steps, the value reprs of each member) per batch of ORDER_TIMES."""
+        corr, query = family_correlator(name, seeds)
+        batches = []
+        for t in ORDER_TIMES:
+            steps.clear()
+            results = query(corr, t)
+            batches.append((list(steps), [repr(r.value) for (r,) in results]))
+        return batches
+
+    seeds = (2, 3, 5)
+    family = history(seeds)
+    assert {route for taken, _ in family for route, _ in taken} == {"tuple_overlaps" if name == "triple" else "overlap_batch"}
+    for taken, _ in family:
+        assert len({n for _, n in taken}) == len(taken)
+    for i, seed in enumerate(seeds):
+        alone = history((seed,))
+        assert [taken for taken, _ in alone] == [taken for taken, _ in family]
+        assert [values for _, values in alone] == [values[i : i + 1] for _, values in family]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("name", list(STAGE_BUILDERS))
+def test_each_member_gets_the_values_of_a_one_member_family(name, m):
+    """Every member of a family gets the values, bounds and stages of a
+    one-member correlator, repr for repr, on every builder at m = 2 and 3,
+    with a Q(sqrt 2) time on thm44.  The members' breakpoints have
+    denominators 3, 4 and 5, so the family's lattice is finer than any
+    member's."""
+    make = STAGE_BUILDERS[name]
+    times = [Fraction(-7, 3), Fraction(1, 2), 0, 5, *([SQRT2 - Fraction(3, 2)] if name == "thm44" else [])]
+    members = [pair(make(), seed, levels=levels) for seed, levels in ((1, 3), (2, 4), (3, 5))]
+    if m == 2:
+        cls, queries = Correlator, times
+    else:
+        cls, queries = MCorrelator, [(0, t, -t / 2) for t in times]
+        members = [(f, g, f) for f, g in members]
+    family = cls(make(), members)
+    assert family._lattice not in {cls(make(), [member])._lattice for member in members}
+    for member, results in zip(members, family.at(queries)):
+        assert result_reprs(results) == result_reprs(cls(make(), [member]).at(queries)[0])
+
+
+def test_a_family_needs_one_arity_and_one_stage(flat2):
+    f, g = pair(flat2, 1)
+    deep = random_step_function(2, flat2.height(2), 4, random.Random(1))
+    for family in ([], [(f, g), (f, g, f)], [(f,)]):
+        with pytest.raises(RangeError):
+            MCorrelator(flat2, family)
+    with pytest.raises(RangeError, match="common stage"):
+        MCorrelator(flat2, [(f, g), (deep, deep)])
+    with pytest.raises(RangeError, match="common stage"):
+        Correlator(flat2, [(f, g), (deep, deep)])
 
 
 @pytest.mark.parametrize("name", ["batched", "sqrt2", "triple"])
@@ -506,7 +569,7 @@ def test_level_loop_equals_depth_first_recursion(name):
     for t in ORDER_TIMES:
         query(corr, t)
         memo = {}
-        for n, level in corr._memo.items():
+        for n, level in corr._memos[0].items():
             for x, v in level.items():
                 assert repr(v) == repr(depth_first(corr, n, x, memo))
 
@@ -530,7 +593,7 @@ def array_steps(monkeypatch):
 def assert_depth_first(corr):
     """Every memo value, repr for repr, as the depth-first recursion sums it."""
     memo = {}
-    for n, level in corr._memo.items():
+    for n, level in corr._memos[0].items():
         for x, v in level.items():
             assert repr(v) == repr(depth_first(corr, n, x, memo))
 
@@ -541,7 +604,7 @@ def test_array_levels_equal_the_depth_first_sums(array_steps):
     3): the values of the depth-first recursion, bit for bit."""
     sched = staircase34_schedule(staircase_stages=(2, 4), base=4, r_cap=256)
     f, g = pair(sched, 2)
-    corr = Correlator(sched, f, g)
+    corr = Correlator(sched, [(f, g)])
     for t in (Fraction(-9, 10) * sched.height(4), Fraction(7, 3)):
         corr.at([t], stage=5)
     assert {(route, n) for route, n, _ in array_steps} == {
@@ -560,13 +623,13 @@ def test_array_levels_sum_each_row_in_order(array_steps):
     sched = Schedule(lambda n, h, w: (64, [Fraction(j * j % 97, 97) for j in range(64)]))
     f = StepFunction(1, [0, Fraction(1, 3), Fraction(2, 3), 1], [1e15, 1.0, 1e-15j])
     g = StepFunction(1, [0, Fraction(1, 2), 1], [1.0, 3e-9 + 1e7j])
-    corr = Correlator(sched, f, g)
+    corr = Correlator(sched, [(f, g)])
     for t in (Fraction(-7, 3), Fraction(5, 4), Fraction(-70, 3)):
         corr.at([t], stage=3)
     assert {(route, n) for route, n, _ in array_steps} == {("_sweep_batch", 2), ("_sweep_batch", 1)}
     assert_depth_first(corr)
-    below, reordered = corr._memo[1], 0
-    for x, v in corr._memo[2].items():
+    below, reordered = corr._memos[0][1], 0
+    for x, v in corr._memos[0][2].items():
         step = sched.overlaps(1, [x], corr._lattice)
         terms = np.array([m * below[d] for d, m in zip(np.asarray(step[1])[step[2]].tolist(), step[3].tolist())])
         reordered += np.sum(terms) != v
@@ -579,15 +642,15 @@ def test_levels_past_int64_take_the_list_step(monkeypatch, array_steps):
     denominator puts the lattice past int64 does so too."""
     sched = SCHEDULES["wide_staircase"]()
     f, g = pair(sched, 2)
-    arrays = [repr(Correlator(sched, f, g).at([t], stage=4)[0].value) for t in ORDER_TIMES]
+    arrays = [repr(Correlator(sched, [(f, g)]).at([t], stage=4)[0][0].value) for t in ORDER_TIMES]
     assert array_steps
     array_steps.clear()
     with monkeypatch.context() as patched:  # undo() would drop the spies too
         patched.setattr(schedule_module, "_INT64_SAFE", 1)
         fresh = SCHEDULES["wide_staircase"]()  # the first schedule keeps its array levels
-        assert [repr(Correlator(fresh, f, g).at([t], stage=4)[0].value) for t in ORDER_TIMES] == arrays
+        assert [repr(Correlator(fresh, [(f, g)]).at([t], stage=4)[0][0].value) for t in ORDER_TIMES] == arrays
     assert array_steps == []
-    corr = Correlator(sched, f, g)
+    corr = Correlator(sched, [(f, g)])
     corr.at([Fraction(-7, 3) + Fraction(1, 2**62)], stage=4)
     assert array_steps == []
     assert_depth_first(corr)
@@ -600,12 +663,12 @@ def test_pairs_and_tuples_never_take_an_array_step(array_steps):
     sched = SCHEDULES["wide_staircase"]()
     assert sched.stage(3).r >= schedule_module._NUMPY_MIN_WORK
     f, g = pair(sched, 2)
-    corr = Correlator(sched, f, g)
+    corr = Correlator(sched, [(f, g)])
     corr.at([SQRT2 - Fraction(3, 2)], stage=4)
     assert corr._lattice.sqrt2
-    MCorrelator(sched, [f, g, f]).at([(0, Fraction(7, 3), Fraction(-5, 2))], stage=4)
+    MCorrelator(sched, [[f, g, f]]).at([(0, Fraction(7, 3), Fraction(-5, 2))], stage=4)
     assert array_steps == []
-    Correlator(sched, f, g).at([Fraction(-3, 2)], stage=4)
+    Correlator(sched, [(f, g)]).at([Fraction(-3, 2)], stage=4)
     assert array_steps
 
 
@@ -615,12 +678,12 @@ def test_base_frontiers_on_int_lattices_take_the_array_pass(base_rows):
     lattice: the array pass answers every tuple, and each base value is
     the depth-first recursion's, repr for repr."""
     sched = asym49_schedule(r_cap=16)
-    triple = MCorrelator(sched, [*pair(sched, 3), pair(sched, 4)[0]])
+    triple = MCorrelator(sched, [[*pair(sched, 3), pair(sched, 4)[0]]])
     triple.at([(0, t, -t / 2) for t in ORDER_TIMES])
     wide = SCHEDULES["wide_staircase"]()
-    two = Correlator(wide, *pair(wide, 2))
+    two = Correlator(wide, [pair(wide, 2)])
     two.at(ORDER_TIMES, stage=4)
-    counts = [len(corr._memo[corr.k]) for corr in (triple, two)]
+    counts = [len(corr._memos[0][corr.k]) for corr in (triple, two)]
     assert min(counts) >= _ARRAY_MIN_ROWS
     assert base_rows == Counter(array=sum(counts))
     assert_depth_first(triple)
@@ -640,9 +703,9 @@ def test_base_frontiers_that_keep_product_integral(base_rows, case):
     else:
         sched, count = asym49_schedule(r_cap=16), _ARRAY_MIN_ROWS - 1
     f, g = pair(sched, 5)
-    corr = MCorrelator(sched, [f, g, f])
+    corr = MCorrelator(sched, [[f, g, f]])
     corr.at([(0, Fraction(i, 3 * count), Fraction(-i, 2 * count)) for i in range(count)], stage=1)
-    assert len(corr._memo[1]) == count
+    assert len(corr._memos[0][1]) == count
     assert base_rows == Counter(product_integral=count)
     assert_depth_first(corr)
 
@@ -685,8 +748,8 @@ def batch_correlator(name):
     make, m, times = BATCHES[name]
     f, g = pair(make(), 5)
     if m == 2:
-        return (lambda: Correlator(make(), f, g)), list(times)
-    return (lambda: MCorrelator(make(), [f, g, f])), [(0, t, -t / 2) for t in times]
+        return (lambda: Correlator(make(), [(f, g)])), list(times)
+    return (lambda: MCorrelator(make(), [[f, g, f]])), [(0, t, -t / 2) for t in times]
 
 
 ORDERS = {
@@ -708,12 +771,12 @@ def test_a_batch_equals_one_time_batches(array_steps, level_steps, name, order, 
     the value is 0."""
     make, times = batch_correlator(name)
     times = ORDERS[order](times)
-    batch = make().at(times, stage=stage)
+    (batch,) = make().at(times, stage=stage)
     assert len(batch) == len(times)
     assert sorted(level_steps) == sorted(set(level_steps))
     assert bool(array_steps) == (name == "staircase")
     one = make()
-    assert result_reprs(batch) == result_reprs([one.at([t], stage=stage)[0] for t in times])
+    assert result_reprs(batch) == result_reprs([one.at([t], stage=stage)[0][0] for t in times])
     if stage is None:
         assert len({r.stage_used for r in batch}) >= 3
     else:
@@ -725,12 +788,12 @@ def test_a_batch_equals_one_time_batches(array_steps, level_steps, name, order, 
 def test_random_batches_equal_one_time_batches(times):
     make, _ = batch_correlator("staircase")
     one = make()
-    assert result_reprs(make().at(times)) == result_reprs([one.at([t])[0] for t in times])
+    assert result_reprs(make().at(times)[0]) == result_reprs([one.at([t])[0][0] for t in times])
 
 
 def test_an_empty_batch_takes_no_step(level_steps):
     make, _ = batch_correlator("staircase")
-    assert make().at([]) == []
+    assert make().at([]) == [[]]
     assert level_steps == []
 
 
@@ -741,7 +804,7 @@ def test_a_batch_whose_union_passes_the_guard_raises(monkeypatch):
     times = [Fraction(-7, 3), Fraction(5, 4)]
 
     def memo_after(batch):
-        corr = Correlator(flat_schedule(3), f, g)
+        corr = Correlator(flat_schedule(3), [(f, g)])
         corr.at(batch, stage=4)
         return memo_size(corr)
 
@@ -764,14 +827,29 @@ def test_a_time_past_max_stage_fails_its_batch_before_any_step(level_steps):
     f, g = pair(flat_schedule(2), 2)
     far = 10**25
     with pytest.raises(RangeError) as alone:
-        Correlator(flat_schedule(2), f, g).at([far])
-    corr = Correlator(flat_schedule(2), f, g)
+        Correlator(flat_schedule(2), [(f, g)]).at([far])
+    corr = Correlator(flat_schedule(2), [(f, g)])
     with pytest.raises(RangeError) as batch:
         corr.at([Fraction(1, 2), far, 1])
     assert str(batch.value) == str(alone.value) == "|t| = 1e+25 out of range: no stage up to 64 is tall enough"
     assert level_steps == [] and memo_size(corr) == 0
     corr.at([Fraction(1, 2), 1])
     assert level_steps
+
+
+def test_an_explicit_stage_past_max_stage_raises(level_steps):
+    """A stage given to :meth:`at` is bounded by MAX_STAGE as a picked one is."""
+    f, g = pair(flat_schedule(2), 2)
+    deepest = correlate_module.MAX_STAGE
+    with pytest.raises(RangeError, match=f"^stage {deepest + 1} is past MAX_STAGE = {deepest}$"):
+        Correlator(flat_schedule(2), [(f, g)]).at([Fraction(1, 2)], stage=deepest + 1)
+    assert level_steps == []
+
+
+def test_a_time_past_float_range_at_a_given_stage_raises():
+    f, g = pair(flat_schedule(2), 2)
+    with pytest.raises(RangeError, match="^\\|t\\| = 1" + "0" * 400 + " is past float range$"):
+        Correlator(flat_schedule(2), [(f, g)]).at([10**400], stage=5)
 
 
 # -- one lattice per correlator, grown in scale and in kind ------------------
@@ -786,7 +864,7 @@ def small_staircase34():
 def key_kinds(corr) -> set:
     """The types of a correlator's memo keys: int on an int lattice, tuple
     (an (a, b) pair) on a Q(sqrt 2) one; at m >= 3, of each key's first shift."""
-    return {type(x if corr._pair else x[0]) for level in corr._memo.values() for x in level}
+    return {type(x if corr._pair else x[0]) for level in corr._memos[0].values() for x in level}
 
 
 def test_a_rational_batch_after_a_sqrt2_one_takes_no_step(level_steps):
@@ -794,12 +872,11 @@ def test_a_rational_batch_after_a_sqrt2_one_takes_no_step(level_steps):
     batch finds its keys in the memo, takes no step and adds no entry."""
     sched = small_staircase34()
     f, g = pair(sched, 0)
-    corr = Correlator(sched, f, g)
-    first = corr.at(MIXED)
-    assert (memo_size(corr), len(sched._overlap_cache)) == (12, 2)
-    steps = len(level_steps)
-    again = corr.at([Fraction(1, 2)])
-    assert (memo_size(corr), len(sched._overlap_cache), len(level_steps)) == (12, 2, steps)
+    corr = Correlator(sched, [(f, g)])
+    (first,) = corr.at(MIXED)
+    assert (memo_size(corr), len(level_steps)) == (12, 2)
+    (again,) = corr.at([Fraction(1, 2)])
+    assert (memo_size(corr), len(level_steps)) == (12, 2)
     assert repr(again[0].value) == repr(first[1].value)
     assert key_kinds(corr) == {tuple}
 
@@ -813,14 +890,14 @@ def test_a_grown_lattice_keeps_one_memo(m, sqrt2_first):
     f, g = pair(small_staircase34(), 0)
 
     def fresh():
-        return Correlator(small_staircase34(), f, g) if m == 2 else MCorrelator(small_staircase34(), [f, g, f])
+        return Correlator(small_staircase34(), [(f, g)]) if m == 2 else MCorrelator(small_staircase34(), [[f, g, f]])
 
     def queries(times):
         return times if m == 2 else [(0, t, -t / 2) for t in times]
 
     corr = fresh()
     for times in (MIXED, [Fraction(1, 2)])[:: 1 if sqrt2_first else -1]:
-        assert result_reprs(corr.at(queries(times))) == result_reprs(fresh().at(queries(times)))
+        assert result_reprs(corr.at(queries(times))[0]) == result_reprs(fresh().at(queries(times))[0])
         assert key_kinds(corr) == {tuple if corr._lattice.sqrt2 else int}
     assert corr._lattice.sqrt2
 
@@ -841,7 +918,7 @@ def test_mixed_batches_equal_fresh_correlators(name, batches):
     a fresh correlator per batch, bit for bit, on one kind of memo key."""
     make = RATIONAL_BUILDERS[name]
     f, g = pair(make(), 1)
-    corr = Correlator(make(), f, g)
+    corr = Correlator(make(), [(f, g)])
     for times in batches:
-        assert result_reprs(corr.at(times)) == result_reprs(Correlator(make(), f, g).at(times))
+        assert result_reprs(corr.at(times)[0]) == result_reprs(Correlator(make(), [(f, g)]).at(times)[0])
         assert len(key_kinds(corr)) <= 1

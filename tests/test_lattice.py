@@ -142,22 +142,23 @@ def reference_tuple_step(stage, x):
 
 
 @pytest.mark.parametrize("key", [("asym49", "rational"), ("asym49", "sqrt2"), ("thm44", "sqrt2")], ids="-".join)
-def test_schedule_caches_the_tuple_steps(key):
-    """The m-point step comes from ``Schedule.tuple_overlaps``, kept per
-    (stage, lattice, shift tuples) in the overlap cache; on one shift, its
-    copy windows count the deltas of ``overlap_pairs``."""
+def test_schedule_takes_the_tuple_steps(key):
+    """The m-point step comes from ``Schedule.tuple_overlaps``, taken anew
+    each time it is asked for; on one shift, its copy windows count the
+    deltas of ``overlap_pairs``."""
     sched = SCHEDULES[key]
     stage = sched.stage(2)
     coarse, fine = (Lattice(k * stage.denominator, type(stage.grid.h) is tuple) for k in (1, 2))
     offs = stage.offsets
     shifts = list(dict.fromkeys(coarse.encode(x) for x in (0 * stage.h, offs[1] - offs[0], offs[0] - offs[-1], offs[-1])))
     xs = list(product(shifts, repeat=2))
-    # the same coordinates on two lattices are two shift tuples, cached apart
+    # the same coordinates on two lattices are two shift tuples
     for lattice in (coarse, fine):
         view = stage.on_lattice(lattice)
         steps = sched.tuple_overlaps(2, xs, lattice)
         assert [list(step) for step in steps] == [reference_tuple_step(view, x) for x in xs]
-        assert all(again is step for again, step in zip(sched.tuple_overlaps(2, xs, lattice), steps))
+        again = sched.tuple_overlaps(2, xs, lattice)
+        assert again is not steps and [list(step) for step in again] == [list(step) for step in steps]
         for x in shifts:
             (single,) = tuple_overlaps(view, [(x,)])
             assert {deltas: mult for (deltas,), mult in single} == dict(overlap_pairs(view, x))
@@ -245,34 +246,31 @@ def test_sweep_splits_a_batch_into_chunks(monkeypatch, chunk):
 
 
 @pytest.mark.parametrize("key, batched", [(("staircase", "rational"), True), (("thm44", "sqrt2"), False)])
-def test_overlap_cache_stops_at_the_guard(monkeypatch, numpy_batches, key, batched):
-    """The overlap cache keeps whole levels while they hold at most GUARD
-    deltas together.  Of two levels that each fit but not both (80 shifts
-    of stage 3, in two orders), the first asked is kept and the second is
-    computed each time it is asked for, in both query orders: an array
-    step (the staircase's r = 64 stage) as a list step, and the same stage
-    on a lattice past int64 takes the list step."""
+def test_overlaps_takes_each_step_it_is_asked_for(monkeypatch, numpy_batches, key, batched):
+    """The schedule keeps no step, so GUARD bounds each step alone: two
+    levels of 80 shifts of stage 3, in two orders, whose deltas together
+    pass GUARD while each shift's fit, are each taken whenever asked for,
+    in both query orders: an array step (the staircase's r = 64 stage) as
+    a list step, and the same stage on a lattice past int64 takes the list
+    step."""
     sched = SCHEDULES[key]
     stage = sched.stage(3)
     lattice = Lattice(3 * stage.denominator, key[1] == "sqrt2")
     xs = [lattice.encode(Fraction(i, 3)) for i in range(-40, 40)]
     expected = [overlap_pairs(stage.on_lattice(lattice), x) for x in xs]
-    deltas = sum(map(len, expected))
-    monkeypatch.setattr(schedule_module, "GUARD", 2 * deltas - 1)
+    monkeypatch.setattr(schedule_module, "GUARD", max(map(len, expected)))
 
     def check(lattice, xs, expected, array):
         levels = [(xs, expected), (xs[::-1], expected[::-1])]
         for (first, first_expected), (second, second_expected) in (levels, levels[::-1]):
             fresh = Schedule(sched._params, h1=sched.h1, w1=sched.w1, mode=sched.mode)
             numpy_batches.clear()
-            kept, dropped = fresh.overlaps(3, first, lattice), fresh.overlaps(3, second, lattice)
-            assert (per_shift(kept), per_shift(dropped)) == (first_expected, second_expected)
-            assert bool(numpy_batches) == array and (type(kept) is tuple) == array
-            assert fresh._overlap_cache == {(3, lattice, tuple(first)): kept}
-            assert fresh.overlaps(3, first, lattice) is kept
-            again = fresh.overlaps(3, second, lattice)
-            assert again is not dropped and per_shift(again) == second_expected
-            assert len(fresh._overlap_cache) == 1
+            one, other = fresh.overlaps(3, first, lattice), fresh.overlaps(3, second, lattice)
+            assert (per_shift(one), per_shift(other)) == (first_expected, second_expected)
+            assert bool(numpy_batches) == array and (type(one) is tuple) == array
+            for level, level_expected, taken in ((first, first_expected, one), (second, second_expected, other)):
+                again = fresh.overlaps(3, level, lattice)
+                assert again is not taken and per_shift(again) == level_expected
 
     check(lattice, xs, expected, batched)
     if batched:

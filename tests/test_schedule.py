@@ -114,15 +114,15 @@ def test_overlap_pairs_multiplicity_grouping(flat3):
 
 def test_overlap_fast_path_matches_generic(small_staircase):
     # the fractional-shift path exercises the same sweep; compare a
-    # rational shift against the same shift fed through the cached API,
-    # which works on a lattice, with the deltas decoded
+    # rational shift against the same shift fed through the schedule's
+    # step, which works on a lattice, with the deltas decoded
     st = small_staircase.stage(2)
     shift = Fraction(5, 4)
     direct = overlap_pairs(st, shift)
     lattice = Lattice(st.denominator * 4, False)
-    (cached,) = small_staircase.overlaps(2, [lattice.encode(shift)], lattice)
-    assert [(lattice.decode(d), m) for d, m in cached] == direct
-    assert small_staircase.overlaps(2, [lattice.encode(shift)], lattice)[0] is cached
+    (stepped,) = small_staircase.overlaps(2, [lattice.encode(shift)], lattice)
+    assert [(lattice.decode(d), m) for d, m in stepped] == direct
+    assert small_staircase.overlaps(2, [lattice.encode(shift)], lattice)[0] == stepped
     assert all(isinstance(d, Fraction) for d, _ in direct)
 
 

@@ -156,8 +156,8 @@ def two_sided_sweep(schedule, f, dt, t_max):
     """(times, values, bounds) with the engine queried at every i * dt,
     |i| <= n, negative times included."""
     n = int(round(float(t_max) / float(dt)))
-    corr = Correlator(schedule, f, f)
-    results = [corr.at([i * dt])[0] for i in range(-n, n + 1)]
+    corr = Correlator(schedule, [(f, f)])
+    results = [corr.at([i * dt])[0][0] for i in range(-n, n + 1)]
     times = np.array([float(i * dt) for i in range(-n, n + 1)])
     return times, np.array([r.value for r in results]), np.array([r.error_bound for r in results])
 
