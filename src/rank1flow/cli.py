@@ -37,8 +37,8 @@ def _run(kind: str, spec_path: str, out_dir: str):
     started = time.monotonic()
     try:
         report = run_experiment(kind, spec)
-    except Rank1Error as exc:
-        click.echo(f"error: {exc}", err=True)
+    except (Rank1Error, MemoryError) as exc:
+        click.echo(f"error: {str(exc) or 'out of memory'}", err=True)
         sys.exit(2)
     elapsed = time.monotonic() - started
     out = Path(out_dir)

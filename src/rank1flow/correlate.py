@@ -22,22 +22,23 @@ One recursion, :class:`MCorrelator`, serves every arity: the m-point
 correlation runs it on tuples of shifts, one per function after the
 first, and :class:`Correlator` is its m = 2 case on (f, conj g) at times
 (t, 0).  It runs on the integer lattice of :mod:`rank1flow.schedule`:
-each correlator keeps one lattice, first the smallest that holds the
-functions' breakpoints, and grows it in scale and in kind to the
-smallest that also holds a batch's shifts and stages k..N
-(:meth:`Lattice.holding`).  From there on memo keys, the |tau| < h_n
-test and the deltas are ints (x = A/D) or int pairs
-(x = (A + B*sqrt 2)/D), and the base case takes the shifts in the same
-coordinates as the functions' breakpoint grids: nothing is decoded on
-the query path.  A float time enters at its exact binary value.
+each query takes the smallest lattice that holds the functions'
+breakpoints, its shifts and stages k..N (:meth:`Lattice.holding`).  On
+it, memo keys, the |tau| < h_n test and the deltas are ints (x = A/D)
+or int pairs (x = (A + B*sqrt 2)/D), and the base case takes the shifts
+in the same coordinates as the functions' breakpoint grids: nothing is
+decoded on the query path.  A float time enters at its exact binary
+value.
 
 A query is a batch of times, and the recursion is evaluated for the
-whole batch in one level-synchronous pass, not depth first.  The working
-stage of every time is picked first, so a time out of range raises
-before any step is taken.  Top down, from the highest working stage to
-stage k, each stage's frontier is the distinct shifts the stage above
-needs plus those of the times whose working stage it is, less the memo,
-and the schedule's step is taken for all of them at once: one call of
+whole batch in one level-synchronous pass, not depth first; the memos
+and the lattice live for that pass only, so a correlator keeps nothing
+from one query to the next.  The working stage of every time is picked
+first, so a time out of range raises before any step is taken.  Top
+down, from the highest working stage to stage k, each stage's frontier
+is the distinct shifts the stage above needs plus those of the times
+whose working stage it is, and the schedule's step is taken for all of
+them at once: one call of
 :meth:`Schedule.overlaps` at m = 2 (see :func:`overlap_batch`), or of
 :meth:`Schedule.tuple_overlaps` at m >= 3, per stage and batch.  Bottom
 up, from stage k back, each new value is summed over its step in the
@@ -60,10 +61,11 @@ A correlator takes a family, one function tuple per member, all of one
 arity and one stage.  At the same times the members need the same keys,
 so the frontiers and the steps are the family's, one step per stage and
 batch; only the base case and the sums run per member, on its own memo,
-so each value is the one the member gets alone.  The schedule keeps no
-step.  :data:`rank1flow.schedule.GUARD`, read when its check runs, bounds
-the memo of a query, its keys counted once for the family, and
-``MAX_STAGE`` the working stage, picked or given.
+so each value is the one the member gets alone.  Neither the correlator
+nor the schedule keeps a step, a memo or a threshold of
+:func:`pick_stage`.  :data:`rank1flow.schedule.GUARD`, read when its
+check runs, bounds the memo of a query, its keys counted once for the
+family, and ``MAX_STAGE`` the working stage, picked or given.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ import numpy as np
 from . import schedule as geometry  # for GUARD, read at call time
 from .errors import RangeError, ResourceError
 from .scalars import Scalar, exact, to_float
-from .schedule import Lattice, Schedule, rescaled, within
+from .schedule import Lattice, Schedule, within
 from .stepfun import StepFunction, array_integrals, product_integral
 
 STAGE_MARGIN = 4
@@ -103,25 +105,28 @@ class WeakLimitTarget:
     s: Scalar = 0
 
 
-def pick_stage(schedule: Schedule, k: int, t_abs: Scalar) -> int:
-    """Smallest N >= k with h_N >= STAGE_MARGIN * (h_k + |t|), up to MAX_STAGE.
+def pick_stage(schedule: Schedule, k: int, t_abs: Sequence[Scalar]) -> list:
+    """For each |t| of *t_abs*, the smallest N >= k with
+    h_N >= STAGE_MARGIN * (h_k + |t|), up to MAX_STAGE.
 
     The condition reads u_N >= |t| for the thresholds
     u_N = h_N / STAGE_MARGIN - h_k, which do not decrease with N.  They
-    are kept in one list per (schedule, k), built lazily stage by stage,
-    so N is one bisection of the list; MAX_STAGE is read on every call."""
-    if k > MAX_STAGE:
+    are built lazily, stage by stage, into one list for the call, so each
+    N is one bisection of it; the first time past MAX_STAGE raises."""
+    if t_abs and k > MAX_STAGE:
         raise RangeError(f"the functions' stage {k} is past MAX_STAGE = {MAX_STAGE}: no working stage can be picked")
-    bracket = schedule.stage_thresholds.setdefault(k, [])
-    n = k + bisect_left(bracket, t_abs)
-    while n == k + len(bracket) and n <= MAX_STAGE:
-        bracket.append(schedule.height(n) / STAGE_MARGIN - schedule.height(k))
-        if not bracket[-1] < t_abs:
-            break
-        n += 1
-    if n > MAX_STAGE:
-        raise RangeError(f"|t| = {to_float(t_abs, '|t|'):g} out of range: no stage up to {MAX_STAGE} is tall enough")
-    return n
+    thresholds, ns = [], []
+    for t in t_abs:
+        n = k + bisect_left(thresholds, t)
+        while n == k + len(thresholds) and n <= MAX_STAGE:
+            thresholds.append(schedule.height(n) / STAGE_MARGIN - schedule.height(k))
+            if not thresholds[-1] < t:
+                break
+            n += 1
+        if n > MAX_STAGE:
+            raise RangeError(f"|t| = {to_float(t, '|t|'):g} out of range: no stage up to {MAX_STAGE} is tall enough")
+        ns.append(n)
+    return ns
 
 
 class MCorrelator:
@@ -129,18 +134,17 @@ class MCorrelator:
     f_{m-1}) of a family, via the m-fold offset recursion on the shifts
     t_i - t_0, i >= 1, memoized on one integer lattice.
 
-    B_n of a member is stored in its memo of stage n at x, the coordinates
-    of the shift tuple on ``_lattice`` (at m = 2, of the one shift).  That
-    lattice starts as the smallest holding every member's breakpoints, so
-    the base case reads their grids on it, and only grows, in scale and
-    in kind: a batch that needs a finer scale, or Q(sqrt 2), moves the
-    keys already stored to the new lattice once, an int x to the pair
-    (x, 0), so every batch shares the memos.  The step is the schedule's,
-    chosen once from m: :meth:`Schedule.overlaps` at m = 2, else
+    Each :meth:`at` call is one independent pass: it keeps nothing for a
+    later call.  Its lattice is the smallest holding the members'
+    breakpoints (``_lattice``, fixed at construction), the call's shifts
+    and stages k..N, so the base case reads the members' grids on it.  B_n
+    of a member is stored in the call's memo of that member, at stage n
+    and x, the coordinates of the shift tuple on that lattice (at m = 2,
+    of the one shift).  The step is the schedule's, chosen once from m:
+    :meth:`Schedule.overlaps` at m = 2, else
     :meth:`Schedule.tuple_overlaps`.  Either takes a list of shifts and
     returns one (delta, multiplicity) sequence per shift, or, for an
-    array step at m = 2, (counts, keys, index, mults).  :meth:`at` takes
-    all the times of a call at once.
+    array step at m = 2, (counts, keys, index, mults).
     """
 
     def __init__(self, schedule: Schedule, family: Sequence[Sequence[StepFunction]]):
@@ -153,7 +157,6 @@ class MCorrelator:
         self.family = family
         self.k = family[0][0].stage
         self._lattice = Lattice.holding((), *(f.lattice for functions in family for f in functions))
-        self._memos = [defaultdict(dict) for _ in family]  # per member: n -> {coordinates on self._lattice: B_n}
         self._norms = [prod(f.sup_norm for f in functions) for functions in family]  # of the bounds
         self._pair = len(family[0]) == 2
         self._step = schedule.overlaps if self._pair else schedule.tuple_overlaps
@@ -164,12 +167,12 @@ class MCorrelator:
         times up to its |t| in *t_abs*; B_N is 0 when a shift is outside
         |x| < h_N.  One list of results per member, in query order.
 
-        Every working stage is picked before any step is taken, the memos
-        are moved at most once, to the lattice of the whole batch, and
-        one pass of :meth:`_B` computes every B_N the batch lacks."""
+        Every working stage is picked before any step is taken, and one
+        pass of :meth:`_B`, on the lattice of the whole batch, computes
+        every B_N the batch needs."""
         sched = self.schedule
         if stage is None:
-            ns = [pick_stage(sched, self.k, t) for t in t_abs]
+            ns = pick_stage(sched, self.k, t_abs)
         elif stage < self.k:
             raise RangeError(f"stage {stage} is below the functions' stage {self.k}")
         elif stage > MAX_STAGE:
@@ -179,15 +182,8 @@ class MCorrelator:
         results = [[] for _ in self.family]
         if not ns:
             return results
-        old = self._lattice
         stages = (sched.stage(m).lattice for m in range(self.k, max(ns) + 1))
-        lattice = Lattice.holding(chain.from_iterable(shifts), old, *stages)
-        if lattice != old:
-            m, lift = lattice.scale // old.scale, lattice.sqrt2 and not old.sqrt2
-            for memo in self._memos:
-                for i, level in memo.items():
-                    memo[i] = {rescaled(x, m, lift): v for x, v in level.items()}
-            self._lattice = lattice
+        lattice = Lattice.holding(chain.from_iterable(shifts), self._lattice, *stages)
         heights = {n: lattice.encode(sched.stage(n).h) for n in set(ns)}
         keys, wanted = [], defaultdict(dict)  # wanted: n -> the keys of B_n, in order
         for n, query in zip(ns, shifts):
@@ -197,60 +193,58 @@ class MCorrelator:
                 key = xs[0] if self._pair else xs
                 wanted[n][key] = None
             keys.append(key)
-        if wanted:
-            self._B(wanted)
+        memos = self._B(wanted, lattice)
         for n, key, t in zip(ns, keys, t_abs):
             w_n, t = to_float(sched.width(n), f"w_{n}"), to_float(t, "|t|")
-            for memo, norm, out in zip(self._memos, self._norms, results):
+            for memo, norm, out in zip(memos, self._norms, results):
                 value = 0j if key is None else complex(memo[n][key])
                 out.append(CorrelationResult(value=value * w_n, error_bound=self._bound(norm, t, w_n), stage_used=n))
         return results
 
-    def _B(self, wanted: dict) -> None:
-        """B_n at the keys wanted[n] of each working stage n, into every
-        member's memo, in one level-synchronous pass; the members hold the
-        same keys, so the first memo stands for all.  Top down, from the
-        highest working stage to k, each stage's frontier is the new deltas
-        of the step above plus the keys wanted there, less the memo, and its
-        step is taken at once for the whole frontier, and stage k's base
-        case too, per member; bottom up, each member sums each new value
-        over its step in the step's order, as a depth-first recursion
-        would: term by term for a list step, by :func:`_row_sums` for an
-        array step."""
-        memos, memo, guard = self._memos, self._memos[0], geometry.GUARD
+    def _B(self, wanted: dict, lattice: Lattice) -> list:
+        """The memos of a call, one per member (n -> {key: B_n}), holding
+        B_n at the keys wanted[n] of each working stage n on *lattice*,
+        from one level-synchronous pass.  Top down, from the highest
+        working stage to k, each stage's frontier is the distinct deltas
+        of the step above plus the keys wanted there, and its step is
+        taken at once for the whole frontier, and stage k's base case
+        too, per member; bottom up, each member sums each new value over
+        its step in the step's order, as a depth-first recursion would:
+        term by term for a list step, by :func:`_row_sums` for an array
+        step."""
+        memos, guard = [defaultdict(dict) for _ in self.family], geometry.GUARD
+        if not wanted:
+            return memos
         n, lowest = max(wanted), min(wanted)
-        size, levels, xs = sum(map(len, memo.values())), [], []
+        size, levels, xs = 0, [], []
         while True:
             if n in wanted:
-                here, known = memo[n], set(xs)
-                xs += [x for x in wanted[n] if x not in here and x not in known]
+                known = set(xs)
+                xs += [x for x in wanted[n] if x not in known]
             if xs:
                 size += len(xs)
                 if size > guard:
                     raise ResourceError(f"memo blowup near stage {n}: more than {guard} distinct shifts")
                 if n == self.k:
-                    zero = (0, 0) if self._lattice.sqrt2 else 0
+                    zero = (0, 0) if lattice.sqrt2 else 0
                     rows = [(zero, y) for y in xs] if self._pair else [(zero, *y) for y in xs]
-                    for functions, member in zip(self.family, memos):
-                        base = array_integrals(functions, rows, self._lattice)
+                    for functions, memo in zip(self.family, memos):
+                        base = array_integrals(functions, rows, lattice)
                         if base is None:
-                            base = [product_integral(functions, row, self._lattice) for row in rows]
-                        member[n].update(zip(xs, base))
+                            base = [product_integral(functions, row, lattice) for row in rows]
+                        memo[n].update(zip(xs, base))
                     break
-                steps, below = self._step(n - 1, xs, self._lattice), memo[n - 1]
-                if type(steps) is tuple:  # an array step: (counts, keys, index, mults)
-                    new = [d for d in steps[1] if d not in below]
-                else:
-                    new = list({d for pairs in steps for d, _ in pairs}.difference(below))
+                steps = self._step(n - 1, xs, lattice)
                 levels.append((n, xs, steps))
-                xs = new
+                # an array step (counts, keys, index, mults) lists its distinct deltas
+                xs = list(steps[1]) if type(steps) is tuple else list({d for pairs in steps for d, _ in pairs})
             elif n <= lowest:
                 break
             n -= 1
         while levels:  # each step is let go once its sums are stored
             n, xs, steps = levels.pop()
-            for member in memos:
-                here, below = member[n], member[n - 1]
+            for memo in memos:
+                here, below = memo[n], memo[n - 1]
                 if type(steps) is tuple:
                     here.update(zip(xs, _row_sums(steps, below)))
                 else:
@@ -259,6 +253,7 @@ class MCorrelator:
                         for d, mult in pairs:
                             v += mult * below[d]
                         here[y] = v
+        return memos
 
     def _bound(self, norm: float, t: float, w: float) -> float:
         return 2.0 * norm * t * w * len(self.family[0])
@@ -295,7 +290,7 @@ def _row_sums(step: tuple, below: dict) -> list:
 class Correlator(MCorrelator):
     """Koopman correlations <U_T(t) f, g> of a family of pairs (f, g) under
     one schedule: the m = 2 case on (f, conj g) at times (t, 0), with the
-    shift memos shared across query times."""
+    shift memos of a query shared across its times."""
 
     def __init__(self, schedule: Schedule, pairs: Sequence[tuple]):
         super().__init__(schedule, [(f, g.conjugate()) for f, g in pairs])

@@ -475,6 +475,8 @@ def _curve_for_spec(spec):
             vals = [math.exp(-math.pi * t * t) for t in ts]
         elif kind == "cosine":
             freqs = _field(analytic, "freqs", _list_of(number, least=1), [1.0])
+            if not all(math.isfinite(2 * math.pi * l0 * ts[-1]) for l0 in freqs):
+                raise ConfigurationError(f"spec entry 'freqs' = {freqs}: a phase 2 pi l t is past float range at t = {ts[-1]}")
             vals = [sum(math.cos(2 * math.pi * l0 * t) for l0 in freqs) for t in ts]
         else:
             raise ConfigurationError(f"unknown analytic curve {kind!r}")
@@ -568,7 +570,7 @@ def run_reflection_check(spec: dict):
         deep = g.stage + depth
         rf = lift(schedule, reflect(f), deep)
         rg = reflect(g, schedule, deep)
-        n_eval = pick_stage(schedule, deep, abs(t)) + eval_depth
+        n_eval = pick_stage(schedule, deep, [abs(t)])[0] + eval_depth
         lhs = correlate(schedule, f, g, t, stage=n_eval)
         rhs = correlate(schedule, rf, rg, -t, stage=n_eval)
         gap = abs(lhs.value - rhs.value)

@@ -21,11 +21,12 @@ smallest one holding some exact scalars.  Each stage is built on its own
 lattice, D_n = lcm of the denominators of h_n, the bottom spacer and
 s_n(1) .. s_n(r_n - 1), the smallest scale holding h_n and every
 offset: the spacer values are encoded once each and the offsets
-accumulated as ints or int pairs.  The scalar offsets,
-h_{n+1} and the spacer mass are decoded from there on first use.
-:meth:`TowerStage.on_lattice` rescales a stage to a finer lattice: the
-view, a :class:`LatticeStage`, holds the exact geometry only, and each
-route builds what else it needs when it runs.  :func:`copy_windows`
+accumulated as ints or int pairs.  The scalar offsets are decoded from
+there on first use; h_{n+1} and the spacer mass are exact scalar sums of
+the last offset, h_n and s_n(r_n).  :meth:`TowerStage.on_lattice`
+rescales a stage to a finer lattice, anew on every call: the view, a
+:class:`LatticeStage`, holds the exact geometry only, and each route
+builds what else it needs when it runs.  :func:`copy_windows`
 sweeps a view with plain integer arithmetic, copy by copy, and
 :func:`overlap_pairs` counts the deltas of the windows.  Pairs are
 compared on float values where these clear their rounding bound, and
@@ -75,7 +76,7 @@ GUARD limits at once.
 from __future__ import annotations
 
 from collections import _count_elements
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, product
@@ -155,13 +156,9 @@ class LatticeStage(NamedTuple):
     period: object = None  # o_{j+1} - o_j, where the offsets are equally spaced
 
 
-def rescaled(x, m: int, lift: bool = False):
-    """Lattice coordinates (an int, or tuples of them) on an m times finer
-    scale; with *lift*, the ints of an int lattice become the pairs
-    (x*m, 0) of a Q(sqrt 2) one."""
-    if type(x) is int:
-        return (x * m, 0) if lift else x * m
-    return tuple(rescaled(y, m, lift) for y in x)
+def rescaled(x, m: int):
+    """Lattice coordinates, an int or an (a, b) pair, on an m times finer scale."""
+    return x * m if type(x) is int else (x[0] * m, x[1] * m)
 
 
 def within(x, h) -> bool:
@@ -181,9 +178,10 @@ class TowerStage:
     """Exact geometry of stage n, plus the cut data used to build n+1.
 
     The height and offsets are stored on the stage's own lattice, the
-    smallest that holds them; ``top`` holds h_{n+1} on the finer lattice
-    that also takes the last spacer.  :attr:`offsets`, :attr:`h_next` and
-    :attr:`spacer_mass_added` are decoded from them on first use.
+    smallest that holds them, and :attr:`offsets` are decoded from there
+    on first use.  :attr:`h_next` = o_{n,r_n} + h_n + s_n(r_n) and
+    :attr:`spacer_mass_added` are exact scalar sums; the stage keeps its
+    geometry only.
     """
 
     n: int
@@ -195,8 +193,6 @@ class TowerStage:
     bottom: Scalar  # bottom spacer (0 unless symmetrized)
     lattice: Lattice  # smallest lattice holding h and every offset
     grid: LatticeStage  # h and o_{n,1} .. o_{n,r_n} on that lattice
-    top: tuple  # (lattice, h_{n+1} in its coordinates)
-    _view: Optional[tuple] = field(default=None, repr=False, compare=False)  # (lattice, view) of the last call
 
     @property
     def tower_measure(self):
@@ -213,8 +209,7 @@ class TowerStage:
 
     @cached_property
     def h_next(self):
-        lattice, h_next = self.top
-        return lattice.decode(h_next)
+        return self.lattice.decode(self.grid.offsets[-1]) + self.h + self.spacers[-1]
 
     @property
     def w_next(self):
@@ -223,31 +218,25 @@ class TowerStage:
     @cached_property
     def spacer_mass_added(self):
         # bottom + s(1) + ... + s(r) = h_{n+1} - r*h_n
-        lattice, h_next = self.top
-        r, h = self.r, rescaled(self.grid.h, lattice.scale // self.denominator)
-        total = (h_next[0] - r * h[0], h_next[1] - r * h[1]) if type(h) is tuple else h_next - r * h
-        return self.w_next * lattice.decode(total)
+        return self.w_next * (self.h_next - self.r * self.h)
 
     def on_lattice(self, lattice: Lattice) -> LatticeStage:
         """This stage in the coordinates of *lattice*, whose scale must be a
-        multiple of :attr:`denominator`; the view of the latest lattice is
-        cached."""
-        if self._view is None or self._view[0] != lattice:
-            m, rest = divmod(lattice.scale, self.denominator)
-            if rest:
-                raise ValueError(f"lattice scale {lattice.scale} is not a multiple of {self.denominator}")
-            grid = self.grid
-            h, offsets = rescaled(grid.h, m), grid.offsets
-            period = None if grid.period is None else rescaled(grid.period, m)
-            if type(grid.h) is tuple:
-                offsets = [(a * m, b * m) for a, b in offsets] if m != 1 else offsets
-            elif lattice.sqrt2:
-                h, offsets = (h, 0), [(o * m, 0) for o in offsets]
-                period = None if period is None else (period, 0)
-            elif m != 1:
-                offsets = [o * m for o in offsets]
-            self._view = (lattice, LatticeStage(self.n, self.r, h, offsets, period))
-        return self._view[1]
+        multiple of :attr:`denominator`."""
+        m, rest = divmod(lattice.scale, self.denominator)
+        if rest:
+            raise ValueError(f"lattice scale {lattice.scale} is not a multiple of {self.denominator}")
+        grid = self.grid
+        h, offsets = rescaled(grid.h, m), grid.offsets
+        period = None if grid.period is None else rescaled(grid.period, m)
+        if type(grid.h) is tuple:
+            offsets = [(a * m, b * m) for a, b in offsets] if m != 1 else offsets
+        elif lattice.sqrt2:
+            h, offsets = (h, 0), [(o * m, 0) for o in offsets]
+            period = None if period is None else (period, 0)
+        elif m != 1:
+            offsets = [o * m for o in offsets]
+        return LatticeStage(self.n, self.r, h, offsets, period)
 
 
 class Schedule:
@@ -282,7 +271,6 @@ class Schedule:
         if not (self.h1 > 0 and self.w1 > 0):
             raise ConfigurationError(f"h1 = {h1!r} and w1 = {w1!r} must be positive")
         self._stages: list[TowerStage] = []
-        self.stage_thresholds: dict = {}  # k -> [u_k, u_{k+1}, ...] of correlate.pick_stage
 
     # -- stage computation ----------------------------------------------
 
@@ -318,32 +306,26 @@ class Schedule:
         inner = ids[:-1]  # s(1) .. s(r-1) step the offsets; s(r) enters only h_{n+1}
         distinct = dict.fromkeys(inner)
         lattice = Lattice.holding([h, bottom, *map(scalars.__getitem__, distinct)])
-        top = Lattice.holding(spacers[-1:], lattice)
         sqrt2 = lattice.sqrt2
-        H, B, last = lattice.encode(h), lattice.encode(bottom), top.encode(spacers[-1])
+        H, B = lattice.encode(h), lattice.encode(bottom)
         steps = {i: lattice.encode(scalars[i]) for i in distinct}  # each distinct object encoded once
         negative = (lambda x: sqrt2_sign(*x) < 0) if sqrt2 else (lambda x: x < 0)
-        if any(map(negative, steps.values())) or negative(last):
+        if any(map(negative, steps.values())) or spacers[-1] < 0:
             raise ConfigurationError(f"negative spacer at stage {m}")
         if negative(B):
             raise ConfigurationError(f"negative bottom spacer at stage {m}")
-        k = top.scale // lattice.scale
         if sqrt2:  # o_{j+1} = o_j + h + s(j), component by component
             rises = {i: (H[0] + a, H[1] + b) for i, (a, b) in steps.items()}
             columns = zip(*map(rises.__getitem__, inner))
             offsets = list(zip(*(accumulate(c, initial=b) for c, b in zip(columns, B))))
-            h_next = tuple((o + x) * k + s for o, x, s in zip(offsets[-1], H, last))
         else:
             rises = {i: H + s for i, s in steps.items()}
             offsets = list(accumulate(map(rises.__getitem__, inner), initial=B))
-            h_next = (offsets[-1] + H) * k + last
         period = None
         if len(set(steps.values())) == 1:  # equally spaced offsets
             period = tuple(y - x for x, y in zip(*offsets[:2])) if sqrt2 else offsets[1] - offsets[0]
         grid = LatticeStage(m, r, H, offsets, period=period)
-        self._stages.append(
-            TowerStage(m, h, w, mu, r, spacers, bottom, lattice, grid=grid, top=(top, h_next))
-        )
+        self._stages.append(TowerStage(m, h, w, mu, r, spacers, bottom, lattice, grid))
 
     def _check_budget(self, n: int, h):
         """The digit budget: every component of h_n on its own lattice

@@ -70,7 +70,10 @@ class SpectralEstimate:
 def sample_count(t_max, dt) -> int:
     """The n of the sample times i * dt, |i| <= n, of a curve up to
     *t_max*; a curve needs a time besides 0."""
-    n = int(round(float(t_max) / float(dt)))
+    try:
+        n = int(round(float(t_max) / float(dt)))
+    except OverflowError:
+        raise ConfigurationError(f"spec entries 't_max' = {t_max} and 'dt' = {float(dt)}: t_max/dt is past float range") from None
     if n < 1:
         raise ConfigurationError(
             f"spec entry 't_max' = {t_max} must exceed half of 'dt' = {float(dt)}: the curve has no time but 0"

@@ -391,6 +391,23 @@ def test_a_value_past_float_range_exits_two_and_is_named(tmp_path, name):
     assert f"error: {named}" in result.output and "is past float range" in result.output
 
 
+# curve entries past float range, or past memory, each before any sample
+# time is built: t_max/dt on both curve kinds, a cosine phase, a grid
+OUT_OF_RANGE_CURVES = {
+    "ratio-analytic": ({"analytic": {"kind": "gaussian"}, "dt": 1e-300, "t_max": 1e300}, "spec entries 't_max' = 1e+300 and 'dt' = 1e-300"),
+    "ratio-schedule": ({"schedule": FLAT2, "dt": 1e-300, "t_max": 1e300}, "spec entries 't_max' = 1e+300 and 'dt' = 1e-300"),
+    "cosine-phase": ({"analytic": {"kind": "cosine", "freqs": [1e308]}, "dt": 0.05, "t_max": 8}, "spec entry 'freqs' = [1e+308]"),
+    "grid-size": ({"analytic": {"kind": "gaussian"}, "grid_size": 10000000000000}, "Unable to allocate"),
+}
+
+
+@pytest.mark.parametrize("spec, named", OUT_OF_RANGE_CURVES.values(), ids=list(OUT_OF_RANGE_CURVES))
+def test_a_curve_past_float_range_or_memory_exits_two(tmp_path, spec, named):
+    result = invoke(["spectrum", "--spec", write_spec(tmp_path, "curve.json", spec), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert f"error: {named}" in result.output and "Traceback" not in result.output
+
+
 # curves whose t_max rounds to no sample time but 0 (t_max = dt/2 rounds
 # half to even, to 0), for both kinds and both branches of the curve
 NO_TIME_BUT_ZERO = {

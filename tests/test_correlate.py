@@ -2,6 +2,7 @@ import importlib
 import itertools
 import math
 import random
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -82,33 +83,62 @@ def test_stage_stability(flat3, small_staircase, small_asym):
         f, g = pair(sched, rng.randrange(10**6))
         for _ in range(10):
             t = Fraction(rng.randrange(-8, 9), 4)
-            n = pick_stage(sched, 1, abs(t))
+            (n,) = pick_stage(sched, 1, [abs(t)])
             a = correlate(sched, f, g, t, stage=n)
             b = correlate(sched, f, g, t, stage=n + 2)
             assert abs(a.value - b.value) <= a.error_bound + b.error_bound + 1e-12
 
 
-def memo_size(corr):
-    """Entries of a correlator's memo, which holds one dict per stage."""
-    return sum(map(len, corr._memos[0].values()))
+def record_passes(monkeypatch) -> list:
+    """Spy on :meth:`MCorrelator._B`: the (lattice, memos) of every pass,
+    one per :meth:`at` call that needs a value, in call order."""
+    passes, original = [], MCorrelator._B
+
+    def spy(self, wanted, lattice):
+        memos = original(self, wanted, lattice)
+        passes.append((lattice, memos))
+        return memos
+
+    monkeypatch.setattr(MCorrelator, "_B", spy)
+    return passes
 
 
-def test_correlator_memo_is_shared_across_times(flat2):
+@pytest.fixture()
+def passes(monkeypatch):
+    return record_passes(monkeypatch)
+
+
+def memo_size(memos):
+    """Entries of a call's memo of its first member, one dict per stage."""
+    return sum(map(len, memos[0].values()))
+
+
+def key_kinds(memos, pair=True) -> set:
+    """The types of a call's memo keys: int on an int lattice, tuple (an
+    (a, b) pair) on a Q(sqrt 2) one; at m >= 3, of each key's first shift."""
+    return {type(x if pair else x[0]) for level in memos[0].values() for x in level}
+
+
+def test_correlator_memo_is_shared_across_times(flat2, passes):
+    """The times of one call share its memo, and each call has a memo and
+    a lattice of its own: a repeated time adds no entry, and a time with a
+    new denominator puts its call on a finer lattice."""
     f, g = pair(flat2, 1)
     corr = Correlator(flat2, [(f, g)])
     half = corr.at([Fraction(1, 2)])[0][0]
-    first = memo_size(corr)
+    first = memo_size(passes[-1][1])
     assert first > 0
-    corr.at([Fraction(1, 2)])
-    assert memo_size(corr) == first  # warm queries add nothing
-    # a time with a new denominator rescales the stored shifts onto a finer
-    # lattice; the entries of 1/2 stay in the same memo and still hit
-    third = corr.at([Fraction(1, 3)])[0][0]
-    second = memo_size(corr)
+    corr.at([Fraction(1, 2), Fraction(1, 2)])
+    assert memo_size(passes[-1][1]) == first  # a repeated time adds nothing
+    both = corr.at([Fraction(1, 2), Fraction(1, 3)])[0]
+    second = memo_size(passes[-1][1])
     assert second > first
-    assert corr.at([Fraction(1, 2)])[0][0].value == half.value
-    assert memo_size(corr) == second
-    assert third.value == Correlator(flat2, [(f, g)]).at([Fraction(1, 3)])[0][0].value
+    assert passes[-1][0].scale > passes[0][0].scale  # a finer lattice
+    assert corr.at([Fraction(1, 2)])[0][0].value == half.value == both[0].value
+    assert memo_size(passes[-1][1]) == first and passes[-1][0] == passes[0][0]  # nothing kept
+    third = corr.at([Fraction(1, 3)])[0][0]
+    assert third.value == Correlator(flat2, [(f, g)]).at([Fraction(1, 3)])[0][0].value == both[1].value
+    assert all(key_kinds(memos) == {int} for _, memos in passes)
 
 
 def test_oracle_agreement_spot_checks(flat2, flat3, small_staircase, small_asym, sym_flat3):
@@ -172,9 +202,10 @@ def stage_probe_times(schedule, k, rng):
 @pytest.mark.parametrize("order", ["increasing", "decreasing", "shuffled"])
 @pytest.mark.parametrize("name", list(STAGE_BUILDERS))
 def test_cached_pick_stage_matches_its_definition(name, order):
-    """The bisected threshold list gives the linear search's stage for every
-    |t| and k, in any query order; with MAX_STAGE lowered after the list
-    has grown past it, both raise RangeError for the deeper stages."""
+    """The threshold list of one call, bisected, gives the linear search's
+    stage for every |t| and k, in any order of the times; with MAX_STAGE
+    lowered, both raise RangeError for the deeper stages, and a call
+    names its first time past MAX_STAGE.  An empty call raises nothing."""
     rng = random.Random(f"{name}-{order}")
     sched, reference = STAGE_BUILDERS[name](), STAGE_BUILDERS[name]()
     probes = {k: stage_probe_times(reference, k, rng) for k in (1, 2)}
@@ -183,20 +214,26 @@ def test_cached_pick_stage_matches_its_definition(name, order):
             rng.shuffle(times)
         else:
             times.sort(key=float, reverse=order == "decreasing")
-        picked = [pick_stage(sched, k, t) for t in times]
+        picked = pick_stage(sched, k, times)
         assert picked == [linear_pick_stage(reference, k, t) for t in times]
         assert k + 4 in picked and k + 5 in picked
+    assert pick_stage(sched, correlate_module.MAX_STAGE + 1, []) == []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(correlate_module, "MAX_STAGE", 4)
         for k, times in probes.items():
+            far = []
             for t in times:
                 try:
                     expected = linear_pick_stage(reference, k, t)
                 except RangeError:
+                    far.append(t)
                     with pytest.raises(RangeError, match="no stage up to 4"):
-                        pick_stage(sched, k, t)
+                        pick_stage(sched, k, [t])
                 else:
-                    assert pick_stage(sched, k, t) == expected <= 4
+                    assert pick_stage(sched, k, [t]) == [expected] and expected <= 4
+            named = re.escape(f"|t| = {float(far[0]):g} out of range: no stage up to 4")
+            with pytest.raises(RangeError, match=f"^{named}"):
+                pick_stage(sched, k, times)
 
 
 def test_mismatched_stages_rejected(flat2):
@@ -331,7 +368,7 @@ SCHEDULES = {
     ],
     ids=["memo-batched", "overlap-batched", "memo-per-shift", "overlap-per-shift", "memo-sqrt2", "overlap-sqrt2"],
 )
-def test_guards_name_stage_and_count(monkeypatch, numpy_batches, schedule, stage, guard, message, batched):
+def test_guards_name_stage_and_count(monkeypatch, numpy_batches, passes, schedule, stage, guard, message, batched):
     sched = SCHEDULES[schedule]()
     f, g = pair(sched, 1)
     t = Fraction(-7, 3)
@@ -348,14 +385,15 @@ def test_guards_name_stage_and_count(monkeypatch, numpy_batches, schedule, stage
     monkeypatch.setattr(schedule_module, "GUARD", default)
     corr = Correlator(sched, [(f, g)])
     value = corr.at([t], stage=stage)[0][0].value
-    assert message.startswith("overlap") or memo_size(corr) == guard + 1
-    monkeypatch.setattr(schedule_module, "GUARD", memo_size(corr))
+    size = memo_size(passes[-1][1])
+    assert message.startswith("overlap") or size == guard + 1
+    monkeypatch.setattr(schedule_module, "GUARD", size)
     assert Correlator(sched, [(f, g)]).at([t], stage=stage)[0][0].value == value
     # a family's memo guard counts each key once, not once per member
     assert Correlator(sched, [(g, f), (f, g)]).at([t], stage=stage)[1][0].value == value
 
 
-def test_m_point_step_follows_the_guard(monkeypatch):
+def test_m_point_step_follows_the_guard(monkeypatch, passes):
     """GUARD also bounds the delta vectors of one m-tuple step; the query
     below needs 9 memo entries and 2 levels: 1 shift tuple at stage 2 with
     4 delta vectors, and 4 at stage 1 with 5 delta vectors in all, at most
@@ -374,8 +412,9 @@ def test_m_point_step_follows_the_guard(monkeypatch):
     sched = asym49_schedule(r_cap=16)
     corr = MCorrelator(sched, [[f, g, f]])
     value = corr.at([times])[0][0].value
+    lattice, memos = passes[-1]
     levels = {n: (xs, level) for n, xs, level in steps}
-    assert (memo_size(corr), len(steps)) == (9, 2)
+    assert (memo_size(memos), len(steps)) == (9, 2)
     assert {n: [len(groups) for groups in level] for n, (_, level) in levels.items()} == {2: [4], 1: [1, 1, 0, 3]}
     monkeypatch.setattr(schedule_module, "GUARD", 2)
     with pytest.raises(ResourceError, match="^m-tuple delta blowup at stage 2: more than 2 delta vectors$"):
@@ -390,8 +429,8 @@ def test_m_point_step_follows_the_guard(monkeypatch):
     monkeypatch.setattr(schedule_module, "GUARD", 4)
     fresh = asym49_schedule(r_cap=16)
     for n, (xs, reference) in levels.items():
-        first = fresh.tuple_overlaps(n, list(xs), corr._lattice)
-        again = fresh.tuple_overlaps(n, list(xs), corr._lattice)
+        first = fresh.tuple_overlaps(n, list(xs), lattice)
+        again = fresh.tuple_overlaps(n, list(xs), lattice)
         assert again is not first
         assert [list(step) for step in first] == [list(step) for step in again] == [list(step) for step in reference]
     # the 2-point step keeps its own guard
@@ -433,26 +472,25 @@ def test_one_schedule_serves_two_and_three_point_steps(monkeypatch, name):
         assert on_shared == values(make(), make(), two_first)
 
 
-def depth_first(corr, n, x, memo):
+def depth_first(corr, lattice, n, x, memo):
     """B_n(x) by the depth-first recursion the level loop replaced, on the
-    correlator's current lattice: each value summed over its step in the
-    same order."""
+    lattice of a call: each value summed over its step in the same order."""
     if (n, x) not in memo:
         if n == corr.k:
-            zero = (0, 0) if corr._lattice.sqrt2 else 0
-            v = product_integral(corr.family[0], (zero, x) if corr._pair else (zero, *x), corr._lattice)
+            zero = (0, 0) if lattice.sqrt2 else 0
+            v = product_integral(corr.family[0], (zero, x) if corr._pair else (zero, *x), lattice)
         else:
             v = 0j
-            step = corr._step(n - 1, [x], corr._lattice)
+            step = corr._step(n - 1, [x], lattice)
             # an array step of the one shift: (counts, keys, index, mults)
             pairs = zip(np.asarray(step[1])[step[2]].tolist(), step[3].tolist()) if type(step) is tuple else step[0]
             for d, mult in pairs:
-                v += mult * depth_first(corr, n - 1, d, memo)
+                v += mult * depth_first(corr, lattice, n - 1, d, memo)
         memo[n, x] = v
     return memo[n, x]
 
 
-# times whose denominators 3, 2, 4, 7 make each new query rescale the memo
+# times whose denominators 3, 2, 4, 7 put each query on a new lattice
 ORDER_TIMES = [Fraction(-7, 3), Fraction(1, 2), Fraction(5, 4), Fraction(-2, 7), Fraction(9, 14)]
 
 
@@ -550,6 +588,36 @@ def test_each_member_gets_the_values_of_a_one_member_family(name, m):
         assert result_reprs(results) == result_reprs(cls(make(), [member]).at(queries)[0])
 
 
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("name", list(STAGE_BUILDERS))
+def test_a_call_keeps_nothing(passes, name, m):
+    """An :meth:`at` call leaves the correlator's attributes as they were
+    and adds none to the schedule; a later call on the same correlator
+    gives a fresh correlator's results, repr for repr, from a memo that
+    holds exactly the fresh call's keys."""
+    make = STAGE_BUILDERS[name]
+    f, g = pair(make(), 1)
+    earlier = [Fraction(9, 4), Fraction(-11, 5)]
+    times = [Fraction(-7, 3), Fraction(1, 2), 0, 5, *([SQRT2 - Fraction(3, 2)] if name == "thm44" else [])]
+    if m == 2:
+        cls, members, queries = Correlator, [(f, g)], lambda ts: ts
+    else:
+        cls, members, queries = MCorrelator, [(f, g, f)], lambda ts: [(0, t, -t / 2) for t in ts]
+    sched = make()
+    corr = cls(sched, members)
+    kept, attributes = {key: (id(v), repr(v)) for key, v in vars(corr).items()}, set(vars(sched))
+    corr.at(queries(earlier))
+    assert {key: (id(v), repr(v)) for key, v in vars(corr).items()} == kept
+    assert set(vars(sched)) == attributes
+    later = corr.at(queries(times))
+    assert result_reprs(later[0]) == result_reprs(cls(make(), members).at(queries(times))[0])
+    (_, memos), (_, fresh) = passes[-2:]
+    assert [{n: set(level) for n, level in memo.items()} for memo in memos] == [
+        {n: set(level) for n, level in memo.items()} for memo in fresh
+    ]
+    assert {key: (id(v), repr(v)) for key, v in vars(corr).items()} == kept
+
+
 def test_a_family_needs_one_arity_and_one_stage(flat2):
     f, g = pair(flat2, 1)
     deep = random_step_function(2, flat2.height(2), 4, random.Random(1))
@@ -563,15 +631,12 @@ def test_a_family_needs_one_arity_and_one_stage(flat2):
 
 
 @pytest.mark.parametrize("name", ["batched", "sqrt2", "triple"])
-def test_level_loop_equals_depth_first_recursion(name):
+def test_level_loop_equals_depth_first_recursion(passes, name):
     make, query = correlators(name)
     corr = make()
     for t in ORDER_TIMES:
         query(corr, t)
-        memo = {}
-        for n, level in corr._memos[0].items():
-            for x, v in level.items():
-                assert repr(v) == repr(depth_first(corr, n, x, memo))
+        assert_depth_first(corr, *passes[-1])
 
 
 @pytest.fixture()
@@ -590,15 +655,16 @@ def array_steps(monkeypatch):
     return steps
 
 
-def assert_depth_first(corr):
-    """Every memo value, repr for repr, as the depth-first recursion sums it."""
+def assert_depth_first(corr, lattice, memos):
+    """Every value of a call's memo, repr for repr, as the depth-first
+    recursion sums it on the call's lattice."""
     memo = {}
-    for n, level in corr._memos[0].items():
+    for n, level in memos[0].items():
         for x, v in level.items():
-            assert repr(v) == repr(depth_first(corr, n, x, memo))
+            assert repr(v) == repr(depth_first(corr, lattice, n, x, memo))
 
 
-def test_array_levels_equal_the_depth_first_sums(array_steps):
+def test_array_levels_equal_the_depth_first_sums(array_steps, passes):
     """A staircase query at stage 5 whose levels take the NumPy sweep
     (stages 2 and 4) and the vectorized closed form (the flat stages 1 and
     3): the values of the depth-first recursion, bit for bit."""
@@ -613,10 +679,12 @@ def test_array_levels_equal_the_depth_first_sums(array_steps):
         ("_sweep_batch", 2),
         ("_periodic_batch", 1),
     }
-    assert_depth_first(corr)
+    assert len(passes) == 2
+    for call in passes:
+        assert_depth_first(corr, *call)
 
 
-def test_array_levels_sum_each_row_in_order(array_steps):
+def test_array_levels_sum_each_row_in_order(array_steps, passes):
     """Terms that span 30 orders of magnitude, many per shift: a pairwise
     sum (``np.sum``, ``np.dot``, ``np.add.reduceat``) of a row differs from
     the in-order one, and every value is the in-order one."""
@@ -627,16 +695,19 @@ def test_array_levels_sum_each_row_in_order(array_steps):
     for t in (Fraction(-7, 3), Fraction(5, 4), Fraction(-70, 3)):
         corr.at([t], stage=3)
     assert {(route, n) for route, n, _ in array_steps} == {("_sweep_batch", 2), ("_sweep_batch", 1)}
-    assert_depth_first(corr)
-    below, reordered = corr._memos[0][1], 0
-    for x, v in corr._memos[0][2].items():
-        step = sched.overlaps(1, [x], corr._lattice)
-        terms = np.array([m * below[d] for d, m in zip(np.asarray(step[1])[step[2]].tolist(), step[3].tolist())])
-        reordered += np.sum(terms) != v
-    assert reordered > 10
+    reordered = set()  # the shifts, decoded, whose pairwise sum differs
+    for lattice, memos in passes:
+        assert_depth_first(corr, lattice, memos)
+        below = memos[0][1]
+        for x, v in memos[0][2].items():
+            step = sched.overlaps(1, [x], lattice)
+            terms = np.array([m * below[d] for d, m in zip(np.asarray(step[1])[step[2]].tolist(), step[3].tolist())])
+            if np.sum(terms) != v:
+                reordered.add(lattice.decode(x))
+    assert len(reordered) > 10
 
 
-def test_levels_past_int64_take_the_list_step(monkeypatch, array_steps):
+def test_levels_past_int64_take_the_list_step(monkeypatch, array_steps, passes):
     """With every value past ``_INT64_SAFE``, the same queries take the list
     step only and give the same values, repr for repr; a time whose
     denominator puts the lattice past int64 does so too."""
@@ -653,10 +724,10 @@ def test_levels_past_int64_take_the_list_step(monkeypatch, array_steps):
     corr = Correlator(sched, [(f, g)])
     corr.at([Fraction(-7, 3) + Fraction(1, 2**62)], stage=4)
     assert array_steps == []
-    assert_depth_first(corr)
+    assert_depth_first(corr, *passes[-1])
 
 
-def test_pairs_and_tuples_never_take_an_array_step(array_steps):
+def test_pairs_and_tuples_never_take_an_array_step(array_steps, passes):
     """A Q(sqrt 2) time on a rational staircase (its (a, b) pairs) and a
     3-point query keep the list step, though one shift at stage 3 (r = 64)
     is already batch enough for an array step."""
@@ -665,14 +736,14 @@ def test_pairs_and_tuples_never_take_an_array_step(array_steps):
     f, g = pair(sched, 2)
     corr = Correlator(sched, [(f, g)])
     corr.at([SQRT2 - Fraction(3, 2)], stage=4)
-    assert corr._lattice.sqrt2
+    assert passes[-1][0].sqrt2
     MCorrelator(sched, [[f, g, f]]).at([(0, Fraction(7, 3), Fraction(-5, 2))], stage=4)
     assert array_steps == []
     Correlator(sched, [(f, g)]).at([Fraction(-3, 2)], stage=4)
     assert array_steps
 
 
-def test_base_frontiers_on_int_lattices_take_the_array_pass(base_rows):
+def test_base_frontiers_on_int_lattices_take_the_array_pass(base_rows, passes):
     """A 3-point batch on asym49 and a 2-point one on a staircase, each
     with a base frontier of ``_ARRAY_MIN_ROWS`` tuples or more on an int
     lattice: the array pass answers every tuple, and each base value is
@@ -683,15 +754,15 @@ def test_base_frontiers_on_int_lattices_take_the_array_pass(base_rows):
     wide = SCHEDULES["wide_staircase"]()
     two = Correlator(wide, [pair(wide, 2)])
     two.at(ORDER_TIMES, stage=4)
-    counts = [len(corr._memos[0][corr.k]) for corr in (triple, two)]
+    counts = [len(memos[0][corr.k]) for corr, (_, memos) in zip((triple, two), passes)]
     assert min(counts) >= _ARRAY_MIN_ROWS
     assert base_rows == Counter(array=sum(counts))
-    assert_depth_first(triple)
-    assert_depth_first(two)
+    assert_depth_first(triple, *passes[0])
+    assert_depth_first(two, *passes[1])
 
 
 @pytest.mark.parametrize("case", ["sqrt2", "past-2**53", "below-break-even"])
-def test_base_frontiers_that_keep_product_integral(base_rows, case):
+def test_base_frontiers_that_keep_product_integral(base_rows, passes, case):
     """A Q(sqrt 2) lattice and a grid past 2**53 (its shifts below it),
     each at a base frontier big enough for the array pass, and a frontier
     of fewer than ``_ARRAY_MIN_ROWS`` tuples: product_integral answers
@@ -705,9 +776,9 @@ def test_base_frontiers_that_keep_product_integral(base_rows, case):
     f, g = pair(sched, 5)
     corr = MCorrelator(sched, [[f, g, f]])
     corr.at([(0, Fraction(i, 3 * count), Fraction(-i, 2 * count)) for i in range(count)], stage=1)
-    assert len(corr._memos[0][1]) == count
+    assert len(passes[-1][1][0][1]) == count
     assert base_rows == Counter(product_integral=count)
-    assert_depth_first(corr)
+    assert_depth_first(corr, *passes[-1])
 
 
 def result_reprs(results) -> list:
@@ -797,7 +868,7 @@ def test_an_empty_batch_takes_no_step(level_steps):
     assert level_steps == []
 
 
-def test_a_batch_whose_union_passes_the_guard_raises(monkeypatch):
+def test_a_batch_whose_union_passes_the_guard_raises(monkeypatch, passes):
     """Two times that each fit GUARD alone, asked together: their memo
     union passes it, and the batch raises the memo guard."""
     f, g = pair(flat_schedule(3), 1)
@@ -806,7 +877,7 @@ def test_a_batch_whose_union_passes_the_guard_raises(monkeypatch):
     def memo_after(batch):
         corr = Correlator(flat_schedule(3), [(f, g)])
         corr.at(batch, stage=4)
-        return memo_size(corr)
+        return memo_size(passes[-1][1])
 
     alone = max(memo_after([t]) for t in times)
     union = memo_after(times)
@@ -820,7 +891,7 @@ def test_a_batch_whose_union_passes_the_guard_raises(monkeypatch):
     assert memo_after(times) == union
 
 
-def test_a_time_past_max_stage_fails_its_batch_before_any_step(level_steps):
+def test_a_time_past_max_stage_fails_its_batch_before_any_step(level_steps, passes):
     """The stages of a batch are picked before its first step: one time too
     far for MAX_STAGE raises the RangeError it raises alone, and nothing
     is computed for the others."""
@@ -832,7 +903,7 @@ def test_a_time_past_max_stage_fails_its_batch_before_any_step(level_steps):
     with pytest.raises(RangeError) as batch:
         corr.at([Fraction(1, 2), far, 1])
     assert str(batch.value) == str(alone.value) == "|t| = 1e+25 out of range: no stage up to 64 is tall enough"
-    assert level_steps == [] and memo_size(corr) == 0
+    assert level_steps == [] and passes == []
     corr.at([Fraction(1, 2), 1])
     assert level_steps
 
@@ -852,7 +923,7 @@ def test_a_time_past_float_range_at_a_given_stage_raises():
         Correlator(flat_schedule(2), [(f, g)]).at([10**400], stage=5)
 
 
-# -- one lattice per correlator, grown in scale and in kind ------------------
+# -- one lattice per call, the members' grown in scale and in kind ------------
 
 MIXED = [SQRT2 - Fraction(3, 2), Fraction(1, 2)]
 
@@ -861,32 +932,27 @@ def small_staircase34():
     return staircase34_schedule(staircase_stages=(2,), base=4, r_cap=16)
 
 
-def key_kinds(corr) -> set:
-    """The types of a correlator's memo keys: int on an int lattice, tuple
-    (an (a, b) pair) on a Q(sqrt 2) one; at m >= 3, of each key's first shift."""
-    return {type(x if corr._pair else x[0]) for level in corr._memos[0].values() for x in level}
-
-
-def test_a_rational_batch_after_a_sqrt2_one_takes_no_step(level_steps):
-    """Once a correlator is on Q(sqrt 2) it stays there: a later rational
-    batch finds its keys in the memo, takes no step and adds no entry."""
+def test_a_rational_batch_after_a_sqrt2_one_starts_afresh(level_steps, passes):
+    """A call keeps nothing: after a Q(sqrt 2) batch, a rational batch
+    takes its own steps on an int lattice, and its value is the one the
+    Q(sqrt 2) batch gave, bit for bit."""
     sched = small_staircase34()
     f, g = pair(sched, 0)
     corr = Correlator(sched, [(f, g)])
     (first,) = corr.at(MIXED)
-    assert (memo_size(corr), len(level_steps)) == (12, 2)
+    assert (memo_size(passes[-1][1]), len(level_steps)) == (12, 2)
     (again,) = corr.at([Fraction(1, 2)])
-    assert (memo_size(corr), len(level_steps)) == (12, 2)
+    assert len(level_steps) > 2 and not passes[-1][0].sqrt2
     assert repr(again[0].value) == repr(first[1].value)
-    assert key_kinds(corr) == {tuple}
+    assert [key_kinds(memos) for _, memos in passes] == [{tuple}, {int}]
 
 
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("sqrt2_first", [True, False], ids=["sqrt2-first", "rational-first"])
-def test_a_grown_lattice_keeps_one_memo(m, sqrt2_first):
+def test_a_grown_lattice_keeps_one_memo(passes, m, sqrt2_first):
     """A rational and a Q(sqrt 2) batch, in either order, give the values of
-    fresh correlators bit for bit and leave memo keys of one kind: the
-    Q(sqrt 2) batch lifts the int keys of the rational one."""
+    fresh correlators bit for bit; each call grows the members' lattice to
+    its own, and its memo holds keys of one kind."""
     f, g = pair(small_staircase34(), 0)
 
     def fresh():
@@ -895,11 +961,14 @@ def test_a_grown_lattice_keeps_one_memo(m, sqrt2_first):
     def queries(times):
         return times if m == 2 else [(0, t, -t / 2) for t in times]
 
-    corr = fresh()
+    corr, kinds = fresh(), []
     for times in (MIXED, [Fraction(1, 2)])[:: 1 if sqrt2_first else -1]:
-        assert result_reprs(corr.at(queries(times))[0]) == result_reprs(fresh().at(queries(times))[0])
-        assert key_kinds(corr) == {tuple if corr._lattice.sqrt2 else int}
-    assert corr._lattice.sqrt2
+        results = corr.at(queries(times))[0]
+        lattice, memos = passes[-1]
+        assert key_kinds(memos, m == 2) == {tuple if lattice.sqrt2 else int}
+        kinds.append(lattice.sqrt2)
+        assert result_reprs(results) == result_reprs(fresh().at(queries(times))[0])
+    assert kinds == [True, False][:: 1 if sqrt2_first else -1]
 
 
 RATIONAL_BUILDERS = {
@@ -915,10 +984,14 @@ mixed_times = small_times | st.builds(lambda a, b: a + b * SQRT2, small_times, s
 @given(st.sampled_from(sorted(RATIONAL_BUILDERS)), st.lists(st.lists(mixed_times, min_size=1, max_size=3), min_size=2, max_size=4))
 def test_mixed_batches_equal_fresh_correlators(name, batches):
     """Rational and Q(sqrt 2) batches in any order on one correlator equal
-    a fresh correlator per batch, bit for bit, on one kind of memo key."""
+    a fresh correlator per batch, bit for bit, each call's memo on one
+    kind of key."""
     make = RATIONAL_BUILDERS[name]
     f, g = pair(make(), 1)
     corr = Correlator(make(), [(f, g)])
-    for times in batches:
-        assert result_reprs(corr.at(times)[0]) == result_reprs(Correlator(make(), [(f, g)]).at(times)[0])
-        assert len(key_kinds(corr)) <= 1
+    with pytest.MonkeyPatch.context() as patch:
+        passes = record_passes(patch)
+        for times in batches:
+            results = corr.at(times)[0]
+            assert len(key_kinds(passes[-1][1])) == 1
+            assert result_reprs(results) == result_reprs(Correlator(make(), [(f, g)]).at(times)[0])
