@@ -315,8 +315,15 @@ def correlate(
 
 
 def inner_product(schedule: Schedule, f: StepFunction, g: StepFunction) -> complex:
-    """<f, g> at the common stage, weight w_k: the base case at shift 0."""
-    return complex(product_integral([f, g.conjugate()], (0, 0))) * to_float(schedule.width(f.stage), f"w_{f.stage}")
+    """<f, g> at the common stage, weight w_k: the base case at shift 0.
+    <f, f> of a real-valued f (a level set, a comb) is the base case of
+    [f, f] on f's own lattice, bit for bit the same value, with no
+    conjugate copy of f to build."""
+    w = to_float(schedule.width(f.stage), f"w_{f.stage}")
+    if g is f and not any(complex(v).imag for v in f.values):
+        zero = f.lattice.encode(0)
+        return complex(product_integral([f, f], (zero, zero), f.lattice)) * w
+    return complex(product_integral([f, g.conjugate()], (0, 0))) * w
 
 
 # ---------------------------------------------------------------------------

@@ -49,14 +49,20 @@ once: :meth:`Schedule.overlaps` at m = 2, :meth:`Schedule.tuple_overlaps`
 on shift tuples at m >= 3.  At m = 2, :func:`overlap_batch` applies the
 batch rule.  A batch of at least ``_NUMPY_MIN_WORK`` (shift, copy) pairs
 on int offsets whose values fit int64 is an array step for all its
-shifts at once, from the closed form, vectorized, on an equally spaced
-stage and from one NumPy sweep on others (the offsets as one int64
-array per batch, ``searchsorted`` for every window, one sort for every
-delta): (counts, keys, index, mults), with the distinct deltas as keys
-and each delta as its index among them.  Any other batch (a smaller
-one, values past int64, (a, b) pairs) is a list step: one (delta,
-multiplicity) list per shift, from the closed form or the Python sweep.
-Either gives each shift's deltas in increasing order.  At m >= 3,
+shifts at once: (counts, keys, index, mults), with the distinct deltas
+as keys and each delta as its index among them.  An equally spaced
+stage takes the closed form, vectorized.  Another stage takes its
+difference table when r is at most the number of shifts and r**2 at
+most ``GUARD``: the distinct o_j' - o_j with their pair counts, built
+once per step (r**2 work), of which each shift reads one window found
+by ``searchsorted``.  Any other stage takes one NumPy sweep (the
+offsets as one int64 array per batch, ``searchsorted`` for every
+(shift, copy) window, one sort for every delta; shifts times r work).
+The keys are counted where the deltas span no more values than there
+are deltas, and sorted by ``np.unique`` elsewhere.  Any other batch (a
+smaller one, values past int64, (a, b) pairs) is a list step: one
+(delta, multiplicity) list per shift, from the closed form or the
+Python sweep.  Either gives each shift's deltas in increasing order.  At m >= 3,
 :func:`tuple_overlaps` answers an equally spaced stage in closed form:
 each shift's k come from the same two floors, the delta vectors are the
 product of those ranges, and each is realized by the copies j0 that keep
@@ -66,11 +72,13 @@ groups the copy tuples of the windows by delta vector.  The schedule
 keeps no step; a correlator takes each for its whole family.
 
 Two module constants bound the work, with no parameter to set them:
-``GUARD`` (the deltas per shift of every m = 2 step, the delta vectors of
-an m-tuple step, and in :mod:`rank1flow.correlate` the memo of a query)
-and ``DIGIT_BUDGET`` (the bits of a stage height).  Each check reads its
-constant when it runs, so patching ``schedule.GUARD`` moves all three
-GUARD limits at once.
+``GUARD`` (the deltas per shift of every m = 2 step, the r**2 entries of
+a difference table, the delta vectors of an m-tuple step, in
+:mod:`rank1flow.correlate` the memo of a query, and in
+:mod:`rank1flow.spectral` the sample times of a curve) and
+``DIGIT_BUDGET`` (the bits of a stage height).  Each check reads its
+constant when it runs, so patching ``schedule.GUARD`` moves every GUARD
+limit at once.
 """
 
 from __future__ import annotations
@@ -89,7 +97,7 @@ import numpy as np
 from .errors import ConfigurationError, ResourceError
 from .scalars import FLOAT_BITS, MODES, SQRT2_FLOAT, Scalar, Sqrt2, coerce, exact, sqrt2_floordiv, sqrt2_sign, sqrt2_sorted
 
-GUARD = 10**6  # memo entries per query, delta vectors per m-tuple step, deltas per shift
+GUARD = 10**6  # memo entries per query, delta vectors per m-tuple step, deltas per shift, difference-table entries, curve samples
 DIGIT_BUDGET = 200_000  # bits in each component of a stage height on its own lattice
 # A batch of shifts on int offsets is an array step when it holds at
 # least _NUMPY_MIN_WORK (shift, copy) pairs.  NumPy costs some 55-80 us
@@ -417,17 +425,22 @@ def overlap_batch(stage: LatticeStage, shifts: list):
     an array step, all shifts at once: (counts, keys, index, mults), in
     which shift i owns the next counts[i] entries of the int64 arrays
     index and mults, each delta given by its index into keys, the
-    distinct deltas as an increasing list of ints, from the vectorized
-    closed form
-    (:func:`_periodic_batch`) on an equally spaced stage and the NumPy
-    sweep (:func:`_sweep_batch`) on others.  Any other batch is a list
+    distinct deltas as an increasing list of ints.  It comes from the
+    vectorized closed form (:func:`_periodic_batch`) on an equally spaced
+    stage; on others from the difference table (:func:`_table_batch`)
+    when r <= len(shifts) and r**2 <= ``GUARD``, the table's r**2 work
+    being no more than the sweep's len(shifts) * r, and from the NumPy
+    sweep (:func:`_sweep_batch`) otherwise.  Any other batch is a list
     step, one (delta, multiplicity) list per shift: the closed form or the
     Python sweep, shift by shift, with the float offsets of (a, b) pairs
     built once for the batch.  Both give each shift's deltas in increasing
     order.
     """
-    if len(shifts) * stage.r >= _NUMPY_MIN_WORK and _fits_int64(stage, shifts):
-        return _sweep_batch(stage, shifts) if stage.period is None else _periodic_batch(stage, shifts)
+    r = stage.r
+    if len(shifts) * r >= _NUMPY_MIN_WORK and _fits_int64(stage, shifts):
+        if stage.period is not None:
+            return _periodic_batch(stage, shifts)
+        return _table_batch(stage, shifts) if r <= len(shifts) and r * r <= GUARD else _sweep_batch(stage, shifts)
     floats = _pair_floats(stage.offsets) if type(stage.h) is tuple and stage.period is None else None
     return [overlap_pairs(stage, x, floats) for x in shifts]
 
@@ -628,6 +641,25 @@ def _sweep_chunk(stage: LatticeStage, offs: np.ndarray, shifts: list) -> tuple:
     return counts, delta - h, np.diff(first, append=total)
 
 
+def _table_batch(stage: LatticeStage, shifts: list) -> tuple:
+    """The array step of a stage on int64 offsets from its difference
+    table: the distinct differences d = o_j' - o_j, increasing, with the
+    number of (j, j') pairs giving each.  The deltas of a shift x are the
+    x + d with -h - x < d < h - x, one window of the table, found for
+    every shift by one ``searchsorted`` each way; they come out
+    increasing, with their multiplicities, and need no sort."""
+    offs = np.array(stage.offsets, dtype=np.int64)
+    diffs, pairs = np.unique(offs - offs[:, None], return_counts=True)
+    h, xs = stage.h, np.array(shifts, dtype=np.int64)
+    first = np.searchsorted(diffs, -h - xs, side="right")
+    counts = np.searchsorted(diffs, h - xs, side="left") - first
+    _check_deltas(stage, counts)
+    ends = np.cumsum(counts)
+    at = np.repeat(first - ends + counts, counts)
+    at += np.arange(int(ends[-1]))
+    return _keyed(counts, np.repeat(xs, counts) + diffs[at], pairs[at])
+
+
 def _periodic_batch(stage: LatticeStage, shifts: list) -> tuple:
     """The array step of an equally spaced stage on int64 offsets: the
     closed form of :func:`_periodic_deltas` for every shift at once,
@@ -647,8 +679,19 @@ def _periodic_batch(stage: LatticeStage, shifts: list) -> tuple:
 def _keyed(counts: np.ndarray, deltas: np.ndarray, mults: np.ndarray) -> tuple:
     """An array step as (counts, keys, index, mults): *keys* the distinct
     deltas as ints, increasing, and *index* the place of each delta among
-    them, so that the step is summed with no sort."""
-    keys, index = np.unique(deltas, return_inverse=True)
+    them, so that the step is summed with no sort.  Where the deltas span
+    no more values than there are deltas, they are counted: the present
+    values marked in a bool array of the span, each delta's index the
+    rank of its mark; elsewhere ``np.unique`` sorts them."""
+    low, high = (int(deltas.min()), int(deltas.max())) if deltas.size else (0, 0)
+    if high - low < deltas.size:  # a span of high - low + 1 values; never for no delta
+        at = deltas - low
+        present = np.zeros(high - low + 1, dtype=bool)
+        present[at] = True
+        keys = np.flatnonzero(present) + low
+        index = np.cumsum(present)[at] - 1
+    else:
+        keys, index = np.unique(deltas, return_inverse=True)
     return counts, keys.tolist(), index, mults
 
 

@@ -29,8 +29,9 @@ try:  # numpy >= 2
 except AttributeError:  # pragma: no cover
     _trapezoid = np.trapz
 
+from . import schedule as geometry  # for GUARD, read at call time
 from .correlate import Correlator
-from .errors import ConfigurationError, DegenerateInputError
+from .errors import ConfigurationError, DegenerateInputError, ResourceError
 from .schedule import Schedule
 from .stepfun import StepFunction
 
@@ -69,7 +70,10 @@ class SpectralEstimate:
 
 def sample_count(t_max, dt) -> int:
     """The n of the sample times i * dt, |i| <= n, of a curve up to
-    *t_max*; a curve needs a time besides 0."""
+    *t_max*; a curve needs a time besides 0.  Its n + 1 times from 0 are
+    the memo keys of one engine query on a schedule curve, so
+    ``schedule.GUARD`` bounds them, on both kinds of curve, before any
+    time is built."""
     try:
         n = int(round(float(t_max) / float(dt)))
     except OverflowError:
@@ -77,6 +81,11 @@ def sample_count(t_max, dt) -> int:
     if n < 1:
         raise ConfigurationError(
             f"spec entry 't_max' = {t_max} must exceed half of 'dt' = {float(dt)}: the curve has no time but 0"
+        )
+    if n + 1 > geometry.GUARD:
+        raise ResourceError(
+            f"sample blowup: spec entries 't_max' = {t_max} and 'dt' = {float(dt)} give {n + 1} sample times "
+            f"from 0, more than GUARD = {geometry.GUARD}"
         )
     return n
 

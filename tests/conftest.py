@@ -23,15 +23,17 @@ def rng():
 
 @pytest.fixture()
 def numpy_batches(monkeypatch):
-    """The sizes of the batches that take the NumPy overlap sweep."""
+    """The sizes of the batches of stages with no period that take an
+    array step: the NumPy sweep or the difference table."""
     sizes = []
-    sweep = schedule_module._sweep_batch
+    for route in ("_sweep_batch", "_table_batch"):
+        original = getattr(schedule_module, route)
 
-    def spy(stage, shifts):
-        sizes.append(len(shifts))
-        return sweep(stage, shifts)
+        def spy(stage, shifts, original=original):
+            sizes.append(len(shifts))
+            return original(stage, shifts)
 
-    monkeypatch.setattr(schedule_module, "_sweep_batch", spy)
+        monkeypatch.setattr(schedule_module, route, spy)
     return sizes
 
 

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from rank1flow import Correlator, experiments
+from rank1flow import schedule as schedule_module
 from rank1flow.cli import main
 from rank1flow.correlate import perturbation_bound
 from rank1flow.errors import ConfigurationError, Rank1Error
@@ -406,6 +407,30 @@ def test_a_curve_past_float_range_or_memory_exits_two(tmp_path, spec, named):
     result = invoke(["spectrum", "--spec", write_spec(tmp_path, "curve.json", spec), "--out", str(tmp_path / "o")])
     assert result.exit_code == 2, result.output
     assert f"error: {named}" in result.output and "Traceback" not in result.output
+
+
+# t_max = 8 and dt = 1/20 on both curve kinds: 161 sample times from 0
+GUARDED_CURVES = {
+    "analytic": {"analytic": {"kind": "gaussian"}, "dt": 0.05, "t_max": 8},
+    "schedule": {"schedule": FLAT2, "dt": "0.05", "t_max": 8},
+}
+
+
+@pytest.mark.parametrize("spec", GUARDED_CURVES.values(), ids=list(GUARDED_CURVES))
+def test_a_curve_past_the_guard_exits_two_before_sampling(monkeypatch, tmp_path, spec):
+    """GUARD bounds a curve's sample times from 0 (the memo keys of one
+    query on a schedule curve): one past it, the spec exits 2 when it is
+    read, before the times are built or the curve sampled."""
+
+    def no_sample(*args, **kwargs):
+        raise AssertionError("the curve was sampled")
+
+    monkeypatch.setattr(experiments, "autocorr_curve", no_sample)
+    monkeypatch.setattr(experiments, "curve_from_samples", no_sample)
+    monkeypatch.setattr(schedule_module, "GUARD", 160)
+    result = invoke(["spectrum", "--spec", write_spec(tmp_path, "curve.json", spec), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert "error: sample blowup: spec entries 't_max' = 8.0 and 'dt' = 0.05 give 161 sample times from 0, more than GUARD = 160" in result.output
 
 
 # curves whose t_max rounds to no sample time but 0 (t_max = dt/2 rounds

@@ -35,6 +35,8 @@ from rank1flow import (
 from rank1flow import schedule as schedule_module
 from rank1flow.correlate import perturbation_bound
 from rank1flow.errors import RangeError, ResourceError
+from rank1flow.experiments import backward_candidates, forward_level_sets, run_experiment
+from rank1flow.scalars import to_float
 from rank1flow.stepfun import _ARRAY_MIN_ROWS
 
 correlate_module = importlib.import_module("rank1flow.correlate")  # the package exports a function of that name
@@ -641,10 +643,10 @@ def test_level_loop_equals_depth_first_recursion(passes, name):
 
 @pytest.fixture()
 def array_steps(monkeypatch):
-    """(route, stage, shifts) of every array step taken: the NumPy sweep or
-    the vectorized closed form."""
+    """(route, stage, shifts) of every array step taken: the NumPy sweep,
+    the difference table or the vectorized closed form."""
     steps = []
-    for route in ("_sweep_batch", "_periodic_batch"):
+    for route in ("_sweep_batch", "_table_batch", "_periodic_batch"):
         original = getattr(schedule_module, route)
 
         def spy(stage, shifts, route=route, original=original):
@@ -665,8 +667,9 @@ def assert_depth_first(corr, lattice, memos):
 
 
 def test_array_levels_equal_the_depth_first_sums(array_steps, passes):
-    """A staircase query at stage 5 whose levels take the NumPy sweep
-    (stages 2 and 4) and the vectorized closed form (the flat stages 1 and
+    """A staircase query at stage 5 whose levels take the difference table
+    (stage 2, r = 16), the NumPy sweep (stage 4, r = 256, on a level of
+    fewer shifts) and the vectorized closed form (the flat stages 1 and
     3): the values of the depth-first recursion, bit for bit."""
     sched = staircase34_schedule(staircase_stages=(2, 4), base=4, r_cap=256)
     f, g = pair(sched, 2)
@@ -676,12 +679,38 @@ def test_array_levels_equal_the_depth_first_sums(array_steps, passes):
     assert {(route, n) for route, n, _ in array_steps} == {
         ("_sweep_batch", 4),
         ("_periodic_batch", 3),
-        ("_sweep_batch", 2),
+        ("_table_batch", 2),
         ("_periodic_batch", 1),
     }
     assert len(passes) == 2
     for call in passes:
         assert_depth_first(corr, *call)
+
+
+def test_the_stair_sweep_op_takes_the_table_at_stage_2(array_steps):
+    """The op of the benchmark's ``stair-sweep`` workload: criterion 3's
+    sweep at c_7 and c_22 on the base-4 staircase (r_cap 4096), for a
+    seed-0 mean-zero pair family.  Its stage-2 level (r = 16, 1,696
+    shifts) takes the difference table, its stage-4 level (r = 256, 2
+    shifts) the sweep, and the flat stages 1 and 3 the closed form."""
+    params = {"staircase_stages": [2, 4, 6], "base": 4, "r_cap": 4096}
+    h4 = staircase34_schedule(**params).height(4)
+    grid = [1 + Fraction(9 * i, 29) for i in range(30)]
+    spec = {
+        "schedule": {"kind": "staircase34", "params": params},
+        "times": [str(-c * h4) for c in (grid[7], grid[22])],
+        "target": {"alpha": 0},
+        "mean_zero": True,
+        "family_size": 2,
+        "seed": 0,
+    }
+    run_experiment("weak-limit", spec)
+    assert {(route, n) for route, n, _ in array_steps} == {
+        ("_sweep_batch", 4),
+        ("_periodic_batch", 3),
+        ("_table_batch", 2),
+        ("_periodic_batch", 1),
+    }
 
 
 def test_array_levels_sum_each_row_in_order(array_steps, passes):
@@ -995,3 +1024,24 @@ def test_mixed_batches_equal_fresh_correlators(name, batches):
             results = corr.at(times)[0]
             assert len(key_kinds(passes[-1][1])) == 1
             assert result_reprs(results) == result_reprs(Correlator(make(), [(f, g)]).at(times)[0])
+
+
+@pytest.mark.parametrize("name", ["asym49", "thm44"])
+def test_the_norm_of_a_real_function_builds_no_conjugate(monkeypatch, name):
+    """<A, A> of a real-valued A (level sets, combs, real step functions),
+    over Q and Q(sqrt 2), is the value of the conjugate-copy formula, repr
+    for repr, with no conjugate built; a complex f still takes the copy."""
+    sched = asym49_schedule(r_cap=16) if name == "asym49" else thm44_schedule(s_values=(2,), q_max=1, k_max=1, r_cap=6)
+    rng = random.Random(5)
+    h = sched.height(2)
+    sets = forward_level_sets(sched, {"seed": 3, "forward_sets": 4}) + [a for _, a in backward_candidates(sched, {})]
+    reals = [StepFunction(2, f.breakpoints, [complex(v).real for v in f.values]) for f in (random_step_function(2, h, 6, rng) for _ in range(4))]
+    expected = [repr(complex(product_integral([a, a.conjugate()], (0, 0))) * to_float(sched.width(2), "w")) for a in sets + reals]
+    built, conjugate = [], StepFunction.conjugate
+    monkeypatch.setattr(StepFunction, "conjugate", lambda f: built.append(f) or conjugate(f))
+    assert [repr(inner_product(sched, a, a)) for a in sets + reals] == expected
+    assert built == []
+    f = random_step_function(2, h, 6, rng)
+    assert any(complex(v).imag for v in f.values)
+    assert inner_product(sched, f, f) == complex(product_integral([f, conjugate(f)], (0, 0))) * to_float(sched.width(2), "w")
+    assert built == [f]

@@ -8,7 +8,7 @@ NumPy arrays, and (a, b) pairs for Q(sqrt 2)) must return the same
 
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, product
+from itertools import accumulate, chain, product
 from math import lcm
 
 import numpy as np
@@ -26,13 +26,16 @@ from rank1flow import (
     thm44_schedule,
 )
 from rank1flow import schedule as schedule_module
+from rank1flow.errors import ResourceError
 from rank1flow.scalars import sqrt2_sign
 from rank1flow.schedule import (
     _NUMPY_MIN_WORK,
     Lattice,
     LatticeStage,
     _fits_int64,
+    _keyed,
     _sweep_batch,
+    _table_batch,
     copy_windows,
     overlap_batch,
     tuple_overlaps,
@@ -206,8 +209,9 @@ def shift_batch(draw):
 @given(shift_batch())
 def test_overlap_batch_matches_scalar_loop(case):
     """``overlap_batch`` and, wherever its values fit int64, the batched
-    NumPy sweep itself, whatever the batch rule picks: shift by shift,
-    the (delta, multiplicity) lists of the scalar loop."""
+    NumPy sweep and the difference table themselves, whatever the batch
+    rule picks: shift by shift, the (delta, multiplicity) lists of the
+    scalar loop."""
     stage, shifts, factor = case
     lattice = Lattice(factor * lcm(stage.denominator, *(x.denominator for x in shifts)), False)
     view, xs = stage.on_lattice(lattice), [lattice.encode(x) for x in shifts]
@@ -219,6 +223,7 @@ def test_overlap_batch_matches_scalar_loop(case):
     assert decoded(per_shift(overlap_batch(view, xs))) == expected
     if _fits_int64(view, xs):
         assert decoded(per_shift(_sweep_batch(view, xs))) == expected
+        assert decoded(per_shift(_table_batch(view, xs))) == expected
 
 
 def test_batches_past_int64_take_the_python_sweep(numpy_batches):
@@ -243,6 +248,107 @@ def test_sweep_splits_a_batch_into_chunks(monkeypatch, chunk):
     expected = [reference_overlap_pairs(stage, lattice.decode(x)) for x in xs]
     monkeypatch.setattr(schedule_module, "_CHUNK", chunk)
     assert [[(lattice.decode(d), m) for d, m in pairs] for pairs in per_shift(_sweep_batch(view, xs))] == expected
+
+
+def assert_same_array_step(one, other):
+    """Two array steps equal entry for entry, with the same dtypes."""
+    (counts, keys, index, mults), (other_counts, other_keys, other_index, other_mults) = one, other
+    assert keys == other_keys
+    for a, b in ((counts, other_counts), (index, other_index), (mults, other_mults)):
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()
+
+
+@st.composite
+def int_stage_batch(draw):
+    """A stage on int offsets with unequal gaps (no period), and a batch
+    of int shifts for it: near the offset differences, or past them."""
+    r, h = draw(st.integers(2, 40)), draw(st.integers(1, 50))
+    gaps = draw(st.lists(st.integers(0, 3 * h), min_size=r - 1, max_size=r - 1))
+    offsets = list(accumulate((h + g for g in gaps), initial=draw(st.integers(0, h))))
+    reach = offsets[-1] - offsets[0] + 2 * h
+    shifts = draw(st.lists(st.integers(-reach, reach), min_size=1, max_size=60))
+    return LatticeStage(1, r, h, offsets), shifts
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_stage_batch())
+def test_table_sweep_and_scalar_loop_agree(case):
+    stage, xs = case
+    table = _table_batch(stage, xs)
+    assert_same_array_step(table, _sweep_batch(stage, xs))
+    assert per_shift(table) == [reference_overlap_pairs(stage, x) for x in xs]
+
+
+@pytest.fixture()
+def routes(monkeypatch):
+    """The route of every array step taken."""
+    taken = []
+    for route in ("_sweep_batch", "_table_batch", "_periodic_batch"):
+        original = getattr(schedule_module, route)
+
+        def spy(stage, shifts, route=route, original=original):
+            taken.append(route)
+            return original(stage, shifts)
+
+        monkeypatch.setattr(schedule_module, route, spy)
+    return taken
+
+
+def test_the_table_rule_at_its_boundaries(monkeypatch, routes):
+    """A stage with no period takes the difference table when r <=
+    len(shifts) and r**2 <= GUARD, the sweep otherwise, and both agree
+    with the scalar loop on either side of each bound."""
+    view = uneven(16).stage(1).on_lattice(Lattice(3, False))
+    assert view.period is None and view.r == 16
+    xs = [view.offsets[i % 16] - view.offsets[(5 * i) % 16] + i % 5 - 2 for i in range(17)]
+    for count, guard, route in ((16, 256, "_table_batch"), (15, 256, "_sweep_batch"), (16, 255, "_sweep_batch")):
+        monkeypatch.setattr(schedule_module, "GUARD", guard)
+        routes.clear()
+        step = overlap_batch(view, xs[:count])
+        assert routes == [route]
+        assert per_shift(step) == [reference_overlap_pairs(view, x) for x in xs[:count]]
+
+
+def test_a_batch_of_empty_windows(routes):
+    """Shifts past every offset difference have no delta: the table, the
+    sweep and the scalar loop give each an empty list, and the step no key."""
+    view = uneven(16).stage(1).on_lattice(Lattice(1, False))
+    reach = view.offsets[-1] - view.offsets[0] + view.h
+    xs = [sign * (reach + k) for k in range(10) for sign in (1, -1)]
+    step = overlap_batch(view, xs)
+    assert routes == ["_table_batch"]
+    assert_same_array_step(step, _sweep_batch(view, xs))
+    assert step[1] == [] and step[0].tolist() == [0] * len(xs)
+    assert per_shift(step) == [reference_overlap_pairs(view, x) for x in xs] == [[]] * len(xs)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1], ids=["span-count-1", "span-count", "span-count+1"])
+@pytest.mark.parametrize("low", [-7, 2**61 - 500])
+def test_counted_keys_equal_np_unique(monkeypatch, extra, low):
+    """Deltas spanning count - 1 and count values are counted, count + 1
+    go to ``np.unique``; keys and index are np.unique's either way."""
+    count = 300
+    rng = np.random.default_rng(extra + 2)
+    deltas = rng.integers(0, count + extra, size=count) + low
+    deltas[:2] = low, low + count + extra - 1
+    keys, inverse = np.unique(deltas, return_inverse=True)
+    sorts, unique = [], np.unique
+    monkeypatch.setattr(np, "unique", lambda *args, **kwargs: sorts.append(1) or unique(*args, **kwargs))
+    counts, got_keys, index, mults = _keyed(np.array([count]), deltas, np.ones(count, dtype=np.int64))
+    assert got_keys == keys.tolist() and index.dtype == inverse.dtype and index.tolist() == inverse.tolist()
+    assert bool(sorts) == (extra > 0)
+    far = np.array([-(2**62), 2**62, 0])  # a span past int64: max - min would wrap
+    assert _keyed(np.array([3]), far, np.ones(3, dtype=np.int64))[1] == [-(2**62), 0, 2**62]
+
+
+def test_the_table_and_the_sweep_name_the_same_guard(monkeypatch):
+    view = uneven(16).stage(2).on_lattice(Lattice(1, False))
+    xs = [view.offsets[i] - view.offsets[0] for i in range(view.r)]
+    most = max(len(pairs) for pairs in per_shift(_sweep_batch(view, xs)))
+    monkeypatch.setattr(schedule_module, "GUARD", most - 1)
+    for route in (_table_batch, _sweep_batch):
+        with pytest.raises(ResourceError, match=f"^overlap blowup at stage 2: more than {most - 1} deltas$"):
+            route(view, xs)
 
 
 @pytest.mark.parametrize("key, batched", [(("staircase", "rational"), True), (("thm44", "sqrt2"), False)])
@@ -504,8 +610,10 @@ def test_each_spacer_object_is_coerced_once(monkeypatch, mode):
 
 
 def test_equally_spaced_stages_skip_both_sweeps(monkeypatch, numpy_batches):
-    """Equally spaced stages reach neither the NumPy sweep nor the copy
-    windows of the m = 2 step; staircase and asym49 spacer stages still do."""
+    """Equally spaced stages reach neither the NumPy sweep or the
+    difference table nor the copy windows of the m = 2 step; staircase
+    and asym49 spacer stages still do (the staircase's stage 3, r = 64 at
+    79 shifts, by its table)."""
     windows, copy = [], schedule_module.copy_windows
     monkeypatch.setattr(
         schedule_module, "copy_windows", lambda stage, shift, floats=None: windows.append(stage.n) or copy(stage, shift, floats)

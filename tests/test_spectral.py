@@ -18,9 +18,10 @@ from rank1flow import (
     indicator,
     random_step_function,
 )
-from rank1flow.errors import ConfigurationError, DegenerateInputError
+from rank1flow import schedule as schedule_module
+from rank1flow.errors import ConfigurationError, DegenerateInputError, ResourceError
 from rank1flow.experiments import _curve_for_spec, _estimate_entries, seeded_family
-from rank1flow.spectral import AutocorrCurve
+from rank1flow.spectral import AutocorrCurve, sample_count
 
 trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz  # numpy < 2 lacks trapezoid
 
@@ -193,6 +194,19 @@ def test_a_curve_needs_a_time_besides_zero(flat3, dt, t_max):
     f = random_step_function(1, flat3.height(1), 4, random.Random(1))
     with pytest.raises(ConfigurationError, match="must exceed half of 'dt'"):
         autocorr_curve(flat3, f, dt, t_max)
+
+
+def test_sample_count_stops_at_the_guard(monkeypatch):
+    """n + 1 sample times from 0 may reach GUARD, not pass it: t_max/dt =
+    10**18 raises at the default GUARD, and 161 times pass at GUARD = 161
+    and raise at 160."""
+    with pytest.raises(ResourceError, match=r"^sample blowup: .* give 1000000000000000001 sample times from 0, more than GUARD = 1000000$"):
+        sample_count(1e9, 1e-9)
+    monkeypatch.setattr(schedule_module, "GUARD", 161)
+    assert sample_count(8, Fraction(1, 20)) == 160
+    monkeypatch.setattr(schedule_module, "GUARD", 160)
+    with pytest.raises(ResourceError, match="give 161 sample times from 0, more than GUARD = 160$"):
+        sample_count(8, Fraction(1, 20))
 
 
 @pytest.mark.parametrize("dt, t_max", [(Fraction(1, 20), 16), (Fraction(1, 3), 2), (0.05, 4), (0.3, 3)])
