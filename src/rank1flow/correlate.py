@@ -44,14 +44,18 @@ them at once: one call of
 up, from stage k back, each new value is summed over its step in the
 order the step lists the deltas (increasing at m = 2), the order of a
 depth-first recursion, so every value is bit-identical to it, whatever
-the batch.  A list step (at m = 2) and an m-tuple step are summed term
-by term in Python.  An array step (at m = 2) comes with its distinct deltas
-and each delta's index among them; their values one stage down are
-gathered once, and each shift's terms mult * B(delta) are added by
-``np.bincount``, the real and the imaginary parts apart.  ``bincount``
-adds in input order from 0.0, and a complex times an int64 is the same
-product as in Python, so the sums are the list step's, bit for bit.  At
-stage k the whole frontier is one call of
+the batch.  Each level is a frontier and, per member, its values in
+frontier order.  An array step (at m = 2) comes with its distinct deltas,
+an increasing int64 array, and each delta's index among them.  Those
+keys, the keys wanted there appended, are the frontier one stage down,
+so the values there are gathered by the index, with no key looked up,
+and each shift's terms mult * B(delta) are added by ``np.bincount``, the
+real and the imaginary parts apart, into the level's array of values.
+``bincount`` adds in input order from 0.0, and a complex times an int64
+is the same product as in Python, so the sums are the list step's, bit
+for bit.  A list step (at m = 2) and an m-tuple step are summed term by
+term in Python, on Python ints and complex numbers, reading the values
+one stage down by key.  At stage k the whole frontier is one call of
 :func:`~rank1flow.stepfun.array_integrals` where the lattice and the
 frontier's size allow it (an int lattice, coordinates below 2**53, at
 least ``_ARRAY_MIN_ROWS`` shift tuples), and :func:`product_integral`
@@ -60,7 +64,7 @@ per shift tuple otherwise: the same values, bit for bit.
 A correlator takes a family, one function tuple per member, all of one
 arity and one stage.  At the same times the members need the same keys,
 so the frontiers and the steps are the family's, one step per stage and
-batch; only the base case and the sums run per member, on its own memo,
+batch; only the base case and the sums run per member, on its own values,
 so each value is the one the member gets alone.  Neither the correlator
 nor the schedule keeps a step, a memo or a threshold of
 :func:`pick_stage`.  :data:`rank1flow.schedule.GUARD`, read when its
@@ -138,13 +142,13 @@ class MCorrelator:
     later call.  Its lattice is the smallest holding the members'
     breakpoints (``_lattice``, fixed at construction), the call's shifts
     and stages k..N, so the base case reads the members' grids on it.  B_n
-    of a member is stored in the call's memo of that member, at stage n
-    and x, the coordinates of the shift tuple on that lattice (at m = 2,
-    of the one shift).  The step is the schedule's, chosen once from m:
-    :meth:`Schedule.overlaps` at m = 2, else
-    :meth:`Schedule.tuple_overlaps`.  Either takes a list of shifts and
-    returns one (delta, multiplicity) sequence per shift, or, for an
-    array step at m = 2, (counts, keys, index, mults).
+    of a member is held in the call's level n, at the place of x, the
+    coordinates of the shift tuple on that lattice (at m = 2, of the one
+    shift), in the level's frontier.  The step is the schedule's, chosen
+    once from m: :meth:`Schedule.overlaps` at m = 2, else
+    :meth:`Schedule.tuple_overlaps`.  Either takes the shifts of a
+    frontier and returns one (delta, multiplicity) sequence per shift, or,
+    for an array step at m = 2, (counts, keys, index, mults).
     """
 
     def __init__(self, schedule: Schedule, family: Sequence[Sequence[StepFunction]]):
@@ -185,7 +189,7 @@ class MCorrelator:
         stages = (sched.stage(m).lattice for m in range(self.k, max(ns) + 1))
         lattice = Lattice.holding(chain.from_iterable(shifts), self._lattice, *stages)
         heights = {n: lattice.encode(sched.stage(n).h) for n in set(ns)}
-        keys, wanted = [], defaultdict(dict)  # wanted: n -> the keys of B_n, in order
+        keys, wanted = [], defaultdict(dict)  # wanted: n -> {key of B_n: its place in level n}
         for n, query in zip(ns, shifts):
             xs = tuple(map(lattice.encode, query))
             key = None
@@ -193,67 +197,66 @@ class MCorrelator:
                 key = xs[0] if self._pair else xs
                 wanted[n][key] = None
             keys.append(key)
-        memos = self._B(wanted, lattice)
+        levels, widths = self._B(wanted, lattice), {}
         for n, key, t in zip(ns, keys, t_abs):
-            w_n, t = to_float(sched.width(n), f"w_{n}"), to_float(t, "|t|")
-            for memo, norm, out in zip(memos, self._norms, results):
-                value = 0j if key is None else complex(memo[n][key])
+            if n not in widths:
+                widths[n] = to_float(sched.width(n), f"w_{n}")
+            w_n, t = widths[n], to_float(t, "|t|")
+            values = [0j] * len(results) if key is None else [complex(vs[wanted[n][key]]) for vs in levels[n][1]]
+            for value, norm, out in zip(values, self._norms, results):
                 out.append(CorrelationResult(value=value * w_n, error_bound=self._bound(norm, t, w_n), stage_used=n))
         return results
 
-    def _B(self, wanted: dict, lattice: Lattice) -> list:
-        """The memos of a call, one per member (n -> {key: B_n}), holding
-        B_n at the keys wanted[n] of each working stage n on *lattice*,
-        from one level-synchronous pass.  Top down, from the highest
-        working stage to k, each stage's frontier is the distinct deltas
-        of the step above plus the keys wanted there, and its step is
-        taken at once for the whole frontier, and stage k's base case
-        too, per member; bottom up, each member sums each new value over
-        its step in the step's order, as a depth-first recursion would:
-        term by term for a list step, by :func:`_row_sums` for an array
-        step."""
-        memos, guard = [defaultdict(dict) for _ in self.family], geometry.GUARD
+    def _B(self, wanted: dict, lattice: Lattice) -> dict:
+        """The levels of a call, n -> (frontier, values): the distinct keys
+        of stage n on *lattice* and, per member, B_n at each of them in
+        frontier order, from one level-synchronous pass; each key of
+        wanted[n] (the keys of the working stage n) gets its place in the
+        frontier as its value.  Top down, from the highest working stage
+        to k, each stage's frontier is the distinct deltas of the step
+        above (an array step's keys as they are) followed by the wanted
+        keys not among them (:func:`_merged`), and its step is taken at
+        once for the whole frontier, and stage k's base case too, per
+        member.  Bottom up, each member sums each new value over its step
+        in the step's order, as a depth-first recursion would: by
+        :func:`_row_sums` for an array step, by :func:`_list_sums` for a
+        list step."""
+        levels, guard = {}, geometry.GUARD
         if not wanted:
-            return memos
+            return levels
         n, lowest = max(wanted), min(wanted)
-        size, levels, xs = 0, [], []
+        size, steps, xs = 0, [], []
         while True:
             if n in wanted:
-                known = set(xs)
-                xs += [x for x in wanted[n] if x not in known]
-            if xs:
+                xs = _merged(xs, wanted[n])
+            if len(xs):
                 size += len(xs)
                 if size > guard:
                     raise ResourceError(f"memo blowup near stage {n}: more than {guard} distinct shifts")
-                if n == self.k:
-                    zero = (0, 0) if lattice.sqrt2 else 0
-                    rows = [(zero, y) for y in xs] if self._pair else [(zero, *y) for y in xs]
-                    for functions, memo in zip(self.family, memos):
-                        base = array_integrals(functions, rows, lattice)
-                        if base is None:
-                            base = [product_integral(functions, row, lattice) for row in rows]
-                        memo[n].update(zip(xs, base))
+                if n == self.k:  # the base case, at the shift tuples (0, x)
+                    if type(xs) is np.ndarray:
+                        rows = np.stack((np.zeros_like(xs), xs), axis=1)
+                    else:
+                        zero = (0, 0) if lattice.sqrt2 else 0
+                        rows = [(zero, y) for y in xs] if self._pair else [(zero, *y) for y in xs]
+                    levels[n] = (xs, [_base(functions, rows, lattice) for functions in self.family])
                     break
-                steps = self._step(n - 1, xs, lattice)
-                levels.append((n, xs, steps))
+                step = self._step(n - 1, xs, lattice)
+                steps.append((n, xs, step))
                 # an array step (counts, keys, index, mults) lists its distinct deltas
-                xs = list(steps[1]) if type(steps) is tuple else list({d for pairs in steps for d, _ in pairs})
+                xs = step[1] if type(step) is tuple else list({d for pairs in step for d, _ in pairs})
             elif n <= lowest:
                 break
             n -= 1
-        while levels:  # each step is let go once its sums are stored
-            n, xs, steps = levels.pop()
-            for memo in memos:
-                here, below = memo[n], memo[n - 1]
-                if type(steps) is tuple:
-                    here.update(zip(xs, _row_sums(steps, below)))
-                else:
-                    for y, pairs in zip(xs, steps):
-                        v = 0j
-                        for d, mult in pairs:
-                            v += mult * below[d]
-                        here[y] = v
-        return memos
+        empty = ([], [[]] * len(self.family))
+        while steps:  # each step is let go once its sums are stored
+            n, xs, step = steps.pop()
+            below, values = levels.get(n - 1, empty)
+            if type(step) is tuple:
+                levels[n] = (xs, [_row_sums(step, vs) for vs in values])
+            else:
+                levels[n] = (xs, [_list_sums(step, dict(zip(below, _python(vs)))) for vs in values])
+        return levels
 
     def _bound(self, norm: float, t: float, w: float) -> float:
         return 2.0 * norm * t * w * len(self.family[0])
@@ -273,18 +276,66 @@ class MCorrelator:
         return self._correlation(shifts, t_abs, stage)
 
 
-def _row_sums(step: tuple, below: dict) -> list:
+def _merged(xs, wanted: dict):
+    """The frontier *xs* followed by the keys of *wanted* not in it, each
+    key's place in the result stored as its value in *wanted*.  An array
+    frontier (an array step's keys, increasing) stays an int64 array, in
+    which ``searchsorted`` finds the keys; a list stays a list."""
+    if type(xs) is np.ndarray:
+        keys = np.fromiter(wanted, np.int64, len(wanted))
+        at = np.searchsorted(xs, keys)
+        new = at == len(xs)
+        new[~new] = xs[at[~new]] != keys[~new]
+        at[new] = np.arange(len(xs), len(xs) + np.count_nonzero(new))
+        for key, place in zip(wanted, at.tolist()):
+            wanted[key] = place
+        return np.concatenate((xs, keys[new]))
+    places = dict(zip(xs, range(len(xs))))
+    for key in wanted:
+        wanted[key] = places.setdefault(key, len(places))
+    return list(places)
+
+
+def _base(functions: Sequence[StepFunction], rows, lattice: Lattice):
+    """B_k of one member at the shift tuples *rows*, a list or, for an
+    array frontier, an int64 array stacked in NumPy: one array pass where
+    :func:`array_integrals` takes them, and :func:`product_integral` per
+    tuple, on Python ints, otherwise."""
+    values = array_integrals(functions, rows, lattice)
+    return [product_integral(functions, row, lattice) for row in _python(rows)] if values is None else values
+
+
+def _python(values):
+    """*values* as a list of Python scalars: an array's ``tolist``."""
+    return values.tolist() if type(values) is np.ndarray else values
+
+
+def _row_sums(step: tuple, below) -> np.ndarray:
     """The values of an array level: the terms mult * B(delta) of each
-    shift, its row, summed in order from 0.0 by ``bincount``, the real and
-    the imaginary parts apart, as the list level's loop adds them."""
-    counts, keys, index, mults = step
-    terms = np.array([below[d] for d in keys], dtype=complex)[index]
+    shift, its row, gathered by the step's index from *below*, the values
+    of the level below in frontier order, and summed in order from 0.0 by
+    ``bincount``, the real and the imaginary parts apart, as
+    :func:`_list_sums` adds them."""
+    counts, _, index, mults = step
+    terms = np.asarray(below, dtype=complex)[index]
     terms *= mults
     rows = np.repeat(np.arange(len(counts)), counts)
     sums = np.empty(len(counts), dtype=complex)
     sums.real = np.bincount(rows, terms.real, len(counts))
     sums.imag = np.bincount(rows, terms.imag, len(counts))
-    return sums.tolist()
+    return sums
+
+
+def _list_sums(step: list, below: dict) -> list:
+    """The values of a list level: each shift's terms mult * B(delta),
+    read by key from *below*, added in the step's order from 0j."""
+    values = []
+    for pairs in step:
+        v = 0j
+        for d, mult in pairs:
+            v += mult * below[d]
+        values.append(v)
+    return values
 
 
 class Correlator(MCorrelator):

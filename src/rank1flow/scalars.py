@@ -256,7 +256,14 @@ def has_sqrt2(x: Scalar) -> bool:
 
 def coerce(x: Scalar, mode: str) -> Scalar:
     """Bring a scalar, or its wire string, into the canonical representation
-    of *mode*; a float is taken at its exact binary value."""
+    of *mode*; a float is taken at its exact binary value, and a scalar
+    already canonical (a Fraction in rational mode, a Sqrt2 in sqrt2 mode)
+    comes back as it is."""
+    kind = type(x)
+    if kind is Fraction and mode == "rational" or kind is Sqrt2 and mode == "sqrt2":
+        return x  # already canonical
+    if kind is int and mode == "sqrt2":
+        return Sqrt2.from_ints(x, 0, 1)
     x = exact(scalar_from_string(x) if isinstance(x, str) else x)
     if mode == "rational":
         if has_sqrt2(x):

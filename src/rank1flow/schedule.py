@@ -50,7 +50,8 @@ on shift tuples at m >= 3.  At m = 2, :func:`overlap_batch` applies the
 batch rule.  A batch of at least ``_NUMPY_MIN_WORK`` (shift, copy) pairs
 on int offsets whose values fit int64 is an array step for all its
 shifts at once: (counts, keys, index, mults), with the distinct deltas
-as keys and each delta as its index among them.  An equally spaced
+as keys, an int64 array that the engine takes as its next frontier as
+it is, and each delta as its index among them.  An equally spaced
 stage takes the closed form, vectorized.  Another stage takes its
 difference table when r is at most the number of shifts and r**2 at
 most ``GUARD``: the distinct o_j' - o_j with their pair counts, built
@@ -62,7 +63,8 @@ The keys are counted where the deltas span no more values than there
 are deltas, and sorted by ``np.unique`` elsewhere.  Any other batch (a
 smaller one, values past int64, (a, b) pairs) is a list step: one
 (delta, multiplicity) list per shift, from the closed form or the
-Python sweep.  Either gives each shift's deltas in increasing order.  At m >= 3,
+Python sweep, on Python ints.  Either gives each shift's deltas in
+increasing order.  At m >= 3,
 :func:`tuple_overlaps` answers an equally spaced stage in closed form:
 each shift's k come from the same two floors, the delta vectors are the
 product of those ranges, and each is realized by the copies j0 that keep
@@ -188,14 +190,13 @@ class TowerStage:
     The height and offsets are stored on the stage's own lattice, the
     smallest that holds them, and :attr:`offsets` are decoded from there
     on first use.  :attr:`h_next` = o_{n,r_n} + h_n + s_n(r_n) and
-    :attr:`spacer_mass_added` are exact scalar sums; the stage keeps its
-    geometry only.
+    :attr:`spacer_mass_added` are exact scalar sums, and :attr:`measure`
+    is h_n w_n, computed when read; the stage keeps its geometry only.
     """
 
     n: int
     h: Scalar  # height h_n
     w: Scalar  # width w_n
-    measure: Scalar  # mu(X_n)
     r: int  # cut number r_n
     spacers: list  # s_n(1) .. s_n(r_n)
     bottom: Scalar  # bottom spacer (0 unless symmetrized)
@@ -204,7 +205,11 @@ class TowerStage:
 
     @property
     def tower_measure(self):
+        """mu(X_n) = h_n w_n: mu(X_1) = h_1 w_1, and stage n adds the spacer
+        mass w_{n+1} (h_{n+1} - r h_n) = h_{n+1} w_{n+1} - h_n w_n."""
         return self.h * self.w
+
+    measure = tower_measure
 
     @property
     def denominator(self) -> int:
@@ -292,10 +297,10 @@ class Schedule:
     def _build_next(self):
         m = len(self._stages) + 1
         if m == 1:
-            h, w, mu = self.h1, self.w1, self.h1 * self.w1
+            h, w = self.h1, self.w1
         else:
             prev = self._stages[-1]
-            h, w, mu = prev.h_next, prev.w_next, prev.measure + prev.spacer_mass_added
+            h, w = prev.h_next, prev.w_next
         self._check_budget(m, h)
         r, values, *bottom = self._params(m, h, w)
         if r <= 1:
@@ -333,7 +338,7 @@ class Schedule:
         if len(set(steps.values())) == 1:  # equally spaced offsets
             period = tuple(y - x for x, y in zip(*offsets[:2])) if sqrt2 else offsets[1] - offsets[0]
         grid = LatticeStage(m, r, H, offsets, period=period)
-        self._stages.append(TowerStage(m, h, w, mu, r, spacers, bottom, lattice, grid))
+        self._stages.append(TowerStage(m, h, w, r, spacers, bottom, lattice, grid))
 
     def _check_budget(self, n: int, h):
         """The digit budget: every component of h_n on its own lattice
@@ -417,23 +422,25 @@ def overlap_pairs(stage, shift, floats=None) -> list:
 
 
 def overlap_batch(stage: LatticeStage, shifts: list):
-    """The m = 2 step of a lattice stage at *shifts*: the
-    :func:`overlap_pairs` of each shift, as an array step or a list step.
+    """The m = 2 step of a lattice stage at *shifts*, a list or an int64
+    array (an array step's keys): the :func:`overlap_pairs` of each
+    shift, as an array step or a list step.
 
     The batch rule: a batch of at least ``_NUMPY_MIN_WORK`` (shift, copy)
     pairs on int offsets whose values fit int64 (:func:`_fits_int64`) is
     an array step, all shifts at once: (counts, keys, index, mults), in
     which shift i owns the next counts[i] entries of the int64 arrays
     index and mults, each delta given by its index into keys, the
-    distinct deltas as an increasing list of ints.  It comes from the
+    distinct deltas as an increasing int64 array.  It comes from the
     vectorized closed form (:func:`_periodic_batch`) on an equally spaced
     stage; on others from the difference table (:func:`_table_batch`)
     when r <= len(shifts) and r**2 <= ``GUARD``, the table's r**2 work
     being no more than the sweep's len(shifts) * r, and from the NumPy
     sweep (:func:`_sweep_batch`) otherwise.  Any other batch is a list
     step, one (delta, multiplicity) list per shift: the closed form or the
-    Python sweep, shift by shift, with the float offsets of (a, b) pairs
-    built once for the batch.  Both give each shift's deltas in increasing
+    Python sweep, shift by shift, on Python ints (an array of shifts is
+    turned into them once), with the float offsets of (a, b) pairs built
+    once for the batch.  Both give each shift's deltas in increasing
     order.
     """
     r = stage.r
@@ -441,6 +448,8 @@ def overlap_batch(stage: LatticeStage, shifts: list):
         if stage.period is not None:
             return _periodic_batch(stage, shifts)
         return _table_batch(stage, shifts) if r <= len(shifts) and r * r <= GUARD else _sweep_batch(stage, shifts)
+    if type(shifts) is np.ndarray:  # the keys of an array step, as Python ints once
+        shifts = shifts.tolist()
     floats = _pair_floats(stage.offsets) if type(stage.h) is tuple and stage.period is None else None
     return [overlap_pairs(stage, x, floats) for x in shifts]
 
@@ -489,14 +498,11 @@ def _periodic_tuples(stage: LatticeStage, x) -> list:
 
 def _fits_int64(stage: LatticeStage, shifts) -> bool:
     """Whether *stage* has int offsets and every value of an array step
-    on *shifts* fits int64."""
-    return (
-        type(stage.h) is int
-        and stage.offsets[-1] + stage.h < _INT64_SAFE
-        and len(shifts) * stage.h < _INT64_SAFE
-        and -_INT64_SAFE < min(shifts)
-        and max(shifts) < _INT64_SAFE
-    )
+    on *shifts*, a list or an int64 array, fits int64."""
+    if type(stage.h) is not int or stage.offsets[-1] + stage.h >= _INT64_SAFE or len(shifts) * stage.h >= _INT64_SAFE:
+        return False
+    xs = np.asarray(shifts)  # a list with a value past int64 gives an object, uint64 or float64 array
+    return -_INT64_SAFE < xs.min() and xs.max() < _INT64_SAFE
 
 
 def _lattice_overlaps(stage: LatticeStage, shift, floats=None) -> list:
@@ -621,7 +627,7 @@ def _sweep_batch(stage: LatticeStage, shifts: list) -> tuple:
 
 def _sweep_chunk(stage: LatticeStage, offs: np.ndarray, shifts: list) -> tuple:
     h, count = stage.h, len(shifts)
-    base = np.array(shifts, dtype=np.int64)[:, None] - offs  # shift - o_j, one row per shift
+    base = np.asarray(shifts, dtype=np.int64)[:, None] - offs  # shift - o_j, one row per shift
     a = np.searchsorted(offs, (-h - base).ravel(), side="right")  # first j' with o_j' > o_j - shift - h
     width = np.searchsorted(offs, (h - base).ravel(), side="left") - a  # to the first j' with o_j' >= o_j - shift + h
     ends = np.cumsum(width)
@@ -650,7 +656,7 @@ def _table_batch(stage: LatticeStage, shifts: list) -> tuple:
     increasing, with their multiplicities, and need no sort."""
     offs = np.array(stage.offsets, dtype=np.int64)
     diffs, pairs = np.unique(offs - offs[:, None], return_counts=True)
-    h, xs = stage.h, np.array(shifts, dtype=np.int64)
+    h, xs = stage.h, np.asarray(shifts, dtype=np.int64)
     first = np.searchsorted(diffs, -h - xs, side="right")
     counts = np.searchsorted(diffs, h - xs, side="left") - first
     _check_deltas(stage, counts)
@@ -666,7 +672,7 @@ def _periodic_batch(stage: LatticeStage, shifts: list) -> tuple:
     k from max(floor((-h - x)/p) + 1, 1 - r) to min(floor((h - x - 1)/p),
     r - 1)."""
     r, p, h = stage.r, stage.period, stage.h
-    xs = np.array(shifts, dtype=np.int64)
+    xs = np.asarray(shifts, dtype=np.int64)
     k = np.maximum((-h - xs) // p + 1, 1 - r)
     counts = np.maximum(np.minimum((h - xs - 1) // p, r - 1) - k + 1, 0)
     _check_deltas(stage, counts)
@@ -678,8 +684,9 @@ def _periodic_batch(stage: LatticeStage, shifts: list) -> tuple:
 
 def _keyed(counts: np.ndarray, deltas: np.ndarray, mults: np.ndarray) -> tuple:
     """An array step as (counts, keys, index, mults): *keys* the distinct
-    deltas as ints, increasing, and *index* the place of each delta among
-    them, so that the step is summed with no sort.  Where the deltas span
+    deltas, increasing, as an int64 array, and *index* the place of each
+    delta among them, so that the step is summed with no sort and its keys
+    are the next frontier as they are.  Where the deltas span
     no more values than there are deltas, they are counted: the present
     values marked in a bool array of the span, each delta's index the
     rank of its mark; elsewhere ``np.unique`` sorts them."""
@@ -692,7 +699,7 @@ def _keyed(counts: np.ndarray, deltas: np.ndarray, mults: np.ndarray) -> tuple:
         index = np.cumsum(present)[at] - 1
     else:
         keys, index = np.unique(deltas, return_inverse=True)
-    return counts, keys.tolist(), index, mults
+    return counts, keys, index, mults
 
 
 def _check_deltas(stage: LatticeStage, counts: np.ndarray):

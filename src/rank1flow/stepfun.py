@@ -229,12 +229,13 @@ def product_integral(functions: Sequence[StepFunction], shifts: Sequence, lattic
     return total
 
 
-def array_integrals(functions: Sequence[StepFunction], shifts: list, lattice: Lattice) -> Optional[list]:
+def array_integrals(functions: Sequence[StepFunction], shifts, lattice: Lattice) -> Optional[np.ndarray]:
     """:func:`product_integral` at every shift tuple of *shifts* (lattice
-    coordinates, one shift per function), from one array pass, or None
-    where the batch rule keeps :func:`product_integral`: on a Q(sqrt 2)
-    lattice, at a grid, shift or scale of 2**53 or more, and for fewer
-    than ``_ARRAY_MIN_ROWS`` tuples.
+    coordinates, one shift per function: a list of tuples, or an int64
+    array of one row per tuple), as a complex array from one array pass,
+    or None where the batch rule keeps :func:`product_integral`: on a
+    Q(sqrt 2) lattice, at a grid, shift or scale of 2**53 or more, and
+    for fewer than ``_ARRAY_MIN_ROWS`` tuples.
 
     Each row's shifted grids are clipped to its common support [lo, hi]
     and sorted; the pieces are the steps between distinct points, in
@@ -250,15 +251,15 @@ def array_integrals(functions: Sequence[StepFunction], shifts: list, lattice: La
     if lattice.sqrt2 or len(shifts) < _ARRAY_MIN_ROWS or lattice.scale >= _FLOAT_EXACT:
         return None
     grids = [f.on_lattice(lattice) for f in functions]
+    xs = np.asarray(shifts)  # a list with a value past int64 gives an object, uint64 or float64 array
     if not (
         -_FLOAT_EXACT < min(g[0] for g in grids) and max(g[-1] for g in grids) < _FLOAT_EXACT
-        and -_FLOAT_EXACT < min(map(min, shifts)) and max(map(max, shifts)) < _FLOAT_EXACT
+        and -_FLOAT_EXACT < xs.min() and xs.max() < _FLOAT_EXACT
     ):
         return None
     rows, width = len(shifts), max(map(len, grids))
     # each grid padded to one width with its last point, which adds only empty pieces
     padded = np.array([g + g[-1:] * (width - len(g)) for g in grids], dtype=np.int64)
-    xs = np.array(shifts, dtype=np.int64)
     points = xs[:, :, None] + padded  # rows x functions x width
     lo = points[:, :, :1].max(axis=1, keepdims=True)
     hi = points[:, :, -1:].min(axis=1, keepdims=True)
@@ -280,7 +281,7 @@ def array_integrals(functions: Sequence[StepFunction], shifts: list, lattice: La
     sums = np.empty(rows, dtype=complex)
     sums.real = np.bincount(row, re * length - im * 0.0, rows)
     sums.imag = np.bincount(row, re * 0.0 + im * length, rows)
-    return sums.tolist()
+    return sums
 
 
 def lift(schedule, f: StepFunction, target_stage: int) -> StepFunction:

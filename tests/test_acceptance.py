@@ -153,6 +153,28 @@ def test_criterion_3_staircase_weak_limits():
     )
 
 
+def test_decade_split_on_a_base_100_staircase():
+    """Criterion 3's decade split, d = 9/10 -> (1/10) I, on base-100
+    staircases, whose offsets meet the decade shift: at r_cap 400 and 900
+    the residual plus its error bound is below the threshold at t =
+    -(9/10) h_n for n = 2 and 4, and the r_cap 1,600 residual is below the
+    r_cap 100 one.  Criterion 3's own family, target and threshold."""
+    finals = {}
+    for r_cap in (100, 400, 900, 1600):
+        sched = staircase34_schedule(staircase_stages=(2, 4, 6), base=100, r_cap=r_cap)
+        rng = random.Random(0)
+        h1 = sched.height(1)
+        f = random_step_function(1, h1, 4, rng, mean_zero=True)
+        g = random_step_function(1, h1, 4, rng, mean_zero=True)
+        threshold = 0.05 * inner_product(sched, f, f).real
+        times = [-Fraction(9, 10) * sched.height(n) for n in (2, 4)]
+        decade = weak_limit_probe(sched, times, WeakLimitTarget(alpha=0.1), [(f, f), (f, g)])
+        if r_cap in (400, 900):
+            assert all(r + b < threshold for r, b in zip(decade.residuals, decade.bounds)), (r_cap, decade)
+        finals[r_cap] = decade.final_residual
+    assert finals[1600] < finals[100]
+
+
 # -- 4: rigidity along the two spacer classes -------------------------------
 
 

@@ -13,6 +13,7 @@ import random
 from fractions import Fraction
 from itertools import chain
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -286,8 +287,11 @@ def test_array_base_case_equals_product_integral(case):
     product_integral tuple by tuple, signed zeros included."""
     functions, shifts, lattice = case
     values = array_integrals(functions, shifts, lattice)
-    assert values is not None
-    assert repr(values) == repr([product_integral(functions, x, lattice) for x in shifts])
+    assert values.dtype == complex
+    assert repr(values.tolist()) == repr([product_integral(functions, x, lattice) for x in shifts])
+    # the frontier as an int64 array of one row per tuple: the same values
+    stacked = array_integrals(functions, np.array(shifts, dtype=np.int64), lattice)
+    assert repr(stacked.tolist()) == repr(values.tolist())
 
 
 def test_the_array_pass_needs_exact_floats():
@@ -298,6 +302,10 @@ def test_the_array_pass_needs_exact_floats():
     assert array_integrals([f, f], rows, Lattice(1, False)) is not None
     assert array_integrals([f, f], [*rows, (0, 2**53)], Lattice(1, False)) is None
     assert array_integrals([f, f], [*rows, (-(2**53), 0)], Lattice(1, False)) is None
+    # past int64, a list of rows is an object, uint64 or float64 array, out of range too
+    for far in ((0, 2**70), (0, 2**63), (-1, 2**63), (-(2**70), 0)):
+        assert array_integrals([f, f], [*rows, far], Lattice(1, False)) is None
+    assert array_integrals([f, f], np.array(rows, dtype=np.int64), Lattice(1, False)) is not None
     tiny = StepFunction(1, [0, Fraction(1, 3**34), Fraction(2, 3**34)], [1 + 0j, 2j])
     assert tiny.on_lattice(Lattice(3**34, False)) == [0, 1, 2]
     assert array_integrals([tiny, tiny], rows, Lattice(3**34, False)) is None

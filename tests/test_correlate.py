@@ -92,14 +92,14 @@ def test_stage_stability(flat3, small_staircase, small_asym):
 
 
 def record_passes(monkeypatch) -> list:
-    """Spy on :meth:`MCorrelator._B`: the (lattice, memos) of every pass,
+    """Spy on :meth:`MCorrelator._B`: the (lattice, levels) of every pass,
     one per :meth:`at` call that needs a value, in call order."""
     passes, original = [], MCorrelator._B
 
     def spy(self, wanted, lattice):
-        memos = original(self, wanted, lattice)
-        passes.append((lattice, memos))
-        return memos
+        levels = original(self, wanted, lattice)
+        passes.append((lattice, levels))
+        return levels
 
     monkeypatch.setattr(MCorrelator, "_B", spy)
     return passes
@@ -110,15 +110,38 @@ def passes(monkeypatch):
     return record_passes(monkeypatch)
 
 
-def memo_size(memos):
-    """Entries of a call's memo of its first member, one dict per stage."""
-    return sum(map(len, memos[0].values()))
+def python(values) -> list:
+    return values.tolist() if isinstance(values, np.ndarray) else list(values)
 
 
-def key_kinds(memos, pair=True) -> set:
-    """The types of a call's memo keys: int on an int lattice, tuple (an
-    (a, b) pair) on a Q(sqrt 2) one; at m >= 3, of each key's first shift."""
-    return {type(x if pair else x[0]) for level in memos[0].values() for x in level}
+def memos(levels) -> list:
+    """A call's levels as one memo per member, n -> {key: B_n}, in Python
+    scalars: an array frontier's keys as ints, its values as complex."""
+    return [
+        {n: dict(zip(python(xs), python(values[i]))) for n, (xs, values) in levels.items()}
+        for i in range(len(next(iter(levels.values()))[1]))
+    ]
+
+
+def memo_size(levels):
+    """Entries of a call's memo, its keys summed over stages."""
+    return sum(len(xs) for xs, _ in levels.values())
+
+
+def key_kinds(levels, pair=True) -> set:
+    """The types of a call's keys: int on an int lattice, tuple (an (a, b)
+    pair) on a Q(sqrt 2) one; at m >= 3, of each key's first shift.  A
+    list frontier gives the types of its entries, so an np.int64 among
+    them shows; an array frontier must be int64, and gives int."""
+    kinds = set()
+    for xs, values in levels.values():
+        if isinstance(xs, np.ndarray):
+            assert xs.dtype == np.int64 and xs.ndim == 1
+            kinds.add(int)
+        else:
+            kinds.update(type(x if pair else x[0]) for x in xs)
+        assert all(len(v) == len(xs) for v in values)
+    return kinds
 
 
 def test_correlator_memo_is_shared_across_times(flat2, passes):
@@ -140,7 +163,7 @@ def test_correlator_memo_is_shared_across_times(flat2, passes):
     assert memo_size(passes[-1][1]) == first and passes[-1][0] == passes[0][0]  # nothing kept
     third = corr.at([Fraction(1, 3)])[0][0]
     assert third.value == Correlator(flat2, [(f, g)]).at([Fraction(1, 3)])[0][0].value == both[1].value
-    assert all(key_kinds(memos) == {int} for _, memos in passes)
+    assert all(key_kinds(levels) == {int} for _, levels in passes)
 
 
 def test_oracle_agreement_spot_checks(flat2, flat3, small_staircase, small_asym, sym_flat3):
@@ -414,9 +437,9 @@ def test_m_point_step_follows_the_guard(monkeypatch, passes):
     sched = asym49_schedule(r_cap=16)
     corr = MCorrelator(sched, [[f, g, f]])
     value = corr.at([times])[0][0].value
-    lattice, memos = passes[-1]
+    lattice, call = passes[-1]
     levels = {n: (xs, level) for n, xs, level in steps}
-    assert (memo_size(memos), len(steps)) == (9, 2)
+    assert (memo_size(call), len(steps)) == (9, 2)
     assert {n: [len(groups) for groups in level] for n, (_, level) in levels.items()} == {2: [4], 1: [1, 1, 0, 3]}
     monkeypatch.setattr(schedule_module, "GUARD", 2)
     with pytest.raises(ResourceError, match="^m-tuple delta blowup at stage 2: more than 2 delta vectors$"):
@@ -613,9 +636,9 @@ def test_a_call_keeps_nothing(passes, name, m):
     assert set(vars(sched)) == attributes
     later = corr.at(queries(times))
     assert result_reprs(later[0]) == result_reprs(cls(make(), members).at(queries(times))[0])
-    (_, memos), (_, fresh) = passes[-2:]
-    assert [{n: set(level) for n, level in memo.items()} for memo in memos] == [
-        {n: set(level) for n, level in memo.items()} for memo in fresh
+    (_, levels), (_, fresh) = passes[-2:]
+    assert [{n: set(level) for n, level in memo.items()} for memo in memos(levels)] == [
+        {n: set(level) for n, level in memo.items()} for memo in memos(fresh)
     ]
     assert {key: (id(v), repr(v)) for key, v in vars(corr).items()} == kept
 
@@ -657,11 +680,13 @@ def array_steps(monkeypatch):
     return steps
 
 
-def assert_depth_first(corr, lattice, memos):
-    """Every value of a call's memo, repr for repr, as the depth-first
-    recursion sums it on the call's lattice."""
+def assert_depth_first(corr, lattice, levels):
+    """Every value of a call's levels, repr for repr, as the depth-first
+    recursion sums it on the call's lattice, and every key a Python int or
+    tuple once it leaves an array."""
     memo = {}
-    for n, level in memos[0].items():
+    key_kinds(levels, corr._pair)
+    for n, level in memos(levels)[0].items():
         for x, v in level.items():
             assert repr(v) == repr(depth_first(corr, lattice, n, x, memo))
 
@@ -725,10 +750,11 @@ def test_array_levels_sum_each_row_in_order(array_steps, passes):
         corr.at([t], stage=3)
     assert {(route, n) for route, n, _ in array_steps} == {("_sweep_batch", 2), ("_sweep_batch", 1)}
     reordered = set()  # the shifts, decoded, whose pairwise sum differs
-    for lattice, memos in passes:
-        assert_depth_first(corr, lattice, memos)
-        below = memos[0][1]
-        for x, v in memos[0][2].items():
+    for lattice, levels in passes:
+        assert_depth_first(corr, lattice, levels)
+        (memo,) = memos(levels)
+        below = memo[1]
+        for x, v in memo[2].items():
             step = sched.overlaps(1, [x], lattice)
             terms = np.array([m * below[d] for d, m in zip(np.asarray(step[1])[step[2]].tolist(), step[3].tolist())])
             if np.sum(terms) != v:
@@ -783,7 +809,7 @@ def test_base_frontiers_on_int_lattices_take_the_array_pass(base_rows, passes):
     wide = SCHEDULES["wide_staircase"]()
     two = Correlator(wide, [pair(wide, 2)])
     two.at(ORDER_TIMES, stage=4)
-    counts = [len(memos[0][corr.k]) for corr, (_, memos) in zip((triple, two), passes)]
+    counts = [len(levels[corr.k][0]) for corr, (_, levels) in zip((triple, two), passes)]
     assert min(counts) >= _ARRAY_MIN_ROWS
     assert base_rows == Counter(array=sum(counts))
     assert_depth_first(triple, *passes[0])
@@ -805,13 +831,101 @@ def test_base_frontiers_that_keep_product_integral(base_rows, passes, case):
     f, g = pair(sched, 5)
     corr = MCorrelator(sched, [[f, g, f]])
     corr.at([(0, Fraction(i, 3 * count), Fraction(-i, 2 * count)) for i in range(count)], stage=1)
-    assert len(passes[-1][1][0][1]) == count
+    assert len(passes[-1][1][1][0]) == count
     assert base_rows == Counter(product_integral=count)
     assert_depth_first(corr, *passes[-1])
 
 
 def result_reprs(results) -> list:
     return [(repr(r.value), repr(r.error_bound), r.stage_used) for r in results]
+
+
+# (times, stage) on the wide staircase (r = 4, 16, 64, 64; h_4 = 6268), and
+# per level (the frontier's type, the type of its values)
+ARRAY, LIST = np.ndarray, list
+ARRAY_LEVELS = {
+    # array levels 3, 2 and 1 over the array base; five keys wanted at
+    # stage 3 join its array frontier, two of them among its deltas already
+    "array-chain": (
+        [Fraction(-7, 3), 40, -200, Fraction(17, 3), 23, Fraction(1, 2), Fraction(-3, 8), Fraction(1, 8)],
+        None,
+        {1: (ARRAY, ARRAY), 2: (ARRAY, ARRAY), 3: (ARRAY, ARRAY), 4: (LIST, ARRAY)},
+    ),
+    # the keys of the stage-3 array step, 11 shifts at r = 4, take a list step
+    "array-into-list": ([Fraction(-7, 3)], 4, {1: (LIST, ARRAY), 2: (ARRAY, LIST), 3: (ARRAY, ARRAY), 4: (LIST, ARRAY)}),
+    # two shifts with no delta at stage 3, in one array step with one that has some
+    "no-delta-row": ([-6267, Fraction(-7, 3), 6267], 4, {1: (LIST, ARRAY), 2: (ARRAY, LIST), 3: (ARRAY, ARRAY), 4: (LIST, ARRAY)}),
+    # an array step with no delta at all: the level below is empty
+    "no-delta-level": ([-6267, 6267], 4, {4: (LIST, ARRAY)}),
+}
+
+
+@pytest.mark.parametrize("case", list(ARRAY_LEVELS))
+def test_array_levels_equal_the_list_path(monkeypatch, passes, case):
+    """Array levels kept as arrays from the base case to the sums give the
+    values of the list path, repr for repr, key for key at every level: with
+    every step and base frontier sent to the list path, and with the base
+    frontiers alone sent to product_integral.  A frontier that leaves an
+    array for a list route, product_integral or a query read does so as
+    Python ints."""
+    stepfun_module = importlib.import_module("rank1flow.stepfun")
+    times, stage, kinds = ARRAY_LEVELS[case]
+    f, g = pair(SCHEDULES["wide_staircase"](), 2)
+    reached = Counter()  # the types of the shifts that reach a Python route
+    for owner, name in ((schedule_module, "overlap_pairs"), (correlate_module, "within")):
+        original = getattr(owner, name)
+
+        def spy(x, *args, original=original, name=name):
+            reached[name, type(args[0] if name == "overlap_pairs" else x)] += 1
+            return original(x, *args)
+
+        monkeypatch.setattr(owner, name, spy)
+    scalar = correlate_module.product_integral
+
+    def scalar_spy(functions, shifts, lattice=None):
+        reached.update(("product_integral", type(x)) for x in shifts)
+        return scalar(functions, shifts, lattice)
+
+    monkeypatch.setattr(correlate_module, "product_integral", scalar_spy)
+
+    def run(**patches):
+        with monkeypatch.context() as patched:
+            for module, name in ((schedule_module, "_NUMPY_MIN_WORK"), (stepfun_module, "_ARRAY_MIN_ROWS")):
+                if name in patches:
+                    patched.setattr(module, name, patches[name])
+            (results,) = Correlator(SCHEDULES["wide_staircase"](), [(f, g)]).at(times, stage=stage)
+        levels = passes[-1][1]
+        assert key_kinds(levels) <= {int} and all(len(set(python(xs))) == len(xs) for xs, _ in levels.values())
+        (memo,) = memos(levels)
+        return result_reprs(results), {n: sorted(map(repr, level.items())) for n, level in memo.items()}, levels
+
+    arrays, memo, levels = run()
+    assert {n: (type(xs), type(values[0])) for n, (xs, values) in levels.items()} == kinds
+    reference, reference_memo, listed = run(_NUMPY_MIN_WORK=2**62, _ARRAY_MIN_ROWS=2**62)
+    assert all(type(xs) is list and type(values[0]) is list for xs, values in listed.values())
+    assert (arrays, memo) == (reference, reference_memo)
+    assert run(_ARRAY_MIN_ROWS=2**62)[:2] == (reference, reference_memo)
+    names = {name for name, _ in reached}
+    assert {kind for _, kind in reached} == {int}
+    assert {"within", "overlap_pairs"} <= names and ("product_integral" in names) == (1 in kinds)
+    if case == "no-delta-level":
+        assert [r[0] for r in arrays] == ["0j", "0j"]
+
+
+def test_wanted_keys_join_a_frontier_once():
+    """A stage's wanted keys follow its frontier, each once, and each takes
+    its place in the frontier: found in an array step's keys by
+    ``searchsorted``, or appended; an empty array frontier takes them all."""
+    merged = correlate_module._merged
+    for xs in (np.array([-4, 0, 3, 9], dtype=np.int64), [9, -4, 0, 3], np.array([], dtype=np.int64), []):
+        wanted = dict.fromkeys([3, 12, -4, -20])
+        frontier = merged(xs, wanted)
+        assert type(frontier) is type(xs)
+        if type(xs) is np.ndarray:
+            assert frontier.dtype == np.int64
+        assert python(frontier)[: len(xs)] == python(xs) and len(set(python(frontier))) == len(frontier)
+        assert all(python(frontier)[place] == key for key, place in wanted.items())
+        assert python(frontier)[len(xs) :] == [key for key in wanted if key not in python(xs)]
 
 
 @pytest.fixture()
@@ -946,6 +1060,23 @@ def test_an_explicit_stage_past_max_stage_raises(level_steps):
     assert level_steps == []
 
 
+def test_a_batch_takes_one_float_width_per_working_stage(monkeypatch):
+    """The float of w_N is taken once per working stage of a batch, not
+    once per time, and a width past float range raises as it did."""
+    calls, original = Counter(), correlate_module.to_float
+    monkeypatch.setattr(correlate_module, "to_float", lambda x, what: calls.update([what]) or original(x, what))
+    make, times = batch_correlator("staircase")
+    times = [*times, *times]
+    (batch,) = make().at(times)
+    stages = {r.stage_used for r in batch}
+    assert len(stages) >= 3
+    assert {what: n for what, n in calls.items() if what.startswith("w_")} == {f"w_{n}": 1 for n in stages}
+    assert calls["|t|"] == len(times)
+    f, g = pair(flat_schedule(2), 1)
+    with pytest.raises(RangeError, match=f"^w_4 = 125{'0' * 397} is past float range$"):
+        Correlator(flat_schedule(2, w1=10**400), [(f, g)]).at([Fraction(1, 2), 3, 40])
+
+
 def test_a_time_past_float_range_at_a_given_stage_raises():
     f, g = pair(flat_schedule(2), 2)
     with pytest.raises(RangeError, match="^\\|t\\| = 1" + "0" * 400 + " is past float range$"):
@@ -973,7 +1104,7 @@ def test_a_rational_batch_after_a_sqrt2_one_starts_afresh(level_steps, passes):
     (again,) = corr.at([Fraction(1, 2)])
     assert len(level_steps) > 2 and not passes[-1][0].sqrt2
     assert repr(again[0].value) == repr(first[1].value)
-    assert [key_kinds(memos) for _, memos in passes] == [{tuple}, {int}]
+    assert [key_kinds(levels) for _, levels in passes] == [{tuple}, {int}]
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -993,8 +1124,8 @@ def test_a_grown_lattice_keeps_one_memo(passes, m, sqrt2_first):
     corr, kinds = fresh(), []
     for times in (MIXED, [Fraction(1, 2)])[:: 1 if sqrt2_first else -1]:
         results = corr.at(queries(times))[0]
-        lattice, memos = passes[-1]
-        assert key_kinds(memos, m == 2) == {tuple if lattice.sqrt2 else int}
+        lattice, levels = passes[-1]
+        assert key_kinds(levels, m == 2) == {tuple if lattice.sqrt2 else int}
         kinds.append(lattice.sqrt2)
         assert result_reprs(results) == result_reprs(fresh().at(queries(times))[0])
     assert kinds == [True, False][:: 1 if sqrt2_first else -1]

@@ -213,6 +213,27 @@ def test_coerce_rejects_sqrt2_in_rational_mode():
         coerce(SQRT2, "rational")
 
 
+def test_coerce_returns_canonical_scalars_unchanged():
+    """A Fraction in rational mode and a Sqrt2 in sqrt2 mode come back as
+    the same object; an int in sqrt2 mode is the Sqrt2 that Sqrt2(int)
+    builds; a bool, a float and a string take the general path; the errors
+    keep their messages."""
+    third, root = Fraction(1, 3), Sqrt2(Fraction(1, 2), 3)
+    assert coerce(third, "rational") is third and coerce(root, "sqrt2") is root
+    for x in (0, 7, -12, 2**80):
+        got, want = coerce(x, "sqrt2"), Sqrt2(x)
+        assert type(got) is Sqrt2 and (got.a, got.b, got.denominator) == (want.a, want.b, want.denominator)
+    for x, mode in ((True, "sqrt2"), (True, "rational"), (0.5, "sqrt2"), ("2/3", "rational"), (third, "sqrt2"), (Sqrt2(3, 0), "rational")):
+        got = coerce(x, mode)
+        assert type(got) is (Sqrt2 if mode == "sqrt2" else Fraction)
+        assert got == (scalar_from_string(x) if isinstance(x, str) else x)
+    with pytest.raises(ModeError, match=r"^Sqrt2\(.*\) involves sqrt\(2\); schedule mode is exact-rational$"):
+        coerce(root, "rational")
+    for x in (third, root, 5):
+        with pytest.raises(ValueError, match="^unknown scalar mode 'decimal'$"):
+            coerce(x, "decimal")
+
+
 # -- the integer form against the Fraction pairs -------------------------
 
 small_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=60)

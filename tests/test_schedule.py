@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction
 from math import lcm
 
@@ -19,7 +20,7 @@ from rank1flow import (
 from rank1flow import schedule as schedule_module
 from rank1flow.errors import ConfigurationError, ResourceError
 from rank1flow.scalars import coerce
-from rank1flow.schedule import Lattice
+from rank1flow.schedule import Lattice, TowerStage
 
 
 def explicit_schedule(entries):
@@ -64,6 +65,19 @@ def test_width_and_measure_recursions():
         assert nxt.w == st.w / st.r
         assert nxt.measure == st.measure + st.spacer_mass_added
         assert nxt.measure >= st.measure
+
+
+def test_the_measure_is_height_times_width(small_asym, small_thm44, small_staircase):
+    """mu(X_n) is read as h_n w_n, not stored: the value, type included,
+    of the sum mu(X_1) + the spacer mass of the stages below."""
+    assert "measure" not in {field.name for field in fields(TowerStage)}
+    for sched in (small_asym, small_thm44, symmetrize(small_asym), small_staircase):
+        total = sched.h1 * sched.w1
+        for n in range(1, 6):
+            stage = sched.stage(n)
+            assert type(stage.measure) is type(total) and stage.measure == total
+            assert stage.measure == stage.h * stage.w == stage.tower_measure
+            total = total + stage.spacer_mass_added
 
 
 def test_asym49_offset_pattern(small_asym):
