@@ -21,14 +21,18 @@ so the total is bounded by 2 ||f||_inf ||g||_inf |t| w_N.
 One recursion, :class:`MCorrelator`, serves every arity: the m-point
 correlation runs it on tuples of shifts, one per function after the
 first, and :class:`Correlator` is its m = 2 case on (f, conj g) at times
-(t, 0).  It runs on the integer lattice of :mod:`rank1flow.schedule`:
-each query takes the smallest lattice that holds the functions'
-breakpoints, its shifts and stages k..N (:meth:`Lattice.holding`).  On
-it, memo keys, the |tau| < h_n test and the deltas are ints (x = A/D)
-or int pairs (x = (A + B*sqrt 2)/D), and the base case takes the shifts
-in the same coordinates as the functions' breakpoint grids: nothing is
-decoded on the query path.  A float time enters at its exact binary
-value.
+(t, 0).  It runs on the integer lattice of :mod:`rank1flow.schedule`.
+A query takes each time through :func:`~rank1flow.scalars.exact` once
+(a float enters at its exact binary value) and encodes it once, on the
+smallest lattice that holds the query's times and the functions'
+breakpoints (:meth:`Lattice.holding`).  The shifts, |t|, the stage pick
+(:func:`pick_stage`) and the bound's float |t| (:meth:`Lattice.to_float`)
+read those coordinates, with no scalar arithmetic per time.  The
+query's lattice also holds stages k..N, and the shifts are rescaled to
+it once.  On it, memo keys, the |tau| < h_n test and the deltas are ints
+(x = A/D) or int pairs (x = (A + B*sqrt 2)/D), and the base case takes
+the shifts in the same coordinates as the functions' breakpoint grids:
+nothing is decoded on the query path.
 
 A query is a batch of times, and the recursion is evaluated for the
 whole batch in one level-synchronous pass, not depth first; the memos
@@ -77,16 +81,18 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from math import prod
+from operator import lt
 from typing import Sequence
 
 import numpy as np
 
 from . import schedule as geometry  # for GUARD, read at call time
 from .errors import RangeError, ResourceError
-from .scalars import Scalar, exact, to_float
-from .schedule import Lattice, Schedule, within
+from .scalars import Scalar, Sqrt2, exact, sqrt2_floordiv, sqrt2_sign, sqrt2_sorted, to_float
+from .schedule import Lattice, Schedule, difference, magnitude, within
 from .stepfun import StepFunction, array_integrals, product_integral
 
 STAGE_MARGIN = 4
@@ -109,26 +115,55 @@ class WeakLimitTarget:
     s: Scalar = 0
 
 
-def pick_stage(schedule: Schedule, k: int, t_abs: Sequence[Scalar]) -> list:
+def pick_stage(schedule: Schedule, k: int, t_abs: Sequence, lattice: Lattice | None = None) -> list:
     """For each |t| of *t_abs*, the smallest N >= k with
     h_N >= STAGE_MARGIN * (h_k + |t|), up to MAX_STAGE.
 
-    The condition reads u_N >= |t| for the thresholds
+    *t_abs* holds coordinates on *lattice*; scalars, with no lattice
+    given, are first encoded on the smallest one that holds them.  The
+    condition reads not u_N < |t| for the thresholds
     u_N = h_N / STAGE_MARGIN - h_k, which do not decrease with N.  They
-    are built lazily, stage by stage, into one list for the call, so each
-    N is one bisection of it; the first time past MAX_STAGE raises."""
+    are built lazily, stage by stage, into one list for the call, in the
+    lattice's terms, so each |t| is one bisection of it with no scalar
+    arithmetic.  On an int lattice of scale D a threshold is the int
+    floor(u_N D): for an int T, u_N < T/D exactly when floor(u_N D) < T.
+    On a pair lattice it is the integer form (P, Q, e) of
+    u_N D = (P + Q sqrt 2)/e, and u_N < (a + b sqrt 2)/D is the sign of
+    (a e - P) + (b e - Q) sqrt 2, as :func:`within` decides.  The first
+    time past MAX_STAGE raises, naming its |t|."""
+    if lattice is None:
+        t_abs = [exact(t) for t in t_abs]
+        lattice = Lattice.holding(t_abs)
+        t_abs = [lattice.encode(t) for t in t_abs]
     if t_abs and k > MAX_STAGE:
         raise RangeError(f"the functions' stage {k} is past MAX_STAGE = {MAX_STAGE}: no working stage can be picked")
+
+    def threshold(n: int):
+        u = schedule.height(n) / STAGE_MARGIN - schedule.height(k)
+        p, q, e = (u.a, u.b, u.denominator) if type(u) is Sqrt2 else (u.numerator, 0, u.denominator)
+        p, q = p * lattice.scale, q * lattice.scale
+        if lattice.sqrt2:
+            return p, q, e
+        return sqrt2_floordiv(p, q, e, 0) if q else p // e
+
     thresholds, ns = [], []
-    for t in t_abs:
-        n = k + bisect_left(thresholds, t)
+    if lattice.sqrt2:
+        def below(u, x) -> bool:
+            return sqrt2_sign(x[0] * u[2] - u[0], x[1] * u[2] - u[1]) > 0
+
+        def place(x) -> int:
+            return bisect_left(thresholds, True, key=lambda u: not below(u, x))
+    else:
+        below, place = lt, partial(bisect_left, thresholds)
+    for x in t_abs:
+        n = k + place(x)
         while n == k + len(thresholds) and n <= MAX_STAGE:
-            thresholds.append(schedule.height(n) / STAGE_MARGIN - schedule.height(k))
-            if not thresholds[-1] < t:
+            thresholds.append(threshold(n))
+            if not below(thresholds[-1], x):
                 break
             n += 1
         if n > MAX_STAGE:
-            raise RangeError(f"|t| = {to_float(t, '|t|'):g} out of range: no stage up to {MAX_STAGE} is tall enough")
+            raise RangeError(f"|t| = {to_float(lattice.decode(x), '|t|'):g} out of range: no stage up to {MAX_STAGE} is tall enough")
         ns.append(n)
     return ns
 
@@ -140,8 +175,9 @@ class MCorrelator:
 
     Each :meth:`at` call is one independent pass: it keeps nothing for a
     later call.  Its lattice is the smallest holding the members'
-    breakpoints (``_lattice``, fixed at construction), the call's shifts
-    and stages k..N, so the base case reads the members' grids on it.  B_n
+    breakpoints (``_lattice``, fixed at construction), the call's times
+    and stages k..N, so the base case reads the members' grids on it (at
+    m = 2 the times and the shifts -t have the same denominators).  B_n
     of a member is held in the call's level n, at the place of x, the
     coordinates of the shift tuple on that lattice (at m = 2, of the one
     shift), in the level's frontier.  The step is the schedule's, chosen
@@ -165,18 +201,22 @@ class MCorrelator:
         self._pair = len(family[0]) == 2
         self._step = schedule.overlaps if self._pair else schedule.tuple_overlaps
 
-    def _correlation(self, shifts: list, t_abs: list, stage: int | None) -> list:
-        """w_N * B_N for each member at each query of a batch, at its exact
-        shifts (one per function after the first), with the bound for
-        times up to its |t| in *t_abs*; B_N is 0 when a shift is outside
-        |x| < h_N.  One list of results per member, in query order.
+    def _correlation(self, shifts: list, t_abs: list, coarse: Lattice, stage: int | None) -> list:
+        """w_N * B_N for each member at each query of a batch, at its shifts
+        (one per function after the first), with the bound for times up to
+        its |t| in *t_abs*; B_N is 0 when a shift is outside |x| < h_N.
+        Shifts and |t| are coordinates on *coarse*, the lattice of the
+        batch's times and the members' breakpoints.  One list of results
+        per member, in query order.
 
-        Every working stage is picked before any step is taken, and one
-        pass of :meth:`_B`, on the lattice of the whole batch, computes
-        every B_N the batch needs."""
+        Every working stage is picked on those coordinates before any step
+        is taken.  The call's lattice also holds stages k..N; the shifts
+        are rescaled to it once, and one pass of :meth:`_B` on it computes
+        every B_N the batch needs.  The bound's float |t| is read off the
+        coordinates (:meth:`Lattice.to_float`): no time is decoded."""
         sched = self.schedule
         if stage is None:
-            ns = pick_stage(sched, self.k, t_abs)
+            ns = pick_stage(sched, self.k, t_abs, coarse)
         elif stage < self.k:
             raise RangeError(f"stage {stage} is below the functions' stage {self.k}")
         elif stage > MAX_STAGE:
@@ -186,24 +226,26 @@ class MCorrelator:
         results = [[] for _ in self.family]
         if not ns:
             return results
-        stages = (sched.stage(m).lattice for m in range(self.k, max(ns) + 1))
-        lattice = Lattice.holding(chain.from_iterable(shifts), self._lattice, *stages)
+        lattice = Lattice.holding((), coarse, *(sched.stage(m).lattice for m in range(self.k, max(ns) + 1)))
+        if lattice != coarse:
+            shifts = [tuple(lattice.recode(x, coarse) for x in query) for query in shifts]
         heights = {n: lattice.encode(sched.stage(n).h) for n in set(ns)}
         keys, wanted = [], defaultdict(dict)  # wanted: n -> {key of B_n: its place in level n}
-        for n, query in zip(ns, shifts):
-            xs = tuple(map(lattice.encode, query))
+        for n, xs in zip(ns, shifts):
             key = None
             if all(within(x, heights[n]) for x in xs):
                 key = xs[0] if self._pair else xs
                 wanted[n][key] = None
             keys.append(key)
-        levels, widths = self._B(wanted, lattice), {}
+        levels, working = self._B(wanted, lattice), {}  # working: n -> (w_N, B_N per member as a list)
         for n, key, t in zip(ns, keys, t_abs):
-            if n not in widths:
-                widths[n] = to_float(sched.width(n), f"w_{n}")
-            w_n, t = widths[n], to_float(t, "|t|")
-            values = [0j] * len(results) if key is None else [complex(vs[wanted[n][key]]) for vs in levels[n][1]]
-            for value, norm, out in zip(values, self._norms, results):
+            if n not in working:
+                level = [_python(vs) for vs in levels[n][1]] if n in wanted else [None] * len(results)
+                working[n] = to_float(sched.width(n), f"w_{n}"), level
+            (w_n, level), t = working[n], coarse.to_float(t, "|t|")
+            place = None if key is None else wanted[n][key]
+            for vs, norm, out in zip(level, self._norms, results):
+                value = 0j if place is None else vs[place]
                 out.append(CorrelationResult(value=value * w_n, error_bound=self._bound(norm, t, w_n), stage_used=n))
         return results
 
@@ -265,15 +307,23 @@ class MCorrelator:
         """One list per member of one :class:`CorrelationResult` per time
         tuple of *times* (one time per function), in order, from one pass
         over the batch; at stage *stage*, or each at the stage
-        :func:`pick_stage` gives it."""
-        shifts, t_abs = [], []
+        :func:`pick_stage` gives it.  Each time is made exact once and
+        encoded once, on the lattice of the batch's times and the members'
+        breakpoints, and the shifts and |t| are read off its coordinates:
+        the differences from the first time's and the largest magnitude."""
+        queries = []
         for query in times:
             if len(query) != len(self.family[0]):
                 raise RangeError("need one time per function")
-            query = [exact(t) for t in query]
-            shifts.append(tuple(t - query[0] for t in query[1:]))
-            t_abs.append(max(map(abs, query)))
-        return self._correlation(shifts, t_abs, stage)
+            queries.append([exact(t) for t in query])
+        lattice = Lattice.holding(chain.from_iterable(queries), self._lattice)
+        largest = (lambda xs: sqrt2_sorted(xs)[-1]) if lattice.sqrt2 else max
+        shifts, t_abs = [], []
+        for query in queries:
+            xs = [lattice.encode(t) for t in query]
+            shifts.append(tuple(difference(x, xs[0]) for x in xs[1:]))
+            t_abs.append(largest(map(magnitude, xs)))
+        return self._correlation(shifts, t_abs, lattice, stage)
 
 
 def _merged(xs, wanted: dict):
@@ -353,9 +403,13 @@ class Correlator(MCorrelator):
     def at(self, times: Sequence[Scalar], stage: int | None = None) -> list:
         """One list per pair of one :class:`CorrelationResult` per time t
         of *times*, in order, from one pass over the batch (see
-        :meth:`MCorrelator.at`)."""
+        :meth:`MCorrelator.at`): each t is encoded once, and its shift is
+        -t, its |t| the magnitude of its coordinates."""
         times = [exact(t) for t in times]
-        return self._correlation([(-t,) for t in times], [abs(t) for t in times], stage)
+        lattice = Lattice.holding(times, self._lattice)
+        xs = [lattice.encode(t) for t in times]
+        zero = lattice.encode(0)
+        return self._correlation([(difference(zero, x),) for x in xs], list(map(magnitude, xs)), lattice, stage)
 
 
 def correlate(

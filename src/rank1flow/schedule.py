@@ -97,7 +97,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigurationError, ResourceError
-from .scalars import FLOAT_BITS, MODES, SQRT2_FLOAT, Scalar, Sqrt2, coerce, exact, sqrt2_floordiv, sqrt2_sign, sqrt2_sorted
+from .scalars import FLOAT_BITS, MODES, SQRT2_FLOAT, Scalar, Sqrt2, coerce, exact, sqrt2_float, sqrt2_floordiv, sqrt2_sign, sqrt2_sorted, to_float
 
 GUARD = 10**6  # memo entries per query, delta vectors per m-tuple step, deltas per shift, difference-table entries, curve samples
 DIGIT_BUDGET = 200_000  # bits in each component of a stage height on its own lattice
@@ -155,6 +155,24 @@ class Lattice(NamedTuple):
             return Sqrt2.from_ints(v[0], v[1], self.scale)
         return Fraction(v, self.scale)
 
+    def recode(self, v, coarser: Lattice):
+        """The coordinates *v* on *coarser*, a lattice this one refines, in
+        this lattice's coordinates: rescaled by the ratio of the scales, and
+        an int made a pair (v, 0) on Q(sqrt 2)."""
+        v = rescaled(v, self.scale // coarser.scale)
+        return (v, 0) if self.sqrt2 and type(v) is int else v
+
+    def to_float(self, v, what: str) -> float:
+        """The float of the value at coordinates *v*, bit for bit that of
+        its scalar: an int T is T/D, correctly rounded as ``float(Fraction)``
+        is, and a pair (a, b) is ``sqrt2_float(a, b, D)``, as ``float(Sqrt2)``
+        takes it (D the scale).  A value past float range raises the
+        RangeError of :func:`to_float` for its decoded scalar."""
+        try:
+            return sqrt2_float(v[0], v[1], self.scale) if self.sqrt2 else v / self.scale
+        except OverflowError:
+            return to_float(self.decode(v), what)
+
 
 class LatticeStage(NamedTuple):
     """Height and offsets of stage n in the coordinates of one lattice."""
@@ -169,6 +187,18 @@ class LatticeStage(NamedTuple):
 def rescaled(x, m: int):
     """Lattice coordinates, an int or an (a, b) pair, on an m times finer scale."""
     return x * m if type(x) is int else (x[0] * m, x[1] * m)
+
+
+def difference(x, y):
+    """x - y, for lattice coordinates."""
+    return x - y if type(x) is int else (x[0] - y[0], x[1] - y[1])
+
+
+def magnitude(x):
+    """|x|, for lattice coordinates."""
+    if type(x) is int:
+        return abs(x)
+    return x if sqrt2_sign(*x) >= 0 else (-x[0], -x[1])
 
 
 def within(x, h) -> bool:

@@ -488,3 +488,47 @@ def test_cli_specs_output_bytes_are_pinned(tmp_path):
         if digests != CLI_SPEC_SHA256[kind]:
             drift.append(kind)
     assert not drift, f"report.json/plot.csv bytes changed for {drift}"
+
+
+# Specs whose bytes CLI_SPECS does not cover, pinned the same way: a schedule
+# autocorrelation curve sampled at 321 engine times (the asym49-spectrum
+# benchmark op at seed 0, which exits 1), and criterion 3's decade split on a
+# base-100 staircase (exits 0).  Kind, spec, exit code and the SHA-256 of
+# report.json and plot.csv, recorded at commit 3c4c5aa (Python 3.11.7, NumPy
+# 2.4.6, x86-64), before a batch's times were put on the lattice once.
+ENGINE_PINS = {
+    "asym49-disjointness": (
+        "disjointness",
+        {"schedule": {"kind": "asym49", "params": {}}, "dt": 0.05, "t_max": 16, "grid_size": 1601, "dilations": [2, 3]},
+        1,
+        (
+            "e0370dc2a51092f802de85e3ec6bb98402eaf110968f4d5d29b21cbdd482e0c9",
+            "398ca319186af3b6e125e79402c4f27e9a368378d5bd62ad69c784f7c025d59f",
+        ),
+    ),
+    "base-100-decade-split": (
+        "weak-limit",
+        {
+            "schedule": {"kind": "staircase34", "params": {"staircase_stages": [2, 4, 6], "base": 100, "r_cap": 400}},
+            "times": {"kind": "heights", "stages": [2, 4], "d": "-9/10"},
+            "target": {"alpha": 0.1},
+            "mean_zero": True,
+            "family_size": 2,
+        },
+        0,
+        (
+            "6176f46252bdbea3b77eee552744afce1ce65094398016a4470ebf09c6a881d0",
+            "26a5ffa1a5c965a73113526555a8fd99d76f6e8e1e2dbbf3cafbfd0b86c603b4",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(ENGINE_PINS))
+def test_engine_output_bytes_are_pinned(tmp_path, name):
+    kind, spec, code, digests = ENGINE_PINS[name]
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({**spec, "seed": 0}))
+    result = CliRunner().invoke(main, [kind, "--spec", str(spec_path), "--out", str(tmp_path / "out")])
+    assert result.exit_code == code, result.output
+    assert tuple(hashlib.sha256((tmp_path / "out" / n).read_bytes()).hexdigest() for n in ("report.json", "plot.csv")) == digests

@@ -392,6 +392,22 @@ def test_a_value_past_float_range_exits_two_and_is_named(tmp_path, name):
     assert f"error: {named}" in result.output and "is past float range" in result.output
 
 
+@pytest.mark.parametrize(
+    "time, named",
+    [
+        ("0+100000000000000000000*sqrt2", "|t| = 1.41421e+20 out of range: no stage up to 64 is tall enough"),
+        (f"0+{HUGE}*sqrt2", f"|t| = 0+{HUGE}*sqrt2 is past float range"),
+    ],
+    ids=["past-max-stage", "past-float-range"],
+)
+def test_a_sqrt2_time_out_of_range_exits_two_and_is_named(tmp_path, time, named):
+    """A Q(sqrt 2) time read off its lattice coordinates is named as its scalar."""
+    spec = {"schedule": {"kind": "flat", "params": {"r": 2}}, "times": ["1/2", time]}
+    result = invoke(["correlate", "--spec", write_spec(tmp_path, "far.json", spec), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert f"error: {named}\n" in result.output
+
+
 # curve entries past float range, or past memory, each before any sample
 # time is built: t_max/dt on both curve kinds, a cosine phase, a grid
 OUT_OF_RANGE_CURVES = {

@@ -36,7 +36,7 @@ from rank1flow import schedule as schedule_module
 from rank1flow.correlate import perturbation_bound
 from rank1flow.errors import RangeError, ResourceError
 from rank1flow.experiments import backward_candidates, forward_level_sets, run_experiment
-from rank1flow.scalars import to_float
+from rank1flow.scalars import Sqrt2, exact, to_float
 from rank1flow.stepfun import _ARRAY_MIN_ROWS
 
 correlate_module = importlib.import_module("rank1flow.correlate")  # the package exports a function of that name
@@ -259,6 +259,135 @@ def test_cached_pick_stage_matches_its_definition(name, order):
             named = re.escape(f"|t| = {float(far[0]):g} out of range: no stage up to 4")
             with pytest.raises(RangeError, match=f"^{named}"):
                 pick_stage(sched, k, times)
+
+
+BUILT = {}  # name -> (schedule, reference): stages are built once per session
+
+
+def built(name):
+    if name not in BUILT:
+        BUILT[name] = STAGE_BUILDERS[name](), STAGE_BUILDERS[name]()
+    return BUILT[name]
+
+
+def near_threshold(u, kind: str, refine: int, unit: int, axis: int):
+    """A lattice and coordinates on it at one lattice unit *unit* (-1, 0
+    or 1) from the threshold u: on u's own lattice, *refine* times finer
+    (a pair lattice for a Sqrt2 u, the unit added to its a or, by *axis*,
+    its b); or on the int lattice of scale *refine*, at floor(u * scale)
+    + unit, which is u itself where u * scale is an int."""
+    Lattice = schedule_module.Lattice
+    if kind == "own":
+        lattice = Lattice.holding([u])
+        lattice = Lattice(lattice.scale * refine, lattice.sqrt2)
+        x = lattice.encode(u)
+        return lattice, (x + unit if type(x) is int else (x[0] + unit * (1 - axis), x[1] + unit * axis))
+    return Lattice(refine, False), math.floor(u * refine) + unit
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(list(STAGE_BUILDERS)),
+    k=st.integers(1, 2),
+    above=st.integers(0, 4),
+    kind=st.sampled_from(["own", "int", "float"]),
+    refine=st.sampled_from([1, 3, 2**10, 10**6]),
+    unit=st.integers(-1, 1),
+    axis=st.integers(0, 1),
+)
+def test_the_pick_on_lattice_coordinates_matches_its_definition(name, k, above, kind, refine, unit, axis):
+    """pick_stage on lattice coordinates is the linear search's stage at
+    each threshold u_N and one lattice unit either side: on u_N's own
+    lattice (ints, or pairs over Q(sqrt 2)), on int lattices, also against
+    the irrational thresholds of thm44 and asym49 in sqrt2 mode (the
+    reflection check's case, a rational |t| on a Q(sqrt 2) schedule), and
+    at float |t| one ulp either side of float(u_N).  Scalars passed
+    without a lattice take the same rule."""
+    sched, reference = built(name)
+    margin = correlate_module.STAGE_MARGIN
+    u = reference.height(k + above) / margin - reference.height(k)
+    if kind == "float":
+        t = float(u)
+        t = math.nextafter(t, math.inf) if unit > 0 else math.nextafter(t, -math.inf) if unit < 0 else t
+        if t < 0:
+            return
+        assert pick_stage(sched, k, [t]) == [linear_pick_stage(reference, k, exact(t))]
+        return
+    lattice, x = near_threshold(u, kind, refine, unit, axis)
+    t = lattice.decode(x)
+    if t < 0:
+        return
+    expected = linear_pick_stage(reference, k, t)
+    assert pick_stage(sched, k, [x], lattice) == [expected]
+    assert pick_stage(sched, k, [t]) == [expected]
+
+
+def test_the_pick_meets_irrational_thresholds_on_int_lattices():
+    """A rational |t| on thm44 sits on an int lattice while every
+    threshold past stage k is irrational: floor(u_N D) and floor(u_N D) + 1
+    pick the two stages either side of u_N."""
+    sched, reference = built("thm44")
+    Lattice = schedule_module.Lattice
+    for n in range(2, 6):
+        u = reference.height(n) / correlate_module.STAGE_MARGIN - reference.height(1)
+        assert isinstance(u, Sqrt2) and u.b != 0
+        for scale in (1, 7, 10**6):
+            below = math.floor(u * scale)
+            picked = pick_stage(sched, 1, [below, below + 1], Lattice(scale, False))
+            assert picked == [n, n + 1] == [linear_pick_stage(reference, 1, Fraction(x, scale)) for x in (below, below + 1)]
+
+
+SPIED = ("__lt__", "__abs__", "__neg__", "__mul__")
+
+
+def test_a_batch_takes_no_scalar_arithmetic_per_time(monkeypatch):
+    """Correlator.at on asym49 makes as many Fraction comparisons,
+    magnitudes, negations and products at 41 times i/20 as at 321: each
+    time is encoded once, and the pick, the shifts, |x| < h_N and the
+    bound's |t| read its lattice coordinates.  Each value is the one a
+    call at that time alone gives, repr for repr."""
+    sched = asym49_schedule()
+    f, _ = pair(sched, 0)
+    corr = Correlator(sched, [(f, f)])
+    batches = {n: [i / 20 for i in range(n)] for n in (41, 321)}
+    corr.at(batches[321])  # builds every stage the picks read
+    counts = {}
+    for n, times in batches.items():
+        calls = Counter()
+        with monkeypatch.context() as patch:
+            for name in SPIED:
+                original = getattr(Fraction, name)
+                patch.setattr(Fraction, name, lambda *args, _f=original, _n=name: calls.update([_n]) or _f(*args))
+            (batch,) = corr.at(times)
+        counts[n] = calls
+        assert repr(batch) == repr([corr.at([t])[0][0] for t in times])
+    assert counts[41] == counts[321]
+
+
+SQRT2_FAR = SQRT2 * 10**20  # |t| past what flat r = 2 holds up to stage 64 (h_64 = 2**63)
+SQRT2_HUGE = SQRT2 * 10**400  # |t| past float range
+FAR = re.escape("|t| = 1.41421e+20 out of range: no stage up to 64 is tall enough")
+HUGE = re.escape(f"|t| = 0+1{'0' * 400}*sqrt2 is past float range")
+
+
+@pytest.mark.parametrize(
+    "times, stage, message",
+    [
+        ([Fraction(1, 2), SQRT2_FAR], None, FAR),
+        ([Fraction(1, 2), SQRT2_HUGE], None, HUGE),
+        ([Fraction(1, 2), SQRT2_HUGE], 5, HUGE),
+    ],
+    ids=["past-max-stage", "past-float-range", "past-float-range-at-a-given-stage"],
+)
+def test_sqrt2_times_out_of_range_raise_as_before(times, stage, message):
+    """A Q(sqrt 2) |t| that no stage up to MAX_STAGE holds, or past float
+    range, raises the RangeError it raised when |t| was a scalar, through
+    the 2-point and the 3-point correlator."""
+    f, g = pair(flat_schedule(2), 2)
+    with pytest.raises(RangeError, match=f"^{message}$"):
+        Correlator(flat_schedule(2), [(f, g)]).at(times, stage)
+    with pytest.raises(RangeError, match=f"^{message}$"):
+        MCorrelator(flat_schedule(2), [(f, g, f)]).at([(0, 1, t) for t in times], stage)
 
 
 def test_mismatched_stages_rejected(flat2):
@@ -1071,7 +1200,7 @@ def test_a_batch_takes_one_float_width_per_working_stage(monkeypatch):
     stages = {r.stage_used for r in batch}
     assert len(stages) >= 3
     assert {what: n for what, n in calls.items() if what.startswith("w_")} == {f"w_{n}": 1 for n in stages}
-    assert calls["|t|"] == len(times)
+    assert "|t|" not in calls  # each |t| is read off its lattice coordinates, with no scalar
     f, g = pair(flat_schedule(2), 1)
     with pytest.raises(RangeError, match=f"^w_4 = 125{'0' * 397} is past float range$"):
         Correlator(flat_schedule(2, w1=10**400), [(f, g)]).at([Fraction(1, 2), 3, 40])
