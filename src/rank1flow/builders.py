@@ -40,7 +40,7 @@ def staircase(u, r: int) -> list:
 def fraction_split(q: int, s, r: int) -> list:
     """s(j) = 0 for j <= ceil(r/q), s(j) = s on the top (q-1)/q fraction."""
     cut = -(-r // q)
-    return [0 if j < cut else s for j in range(r)]
+    return [0] * cut + [s] * (r - cut)
 
 
 def paired_gaps(gaps, separators) -> list:
@@ -93,8 +93,9 @@ def staircase34_schedule(
 
     def params(n, h, w):
         r = cuts(n)
-        if n in stairs:
-            return r, staircase(Fraction(1, isqrt(r)), r)
+        if n in stairs:  # staircase(1/k, r) with k = sqrt(r), each j/k made directly
+            k = isqrt(r)
+            return r, [Fraction(j, k) for j in range(r)]
         return r, [0] * r
 
     return Schedule(

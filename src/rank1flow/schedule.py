@@ -20,11 +20,13 @@ or, over Q(sqrt 2), as the integer pair (a, b) with x = (a + b*sqrt 2)/D.
 smallest one holding some exact scalars.  Each stage is built on its own
 lattice, D_n = lcm of the denominators of h_n, the bottom spacer and
 s_n(1) .. s_n(r_n - 1), the smallest scale holding h_n and every
-offset: the spacer values are encoded once each and the offsets
-accumulated as ints or int pairs.  The scalar offsets are decoded from
-there on first use; h_{n+1} and the spacer mass are exact scalar sums of
-the last offset, h_n and s_n(r_n).  :meth:`TowerStage.on_lattice`
-rescales a stage to a finer lattice, anew on every call: the view, a
+offset: each distinct spacer object is coerced and encoded once and the
+offsets accumulated as ints or int pairs.  The scalar offsets are
+decoded from there on first use; h_{n+1} and the spacer mass are exact
+scalar sums of the last offset, h_n and s_n(r_n).
+:meth:`TowerStage.on_lattice` rescales a stage to a finer lattice: at
+m = 1 on a lattice of its own kind the view is the stage's own grid,
+otherwise it is rebuilt on each call.  The view, a
 :class:`LatticeStage`, holds the exact geometry only, and each route
 builds what else it needs when it runs.  :func:`copy_windows`
 sweeps a view with plain integer arithmetic, copy by copy, and
@@ -37,11 +39,16 @@ boundary, via :meth:`Lattice.decode`.
 A stage whose spacers s_n(1) .. s_n(r_n - 1) encode to one value (flat
 stages, a constant spacer, zero spacers below the top) has equally spaced
 offsets, o_{j+1} - o_j = p = h_n + s; the stage records p as its
-``period`` when it is built.  Its overlaps are then the deltas x + k p,
-each realized by the r_n - |k| pairs with j' - j = k, and since p >= h_n
-at most two k keep |x + k p| < h_n.  :func:`overlap_pairs` answers such a
-stage in closed form, O(1) per shift whatever r_n: two floor divisions,
-on ints or, on (a, b) pairs, by the exact integer floor of
+``period`` when it is built, and its offsets, on its own lattice and in
+every view, are the running sum o_1 + j p (:func:`spaced`), with no
+Python step per copy.  Where the r spacers are one object, as the
+builders make flat and constant stages, one identity check in C finds
+it so, and the build visits no copy in Python.
+Its overlaps are then the deltas x + k p, each realized by the r_n - |k|
+pairs with j' - j = k, and since p >= h_n at most two k keep
+|x + k p| < h_n.  :func:`overlap_pairs` answers such a stage in closed
+form, O(1) per shift whatever r_n: two floor divisions, on ints or, on
+(a, b) pairs, by the exact integer floor of
 :func:`~rank1flow.scalars.sqrt2_floordiv`.
 
 The engine takes the step of a stage for a whole level of shifts at
@@ -89,9 +96,9 @@ from collections import _count_elements
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, product
+from itertools import accumulate, chain, product, repeat
 from math import inf, lcm
-from operator import itemgetter
+from operator import is_, itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -189,6 +196,15 @@ def rescaled(x, m: int):
     return x * m if type(x) is int else (x[0] * m, x[1] * m)
 
 
+def spaced(first, period, r: int) -> list:
+    """The r equally spaced lattice coordinates first + j*period, j < r,
+    as a running sum per component (a pair's component may stand still or
+    fall)."""
+    if type(period) is int:
+        return list(accumulate(repeat(period, r - 1), initial=first))
+    return list(zip(*(accumulate(repeat(p, r - 1), initial=o) for o, p in zip(first, period))))
+
+
 def difference(x, y):
     """x - y, for lattice coordinates."""
     return x - y if type(x) is int else (x[0] - y[0], x[1] - y[1])
@@ -270,15 +286,21 @@ class TowerStage:
         if rest:
             raise ValueError(f"lattice scale {lattice.scale} is not a multiple of {self.denominator}")
         grid = self.grid
-        h, offsets = rescaled(grid.h, m), grid.offsets
-        period = None if grid.period is None else rescaled(grid.period, m)
-        if type(grid.h) is tuple:
-            offsets = [(a * m, b * m) for a, b in offsets] if m != 1 else offsets
-        elif lattice.sqrt2:
-            h, offsets = (h, 0), [(o * m, 0) for o in offsets]
-            period = None if period is None else (period, 0)
-        elif m != 1:
-            offsets = [o * m for o in offsets]
+        widen = lattice.sqrt2 and type(grid.h) is int  # an int stage on Q(sqrt 2): (o, 0) pairs
+        if m == 1 and not widen:
+            return grid
+        h, period = rescaled(grid.h, m), grid.period
+        if period is not None:  # equally spaced: rebuilt from m*o_1 and m*p
+            first, period = rescaled(grid.offsets[0], m), rescaled(period, m)
+            if widen:
+                h, first, period = (h, 0), (first, 0), (period, 0)
+            offsets = spaced(first, period, self.r)
+        elif widen:
+            h, offsets = (h, 0), [(o * m, 0) for o in grid.offsets]
+        elif type(h) is tuple:
+            offsets = [(a * m, b * m) for a, b in grid.offsets]
+        else:
+            offsets = [o * m for o in grid.offsets]
         return LatticeStage(self.n, self.r, h, offsets, period)
 
 
@@ -291,7 +313,10 @@ class Schedule:
     built so far, so spacers may depend on it; stages are computed in
     order and cached, so the callback sees a consistent, reproducible
     history.  A value that repeats should be one repeated object: each
-    object is coerced and encoded once.
+    object is coerced and encoded once, and a stage whose r spacers are
+    one object (``[s] * r``) is built with no Python step per copy, its
+    offsets one progression.  Equal but distinct objects give the same
+    stage, at a cost per copy.
     """
 
     def __init__(
@@ -337,36 +362,40 @@ class Schedule:
             raise ConfigurationError(f"r_{m} = {r}; cut numbers must exceed 1")
         if len(values) != r:
             raise ConfigurationError(f"stage {m} has {len(values)} spacers, need r_{m} = {r}")
-        mode, scalars, ids, spacers = self.mode, {}, [], []
-        for v in values:  # one pass: each distinct object is coerced once
-            i = id(v)
-            s = scalars.get(i)
-            if s is None:
-                s = scalars[i] = coerce(v, mode)
-            ids.append(i)
-            spacers.append(s)
+        mode, first = self.mode, next(iter(values))
+        if all(map(is_, values, repeat(first))):  # one object, as [s] * r: no copy is visited
+            ids, scalars = [0] * r, {0: coerce(first, mode)}
+            spacers = [scalars[0]] * r
+        else:  # each distinct object coerced once, in first-seen order
+            ids = list(map(id, values))
+            scalars = {i: coerce(v, mode) for i, v in dict(zip(ids, values)).items()}
+            spacers = list(map(scalars.__getitem__, ids))
         bottom = coerce(bottom[0] if bottom else 0, mode)
-        inner = ids[:-1]  # s(1) .. s(r-1) step the offsets; s(r) enters only h_{n+1}
-        distinct = dict.fromkeys(inner)
+        # s(1) .. s(r-1) step the offsets; s(r) enters only h_{n+1}, so an
+        # object seen only there, the last one seen, is left out
+        distinct = list(scalars)[: -1 if ids.count(ids[-1]) == 1 else None]
         lattice = Lattice.holding([h, bottom, *map(scalars.__getitem__, distinct)])
+        encoded = {i: lattice.encode(scalars[i]) for i in distinct}  # each distinct object encoded once
+        steps = set(encoded.values())
         sqrt2 = lattice.sqrt2
         H, B = lattice.encode(h), lattice.encode(bottom)
-        steps = {i: lattice.encode(scalars[i]) for i in distinct}  # each distinct object encoded once
         negative = (lambda x: sqrt2_sign(*x) < 0) if sqrt2 else (lambda x: x < 0)
-        if any(map(negative, steps.values())) or spacers[-1] < 0:
+        if any(map(negative, steps)) or spacers[-1] < 0:
             raise ConfigurationError(f"negative spacer at stage {m}")
         if negative(B):
             raise ConfigurationError(f"negative bottom spacer at stage {m}")
-        if sqrt2:  # o_{j+1} = o_j + h + s(j), component by component
-            rises = {i: (H[0] + a, H[1] + b) for i, (a, b) in steps.items()}
-            columns = zip(*map(rises.__getitem__, inner))
+        period = None
+        if len(steps) == 1:  # equally spaced offsets, o_{j+1} - o_j = h + s
+            (S,) = steps
+            period = (H[0] + S[0], H[1] + S[1]) if sqrt2 else H + S
+            offsets = spaced(B, period, r)
+        elif sqrt2:  # o_{j+1} = o_j + h + s(j), component by component
+            rises = {i: (H[0] + a, H[1] + b) for i, (a, b) in encoded.items()}
+            columns = zip(*map(rises.__getitem__, ids[:-1]))
             offsets = list(zip(*(accumulate(c, initial=b) for c, b in zip(columns, B))))
         else:
-            rises = {i: H + s for i, s in steps.items()}
-            offsets = list(accumulate(map(rises.__getitem__, inner), initial=B))
-        period = None
-        if len(set(steps.values())) == 1:  # equally spaced offsets
-            period = tuple(y - x for x, y in zip(*offsets[:2])) if sqrt2 else offsets[1] - offsets[0]
+            rises = {i: H + s for i, s in encoded.items()}
+            offsets = list(accumulate(map(rises.__getitem__, ids[:-1]), initial=B))
         grid = LatticeStage(m, r, H, offsets, period=period)
         self._stages.append(TowerStage(m, h, w, r, spacers, bottom, lattice, grid))
 

@@ -21,6 +21,7 @@ therefore be symmetric about 0, with t = 0 in the middle, and uniform.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -96,11 +97,17 @@ def autocorr_curve(schedule: Schedule, f: StepFunction, dt, t_max) -> AutocorrCu
     i = 0..n, in one batch; the value at -t_i is the conjugate of the one
     at t_i, with the same bound."""
     n = sample_count(t_max, dt)
-    ts = [i * dt for i in range(n + 1)]
+    if type(dt) is Fraction:  # i*dt = (i*p)/q, and its float the correctly rounded int division
+        p, q = dt.numerator, dt.denominator
+        ts = [Fraction(i * p, q) for i in range(n + 1)]
+        times = [i * p / q for i in range(n + 1)]
+    else:
+        ts = [i * dt for i in range(n + 1)]
+        times = [float(t) for t in ts]
     (half,) = Correlator(schedule, [(f, f)]).at(ts)
     values = np.array([r.value for r in half], dtype=complex)
     bounds = np.array([r.error_bound for r in half])
-    times = np.array([float(t) for t in ts])  # rounding is odd: float(-t) = -float(t)
+    times = np.array(times)  # rounding is odd: float(-t) = -float(t)
     return AutocorrCurve(
         dt=float(dt),
         times=np.concatenate([-times[:0:-1], times]),
