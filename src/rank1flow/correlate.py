@@ -59,17 +59,19 @@ real and the imaginary parts apart, into the level's array of values.
 is the same product as in Python, so the sums are the list step's, bit
 for bit.  A list step (at m = 2) and an m-tuple step are summed term by
 term in Python, on Python ints and complex numbers, reading the values
-one stage down by key.  At stage k the whole frontier is one call of
-:func:`~rank1flow.stepfun.array_integrals` where the lattice and the
-frontier's size allow it (an int lattice, coordinates below 2**53, at
-least ``_ARRAY_MIN_ROWS`` shift tuples), and :func:`product_integral`
-per shift tuple otherwise: the same values, bit for bit.
+one stage down by key.  At stage k the whole frontier, for the whole
+family, is one call of :func:`~rank1flow.stepfun.array_integrals` where
+the lattice and the frontier allow it (an int lattice, coordinates below
+2**53, the members' bands inside int64, at least ``_ARRAY_MIN_ROWS``
+shift tuples), and :func:`product_integral` per member and shift tuple
+otherwise: the same values, bit for bit.
 
 A correlator takes a family, one function tuple per member, all of one
 arity and one stage.  At the same times the members need the same keys,
-so the frontiers and the steps are the family's, one step per stage and
-batch; only the base case and the sums run per member, on its own values,
-so each value is the one the member gets alone.  Neither the correlator
+so the frontiers, the steps and the base case are the family's, one step
+per stage and batch and one base case per batch; only the sums run per
+member, on its own values, and the base case gives each member its own
+array, so each value is the one the member gets alone.  Neither the correlator
 nor the schedule keeps a step, a memo or a threshold of
 :func:`pick_stage`.  :data:`rank1flow.schedule.GUARD`, read when its
 check runs, bounds the memo of a query, its keys counted once for the
@@ -258,7 +260,8 @@ class MCorrelator:
         to k, each stage's frontier is the distinct deltas of the step
         above (an array step's keys as they are) followed by the wanted
         keys not among them (:func:`_merged`), and its step is taken at
-        once for the whole frontier, and stage k's base case too, per
+        once for the whole frontier, and stage k's base case too, for the
+        whole family (:func:`_base`), one array or list of values per
         member.  Bottom up, each member sums each new value over its step
         in the step's order, as a depth-first recursion would: by
         :func:`_row_sums` for an array step, by :func:`_list_sums` for a
@@ -281,7 +284,7 @@ class MCorrelator:
                     else:
                         zero = (0, 0) if lattice.sqrt2 else 0
                         rows = [(zero, y) for y in xs] if self._pair else [(zero, *y) for y in xs]
-                    levels[n] = (xs, [_base(functions, rows, lattice) for functions in self.family])
+                    levels[n] = (xs, _base(self.family, rows, lattice))
                     break
                 step = self._step(n - 1, xs, lattice)
                 steps.append((n, xs, step))
@@ -346,13 +349,18 @@ def _merged(xs, wanted: dict):
     return list(places)
 
 
-def _base(functions: Sequence[StepFunction], rows, lattice: Lattice):
-    """B_k of one member at the shift tuples *rows*, a list or, for an
-    array frontier, an int64 array stacked in NumPy: one array pass where
-    :func:`array_integrals` takes them, and :func:`product_integral` per
-    tuple, on Python ints, otherwise."""
-    values = array_integrals(functions, rows, lattice)
-    return [product_integral(functions, row, lattice) for row in _python(rows)] if values is None else values
+def _base(family: list, rows, lattice: Lattice) -> list:
+    """B_k of each member of *family* at the shift tuples *rows*, a list
+    or, for an array frontier, an int64 array stacked in NumPy, as one
+    array or list of values per member: one array pass for the whole
+    family where :func:`array_integrals` takes them, and
+    :func:`product_integral` per member and tuple, on Python ints,
+    otherwise."""
+    values = array_integrals(family, rows, lattice)
+    if values is None:
+        rows = _python(rows)
+        values = [[product_integral(functions, row, lattice) for row in rows] for functions in family]
+    return values
 
 
 def _python(values):

@@ -72,13 +72,17 @@ smaller one, values past int64, (a, b) pairs) is a list step: one
 (delta, multiplicity) list per shift, from the closed form or the
 Python sweep, on Python ints.  Either gives each shift's deltas in
 increasing order.  At m >= 3,
-:func:`tuple_overlaps` answers an equally spaced stage in closed form:
-each shift's k come from the same two floors, the delta vectors are the
-product of those ranges, and each is realized by the copies j0 that keep
+:func:`tuple_overlaps` reaches each distinct coordinate of a batch's
+shift tuples once, since the tuples share many.  An equally spaced stage
+answers in closed form: each coordinate's k come from the same two
+floors, the delta vectors of a tuple are the product of its
+coordinates' ranges, and each is realized by the copies j0 that keep
 every j0 + k_i among the r copies, r - max(0, k...) + min(0, k...) of
-them, listed in the order a sweep meets them first.  On other stages it
-groups the copy tuples of the windows by delta vector.  The schedule
-keeps no step; a correlator takes each for its whole family.
+them, listed in the order a sweep meets them first.  On other stages
+each coordinate's copy windows are swept once, and each tuple groups
+the copy tuples of its coordinates' windows by delta vector.  The
+schedule keeps no step, and what a step reaches lives for that call; a
+correlator takes each step for its whole family.
 
 Two module constants bound the work, with no parameter to set them:
 ``GUARD`` (the deltas per shift of every m = 2 step, the r**2 entries of
@@ -517,35 +521,44 @@ def tuple_overlaps(stage: LatticeStage, shifts: list) -> list:
     """The m-point step of a lattice stage at each shift tuple of *shifts*:
     the delta vectors of copy j0 with copies j'_i of each shift's
     :func:`copy_windows`, counted in the order first met (j0 ascending,
-    then the j'_i in ``product`` order).  An equally spaced stage answers
-    in closed form (:func:`_periodic_tuples`); on others, on (a, b)
-    pairs, the float offsets are built once for the batch."""
-    floats = _pair_floats(stage.offsets) if type(stage.h) is tuple and stage.period is None else None
+    then the j'_i in ``product`` order).  Each distinct coordinate of the
+    batch is reached once, into a dict that lives for this call: its copy
+    windows, or on an equally spaced stage its :func:`_periodic_deltas`
+    range, from which :func:`_periodic_tuples` answers in closed form.
+    Each tuple reads its coordinates' entries and is checked against
+    ``GUARD`` in turn.  On (a, b) pairs with no period the float offsets
+    are built once for the batch."""
+    periodic = stage.period is not None
+    floats = _pair_floats(stage.offsets) if type(stage.h) is tuple and not periodic else None
+    coordinates = dict.fromkeys(chain.from_iterable(shifts))
+    for xi in coordinates:
+        coordinates[xi] = _periodic_deltas(stage, xi) if periodic else copy_windows(stage, xi, floats)
     steps = []
     for x in shifts:
-        if stage.period is None:
-            per_copy = zip(*(copy_windows(stage, xi, floats) for xi in x))
-            groups: dict = {}
-            _count_elements(groups, chain.from_iterable(product(*windows) for windows in per_copy))
-            step = groups.items()
+        reached = [coordinates[xi] for xi in x]
+        if periodic:
+            step = _periodic_tuples(stage.r, reached)
         else:
-            step = _periodic_tuples(stage, x)
+            groups: dict = {}
+            _count_elements(groups, chain.from_iterable(product(*windows) for windows in zip(*reached)))
+            step = groups.items()
         if len(step) > GUARD:
             raise ResourceError(f"m-tuple delta blowup at stage {stage.n}: more than {GUARD} delta vectors")
         steps.append(step)
     return steps
 
 
-def _periodic_tuples(stage: LatticeStage, x) -> list:
-    """:func:`tuple_overlaps` of an equally spaced stage at the shift tuple
-    *x*, in closed form.  The copies j0 and j0 + k_i give the delta vector
-    (x_i + k_i p), with each k_i from the range of :func:`_periodic_deltas`,
-    for the r - max(0, k...) + min(0, k...) copies j0 that keep every
-    j0 + k_i among the r copies.  A vector is first met at j0 = -min(0,
-    k...), and at one j0 in ``product`` order, so the vectors with a
-    positive count, stably sorted by that j0, come in the sweep's order."""
-    r, found = stage.r, []
-    for combo in product(*[_periodic_deltas(stage, xi) for xi in x]):
+def _periodic_tuples(r: int, ranges: list) -> list:
+    """:func:`tuple_overlaps` of an equally spaced stage of r copies at one
+    shift tuple (x_i), in closed form from the :func:`_periodic_deltas`
+    range of each x_i.  The copies j0 and j0 + k_i give the delta vector
+    (x_i + k_i p), for the r - max(0, k...) + min(0, k...) copies j0 that
+    keep every j0 + k_i among the r copies.  A vector is first met at
+    j0 = -min(0, k...), and at one j0 in ``product`` order, so the vectors
+    with a positive count, stably sorted by that j0, come in the sweep's
+    order."""
+    found = []
+    for combo in product(*ranges):
         ks, deltas = zip(*combo)
         low = min(0, *ks)
         mult = r - max(0, *ks) + low

@@ -176,7 +176,11 @@ def bochner_density(
     a[0] = w[0] * c[n]
     freqs = np.linspace(-lam_max, lam_max, grid_size)
     z = np.exp(-2j * np.pi * curve.dt * freqs)
-    density = curve.dt * np.real(np.polyval(a[::-1], z))
+    total = np.zeros_like(z)  # Horner in place: polyval's y = y * z + a_i, with no temporaries
+    for coefficient in a[::-1]:
+        total *= z
+        total += coefficient
+    density = curve.dt * total.real
     density = np.clip(density, 0.0, None)
     c0 = float(np.real(c[n]))
     mass = float(_trapezoid(density, freqs))

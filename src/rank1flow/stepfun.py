@@ -17,11 +17,12 @@ holds them and the breakpoints.  Each piece length is the float that
 cross-correlation int f(y + tau) conj(g(y)) dy is the case
 ``product_integral([f, g.conjugate()], (-tau, 0))``.
 
-The engine asks for the base case at a whole frontier of shift tuples.
-On an int lattice, from ``_ARRAY_MIN_ROWS`` tuples up and with every
-coordinate below 2**53, :func:`array_integrals` answers the frontier in
+The engine asks for the base case of a whole family at a whole frontier
+of shift tuples.  On an int lattice, from ``_ARRAY_MIN_ROWS`` tuples up,
+with every coordinate below 2**53 and the members' search bands inside
+int64, :func:`array_integrals` answers the frontier for every member in
 one NumPy pass, bit for bit the values of :func:`product_integral`, which
-answers everything else tuple by tuple.
+answers everything else member by member and tuple by tuple.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,6 +50,7 @@ MAX_BREAKPOINTS = 2_000_000  # the most breakpoints lift builds per stage
 # int below _FLOAT_EXACT = 2**53 is an exact float.
 _ARRAY_MIN_ROWS = 8
 _FLOAT_EXACT = 2**53
+_INT64_END = 2**63  # the searched bands end at or below it
 
 
 @dataclass
@@ -229,59 +231,73 @@ def product_integral(functions: Sequence[StepFunction], shifts: Sequence, lattic
     return total
 
 
-def array_integrals(functions: Sequence[StepFunction], shifts, lattice: Lattice) -> Optional[np.ndarray]:
-    """:func:`product_integral` at every shift tuple of *shifts* (lattice
-    coordinates, one shift per function: a list of tuples, or an int64
-    array of one row per tuple), as a complex array from one array pass,
-    or None where the batch rule keeps :func:`product_integral`: on a
-    Q(sqrt 2) lattice, at a grid, shift or scale of 2**53 or more, and
-    for fewer than ``_ARRAY_MIN_ROWS`` tuples.
+def array_integrals(family: Sequence[Sequence[StepFunction]], shifts, lattice: Lattice) -> Optional[list]:
+    """:func:`product_integral` of each member (f_0, ..., f_{m-1}) of
+    *family* at every shift tuple of *shifts* (lattice coordinates, one
+    shift per function: a list of tuples, or an int64 array of one row per
+    tuple), as one complex array per member from one array pass for the
+    whole family, or None where the batch rule keeps
+    :func:`product_integral`: on a Q(sqrt 2) lattice, at a grid, shift or
+    scale of 2**53 or more, where the members' bands (below) would pass
+    int64, and for fewer than ``_ARRAY_MIN_ROWS`` tuples.
 
-    Each row's shifted grids are clipped to its common support [lo, hi]
-    and sorted; the pieces are the steps between distinct points, in
-    row order, and each function's piece is found by ``searchsorted`` on
-    its unshifted grid.  Below 2**53 a length (B - A)/D is a quotient of
-    two exact floats, so it is the correctly rounded value of Python's
-    int division.  The products take the real and imaginary parts apart,
-    in Python's order (``piece = f_0``, ``piece *= f_i``, then times
-    length + 0j), and each row is summed in piece order from 0.0 by
-    ``bincount``: every value is the one of :func:`product_integral`,
-    bit for bit.
+    Every grid is padded to the family's widest with its last point, which
+    adds only empty pieces.  Each (member, row)'s shifted grids are
+    clipped to its common support [lo, hi] and sorted, all in one sort;
+    the pieces are the steps between distinct points, in (member, row)
+    order.  Each function position finds the pieces of every member by
+    one ``searchsorted``, on the members' unshifted grids laid in disjoint
+    integer bands, member i's moved to [i * span, (i + 1) * span), span
+    the width of all grids.  Below 2**53 a length (B - A)/D is a quotient of two exact
+    floats, so it is the correctly rounded value of Python's int
+    division.  The products take the real and imaginary parts apart, in
+    Python's order (``piece = f_0``, ``piece *= f_i``, then times length
+    + 0j), and each (member, row) is summed in piece order from 0.0 by
+    ``bincount``: every value is the one of :func:`product_integral`, bit
+    for bit.
     """
     if lattice.sqrt2 or len(shifts) < _ARRAY_MIN_ROWS or lattice.scale >= _FLOAT_EXACT:
         return None
-    grids = [f.on_lattice(lattice) for f in functions]
+    grids = [[f.on_lattice(lattice) for f in functions] for functions in family]
     xs = np.asarray(shifts)  # a list with a value past int64 gives an object, uint64 or float64 array
+    low = min(g[0] for member in grids for g in member)
+    high = max(g[-1] for member in grids for g in member)
+    span = high - low + 1  # member i's grids, less low, lie in its band [i * span, (i + 1) * span)
     if not (
-        -_FLOAT_EXACT < min(g[0] for g in grids) and max(g[-1] for g in grids) < _FLOAT_EXACT
-        and -_FLOAT_EXACT < xs.min() and xs.max() < _FLOAT_EXACT
+        -_FLOAT_EXACT < low and high < _FLOAT_EXACT and -_FLOAT_EXACT < xs.min() and xs.max() < _FLOAT_EXACT
+        and len(family) * span <= _INT64_END
     ):
         return None
-    rows, width = len(shifts), max(map(len, grids))
-    # each grid padded to one width with its last point, which adds only empty pieces
-    padded = np.array([g + g[-1:] * (width - len(g)) for g in grids], dtype=np.int64)
-    points = xs[:, :, None] + padded  # rows x functions x width
+    members, rows, m = len(family), len(shifts), len(family[0])
+    width = max(len(g) for member in grids for g in member)
+    padded = np.array([[g + g[-1:] * (width - len(g)) for g in member] for member in grids], dtype=np.int64)
+    points = (xs[:, :, None] + padded[:, None]).reshape(members * rows, m, width)
     lo = points[:, :, :1].max(axis=1, keepdims=True)
     hi = points[:, :, -1:].min(axis=1, keepdims=True)
     points.clip(lo, hi, out=points)
-    points = points.reshape(rows, -1)
+    points = points.reshape(members * rows, -1)
     points.sort(axis=1)
     steps = points[:, 1:] - points[:, :-1]
     row, col = np.nonzero(steps)
     length = steps[row, col] / lattice.scale
-    keys = points[row, col] - xs[row].T  # the start of each piece, unshifted, per function
-    # each function's piece, as an index among the values of all functions
-    firsts = accumulate((len(f.values) for f in functions[:-1]), initial=-1)
-    values = np.array([complex(v) for f in functions for v in f.values])
-    parts = values[[np.searchsorted(g, k, side="right") + i for g, k, i in zip(padded, keys, firsts)]]
+    member, at = np.divmod(row, rows)
+    # the start of each piece, unshifted, per function, in its member's band
+    keys = points[row, col] - xs[at].T - low + member * span
+    bands = padded - low + (np.arange(members, dtype=np.int64) * span)[:, None, None]
+    # each function's values padded to the width alike, so that a piece's
+    # value sits one place below the place its start is searched to
+    values = [[[complex(v) for v in f.values] + [0j] * (width - len(f.values)) for f in functions] for functions in family]
+    table = np.array(values, dtype=complex)
+    parts = [table[:, i].ravel()[np.searchsorted(bands[:, i].ravel(), keys[i], side="right") - 1] for i in range(m)]
     re, im = parts[0].real, parts[0].imag
     for part in parts[1:]:
         vr, vi = part.real, part.imag
         re, im = re * vr - im * vi, re * vi + im * vr
-    sums = np.empty(rows, dtype=complex)
-    sums.real = np.bincount(row, re * length - im * 0.0, rows)
-    sums.imag = np.bincount(row, re * 0.0 + im * length, rows)
-    return sums
+    total = members * rows
+    sums = np.empty(total, dtype=complex)
+    sums.real = np.bincount(row, re * length - im * 0.0, total)
+    sums.imag = np.bincount(row, re * 0.0 + im * length, total)
+    return list(sums.reshape(members, rows))
 
 
 def lift(schedule, f: StepFunction, target_stage: int) -> StepFunction:

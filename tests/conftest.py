@@ -39,16 +39,16 @@ def numpy_batches(monkeypatch):
 
 @pytest.fixture()
 def base_rows(monkeypatch):
-    """The base-case tuples of the recursion, counted by route: "array"
-    for those of a frontier that takes the array pass, "product_integral"
-    for each one that product_integral answers alone."""
+    """The base-case tuples of the recursion, counted by route and member:
+    "array" for those of a frontier that takes the family's array pass,
+    "product_integral" for each one that product_integral answers alone."""
     rows = Counter()
     array, scalar = correlate_module.array_integrals, correlate_module.product_integral
 
-    def array_spy(functions, shifts, lattice):
-        values = array(functions, shifts, lattice)
+    def array_spy(family, shifts, lattice):
+        values = array(family, shifts, lattice)
         if values is not None:
-            rows["array"] += len(shifts)
+            rows["array"] += len(family) * len(shifts)
         return values
 
     def scalar_spy(functions, shifts, lattice=None):

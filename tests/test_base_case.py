@@ -9,7 +9,9 @@ counts.  The 2-point engine's base case is ``product_integral`` on
 loop exactly.
 """
 
+import importlib
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import chain
 
@@ -29,9 +31,12 @@ from rank1flow import (
     symmetrize,
     thm44_schedule,
 )
+from rank1flow.experiments import backward_candidates, forward_level_sets
 from rank1flow.scalars import exact
 from rank1flow.schedule import Lattice
 from rank1flow.stepfun import _ARRAY_MIN_ROWS, array_integrals
+
+correlate_module = importlib.import_module("rank1flow.correlate")  # the package exports a function of that name
 
 
 def reference_cross_correlation(f, g, tau):
@@ -286,12 +291,77 @@ def test_array_base_case_equals_product_integral(case):
     """The array pass of a whole base frontier, repr for repr the values of
     product_integral tuple by tuple, signed zeros included."""
     functions, shifts, lattice = case
-    values = array_integrals(functions, shifts, lattice)
+    (values,) = array_integrals([functions], shifts, lattice)
     assert values.dtype == complex
     assert repr(values.tolist()) == repr([product_integral(functions, x, lattice) for x in shifts])
     # the frontier as an int64 array of one row per tuple: the same values
-    stacked = array_integrals(functions, np.array(shifts, dtype=np.int64), lattice)
+    stacked = array_integrals([functions], np.array(shifts, dtype=np.int64), lattice)[0]
     assert repr(stacked.tolist()) == repr(values.tolist())
+
+
+# asym49's stage-2 sets: the unit combs of its backward witnesses (5 to 11
+# pieces) and the seed-0 random level sets of its forward probe (4 pieces)
+ASYM49 = asym49_schedule()
+ASYM49_SETS = [f for _, f in backward_candidates(ASYM49, {})] + forward_level_sets(ASYM49, {"seed": 0, "forward_sets": 3})
+
+
+@st.composite
+def family_frontier(draw):
+    """A family of 1 to 12 members of one arity m = 2, 3 or 4 on one int
+    lattice, each function asym49's stage-2 comb or level set or one of its
+    own with up to 13 pieces, so that the grids differ in width and value
+    count from member to member, value parts among them zeros of either
+    sign; and a frontier of ``_ARRAY_MIN_ROWS`` or more shift tuples, among
+    them the shifts +-h and shifts past every support."""
+    factor, m = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    lattice, quarters = Lattice(4 * factor, False), int(4 * ASYM49.height(2))  # h in quarters
+    part = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.25, 0.1, 3.0])
+
+    def function():
+        if draw(st.booleans()):
+            return draw(st.sampled_from(ASYM49_SETS))
+        top = draw(st.integers(1, quarters))
+        inner = sorted(draw(st.sets(st.integers(1, top - 1), max_size=12))) if top > 1 else []
+        return StepFunction(2, [Fraction(b, 4) for b in (0, *inner, top)], [complex(draw(part), draw(part)) for _ in inner + [top]])
+
+    family = [[function() for _ in range(m)] for _ in range(draw(st.integers(1, 12)))]
+    end = factor * quarters  # h in the lattice's coordinates
+    shift = st.one_of(st.integers(-end - 2, end + 2), st.sampled_from([end, -end, 0, 3 * end, -3 * end]))
+    rows = draw(st.lists(st.tuples(*[shift] * (m - 1)), min_size=_ARRAY_MIN_ROWS, max_size=3 * _ARRAY_MIN_ROWS))
+    return family, [(0, *row) for row in rows], lattice
+
+
+@settings(max_examples=100, deadline=None)
+@given(family_frontier(), st.booleans())
+def test_family_pass_equals_product_integral_per_member(case, stacked):
+    """One array pass for a whole family, as a list of tuples or an int64
+    array of rows: one complex array per member, repr for repr the values
+    of product_integral member by member and tuple by tuple."""
+    family, shifts, lattice = case
+    values = array_integrals(family, np.array(shifts, dtype=np.int64) if stacked else shifts, lattice)
+    assert len(values) == len(family)
+    for functions, vs in zip(family, values):
+        assert vs.dtype == complex and vs.shape == (len(shifts),)
+        assert repr(vs.tolist()) == repr([product_integral(functions, x, lattice) for x in shifts])
+
+
+def test_a_family_whose_bands_pass_int64_keeps_product_integral(base_rows):
+    """Grids of 2**53 - 1 lattice units lie in bands of 2**53 per member,
+    1,024 of which end below 2**63: such a family takes the array pass,
+    and one of 1,025 members keeps product_integral, member by member and
+    tuple by tuple, with the same values."""
+    wide = StepFunction(1, [0, 1, 2**53 - 1], [1 + 0j, -2j])
+    narrow = [StepFunction(1, [0, k, 2 * k + 1], [0.5 + 1j, complex(-0.0, 3)]) for k in (1, 2, 3)]
+    lattice, rows = Lattice(1, False), [(0, k * k - 20) for k in range(_ARRAY_MIN_ROWS)]
+    family = [[wide, narrow[i % 3]] for i in range(1025)]
+    expected = [repr([product_integral(functions, row, lattice) for row in rows]) for functions in family]
+    assert array_integrals(family, rows, lattice) is None
+    assert [repr(vs) for vs in correlate_module._base(family, rows, lattice)] == expected
+    assert base_rows == Counter(product_integral=1025 * len(rows))
+    base_rows.clear()
+    values = correlate_module._base(family[:-1], rows, lattice)
+    assert base_rows == Counter(array=1024 * len(rows))
+    assert [repr(vs.tolist()) for vs in values] == expected[:-1]
 
 
 def test_the_array_pass_needs_exact_floats():
@@ -299,16 +369,16 @@ def test_the_array_pass_needs_exact_floats():
     leaves a frontier to product_integral."""
     f = StepFunction(1, [0, 1, 2], [1 + 0j, 2j])
     rows = [(0, k) for k in range(_ARRAY_MIN_ROWS)]
-    assert array_integrals([f, f], rows, Lattice(1, False)) is not None
-    assert array_integrals([f, f], [*rows, (0, 2**53)], Lattice(1, False)) is None
-    assert array_integrals([f, f], [*rows, (-(2**53), 0)], Lattice(1, False)) is None
+    assert array_integrals([[f, f]], rows, Lattice(1, False))[0] is not None
+    assert array_integrals([[f, f]], [*rows, (0, 2**53)], Lattice(1, False)) is None
+    assert array_integrals([[f, f]], [*rows, (-(2**53), 0)], Lattice(1, False)) is None
     # past int64, a list of rows is an object, uint64 or float64 array, out of range too
     for far in ((0, 2**70), (0, 2**63), (-1, 2**63), (-(2**70), 0)):
-        assert array_integrals([f, f], [*rows, far], Lattice(1, False)) is None
-    assert array_integrals([f, f], np.array(rows, dtype=np.int64), Lattice(1, False)) is not None
+        assert array_integrals([[f, f]], [*rows, far], Lattice(1, False)) is None
+    assert array_integrals([[f, f]], np.array(rows, dtype=np.int64), Lattice(1, False))[0] is not None
     tiny = StepFunction(1, [0, Fraction(1, 3**34), Fraction(2, 3**34)], [1 + 0j, 2j])
     assert tiny.on_lattice(Lattice(3**34, False)) == [0, 1, 2]
-    assert array_integrals([tiny, tiny], rows, Lattice(3**34, False)) is None
+    assert array_integrals([[tiny, tiny]], rows, Lattice(3**34, False)) is None
 
 
 def test_float_shifts_enter_at_their_exact_value():

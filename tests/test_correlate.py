@@ -965,6 +965,54 @@ def test_base_frontiers_that_keep_product_integral(base_rows, passes, case):
     assert_depth_first(corr, *passes[-1])
 
 
+# the op of the benchmark's asym49-triple workload at seed 0
+TRIPLE_OP = {"schedule": {"kind": "asym49", "params": {}}, "stage_count": 4, "forward_sets": 3, "seed": 0}
+
+
+def test_the_triple_op_reaches_each_coordinate_once_per_step(monkeypatch):
+    """On the triple-asymmetry op, each m-tuple step builds the copy
+    windows of each distinct coordinate of its batch once, or on an
+    equally spaced stage its closed-form range, though the batches repeat
+    coordinates."""
+    steps, taken = [], schedule_module.tuple_overlaps
+
+    def step_spy(stage, shifts):
+        steps.append((stage.period is None, list(itertools.chain.from_iterable(shifts)), Counter()))
+        return taken(stage, shifts)
+
+    monkeypatch.setattr(schedule_module, "tuple_overlaps", step_spy)
+    for name in ("copy_windows", "_periodic_deltas"):
+        original = getattr(schedule_module, name)
+
+        def spy(stage, shift, *rest, original=original, name=name):
+            steps[-1][2][name, shift] += 1
+            return original(stage, shift, *rest)
+
+        monkeypatch.setattr(schedule_module, name, spy)
+    run_experiment("triple-asymmetry", dict(TRIPLE_OP))
+    assert len(steps) == 14 and {windows for windows, _, _ in steps} == {True, False}
+    assert sum(len(coordinates) - len(set(coordinates)) for _, coordinates, _ in steps) > 100
+    for windows, coordinates, reached in steps:
+        route = "copy_windows" if windows else "_periodic_deltas"
+        assert reached == Counter({(route, x): 1 for x in coordinates})
+
+
+def test_the_triple_op_takes_one_array_pass_per_base_frontier(monkeypatch, passes):
+    """On the triple-asymmetry op, the forward sets (3 members) and the
+    backward combs (9 members) each reach one base frontier, and each
+    frontier is one array pass for its whole family."""
+    members, array = [], correlate_module.array_integrals
+
+    def spy(family, shifts, lattice):
+        members.append(len(family))
+        return array(family, shifts, lattice)
+
+    monkeypatch.setattr(correlate_module, "array_integrals", spy)
+    run_experiment("triple-asymmetry", dict(TRIPLE_OP))
+    assert members == [3, 9]
+    assert [len(values) for _, levels in passes for n, (_, values) in levels.items() if n == 2] == members
+
+
 def result_reprs(results) -> list:
     return [(repr(r.value), repr(r.error_bound), r.stage_used) for r in results]
 

@@ -168,6 +168,83 @@ def test_schedule_takes_the_tuple_steps(key):
             assert Counter(chain.from_iterable(copy_windows(view, x))) == Counter(dict(per_shift(sched.overlaps(2, [x], lattice))[0]))
 
 
+# (schedule, stage, on a Q(sqrt 2) lattice): asym49's stage 1 has no period
+# and its stage 2 has one; thm44's stage 2 is on (a, b) pairs
+TUPLE_STAGES = [(("asym49", "rational"), n, pairs) for n in (1, 2) for pairs in (False, True)]
+TUPLE_STAGES += [(("asym49", "sqrt2"), 1, True), (("thm44", "sqrt2"), 2, True)]
+TUPLE_IDS = [f"{name}-{mode}-{n}-{'pairs' if pairs else 'ints'}" for (name, mode), n, pairs in TUPLE_STAGES]
+
+
+def repeating_tuples(stage, lattice):
+    """The coordinates of a few shifts of *stage* on *lattice*, some with
+    deltas and some with none, to draw repeating shift tuples from."""
+    h, offs = stage.h, stage.offsets
+    shifts = (0 * h, offs[1] - offs[0], offs[0] - offs[-1], offs[-1] - offs[0], h / 3, -h / 2, 2 * h)
+    return list(dict.fromkeys(lattice.encode(x) for x in shifts))
+
+
+def reaching(monkeypatch, reached: Counter):
+    """Count each (route, coordinate) that the m-point step reaches: the
+    copy windows, or the closed-form range of an equally spaced stage."""
+    for name in ("copy_windows", "_periodic_deltas"):
+        original = getattr(schedule_module, name)
+
+        def spy(stage, shift, *rest, original=original, name=name):
+            reached[name, shift] += 1
+            return original(stage, shift, *rest)
+
+        monkeypatch.setattr(schedule_module, name, spy)
+
+
+@pytest.mark.parametrize("key, n, pairs", TUPLE_STAGES, ids=TUPLE_IDS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_tuple_step_reaches_each_distinct_coordinate_once(key, n, pairs, data):
+    """Batches of m = 3 and 4 whose tuples repeat coordinates, within a
+    tuple and across tuples: the step equals the per-tuple sweep
+    (``reference_tuple_step``, on the same offsets with no period for an
+    equally spaced stage), order included, and each distinct coordinate's
+    windows or range are built once."""
+    stage = SCHEDULES[key].stage(n)
+    lattice = Lattice(6 * stage.denominator, pairs)
+    view, coordinates = stage.on_lattice(lattice), repeating_tuples(stage, lattice)
+    arity = data.draw(st.integers(2, 3))
+    xs = data.draw(st.lists(st.tuples(*[st.sampled_from(coordinates)] * arity), min_size=1, max_size=12))
+    reached = Counter()
+    with pytest.MonkeyPatch.context() as patched:
+        reaching(patched, reached)
+        steps = tuple_overlaps(view, xs)
+    route = "copy_windows" if view.period is None else "_periodic_deltas"
+    assert reached == Counter({(route, x): 1 for x in chain.from_iterable(xs)})
+    swept = view._replace(period=None)
+    assert [list(step) for step in steps] == [reference_tuple_step(swept, x) for x in xs]
+
+
+@pytest.mark.parametrize("key, n, pairs", TUPLE_STAGES, ids=TUPLE_IDS)
+def test_tuple_guard_is_raised_at_the_same_tuple(monkeypatch, key, n, pairs):
+    """With ``GUARD`` below the largest steps of a batch of repeating
+    tuples, ordered by step size: the tuples before the first larger step
+    are answered, and the batch raises at that tuple, with the guard's
+    message, having counted no step after it."""
+    stage = SCHEDULES[key].stage(n)
+    lattice = Lattice(6 * stage.denominator, pairs)
+    view, coordinates = stage.on_lattice(lattice), repeating_tuples(stage, lattice)
+    swept = view._replace(period=None)
+    xs = sorted(product(coordinates, repeat=2), key=lambda x: len(reference_tuple_step(swept, x)))
+    sizes = [len(reference_tuple_step(swept, x)) for x in xs]
+    guard = sorted(set(sizes))[-2]
+    first = next(i for i, size in enumerate(sizes) if size > guard)
+    assert first > 0
+    monkeypatch.setattr(schedule_module, "GUARD", guard)
+    assert [list(step) for step in tuple_overlaps(view, xs[:first])] == [reference_tuple_step(swept, x) for x in xs[:first]]
+    route = "_count_elements" if view.period is None else "_periodic_tuples"
+    counted, original = [], getattr(schedule_module, route)
+    monkeypatch.setattr(schedule_module, route, lambda *args: counted.append(1) or original(*args))
+    with pytest.raises(ResourceError, match=rf"^m-tuple delta blowup at stage {n}: more than {guard} delta vectors$"):
+        tuple_overlaps(view, xs)
+    assert len(counted) == first + 1
+
+
 def uneven(r, h1=1):
     """A rational schedule with spacers 0, 1, 0, 1, ...: its offsets are not
     equally spaced, so its stages take the sweep, not the closed form."""

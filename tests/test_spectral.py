@@ -307,6 +307,35 @@ def test_horner_density_is_within_its_rounding_bound_on_an_engine_curve():
     assert_within_rounding_bound(_curve_for_spec(spec)(), {"lam_max": 4.0, "grid_size": 401})
 
 
+def polyval_density(curve, lam_max, grid_size, taper_width):
+    """The density of :func:`bochner_density` with its polynomial
+    evaluated by ``np.polyval``, the same taper, clip and mass rule."""
+    n = len(curve.times) // 2
+    c, w = curve.values, np.exp(-(curve.times[n:] ** 2) / (2.0 * taper_width**2))
+    a = w * (c[n:] + np.conjugate(c[n::-1]))
+    a[0] = w[0] * c[n]
+    freqs = np.linspace(-lam_max, lam_max, grid_size)
+    density = np.clip(curve.dt * np.real(np.polyval(a[::-1], np.exp(-2j * np.pi * curve.dt * freqs))), 0.0, None)
+    mass, c0 = float(trapezoid(density, freqs)), float(np.real(c[n]))
+    if mass > 0 and c0 > 0:
+        density *= c0 / mass
+    return density
+
+
+@pytest.mark.parametrize("name", [*CLI_CURVES, "engine"])
+def test_horner_in_place_keeps_the_bytes_of_polyval(name):
+    """The in-place Horner loop does polyval's own operations, y = y * z
+    + a_i from y = 0: the density's bytes are polyval's."""
+    if name == "engine":
+        spec, estimate = {"schedule": {"kind": "asym49", "params": {}}, "dt": 0.05, "t_max": 4, "seed": 1}, {"lam_max": 4.0, "grid_size": 401}
+    else:
+        spec = CLI_CURVES[name]
+        estimate = _estimate_entries(spec)
+    curve = _curve_for_spec(spec)()
+    est = bochner_density(curve, **estimate)
+    assert est.density.tobytes() == polyval_density(curve, estimate["lam_max"], len(est.freqs), est.taper_width).tobytes()
+
+
 @pytest.mark.parametrize("times", [[0.0, 0.5, 1.0], [-0.5, 0.0, 0.5, 1.0], [-1.0, 0.1, 1.0]])
 def test_transform_needs_times_symmetric_about_zero(times):
     curve = AutocorrCurve(dt=0.5, times=times, values=np.ones(len(times)), bounds=np.zeros(len(times)))
