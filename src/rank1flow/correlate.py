@@ -22,17 +22,26 @@ One recursion, :class:`MCorrelator`, serves every arity: the m-point
 correlation runs it on tuples of shifts, one per function after the
 first, and :class:`Correlator` is its m = 2 case on (f, conj g) at times
 (t, 0).  It runs on the integer lattice of :mod:`rank1flow.schedule`.
-A query takes each time through :func:`~rank1flow.scalars.exact` once
-(a float enters at its exact binary value) and encodes it once, on the
-smallest lattice that holds the query's times and the functions'
-breakpoints (:meth:`Lattice.holding`).  The shifts, |t|, the stage pick
-(:func:`pick_stage`) and the bound's float |t| (:meth:`Lattice.to_float`)
-read those coordinates, with no scalar arithmetic per time.  The
-query's lattice also holds stages k..N, and the shifts are rescaled to
-it once.  On it, memo keys, the |tau| < h_n test and the deltas are ints
-(x = A/D) or int pairs (x = (A + B*sqrt 2)/D), and the base case takes
-the shifts in the same coordinates as the functions' breakpoint grids:
-nothing is decoded on the query path.
+A query of :meth:`~MCorrelator.at` takes each time through
+:func:`~rank1flow.scalars.exact` once (a float enters at its exact binary
+value) and encodes it once, on the smallest lattice that holds the
+query's times and the functions' breakpoints (:meth:`Lattice.holding`);
+:meth:`Correlator.sample` takes the times as their coordinates already,
+ints T on a scale D, as a curve's grid i*p/q comes.  The shifts, |t|,
+the stage pick (:func:`pick_stage`) and the bound's float |t| read those
+coordinates, with no scalar arithmetic per time.  At m = 2, a batch of
+``_ARRAY_MIN_TIMES`` times or more on an int lattice, its coordinates
+below 2**53, holds them in int64 arrays: the stage pick is one
+``np.searchsorted``, |x| < h_N one comparison, each working stage's keys
+one ``np.unique`` whose inverse places each time's value, and the values
+times w_N and the bounds are arrays, bit for bit those of the per-time
+loop that every other batch takes, which returns lists.  ``at`` wraps
+either into :class:`CorrelationResult` lists; ``sample`` hands out
+arrays.  The query's lattice also holds stages k..N, and the shifts are
+rescaled to it once.  On it, memo keys, the |tau| < h_n test and the
+deltas are ints (x = A/D) or int pairs (x = (A + B*sqrt 2)/D), and the
+base case takes the shifts in the same coordinates as the functions'
+breakpoint grids: nothing is decoded on the query path.
 
 A query is a batch of times, and the recursion is evaluated for the
 whole batch in one level-synchronous pass, not depth first; the memos
@@ -95,10 +104,16 @@ from . import schedule as geometry  # for GUARD, read at call time
 from .errors import RangeError, ResourceError
 from .scalars import Scalar, Sqrt2, exact, sqrt2_floordiv, sqrt2_sign, sqrt2_sorted, to_float
 from .schedule import Lattice, Schedule, difference, magnitude, within
-from .stepfun import StepFunction, array_integrals, product_integral
+from .stepfun import _FLOAT_EXACT, StepFunction, array_integrals, product_integral
 
 STAGE_MARGIN = 4
 MAX_STAGE = 64  # the deepest stage pick_stage looks at
+# A batch of Correlator times on an int lattice is kept in NumPy from
+# _ARRAY_MIN_TIMES times up (MCorrelator._arrays).  Its bookkeeping costs
+# some 40-70 us whatever its size; measured on asym49 and staircase
+# families of 2 pairs, the per-time loop is faster up to 24-32 times, the
+# arrays 5% faster at 48 and 20% at 128 (the whole call).
+_ARRAY_MIN_TIMES = 32
 
 
 @dataclass
@@ -132,12 +147,19 @@ def pick_stage(schedule: Schedule, k: int, t_abs: Sequence, lattice: Lattice | N
     On a pair lattice it is the integer form (P, Q, e) of
     u_N D = (P + Q sqrt 2)/e, and u_N < (a + b sqrt 2)/D is the sign of
     (a e - P) + (b e - Q) sqrt 2, as :func:`within` decides.  The first
-    time past MAX_STAGE raises, naming its |t|."""
+    time past MAX_STAGE raises, naming its |t|.
+
+    *t_abs* may also be an int64 array of coordinates below 2**53 on an
+    int lattice.  Then the thresholds are built as for its largest |t|,
+    the same ones the times would build one by one, and the stages are
+    one ``np.searchsorted`` of the array in them, an int64 array.  The
+    thresholds are searched clipped to [-1, 2**53], which keeps the
+    answer of u < T for every T in [0, 2**53)."""
     if lattice is None:
         t_abs = [exact(t) for t in t_abs]
         lattice = Lattice.holding(t_abs)
         t_abs = [lattice.encode(t) for t in t_abs]
-    if t_abs and k > MAX_STAGE:
+    if len(t_abs) and k > MAX_STAGE:
         raise RangeError(f"the functions' stage {k} is past MAX_STAGE = {MAX_STAGE}: no working stage can be picked")
 
     def threshold(n: int):
@@ -157,15 +179,30 @@ def pick_stage(schedule: Schedule, k: int, t_abs: Sequence, lattice: Lattice | N
             return bisect_left(thresholds, True, key=lambda u: not below(u, x))
     else:
         below, place = lt, partial(bisect_left, thresholds)
-    for x in t_abs:
+
+    def stage_of(x) -> int:
         n = k + place(x)
         while n == k + len(thresholds) and n <= MAX_STAGE:
             thresholds.append(threshold(n))
             if not below(thresholds[-1], x):
                 break
             n += 1
+        return n
+
+    def out_of_range(x) -> RangeError:
+        return RangeError(f"|t| = {to_float(lattice.decode(x), '|t|'):g} out of range: no stage up to {MAX_STAGE} is tall enough")
+
+    if type(t_abs) is np.ndarray:
+        top = stage_of(int(t_abs.max())) if len(t_abs) else k
+        searched = np.array([min(max(u, -1), _FLOAT_EXACT) for u in thresholds], dtype=np.int64)
+        ns = k + np.searchsorted(searched, t_abs)
+        if top > MAX_STAGE:  # the first time past it, as one by one
+            raise out_of_range(int(t_abs[ns > MAX_STAGE][0]))
+        return ns
+    for x in t_abs:
+        n = stage_of(x)
         if n > MAX_STAGE:
-            raise RangeError(f"|t| = {to_float(lattice.decode(x), '|t|'):g} out of range: no stage up to {MAX_STAGE} is tall enough")
+            raise out_of_range(x)
         ns.append(n)
     return ns
 
@@ -203,20 +240,30 @@ class MCorrelator:
         self._pair = len(family[0]) == 2
         self._step = schedule.overlaps if self._pair else schedule.tuple_overlaps
 
-    def _correlation(self, shifts: list, t_abs: list, coarse: Lattice, stage: int | None) -> list:
+    def _correlation(self, shifts, t_abs, coarse: Lattice, stage: int | None) -> tuple:
         """w_N * B_N for each member at each query of a batch, at its shifts
         (one per function after the first), with the bound for times up to
         its |t| in *t_abs*; B_N is 0 when a shift is outside |x| < h_N.
-        Shifts and |t| are coordinates on *coarse*, the lattice of the
-        batch's times and the members' breakpoints.  One list of results
-        per member, in query order.
+        Shifts and |t| are coordinates on *coarse*, a lattice that holds
+        the batch's times: lists, a tuple of shifts per query, or, for the
+        array batch of :meth:`Correlator.sample` at m = 2, int64 arrays of
+        the one shift and of |t|, below 2**53 on an int *coarse* of scale
+        below 2**53.  Returns the values and the bounds, one row per
+        member, in query order, and the working stages: arrays from
+        :meth:`_arrays`, and lists of Python scalars from :meth:`_loop`,
+        whose small batches would pay more for arrays than for the
+        bookkeeping itself; :meth:`Correlator.sample` hands out arrays.
 
         Every working stage is picked on those coordinates before any step
-        is taken.  The call's lattice also holds stages k..N; the shifts
-        are rescaled to it once, and one pass of :meth:`_B` on it computes
-        every B_N the batch needs.  The bound's float |t| is read off the
-        coordinates (:meth:`Lattice.to_float`): no time is decoded."""
+        is taken.  The call's lattice also holds the members' breakpoints
+        and stages k..N; the shifts are rescaled to it once, and one pass of
+        :meth:`_B` on it computes every B_N the batch needs.  The bound's
+        float |t| is read off the coordinates: no time is decoded.  An array
+        batch stays in NumPy (:meth:`_arrays`) unless the call's lattice is
+        a Q(sqrt 2) one or holds a shift at or past 2**53; that batch and a
+        list batch take the per-time loop (:meth:`_loop`)."""
         sched = self.schedule
+        batch = type(t_abs) is np.ndarray
         if stage is None:
             ns = pick_stage(sched, self.k, t_abs, coarse)
         elif stage < self.k:
@@ -224,44 +271,95 @@ class MCorrelator:
         elif stage > MAX_STAGE:
             raise RangeError(f"stage {stage} is past MAX_STAGE = {MAX_STAGE}")
         else:
-            ns = [stage] * len(shifts)
-        results = [[] for _ in self.family]
-        if not ns:
-            return results
-        lattice = Lattice.holding((), coarse, *(sched.stage(m).lattice for m in range(self.k, max(ns) + 1)))
+            ns = np.full(len(t_abs), stage) if batch else [stage] * len(shifts)
+        if not len(ns):
+            return np.empty((len(self.family), 0), complex), np.empty((len(self.family), 0)), np.empty(0, np.int64)
+        top = int(ns.max()) if batch else max(ns)
+        lattice = Lattice.holding((), coarse, self._lattice, *(sched.stage(m).lattice for m in range(self.k, top + 1)))
+        ratio = lattice.scale // coarse.scale
+        if batch and (lattice.sqrt2 or int(t_abs.max()) * ratio >= _FLOAT_EXACT):
+            batch, shifts, t_abs, ns = False, [(x,) for x in shifts.tolist()], t_abs.tolist(), ns.tolist()
+        if batch:
+            return self._arrays(shifts * ratio, t_abs, ns, coarse, lattice)
+        return self._loop(shifts, t_abs, ns, coarse, lattice)
+
+    def _loop(self, shifts: list, t_abs: list, ns: list, coarse: Lattice, lattice: Lattice) -> tuple:
+        """:meth:`_correlation` one time after another, on Python scalars:
+        each shift tuple is rescaled to *lattice* and tested against h_N,
+        each distinct key of a working stage is wanted once (its slot, its
+        place in order among them, kept per time), and each value and
+        bound is a Python product, in one list per member."""
+        sched = self.schedule
         if lattice != coarse:
             shifts = [tuple(lattice.recode(x, coarse) for x in query) for query in shifts]
         heights = {n: lattice.encode(sched.stage(n).h) for n in set(ns)}
-        keys, wanted = [], defaultdict(dict)  # wanted: n -> {key of B_n: its place in level n}
+        slots, wanted = [], defaultdict(dict)  # wanted: n -> {key of B_n: its slot}, then the slots' places
         for n, xs in zip(ns, shifts):
-            key = None
+            slot = None
             if all(within(x, heights[n]) for x in xs):
-                key = xs[0] if self._pair else xs
-                wanted[n][key] = None
-            keys.append(key)
+                keys = wanted[n]
+                slot = keys.setdefault(xs[0] if self._pair else xs, len(keys))
+            slots.append(slot)
         levels, working = self._B(wanted, lattice), {}  # working: n -> (w_N, B_N per member as a list)
-        for n, key, t in zip(ns, keys, t_abs):
+        values, bounds = [[] for _ in self.family], [[] for _ in self.family]
+        for n, slot, t in zip(ns, slots, t_abs):
             if n not in working:
-                level = [_python(vs) for vs in levels[n][1]] if n in wanted else [None] * len(results)
+                level = [_python(vs) for vs in levels[n][1]] if n in wanted else [None] * len(values)
                 working[n] = to_float(sched.width(n), f"w_{n}"), level
             (w_n, level), t = working[n], coarse.to_float(t, "|t|")
-            place = None if key is None else wanted[n][key]
-            for vs, norm, out in zip(level, self._norms, results):
-                value = 0j if place is None else vs[place]
-                out.append(CorrelationResult(value=value * w_n, error_bound=self._bound(norm, t, w_n), stage_used=n))
-        return results
+            place = None if slot is None else wanted[n][slot]
+            for vs, norm, out, bound in zip(level, self._norms, values, bounds):
+                out.append((0j if place is None else vs[place]) * w_n)
+                bound.append(self._bound(norm, t, w_n))
+        return values, bounds, ns
+
+    def _arrays(self, shifts: np.ndarray, t_abs: np.ndarray, ns: np.ndarray, coarse: Lattice, lattice: Lattice) -> tuple:
+        """:meth:`_correlation` of an array batch in NumPy, with the loop's
+        values bit for bit: |x| < h_N is one comparison, against each
+        time's h_N on *lattice* (searched clipped to 2**53); each working
+        stage wants the distinct keys of its times (``np.unique``), and
+        each time's value is gathered from its level by the key's place,
+        found through the inverse.  NumPy multiplies a complex by a float
+        as Python does, as (a + b i)(w + 0 i); |t| is T/D, a float64
+        division of two exact floats, so correctly rounded as the loop's.
+        Each w_N is checked, in the order the working stages first occur,
+        after the pass of :meth:`_B`."""
+        sched = self.schedule
+        low, high = int(ns.min()), int(ns.max())
+        heights = np.array([min(lattice.encode(sched.stage(n).h), _FLOAT_EXACT) for n in range(low, high + 1)], dtype=np.int64)
+        inside = np.abs(shifts) < heights[ns - low]
+        wanted, slots, first = {}, {}, {}  # slots: n -> (the times of stage n inside, their slots among its keys)
+        for n in [low] if low == high else np.unique(ns).tolist():
+            times = np.flatnonzero(ns == n)
+            first[n] = times[0]
+            times = times[inside[times]]
+            if len(times):
+                wanted[n], inverse = np.unique(shifts[times], return_inverse=True)
+                slots[n] = times, inverse
+        levels = self._B(wanted, lattice)
+        raw = np.zeros((len(self.family), len(ns)), complex)
+        for n, (times, inverse) in slots.items():
+            places = np.asarray(wanted[n])[inverse]
+            for out, vs in zip(raw, levels[n][1]):
+                out[times] = np.asarray(vs, dtype=complex)[places]
+        widths = np.zeros(high - low + 1)
+        for n in sorted(first, key=first.get):
+            widths[n - low] = to_float(sched.width(n), f"w_{n}")
+        w, t = widths[ns - low], t_abs / coarse.scale
+        return raw * w, self._bound(np.array(self._norms)[:, None], t, w), ns
 
     def _B(self, wanted: dict, lattice: Lattice) -> dict:
         """The levels of a call, n -> (frontier, values): the distinct keys
         of stage n on *lattice* and, per member, B_n at each of them in
-        frontier order, from one level-synchronous pass; each key of
-        wanted[n] (the keys of the working stage n) gets its place in the
-        frontier as its value.  Top down, from the highest working stage
-        to k, each stage's frontier is the distinct deltas of the step
-        above (an array step's keys as they are) followed by the wanted
-        keys not among them (:func:`_merged`), and its step is taken at
-        once for the whole frontier, and stage k's base case too, for the
-        whole family (:func:`_base`), one array or list of values per
+        frontier order, from one level-synchronous pass.  wanted[n] holds
+        the distinct keys of the working stage n (a dict's keys or an int64
+        array), and is replaced by their places in the frontier, in the
+        same order (a list or an int64 array).  Top down, from the highest
+        working stage to k, each stage's frontier is the distinct deltas of
+        the step above (an array step's keys as they are) followed by the
+        wanted keys not among them (:func:`_merged`), and its step is taken
+        at once for the whole frontier, and stage k's base case too, for
+        the whole family (:func:`_base`), one array or list of values per
         member.  Bottom up, each member sums each new value over its step
         in the step's order, as a depth-first recursion would: by
         :func:`_row_sums` for an array step, by :func:`_list_sums` for a
@@ -273,7 +371,7 @@ class MCorrelator:
         size, steps, xs = 0, [], []
         while True:
             if n in wanted:
-                xs = _merged(xs, wanted[n])
+                xs, wanted[n] = _merged(xs, wanted[n])
             if len(xs):
                 size += len(xs)
                 if size > guard:
@@ -326,27 +424,26 @@ class MCorrelator:
             xs = [lattice.encode(t) for t in query]
             shifts.append(tuple(difference(x, xs[0]) for x in xs[1:]))
             t_abs.append(largest(map(magnitude, xs)))
-        return self._correlation(shifts, t_abs, lattice, stage)
+        return _results(*self._correlation(shifts, t_abs, lattice, stage))
 
 
-def _merged(xs, wanted: dict):
-    """The frontier *xs* followed by the keys of *wanted* not in it, each
-    key's place in the result stored as its value in *wanted*.  An array
-    frontier (an array step's keys, increasing) stays an int64 array, in
-    which ``searchsorted`` finds the keys; a list stays a list."""
+def _merged(xs, keys) -> tuple:
+    """The frontier *xs* followed by the distinct *keys* (a dict's keys, a
+    list or an int64 array) not in it, and each key's place in it, in the
+    keys' order.  An array frontier (an array step's keys, increasing)
+    stays an int64 array, in which ``searchsorted`` finds the keys, and
+    the places are an int64 array; a list stays a list of Python ints,
+    the places a list, and array keys joining it come as Python ints."""
     if type(xs) is np.ndarray:
-        keys = np.fromiter(wanted, np.int64, len(wanted))
+        keys = keys if type(keys) is np.ndarray else np.fromiter(keys, np.int64, len(keys))
         at = np.searchsorted(xs, keys)
         new = at == len(xs)
         new[~new] = xs[at[~new]] != keys[~new]
         at[new] = np.arange(len(xs), len(xs) + np.count_nonzero(new))
-        for key, place in zip(wanted, at.tolist()):
-            wanted[key] = place
-        return np.concatenate((xs, keys[new]))
+        return np.concatenate((xs, keys[new])), at
     places = dict(zip(xs, range(len(xs))))
-    for key in wanted:
-        wanted[key] = places.setdefault(key, len(places))
-    return list(places)
+    at = [places.setdefault(key, len(places)) for key in _python(keys)]
+    return list(places), at
 
 
 def _base(family: list, rows, lattice: Lattice) -> list:
@@ -411,13 +508,47 @@ class Correlator(MCorrelator):
     def at(self, times: Sequence[Scalar], stage: int | None = None) -> list:
         """One list per pair of one :class:`CorrelationResult` per time t
         of *times*, in order, from one pass over the batch (see
-        :meth:`MCorrelator.at`): each t is encoded once, and its shift is
-        -t, its |t| the magnitude of its coordinates."""
+        :meth:`MCorrelator.at`): each t is made exact once and encoded
+        once, on the lattice of the batch's times and the members'
+        breakpoints, and answered as by :meth:`sample`."""
         times = [exact(t) for t in times]
         lattice = Lattice.holding(times, self._lattice)
-        xs = [lattice.encode(t) for t in times]
+        return _results(*self._sampled([lattice.encode(t) for t in times], lattice, stage))
+
+    def sample(self, coordinates: Sequence[int], scale: int, stage: int | None = None) -> tuple:
+        """The correlations at the times T/scale, T in *coordinates* (ints),
+        as arrays: the values and the bounds, one row per pair, in order,
+        and the working stages.  A curve's grid i*p/q is handed over as its
+        ints i*p on scale q, with no scalar built per time."""
+        values, bounds, ns = self._sampled(coordinates, Lattice(scale, False), stage)
+        return np.asarray(values, complex), np.asarray(bounds, float), np.asarray(ns, np.int64)
+
+    def _sampled(self, xs: Sequence, lattice: Lattice, stage: int | None) -> tuple:
+        """:meth:`MCorrelator._correlation` at the times of coordinates *xs*
+        on *lattice*: shift -x and |t| = |x| each.  A batch of at least
+        ``_ARRAY_MIN_TIMES`` ints on an int lattice, all below 2**53 and
+        the scale too, goes in as int64 arrays; any other goes in as lists."""
+        if (
+            len(xs) >= _ARRAY_MIN_TIMES
+            and not lattice.sqrt2
+            and lattice.scale < _FLOAT_EXACT
+            and -_FLOAT_EXACT < min(xs)
+            and max(xs) < _FLOAT_EXACT
+        ):
+            ts = np.array(xs, dtype=np.int64)
+            return self._correlation(-ts, np.abs(ts), lattice, stage)
         zero = lattice.encode(0)
         return self._correlation([(difference(zero, x),) for x in xs], list(map(magnitude, xs)), lattice, stage)
+
+
+def _results(values, bounds, ns) -> list:
+    """The answer of :meth:`MCorrelator._correlation`, arrays or lists, as
+    one list of :class:`CorrelationResult` per member, in Python scalars."""
+    ns = _python(ns)
+    return [
+        [CorrelationResult(value=v, error_bound=b, stage_used=n) for v, b, n in zip(vs, bs, ns)]
+        for vs, bs in zip(_python(values), _python(bounds))
+    ]
 
 
 def correlate(

@@ -34,7 +34,7 @@ from . import schedule as geometry  # for GUARD, read at call time
 from .correlate import Correlator
 from .errors import ConfigurationError, DegenerateInputError, ResourceError
 from .schedule import Schedule
-from .stepfun import StepFunction
+from .stepfun import _FLOAT_EXACT, StepFunction
 
 
 @dataclass
@@ -74,11 +74,19 @@ def sample_count(t_max, dt) -> int:
     *t_max*; a curve needs a time besides 0.  Its n + 1 times from 0 are
     the memo keys of one engine query on a schedule curve, so
     ``schedule.GUARD`` bounds them, on both kinds of curve, before any
-    time is built."""
+    time is built.  An exact dt past float range either way is refused
+    by name: one that rounds to 0.0 would divide by zero, and one past
+    the largest float has no float to print."""
     try:
-        n = int(round(float(t_max) / float(dt)))
+        step = float(dt)
     except OverflowError:
-        raise ConfigurationError(f"spec entries 't_max' = {t_max} and 'dt' = {float(dt)}: t_max/dt is past float range") from None
+        raise ConfigurationError("spec entry 'dt' is past float range") from None
+    if not step and dt:
+        raise ConfigurationError(f"spec entry 'dt' rounds to 0.0: t_max/dt with 't_max' = {t_max} is past float range")
+    try:
+        n = int(round(float(t_max) / step))
+    except OverflowError:
+        raise ConfigurationError(f"spec entries 't_max' = {t_max} and 'dt' = {step}: t_max/dt is past float range") from None
     if n < 1:
         raise ConfigurationError(
             f"spec entry 't_max' = {t_max} must exceed half of 'dt' = {float(dt)}: the curve has no time but 0"
@@ -95,19 +103,25 @@ def autocorr_curve(schedule: Schedule, f: StepFunction, dt, t_max) -> AutocorrCu
     """Sample <U_T(t_i) f, f> on the uniform grid t_i = i * dt,
     |t_i| <= t_max (:func:`sample_count`).  The engine is queried at
     i = 0..n, in one batch; the value at -t_i is the conjugate of the one
-    at t_i, with the same bound."""
+    at t_i, with the same bound.  A ``Fraction`` dt = p/q hands the engine
+    the grid's ints i*p on scale q (:meth:`Correlator.sample`) and reads
+    arrays back; a float dt queries the products i*dt."""
     n = sample_count(t_max, dt)
+    correlator = Correlator(schedule, [(f, f)])
     if type(dt) is Fraction:  # i*dt = (i*p)/q, and its float the correctly rounded int division
         p, q = dt.numerator, dt.denominator
-        ts = [Fraction(i * p, q) for i in range(n + 1)]
-        times = [i * p / q for i in range(n + 1)]
+        (values,), (bounds,), _ = correlator.sample(range(0, (n + 1) * p, p), q)
+        if abs(n * p) < _FLOAT_EXACT and q < _FLOAT_EXACT:  # exact operands: the float division rounds the same
+            times = np.arange(n + 1) * p / q
+        else:
+            times = np.array([i * p / q for i in range(n + 1)])
     else:
         ts = [i * dt for i in range(n + 1)]
-        times = [float(t) for t in ts]
-    (half,) = Correlator(schedule, [(f, f)]).at(ts)
-    values = np.array([r.value for r in half], dtype=complex)
-    bounds = np.array([r.error_bound for r in half])
-    times = np.array(times)  # rounding is odd: float(-t) = -float(t)
+        (half,) = correlator.at(ts)
+        values = np.array([r.value for r in half], dtype=complex)
+        bounds = np.array([r.error_bound for r in half])
+        times = np.array([float(t) for t in ts])
+    # rounding is odd: float(-t) = -float(t)
     return AutocorrCurve(
         dt=float(dt),
         times=np.concatenate([-times[:0:-1], times]),

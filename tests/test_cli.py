@@ -415,14 +415,18 @@ OUT_OF_RANGE_CURVES = {
     "ratio-schedule": ({"schedule": FLAT2, "dt": 1e-300, "t_max": 1e300}, "spec entries 't_max' = 1e+300 and 'dt' = 1e-300"),
     "cosine-phase": ({"analytic": {"kind": "cosine", "freqs": [1e308]}, "dt": 0.05, "t_max": 8}, "spec entry 'freqs' = [1e+308]"),
     "grid-size": ({"analytic": {"kind": "gaussian"}, "grid_size": 10000000000000}, "Unable to allocate"),
+    # an exact dt whose float is 0.0, or past the largest float
+    "dt-below-float": ({"schedule": FLAT2, "dt": "1e-400", "t_max": 8}, "spec entry 'dt' rounds to 0.0: t_max/dt with 't_max' = 8.0"),
+    "dt-past-float": ({"schedule": FLAT2, "dt": "1e400", "t_max": 8}, "spec entry 'dt' is past float range"),
 }
 
 
 @pytest.mark.parametrize("spec, named", OUT_OF_RANGE_CURVES.values(), ids=list(OUT_OF_RANGE_CURVES))
 def test_a_curve_past_float_range_or_memory_exits_two(tmp_path, spec, named):
-    result = invoke(["spectrum", "--spec", write_spec(tmp_path, "curve.json", spec), "--out", str(tmp_path / "o")])
-    assert result.exit_code == 2, result.output
-    assert f"error: {named}" in result.output and "Traceback" not in result.output
+    for kind in ("spectrum", "disjointness"):
+        result = invoke([kind, "--spec", write_spec(tmp_path, "curve.json", spec), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert f"error: {named}" in result.output and "Traceback" not in result.output
 
 
 # t_max = 8 and dt = 1/20 on both curve kinds: 161 sample times from 0

@@ -1091,18 +1091,23 @@ def test_array_levels_equal_the_list_path(monkeypatch, passes, case):
 
 def test_wanted_keys_join_a_frontier_once():
     """A stage's wanted keys follow its frontier, each once, and each takes
-    its place in the frontier: found in an array step's keys by
-    ``searchsorted``, or appended; an empty array frontier takes them all."""
+    its place in the frontier, returned in the keys' order: found in an
+    array step's keys by ``searchsorted``, or appended; an empty frontier
+    takes them all.  A list frontier stays a list of Python ints, whatever
+    the keys' kind."""
     merged = correlate_module._merged
-    for xs in (np.array([-4, 0, 3, 9], dtype=np.int64), [9, -4, 0, 3], np.array([], dtype=np.int64), []):
-        wanted = dict.fromkeys([3, 12, -4, -20])
-        frontier = merged(xs, wanted)
-        assert type(frontier) is type(xs)
+    kinds = (dict.fromkeys, list, lambda keys: np.array(keys, dtype=np.int64))
+    for kind, xs in itertools.product(kinds, (np.array([-4, 0, 3, 9], dtype=np.int64), [9, -4, 0, 3], np.array([], dtype=np.int64), [])):
+        wanted = kind([3, 12, -4, -20])
+        frontier, places = merged(xs, wanted)
+        assert type(frontier) is type(xs) and type(places) is type(xs)
         if type(xs) is np.ndarray:
             assert frontier.dtype == np.int64
+        else:
+            assert {type(x) for x in frontier} == {int}
         assert python(frontier)[: len(xs)] == python(xs) and len(set(python(frontier))) == len(frontier)
-        assert all(python(frontier)[place] == key for key, place in wanted.items())
-        assert python(frontier)[len(xs) :] == [key for key in wanted if key not in python(xs)]
+        assert [python(frontier)[place] for place in places] == [3, 12, -4, -20]
+        assert python(frontier)[len(xs) :] == [key for key in [3, 12, -4, -20] if key not in python(xs)]
 
 
 @pytest.fixture()

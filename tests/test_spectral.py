@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 import tracemalloc
@@ -209,10 +210,15 @@ def test_sample_count_stops_at_the_guard(monkeypatch):
         sample_count(8, Fraction(1, 20))
 
 
-@pytest.mark.parametrize("dt, t_max", [(Fraction(1, 20), 16), (Fraction(1, 3), 2), (0.05, 4), (0.3, 3)])
+@pytest.mark.parametrize(
+    "dt, t_max",
+    [(Fraction(1, 20), 16), (Fraction(1, 3), 2), (0.05, 4), (0.3, 3), (Fraction(2**53 + 1, 7), Fraction(8 * (2**53 + 1), 7))],
+)
 def test_curve_times_keep_the_bits_of_each_product(flat3, dt, t_max):
     """The t < 0 half of the times is the negation of the t >= 0 half,
-    bit for bit float(i * dt) at every i, the sign of 0 included."""
+    bit for bit float(i * dt) at every i, the sign of 0 included; past
+    2**53 (i * p for dt = p/7 with p = 2**53 + 1) a float division of
+    float(i * p) would round twice, and seven of the nine times differ."""
     f = random_step_function(1, flat3.height(1), 4, random.Random(1))
     curve = autocorr_curve(flat3, f, dt, t_max)
     n = int(round(float(t_max) / float(dt)))
@@ -220,17 +226,48 @@ def test_curve_times_keep_the_bits_of_each_product(flat3, dt, t_max):
 
 
 def test_half_sweep_queries_each_nonnegative_time_once(monkeypatch, flat3):
-    at, queried = Correlator.at, []
+    sample, queried = Correlator.sample, []
 
-    def counting(self, times, stage=None):
-        queried.extend(times)
-        return at(self, times, stage)
+    def counting(self, coordinates, scale, stage=None):
+        queried.extend(Fraction(x, scale) for x in coordinates)
+        return sample(self, coordinates, scale, stage)
 
-    monkeypatch.setattr(Correlator, "at", counting)
+    monkeypatch.setattr(Correlator, "sample", counting)
     f = random_step_function(1, flat3.height(1), 4, random.Random(2))
     curve = autocorr_curve(flat3, f, Fraction(1, 4), 2)
     assert queried == [i * Fraction(1, 4) for i in range(9)]
     assert len(curve.values) == 17
+
+
+def test_an_exact_curve_builds_no_scalar_or_result_per_time(monkeypatch):
+    """A Fraction-dt curve of 321 times builds no CorrelationResult, and as
+    many Fractions as one of 641 times over the same stages: none per time."""
+    correlate_module = importlib.import_module("rank1flow.correlate")
+    results, built = [], []
+
+    class CountedResult(correlate_module.CorrelationResult):
+        def __post_init__(self):
+            results.append(self)
+
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(None)
+        return new(cls, *args, **kwargs)
+
+    sched = asym49_schedule()
+    f = seeded_family(sched, {"seed": 0}, pair=False)[0]
+    autocorr_curve(sched, f, Fraction(1, 20), 16)  # the stages, built once
+    monkeypatch.setattr(correlate_module, "CorrelationResult", CountedResult)
+    counts = []
+    for dt in (Fraction(1, 20), Fraction(1, 40)):
+        built.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(Fraction, "__new__", counted)
+            curve = autocorr_curve(sched, f, dt, 16)
+        counts.append(len(built))
+        assert len(curve.values) == 2 * 16 / dt + 1
+    assert results == [] and counts[0] == counts[1] < 100
 
 
 def full_transform_density(curve, lam_max, grid_size, taper_width):
