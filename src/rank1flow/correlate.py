@@ -92,7 +92,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain
 from math import prod
 from operator import lt
@@ -139,71 +138,51 @@ def pick_stage(schedule: Schedule, k: int, t_abs: Sequence, lattice: Lattice | N
     *t_abs* holds coordinates on *lattice*; scalars, with no lattice
     given, are first encoded on the smallest one that holds them.  The
     condition reads not u_N < |t| for the thresholds
-    u_N = h_N / STAGE_MARGIN - h_k, which do not decrease with N.  They
-    are built lazily, stage by stage, into one list for the call, in the
-    lattice's terms, so each |t| is one bisection of it with no scalar
-    arithmetic.  On an int lattice of scale D a threshold is the int
-    floor(u_N D): for an int T, u_N < T/D exactly when floor(u_N D) < T.
-    On a pair lattice it is the integer form (P, Q, e) of
-    u_N D = (P + Q sqrt 2)/e, and u_N < (a + b sqrt 2)/D is the sign of
-    (a e - P) + (b e - Q) sqrt 2, as :func:`within` decides.  The first
-    time past MAX_STAGE raises, naming its |t|.
+    u_N = h_N / STAGE_MARGIN - h_k, which do not decrease with N.  Each
+    call builds one table of them, in the lattice's terms, from stage k
+    up to the stage of its largest |t|, and places every |t| in it by
+    bisection, with no scalar arithmetic.  On an int lattice of scale D a
+    threshold is the int floor(u_N D): for an int T, u_N < T/D exactly
+    when floor(u_N D) < T.  On a pair lattice it is the integer form
+    (P, Q, e) of u_N D = (P + Q sqrt 2)/e, and u_N < (a + b sqrt 2)/D is
+    the sign of (a e - P) + (b e - Q) sqrt 2, as :func:`within` decides.
+    The first time past MAX_STAGE raises, naming its |t|.
 
     *t_abs* may also be an int64 array of coordinates below 2**53 on an
-    int lattice.  Then the thresholds are built as for its largest |t|,
-    the same ones the times would build one by one, and the stages are
-    one ``np.searchsorted`` of the array in them, an int64 array.  The
-    thresholds are searched clipped to [-1, 2**53], which keeps the
-    answer of u < T for every T in [0, 2**53)."""
+    int lattice.  Then the stages are one ``np.searchsorted`` of the
+    array in the table, an int64 array.  The thresholds are searched
+    clipped to [-1, 2**53], which keeps the answer of u < T for every T
+    in [0, 2**53)."""
     if lattice is None:
         t_abs = [exact(t) for t in t_abs]
         lattice = Lattice.holding(t_abs)
         t_abs = [lattice.encode(t) for t in t_abs]
     if len(t_abs) and k > MAX_STAGE:
         raise RangeError(f"the functions' stage {k} is past MAX_STAGE = {MAX_STAGE}: no working stage can be picked")
-
-    def threshold(n: int):
-        u = schedule.height(n) / STAGE_MARGIN - schedule.height(k)
-        p, q, e = (u.a, u.b, u.denominator) if type(u) is Sqrt2 else (u.numerator, 0, u.denominator)
-        p, q = p * lattice.scale, q * lattice.scale
-        if lattice.sqrt2:
-            return p, q, e
-        return sqrt2_floordiv(p, q, e, 0) if q else p // e
-
-    thresholds, ns = [], []
     if lattice.sqrt2:
         def below(u, x) -> bool:
             return sqrt2_sign(x[0] * u[2] - u[0], x[1] * u[2] - u[1]) > 0
-
-        def place(x) -> int:
-            return bisect_left(thresholds, True, key=lambda u: not below(u, x))
     else:
-        below, place = lt, partial(bisect_left, thresholds)
-
-    def stage_of(x) -> int:
-        n = k + place(x)
-        while n == k + len(thresholds) and n <= MAX_STAGE:
-            thresholds.append(threshold(n))
-            if not below(thresholds[-1], x):
+        below = lt
+    thresholds = []
+    if len(t_abs):
+        top = int(t_abs.max()) if type(t_abs) is np.ndarray else sqrt2_sorted(t_abs)[-1] if lattice.sqrt2 else max(t_abs)
+        for n in range(k, MAX_STAGE + 1):
+            u = schedule.height(n) / STAGE_MARGIN - schedule.height(k)
+            p, q, e = (u.a, u.b, u.denominator) if type(u) is Sqrt2 else (u.numerator, 0, u.denominator)
+            p, q = p * lattice.scale, q * lattice.scale
+            thresholds.append((p, q, e) if lattice.sqrt2 else sqrt2_floordiv(p, q, e, 0) if q else p // e)
+            if not below(thresholds[-1], top):
                 break
-            n += 1
-        return n
-
-    def out_of_range(x) -> RangeError:
-        return RangeError(f"|t| = {to_float(lattice.decode(x), '|t|'):g} out of range: no stage up to {MAX_STAGE} is tall enough")
-
     if type(t_abs) is np.ndarray:
-        top = stage_of(int(t_abs.max())) if len(t_abs) else k
-        searched = np.array([min(max(u, -1), _FLOAT_EXACT) for u in thresholds], dtype=np.int64)
-        ns = k + np.searchsorted(searched, t_abs)
-        if top > MAX_STAGE:  # the first time past it, as one by one
-            raise out_of_range(int(t_abs[ns > MAX_STAGE][0]))
-        return ns
-    for x in t_abs:
-        n = stage_of(x)
-        if n > MAX_STAGE:
-            raise out_of_range(x)
-        ns.append(n)
+        ns = k + np.searchsorted(np.array([min(max(u, -1), _FLOAT_EXACT) for u in thresholds], dtype=np.int64), t_abs)
+    elif lattice.sqrt2:
+        ns = [k + bisect_left(thresholds, True, key=lambda u: not below(u, x)) for x in t_abs]
+    else:
+        ns = [k + bisect_left(thresholds, x) for x in t_abs]
+    if len(t_abs) and below(thresholds[-1], top):  # the largest |t| is past MAX_STAGE: name the first such
+        x = next(x for x, n in zip(t_abs, ns) if n > MAX_STAGE)
+        raise RangeError(f"|t| = {to_float(lattice.decode(x), '|t|'):g} out of range: no stage up to {MAX_STAGE} is tall enough")
     return ns
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -64,8 +65,10 @@ class SpectralEstimate:
         self.freqs = np.asarray(self.freqs, dtype=float)
         self.density = np.asarray(self.density, dtype=float)
 
-    @property
+    @cached_property
     def total_mass(self) -> float:
+        """The trapezoid integral of the density, taken on first read: an
+        estimate's density is not changed once it is made."""
         return float(_trapezoid(self.density, self.freqs))
 
 
@@ -186,10 +189,14 @@ def bochner_density(
         raise ConfigurationError("taper width must be positive")
     c = curve.values
     w = np.exp(-(times[n:] ** 2) / (2.0 * taper_width**2))
+    if not np.all(np.isfinite(w)):
+        raise ConfigurationError(f"spec entry 'taper_width' = {taper_width}: the taper exp(-t^2 / (2 width^2)) is past float range")
     a = w * (c[n:] + np.conjugate(c[n::-1]))
     a[0] = w[0] * c[n]
     freqs = np.linspace(-lam_max, lam_max, grid_size)
     z = np.exp(-2j * np.pi * curve.dt * freqs)
+    if not np.all(np.isfinite(z)):
+        raise ConfigurationError(f"spec entry 'lam' = {lam_max}: the frequency grid or its phases are past float range")
     total = np.zeros_like(z)  # Horner in place: polyval's y = y * z + a_i, with no temporaries
     for coefficient in a[::-1]:
         total *= z
@@ -215,31 +222,30 @@ def dilate(est: SpectralEstimate, t) -> SpectralEstimate:
         raise ConfigurationError("dilation factor must be positive")
     freqs = est.freqs / t
     density = t * est.density
-    before = est.total_mass
-    out = SpectralEstimate(freqs=freqs, density=density, taper_kind=est.taper_kind, taper_width=est.taper_width)
-    after = out.total_mass
+    if not (np.all(np.isfinite(freqs)) and np.all(np.isfinite(density))):
+        raise ConfigurationError(f"dilation factor {t:g} puts the estimate's grid or density past float range")
+    after = float(_trapezoid(density, freqs))
     if after > 0:
-        out.density *= before / after
-    return out
+        density *= est.total_mass / after
+    return SpectralEstimate(freqs=freqs, density=density, taper_kind=est.taper_kind, taper_width=est.taper_width)
 
 
 def affinity(a: SpectralEstimate, b: SpectralEstimate) -> float:
     """Hellinger affinity sum sqrt(p_i q_i) of the mass-normalized
     estimates on a common grid; 1 iff identical, 0 iff disjointly
-    supported."""
-    ma, mb = a.total_mass, b.total_mass
-    if ma <= 0 or mb <= 0:
-        raise DegenerateInputError("affinity of a zero-mass estimate")
-    if a.freqs.shape == b.freqs.shape and np.array_equal(a.freqs, b.freqs) and np.array_equal(
-        a.density / ma, b.density / mb
-    ):
-        return 1.0
+    supported.  An estimate with no mass on that grid, zero or falling
+    between its points, has no affinity."""
+    if a.freqs.shape == b.freqs.shape and np.array_equal(a.freqs, b.freqs):
+        ma, mb = a.total_mass, b.total_mass
+        if ma > 0 and mb > 0 and np.array_equal(a.density / ma, b.density / mb):
+            return 1.0
     lo = min(a.freqs[0], b.freqs[0])
     hi = max(a.freqs[-1], b.freqs[-1])
     n = max(len(a.freqs), len(b.freqs))
     grid = np.linspace(lo, hi, 2 * n)
     pa = _regrid(a, grid)
     pb = _regrid(b, grid)
-    pa = pa / _trapezoid(pa, grid)
-    pb = pb / _trapezoid(pb, grid)
-    return float(_trapezoid(np.sqrt(pa * pb), grid))
+    ma, mb = _trapezoid(pa, grid), _trapezoid(pb, grid)
+    if not (ma > 0 and mb > 0):
+        raise DegenerateInputError(f"affinity of an estimate with no mass on the common grid of {2 * n} points over [{lo:g}, {hi:g}]")
+    return float(_trapezoid(np.sqrt(pa / ma * (pb / mb)), grid))

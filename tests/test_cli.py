@@ -418,6 +418,10 @@ OUT_OF_RANGE_CURVES = {
     # an exact dt whose float is 0.0, or past the largest float
     "dt-below-float": ({"schedule": FLAT2, "dt": "1e-400", "t_max": 8}, "spec entry 'dt' rounds to 0.0: t_max/dt with 't_max' = 8.0"),
     "dt-past-float": ({"schedule": FLAT2, "dt": "1e400", "t_max": 8}, "spec entry 'dt' is past float range"),
+    # a taper whose 2 width^2 underflows to 0, a frequency grid past float range
+    "taper-1e-300": ({"schedule": FLAT2, "taper_width": 1e-300}, "spec entry 'taper_width' = 1e-300"),
+    "taper-1e-200": ({"analytic": {"kind": "gaussian"}, "taper_width": 1e-200}, "spec entry 'taper_width' = 1e-200"),
+    "lam-1e308": ({"schedule": FLAT2, "lam": 1e308}, "spec entry 'lam' = 1e+308"),
 }
 
 
@@ -427,6 +431,26 @@ def test_a_curve_past_float_range_or_memory_exits_two(tmp_path, spec, named):
         result = invoke([kind, "--spec", write_spec(tmp_path, "curve.json", spec), "--out", str(tmp_path / "o")])
         assert result.exit_code == 2, result.output
         assert f"error: {named}" in result.output and "Traceback" not in result.output
+
+
+# dilations whose grid leaves float range, or whose estimate falls
+# between the points of the grid it shares with the undilated one
+OUT_OF_RANGE_DILATIONS = {
+    "1e-308": "dilation factor 1e-308 puts the estimate's grid or density past float range",
+    "1e-300": "affinity of an estimate with no mass on the common grid of 1602 points over [-4e+300, 4e+300]",
+    "1e308": "affinity of an estimate with no mass on the common grid of 1602 points over [-4, 4]",
+}
+
+
+@pytest.mark.parametrize("dilation, named", OUT_OF_RANGE_DILATIONS.items(), ids=list(OUT_OF_RANGE_DILATIONS))
+def test_a_dilation_past_float_range_exits_two_and_writes_no_report(tmp_path, dilation, named):
+    for curve in ({"schedule": FLAT2}, {"analytic": {"kind": "gaussian"}}):
+        spec = {**curve, "dilations": [float(dilation)]}
+        out = tmp_path / "o"
+        result = invoke(["disjointness", "--spec", write_spec(tmp_path, "curve.json", spec), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert f"error: {named}\n" in result.output and "Traceback" not in result.output
+        assert not out.exists()
 
 
 # t_max = 8 and dt = 1/20 on both curve kinds: 161 sample times from 0

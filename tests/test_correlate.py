@@ -285,12 +285,12 @@ def near_threshold(u, kind: str, refine: int, unit: int, axis: int):
     return Lattice(refine, False), math.floor(u * refine) + unit
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(
     name=st.sampled_from(list(STAGE_BUILDERS)),
     k=st.integers(1, 2),
     above=st.integers(0, 4),
-    kind=st.sampled_from(["own", "int", "float"]),
+    kind=st.sampled_from(["own", "int", "array", "float"]),
     refine=st.sampled_from([1, 3, 2**10, 10**6]),
     unit=st.integers(-1, 1),
     axis=st.integers(0, 1),
@@ -298,7 +298,8 @@ def near_threshold(u, kind: str, refine: int, unit: int, axis: int):
 def test_the_pick_on_lattice_coordinates_matches_its_definition(name, k, above, kind, refine, unit, axis):
     """pick_stage on lattice coordinates is the linear search's stage at
     each threshold u_N and one lattice unit either side: on u_N's own
-    lattice (ints, or pairs over Q(sqrt 2)), on int lattices, also against
+    lattice (ints, or pairs over Q(sqrt 2)), on int lattices, as ints and
+    as an int64 array (the searchsorted route), also against
     the irrational thresholds of thm44 and asym49 in sqrt2 mode (the
     reflection check's case, a rational |t| on a Q(sqrt 2) schedule), and
     at float |t| one ulp either side of float(u_N).  Scalars passed
@@ -318,6 +319,9 @@ def test_the_pick_on_lattice_coordinates_matches_its_definition(name, k, above, 
     if t < 0:
         return
     expected = linear_pick_stage(reference, k, t)
+    if kind == "array":
+        assert x < 2**53 and pick_stage(sched, k, np.array([x], dtype=np.int64), lattice).tolist() == [expected]
+        return
     assert pick_stage(sched, k, [x], lattice) == [expected]
     assert pick_stage(sched, k, [t]) == [expected]
 

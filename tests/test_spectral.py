@@ -21,7 +21,7 @@ from rank1flow import (
 )
 from rank1flow import schedule as schedule_module
 from rank1flow.errors import ConfigurationError, DegenerateInputError, ResourceError
-from rank1flow.experiments import _curve_for_spec, _estimate_entries, seeded_family
+from rank1flow.experiments import _curve_for_spec, _estimate_entries, run_experiment, seeded_family
 from rank1flow.spectral import AutocorrCurve, sample_count
 
 trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz  # numpy < 2 lacks trapezoid
@@ -126,6 +126,22 @@ def test_affinity_zero_mass_rejected():
     z = SpectralEstimate(freqs=freqs, density=np.zeros_like(freqs), taper_kind="gaussian", taper_width=1.0)
     with pytest.raises(DegenerateInputError):
         affinity(z, z)
+
+
+def test_a_disjointness_run_integrates_each_mass_once(monkeypatch):
+    """One disjointness run takes the trapezoid rule once for the
+    estimate's own mass, then per dilation once for the rescaled density
+    and once for each density on the common grid: the base estimate's
+    mass is read again from its cache, and a dilated estimate's on its
+    own grid is not needed."""
+    spectral = importlib.import_module("rank1flow.spectral")
+    calls = []
+    integrate = spectral._trapezoid
+    monkeypatch.setattr(spectral, "_trapezoid", lambda *args: calls.append(1) or integrate(*args))
+    spec = {"schedule": {"kind": "flat", "params": {"r": 2}}, "dilations": [2, 3]}
+    report = run_experiment("disjointness", spec)
+    assert report["result"]["self_affinity"] == 1.0
+    assert len(calls) == 2 + 4 * 2
 
 
 def test_autocorr_curve_from_engine():
