@@ -101,9 +101,9 @@ import numpy as np
 
 from . import schedule as geometry  # for GUARD, read at call time
 from .errors import RangeError, ResourceError
-from .scalars import Scalar, Sqrt2, exact, sqrt2_floordiv, sqrt2_sign, sqrt2_sorted, to_float
+from .scalars import FLOAT_EXACT, Scalar, Sqrt2, exact, sqrt2_floordiv, sqrt2_sign, sqrt2_sorted, to_float
 from .schedule import Lattice, Schedule, difference, magnitude, within
-from .stepfun import _FLOAT_EXACT, StepFunction, array_integrals, product_integral
+from .stepfun import StepFunction, array_integrals, product_integral
 
 STAGE_MARGIN = 4
 MAX_STAGE = 64  # the deepest stage pick_stage looks at
@@ -175,7 +175,7 @@ def pick_stage(schedule: Schedule, k: int, t_abs: Sequence, lattice: Lattice | N
             if not below(thresholds[-1], top):
                 break
     if type(t_abs) is np.ndarray:
-        ns = k + np.searchsorted(np.array([min(max(u, -1), _FLOAT_EXACT) for u in thresholds], dtype=np.int64), t_abs)
+        ns = k + np.searchsorted(np.array([min(max(u, -1), FLOAT_EXACT) for u in thresholds], dtype=np.int64), t_abs)
     elif lattice.sqrt2:
         ns = [k + bisect_left(thresholds, True, key=lambda u: not below(u, x)) for x in t_abs]
     else:
@@ -256,7 +256,7 @@ class MCorrelator:
         top = int(ns.max()) if batch else max(ns)
         lattice = Lattice.holding((), coarse, self._lattice, *(sched.stage(m).lattice for m in range(self.k, top + 1)))
         ratio = lattice.scale // coarse.scale
-        if batch and (lattice.sqrt2 or int(t_abs.max()) * ratio >= _FLOAT_EXACT):
+        if batch and (lattice.sqrt2 or int(t_abs.max()) * ratio >= FLOAT_EXACT):
             batch, shifts, t_abs, ns = False, [(x,) for x in shifts.tolist()], t_abs.tolist(), ns.tolist()
         if batch:
             return self._arrays(shifts * ratio, t_abs, ns, coarse, lattice)
@@ -305,7 +305,7 @@ class MCorrelator:
         after the pass of :meth:`_B`."""
         sched = self.schedule
         low, high = int(ns.min()), int(ns.max())
-        heights = np.array([min(lattice.encode(sched.stage(n).h), _FLOAT_EXACT) for n in range(low, high + 1)], dtype=np.int64)
+        heights = np.array([min(lattice.encode(sched.stage(n).h), FLOAT_EXACT) for n in range(low, high + 1)], dtype=np.int64)
         inside = np.abs(shifts) < heights[ns - low]
         wanted, slots, first = {}, {}, {}  # slots: n -> (the times of stage n inside, their slots among its keys)
         for n in [low] if low == high else np.unique(ns).tolist():
@@ -510,9 +510,9 @@ class Correlator(MCorrelator):
         if (
             len(xs) >= _ARRAY_MIN_TIMES
             and not lattice.sqrt2
-            and lattice.scale < _FLOAT_EXACT
-            and -_FLOAT_EXACT < min(xs)
-            and max(xs) < _FLOAT_EXACT
+            and lattice.scale < FLOAT_EXACT
+            and -FLOAT_EXACT < min(xs)
+            and max(xs) < FLOAT_EXACT
         ):
             ts = np.array(xs, dtype=np.int64)
             return self._correlation(-ts, np.abs(ts), lattice, stage)

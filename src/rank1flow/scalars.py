@@ -175,6 +175,7 @@ SQRT2_FLOAT = 1.4142135623730951
 # twice that.
 _FILTER_ULPS = 2.0**-50
 FLOAT_BITS = 1000  # integers this wide convert to float without overflow
+FLOAT_EXACT = 2**53  # every int below it is an exact float
 
 
 def sqrt2_sign(a: int, b: int) -> int:

@@ -58,13 +58,13 @@ batch rule.  A batch of at least ``_NUMPY_MIN_WORK`` (shift, copy) pairs
 on int offsets whose values fit int64 is an array step for all its
 shifts at once: (counts, keys, index, mults), with the distinct deltas
 as keys, an int64 array that the engine takes as its next frontier as
-it is, and each delta as its index among them.  An equally spaced
-stage takes the closed form, vectorized.  Another stage takes its
-difference table when r is at most the number of shifts and r**2 at
-most ``GUARD``: the distinct o_j' - o_j with their pair counts, built
-once per step (r**2 work), of which each shift reads one window found
-by ``searchsorted``.  Any other stage takes one NumPy sweep (the
-offsets as one int64 array per batch, ``searchsorted`` for every
+it is, and each delta as its index among them.  A stage takes its
+difference table, the distinct o_j' - o_j with their pair counts, of
+which each shift reads one window found by ``searchsorted``: a table in
+closed form on an equally spaced stage (k p, r - |k| times, |k| < r),
+and when r is at most the number of shifts and r**2 at most ``GUARD``
+one built per step (r**2 work).  Any other stage takes one NumPy sweep
+(the offsets as one int64 array per batch, ``searchsorted`` for every
 (shift, copy) window, one sort for every delta; shifts times r work).
 The keys are counted where the deltas span no more values than there
 are deltas, and sorted by ``np.unique`` elsewhere.  Any other batch (a
@@ -495,11 +495,11 @@ def overlap_batch(stage: LatticeStage, shifts: list):
     which shift i owns the next counts[i] entries of the int64 arrays
     index and mults, each delta given by its index into keys, the
     distinct deltas as an increasing int64 array.  It comes from the
-    vectorized closed form (:func:`_periodic_batch`) on an equally spaced
-    stage; on others from the difference table (:func:`_table_batch`)
-    when r <= len(shifts) and r**2 <= ``GUARD``, the table's r**2 work
-    being no more than the sweep's len(shifts) * r, and from the NumPy
-    sweep (:func:`_sweep_batch`) otherwise.  Any other batch is a list
+    difference table (:func:`_table_batch`): a table in closed form on an
+    equally spaced stage, and on others when r <= len(shifts) and
+    r**2 <= ``GUARD``, the table's r**2 work being no more than the
+    sweep's len(shifts) * r; from the NumPy sweep (:func:`_sweep_batch`)
+    otherwise.  Any other batch is a list
     step, one (delta, multiplicity) list per shift: the closed form or the
     Python sweep, shift by shift, on Python ints (an array of shifts is
     turned into them once), with the float offsets of (a, b) pairs built
@@ -508,9 +508,9 @@ def overlap_batch(stage: LatticeStage, shifts: list):
     """
     r = stage.r
     if len(shifts) * r >= _NUMPY_MIN_WORK and _fits_int64(stage, shifts):
-        if stage.period is not None:
-            return _periodic_batch(stage, shifts)
-        return _table_batch(stage, shifts) if r <= len(shifts) and r * r <= GUARD else _sweep_batch(stage, shifts)
+        if stage.period is not None or (r <= len(shifts) and r * r <= GUARD):
+            return _table_batch(stage, shifts)
+        return _sweep_batch(stage, shifts)
     if type(shifts) is np.ndarray:  # the keys of an array step, as Python ints once
         shifts = shifts.tolist()
     floats = _pair_floats(stage.offsets) if type(stage.h) is tuple and stage.period is None else None
@@ -720,14 +720,12 @@ def _sweep_chunk(stage: LatticeStage, offs: np.ndarray, shifts: list) -> tuple:
 
 
 def _table_batch(stage: LatticeStage, shifts: list) -> tuple:
-    """The array step of a stage on int64 offsets from its difference
-    table: the distinct differences d = o_j' - o_j, increasing, with the
-    number of (j, j') pairs giving each.  The deltas of a shift x are the
-    x + d with -h - x < d < h - x, one window of the table, found for
-    every shift by one ``searchsorted`` each way; they come out
-    increasing, with their multiplicities, and need no sort."""
-    offs = np.array(stage.offsets, dtype=np.int64)
-    diffs, pairs = np.unique(offs - offs[:, None], return_counts=True)
+    """The array step of a stage on int64 offsets from its
+    :func:`_difference_table`.  The deltas of a shift x are the x + d with
+    -h - x < d < h - x, one window of the table, found for every shift
+    by one ``searchsorted`` each way; they come out increasing, with
+    their multiplicities, and need no sort."""
+    diffs, pairs = _difference_table(stage)
     h, xs = stage.h, np.asarray(shifts, dtype=np.int64)
     first = np.searchsorted(diffs, -h - xs, side="right")
     counts = np.searchsorted(diffs, h - xs, side="left") - first
@@ -738,20 +736,16 @@ def _table_batch(stage: LatticeStage, shifts: list) -> tuple:
     return _keyed(counts, np.repeat(xs, counts) + diffs[at], pairs[at])
 
 
-def _periodic_batch(stage: LatticeStage, shifts: list) -> tuple:
-    """The array step of an equally spaced stage on int64 offsets: the
-    closed form of :func:`_periodic_deltas` for every shift at once,
-    k from max(floor((-h - x)/p) + 1, 1 - r) to min(floor((h - x - 1)/p),
-    r - 1)."""
-    r, p, h = stage.r, stage.period, stage.h
-    xs = np.asarray(shifts, dtype=np.int64)
-    k = np.maximum((-h - xs) // p + 1, 1 - r)
-    counts = np.maximum(np.minimum((h - xs - 1) // p, r - 1) - k + 1, 0)
-    _check_deltas(stage, counts)
-    ends = np.cumsum(counts)
-    ks = np.repeat(k - ends + counts, counts)
-    ks += np.arange(int(ends[-1]))
-    return _keyed(counts, np.repeat(xs, counts) + ks * p, r - np.abs(ks))
+def _difference_table(stage: LatticeStage) -> tuple:
+    """The distinct d = o_j' - o_j of a stage on int64 offsets, increasing,
+    and the number of (j, j') pairs giving each; on an equally spaced stage
+    in closed form, d = k p for |k| < r from r - |k| pairs, no offset read."""
+    r, p = stage.r, stage.period
+    if p is None:
+        offs = np.array(stage.offsets, dtype=np.int64)
+        return np.unique(offs - offs[:, None], return_counts=True)
+    ks = np.arange(1 - r, r, dtype=np.int64)  # (r - 1) p = o_r - o_1 fits int64, so every k p does
+    return ks * p, r - np.abs(ks)
 
 
 def _keyed(counts: np.ndarray, deltas: np.ndarray, mults: np.ndarray) -> tuple:

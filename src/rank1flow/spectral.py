@@ -34,8 +34,9 @@ except AttributeError:  # pragma: no cover
 from . import schedule as geometry  # for GUARD, read at call time
 from .correlate import Correlator
 from .errors import ConfigurationError, DegenerateInputError, ResourceError
+from .scalars import FLOAT_EXACT
 from .schedule import Schedule
-from .stepfun import _FLOAT_EXACT, StepFunction
+from .stepfun import StepFunction
 
 
 @dataclass
@@ -114,7 +115,7 @@ def autocorr_curve(schedule: Schedule, f: StepFunction, dt, t_max) -> AutocorrCu
     if type(dt) is Fraction:  # i*dt = (i*p)/q, and its float the correctly rounded int division
         p, q = dt.numerator, dt.denominator
         (values,), (bounds,), _ = correlator.sample(range(0, (n + 1) * p, p), q)
-        if abs(n * p) < _FLOAT_EXACT and q < _FLOAT_EXACT:  # exact operands: the float division rounds the same
+        if abs(n * p) < FLOAT_EXACT and q < FLOAT_EXACT:  # exact operands: the float division rounds the same
             times = np.arange(n + 1) * p / q
         else:
             times = np.array([i * p / q for i in range(n + 1)])
@@ -188,15 +189,16 @@ def bochner_density(
     if taper_width <= 0:
         raise ConfigurationError("taper width must be positive")
     c = curve.values
-    w = np.exp(-(times[n:] ** 2) / (2.0 * taper_width**2))
+    with np.errstate(all="ignore"):  # a taper, grid or phases past float range are refused below
+        w = np.exp(-(times[n:] ** 2) / (2.0 * taper_width**2))
+        freqs = np.linspace(-lam_max, lam_max, grid_size)
+        z = np.exp(-2j * np.pi * curve.dt * freqs)
     if not np.all(np.isfinite(w)):
         raise ConfigurationError(f"spec entry 'taper_width' = {taper_width}: the taper exp(-t^2 / (2 width^2)) is past float range")
-    a = w * (c[n:] + np.conjugate(c[n::-1]))
-    a[0] = w[0] * c[n]
-    freqs = np.linspace(-lam_max, lam_max, grid_size)
-    z = np.exp(-2j * np.pi * curve.dt * freqs)
     if not np.all(np.isfinite(z)):
         raise ConfigurationError(f"spec entry 'lam' = {lam_max}: the frequency grid or its phases are past float range")
+    a = w * (c[n:] + np.conjugate(c[n::-1]))
+    a[0] = w[0] * c[n]
     total = np.zeros_like(z)  # Horner in place: polyval's y = y * z + a_i, with no temporaries
     for coefficient in a[::-1]:
         total *= z
@@ -220,11 +222,12 @@ def dilate(est: SpectralEstimate, t) -> SpectralEstimate:
     t = float(t)
     if t <= 0:
         raise ConfigurationError("dilation factor must be positive")
-    freqs = est.freqs / t
-    density = t * est.density
-    if not (np.all(np.isfinite(freqs)) and np.all(np.isfinite(density))):
-        raise ConfigurationError(f"dilation factor {t:g} puts the estimate's grid or density past float range")
-    after = float(_trapezoid(density, freqs))
+    with np.errstate(over="ignore"):  # past float range: a grid or density is refused, a mass of inf leaves none
+        freqs = est.freqs / t
+        density = t * est.density
+        if not (np.all(np.isfinite(freqs)) and np.all(np.isfinite(density))):
+            raise ConfigurationError(f"dilation factor {t:g} puts the estimate's grid or density past float range")
+        after = float(_trapezoid(density, freqs))
     if after > 0:
         density *= est.total_mass / after
     return SpectralEstimate(freqs=freqs, density=density, taper_kind=est.taper_kind, taper_width=est.taper_width)

@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, ResourceError
-from .scalars import Scalar, exact, sqrt2_float, sqrt2_sorted, to_float
+from .scalars import FLOAT_EXACT, Scalar, exact, sqrt2_float, sqrt2_sorted, to_float
 from .schedule import Lattice
 
 MAX_BREAKPOINTS = 2_000_000  # the most breakpoints lift builds per stage
@@ -46,10 +46,8 @@ MAX_BREAKPOINTS = 2_000_000  # the most breakpoints lift builds per stage
 # shift tuples up.  The pass costs some 60-150 us whatever its size;
 # measured at m = 2, 3 and 4 on functions of 4, 8 and 16 pieces,
 # product_integral per tuple is 1.5-4x faster at 2-4 tuples, the two
-# are about even at 6-10, and the pass is 1.3-3.3x faster at 16.  Every
-# int below _FLOAT_EXACT = 2**53 is an exact float.
+# are about even at 6-10, and the pass is 1.3-3.3x faster at 16.
 _ARRAY_MIN_ROWS = 8
-_FLOAT_EXACT = 2**53
 _INT64_END = 2**63  # the searched bands end at or below it
 
 
@@ -256,7 +254,7 @@ def array_integrals(family: Sequence[Sequence[StepFunction]], shifts, lattice: L
     ``bincount``: every value is the one of :func:`product_integral`, bit
     for bit.
     """
-    if lattice.sqrt2 or len(shifts) < _ARRAY_MIN_ROWS or lattice.scale >= _FLOAT_EXACT:
+    if lattice.sqrt2 or len(shifts) < _ARRAY_MIN_ROWS or lattice.scale >= FLOAT_EXACT:
         return None
     grids = [[f.on_lattice(lattice) for f in functions] for functions in family]
     xs = np.asarray(shifts)  # a list with a value past int64 gives an object, uint64 or float64 array
@@ -264,7 +262,7 @@ def array_integrals(family: Sequence[Sequence[StepFunction]], shifts, lattice: L
     high = max(g[-1] for member in grids for g in member)
     span = high - low + 1  # member i's grids, less low, lie in its band [i * span, (i + 1) * span)
     if not (
-        -_FLOAT_EXACT < low and high < _FLOAT_EXACT and -_FLOAT_EXACT < xs.min() and xs.max() < _FLOAT_EXACT
+        -FLOAT_EXACT < low and high < FLOAT_EXACT and -FLOAT_EXACT < xs.min() and xs.max() < FLOAT_EXACT
         and len(family) * span <= _INT64_END
     ):
         return None

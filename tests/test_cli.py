@@ -425,6 +425,7 @@ OUT_OF_RANGE_CURVES = {
 }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("spec, named", OUT_OF_RANGE_CURVES.values(), ids=list(OUT_OF_RANGE_CURVES))
 def test_a_curve_past_float_range_or_memory_exits_two(tmp_path, spec, named):
     for kind in ("spectrum", "disjointness"):
@@ -442,6 +443,7 @@ OUT_OF_RANGE_DILATIONS = {
 }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("dilation, named", OUT_OF_RANGE_DILATIONS.items(), ids=list(OUT_OF_RANGE_DILATIONS))
 def test_a_dilation_past_float_range_exits_two_and_writes_no_report(tmp_path, dilation, named):
     for curve in ({"schedule": FLAT2}, {"analytic": {"kind": "gaussian"}}):

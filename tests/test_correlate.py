@@ -799,10 +799,10 @@ def test_level_loop_equals_depth_first_recursion(passes, name):
 
 @pytest.fixture()
 def array_steps(monkeypatch):
-    """(route, stage, shifts) of every array step taken: the NumPy sweep,
-    the difference table or the vectorized closed form."""
+    """(route, stage, shifts) of every array step taken: the NumPy sweep or
+    the difference table, in closed form on an equally spaced stage."""
     steps = []
-    for route in ("_sweep_batch", "_table_batch", "_periodic_batch"):
+    for route in ("_sweep_batch", "_table_batch"):
         original = getattr(schedule_module, route)
 
         def spy(stage, shifts, route=route, original=original):
@@ -827,8 +827,8 @@ def assert_depth_first(corr, lattice, levels):
 def test_array_levels_equal_the_depth_first_sums(array_steps, passes):
     """A staircase query at stage 5 whose levels take the difference table
     (stage 2, r = 16), the NumPy sweep (stage 4, r = 256, on a level of
-    fewer shifts) and the vectorized closed form (the flat stages 1 and
-    3): the values of the depth-first recursion, bit for bit."""
+    fewer shifts) and the table in closed form (the flat stages 1 and 3):
+    the values of the depth-first recursion, bit for bit."""
     sched = staircase34_schedule(staircase_stages=(2, 4), base=4, r_cap=256)
     f, g = pair(sched, 2)
     corr = Correlator(sched, [(f, g)])
@@ -836,9 +836,9 @@ def test_array_levels_equal_the_depth_first_sums(array_steps, passes):
         corr.at([t], stage=5)
     assert {(route, n) for route, n, _ in array_steps} == {
         ("_sweep_batch", 4),
-        ("_periodic_batch", 3),
+        ("_table_batch", 3),
         ("_table_batch", 2),
-        ("_periodic_batch", 1),
+        ("_table_batch", 1),
     }
     assert len(passes) == 2
     for call in passes:
@@ -850,7 +850,8 @@ def test_the_stair_sweep_op_takes_the_table_at_stage_2(array_steps):
     sweep at c_7 and c_22 on the base-4 staircase (r_cap 4096), for a
     seed-0 mean-zero pair family.  Its stage-2 level (r = 16, 1,696
     shifts) takes the difference table, its stage-4 level (r = 256, 2
-    shifts) the sweep, and the flat stages 1 and 3 the closed form."""
+    shifts) the sweep, and the flat stages 1 and 3 the table in closed
+    form."""
     params = {"staircase_stages": [2, 4, 6], "base": 4, "r_cap": 4096}
     h4 = staircase34_schedule(**params).height(4)
     grid = [1 + Fraction(9 * i, 29) for i in range(30)]
@@ -865,9 +866,9 @@ def test_the_stair_sweep_op_takes_the_table_at_stage_2(array_steps):
     run_experiment("weak-limit", spec)
     assert {(route, n) for route, n, _ in array_steps} == {
         ("_sweep_batch", 4),
-        ("_periodic_batch", 3),
+        ("_table_batch", 3),
         ("_table_batch", 2),
-        ("_periodic_batch", 1),
+        ("_table_batch", 1),
     }
 
 

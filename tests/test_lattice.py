@@ -29,9 +29,11 @@ from rank1flow import schedule as schedule_module
 from rank1flow.errors import ResourceError
 from rank1flow.scalars import sqrt2_sign
 from rank1flow.schedule import (
+    _INT64_SAFE,
     _NUMPY_MIN_WORK,
     Lattice,
     LatticeStage,
+    _difference_table,
     _fits_int64,
     _keyed,
     _sweep_batch,
@@ -347,20 +349,55 @@ def int_stage_batch(draw):
     return LatticeStage(1, r, h, offsets), shifts
 
 
+@st.composite
+def spaced_int_stage_batch(draw):
+    """An equally spaced stage on int64 offsets, o_1 + j p with p >= h,
+    its last offset and height at up to 60 bits, and a batch of int shifts
+    near the table's entries k p, k p + h and k p - h, or anywhere in reach."""
+    r = draw(st.integers(2, 100))
+    h = draw(st.integers(1, 2 ** draw(st.integers(0, 50))))
+    p = h + draw(st.integers(0, min(3 * h, (2**60 - h) // (r - 1) - h)))
+    o = draw(st.integers(0, h))
+    offsets = [o + j * p for j in range(r)]
+    near = st.builds(lambda k, e: k * p + e, st.integers(-r, r), st.sampled_from([0, h, -h, h - 1, 1 - h, h + 1, -h - 1]))
+    reach = r * p + h
+    shifts = draw(st.lists(st.one_of(near, st.integers(-reach, reach)), min_size=1, max_size=60))
+    return LatticeStage(1, r, h, offsets, p), shifts
+
+
 @settings(max_examples=150, deadline=None)
-@given(int_stage_batch())
+@given(spaced_int_stage_batch())
+def test_the_closed_form_table_is_the_difference_table(case):
+    """An equally spaced stage's table, in closed form from r and p with
+    no offset read, is ``np.unique`` of its r x r differences, entry for
+    entry and dtype for dtype."""
+    stage, _ = case
+    closed = _difference_table(stage._replace(offsets=None))
+    offs = np.array(stage.offsets, dtype=np.int64)
+    for got, expected in zip(closed, np.unique(offs - offs[:, None], return_counts=True)):
+        assert got.dtype == expected.dtype and got.tolist() == expected.tolist()
+    assert len(closed[0]) == 2 * stage.r - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(int_stage_batch(), spaced_int_stage_batch()))
 def test_table_sweep_and_scalar_loop_agree(case):
+    """The difference table, in closed form on an equally spaced stage,
+    and the sweep give the same array step, entry for entry; it and
+    ``overlap_batch``, array or list step, are the scalar loop shift by
+    shift."""
     stage, xs = case
     table = _table_batch(stage, xs)
     assert_same_array_step(table, _sweep_batch(stage, xs))
-    assert per_shift(table) == [reference_overlap_pairs(stage, x) for x in xs]
+    expected = [reference_overlap_pairs(stage, x) for x in xs]
+    assert per_shift(table) == per_shift(overlap_batch(stage, xs)) == expected
 
 
 @pytest.fixture()
 def routes(monkeypatch):
     """The route of every array step taken."""
     taken = []
-    for route in ("_sweep_batch", "_table_batch", "_periodic_batch"):
+    for route in ("_sweep_batch", "_table_batch"):
         original = getattr(schedule_module, route)
 
         def spy(stage, shifts, route=route, original=original):
@@ -374,7 +411,8 @@ def routes(monkeypatch):
 def test_the_table_rule_at_its_boundaries(monkeypatch, routes):
     """A stage with no period takes the difference table when r <=
     len(shifts) and r**2 <= GUARD, the sweep otherwise, and both agree
-    with the scalar loop on either side of each bound."""
+    with the scalar loop on either side of each bound.  An equally spaced
+    stage takes its table in closed form past both bounds."""
     view = uneven(16).stage(1).on_lattice(Lattice(3, False))
     assert view.period is None and view.r == 16
     xs = [view.offsets[i % 16] - view.offsets[(5 * i) % 16] + i % 5 - 2 for i in range(17)]
@@ -384,6 +422,35 @@ def test_the_table_rule_at_its_boundaries(monkeypatch, routes):
         step = overlap_batch(view, xs[:count])
         assert routes == [route]
         assert per_shift(step) == [reference_overlap_pairs(view, x) for x in xs[:count]]
+    spaced = flat_schedule(16).stage(2).on_lattice(Lattice(3, False))
+    assert spaced.period is not None and spaced.r == 16
+    ys = [spaced.offsets[i % 16] - spaced.offsets[(5 * i) % 16] + i % 5 - 2 for i in range(15)]
+    routes.clear()  # GUARD is still 255 < r**2, and 15 shifts < r
+    step = overlap_batch(spaced, ys)
+    assert routes == ["_table_batch"]
+    assert per_shift(step) == [reference_overlap_pairs(spaced, x) for x in ys]
+
+
+@pytest.mark.parametrize("r, h", [(2, 1), (3, 2**40), (64, (_INT64_SAFE - 1) // 64)])
+def test_the_closed_form_table_at_the_int64_edge(routes, r, h):
+    """(r - 1) p as close below ``_INT64_SAFE`` as the stage's last offset
+    plus h allows: the batch takes the closed-form table and equals the
+    scalar loop and the sweep; one unit more takes the list step, with the
+    same lists."""
+    p = (_INT64_SAFE - 1 - h) // (r - 1)
+    stage = LatticeStage(1, r, h, [j * p for j in range(r)], p)
+    assert stage.offsets[-1] + h < _INT64_SAFE <= stage.offsets[-1] + h + r - 1
+    xs = [k * p + e for k in (1 - r, -1, 0, 1, r - 1) for e in (0, h - 1, 1 - h, h, -h)]
+    xs += [_INT64_SAFE - 1, 1 - _INT64_SAFE] * (_NUMPY_MIN_WORK // r)
+    expected = [reference_overlap_pairs(stage, x) for x in xs]
+    step = overlap_batch(stage, xs)
+    assert routes == ["_table_batch"] and type(step) is tuple
+    assert per_shift(step) == expected
+    assert_same_array_step(step, _sweep_batch(stage, xs))
+    routes.clear()
+    wider = stage._replace(offsets=[j * (p + 1) for j in range(r)], period=p + 1)
+    assert not _fits_int64(wider, xs)
+    assert overlap_batch(wider, xs) == [reference_overlap_pairs(wider, x) for x in xs] and routes == []
 
 
 def test_a_batch_of_empty_windows(routes):
@@ -621,7 +688,7 @@ H4096 = 3 * 4096  # its height (and step) in units of 1/3
     [0, 1, -1, H4096, -H4096, H4096 - 1, -H4096 - 1, H4096 + 1, 4095 * H4096 + 1, -4095 * H4096 - 1, 4096 * H4096 - 1, 2**64 + 1, -(2**70)],
 )
 def test_closed_form_on_a_wide_flat_stage(numpy_batches, x):
-    """One shift, and a batch of it as the step of a level: the vectorized
+    """One shift, and a batch of it as the step of a level: the table in
     closed form where its values fit int64, the scalar one past it."""
     lattice = Lattice(3, False)
     view = FLAT4096.on_lattice(lattice)
@@ -688,10 +755,10 @@ def test_each_spacer_object_is_coerced_once(monkeypatch, mode):
 
 
 def test_equally_spaced_stages_skip_both_sweeps(monkeypatch, numpy_batches):
-    """Equally spaced stages reach neither the NumPy sweep or the
-    difference table nor the copy windows of the m = 2 step; staircase
-    and asym49 spacer stages still do (the staircase's stage 3, r = 64 at
-    79 shifts, by its table)."""
+    """Equally spaced stages reach neither the NumPy sweep or a
+    difference table built from their offsets nor the copy windows of the
+    m = 2 step; staircase and asym49 spacer stages still do (the
+    staircase's stage 3, r = 64 at 79 shifts, by its table)."""
     windows, copy = [], schedule_module.copy_windows
     monkeypatch.setattr(
         schedule_module, "copy_windows", lambda stage, shift, floats=None: windows.append(stage.n) or copy(stage, shift, floats)
