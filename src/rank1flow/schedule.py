@@ -65,7 +65,8 @@ closed form on an equally spaced stage (k p, r - |k| times, |k| < r),
 and when r is at most the number of shifts and r**2 at most ``GUARD``
 one built per step (r**2 work).  Any other stage takes one NumPy sweep
 (the offsets as one int64 array per batch, ``searchsorted`` for every
-(shift, copy) window, one sort for every delta; shifts times r work).
+(shift, copy) window, one sort for every delta; shifts times r work),
+where its sort keys, up to shifts times 2 h_n, fit int64.
 The keys are counted where the deltas span no more values than there
 are deltas, and sorted by ``np.unique`` elsewhere.  Any other batch (a
 smaller one, values past int64, (a, b) pairs) is a list step: one
@@ -499,18 +500,19 @@ def overlap_batch(stage: LatticeStage, shifts: list):
     equally spaced stage, and on others when r <= len(shifts) and
     r**2 <= ``GUARD``, the table's r**2 work being no more than the
     sweep's len(shifts) * r; from the NumPy sweep (:func:`_sweep_batch`)
-    otherwise.  Any other batch is a list
-    step, one (delta, multiplicity) list per shift: the closed form or the
-    Python sweep, shift by shift, on Python ints (an array of shifts is
-    turned into them once), with the float offsets of (a, b) pairs built
-    once for the batch.  Both give each shift's deltas in increasing
-    order.
+    otherwise, where its sort keys fit int64 (len(shifts) * h below
+    ``_INT64_SAFE``).  Any other batch is a list step, one (delta,
+    multiplicity) list per shift: the closed form or the Python sweep,
+    shift by shift, on Python ints (an array of shifts is turned into
+    them once), with the float offsets of (a, b) pairs built once for
+    the batch.  Both give each shift's deltas in increasing order.
     """
     r = stage.r
     if len(shifts) * r >= _NUMPY_MIN_WORK and _fits_int64(stage, shifts):
         if stage.period is not None or (r <= len(shifts) and r * r <= GUARD):
             return _table_batch(stage, shifts)
-        return _sweep_batch(stage, shifts)
+        if len(shifts) * stage.h < _INT64_SAFE:  # the sweep's sort keys, row * 2h + delta + h
+            return _sweep_batch(stage, shifts)
     if type(shifts) is np.ndarray:  # the keys of an array step, as Python ints once
         shifts = shifts.tolist()
     floats = _pair_floats(stage.offsets) if type(stage.h) is tuple and stage.period is None else None
@@ -569,9 +571,11 @@ def _periodic_tuples(r: int, ranges: list) -> list:
 
 
 def _fits_int64(stage: LatticeStage, shifts) -> bool:
-    """Whether *stage* has int offsets and every value of an array step
-    on *shifts*, a list or an int64 array, fits int64."""
-    if type(stage.h) is not int or stage.offsets[-1] + stage.h >= _INT64_SAFE or len(shifts) * stage.h >= _INT64_SAFE:
+    """Whether *stage* has int offsets and every value of a table step on
+    *shifts*, a list or an int64 array, fits int64: each is a shift plus
+    an offset difference, below 2 * ``_INT64_SAFE``.  The sweep's sort
+    keys also need len(shifts) * h below ``_INT64_SAFE``."""
+    if type(stage.h) is not int or stage.offsets[-1] + stage.h >= _INT64_SAFE:
         return False
     xs = np.asarray(shifts)  # a list with a value past int64 gives an object, uint64 or float64 array
     return -_INT64_SAFE < xs.min() and xs.max() < _INT64_SAFE

@@ -13,9 +13,12 @@ and mirrors the rest: the truncated engine value is Hermitian too
 (B_N(-tau) = conj B_N(tau)), and the working stage and the bound depend
 on |t| only.  :func:`bochner_density` folds the two halves of its sum
 into one polynomial in z = exp(-2 pi i dt lambda), since the phases on
-the grid t_i = i dt are the powers z^i, and evaluates it by Horner's
-rule: O(grid) memory and one exp per frequency.  A curve's times must
-therefore be symmetric about 0, with t = 0 in the middle, and uniform.
+the grid t_i = i dt are the powers z^i, and evaluates it on the whole
+frequency grid at once as a chirp-z transform: the grid is uniform, so
+the sum is one linear convolution, taken by three FFTs of one length
+L >= n + G, in O((n + G) log(n + G)) time and O(n + G) memory.  A
+curve's times must therefore be symmetric about 0, with t = 0 in the
+middle, and uniform.
 """
 
 from __future__ import annotations
@@ -160,20 +163,41 @@ def bochner_density(
         rho(lambda) = dt * Re sum_{i=0..n} a_i z^i,   z = exp(-2 pi i dt lambda),
 
     with a_0 = w_0 c_0 and a_i = w_i (c_i + conj c_{-i}), which is
-    2 w_i c_i on a Hermitian curve.  It is evaluated by Horner's rule.
+    2 w_i c_i on a Hermitian curve.  The G grid points are lambda_k =
+    lambda_0 + k Delta up to rounding, with ``np.linspace``'s own start
+    and step, so the sums at all of them are one chirp-z transform
+    (:func:`_chirp_z`): three FFTs of one length L, the power of two at
+    or above N = n + G, in O(N) memory.
 
     Rounding (u = 2^-53, gamma_k = k u / (1 - k u)): against the exact
-    two-sided sum over the computed taper w_i and the curve's own times,
-    to first order in u,
+    two-sided sum over the computed taper w_i, the curve's own times and
+    the grid's own points, to first order in u,
 
-        |error(lambda)| <= dt * sum_i |a_i| (gamma_{4i+4} + i eps + 2 pi |lambda| |t_i - i dt|),
+        |error(lambda_k)| <= dt * sum_i |a_i| (gamma_96 + 2 pi u i dt (|lambda_0| + k |Delta|)
+                                                + 2 pi (|lambda_k| |t_i - i dt| + |t_i| |dlambda_k|))
+                             + dt * (eps_F (N ||a||_2 + 2 sqrt(N) ||a||_1) + sqrt(2) gamma_2 sqrt(N) ||a||_1).
 
-    where gamma_{4i+4} covers Horner's i complex products and i + 1
-    sums on |z| = 1 (Higham, Accuracy and Stability of Numerical
-    Algorithms, 5.1 and Lemma 3.5) with the rounding of a_i and of
-    dt * Re, eps >= |z_computed - z| is the phase error of the one z (its
-    argument rounded to gamma_3 * 2 pi |lambda| dt, plus the error of
-    exp), and the last term is the phase error of the time grid."""
+    gamma_96 covers the rounding of a_i and of dt * Re, the three
+    complex products of the transform at sqrt(2) gamma_2 each (Higham,
+    Accuracy and Stability of Numerical Algorithms, Lemma 3.5), and the
+    four phases each term meets (the pre-twist, the chirp before, the
+    kernel and the chirp after), each within (6 pi + 2) u of its exact
+    value: :func:`_phases` reduces every argument exactly to less than
+    one turn, so no phase error grows with i, k or the chirp's
+    dt Delta m^2 (m^2 < 2^53 is exact for N <= 2^26).  The next term is
+    the rounding of the products dt lambda_0 and dt Delta the phases are
+    taken of, and the third the phase gap between the model's
+    (lambda_0 + k Delta) i dt and the sum's lambda_k t_i: the time
+    grid's |t_i - i dt| and the frequency grid's dlambda_k = lambda_k -
+    (lambda_0 + k Delta), from ``np.linspace``'s rounding of k Delta and
+    its sum with lambda_0.  The last is the FFT convolution: each of the
+    three transforms is within eps_F = p eta / (1 - p eta) of exact in
+    the 2-norm, with eta = u + gamma_4 (sqrt(2) + u) and p = log2 L
+    (Higham, ch. 24, Theorem 24.2, for weights within u), and a 2-norm
+    bounds every entry: the input's error is carried through the
+    kernel's transform, at most ||kernel||_1 = N in modulus, and the
+    kernel's, the pointwise product's and the inverse's errors with
+    ||a||_1 sqrt(N)."""
     times = curve.times
     n = len(times) // 2
     if not np.array_equal(times[n:], -times[n::-1]):
@@ -191,25 +215,67 @@ def bochner_density(
     c = curve.values
     with np.errstate(all="ignore"):  # a taper, grid or phases past float range are refused below
         w = np.exp(-(times[n:] ** 2) / (2.0 * taper_width**2))
-        freqs = np.linspace(-lam_max, lam_max, grid_size)
-        z = np.exp(-2j * np.pi * curve.dt * freqs)
+        freqs, step = np.linspace(-lam_max, lam_max, grid_size, retstep=True)
+        phases = 2 * np.pi * curve.dt * freqs
     if not np.all(np.isfinite(w)):
         raise ConfigurationError(f"spec entry 'taper_width' = {taper_width}: the taper exp(-t^2 / (2 width^2)) is past float range")
-    if not np.all(np.isfinite(z)):
+    if not np.all(np.isfinite(phases)):
         raise ConfigurationError(f"spec entry 'lam' = {lam_max}: the frequency grid or its phases are past float range")
     a = w * (c[n:] + np.conjugate(c[n::-1]))
     a[0] = w[0] * c[n]
-    total = np.zeros_like(z)  # Horner in place: polyval's y = y * z + a_i, with no temporaries
-    for coefficient in a[::-1]:
-        total *= z
-        total += coefficient
-    density = curve.dt * total.real
+    size = len(freqs)
+    step = step if size > 1 else 0.0  # linspace's step is NaN below two points
+    density = curve.dt * _chirp_z(a, curve.dt * -lam_max, curve.dt * step, size).real
     density = np.clip(density, 0.0, None)
     c0 = float(np.real(c[n]))
     mass = float(_trapezoid(density, freqs))
     if mass > 0 and c0 > 0:
         density *= c0 / mass
     return SpectralEstimate(freqs=freqs, density=density, taper_kind="gaussian", taper_width=float(taper_width))
+
+
+def _chirp_z(a: np.ndarray, start: float, step: float, size: int) -> np.ndarray:
+    """sum_i a_i exp(-2 pi i (start + k step) i) for k = 0..size-1, by
+    Bluestein's chirp-z transform (Rabiner, Schafer and Rader, 1969).
+    With W = exp(-2 pi i step) and i k = (i^2 + k^2 - (k - i)^2) / 2,
+    the sum is W^(k^2/2) sum_i x_i W^(-(k - i)^2/2), x_i = a_i
+    exp(-2 pi i start i) W^(i^2/2): one linear convolution of x with
+    the conjugate chirp over k - i = -n..size-1, taken circularly at
+    one length L >= n + size, a power of two, by three FFTs.  ``np.fft``
+    is reached here, so importing the package loads no FFT."""
+    n = len(a) - 1
+    m = np.arange(max(n + 1, size), dtype=float)
+    chirp = _phases(step / 2, m * m)  # W^(m^2/2)
+    length = 1 << (n + size - 1).bit_length()
+    kernel = np.zeros(length, dtype=complex)  # W^(-m^2/2) at m mod L
+    kernel[:size] = chirp[:size]
+    kernel[length - n :] = chirp[n:0:-1]
+    np.conjugate(kernel, out=kernel)
+    x = a * _phases(start, m[: n + 1]) * chirp[: n + 1]
+    fft = np.fft
+    return chirp[:size] * fft.ifft(fft.fft(x, length) * fft.fft(kernel))[:size]
+
+
+def _split(x):
+    """Veltkamp's split of float64 x into hi + lo, each of at most 26
+    significant bits, so that a product of two halves is exact."""
+    t = 134217729.0 * x  # 2^27 + 1
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+def _phases(c: float, m: np.ndarray) -> np.ndarray:
+    """exp(-2 pi i c m) at integer floats m < 2^53, with c m reduced mod 1
+    exactly: c less its nearest integer leaves |c m| <= m / 2, Dekker's
+    product gives c m = p + e with p = fl(c m) and e exact, and r, p
+    less its nearest integer, is exact too.  The argument r + e, of less
+    than one turn, is rounded once, so the phase is within (6 pi + 2) u
+    of exact whatever c m (2 u for exp, within an ulp per component)."""
+    c = c - np.round(c)
+    p = c * m
+    (ch, cl), (mh, ml) = _split(c), _split(m)
+    e = ((ch * mh - p) + ch * ml + cl * mh) + cl * ml
+    return np.exp(-2j * np.pi * ((p - np.round(p)) + e))
 
 
 def _regrid(est: SpectralEstimate, freqs: np.ndarray) -> np.ndarray:

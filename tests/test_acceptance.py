@@ -19,6 +19,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -38,8 +39,12 @@ from rank1flow import (
     thm44_schedule,
     weak_limit_probe,
 )
+from rank1flow import affinity, bochner_density, dilate, experiments
 from rank1flow.cli import main
-from rank1flow.experiments import run_experiment
+from rank1flow.experiments import _curve_for_spec, _estimate_entries, run_experiment
+from rank1flow.spectral import SpectralEstimate
+
+trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz  # numpy < 2 lacks trapezoid
 
 
 def verdict(num, ok, detail):
@@ -301,10 +306,7 @@ def test_criterion_7_reflection_check():
 def test_criterion_8_spectral_pipeline():
     import math
 
-    import numpy as np
-
-    from rank1flow import affinity, bochner_density, curve_from_samples, dilate
-    from rank1flow.spectral import SpectralEstimate
+    from rank1flow import curve_from_samples
 
     started = time.monotonic()
     dt, t_max = 0.05, 20.0
@@ -318,7 +320,6 @@ def test_criterion_8_spectral_pipeline():
     cos = curve_from_samples(dt, [math.cos(2 * math.pi * t) for t in ts])
     c_est = bochner_density(cos, lam_max=4.0, grid_size=1601, taper_width=6.0)
     lobes = (np.abs(c_est.freqs - 1.0) <= 0.25) | (np.abs(c_est.freqs + 1.0) <= 0.25)
-    trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz  # numpy < 2 lacks trapezoid
     lobe_frac = float(trapezoid(np.where(lobes, c_est.density, 0.0), c_est.freqs)) / c_est.total_mass
 
     s = 2.0
@@ -399,8 +400,10 @@ CLI_SPECS = {
 # integer-lattice kernel (Python 3.11.7, NumPy 2.4.6, x86-64): the kernel and
 # every later change must keep these bytes unless a change of values is
 # intended and recorded in CHANGES.md.  The spectrum and disjointness entries
-# were re-recorded when bochner_density became a Horner evaluation, which moves
-# densities and affinities at the rounding level.  The stage-audit report was
+# were re-recorded when bochner_density became a Horner evaluation, and again
+# when it became a chirp-z transform: each moves densities and affinities at
+# the rounding level (test_repinned_specs_move_by_rounding_only bounds the
+# second move).  The stage-audit report was
 # re-recorded when the finiteness entry lost its "status" key (a finite
 # horizon decides neither convergence nor divergence); its plot is unchanged.
 CLI_SPEC_SHA256 = {
@@ -425,12 +428,12 @@ CLI_SPEC_SHA256 = {
         "30411c2c687f037d8c177aedb50a3ca7414c10081f1d0443f843fdb50dc65e6c",
     ),
     "spectrum": (
-        "0d403d317f7abdbf0c97b66fde399cc2bb9b9365e4deecd2ffe852261c133937",
-        "c5be6dfb2ac05054e29a1d4019185362360912ee8cab906cf19e66b267b7d1ae",
+        "a30499e33bff86abb0a6eb6a382fbf165fa7b25c9b719e38ce9b5f0422fdbdec",
+        "da2902657b75f71329f23b29dac2ca90e3baaa766c3c6a1cb9cbd4dca55ac057",
     ),
     "disjointness": (
-        "167a2d8a2e3e49b4121aceebe20efd191dd88722069a761c38ff90d87f885324",
-        "7459d1624c6a414198bbcad40535526f354caa6dbbc756f1a856b6f9d8264f14",
+        "485e41e373c890376a5b5d68116b784105f2c0f4c2645c1099cf2febec5e3de3",
+        "85e0b2807ca58fd6924dd4a98c21a667b9245a730db3d5a35f44bfdb93fb635f",
     ),
     "reflection-check": (
         "cf95fd508fe48bf2310d26b13f109854a1600f8aa6db3c45dab25f6d0c5b3294",
@@ -473,6 +476,25 @@ def test_criterion_9_cli_determinism(tmp_path):
     )
 
 
+# SHA-256 of report.json and plot.csv of the specs above and ENGINE_PINS
+# whose bytes moved when bochner_density became a chirp-z transform, as the
+# Horner evaluation wrote them (the pins they carried before)
+CLI_HORNER_SHA256 = {
+    "spectrum": (
+        "0d403d317f7abdbf0c97b66fde399cc2bb9b9365e4deecd2ffe852261c133937",
+        "c5be6dfb2ac05054e29a1d4019185362360912ee8cab906cf19e66b267b7d1ae",
+    ),
+    "disjointness": (
+        "167a2d8a2e3e49b4121aceebe20efd191dd88722069a761c38ff90d87f885324",
+        "7459d1624c6a414198bbcad40535526f354caa6dbbc756f1a856b6f9d8264f14",
+    ),
+    "asym49-disjointness": (
+        "e0370dc2a51092f802de85e3ec6bb98402eaf110968f4d5d29b21cbdd482e0c9",
+        "398ca319186af3b6e125e79402c4f27e9a368378d5bd62ad69c784f7c025d59f",
+    ),
+}
+
+
 def test_cli_specs_output_bytes_are_pinned(tmp_path):
     """Criterion 9 compares two runs of one commit; this pins the bytes
     across commits."""
@@ -495,15 +517,16 @@ def test_cli_specs_output_bytes_are_pinned(tmp_path):
 # benchmark op at seed 0, which exits 1), and criterion 3's decade split on a
 # base-100 staircase (exits 0).  Kind, spec, exit code and the SHA-256 of
 # report.json and plot.csv, recorded at commit 3c4c5aa (Python 3.11.7, NumPy
-# 2.4.6, x86-64), before a batch's times were put on the lattice once.
+# 2.4.6, x86-64), before a batch's times were put on the lattice once; the
+# asym49 entry re-recorded when bochner_density became a chirp-z transform.
 ENGINE_PINS = {
     "asym49-disjointness": (
         "disjointness",
         {"schedule": {"kind": "asym49", "params": {}}, "dt": 0.05, "t_max": 16, "grid_size": 1601, "dilations": [2, 3]},
         1,
         (
-            "e0370dc2a51092f802de85e3ec6bb98402eaf110968f4d5d29b21cbdd482e0c9",
-            "398ca319186af3b6e125e79402c4f27e9a368378d5bd62ad69c784f7c025d59f",
+            "61593dfcc1aa312ec1d7aae5997730b7dfbc45fef622e3ff76f736e9759f8148",
+            "b3f44f3ff4b9ca2b629a37bcb9d5beb693ccb39e15bff4aa86d33ec059d65708",
         ),
     ),
     "base-100-decade-split": (
@@ -531,4 +554,50 @@ def test_engine_output_bytes_are_pinned(tmp_path, name):
     spec_path.write_text(json.dumps({**spec, "seed": 0}))
     result = CliRunner().invoke(main, [kind, "--spec", str(spec_path), "--out", str(tmp_path / "out")])
     assert result.exit_code == code, result.output
+    assert tuple(hashlib.sha256((tmp_path / "out" / n).read_bytes()).hexdigest() for n in ("report.json", "plot.csv")) == digests
+
+
+def polyval_density(curve, lam_max, grid_size, taper_width):
+    """The density of bochner_density as a Horner evaluation, before the
+    chirp-z transform, by ``np.polyval``, whose operations the Horner loop
+    did: the same taper, clip and mass rule."""
+    n = len(curve.times) // 2
+    c, w = curve.values, np.exp(-(curve.times[n:] ** 2) / (2.0 * taper_width**2))
+    a = w * (c[n:] + np.conjugate(c[n::-1]))
+    a[0] = w[0] * c[n]
+    freqs = np.linspace(-lam_max, lam_max, grid_size)
+    density = np.clip(curve.dt * np.real(np.polyval(a[::-1], np.exp(-2j * np.pi * curve.dt * freqs))), 0.0, None)
+    mass, c0 = float(trapezoid(density, freqs)), float(np.real(c[n]))
+    if mass > 0 and c0 > 0:
+        density *= c0 / mass
+    return density
+
+
+# the specs re-pinned when bochner_density became a chirp-z transform: kind,
+# spec, and the SHA-256 of report.json and plot.csv of the Horner evaluation
+REPINNED = {
+    "spectrum": ("spectrum", CLI_SPECS["spectrum"], CLI_HORNER_SHA256["spectrum"]),
+    "disjointness": ("disjointness", CLI_SPECS["disjointness"], CLI_HORNER_SHA256["disjointness"]),
+    "asym49-disjointness": ("disjointness", {**ENGINE_PINS["asym49-disjointness"][1], "seed": 0}, CLI_HORNER_SHA256["asym49-disjointness"]),
+}
+
+
+@pytest.mark.parametrize("name", list(REPINNED))
+def test_repinned_specs_move_by_rounding_only(tmp_path, monkeypatch, name):
+    """polyval_density in bochner_density's place writes the bytes pinned
+    before the chirp-z transform, and every density (pointwise, relative to
+    its maximum), total mass and affinity of the chirp-z transform is
+    within 1e-12 relative of that evaluation's."""
+    kind, spec, digests = REPINNED[name]
+    curve, estimate = _curve_for_spec(spec)(), _estimate_entries(spec)
+    new = bochner_density(curve, **estimate)
+    old = SpectralEstimate(new.freqs, polyval_density(curve, estimate["lam_max"], estimate["grid_size"], new.taper_width), new.taper_kind, new.taper_width)
+    assert np.max(np.abs(new.density - old.density)) <= 1e-12 * np.max(old.density)
+    assert abs(new.total_mass - old.total_mass) <= 1e-12 * old.total_mass
+    for t in spec.get("dilations", []):
+        before = affinity(old, dilate(old, t))
+        assert abs(affinity(new, dilate(new, t)) - before) <= 1e-12 * before
+    monkeypatch.setattr(experiments, "bochner_density", lambda curve, **entries: old)
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    CliRunner().invoke(main, [kind, "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "out")])
     assert tuple(hashlib.sha256((tmp_path / "out" / n).read_bytes()).hexdigest() for n in ("report.json", "plot.csv")) == digests

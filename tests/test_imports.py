@@ -1,5 +1,5 @@
 """No module of the package imports a name it does not use, and no
-definition is left unread.
+definition is left unread; and importing the package loads no FFT.
 
 Static scans with :mod:`ast`: every name an ``import`` statement binds
 must be read somewhere in its module (``__init__.py`` is left out, since
@@ -10,6 +10,9 @@ names kept for readers outside the package.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -131,3 +134,19 @@ def test_the_scan_finds_a_public_name_only_exported():
 def test_every_public_definition_is_read():
     sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
     assert [entry for entry in exported_only(sources) if entry[2] not in EXPORTED_ONLY] == []
+
+
+def test_importing_the_package_loads_no_fft():
+    """``numpy.fft`` (pocketfft) is loaded when bochner_density first runs,
+    not when the package is imported: in a fresh interpreter it is absent
+    after ``import rank1flow`` and present after one transform."""
+    code = (
+        "import sys, rank1flow\n"
+        "imported = 'numpy.fft' in sys.modules\n"
+        "rank1flow.bochner_density(rank1flow.curve_from_samples(0.5, [1, 1, 1]), 1.0, 8)\n"
+        "print(imported, 'numpy.fft' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "True"]

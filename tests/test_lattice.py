@@ -6,6 +6,7 @@ NumPy arrays, and (a, b) pairs for Q(sqrt 2)) must return the same
 (delta, multiplicity) list, in the same order, for every input.
 """
 
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, chain, product
@@ -255,7 +256,8 @@ def uneven(r, h1=1):
 
 RATIONAL = sorted(key for key in SCHEDULES if key[1] == "rational")
 # offsets fit int64, but a batch of 8 shifts takes 8 h = 2**61 and
-# overflows the batched sweep's sort key: the Python sweep takes it
+# would overflow the batched sweep's sort key: where the batch rule
+# picks the sweep, the Python sweep takes it
 WIDE = uneven(4, h1=2**58).stage(1)
 SHIFT_KINDS = ["small", "offset_difference", "next_to_height", "empty_windows", "past_int64"]
 
@@ -301,17 +303,26 @@ def test_overlap_batch_matches_scalar_loop(case):
 
     assert decoded(per_shift(overlap_batch(view, xs))) == expected
     if _fits_int64(view, xs):
-        assert decoded(per_shift(_sweep_batch(view, xs))) == expected
         assert decoded(per_shift(_table_batch(view, xs))) == expected
+        if len(xs) * view.h < _INT64_SAFE:
+            assert decoded(per_shift(_sweep_batch(view, xs))) == expected
 
 
-def test_batches_past_int64_take_the_python_sweep(numpy_batches):
+def test_batches_past_int64_take_the_python_sweep(monkeypatch, numpy_batches):
+    """A batch whose sort keys would pass int64 takes the list step where
+    the rule picks the sweep (r**2 = 16 > GUARD = 15); with the table
+    picked it stays an array step.  A shift past int64 takes the list
+    step either way."""
     view = WIDE.on_lattice(Lattice(1, False))
     xs = [i * view.h // 2 for i in range(-8, 8)]  # enough (shift, copy) pairs for NumPy, but 16 h = 2**62
-    assert _fits_int64(view, xs[:4]) and len(xs) * view.r >= _NUMPY_MIN_WORK and not _fits_int64(view, xs)
+    assert _fits_int64(view, xs) and len(xs) * view.r >= _NUMPY_MIN_WORK and len(xs) * view.h >= _INT64_SAFE
     expected = [reference_overlap_pairs(WIDE, x) for x in xs]
+    assert per_shift(overlap_batch(view, xs)) == expected and numpy_batches == [len(xs)]
+    numpy_batches.clear()
+    monkeypatch.setattr(schedule_module, "GUARD", view.r**2 - 1)
     assert overlap_batch(view, xs) == expected
     past = [2**62, *xs[1:]]  # one shift past int64
+    assert not _fits_int64(view, past)
     assert overlap_batch(view, past) == [reference_overlap_pairs(WIDE, 2**62), *expected[1:]]
     assert numpy_batches == []
     assert per_shift(_sweep_batch(view, xs[:4])) == expected[:4]  # 4 h = 2**60 fits
@@ -451,6 +462,23 @@ def test_the_closed_form_table_at_the_int64_edge(routes, r, h):
     wider = stage._replace(offsets=[j * (p + 1) for j in range(r)], period=p + 1)
     assert not _fits_int64(wider, xs)
     assert overlap_batch(wider, xs) == [reference_overlap_pairs(wider, x) for x in xs] and routes == []
+
+
+def test_a_table_step_takes_a_batch_past_the_sweeps_key_bound(routes):
+    """A table step's values stay below 2 * ``_INT64_SAFE`` whatever the
+    batch size, so the sweep's bound len(shifts) * h < ``_INT64_SAFE``
+    does not apply: 635 shifts on an equally spaced r = 64 stage with
+    h = 2**54 take the table, with the list step's deltas and
+    multiplicities, entry for entry."""
+    h = 2**54
+    stage = LatticeStage(1, 64, h, [j * h for j in range(64)], h)
+    assert stage.offsets[-1] + h < _INT64_SAFE
+    rng = random.Random(7)
+    xs = [rng.randrange(-63, 64) * h + rng.choice((0, 1, -1, h - 1, 1 - h, h, -h, rng.randrange(-h, h))) for _ in range(635)]
+    assert len(xs) * h >= _INT64_SAFE > 100 * h
+    step = overlap_batch(stage, xs)
+    assert routes == ["_table_batch"] and type(step) is tuple
+    assert per_shift(step) == [overlap_pairs(stage, x) for x in xs]
 
 
 def test_a_batch_of_empty_windows(routes):

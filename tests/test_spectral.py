@@ -22,7 +22,7 @@ from rank1flow import (
 from rank1flow import schedule as schedule_module
 from rank1flow.errors import ConfigurationError, DegenerateInputError, ResourceError
 from rank1flow.experiments import _curve_for_spec, _estimate_entries, run_experiment, seeded_family
-from rank1flow.spectral import AutocorrCurve, sample_count
+from rank1flow.spectral import AutocorrCurve, _chirp_z, _phases, sample_count
 
 trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz  # numpy < 2 lacks trapezoid
 
@@ -286,59 +286,88 @@ def test_an_exact_curve_builds_no_scalar_or_result_per_time(monkeypatch):
     assert results == [] and counts[0] == counts[1] < 100
 
 
-def full_transform_density(curve, lam_max, grid_size, taper_width):
-    """bochner_density with exp evaluated at every (frequency, time) and
-    one dense sum: (freqs, raw sum before the clip, density)."""
-    w = np.exp(-(curve.times**2) / (2.0 * taper_width**2))
-    freqs = np.linspace(-lam_max, lam_max, grid_size)
-    phases = np.exp(-2j * np.pi * np.outer(freqs, curve.times))
-    raw = curve.dt * np.real(phases @ (w * curve.values))
-    density = np.clip(raw, 0.0, None)
-    density *= float(np.real(curve.values[len(curve.values) // 2])) / float(trapezoid(density, freqs))
-    return freqs, raw, density
-
-
 U = 2.0**-53
+U_EXTENDED = float(np.finfo(np.longdouble).eps) / 2  # the reference's unit roundoff: 2**-64 on x86-64
+PI = np.longdouble("3.14159265358979323846264338327950288")
 
 
-def gamma(k):
-    return k * U / (1 - k * U)
+def gamma(k, u=U):
+    return k * u / (1 - k * u)
 
 
-def transform_rounding_bound(curve, freqs, taper_width):
-    """Per frequency: the rounding bound of the bochner_density docstring
-    (Horner on z = exp(-2 pi i dt lambda)) plus the same kind of bound
-    for the dense sum of full_transform_density, whose terms carry an
-    exp of a rounded lambda * t and one sum of 2n + 1 complex products.
-    exp is taken to be within 1 ulp per component (error <= 2u)."""
+def folded_coefficients(curve, taper_width, dtype=complex):
+    """The a_i of the bochner_density docstring, a_0 = w_0 c_0 and a_i =
+    w_i (c_i + conj c_{-i}), from the computed taper w_i, in *dtype*."""
     n = len(curve.times) // 2
-    i, t, c = np.arange(n + 1), curve.times[n:], curve.values
-    w = np.exp(-(t**2) / (2.0 * taper_width**2))
-    a = np.abs(w * (c[n:] + np.conjugate(c[n::-1])))
-    a[0] = np.abs(w[0] * c[n])
-    lam = np.abs(freqs)[:, None]
-    eps = gamma(3) * 2 * np.pi * lam * curve.dt + 2 * U
-    grid_error = np.abs(t - i * curve.dt) + np.spacing(t)  # |t_i - i dt| with i * dt exact
-    horner = (gamma(4 * i + 4) + i * eps + 2 * np.pi * lam * grid_error) @ a
-    terms = w * (np.abs(c[n:]) + np.abs(c[n::-1]))
-    terms[0] = w[0] * np.abs(c[n])
-    dense = (gamma(2 * n + 6) + gamma(3) * 2 * np.pi * lam * t + 2 * U) @ terms
-    return curve.dt * (horner + dense)
+    w = np.exp(-(curve.times[n:] ** 2) / (2.0 * taper_width**2)).astype(dtype)
+    c = curve.values.astype(dtype)
+    a = w * (c[n:] + np.conjugate(c[n::-1]))
+    a[0] = w[0] * c[n]
+    return a
+
+
+def extended_sum(a, times, freqs, block=256):
+    """Re sum_i a_i exp(-2 pi i lambda_k t_i) at every lambda_k of *freqs*:
+    a direct sum in ``np.clongdouble``, a block of frequencies at a time."""
+    a, t = np.asarray(a, dtype=np.clongdouble), np.asarray(times, dtype=np.longdouble)
+    sums = np.empty(len(freqs), dtype=np.longdouble)
+    for lo in range(0, len(freqs), block):
+        lam = np.asarray(freqs[lo : lo + block], dtype=np.longdouble)
+        sums[lo : lo + block] = (np.exp(-2j * PI * np.outer(lam, t)) @ a).real
+    return sums
+
+
+def chirp_z_bound(a, dt, times, freqs, start, step):
+    """Per frequency, the rounding bound of the bochner_density docstring
+    on dt * Re of the chirp-z sum at freqs[k] (the grid start + k step up
+    to rounding), plus the rounding of :func:`extended_sum` itself: its
+    coefficients, its phases 2 pi lambda t (within gamma_3 with pi, and 4
+    ulps for exp) and its sum of n + 1 products."""
+    n, size = len(a) - 1, len(freqs)
+    count = n + size  # N, the kernel's nonzero entries
+    p = (count - 1).bit_length()  # log2 L
+    eta = U + gamma(4) * (math.sqrt(2) + U)
+    eps_f = p * eta / (1 - p * eta)
+    t = np.abs(times)
+    i_dt = np.arange(n + 1) * dt
+    grid_error = np.abs(t - i_dt) + np.spacing(t)  # |t_i - i dt| with i dt exact
+    gap = np.array([abs(float(Fraction(f) - Fraction(start) - k * Fraction(step))) for k, f in enumerate(freqs)])
+    lam, k = np.abs(freqs), np.arange(size)
+    size_a, norm_a = np.abs(a), float(np.linalg.norm(a))
+    total = float(size_a.sum())
+    per_term = (
+        gamma(96) * total
+        + 2 * np.pi * U * (abs(start) + k * abs(step)) * (size_a @ i_dt)
+        + 2 * np.pi * (lam * (size_a @ grid_error) + gap * (size_a @ t))
+    )
+    fft = eps_f * (count * norm_a + 2 * math.sqrt(count) * total) + math.sqrt(2) * gamma(2) * math.sqrt(count) * total
+    reference = (gamma(n + 8, U_EXTENDED) + gamma(3, U_EXTENDED) * 2 * np.pi * lam * float(size_a @ t)) * total
+    return dt * (per_term + fft + reference)
 
 
 def assert_within_rounding_bound(curve, estimate):
-    """bochner_density against the dense reference, within the bound on
-    the raw sums carried through the clip (1-Lipschitz) and the
+    """bochner_density against the extended-precision sum, within the
+    bound on the raw sums carried through the clip (1-Lipschitz) and the
     renormalization by c(0) / mass, and never above 1e-12 * max density."""
     est = bochner_density(curve, **estimate)
-    freqs, raw, reference = full_transform_density(curve, **{**estimate, "taper_width": est.taper_width})
+    lam_max, size = estimate["lam_max"], estimate["grid_size"]
+    freqs, step = np.linspace(-lam_max, lam_max, size, retstep=True)
     assert np.array_equal(est.freqs, freqs)
-    bound = transform_rounding_bound(curve, freqs, est.taper_width)
-    mass = float(trapezoid(np.clip(raw, 0.0, None), freqs))
-    scale = float(np.real(curve.values[len(curve.values) // 2])) / mass
-    mass_error = float(trapezoid(bound, freqs)) + 2 * gamma(len(freqs) + 1) * mass
-    tolerance = scale * bound + reference * (mass_error / mass + 4 * U)
-    assert np.all(np.abs(est.density - reference) <= np.minimum(tolerance, 1e-12 * np.max(reference)))
+    n = len(curve.times) // 2
+    raw = curve.dt * extended_sum(folded_coefficients(curve, est.taper_width, np.clongdouble), curve.times[n:], freqs)
+    a = folded_coefficients(curve, est.taper_width)
+    bound = chirp_z_bound(a, curve.dt, curve.times[n:], freqs, -lam_max, step if size > 1 else 0.0)
+    reference = np.clip(raw, 0.0, None)
+    tolerance = bound
+    mass = trapezoid(reference, freqs.astype(np.longdouble))
+    c0 = float(np.real(curve.values[n]))
+    if mass > 0 and c0 > 0:
+        scale = c0 / mass
+        reference *= scale
+        mass_error = float(trapezoid(bound, freqs)) + 2 * gamma(size + 1) * mass
+        tolerance = scale * bound + reference * (mass_error / mass + 4 * U)
+    error = np.abs(est.density - reference)
+    assert np.all(error <= np.minimum(tolerance, 1e-12 * np.max(reference)))
 
 
 # the curve and estimate entries of the spectrum and disjointness specs of
@@ -350,43 +379,77 @@ CLI_CURVES = {
 
 
 @pytest.mark.parametrize("name", CLI_CURVES)
-def test_horner_density_is_within_its_rounding_bound_on_analytic_curves(name):
+def test_density_is_within_its_rounding_bound_on_analytic_curves(name):
     spec = CLI_CURVES[name]
     assert_within_rounding_bound(_curve_for_spec(spec)(), _estimate_entries(spec))
 
 
-def test_horner_density_is_within_its_rounding_bound_on_an_engine_curve():
+def test_density_is_within_its_rounding_bound_on_an_engine_curve():
     spec = {"schedule": {"kind": "asym49", "params": {}}, "dt": 0.05, "t_max": 4, "seed": 1}
     assert_within_rounding_bound(_curve_for_spec(spec)(), {"lam_max": 4.0, "grid_size": 401})
 
 
-def polyval_density(curve, lam_max, grid_size, taper_width):
-    """The density of :func:`bochner_density` with its polynomial
-    evaluated by ``np.polyval``, the same taper, clip and mass rule."""
-    n = len(curve.times) // 2
-    c, w = curve.values, np.exp(-(curve.times[n:] ** 2) / (2.0 * taper_width**2))
-    a = w * (c[n:] + np.conjugate(c[n::-1]))
-    a[0] = w[0] * c[n]
-    freqs = np.linspace(-lam_max, lam_max, grid_size)
-    density = np.clip(curve.dt * np.real(np.polyval(a[::-1], np.exp(-2j * np.pi * curve.dt * freqs))), 0.0, None)
-    mass, c0 = float(trapezoid(density, freqs)), float(np.real(c[n]))
-    if mass > 0 and c0 > 0:
-        density *= c0 / mass
-    return density
+@pytest.mark.parametrize("grid_size", [1, 2])
+def test_density_is_within_its_rounding_bound_on_one_and_two_points(grid_size):
+    """The cosine curve's peaks, at -1 alone (no trapezoid mass, so no
+    renormalization) and at -1 and 1."""
+    spec = CLI_CURVES["cosine"]
+    assert_within_rounding_bound(_curve_for_spec(spec)(), {**_estimate_entries(spec), "lam_max": 1.0, "grid_size": grid_size})
 
 
-@pytest.mark.parametrize("name", [*CLI_CURVES, "engine"])
-def test_horner_in_place_keeps_the_bytes_of_polyval(name):
-    """The in-place Horner loop does polyval's own operations, y = y * z
-    + a_i from y = 0: the density's bytes are polyval's."""
-    if name == "engine":
-        spec, estimate = {"schedule": {"kind": "asym49", "params": {}}, "dt": 0.05, "t_max": 4, "seed": 1}, {"lam_max": 4.0, "grid_size": 401}
-    else:
-        spec = CLI_CURVES[name]
-        estimate = _estimate_entries(spec)
-    curve = _curve_for_spec(spec)()
-    est = bochner_density(curve, **estimate)
-    assert est.density.tobytes() == polyval_density(curve, estimate["lam_max"], len(est.freqs), est.taper_width).tobytes()
+def assert_chirp_z_within_bound(a, dt, times, lam_max, size, picked=slice(None)):
+    """dt * Re of the chirp-z sum of *a* on ``np.linspace(-lam_max,
+    lam_max, size)`` against the extended-precision sum at the *picked*
+    frequencies, within :func:`chirp_z_bound` and 1e-12 * max |sum|."""
+    freqs, step = np.linspace(-lam_max, lam_max, size, retstep=True)
+    step = step if size > 1 else 0.0
+    got = dt * _chirp_z(a, dt * -lam_max, dt * step, size).real[picked]
+    reference = dt * extended_sum(a, times, freqs[picked])
+    bound = chirp_z_bound(a, dt, times, freqs, -lam_max, step)[picked]
+    assert np.all(np.abs(got - reference) <= np.minimum(bound, 1e-12 * np.max(np.abs(reference))))
+
+
+@pytest.mark.parametrize(
+    "n, size",
+    [(0, 1), (0, 2), (0, 1601), (7, 1), (7, 2), (100, 924), (100, 925), (1023, 1), (1024, 1), (320, 1601)],
+    ids=["n=0-G=1", "n=0-G=2", "n=0", "G=1", "G=2", "N=2**10", "N=2**10+1", "N=2**10-G=1", "N=2**10+1-G=1", "asym49-sizes"],
+)
+def test_chirp_z_is_within_its_rounding_bound_at_edge_sizes(n, size):
+    """The transform on random coefficients: no coefficient but a_0, one
+    and two frequencies, and N = n + G at a power of two, where the
+    convolution fills the FFT length, and one past it.  A one-sample
+    curve has no taper width to give bochner_density, which refuses it."""
+    rng = np.random.default_rng(n + size)
+    a = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+    assert_chirp_z_within_bound(a, 0.05, np.arange(n + 1) * 0.05, 4.0, size)
+    if n == 0:
+        with pytest.raises(ConfigurationError, match="taper width"):
+            bochner_density(curve_from_samples(0.05, a), 4.0, size)
+
+
+def test_chirp_z_is_within_its_rounding_bound_on_3201_samples_and_16001_points():
+    """A 3,201-sample gaussian curve on 16,001 points, where the chirp's
+    argument dt Delta m^2 / 2 reaches 3,200 turns: its first and last 100
+    points and every 8th, against the extended-precision sum."""
+    curve = gaussian_curve(t_max=80.0)
+    n, width = len(curve.times) // 2, 80.0 / 3
+    assert n == 1600
+    picked = np.r_[0:100:1, 100:15901:8, 15901:16001:1]
+    assert_chirp_z_within_bound(folded_coefficients(curve, width), curve.dt, curve.times[n:], 4.0, 16001, picked)
+
+
+@pytest.mark.parametrize("c", [0.05 * 0.0005 / 2, -0.2, 3.75, 1e10 / 3, 0.5, -(2.0**-30)])
+def test_phases_are_within_their_bound_whatever_the_argument(c):
+    """exp(-2 pi i c m) within (6 pi + 2) u at integer m up to 2**53, where
+    c m reaches 10**25 turns: against the exact c m mod 1 (Fractions), its
+    phase taken in extended precision."""
+    rng = np.random.default_rng(1)
+    m = np.concatenate([np.arange(50.0), rng.integers(0, 2**53, 200).astype(float), [2.0**53 - 1, 16000.0**2]])
+    turns = [Fraction(c) * int(k) for k in m]
+    exact = np.array([round((t - round(t)) * 2**62) for t in turns], dtype=np.longdouble) / 2**62  # within 2**-63 turns
+    reference = np.exp(-2j * PI * exact)
+    got = _phases(c, m)
+    assert np.all(np.abs(got - reference) <= (6 * np.pi + 2) * U + 4 * U_EXTENDED)
 
 
 @pytest.mark.parametrize("times", [[0.0, 0.5, 1.0], [-0.5, 0.0, 0.5, 1.0], [-1.0, 0.1, 1.0]])
@@ -407,7 +470,7 @@ def test_transform_needs_uniform_times(offset):
 
 def test_transform_allocates_no_grid_by_times_array():
     """641 samples on a 1601-point grid: a complex grid x times array
-    would take 16 MB; the Horner evaluation peaks below 1 MB."""
+    would take 16 MB; the chirp-z transform, O(n + G), peaks below 1 MB."""
     curve = cosine_curve(dt=0.05, t_max=16.0)
     assert len(curve.times) == 641
     tracemalloc.start()
