@@ -32,13 +32,13 @@ the stage pick (:func:`pick_stage`) and the bound's float |t| read those
 coordinates, with no scalar arithmetic per time.  At m = 2, a batch of
 ``_ARRAY_MIN_TIMES`` times or more on an int lattice, its coordinates
 below 2**53, holds them in int64 arrays: the stage pick is one
-``np.searchsorted``, |x| < h_N one comparison, each working stage's keys
-one ``np.unique`` whose inverse places each time's value, and the values
-times w_N and the bounds are arrays, bit for bit those of the per-time
-loop that every other batch takes, which returns lists.  ``at`` wraps
-either into :class:`CorrelationResult` lists; ``sample`` hands out
-arrays.  The query's lattice also holds stages k..N, and the shifts are
-rescaled to it once.  On it, memo keys, the |tau| < h_n test and the
+``np.searchsorted``, each working stage's keys one ``np.unique`` whose
+inverse places each time's value, and the values times w_N and the
+bounds are arrays, bit for bit those of the per-time loop that every
+other batch takes, which returns lists.  ``at`` wraps either into
+:class:`CorrelationResult` lists; ``sample`` hands out arrays.  The
+query's lattice also holds stages k..N, and the shifts are rescaled to
+it once.  On it, memo keys, the |tau| < h_n test and the
 deltas are ints (x = A/D) or int pairs (x = (A + B*sqrt 2)/D), and the
 base case takes the shifts in the same coordinates as the functions'
 breakpoint grids: nothing is decoded on the query path.
@@ -50,8 +50,12 @@ from one query to the next.  The working stage of every time is picked
 first, so a time out of range raises before any step is taken.  Top
 down, from the highest working stage to stage k, each stage's frontier
 is the distinct shifts the stage above needs plus those of the times
-whose working stage it is, and the schedule's step is taken for all of
-them at once: one call of
+whose working stage it is, every one of them: no shift is tested
+against h_N.  A picked stage has h_N >= STAGE_MARGIN * (h_k + |t|), past
+every shift; at a given stage, a shift with |x| >= h_N has no delta in
+the step below it (each |o_{j'} - o_j| <= h_N - h_{N-1}), or at N = k no
+common support, so its B_N is the recursion's exact 0.  The schedule's
+step is taken for all of them at once: one call of
 :meth:`Schedule.overlaps` at m = 2 (see :func:`overlap_batch`), or of
 :meth:`Schedule.tuple_overlaps` at m >= 3, per stage and batch.  Bottom
 up, from stage k back, each new value is summed over its step in the
@@ -102,7 +106,7 @@ import numpy as np
 from . import schedule as geometry  # for GUARD, read at call time
 from .errors import RangeError, ResourceError
 from .scalars import FLOAT_EXACT, Scalar, Sqrt2, exact, sqrt2_floordiv, sqrt2_sign, sqrt2_sorted, to_float
-from .schedule import Lattice, Schedule, difference, magnitude, within
+from .schedule import Lattice, Schedule, difference, magnitude
 from .stepfun import StepFunction, array_integrals, product_integral
 
 STAGE_MARGIN = 4
@@ -145,7 +149,7 @@ def pick_stage(schedule: Schedule, k: int, t_abs: Sequence, lattice: Lattice | N
     threshold is the int floor(u_N D): for an int T, u_N < T/D exactly
     when floor(u_N D) < T.  On a pair lattice it is the integer form
     (P, Q, e) of u_N D = (P + Q sqrt 2)/e, and u_N < (a + b sqrt 2)/D is
-    the sign of (a e - P) + (b e - Q) sqrt 2, as :func:`within` decides.
+    the sign of (a e - P) + (b e - Q) sqrt 2, by :func:`sqrt2_sign`.
     The first time past MAX_STAGE raises, naming its |t|.
 
     *t_abs* may also be an int64 array of coordinates below 2**53 on an
@@ -222,7 +226,8 @@ class MCorrelator:
     def _correlation(self, shifts, t_abs, coarse: Lattice, stage: int | None) -> tuple:
         """w_N * B_N for each member at each query of a batch, at its shifts
         (one per function after the first), with the bound for times up to
-        its |t| in *t_abs*; B_N is 0 when a shift is outside |x| < h_N.
+        its |t| in *t_abs*; a shift outside |x| < h_N gets the recursion's
+        exact 0.
         Shifts and |t| are coordinates on *coarse*, a lattice that holds
         the batch's times: lists, a tuple of shifts per query, or, for the
         array batch of :meth:`Correlator.sample` at m = 2, int64 arrays of
@@ -264,65 +269,51 @@ class MCorrelator:
 
     def _loop(self, shifts: list, t_abs: list, ns: list, coarse: Lattice, lattice: Lattice) -> tuple:
         """:meth:`_correlation` one time after another, on Python scalars:
-        each shift tuple is rescaled to *lattice* and tested against h_N,
-        each distinct key of a working stage is wanted once (its slot, its
-        place in order among them, kept per time), and each value and
-        bound is a Python product, in one list per member."""
+        each shift tuple is rescaled to *lattice*, each distinct key of a
+        working stage is wanted once (its slot, its place in order among
+        them, kept per time), and each value and bound is a Python product,
+        in one list per member."""
         sched = self.schedule
         if lattice != coarse:
             shifts = [tuple(lattice.recode(x, coarse) for x in query) for query in shifts]
-        heights = {n: lattice.encode(sched.stage(n).h) for n in set(ns)}
         slots, wanted = [], defaultdict(dict)  # wanted: n -> {key of B_n: its slot}, then the slots' places
         for n, xs in zip(ns, shifts):
-            slot = None
-            if all(within(x, heights[n]) for x in xs):
-                keys = wanted[n]
-                slot = keys.setdefault(xs[0] if self._pair else xs, len(keys))
-            slots.append(slot)
+            keys = wanted[n]
+            slots.append(keys.setdefault(xs[0] if self._pair else xs, len(keys)))
         levels, working = self._B(wanted, lattice), {}  # working: n -> (w_N, B_N per member as a list)
         values, bounds = [[] for _ in self.family], [[] for _ in self.family]
         for n, slot, t in zip(ns, slots, t_abs):
             if n not in working:
-                level = [_python(vs) for vs in levels[n][1]] if n in wanted else [None] * len(values)
-                working[n] = to_float(sched.width(n), f"w_{n}"), level
-            (w_n, level), t = working[n], coarse.to_float(t, "|t|")
-            place = None if slot is None else wanted[n][slot]
+                working[n] = to_float(sched.width(n), f"w_{n}"), [_python(vs) for vs in levels[n][1]]
+            (w_n, level), t, place = working[n], coarse.to_float(t, "|t|"), wanted[n][slot]
             for vs, norm, out, bound in zip(level, self._norms, values, bounds):
-                out.append((0j if place is None else vs[place]) * w_n)
+                out.append(vs[place] * w_n)
                 bound.append(self._bound(norm, t, w_n))
         return values, bounds, ns
 
     def _arrays(self, shifts: np.ndarray, t_abs: np.ndarray, ns: np.ndarray, coarse: Lattice, lattice: Lattice) -> tuple:
         """:meth:`_correlation` of an array batch in NumPy, with the loop's
-        values bit for bit: |x| < h_N is one comparison, against each
-        time's h_N on *lattice* (searched clipped to 2**53); each working
-        stage wants the distinct keys of its times (``np.unique``), and
-        each time's value is gathered from its level by the key's place,
-        found through the inverse.  NumPy multiplies a complex by a float
-        as Python does, as (a + b i)(w + 0 i); |t| is T/D, a float64
-        division of two exact floats, so correctly rounded as the loop's.
-        Each w_N is checked, in the order the working stages first occur,
-        after the pass of :meth:`_B`."""
+        values bit for bit: each working stage wants the distinct keys of
+        its times (``np.unique``), and each time's value is gathered from
+        its level by the key's place, found through the inverse.  NumPy
+        multiplies a complex by a float as Python does, as (a + b i)(w + 0 i);
+        |t| is T/D, a float64 division of two exact floats, so correctly
+        rounded as the loop's.  Each w_N is checked, in the order the
+        working stages first occur, after the pass of :meth:`_B`."""
         sched = self.schedule
         low, high = int(ns.min()), int(ns.max())
-        heights = np.array([min(lattice.encode(sched.stage(n).h), FLOAT_EXACT) for n in range(low, high + 1)], dtype=np.int64)
-        inside = np.abs(shifts) < heights[ns - low]
-        wanted, slots, first = {}, {}, {}  # slots: n -> (the times of stage n inside, their slots among its keys)
+        wanted, slots = {}, {}  # slots: n -> (the times of stage n, their slots among its keys)
         for n in [low] if low == high else np.unique(ns).tolist():
             times = np.flatnonzero(ns == n)
-            first[n] = times[0]
-            times = times[inside[times]]
-            if len(times):
-                wanted[n], inverse = np.unique(shifts[times], return_inverse=True)
-                slots[n] = times, inverse
+            wanted[n], inverse = np.unique(shifts[times], return_inverse=True)
+            slots[n] = times, inverse
         levels = self._B(wanted, lattice)
-        raw = np.zeros((len(self.family), len(ns)), complex)
-        for n, (times, inverse) in slots.items():
+        raw, widths = np.empty((len(self.family), len(ns)), complex), np.empty(high - low + 1)
+        for n in sorted(slots, key=lambda n: slots[n][0][0]):
+            times, inverse = slots[n]
             places = np.asarray(wanted[n])[inverse]
             for out, vs in zip(raw, levels[n][1]):
                 out[times] = np.asarray(vs, dtype=complex)[places]
-        widths = np.zeros(high - low + 1)
-        for n in sorted(first, key=first.get):
             widths[n - low] = to_float(sched.width(n), f"w_{n}")
         w, t = widths[ns - low], t_abs / coarse.scale
         return raw * w, self._bound(np.array(self._norms)[:, None], t, w), ns

@@ -18,6 +18,8 @@ import random
 from fractions import Fraction
 from functools import partial
 
+import numpy as np
+
 from .correlate import (
     CorrelationResult,
     Correlator,
@@ -513,8 +515,7 @@ def run_spectrum(spec: dict):
         "grid": {"lam": float(est.freqs[-1]), "size": len(est.freqs)},
     }
     passed = abs(est.total_mass - c0) <= 1e-9 * max(1.0, abs(c0))
-    plot = [[float(l), float(d)] for l, d in zip(est.freqs, est.density)]
-    return report, passed, ("lambda,density", plot)
+    return report, passed, ("lambda,density", np.column_stack((est.freqs, est.density)).tolist())
 
 
 def run_disjointness(spec: dict):

@@ -222,13 +222,6 @@ def magnitude(x):
     return x if sqrt2_sign(*x) >= 0 else (-x[0], -x[1])
 
 
-def within(x, h) -> bool:
-    """|x| < h, for x and h both scalars or both lattice coordinates."""
-    if type(h) is tuple:
-        return sqrt2_sign(h[0] - x[0], h[1] - x[1]) > 0 and sqrt2_sign(h[0] + x[0], h[1] + x[1]) > 0
-    return abs(x) < h
-
-
 # ---------------------------------------------------------------------------
 # schedules and stages
 # ---------------------------------------------------------------------------

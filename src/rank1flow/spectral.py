@@ -197,7 +197,10 @@ def bochner_density(
     bounds every entry: the input's error is carried through the
     kernel's transform, at most ||kernel||_1 = N in modulus, and the
     kernel's, the pointwise product's and the inverse's errors with
-    ||a||_1 sqrt(N)."""
+    ||a||_1 sqrt(N).
+
+    ``schedule.GUARD`` bounds *grid_size*, as it bounds a curve's sample
+    times (:func:`sample_count`), before the grid is built."""
     times = curve.times
     n = len(times) // 2
     if not np.array_equal(times[n:], -times[n::-1]):
@@ -212,6 +215,8 @@ def bochner_density(
         raise ConfigurationError(f"taper width {taper_width} exceeds T_max {t_max}")
     if taper_width <= 0:
         raise ConfigurationError("taper width must be positive")
+    if grid_size > geometry.GUARD:  # the transform holds several complex arrays of n + grid_size or more
+        raise ResourceError(f"frequency grid blowup: 'grid_size' = {grid_size} points, more than GUARD = {geometry.GUARD}")
     c = curve.values
     with np.errstate(all="ignore"):  # a taper, grid or phases past float range are refused below
         w = np.exp(-(times[n:] ** 2) / (2.0 * taper_width**2))

@@ -2,8 +2,8 @@
 against the per-time loop.
 
 A batch of ``_ARRAY_MIN_TIMES`` times or more on an int lattice keeps its
-bookkeeping (stage pick, |x| < h_N, the wanted keys, value * w_N and the
-bound) in NumPy; the tests move that floor to send one batch down either
+bookkeeping (stage pick, the wanted keys, value * w_N and the bound) in
+NumPy; the tests move that floor to send one batch down either
 path, and compare the two repr for repr.
 """
 
@@ -23,6 +23,7 @@ from rank1flow import (
     flat_schedule,
     random_step_function,
     staircase34_schedule,
+    thm44_schedule,
 )
 from rank1flow.errors import RangeError
 
@@ -109,6 +110,50 @@ def test_a_batch_over_several_stages_with_times_outside_h_n():
     given_stage, routes = answers(schedule, pairs, times, 2, ARRAYS)
     assert routes == ["arrays"] and [value for value, _, _ in given_stage[0]][2:4] == ["0j", "0j"]
     assert given_stage == answers(schedule, pairs, times, 2, LOOP)[0]
+    # m = 3 at stages 2 (h_2 = 4) and 1 (h_1 = 1, the base case): a tuple
+    # with one shift or both past h_N is exactly 0j, the others are the
+    # values each tuple has alone
+    (f, g), _ = pairs[:2]
+    triples = MCorrelator(schedule, [[f, g, f]])
+    queries = [(0, Fraction(1, 4), Fraction(-1, 2)), (0, Fraction(1, 4), 3), (0, 5, Fraction(1, 2)), (0, -40, 500), (1, 1, 6)]
+    for stage, outside in ((2, [2, 3, 4]), (1, [1, 2, 3, 4])):
+        (results,) = triples.at(queries, stage=stage)
+        assert [i for i, r in enumerate(results) if repr(r.value) == "0j"] == outside
+        for query, r in zip(queries, results):
+            assert repr(r.value) == repr(triples.at([query], stage=stage)[0][0].value)
+
+
+PREMISE_SCHEDULES = {**BATCH_SCHEDULES, "thm44": thm44_schedule(s_values=(2,), q_max=1, k_max=1, r_cap=6)}
+premise_times = st.fractions(min_value=-40, max_value=40, max_denominator=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(PREMISE_SCHEDULES)),
+    st.lists(st.tuples(premise_times, premise_times, premise_times), min_size=1, max_size=40),
+    st.sampled_from([2, 3]),
+    st.sampled_from([ARRAYS, LOOP]),
+    st.integers(0, 10**6),
+)
+def test_every_shift_is_inside_its_picked_stage(name, drawn, m, floor, seed):
+    """At each picked stage N, every exact |t_i - t_0| < h_N: at m = 2 on
+    the arrays and on the loop, at m = 3 on the loop, on rational and
+    Q(sqrt 2) schedules.  So at a picked stage the recursion answers every
+    shift from inside the tower."""
+    schedule = PREMISE_SCHEDULES[name]
+    (f, g), = family(schedule, seed, 1)
+    queries = [(0, t) for t, _, _ in drawn] if m == 2 else drawn
+    with pytest.MonkeyPatch.context() as patched:
+        routes = spied(patched)
+        patched.setattr(correlate_module, "_ARRAY_MIN_TIMES", floor)
+        if m == 2:
+            (results,) = Correlator(schedule, [(f, g)]).at([t for _, t in queries])
+        else:
+            (results,) = MCorrelator(schedule, [[f, g, f]]).at(queries)
+    arrays = m == 2 and floor == ARRAYS and name != "thm44"
+    assert routes == ["arrays" if arrays else "loop"]
+    for (t0, *rest), r in zip(queries, results):
+        assert all(abs(t - t0) < schedule.height(r.stage_used) for t in rest)
 
 
 def test_sample_equals_at_on_a_grid():

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from rank1flow import Correlator, experiments
+from rank1flow import cli as cli_module
 from rank1flow import schedule as schedule_module
 from rank1flow.cli import main
 from rank1flow.correlate import perturbation_bound
@@ -408,13 +409,15 @@ def test_a_sqrt2_time_out_of_range_exits_two_and_is_named(tmp_path, time, named)
     assert f"error: {named}\n" in result.output
 
 
-# curve entries past float range, or past memory, each before any sample
-# time is built: t_max/dt on both curve kinds, a cosine phase, a grid
+# curve entries past float range, each before any sample time is built
+# (t_max/dt on both curve kinds, a cosine phase), and a frequency grid
+# past GUARD, refused before the transform builds it
+GRID_PAST_GUARD = "frequency grid blowup: 'grid_size' = 10000000000000 points, more than GUARD = 1000000"
 OUT_OF_RANGE_CURVES = {
     "ratio-analytic": ({"analytic": {"kind": "gaussian"}, "dt": 1e-300, "t_max": 1e300}, "spec entries 't_max' = 1e+300 and 'dt' = 1e-300"),
     "ratio-schedule": ({"schedule": FLAT2, "dt": 1e-300, "t_max": 1e300}, "spec entries 't_max' = 1e+300 and 'dt' = 1e-300"),
     "cosine-phase": ({"analytic": {"kind": "cosine", "freqs": [1e308]}, "dt": 0.05, "t_max": 8}, "spec entry 'freqs' = [1e+308]"),
-    "grid-size": ({"analytic": {"kind": "gaussian"}, "grid_size": 10000000000000}, "Unable to allocate"),
+    "grid-size": ({"analytic": {"kind": "gaussian"}, "grid_size": 10000000000000}, GRID_PAST_GUARD),
     # an exact dt whose float is 0.0, or past the largest float
     "dt-below-float": ({"schedule": FLAT2, "dt": "1e-400", "t_max": 8}, "spec entry 'dt' rounds to 0.0: t_max/dt with 't_max' = 8.0"),
     "dt-past-float": ({"schedule": FLAT2, "dt": "1e400", "t_max": 8}, "spec entry 'dt' is past float range"),
@@ -432,6 +435,19 @@ def test_a_curve_past_float_range_or_memory_exits_two(tmp_path, spec, named):
         result = invoke([kind, "--spec", write_spec(tmp_path, "curve.json", spec), "--out", str(tmp_path / "o")])
         assert result.exit_code == 2, result.output
         assert f"error: {named}" in result.output and "Traceback" not in result.output
+
+
+def test_running_out_of_memory_exits_two(monkeypatch, tmp_path, audit_spec):
+    """A MemoryError, which carries no message, exits 2 as "out of memory"."""
+
+    def exhausted(kind, spec):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli_module, "run_experiment", exhausted)
+    result = invoke(["stage-audit", "--spec", audit_spec, "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert "error: out of memory\n" in result.output and "Traceback" not in result.output
+    assert not (tmp_path / "o").exists()
 
 
 # dilations whose grid leaves float range, or whose estimate falls

@@ -347,8 +347,8 @@ SPIED = ("__lt__", "__abs__", "__neg__", "__mul__")
 def test_a_batch_takes_no_scalar_arithmetic_per_time(monkeypatch):
     """Correlator.at on asym49 makes as many Fraction comparisons,
     magnitudes, negations and products at 41 times i/20 as at 321: each
-    time is encoded once, and the pick, the shifts, |x| < h_N and the
-    bound's |t| read its lattice coordinates.  Each value is the one a
+    time is encoded once, and the pick, the shifts and the bound's |t|
+    read its lattice coordinates.  Each value is the one a
     call at that time alone gives, repr for repr."""
     sched = asym49_schedule()
     f, _ = pair(sched, 0)
@@ -1048,20 +1048,19 @@ def test_array_levels_equal_the_list_path(monkeypatch, passes, case):
     values of the list path, repr for repr, key for key at every level: with
     every step and base frontier sent to the list path, and with the base
     frontiers alone sent to product_integral.  A frontier that leaves an
-    array for a list route, product_integral or a query read does so as
-    Python ints."""
+    array for a list route or product_integral does so as Python ints, and
+    the keys a query reads are Python ints."""
     stepfun_module = importlib.import_module("rank1flow.stepfun")
     times, stage, kinds = ARRAY_LEVELS[case]
     f, g = pair(SCHEDULES["wide_staircase"](), 2)
     reached = Counter()  # the types of the shifts that reach a Python route
-    for owner, name in ((schedule_module, "overlap_pairs"), (correlate_module, "within")):
-        original = getattr(owner, name)
+    original = schedule_module.overlap_pairs
 
-        def spy(x, *args, original=original, name=name):
-            reached[name, type(args[0] if name == "overlap_pairs" else x)] += 1
-            return original(x, *args)
+    def spy(stage, x, *args):
+        reached["overlap_pairs", type(x)] += 1
+        return original(stage, x, *args)
 
-        monkeypatch.setattr(owner, name, spy)
+    monkeypatch.setattr(schedule_module, "overlap_pairs", spy)
     scalar = correlate_module.product_integral
 
     def scalar_spy(functions, shifts, lattice=None):
@@ -1089,7 +1088,7 @@ def test_array_levels_equal_the_list_path(monkeypatch, passes, case):
     assert run(_ARRAY_MIN_ROWS=2**62)[:2] == (reference, reference_memo)
     names = {name for name, _ in reached}
     assert {kind for _, kind in reached} == {int}
-    assert {"within", "overlap_pairs"} <= names and ("product_integral" in names) == (1 in kinds)
+    assert "overlap_pairs" in names and ("product_integral" in names) == (1 in kinds)
     if case == "no-delta-level":
         assert [r[0] for r in arrays] == ["0j", "0j"]
 

@@ -10,7 +10,9 @@ names kept for readers outside the package.
 """
 
 import ast
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -134,6 +136,90 @@ def test_the_scan_finds_a_public_name_only_exported():
 def test_every_public_definition_is_read():
     sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
     assert [entry for entry in exported_only(sources) if entry[2] not in EXPORTED_ONLY] == []
+
+
+# a cross-reference of a docstring: its role and its target, less a
+# leading ~ or . and a trailing ()
+ROLE = re.compile(r":(func|meth|class|attr|data|mod):`~?\.?([^`]+?)(?:\(\))?`")
+
+
+def references(source: str) -> list:
+    """(line, role, target) of each cross-reference in the docstrings of
+    *source*: its module's, its classes' and its functions'."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            docstring = ast.get_docstring(node, clean=False)
+            if docstring:
+                found += [(node.body[0].lineno, role, target) for role, target in ROLE.findall(docstring)]
+    return found
+
+
+def defined_anywhere(sources: dict) -> set:
+    """Every name *sources* define: each function and class, at any depth,
+    and each name assigned or annotated in a module or class body."""
+    names = set()
+    for tree in map(ast.parse, sources.values()):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            if isinstance(node, (ast.Module, ast.ClassDef)):
+                for statement in node.body:
+                    if isinstance(statement, (ast.Assign, ast.AnnAssign)):
+                        targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+                        names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def resolves(role: str, target: str, namespace, defined: set) -> bool:
+    """Whether *target* names something.  A bare name must be in *defined*,
+    or be a module that imports; a dotted one is imported as the longest
+    module path it starts with, or else its first part is read off
+    *namespace* (a module), and the rest is read by getattr."""
+    parts = target.split(".")
+    if len(parts) == 1 and role != "mod":
+        return target in defined
+    found, rest = namespace, parts
+    for cut in range(len(parts), 0, -1):
+        try:
+            found, rest = importlib.import_module(".".join(parts[:cut])), parts[cut:]
+            break
+        except ImportError:
+            continue
+    for part in rest:
+        if not hasattr(found, part):
+            return False
+        found = getattr(found, part)
+    return True
+
+
+def unresolved(sources: dict, package: str) -> list:
+    """(module, line, target) of each docstring cross-reference of the
+    modules of *package*, *sources*, that names nothing."""
+    defined = defined_anywhere(sources)
+    missing = []
+    for module, source in sources.items():
+        name = package if module == "__init__.py" else f"{package}.{module.removesuffix('.py')}"
+        namespace = importlib.import_module(name)
+        missing += [(module, line, target) for line, role, target in references(source) if not resolves(role, target, namespace, defined)]
+    return sorted(missing)
+
+
+def test_the_scan_finds_a_reference_to_nothing():
+    """A bare target must be defined somewhere, a dotted one must import
+    and getattr: a deleted helper and a missing method are both found."""
+    source = (
+        '"""Reads :func:`within`, :meth:`~Lattice.holding` and :func:`pick_stage`."""\n\n\n'
+        'def pick_stage():\n    """See :mod:`rank1flow.schedule`, :data:`rank1flow.schedule.GUARD`,\n'
+        '    :mod:`fractions`, :mod:`nowhere` and :meth:`Lattice.missing`."""\n'
+    )
+    found = unresolved({"correlate.py": source}, "rank1flow")
+    assert found == [("correlate.py", 1, "within"), ("correlate.py", 5, "Lattice.missing"), ("correlate.py", 5, "nowhere")]
+
+
+def test_every_docstring_reference_resolves():
+    sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert unresolved(sources, "rank1flow") == []
 
 
 def test_importing_the_package_loads_no_fft():

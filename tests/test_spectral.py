@@ -226,6 +226,20 @@ def test_sample_count_stops_at_the_guard(monkeypatch):
         sample_count(8, Fraction(1, 20))
 
 
+def test_the_frequency_grid_stops_at_the_guard(monkeypatch):
+    """grid_size may reach GUARD, not pass it: 10**13 points raise at the
+    default GUARD before any array of them is allocated, and 401 points
+    pass at GUARD = 401 and raise at 400."""
+    curve = gaussian_curve(t_max=4.0)
+    with pytest.raises(ResourceError, match=r"^frequency grid blowup: 'grid_size' = 10000000000000 points, more than GUARD = 1000000$"):
+        bochner_density(curve, lam_max=4.0, grid_size=10**13)
+    monkeypatch.setattr(schedule_module, "GUARD", 401)
+    assert len(bochner_density(curve, lam_max=4.0, grid_size=401).freqs) == 401
+    monkeypatch.setattr(schedule_module, "GUARD", 400)
+    with pytest.raises(ResourceError, match="'grid_size' = 401 points, more than GUARD = 400$"):
+        bochner_density(curve, lam_max=4.0, grid_size=401)
+
+
 @pytest.mark.parametrize(
     "dt, t_max",
     [(Fraction(1, 20), 16), (Fraction(1, 3), 2), (0.05, 4), (0.3, 3), (Fraction(2**53 + 1, 7), Fraction(8 * (2**53 + 1), 7))],
