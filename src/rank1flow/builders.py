@@ -286,30 +286,36 @@ _BUILDERS = {
     "asym49": asym49_schedule,
     "thm44": thm44_schedule,
 }
+# each builder's parameter defaults, read once: the types that
+# :func:`_check_types` holds a named schedule's parameters to
+_DEFAULTS = {
+    kind: {name: p.default for name, p in inspect.signature(builder).parameters.items()}
+    for kind, builder in _BUILDERS.items()
+}
 
 
 def named_schedule(kind: str, **params) -> Schedule:
     builder = _BUILDERS.get(kind) if isinstance(kind, str) else None
     if builder is None:
         raise ConfigurationError(f"unknown schedule kind {kind!r}; choose from {sorted(_BUILDERS)}")
-    _check_types(kind, builder, params)
+    _check_types(kind, params)
     try:
         return builder(**params)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad parameters for a {kind!r} schedule: {exc}") from None
 
 
-def _check_types(kind: str, builder, params: dict):
+def _check_types(kind: str, params: dict):
     """Builders read most parameters only when a stage gets built, so their
     types are checked here, against the builder's defaults: a sequence
     default takes a list of numbers, any other default a value of its own
     type.  h1 and w1, and names the builder does not take, are rejected
     by the builder itself."""
-    signature = inspect.signature(builder).parameters
+    defaults = _DEFAULTS[kind]
     for name, value in params.items():
-        if name not in signature or name in ("h1", "w1"):
+        if name not in defaults or name in ("h1", "w1"):
             continue
-        default = signature[name].default
+        default = defaults[name]
         if isinstance(default, tuple):
             ok = isinstance(value, (list, tuple)) and all(
                 isinstance(v, Real) and not isinstance(v, bool) for v in value

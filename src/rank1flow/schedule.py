@@ -21,9 +21,10 @@ smallest one holding some exact scalars.  Each stage is built on its own
 lattice, D_n = lcm of the denominators of h_n, the bottom spacer and
 s_n(1) .. s_n(r_n - 1), the smallest scale holding h_n and every
 offset: each distinct spacer object is coerced and encoded once and the
-offsets accumulated as ints or int pairs.  The scalar offsets are
-decoded from there on first use; h_{n+1} and the spacer mass are exact
-scalar sums of the last offset, h_n and s_n(r_n).
+offsets accumulated as ints or int pairs, or, equally spaced (below),
+kept as o_1 and p.  The scalar offsets are decoded from there on first
+use; h_{n+1} and the spacer mass are exact scalar sums of the last
+offset, h_n and s_n(r_n).
 :meth:`TowerStage.on_lattice` rescales a stage to a finer lattice: at
 m = 1 on a lattice of its own kind the view is the stage's own grid,
 otherwise it is rebuilt on each call.  The view, a
@@ -38,12 +39,14 @@ boundary, via :meth:`Lattice.decode`.
 
 A stage whose spacers s_n(1) .. s_n(r_n - 1) encode to one value (flat
 stages, a constant spacer, zero spacers below the top) has equally spaced
-offsets, o_{j+1} - o_j = p = h_n + s; the stage records p as its
-``period`` when it is built, and its offsets, on its own lattice and in
-every view, are the running sum o_1 + j p (:func:`spaced`), with no
-Python step per copy.  Where the r spacers are one object, as the
-builders make flat and constant stages, one identity check in C finds
-it so, and the build visits no copy in Python.
+offsets, o_{j+1} - o_j = p = h_n + s.  Its :class:`LatticeStage`, on
+its own lattice and in every view, holds o_1 and p alone (``first`` and
+``period``): a view rescales the two in O(1), the routes that run on
+the stage read r_n, p and h_n only, and the last offset is
+o_1 + (r_n - 1) p (:attr:`LatticeStage.last`).  Only the decoded
+:attr:`TowerStage.offsets` list the copies, on first use.  Where the r spacers are one object, as
+the builders make flat and constant stages, one identity check in C
+finds it so, and the build visits no copy in Python.
 Its overlaps are then the deltas x + k p, each realized by the r_n - |k|
 pairs with j' - j = k, and since p >= h_n at most two k keep
 |x + k p| < h_n.  :func:`overlap_pairs` answers such a stage in closed
@@ -187,13 +190,21 @@ class Lattice(NamedTuple):
 
 
 class LatticeStage(NamedTuple):
-    """Height and offsets of stage n in the coordinates of one lattice."""
+    """Height and offsets of stage n in the coordinates of one lattice: the
+    offsets o_1 .. o_r as a list, or, where they are equally spaced, o_1
+    and the period p alone, o_j = o_1 + (j - 1) p, with no per-copy list."""
 
     n: int
     r: int
     h: object  # int or (a, b)
-    offsets: list
-    period: object = None  # o_{j+1} - o_j, where the offsets are equally spaced
+    offsets: Optional[list] = None  # o_1 .. o_r, unless equally spaced
+    first: object = None  # o_1, where equally spaced
+    period: object = None  # o_{j+1} - o_j, where equally spaced
+
+    @property
+    def last(self):
+        """o_r, the last offset."""
+        return self.offsets[-1] if self.period is None else stepped(self.first, self.period, self.r - 1)
 
 
 def rescaled(x, m: int):
@@ -201,13 +212,10 @@ def rescaled(x, m: int):
     return x * m if type(x) is int else (x[0] * m, x[1] * m)
 
 
-def spaced(first, period, r: int) -> list:
-    """The r equally spaced lattice coordinates first + j*period, j < r,
-    as a running sum per component (a pair's component may stand still or
-    fall)."""
-    if type(period) is int:
-        return list(accumulate(repeat(period, r - 1), initial=first))
-    return list(zip(*(accumulate(repeat(p, r - 1), initial=o) for o, p in zip(first, period))))
+def stepped(x, p, k: int):
+    """x + k p, for lattice coordinates (a pair's component may stand
+    still or fall)."""
+    return x + k * p if type(x) is int else (x[0] + k * p[0], x[1] + k * p[1])
 
 
 def difference(x, y):
@@ -261,12 +269,15 @@ class TowerStage:
 
     @cached_property
     def offsets(self) -> list:
-        """o_{n,1} .. o_{n,r_n}."""
-        return [self.lattice.decode(o) for o in self.grid.offsets]
+        """o_{n,1} .. o_{n,r_n}; on an equally spaced stage o_1 + j p."""
+        grid, decode = self.grid, self.lattice.decode
+        if grid.period is None:
+            return list(map(decode, grid.offsets))
+        return [decode(stepped(grid.first, grid.period, j)) for j in range(self.r)]
 
     @cached_property
     def h_next(self):
-        return self.lattice.decode(self.grid.offsets[-1]) + self.h + self.spacers[-1]
+        return self.lattice.decode(self.grid.last) + self.h + self.spacers[-1]
 
     @property
     def w_next(self):
@@ -279,7 +290,8 @@ class TowerStage:
 
     def on_lattice(self, lattice: Lattice) -> LatticeStage:
         """This stage in the coordinates of *lattice*, whose scale must be a
-        multiple of :attr:`denominator`."""
+        multiple of :attr:`denominator`; an equally spaced stage's view is
+        m o_1 and m p, in O(1)."""
         m, rest = divmod(lattice.scale, self.denominator)
         if rest:
             raise ValueError(f"lattice scale {lattice.scale} is not a multiple of {self.denominator}")
@@ -287,19 +299,18 @@ class TowerStage:
         widen = lattice.sqrt2 and type(grid.h) is int  # an int stage on Q(sqrt 2): (o, 0) pairs
         if m == 1 and not widen:
             return grid
-        h, period = rescaled(grid.h, m), grid.period
-        if period is not None:  # equally spaced: rebuilt from m*o_1 and m*p
-            first, period = rescaled(grid.offsets[0], m), rescaled(period, m)
-            if widen:
-                h, first, period = (h, 0), (first, 0), (period, 0)
-            offsets = spaced(first, period, self.r)
-        elif widen:
-            h, offsets = (h, 0), [(o * m, 0) for o in grid.offsets]
+        coarse = self.lattice
+        h = lattice.recode(grid.h, coarse)
+        if grid.period is not None:
+            first, period = lattice.recode(grid.first, coarse), lattice.recode(grid.period, coarse)
+            return LatticeStage(self.n, self.r, h, first=first, period=period)
+        if widen:
+            offsets = [(o * m, 0) for o in grid.offsets]
         elif type(h) is tuple:
             offsets = [(a * m, b * m) for a, b in grid.offsets]
         else:
             offsets = [o * m for o in grid.offsets]
-        return LatticeStage(self.n, self.r, h, offsets, period)
+        return LatticeStage(self.n, self.r, h, offsets)
 
 
 class Schedule:
@@ -313,8 +324,8 @@ class Schedule:
     history.  A value that repeats should be one repeated object: each
     object is coerced and encoded once, and a stage whose r spacers are
     one object (``[s] * r``) is built with no Python step per copy, its
-    offsets one progression.  Equal but distinct objects give the same
-    stage, at a cost per copy.
+    offsets one progression kept as o_1 and p.  Equal but distinct
+    objects give the same stage, at a cost per copy.
     """
 
     def __init__(
@@ -382,19 +393,17 @@ class Schedule:
             raise ConfigurationError(f"negative spacer at stage {m}")
         if negative(B):
             raise ConfigurationError(f"negative bottom spacer at stage {m}")
-        period = None
-        if len(steps) == 1:  # equally spaced offsets, o_{j+1} - o_j = h + s
+        if len(steps) == 1:  # equally spaced offsets, o_{j+1} - o_j = h + s: o_1 and p
             (S,) = steps
             period = (H[0] + S[0], H[1] + S[1]) if sqrt2 else H + S
-            offsets = spaced(B, period, r)
+            grid = LatticeStage(m, r, H, first=B, period=period)
         elif sqrt2:  # o_{j+1} = o_j + h + s(j), component by component
             rises = {i: (H[0] + a, H[1] + b) for i, (a, b) in encoded.items()}
             columns = zip(*map(rises.__getitem__, ids[:-1]))
-            offsets = list(zip(*(accumulate(c, initial=b) for c, b in zip(columns, B))))
+            grid = LatticeStage(m, r, H, list(zip(*(accumulate(c, initial=b) for c, b in zip(columns, B)))))
         else:
             rises = {i: H + s for i, s in encoded.items()}
-            offsets = list(accumulate(map(rises.__getitem__, ids[:-1]), initial=B))
-        grid = LatticeStage(m, r, H, offsets, period=period)
+            grid = LatticeStage(m, r, H, list(accumulate(map(rises.__getitem__, ids[:-1]), initial=B)))
         self._stages.append(TowerStage(m, h, w, r, spacers, bottom, lattice, grid))
 
     def _check_budget(self, n: int, h):
@@ -568,7 +577,7 @@ def _fits_int64(stage: LatticeStage, shifts) -> bool:
     *shifts*, a list or an int64 array, fits int64: each is a shift plus
     an offset difference, below 2 * ``_INT64_SAFE``.  The sweep's sort
     keys also need len(shifts) * h below ``_INT64_SAFE``."""
-    if type(stage.h) is not int or stage.offsets[-1] + stage.h >= _INT64_SAFE:
+    if type(stage.h) is not int or stage.last + stage.h >= _INT64_SAFE:
         return False
     xs = np.asarray(shifts)  # a list with a value past int64 gives an object, uint64 or float64 array
     return -_INT64_SAFE < xs.min() and xs.max() < _INT64_SAFE

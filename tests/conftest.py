@@ -12,8 +12,23 @@ from rank1flow import (
     thm44_schedule,
 )
 from rank1flow import schedule as schedule_module
+from rank1flow.schedule import LatticeStage
 
 correlate_module = importlib.import_module("rank1flow.correlate")  # the package exports a function of that name
+
+
+def per_copy(stage: LatticeStage) -> LatticeStage:
+    """*stage* with its offsets listed and no period: an equally spaced
+    stage's o_1 and p expanded to o_1 + j p, j < r, copy by copy, for the
+    references and sweeps that read every offset."""
+    if stage.period is None:
+        return stage
+    (o, p), r = (stage.first, stage.period), stage.r
+    if type(o) is int:
+        offsets = [o + j * p for j in range(r)]
+    else:
+        offsets = [(o[0] + j * p[0], o[1] + j * p[1]) for j in range(r)]
+    return LatticeStage(stage.n, r, stage.h, offsets)
 
 
 @pytest.fixture()

@@ -1,15 +1,17 @@
 """Equally spaced stages in closed form.
 
 A stage whose r spacers are one object is built as the progression
-o_1 + j*p, and :meth:`TowerStage.on_lattice` rescales an equally spaced
-stage from m*o_1 and m*p.  Both must give, value for value and type for
-type, what the per-copy build and the per-offset rescale give.
+o_1 + j*p, kept as o_1 and p alone, and :meth:`TowerStage.on_lattice`
+rescales an equally spaced stage to m*o_1 and m*p.  Expanded copy by copy
+(``per_copy``), both must give, value for value and type for type, what
+the per-copy build and the per-offset rescale give.
 """
 
 from fractions import Fraction
 from itertools import accumulate
 
 import pytest
+from conftest import per_copy
 
 from rank1flow import (
     Sqrt2,
@@ -29,7 +31,8 @@ def per_copy_stage(mode, n, h, r, values, bottom=0):
     """Stage n the per-copy way: every spacer object coerced once in one
     pass, each distinct one encoded once, the offsets accumulated one copy
     at a time and the period read off the encoded steps.  Returns
-    (spacers, lattice, grid, h_next)."""
+    (spacers, lattice, grid, period, h_next), the grid with every offset
+    listed."""
     scalars, ids, spacers = {}, [], []
     for v in values:
         i = id(v)
@@ -53,7 +56,7 @@ def per_copy_stage(mode, n, h, r, values, bottom=0):
     if len(set(steps.values())) == 1:
         period = tuple(y - x for x, y in zip(*offsets[:2])) if lattice.sqrt2 else offsets[1] - offsets[0]
     h_next = lattice.decode(offsets[-1]) + h + spacers[-1]
-    return spacers, lattice, LatticeStage(n, r, H, offsets, period), h_next
+    return spacers, lattice, LatticeStage(n, r, H, offsets), period, h_next
 
 
 def shape(x):
@@ -66,6 +69,17 @@ def shape(x):
 def assert_same(got, want):
     assert got == want
     assert shape(got) == shape(want)
+
+
+def assert_same_grid(got, want, period):
+    """*got*, a stage's grid or view, is *want*, the per-copy one, with
+    the period *period*: an equally spaced one holds o_1 and p and no
+    offset list."""
+    assert_same(got.period, period)
+    if period is not None:
+        assert got.offsets is None
+        assert_same(got.first, want.offsets[0])
+    assert_same(per_copy(got), want)
 
 
 BUILDERS = {
@@ -92,9 +106,9 @@ def test_closed_form_stages_equal_the_per_copy_build(name):
         st = sched.stage(n)
         r, values, *bottom = fresh._params(n, st.h, st.w)
         closed += all(v is values[0] for v in values)
-        spacers, lattice, grid, h_next = per_copy_stage(sched.mode, n, st.h, r, values, *bottom)
+        spacers, lattice, grid, period, h_next = per_copy_stage(sched.mode, n, st.h, r, values, *bottom)
         assert st.lattice == lattice
-        assert_same(st.grid, grid)
+        assert_same_grid(st.grid, grid, period)
         assert_same(st.spacers, spacers)
         assert_same(st.h_next, h_next)
     assert closed > 0
@@ -119,9 +133,9 @@ def test_the_top_spacer_enters_the_lattice_only_where_it_steps_an_offset(values)
     """s(r) sets no offset: its object counts toward the stage lattice only
     where it is also one of s(1) .. s(r-1)."""
     st = Schedule(lambda n, h, w: (len(values), values), h1="1/2").stage(1)
-    spacers, lattice, grid, h_next = per_copy_stage("rational", 1, st.h, len(values), values)
+    spacers, lattice, grid, period, h_next = per_copy_stage("rational", 1, st.h, len(values), values)
     assert st.lattice == lattice
-    assert_same(st.grid, grid)
+    assert_same_grid(st.grid, grid, period)
     assert_same(st.spacers, spacers)
     assert_same(st.h_next, h_next)
 
@@ -168,17 +182,17 @@ def test_sqrt2_progression_with_a_zero_or_negative_component(h1, periods, varian
     sched = stages_doc("sqrt2", h1, variant)
     for n, p in enumerate(periods, start=1):
         grid = sched.stage(n).grid
-        assert grid.period == p
-        assert grid.offsets == [(0, 0), p, (2 * p[0], 2 * p[1])]
+        assert (grid.first, grid.period, grid.offsets) == ((0, 0), p, None)
+        assert per_copy(grid).offsets == [(0, 0), p, (2 * p[0], 2 * p[1])]
         assert grid.h == p
 
 
 def per_offset_view(stage, lattice):
-    """The view on *lattice*, each coordinate rescaled by itself."""
-    grid, coarse = stage.grid, stage.lattice
-    period = None if grid.period is None else lattice.recode(grid.period, coarse)
+    """The view on *lattice*, each of the r offsets rescaled by itself,
+    and the rescaled period."""
+    grid, coarse = per_copy(stage.grid), stage.lattice
     offsets = [lattice.recode(o, coarse) for o in grid.offsets]
-    return LatticeStage(grid.n, grid.r, lattice.recode(grid.h, coarse), offsets, period)
+    return LatticeStage(grid.n, grid.r, lattice.recode(grid.h, coarse), offsets), lattice.recode(stage.grid.period, coarse)
 
 
 VIEWS = {
@@ -198,7 +212,7 @@ def test_equally_spaced_view_equals_the_per_offset_rescale(name, m):
     stage = build()
     assert stage.grid.period is not None
     lattice = Lattice(stage.denominator * m, sqrt2)
-    assert_same(stage.on_lattice(lattice), per_offset_view(stage, lattice))
+    assert_same_grid(stage.on_lattice(lattice), *per_offset_view(stage, lattice))
 
 
 def test_staircase_variant_takes_any_scalar_step():

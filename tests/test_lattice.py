@@ -7,6 +7,7 @@ NumPy arrays, and (a, b) pairs for Q(sqrt 2)) must return the same
 """
 
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, chain, product
@@ -14,6 +15,7 @@ from math import lcm
 
 import numpy as np
 import pytest
+from conftest import per_copy
 from hypothesis import given, settings, strategies as st
 
 from rank1flow import (
@@ -22,6 +24,7 @@ from rank1flow import (
     asym49_schedule,
     flat_schedule,
     overlap_pairs,
+    schedule_from_json,
     staircase34_schedule,
     symmetrize,
     thm44_schedule,
@@ -57,6 +60,8 @@ def per_shift(step) -> list:
 
 
 def reference_overlap_pairs(stage, shift):
+    if isinstance(stage, LatticeStage):
+        stage = per_copy(stage)
     h, offs, r = stage.h, stage.offsets, stage.r
     counts = Counter()
     a = b = 0
@@ -139,8 +144,10 @@ def test_engine_lattice_matches_scalar_loop(case, factor):
 
 def reference_tuple_step(stage, x):
     """The m-point step at the shift tuple *x* by plain loops: delta vectors
-    of copy j0 with copies j'_i of each shift's window, as first met."""
+    of copy j0 with copies j'_i of each shift's window, as first met, on
+    every offset of the stage."""
     counts = {}
+    stage = per_copy(stage)
     for windows in zip(*(copy_windows(stage, xi) for xi in x)):
         for deltas in product(*windows):
             counts[deltas] = counts.get(deltas, 0) + 1
@@ -168,7 +175,7 @@ def test_schedule_takes_the_tuple_steps(key):
         for x in shifts:
             (single,) = tuple_overlaps(view, [(x,)])
             assert {deltas: mult for (deltas,), mult in single} == dict(overlap_pairs(view, x))
-            assert Counter(chain.from_iterable(copy_windows(view, x))) == Counter(dict(per_shift(sched.overlaps(2, [x], lattice))[0]))
+            assert Counter(chain.from_iterable(copy_windows(per_copy(view), x))) == Counter(dict(per_shift(sched.overlaps(2, [x], lattice))[0]))
 
 
 # (schedule, stage, on a Q(sqrt 2) lattice): asym49's stage 1 has no period
@@ -205,8 +212,8 @@ def reaching(monkeypatch, reached: Counter):
 def test_tuple_step_reaches_each_distinct_coordinate_once(key, n, pairs, data):
     """Batches of m = 3 and 4 whose tuples repeat coordinates, within a
     tuple and across tuples: the step equals the per-tuple sweep
-    (``reference_tuple_step``, on the same offsets with no period for an
-    equally spaced stage), order included, and each distinct coordinate's
+    (``reference_tuple_step``, on every offset of an equally spaced
+    stage, listed with no period), order included, and each distinct coordinate's
     windows or range are built once."""
     stage = SCHEDULES[key].stage(n)
     lattice = Lattice(6 * stage.denominator, pairs)
@@ -219,8 +226,7 @@ def test_tuple_step_reaches_each_distinct_coordinate_once(key, n, pairs, data):
         steps = tuple_overlaps(view, xs)
     route = "copy_windows" if view.period is None else "_periodic_deltas"
     assert reached == Counter({(route, x): 1 for x in chain.from_iterable(xs)})
-    swept = view._replace(period=None)
-    assert [list(step) for step in steps] == [reference_tuple_step(swept, x) for x in xs]
+    assert [list(step) for step in steps] == [reference_tuple_step(view, x) for x in xs]
 
 
 @pytest.mark.parametrize("key, n, pairs", TUPLE_STAGES, ids=TUPLE_IDS)
@@ -232,14 +238,13 @@ def test_tuple_guard_is_raised_at_the_same_tuple(monkeypatch, key, n, pairs):
     stage = SCHEDULES[key].stage(n)
     lattice = Lattice(6 * stage.denominator, pairs)
     view, coordinates = stage.on_lattice(lattice), repeating_tuples(stage, lattice)
-    swept = view._replace(period=None)
-    xs = sorted(product(coordinates, repeat=2), key=lambda x: len(reference_tuple_step(swept, x)))
-    sizes = [len(reference_tuple_step(swept, x)) for x in xs]
+    xs = sorted(product(coordinates, repeat=2), key=lambda x: len(reference_tuple_step(view, x)))
+    sizes = [len(reference_tuple_step(view, x)) for x in xs]
     guard = sorted(set(sizes))[-2]
     first = next(i for i, size in enumerate(sizes) if size > guard)
     assert first > 0
     monkeypatch.setattr(schedule_module, "GUARD", guard)
-    assert [list(step) for step in tuple_overlaps(view, xs[:first])] == [reference_tuple_step(swept, x) for x in xs[:first]]
+    assert [list(step) for step in tuple_overlaps(view, xs[:first])] == [reference_tuple_step(view, x) for x in xs[:first]]
     route = "_count_elements" if view.period is None else "_periodic_tuples"
     counted, original = [], getattr(schedule_module, route)
     monkeypatch.setattr(schedule_module, route, lambda *args: counted.append(1) or original(*args))
@@ -305,7 +310,7 @@ def test_overlap_batch_matches_scalar_loop(case):
     if _fits_int64(view, xs):
         assert decoded(per_shift(_table_batch(view, xs))) == expected
         if len(xs) * view.h < _INT64_SAFE:
-            assert decoded(per_shift(_sweep_batch(view, xs))) == expected
+            assert decoded(per_shift(_sweep_batch(per_copy(view), xs))) == expected
 
 
 def test_batches_past_int64_take_the_python_sweep(monkeypatch, numpy_batches):
@@ -369,11 +374,10 @@ def spaced_int_stage_batch(draw):
     h = draw(st.integers(1, 2 ** draw(st.integers(0, 50))))
     p = h + draw(st.integers(0, min(3 * h, (2**60 - h) // (r - 1) - h)))
     o = draw(st.integers(0, h))
-    offsets = [o + j * p for j in range(r)]
     near = st.builds(lambda k, e: k * p + e, st.integers(-r, r), st.sampled_from([0, h, -h, h - 1, 1 - h, h + 1, -h - 1]))
     reach = r * p + h
     shifts = draw(st.lists(st.one_of(near, st.integers(-reach, reach)), min_size=1, max_size=60))
-    return LatticeStage(1, r, h, offsets, p), shifts
+    return LatticeStage(1, r, h, first=o, period=p), shifts
 
 
 @settings(max_examples=150, deadline=None)
@@ -383,8 +387,8 @@ def test_the_closed_form_table_is_the_difference_table(case):
     no offset read, is ``np.unique`` of its r x r differences, entry for
     entry and dtype for dtype."""
     stage, _ = case
-    closed = _difference_table(stage._replace(offsets=None))
-    offs = np.array(stage.offsets, dtype=np.int64)
+    closed = _difference_table(stage)
+    offs = np.array(per_copy(stage).offsets, dtype=np.int64)
     for got, expected in zip(closed, np.unique(offs - offs[:, None], return_counts=True)):
         assert got.dtype == expected.dtype and got.tolist() == expected.tolist()
     assert len(closed[0]) == 2 * stage.r - 1
@@ -399,7 +403,7 @@ def test_table_sweep_and_scalar_loop_agree(case):
     shift."""
     stage, xs = case
     table = _table_batch(stage, xs)
-    assert_same_array_step(table, _sweep_batch(stage, xs))
+    assert_same_array_step(table, _sweep_batch(per_copy(stage), xs))
     expected = [reference_overlap_pairs(stage, x) for x in xs]
     assert per_shift(table) == per_shift(overlap_batch(stage, xs)) == expected
 
@@ -435,7 +439,8 @@ def test_the_table_rule_at_its_boundaries(monkeypatch, routes):
         assert per_shift(step) == [reference_overlap_pairs(view, x) for x in xs[:count]]
     spaced = flat_schedule(16).stage(2).on_lattice(Lattice(3, False))
     assert spaced.period is not None and spaced.r == 16
-    ys = [spaced.offsets[i % 16] - spaced.offsets[(5 * i) % 16] + i % 5 - 2 for i in range(15)]
+    offs = per_copy(spaced).offsets
+    ys = [offs[i % 16] - offs[(5 * i) % 16] + i % 5 - 2 for i in range(15)]
     routes.clear()  # GUARD is still 255 < r**2, and 15 shifts < r
     step = overlap_batch(spaced, ys)
     assert routes == ["_table_batch"]
@@ -449,17 +454,17 @@ def test_the_closed_form_table_at_the_int64_edge(routes, r, h):
     scalar loop and the sweep; one unit more takes the list step, with the
     same lists."""
     p = (_INT64_SAFE - 1 - h) // (r - 1)
-    stage = LatticeStage(1, r, h, [j * p for j in range(r)], p)
-    assert stage.offsets[-1] + h < _INT64_SAFE <= stage.offsets[-1] + h + r - 1
+    stage = LatticeStage(1, r, h, first=0, period=p)
+    assert (r - 1) * p + h < _INT64_SAFE <= (r - 1) * (p + 1) + h
     xs = [k * p + e for k in (1 - r, -1, 0, 1, r - 1) for e in (0, h - 1, 1 - h, h, -h)]
     xs += [_INT64_SAFE - 1, 1 - _INT64_SAFE] * (_NUMPY_MIN_WORK // r)
     expected = [reference_overlap_pairs(stage, x) for x in xs]
     step = overlap_batch(stage, xs)
     assert routes == ["_table_batch"] and type(step) is tuple
     assert per_shift(step) == expected
-    assert_same_array_step(step, _sweep_batch(stage, xs))
+    assert_same_array_step(step, _sweep_batch(per_copy(stage), xs))
     routes.clear()
-    wider = stage._replace(offsets=[j * (p + 1) for j in range(r)], period=p + 1)
+    wider = stage._replace(period=p + 1)
     assert not _fits_int64(wider, xs)
     assert overlap_batch(wider, xs) == [reference_overlap_pairs(wider, x) for x in xs] and routes == []
 
@@ -471,8 +476,8 @@ def test_a_table_step_takes_a_batch_past_the_sweeps_key_bound(routes):
     h = 2**54 take the table, with the list step's deltas and
     multiplicities, entry for entry."""
     h = 2**54
-    stage = LatticeStage(1, 64, h, [j * h for j in range(64)], h)
-    assert stage.offsets[-1] + h < _INT64_SAFE
+    stage = LatticeStage(1, 64, h, first=0, period=h)
+    assert 63 * h + h < _INT64_SAFE
     rng = random.Random(7)
     xs = [rng.randrange(-63, 64) * h + rng.choice((0, 1, -1, h - 1, 1 - h, h, -h, rng.randrange(-h, h))) for _ in range(635)]
     assert len(xs) * h >= _INT64_SAFE > 100 * h
@@ -644,7 +649,7 @@ def test_closed_form_matches_scalar_loop(case):
 def assert_tuple_step_is_the_sweep(view, xs):
     """The m-point step of an equally spaced *view* at the shift tuples
     *xs* is its closed form, which sweeps no copy window, and equals the
-    sweep of the same offsets with no period, order included."""
+    sweep of its offsets listed with no period, order included."""
     windows, copy = [], schedule_module.copy_windows
     schedule_module.copy_windows = lambda *args: windows.append(1) or copy(*args)
     try:
@@ -652,7 +657,7 @@ def assert_tuple_step_is_the_sweep(view, xs):
     finally:
         schedule_module.copy_windows = copy
     assert windows == []
-    assert closed == [list(step) for step in tuple_overlaps(view._replace(period=None), xs)]
+    assert closed == [list(step) for step in tuple_overlaps(per_copy(view), xs)]
 
 
 @pytest.mark.parametrize("key", sorted(PERIODIC))
@@ -677,7 +682,6 @@ def spaced_stage(draw):
         h = (draw(st.integers(1, 20)), draw(st.integers(0, 10)))
         p = (h[0] + draw(st.integers(0, 10)), h[1] + draw(st.integers(0, 5)))
         o = (draw(st.integers(0, 5)), draw(st.integers(0, 3)))
-        offsets = [(o[0] + j * p[0], o[1] + j * p[1]) for j in range(r)]
         near = st.tuples(st.integers(-h[0] - 2, h[0] + 2), st.integers(-h[1] - 1, h[1] + 1))
 
         def shift(k, e):
@@ -687,7 +691,6 @@ def spaced_stage(draw):
         h = draw(st.integers(1, 30))
         p = h + draw(st.integers(0, 10))
         o = draw(st.integers(0, 5))
-        offsets = [o + j * p for j in range(r)]
         near = st.one_of(st.integers(-h - 2, h + 2), st.sampled_from([h, -h, 0]))
 
         def shift(k, e):
@@ -696,7 +699,7 @@ def spaced_stage(draw):
     count = draw(st.integers(2, 3))
     one = st.builds(shift, st.integers(-r, r), near)
     xs = draw(st.lists(st.tuples(*[one] * count), min_size=1, max_size=4))
-    return LatticeStage(1, r, h, offsets, p), xs
+    return LatticeStage(1, r, h, first=o, period=p), xs
 
 
 @settings(max_examples=200, deadline=None)
@@ -728,9 +731,48 @@ def test_closed_form_on_a_wide_flat_stage(numpy_batches, x):
     assert [(lattice.decode(d), m) for d, m in per_shift(step)[0]] == expected
 
 
+@pytest.mark.parametrize("mode, h1, c", [("rational", "1/2", "1/3"), ("sqrt2", "1+1*sqrt2", "1/3+1*sqrt2")])
+def test_a_million_equally_spaced_copies_hold_two_coordinates(mode, h1, c):
+    """A "stages" document of one entry, r = 10**6 and a constant spacer:
+    the stage is built, viewed on a 3 times finer lattice (a rational one
+    also on a Q(sqrt 2) lattice) and answers ``overlap_batch``, with no
+    allocation of r coordinates, each of which takes an 8-byte list slot
+    and an int or a pair of its own.  The build holds two lists of r
+    references, the spacers and their ids, 16 bytes a copy; the views
+    and the list steps of the Q(sqrt 2) views take under 1 byte a copy."""
+    r = 10**6
+    sched = schedule_from_json({"mode": mode, "h1": h1, "stages": [{"r": r, "spacer": {"variant": "constant", "c": c}}]})
+    tracemalloc.start()
+    try:
+        stage = sched.stage(1)
+        built = tracemalloc.get_traced_memory()[1]
+        lattices = [Lattice(3 * stage.denominator, pairs) for pairs in dict.fromkeys([mode == "sqrt2", True])]
+        p, h = stage.h + stage.spacers[0], stage.h
+        # x = k0 p + e with |e| < h <= p: its deltas x + k p have k0 + k in {-1, 0, 1}
+        cases = [(k0, k0 * p + e) for k0 in (0, 1, 1 - r, r - 1, r) for e in (0 * h, h / 3, -h / 3, 2 * h / 3)]
+        shifts = [[lattice.encode(x) for _, x in cases] for lattice in lattices]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        views = [stage.on_lattice(lattice) for lattice in lattices]
+        steps = [overlap_batch(view, xs) if type(view.h) is tuple else None for view, xs in zip(views, shifts)]
+        viewed = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert built < 24 * r and viewed < r
+    for lattice, view, xs, step in zip(lattices, views, shifts, steps):
+        assert (view.offsets, view.first, view.period) == (None, lattice.encode(0 * h), lattice.encode(p))
+        if step is None:  # the rational view's closed-form table: 2 r - 1 entries, the step's own
+            step = overlap_batch(view, xs)
+        expected = [
+            [(lattice.encode(x + k * p), r - abs(k)) for k in (-k0 - 1, -k0, 1 - k0) if abs(k) < r and -h < x + k * p < h]
+            for k0, x in cases
+        ]
+        assert per_shift(step) == expected
+
+
 def _sweep_overlaps(view, x):
-    """The copy-window sweep of *view* at *x*, on the same offsets with no period."""
-    return overlap_pairs(view._replace(period=None), x)
+    """The copy-window sweep of *view* at *x*, on its offsets listed with no period."""
+    return overlap_pairs(per_copy(view), x)
 
 
 @pytest.mark.parametrize(
@@ -871,14 +913,15 @@ def test_copy_windows_of_an_equally_spaced_pair_stage_use_the_float_filter(monke
     lattice = Lattice(3 * stage.denominator, True)
     view, x = stage.on_lattice(lattice), lattice.encode(stage.h / 3)
     assert view.period is not None
+    swept = per_copy(view)
     (ha, hb), (sa, sb) = view.h, x
     expected = []
-    for oa, ob in view.offsets:  # every pair, by the exact sign
-        deltas = ((sa + pa - oa, sb + pb - ob) for pa, pb in view.offsets)
+    for oa, ob in swept.offsets:  # every pair, by the exact sign
+        deltas = ((sa + pa - oa, sb + pb - ob) for pa, pb in swept.offsets)
         expected.append([(a, b) for a, b in deltas if sqrt2_sign(ha - a, hb - b) > 0 and sqrt2_sign(ha + a, hb + b) > 0])
     signs, sign = [], schedule_module.sqrt2_sign
     monkeypatch.setattr(schedule_module, "sqrt2_sign", lambda a, b: signs.append(1) or sign(a, b))
-    assert copy_windows(view, x) == expected
+    assert copy_windows(swept, x) == expected
     assert len(signs) < view.r / 8
 
 
@@ -897,12 +940,13 @@ def test_the_m_point_step_builds_the_float_offsets_once_per_batch(monkeypatch):
         shifts = [lattice.encode(x) for x in (0 * stage.h, stage.h / 3, offs[1] - offs[0], offs[2] - offs[0] - stage.h)]
         ha, hb = view.h
         if n == 8:
+            swept = per_copy(view)
             for sa, sb in shifts:
                 expected = []
-                for oa, ob in view.offsets:
-                    deltas = ((sa + pa - oa, sb + pb - ob) for pa, pb in view.offsets)
+                for oa, ob in swept.offsets:
+                    deltas = ((sa + pa - oa, sb + pb - ob) for pa, pb in swept.offsets)
                     expected.append([(a, b) for a, b in deltas if sqrt2_sign(ha - a, hb - b) > 0 and sqrt2_sign(ha + a, hb + b) > 0])
-                assert copy_windows(view, (sa, sb)) == expected
+                assert copy_windows(swept, (sa, sb)) == expected
         xs = list(product(shifts, repeat=2))
         monkeypatch.setattr(schedule_module, "_pair_floats", lambda offsets: built.append(n) or build(offsets))
         steps = tuple_overlaps(view, xs)
